@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ParameterError, PoleError
 from .params import (
+    POLE_GUARD,
     ClassificationParams,
     DerivedBlockConstants,
     derive,
@@ -35,9 +36,7 @@ from .params import (
     validate_params,
 )
 from .partition import IndexPartition
-from .rmatrix import DensePoint, DynamicalRMatrix, Provenance, composite_index
-
-POLE_GUARD = 1e-13
+from .rmatrix import DynamicalRMatrix, Provenance, composite_index
 
 
 @dataclass(frozen=True)

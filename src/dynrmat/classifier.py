@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import AmbiguityError, NotInFamilyError, PoleError
 from .params import (
+    POLE_GUARD,
     BlockConstants,
     ClassificationParams,
     TableTwoForm,
@@ -27,7 +28,7 @@ from .params import (
     principal_sqrt,
 )
 from .partition import DeltaClass, IndexPartition
-from .rmatrix import DynamicalRMatrix
+from .rmatrix import DynamicalRMatrix, shift_stencil
 from .verifier import sample_lambda
 
 DEFAULT_ZERO_TOL = 1e-8
@@ -418,16 +419,11 @@ def _reference_point(R: DynamicalRMatrix) -> np.ndarray:
     for step in range(9, 60):
         lam = 0.1 * step * direction
         try:
-            for k in range(0, n + 1):
-                pt = lam.copy()
-                if k:
-                    pt[k - 1] += 1
-                dt, dd = R.tables(pt)
-                if max(np.abs(dt).max(), np.abs(dd).max()) > 1e6:
-                    raise PoleError("badly conditioned")
-            return lam
+            delta_st, d_st = shift_stencil(R, lam)
         except PoleError:
             continue
+        if max(np.abs(delta_st).max(), np.abs(d_st).max()) <= 1e6:
+            return lam
     raise PoleError("no well-conditioned reference point found")
 
 
@@ -622,7 +618,7 @@ def _recover_two_form(
                 for a in range(1, n + 1):
                     orig_lam[inv[a] - 1] = lam[a - 1]
                 denom = bare.d(_i, _j, lam)
-                if abs(denom) < 1e-13:
+                if abs(denom) < POLE_GUARD:
                     raise PoleError(f"bare diagonal coefficient vanishes at {lam}")
                 return R.d(inv[_i], inv[_j], orig_lam) / denom
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -19,14 +20,14 @@ from typing import Optional
 import numpy as np
 
 from .builder import build
-from .classifier import classify, recover_params, _reference_point
+from .classifier import DEFAULT_ZERO_TOL, classify, recover_params, _reference_point
 from .errors import (
     AmbiguityError,
     NotInFamilyError,
     ParameterError,
     PoleError,
 )
-from .hecke import hecke_classify
+from .hecke import DEFAULT_TOL as HECKE_TOL, hecke_classify
 from .params import validate_params
 from .partition import to_json as partition_to_json
 from .rmatrix import dense_point_to_json, evaluate, shifted
@@ -36,9 +37,17 @@ from .serialize import (
     matrix_from_samples,
     params_to_json,
     parse_config,
+    sample_key,
     two_form_from_json,
 )
-from .verifier import check_invertibility, check_system, dqybe_residual_normalized, sample_lambda
+from .verifier import (
+    DEFAULT_SAMPLES,
+    DEFAULT_TOL,
+    check_invertibility,
+    check_system,
+    dqybe_residual_normalized,
+    sample_lambda,
+)
 from . import transforms
 
 EXIT_OK = 0
@@ -98,31 +107,44 @@ def _seed(args) -> int:
     return 0
 
 
-def _load_datum(path: str):
+def _positive(value, flag: str, default):
+    """The value of a --samples/--tol flag, or ``default`` when it is absent."""
+    if value is None:
+        return default
+    if not value > 0:
+        raise UsageError(f"{flag} must be positive")
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite")
+    return value
+
+
+def _load(path: str):
+    """Parsed config; a datum's params are validated."""
     kind, payload = parse_config(load_config(path))
+    if kind == "datum":
+        res = validate_params(payload[1])
+        if not res:
+            raise ParameterError(res.message)
+    return kind, payload
+
+
+def _load_datum(path: str):
+    kind, payload = _load(path)
     if kind != "datum":
         raise ParameterError(
             "this command needs an evaluable datum config "
             '("kind": "datum"); a sampled matrix cannot be rebuilt'
         )
-    p, c = payload
-    res = validate_params(c)
-    if not res:
-        raise ParameterError(res.message)
-    return p, c
+    return payload
 
 
 def _load_any(path: str):
-    """Returns (R, params_or_None)."""
-    kind, payload = parse_config(load_config(path))
+    """Returns (R, points_or_None): the sample points of a sampled matrix,
+    None for a datum."""
+    kind, payload = _load(path)
     if kind == "datum":
-        p, c = payload
-        res = validate_params(c)
-        if not res:
-            raise ParameterError(res.message)
-        return build(p, c), c
-    points = payload
-    return matrix_from_samples(points), None
+        return build(*payload), None
+    return matrix_from_samples(payload), [np.asarray(pt.lam, dtype=complex) for pt in payload]
 
 
 # -- subcommands ------------------------------------------------------------
@@ -159,33 +181,20 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples is not None and args.samples <= 0:
-        raise UsageError("--samples must be positive")
-    kind, payload = parse_config(load_config(args.config))
+    num = _positive(args.samples, "--samples", DEFAULT_SAMPLES)
+    tol = _positive(args.tol, "--tol", DEFAULT_TOL)
+    R, points = _load_any(args.config)
     seed = _seed(args)
-    num = args.samples or 8
-    tol = args.tol or 1e-9
-    if kind == "datum":
-        p, c = payload
-        res = validate_params(c)
-        if not res:
-            raise ParameterError(res.message)
-        R = build(p, c)
-        rng = np.random.default_rng(seed)
-        samples = sample_lambda(R, rng, num)
+    if points is None:
+        samples = sample_lambda(R, np.random.default_rng(seed), num)
     else:
         # a sampled matrix is verifiable when, for some base points, all n
         # singly-shifted points are in the sample set too
-        R = matrix_from_samples(payload)
-        keys = {tuple(np.round(np.asarray(pt.lam, dtype=complex), 12)) for pt in payload}
-        samples = []
-        for pt in payload:
-            lam = np.asarray(pt.lam, dtype=complex)
-            if all(
-                tuple(np.round(shifted(lam, k), 12)) in keys
-                for k in range(1, R.n + 1)
-            ):
-                samples.append(lam)
+        keys = {sample_key(lam) for lam in points}
+        samples = [
+            lam for lam in points
+            if all(sample_key(shifted(lam, k)) in keys for k in range(1, R.n + 1))
+        ]
         if not samples:
             raise ParameterError(
                 "sampled matrix is not verifiable: no sample point has all "
@@ -229,19 +238,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    kind, payload = parse_config(load_config(args.config))
+    tol = _positive(args.tol, "--tol", DEFAULT_ZERO_TOL)
+    R, samples = _load_any(args.config)
     seed = _seed(args)
-    tol = args.tol or 1e-8
-    if kind == "datum":
-        p, c = payload
-        res = validate_params(c)
-        if not res:
-            raise ParameterError(res.message)
-        R = build(p, c)
-        samples = None
-    else:
-        R = matrix_from_samples(payload)
-        samples = [np.asarray(pt.lam, dtype=complex) for pt in payload]
     report = classify(R, samples=samples, tol=tol, seed=seed)
     obj = {
         "partition": partition_to_json(report.recovered_partition),
@@ -250,7 +249,7 @@ def cmd_classify(args) -> int:
         "reduced_incidence": report.M_R.astype(int).tolist(),
         "block_sizes": list(report.block_sizes),
     }
-    if kind == "datum":
+    if samples is None:
         params = recover_params(R, report)
         ref = _reference_point(R)
         obj["params"] = params_to_json(params, probe_lam=ref)
@@ -259,19 +258,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hecke(args) -> int:
-    kind, payload = parse_config(load_config(args.config))
+    tol = _positive(args.tol, "--tol", HECKE_TOL)
+    R, samples = _load_any(args.config)
     seed = _seed(args)
-    tol = args.tol or 1e-9
-    if kind == "datum":
-        p, c = payload
-        res = validate_params(c)
-        if not res:
-            raise ParameterError(res.message)
-        R = build(p, c)
-        samples = None
-    else:
-        R = matrix_from_samples(payload)
-        samples = [np.asarray(pt.lam, dtype=complex) for pt in payload]
     report = hecke_classify(R, samples=samples, tol=tol, seed=seed)
 
     def fmt(z: complex) -> str:

@@ -54,8 +54,9 @@ class DerivedBlockConstants:
 
     ``discriminant``  D with D^2 = S^2 + 4*Sigma (principal square root);
     ``ratio``         T = (D - S)/(D + S);
-    ``log_ratio``     A with e^A = T (principal log, except Im A = -pi when
-                      T is negative real); None when S = 0;
+    ``log_ratio``     A with e^A = T and Im A in [-pi, pi): the principal
+                      log, except that a negative real T takes Im A = -pi;
+                      None when S = 0;
     ``root``          B = (S + D)/2, a root of X^2 - S X - Sigma.
     """
 
@@ -66,8 +67,15 @@ class DerivedBlockConstants:
 
 
 def principal_sqrt(z: complex) -> complex:
-    """Principal square root: Re >= 0; on the cut (Re = 0) take Im >= 0."""
-    return complex(np.sqrt(complex(z)))
+    """Principal square root: Re >= 0; on the cut (Re = 0) take Im >= 0.
+
+    A zero imaginary part counts as +0.0, so a negative real (even one
+    carrying -0.0j) has a root with positive imaginary part.
+    """
+    z = complex(z)
+    if z.imag == 0:
+        z = complex(z.real, 0.0)
+    return complex(np.sqrt(z))
 
 
 def is_negative_real(z: complex) -> bool:
@@ -218,6 +226,10 @@ def validate_params(c: ClassificationParams) -> ValidationResult:
             f"{len(c.per_block)} per-block constants for {nblocks} blocks",
         )
     for q, (block, consts) in enumerate(zip(p.blocks, c.per_block)):
+        for name, v in (("sum constant S", consts.sum_const),
+                        ("determinant constant Sigma", consts.det_const)):
+            if not cmath.isfinite(v):
+                return ValidationResult(False, f"block {q + 1}: {name} must be finite")
         if consts.det_const == 0:
             return ValidationResult(
                 False, f"block {q + 1}: determinant constant must be nonzero"
@@ -234,6 +246,11 @@ def validate_params(c: ClassificationParams) -> ValidationResult:
             if v is None:
                 return ValidationResult(
                     False, f"missing cross-block determinant constant ({q + 1},{qq + 1})"
+                )
+            if not cmath.isfinite(v):
+                return ValidationResult(
+                    False,
+                    f"cross-block determinant constant ({q + 1},{qq + 1}) must be finite",
                 )
             if v == 0:
                 return ValidationResult(
@@ -253,6 +270,10 @@ def validate_params(c: ClassificationParams) -> ValidationResult:
                         False, f"missing f constant for d-class {list(cls)}"
                     )
                 fv = complex(c.f_consts[cls])
+                if not cmath.isfinite(fv):
+                    return ValidationResult(
+                        False, f"f constant of d-class {list(cls)} must be finite"
+                    )
                 if not consts.rational and fv == 0:
                     return ValidationResult(
                         False,

@@ -15,7 +15,8 @@ Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,9 +26,6 @@ from .partition import IndexPartition
 
 #: Fixed dynamical shift step (the normalization used throughout).
 SHIFT_STEP = 1.0
-
-#: Denominator guard shared with the coefficient closures.
-POLE_GUARD = 1e-13
 
 _TABLE_CACHE_MAX = 512
 
@@ -100,6 +98,40 @@ def composite_index(n: int, a: int, b: int) -> int:
     return (a - 1) * n + (b - 1)
 
 
+class ZeroWeightLayout(NamedTuple):
+    """Composite positions of the two sparsity patterns for one n.
+
+    Row (i, j) holds Delta_ij in column ``swap[(i, j)]``, the position of
+    (j, i), and d_ij on the diagonal when (i, j) is among ``offdiag``.
+    Positions are 0-based and row-major over (i, j), as in
+    :func:`composite_index`.
+    """
+
+    rows: np.ndarray      # every composite position, in order
+    swap: np.ndarray      # position of (j, i) for each (i, j)
+    offdiag: np.ndarray   # positions of the (i, j) with i != j
+
+
+@lru_cache(maxsize=None)
+def zero_weight_layout(n: int) -> ZeroWeightLayout:
+    """The :class:`ZeroWeightLayout` of size n (cached, read-only arrays)."""
+    rows = np.arange(n * n)
+    swap = rows.reshape(n, n).T.ravel()
+    offdiag = rows[rows // n != rows % n]
+    for arr in (rows, swap, offdiag):
+        arr.setflags(write=False)
+    return ZeroWeightLayout(rows, swap, offdiag)
+
+
+def tables_from_dense(M: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of the layout: the (exchange, diagonal) n x n tables read off
+    a dense n^2 x n^2 matrix; entries outside the two patterns are ignored."""
+    rows, swap, offdiag = zero_weight_layout(n)
+    d_flat = np.zeros(n * n, dtype=complex)
+    d_flat[offdiag] = M[offdiag, offdiag]
+    return M[rows, swap].reshape(n, n), d_flat.reshape(n, n)
+
+
 def shifted(lam: np.ndarray, k: int) -> np.ndarray:
     """lam with component k (1-based) moved by the unit dynamical shift."""
     out = np.asarray(lam, dtype=complex).copy()
@@ -107,17 +139,26 @@ def shifted(lam: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def shift_stencil(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (exchange, diagonal) tables of shape (n+1, n, n): index 0 at
+    ``lam``, index k at lam + e_k.
+
+    Evaluated in that order, so the first :class:`PoleError` propagates
+    before any later point is evaluated.
+    """
+    tabs = [R.tables(lam)] + [R.tables(shifted(lam, k)) for k in range(1, R.n + 1)]
+    return np.stack([t[0] for t in tabs]), np.stack([t[1] for t in tabs])
+
+
 def evaluate(R: DynamicalRMatrix, lam: np.ndarray) -> DensePoint:
     """Dense evaluation at ``lam``; only the two sparsity patterns are filled."""
     lam = np.asarray(lam, dtype=complex)
     delta_tab, d_tab = R.tables(lam)
     n = R.n
+    rows, swap, offdiag = zero_weight_layout(n)
     M = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            M[composite_index(n, i, j), composite_index(n, j, i)] = delta_tab[i - 1, j - 1]
-            if i != j:
-                M[composite_index(n, i, j), composite_index(n, i, j)] = d_tab[i - 1, j - 1]
+    M[rows, swap] = delta_tab.ravel()
+    M[offdiag, offdiag] = d_tab.ravel()[offdiag]
     return DensePoint(n=n, lam=tuple(lam.tolist()), matrix=M)
 
 
@@ -147,25 +188,13 @@ def embed_with_shift(
     lam = np.asarray(lam, dtype=complex)
     n = R.n
     T = np.zeros((n, n, n, n, n, n), dtype=complex)
+    unshifted = None if shift_slot is not None else evaluate(R, lam).matrix
     for k in range(1, n + 1):
-        point = shifted(lam, k) if shift_slot is not None else lam
-        block = evaluate(R, point).matrix.reshape(n, n, n, n)
-        if (a, b) == (1, 2):
-            T[:, :, k - 1, :, :, k - 1] = block
-        elif (a, b) == (1, 3):
-            T[:, k - 1, :, :, k - 1, :] = block
-        else:  # (2, 3)
-            T[k - 1, :, :, k - 1, :, :] = block
-        if shift_slot is None:
-            # No spectator shift: all k-slices are identical.
-            for kk in range(2, n + 1):
-                if (a, b) == (1, 2):
-                    T[:, :, kk - 1, :, :, kk - 1] = block
-                elif (a, b) == (1, 3):
-                    T[:, kk - 1, :, :, kk - 1, :] = block
-                else:
-                    T[kk - 1, :, :, kk - 1, :, :] = block
-            break
+        block = unshifted if unshifted is not None else evaluate(R, shifted(lam, k)).matrix
+        # fix the spectator's output and input axes to e_k
+        at = [slice(None)] * 6
+        at[spectator - 1] = at[spectator + 2] = k - 1
+        T[tuple(at)] = block.reshape(n, n, n, n)
     return T.reshape(n ** 3, n ** 3)
 
 
@@ -174,12 +203,7 @@ def permuted(P: DensePoint) -> np.ndarray:
     after the matrix.  On span{e_i (x) e_j, e_j (x) e_i} the restriction is
     [[delta_ji, d_ji], [d_ij, delta_ij]]; on e_i (x) e_i it is delta_ii.
     """
-    n = P.n
-    out = np.empty_like(P.matrix)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            out[composite_index(n, a, b), :] = P.matrix[composite_index(n, b, a), :]
-    return out
+    return P.matrix[zero_weight_layout(P.n).swap]
 
 
 def sum_and_det_fields(
@@ -204,22 +228,21 @@ def sum_and_det_fields(
 # -- JSON export -----------------------------------------------------------
 
 def dense_point_to_json(P: DensePoint) -> dict:
-    entries = []
     n = P.n
-    # enumerate only the two sparsity patterns
+    delta, d = tables_from_dense(P.matrix, n)
+    entries = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            v = P.entry((i, j), (j, i))
+            v = complex(delta[i - 1, j - 1])
             if v != 0:
                 entries.append(
                     {"row": [i, j], "col": [j, i], "re": v.real, "im": v.imag}
                 )
-            if i != j:
-                v = P.entry((i, j), (i, j))
-                if v != 0:
-                    entries.append(
-                        {"row": [i, j], "col": [i, j], "re": v.real, "im": v.imag}
-                    )
+            v = complex(d[i - 1, j - 1])
+            if v != 0:
+                entries.append(
+                    {"row": [i, j], "col": [i, j], "re": v.real, "im": v.imag}
+                )
     return {
         "n": n,
         "lambda": [{"re": z.real, "im": z.imag} for z in P.lam],

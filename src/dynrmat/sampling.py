@@ -27,12 +27,11 @@ from .params import (
 from .partition import DeltaClass, IndexPartition, nd_pairs
 
 
-def _random_composition(total: int, rng: np.random.Generator, max_parts=None) -> list[int]:
+def _random_composition(total: int, rng: np.random.Generator) -> list[int]:
     parts = []
     left = total
     while left > 0:
-        hi = left if max_parts is None else left
-        size = int(rng.integers(1, hi + 1))
+        size = int(rng.integers(1, left + 1))
         parts.append(size)
         left -= size
     return parts

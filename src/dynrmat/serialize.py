@@ -41,7 +41,7 @@ from .params import (
 from .partition import IndexPartition
 from .partition import from_json as partition_from_json
 from .partition import to_json as partition_to_json
-from .rmatrix import DensePoint, DynamicalRMatrix, composite_index
+from .rmatrix import DensePoint, DynamicalRMatrix, composite_index, tables_from_dense
 
 
 def complex_to_json(z: complex) -> dict:
@@ -220,6 +220,12 @@ def sampled_matrix_from_json(obj: dict) -> list[DensePoint]:
     return points
 
 
+def sample_key(lam) -> tuple:
+    """Lookup key of a sampled dynamical point: components rounded to 12
+    decimals, so points recomputed by a unit shift find their sample."""
+    return tuple(np.round(np.asarray(lam, dtype=complex), 12))
+
+
 def matrix_from_samples(points: list[DensePoint]) -> DynamicalRMatrix:
     """Zero-weight matrix backed by a finite list of dense samples.
 
@@ -228,23 +234,10 @@ def matrix_from_samples(points: list[DensePoint]) -> DynamicalRMatrix:
     :class:`ParameterError`.
     """
     n = points[0].n
-    tables = {}
-    for pt in points:
-        delta = np.zeros((n, n), dtype=complex)
-        dd = np.zeros((n, n), dtype=complex)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                delta[i - 1, j - 1] = pt.matrix[
-                    composite_index(n, i, j), composite_index(n, j, i)
-                ]
-                if i != j:
-                    dd[i - 1, j - 1] = pt.matrix[
-                        composite_index(n, i, j), composite_index(n, i, j)
-                    ]
-        tables[tuple(np.round(pt.lam, 12))] = (delta, dd)
+    tables = {sample_key(pt.lam): tables_from_dense(pt.matrix, n) for pt in points}
 
     def lookup(lam: np.ndarray):
-        key = tuple(np.round(np.asarray(lam, dtype=complex), 12))
+        key = sample_key(lam)
         if key not in tables:
             raise ParameterError(
                 "sampled matrix is only evaluable at its own sample points"

@@ -1,7 +1,7 @@
 """Numerical certification of a dynamical R-matrix.
 
 Two complementary checks are provided: the global residual of the shifted
-Yang-Baxter relation on the triple tensor product, and the fifteen
+Yang-Baxter relation on the triple tensor product, and the sixteen
 component equations the relation reduces to for zero-weight matrices
 (one diagonal family G0, nine two-index families F1..F9, six three-index
 families E1..E6).  The component equations are evaluated exactly as
@@ -26,11 +26,11 @@ from .errors import PoleError
 from .rmatrix import (
     DensePoint,
     DynamicalRMatrix,
-    composite_index,
     embed_with_shift,
     evaluate,
+    shift_stencil,
     shifted,
-    sum_and_det_fields,
+    zero_weight_layout,
 )
 
 EQUATION_TAGS = ("G0",) + tuple(f"F{k}" for k in range(1, 10)) + tuple(
@@ -92,26 +92,13 @@ def sample_lambda(
             )
         lam = rng.uniform(-box, box, R.n) + 1j * rng.uniform(-box, box, R.n)
         try:
-            points = [lam] + [shifted(lam, k) for k in range(1, R.n + 1)]
-            worst = 0.0
-            for pt in points:
-                dt, dd = R.tables(pt)
-                worst = max(worst, float(np.abs(dt).max()), float(np.abs(dd).max()))
-            if worst > entry_cap:
-                continue
+            delta_st, d_st = shift_stencil(R, lam)
         except PoleError:
+            continue
+        if max(float(np.abs(delta_st).max()), float(np.abs(d_st).max())) > entry_cap:
             continue
         out.append(lam)
     return out
-
-
-def _coefficient_scale(R: DynamicalRMatrix, lam: np.ndarray) -> float:
-    points = [lam] + [shifted(lam, k) for k in range(1, R.n + 1)]
-    worst = 0.0
-    for pt in points:
-        dt, dd = R.tables(pt)
-        worst = max(worst, float(np.abs(dt).max()), float(np.abs(dd).max()))
-    return worst
 
 
 def dqybe_defect(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[float, float]:
@@ -149,7 +136,7 @@ def _equation_values(
     delta_sh: np.ndarray,
     d_sh: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """All fifteen component-equation value arrays at one sample.
+    """All sixteen component-equation value arrays at one sample.
 
     ``delta_sh[k]`` / ``d_sh[k]`` are the coefficient tables at the point
     with component k+1 shifted by one unit.
@@ -232,7 +219,7 @@ def check_system(
     samples: Sequence[np.ndarray],
     tol: float = DEFAULT_TOL,
 ) -> ResidualReport:
-    """Evaluate all fifteen component equations at every sample point."""
+    """Evaluate all sixteen component equations at every sample point."""
     if len(samples) < 1:
         raise ValueError("at least one sample point is required")
     per_eq = {tag: 0.0 for tag in EQUATION_TAGS}
@@ -243,19 +230,10 @@ def check_system(
     for lam in samples:
         lam = np.asarray(lam, dtype=complex)
         sample_list.append(tuple(lam.tolist()))
-        delta0, d0 = R.tables(lam)
-        delta_sh = np.stack(
-            [R.tables(shifted(lam, k))[0] for k in range(1, R.n + 1)]
-        )
-        d_sh = np.stack(
-            [R.tables(shifted(lam, k))[1] for k in range(1, R.n + 1)]
-        )
-        scale = max(
-            float(np.abs(delta0).max()), float(np.abs(d0).max()),
-            float(np.abs(delta_sh).max()), float(np.abs(d_sh).max()),
-        )
+        delta_st, d_st = shift_stencil(R, lam)
+        scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
         norm = max(1.0, scale ** 3)
-        values = _equation_values(delta0, d0, delta_sh, d_sh)
+        values = _equation_values(delta_st[0], d_st[0], delta_st[1:], d_st[1:])
         for tag, arr in values.items():
             mags = np.abs(arr)
             raw = float(mags.max()) if mags.size else 0.0
@@ -286,13 +264,10 @@ def check_system(
 
 def check_zero_weight(P: DensePoint, tol: float = 1e-14) -> bool:
     """True iff all entries outside the two allowed patterns vanish."""
-    n = P.n
-    mask = np.ones((n * n, n * n), dtype=bool)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            mask[composite_index(n, i, j), composite_index(n, j, i)] = False
-            if i != j:
-                mask[composite_index(n, i, j), composite_index(n, i, j)] = False
+    rows, swap, offdiag = zero_weight_layout(P.n)
+    mask = np.ones((P.n * P.n, P.n * P.n), dtype=bool)
+    mask[rows, swap] = False
+    mask[offdiag, offdiag] = False
     off = np.abs(P.matrix[mask])
     return bool(off.size == 0 or off.max() < tol)
 
@@ -357,24 +332,4 @@ def shift_identities(R: DynamicalRMatrix, lam: np.ndarray) -> dict[tuple[int, in
                 b1 = R.delta(j, i, lam_k) / R.delta(i, j, lam_k)
                 expected = np.exp(derived.log_ratio * fi.sign)
                 out[(i, j)] = abs(b1 - b0 * expected)
-    return out
-
-
-def sum_det_constancy(
-    R: DynamicalRMatrix, samples: Sequence[np.ndarray]
-) -> dict[tuple[int, int], tuple[complex, complex, float]]:
-    """Mean (sum, det) invariants per pair and their spread over samples."""
-    acc: dict[tuple[int, int], list[tuple[complex, complex]]] = {}
-    for lam in samples:
-        for pair, value in sum_and_det_fields(R, lam).items():
-            acc.setdefault(pair, []).append(value)
-    out = {}
-    for pair, vals in acc.items():
-        sums = np.array([v[0] for v in vals])
-        dets = np.array([v[1] for v in vals])
-        spread = max(
-            float(np.abs(sums - sums.mean()).max()),
-            float(np.abs(dets - dets.mean()).max()),
-        )
-        out[pair] = (complex(sums.mean()), complex(dets.mean()), spread)
     return out

@@ -133,6 +133,23 @@ def test_verify_nonpositive_samples(golden_config):
     assert main(["verify", golden_config, "--samples", "0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["verify", "classify", "hecke"])
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+def test_bad_tol_usage(golden_config, capsys, command, tol):
+    assert main([command, golden_config, f"--tol={tol}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be" in captured.err
+
+
+def test_non_finite_constant_invalid(golden_config, tmp_path, capsys):
+    obj = json.loads(open(golden_config).read())
+    obj["per_block"][0]["S"] = {"re": float("nan"), "im": 0.0}
+    path = _write(tmp_path, "nan.json", obj)
+    assert main(["verify", path]) == EXIT_INVALID
+    assert "sum constant S must be finite" in capsys.readouterr().err
+
+
 def test_verify_matrix_with_shifts_passes(golden_R, tmp_path, capsys):
     rng = np.random.default_rng(0)
     base = sample_lambda(golden_R, rng, 2)

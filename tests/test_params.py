@@ -1,8 +1,9 @@
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynrmat.builder import build
@@ -70,6 +71,7 @@ def test_is_negative_real():
     re=st.floats(-10, 10, allow_nan=False),
     im=st.floats(-10, 10, allow_nan=False),
 )
+@example(re=-1.0, im=-0.0)
 def test_principal_sqrt_properties(re, im):
     z = complex(re, im)
     r = principal_sqrt(z)
@@ -106,6 +108,42 @@ def test_validate_params_zero_det():
     )
     res = validate_params(broken)
     assert not res and "determinant" in res.message
+
+
+def _two_block_params():
+    from dynrmat.partition import DeltaClass, IndexPartition
+
+    p = IndexPartition(n=2, blocks=((DeltaClass(free=(1,)),), (DeltaClass(free=(2,)),)))
+    return ClassificationParams(
+        partition=p,
+        per_block=(BlockConstants(1 + 0j, 2 + 0j), BlockConstants(0j, 1 + 0j)),
+        cross_det={(0, 1): 3 + 0j},
+        signs={(1,): 1, (2,): 1},
+        f_consts={(1,): 1 + 0j, (2,): 0j},
+    )
+
+
+@pytest.mark.parametrize("broken,named", [
+    (lambda c: replace(c, per_block=(BlockConstants(complex("nan"), 2), c.per_block[1])),
+     "block 1: sum constant S"),
+    (lambda c: replace(c, per_block=(BlockConstants(complex(0, float("inf")), 2),
+                                     c.per_block[1])),
+     "block 1: sum constant S"),
+    (lambda c: replace(c, per_block=(c.per_block[0], BlockConstants(0j, complex("inf")))),
+     "block 2: determinant constant Sigma"),
+    (lambda c: replace(c, cross_det={(0, 1): complex("nan")}),
+     "cross-block determinant constant (1,2)"),
+    (lambda c: replace(c, f_consts={**c.f_consts, (1,): complex("nan")}),
+     "f constant of d-class [1]"),
+    (lambda c: replace(c, f_consts={**c.f_consts, (2,): complex("-inf")}),
+     "f constant of d-class [2]"),
+], ids=["S-nan", "S-inf", "Sigma-inf", "cross-nan", "f-nan", "f-inf"])
+def test_validate_params_rejects_non_finite_constants(broken, named):
+    c = _two_block_params()
+    assert validate_params(c)
+    res = validate_params(broken(c))
+    assert not res
+    assert named in res.message and "must be finite" in res.message
 
 
 def test_validate_params_trig_zero_f():

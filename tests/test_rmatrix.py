@@ -8,12 +8,16 @@ from dynrmat.rmatrix import (
     embed_with_shift,
     evaluate,
     permuted,
+    shift_stencil,
     shifted,
     sum_and_det_fields,
+    tables_from_dense,
 )
 
 from conftest import golden_datum, golden_expected_tables, random_points
 from dynrmat.builder import build
+from dynrmat.sampling import random_datum
+from dynrmat.verifier import check_zero_weight, sample_lambda
 
 
 def test_composite_index_convention():
@@ -51,6 +55,30 @@ def test_evaluate_sparsity_and_values():
             mask[composite_index(n, i, j), composite_index(n, j, i)] = False
             mask[composite_index(n, i, j), composite_index(n, i, j)] = False
     assert np.abs(P.matrix[mask]).max() == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tables_from_dense_inverts_evaluate(n):
+    p, c = random_datum(n, np.random.default_rng(40 + n), "table")
+    R = build(p, c)
+    (lam,) = sample_lambda(R, np.random.default_rng(n), 1)
+    P = evaluate(R, lam)
+    assert check_zero_weight(P)
+    delta, d = tables_from_dense(P.matrix, n)
+    dt, dd = R.tables(lam)
+    assert np.array_equal(delta, dt) and np.array_equal(d, dd)
+
+
+def test_shift_stencil_matches_shifted_tables():
+    p, c = golden_datum()
+    R = build(p, c)
+    (lam,) = random_points(np.random.default_rng(5), 4, 1)
+    delta_st, d_st = shift_stencil(R, lam)
+    assert delta_st.shape == d_st.shape == (5, 4, 4)
+    for k in range(5):
+        pt = shifted(lam, k) if k else lam
+        dt, dd = build(p, c).tables(pt)  # fresh matrix: no shared cache
+        assert np.array_equal(delta_st[k], dt) and np.array_equal(d_st[k], dd)
 
 
 def _embed_oracle(R, slot_pair, shift_slot, lam):
