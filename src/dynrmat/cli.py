@@ -337,7 +337,9 @@ def cmd_transform(args) -> int:
         p2, c2 = _load_datum(args.compose)
         R2 = build(p2, c2)
         out_R = transforms.decouple_compose(
-            R, R2, complex(args.g_ab or 1.0), complex(args.g_ba or 1.0)
+            R, R2,
+            complex(1.0 if args.g_ab is None else args.g_ab),
+            complex(1.0 if args.g_ba is None else args.g_ba),
         )
         m = p.n + p2.n
     elif mode == "twist":
@@ -373,7 +375,6 @@ def build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("config", help="JSON config path")
-        sp.add_argument("--samples", type=int, default=None)
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--lambda", dest="lam", default=None,
@@ -381,7 +382,9 @@ def build_parser() -> _Parser:
         sp.add_argument("--out", default=None, help="output file (default stdout)")
 
     common(sub.add_parser("build", help="build a matrix from a datum config"))
-    common(sub.add_parser("verify", help="check the shifted consistency equations"))
+    vp = sub.add_parser("verify", help="check the shifted consistency equations")
+    common(vp)
+    vp.add_argument("--samples", type=int, default=None)
     common(sub.add_parser("classify", help="recover partition and constants"))
     common(sub.add_parser("hecke", help="spectral classification"))
     tp = sub.add_parser("transform", help="apply a covariance transform")

@@ -70,12 +70,17 @@ def principal_sqrt(z: complex) -> complex:
     """Principal square root: Re >= 0; on the cut (Re = 0) take Im >= 0.
 
     A zero imaginary part counts as +0.0, so a negative real (even one
-    carrying -0.0j) has a root with positive imaginary part.
+    carrying -0.0j) has a root with positive imaginary part.  A root whose
+    real part underflowed to 0 (a subnormal negative imaginary part) is
+    negated onto the Im >= 0 side.
     """
     z = complex(z)
     if z.imag == 0:
         z = complex(z.real, 0.0)
-    return complex(np.sqrt(z))
+    r = complex(np.sqrt(z))
+    if r.real == 0 and r.imag < 0:
+        r = complex(0.0, -r.imag)
+    return r
 
 
 def is_negative_real(z: complex) -> bool:

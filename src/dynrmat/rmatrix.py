@@ -176,6 +176,9 @@ def embed_with_shift(
     that slot is evaluated at lam + e_k (the dynamical shift produced by the
     weight of the spectating factor); otherwise everything is evaluated at
     lam.
+
+    O(n^6) memory: :func:`dynrmat.verifier.dqybe_defect` does not use it;
+    it is the dense reference its tests compare against.
     """
     a, b = slot_pair
     if sorted((a, b)) != list(slot_pair) or a == b or not {a, b} <= {1, 2, 3}:

@@ -133,6 +133,14 @@ def test_verify_nonpositive_samples(golden_config):
     assert main(["verify", golden_config, "--samples", "0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command,value", [
+    ("build", "3"), ("classify", "0"), ("hecke", "-5"),
+])
+def test_samples_only_on_verify(golden_config, capsys, command, value):
+    assert main([command, golden_config, "--samples", value]) == EXIT_USAGE
+    assert "--samples" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify", "classify", "hecke"])
 @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
 def test_bad_tol_usage(golden_config, capsys, command, tol):
@@ -315,6 +323,15 @@ def test_transform_compose(golden_config, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["n"] == 8
     assert obj["residual"] < 1e-9
+
+
+@pytest.mark.parametrize("flag", ["--g-ab", "--g-ba"])
+def test_transform_compose_zero_cross_factor_invalid(golden_config, capsys, flag):
+    code = main(["transform", golden_config, "--compose", golden_config, flag, "0"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cross coefficients" in captured.err
 
 
 def test_transform_two_form(golden_config, tmp_path, capsys):

@@ -72,6 +72,7 @@ def test_is_negative_real():
     im=st.floats(-10, 10, allow_nan=False),
 )
 @example(re=-1.0, im=-0.0)
+@example(re=-1.0, im=-5e-324)
 def test_principal_sqrt_properties(re, im):
     z = complex(re, im)
     r = principal_sqrt(z)

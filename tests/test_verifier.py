@@ -5,12 +5,19 @@ from dynrmat.builder import build
 from dynrmat.rmatrix import (
     DynamicalRMatrix,
     composite_index,
+    embed_with_shift,
     evaluate,
+    shift_stencil,
     shifted,
 )
 from dynrmat.sampling import random_datum
+from dynrmat.serialize import matrix_from_samples
+from dynrmat.transforms import decouple_compose
 from dynrmat.verifier import (
+    _LEFT,
+    _RIGHT,
     EQUATION_TAGS,
+    _path_products,
     check_invertibility,
     check_system,
     check_zero_weight,
@@ -82,6 +89,94 @@ def _triple_oracle(R, lam):
     lhs = op((1, 2), True) @ op((1, 3), False) @ op((2, 3), True)
     rhs = op((2, 3), False) @ op((1, 3), True) @ op((1, 2), False)
     return float(np.abs(lhs - rhs).max())
+
+
+def _dense_sides(R, lam):
+    """Both sides of the relation as dense n^3 x n^3 products."""
+    left = (
+        embed_with_shift(R, (1, 2), 3, lam)
+        @ embed_with_shift(R, (1, 3), None, lam)
+        @ embed_with_shift(R, (2, 3), 1, lam)
+    )
+    right = (
+        embed_with_shift(R, (2, 3), None, lam)
+        @ embed_with_shift(R, (1, 3), 2, lam)
+        @ embed_with_shift(R, (1, 2), None, lam)
+    )
+    return left, right
+
+
+def _summed_paths(R, lam, factors):
+    """One side of the relation assembled densely from its path products."""
+    size = R.n ** 3
+    rows, weights = _path_products(*shift_stencil(R, lam), factors)
+    out = np.zeros((size, size), dtype=complex)
+    np.add.at(out, (rows, np.tile(np.arange(size), 8)), weights)
+    return out
+
+
+def _scaled_entry(R, field, pair, change):
+    """R with one coefficient of ``field`` ("delta" or "d") changed."""
+    fields = {"delta": R.delta, "d": R.d}
+    base = fields[field]
+
+    def changed(i, j, lam):
+        v = base(i, j, lam)
+        return change(v) if (i, j) == pair else v
+
+    fields[field] = changed
+    return DynamicalRMatrix(n=R.n, **fields)
+
+
+def _sampled_copy(R, lam):
+    """A sampled matrix holding R at lam and its n unit shifts."""
+    pts = [lam] + [shifted(lam, k) for k in range(1, R.n + 1)]
+    return matrix_from_samples([evaluate(R, mu) for mu in pts])
+
+
+def _kernel_cases(n, rng):
+    """(name, matrix, sample point) for members and non-members of size n."""
+    member = build(*random_datum(n, rng))
+    cases = [("member", member)]
+    if n >= 2:
+        cases.append(("delta x1.4", _scaled_entry(member, "delta", (1, 2), lambda v: 1.4 * v)))
+        cases.append(("d + 0.1", _scaled_entry(member, "d", (2, 1), lambda v: v + 0.1)))
+        na = int(rng.integers(1, n))
+        Ra = build(*random_datum(na, rng))
+        Rb = build(*random_datum(n - na, rng))
+        cases.append(("compose", decouple_compose(Ra, Rb, 1.5 + 0j, 0.5 + 0.5j)))
+    out = [(name, R, sample_lambda(R, rng, 1)[0]) for name, R in cases]
+    lam = out[0][2]
+    return out + [("sampled", _sampled_copy(member, lam), lam)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_path_product_defect_matches_dense_products(n):
+    # summation order differs from the dense products, so entries agree to
+    # a few ulp of the scale, not bit for bit
+    rng = np.random.default_rng(100 + n)
+    for name, R, lam in _kernel_cases(n, rng):
+        left, right = _dense_sides(R, lam)
+        dense_scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
+        tol = 1e-13 * max(1.0, dense_scale)
+        for factors, dense in ((_LEFT, left), (_RIGHT, right)):
+            assert np.abs(_summed_paths(R, lam, factors) - dense).max() <= tol, name
+        raw, scale = dqybe_defect(R, lam)
+        assert abs(scale - dense_scale) <= tol, name
+        assert abs(raw - float(np.abs(left - right).max())) <= tol, name
+        assert abs(raw - _triple_oracle(R, lam)) <= tol, name
+        if name in ("member", "sampled", "compose"):
+            assert raw <= tol, name
+
+
+def test_defect_large_n_member_passes_check_system():
+    # n = 24: dense products would need N^2 = 13824^2 complex entries (3 GB)
+    rng = np.random.default_rng(24)
+    R = build(*random_datum(24, rng))
+    samples = sample_lambda(R, rng, 2)
+    report = check_system(R, samples=samples)
+    assert report.passed
+    assert max(report.global_residuals) < 1e-12
 
 
 def test_defect_matches_independent_oracle_on_solution():
