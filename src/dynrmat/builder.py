@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PoleError
+from .errors import ParameterError
 from .params import (
     POLE_GUARD,
     ClassificationParams,
@@ -80,65 +80,89 @@ def _class_constant(consts, derived: DerivedBlockConstants, sign: int) -> comple
 
 
 def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
-    """Construct the closed-form matrix for a validated, f-normalized datum."""
+    """Construct the closed-form matrix for a validated, f-normalized datum.
+
+    The index arrays and constant tables are resolved here once; each
+    evaluation point then costs one class-sum product and masked numpy
+    expressions for the lambda-dependent pairs.
+    """
     result = validate_params(c)
     if not result:
         raise ParameterError(result.message)
     if c.partition != p:
         raise ParameterError("partition does not match the one inside the params")
 
-    info = _index_table(p, c)
+    n = p.n
+    table = _index_table(p, c)
+    info = [table[i] for i in range(1, n + 1)]
     derived = [derive(b.sum_const, b.det_const) for b in c.per_block]
     sqrt_det = [principal_sqrt(b.det_const) for b in c.per_block]
     sqrt_cross = {k: principal_sqrt(v) for k, v in c.cross_det.items()}
-    class_const = {
-        cls: _class_constant(c.per_block[info[cls[0]].block],
-                             derived[info[cls[0]].block],
-                             int(c.signs[cls]))
-        for cls in p.all_d_classes()
-    }
+    classes = p.all_d_classes()
+    ordinal = {cls: k for k, cls in enumerate(classes)}
+
+    def per_index(fn, dtype):
+        return np.array([fn(x) for x in info], dtype=dtype)
+
+    cls_of = per_index(lambda x: ordinal[x.d_class], int)
+    block = per_index(lambda x: x.block, int)
+    dclass = per_index(lambda x: x.delta_class, int)
+    sign = per_index(lambda x: x.sign, float)
+    f = per_index(lambda x: x.f, complex)
+    member = np.zeros((len(classes), n), dtype=complex)
+    member[cls_of, np.arange(n)] = 1
+
+    same_class = cls_of[:, None] == cls_of[None, :]
+    other_class = ~same_class
+    same_block = block[:, None] == block[None, :]
+    coupled = same_block & (dclass[:, None] == dclass[None, :]) & other_class
+
+    # lambda-independent entries; coupled pairs are filled per point
+    delta0 = np.zeros((n, n), dtype=complex)
+    d0 = np.zeros((n, n), dtype=complex)
+    for a, b in zip(*np.nonzero(~coupled)):
+        fa, fb = info[a], info[b]
+        if same_class[a, b]:
+            delta0[a, b] = _class_constant(c.per_block[fa.block], derived[fa.block], fa.sign)
+        elif fa.block != fb.block:
+            qq = (min(fa.block, fb.block), max(fa.block, fb.block))
+            d0[a, b] = sqrt_cross[qq]
+        else:
+            earlier = fa.delta_class < fb.delta_class
+            delta0[a, b] = c.per_block[fa.block].sum_const if earlier else 0j
+            d0[a, b] = sqrt_det[fa.block]
+
+    # coupled pairs, as flat positions split by block kind
+    rational = per_index(lambda x: c.per_block[x.block].rational, bool)
+    rat = np.flatnonzero(coupled & rational[:, None])
+    trig = np.flatnonzero(coupled & ~rational[:, None])
+    ri, rj = np.divmod(rat, n)
+    ti, tj = np.divmod(trig, n)
+    r_num = np.array([sqrt_det[q] for q in block[ri]], dtype=complex)
+    t_log = np.array([derived[q].log_ratio for q in block[ti]], dtype=complex)
+    t_sum = np.array([c.per_block[q].sum_const for q in block[ti]], dtype=complex)
+    root = np.array([derived[q].root for q in block], dtype=complex)[:, None]
     two_form = c.two_form
 
-    def class_sum(cls: tuple[int, ...], lam: np.ndarray) -> complex:
-        return complex(sum(lam[k - 1] for k in cls))
+    def tables(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # x_ij = eps_i Lam_I(i) - eps_j Lam_I(j), with Lam_I the class sums
+        signed = sign * (member @ lam)[cls_of]
+        x = (signed[:, None] - signed[None, :]).reshape(-1)
+        delta = delta0.copy()
+        flat = delta.reshape(-1)
+        if rat.size:
+            den = x[rat] + f[ri] - f[rj]
+            flat[rat] = np.where(np.abs(den) < POLE_GUARD, np.nan, r_num / den)
+        if trig.size:
+            den = 1 - np.exp(t_log * x[trig]) * f[ti] / f[tj]
+            ok = np.isfinite(den) & (np.abs(den) >= POLE_GUARD)
+            flat[trig] = np.where(ok, t_sum / den, np.nan)
+        g = two_form.table(n, lam, other_class)
+        d = g * np.where(coupled, root - delta, d0)
+        return delta, d
 
-    def delta_field(i: int, j: int, lam: np.ndarray) -> complex:
-        fi, fj = info[i], info[j]
-        if fi.d_class == fj.d_class:
-            return class_const[fi.d_class]
-        if fi.block != fj.block:
-            return 0j
-        consts = c.per_block[fi.block]
-        if fi.delta_class != fj.delta_class:
-            return consts.sum_const if fi.delta_class < fj.delta_class else 0j
-        x = fi.sign * class_sum(fi.d_class, lam) - fj.sign * class_sum(fj.d_class, lam)
-        if consts.rational:
-            denom = x + fi.f - fj.f
-            if abs(denom) < POLE_GUARD:
-                raise PoleError(f"rational pole at lam={lam} for pair ({i},{j})")
-            return sqrt_det[fi.block] / denom
-        denom = 1 - cmath.exp(derived[fi.block].log_ratio * x) * fi.f / fj.f
-        if abs(denom) < POLE_GUARD:
-            raise PoleError(f"trigonometric pole at lam={lam} for pair ({i},{j})")
-        return consts.sum_const / denom
-
-    def d_field(i: int, j: int, lam: np.ndarray) -> complex:
-        fi, fj = info[i], info[j]
-        if fi.d_class == fj.d_class:
-            return 0j
-        g = two_form.value(i, j, lam)
-        if fi.block != fj.block:
-            qq = (min(fi.block, fj.block), max(fi.block, fj.block))
-            return sqrt_cross[qq] * g
-        if fi.delta_class != fj.delta_class:
-            return sqrt_det[fi.block] * g
-        return g * (derived[fi.block].root - delta_field(i, j, lam))
-
-    return DynamicalRMatrix(
-        n=p.n,
-        delta=delta_field,
-        d=d_field,
-        provenance=Provenance(partition=p, params=c),
+    return DynamicalRMatrix.from_tables(
+        n, tables, provenance=Provenance(partition=p, params=c)
     )
 
 

@@ -606,6 +606,7 @@ def _recover_two_form(
     cid = class_id_map(base.partition)
     table = {}
     n = base.partition.n
+    to_orig = np.array([inv[a] - 1 for a in range(1, n + 1)])
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if cid[i] == cid[j]:
@@ -615,8 +616,7 @@ def _recover_two_form(
                 # lam is expressed over the canonical labels
                 lam = np.asarray(lam, dtype=complex)
                 orig_lam = np.empty(n, dtype=complex)
-                for a in range(1, n + 1):
-                    orig_lam[inv[a] - 1] = lam[a - 1]
+                orig_lam[to_orig] = lam
                 denom = bare.d(_i, _j, lam)
                 if abs(denom) < POLE_GUARD:
                     raise PoleError(f"bare diagonal coefficient vanishes at {lam}")

@@ -373,22 +373,25 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dynrmat", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(sp):
+    def command(name, summary, *, tol=False, seed=False, lam=False):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("config", help="JSON config path")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--lambda", dest="lam", default=None,
-                        help='evaluation point "a+bi,a+bi,..."')
+        if tol:
+            sp.add_argument("--tol", type=float, default=None)
+        if seed:
+            sp.add_argument("--seed", type=int, default=None)
+        if lam:
+            sp.add_argument("--lambda", dest="lam", default=None,
+                            help='evaluation point "a+bi,a+bi,..."')
         sp.add_argument("--out", default=None, help="output file (default stdout)")
+        return sp
 
-    common(sub.add_parser("build", help="build a matrix from a datum config"))
-    vp = sub.add_parser("verify", help="check the shifted consistency equations")
-    common(vp)
+    command("build", "build a matrix from a datum config", lam=True)
+    vp = command("verify", "check the shifted consistency equations", tol=True, seed=True)
     vp.add_argument("--samples", type=int, default=None)
-    common(sub.add_parser("classify", help="recover partition and constants"))
-    common(sub.add_parser("hecke", help="spectral classification"))
-    tp = sub.add_parser("transform", help="apply a covariance transform")
-    common(tp)
+    command("classify", "recover partition and constants", tol=True, seed=True)
+    command("hecke", "spectral classification", tol=True, seed=True)
+    tp = command("transform", "apply a covariance transform", seed=True, lam=True)
     tp.add_argument("--twist", default=None, help="JSON file of per-index potentials")
     tp.add_argument("--two-form", dest="two_form", default=None,
                     help="JSON 2-form spec to apply")
@@ -410,10 +413,23 @@ _COMMANDS = {
 }
 
 
+def _join_lambda(argv: list[str]) -> list[str]:
+    """``--lambda VALUE`` (or an unambiguous abbreviation such as ``--lam
+    VALUE``) as ``--lambda=VALUE``, so that argparse does not read a value
+    starting with ``-`` as an option."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        flag = tok.startswith("--la") and "--lambda".startswith(tok)
+        value = next(tokens, None) if flag else None
+        out.append(tok if value is None else f"--lambda={value}")
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_lambda(sys.argv[1:] if argv is None else argv))
         if args.command is None:
             raise UsageError("a subcommand is required (build|verify|classify|hecke|transform)")
         return _COMMANDS[args.command](args)

@@ -123,13 +123,26 @@ class TwoFormSpec:
     """Multiplicative 2-form g acting on the diagonal coefficients.
 
     Subclasses provide ``value(i, j, lam) -> complex`` with the reciprocity
-    g_ij * g_ji = 1 built in.
+    g_ij * g_ji = 1 built in, and may override :meth:`table` with a
+    whole-table evaluation.
     """
 
     kind = "abstract"
 
     def value(self, i: int, j: int, lam: np.ndarray) -> complex:
         raise NotImplementedError
+
+    def table(self, n: int, lam: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """n x n table holding g_ij at ``lam`` where the boolean ``mask``
+        holds and 1 elsewhere, with NaN where :meth:`value` raises
+        :class:`PoleError`.  This default calls :meth:`value` per entry."""
+        out = np.ones((n, n), dtype=complex)
+        for i, j in zip(*np.nonzero(mask)):
+            try:
+                out[i, j] = self.value(int(i) + 1, int(j) + 1, lam)
+            except PoleError:
+                out[i, j] = np.nan
+        return out
 
 
 class TrivialTwoForm(TwoFormSpec):
@@ -139,6 +152,9 @@ class TrivialTwoForm(TwoFormSpec):
 
     def value(self, i: int, j: int, lam: np.ndarray) -> complex:
         return 1.0 + 0j
+
+    def table(self, n: int, lam: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        return np.ones((n, n), dtype=complex)
 
 
 @dataclass
@@ -168,6 +184,20 @@ class ExactTwoForm(TwoFormSpec):
                 raise PoleError(f"potential of 2-form vanishes near lam={lam}")
         return (bij / bi0) * (bj0 / bji)
 
+    def table(self, n: int, lam: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """n(n+1) potential calls: beta_i(lam) and beta_i(lam + e_k)."""
+        lam = np.asarray(lam, dtype=complex)
+        b0 = np.array([complex(self.beta[i](lam)) for i in range(1, n + 1)])
+        b1 = np.empty((n, n), dtype=complex)  # b1[i, k] = beta_i(lam + e_k)
+        for k in range(n):
+            mu = lam.copy()
+            mu[k] += 1
+            b1[:, k] = [complex(self.beta[i](mu)) for i in range(1, n + 1)]
+        g = (b1 / b0[:, None]) * (b0[None, :] / b1.T)
+        small = np.abs(b0) < POLE_GUARD
+        g[small[:, None] | small[None, :] | (np.abs(b1.T) < POLE_GUARD)] = np.nan
+        return np.where(mask, g, 1)
+
 
 @dataclass
 class TableTwoForm(TwoFormSpec):
@@ -191,6 +221,22 @@ class TableTwoForm(TwoFormSpec):
         if abs(v) < POLE_GUARD:
             raise PoleError(f"2-form table entry ({j},{i}) vanishes at lam={lam}")
         return 1.0 / v
+
+    def table(self, n: int, lam: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """One call per unordered pair that either orientation of ``mask``
+        needs; the other orientation is the reciprocal."""
+        lam = np.asarray(lam, dtype=complex)
+        out = np.ones((n, n), dtype=complex)
+        for i, j in zip(*np.nonzero(np.triu(mask | mask.T, 1))):
+            i, j = int(i), int(j)
+            try:
+                v = complex(self.g[(i + 1, j + 1)](lam))
+            except PoleError:
+                v = np.nan
+            if abs(v) < POLE_GUARD:
+                v = np.nan
+            out[i, j], out[j, i] = v, 1.0 / v
+        return np.where(mask, out, 1)
 
 
 def constant_table_two_form(values: Mapping[tuple[int, int], complex]) -> TableTwoForm:

@@ -8,12 +8,23 @@ fields are functions of the dynamical vector lam in C^n; dynamical shifts
 move one component of lam by exactly 1 (the shift step is a fixed
 normalization, not a parameter).
 
+Each field is called per entry, ``field(i, j, lam)``.  Matrices made by the
+builder, the transforms and sampled configs evaluate both fields at once:
+their ``delta`` and ``d`` are two :class:`TableField` views of one
+:class:`TableSource`, a function ``lam -> (delta_tab, d_tab)`` that fills
+whole n x n tables with numpy, marks a pole with NaN instead of raising and
+remembers its last lam.  A per-entry call reads the shared table and raises
+:class:`PoleError` on a non-finite entry.  Plain callables remain valid
+fields: :meth:`DynamicalRMatrix.tables` then falls back to one call per
+entry.
+
 Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
 1-based on both levels.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -39,6 +50,75 @@ class Provenance:
 
 
 CoefficientField = Callable[[int, int, np.ndarray], complex]
+TableFunction = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _pole_message(i: int, j: int, lam: np.ndarray) -> str:
+    return f"non-finite coefficient at pair ({i},{j}), lam={lam}"
+
+
+class TableSource:
+    """Whole-table evaluator ``lam -> (delta_tab, d_tab)`` behind the two
+    fields of one matrix.
+
+    ``fn`` fills both n x n tables at once, with 0 on the diagonal of
+    ``d_tab`` and NaN (never an exception) at a pole.  The last lam and its
+    tables are remembered, so a run of per-entry calls at one point
+    evaluates the tables once.  The returned tables are read-only.
+    """
+
+    def __init__(self, fn: TableFunction):
+        self._fn = fn
+        self._key: Optional[bytes] = None
+        self._value: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def __call__(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lam = np.asarray(lam, dtype=complex)
+        key = lam.tobytes()
+        if key != self._key:
+            with np.errstate(all="ignore"):
+                value = self._fn(lam)
+            for tab in value:
+                tab.setflags(write=False)
+            self._key, self._value = key, value
+        return self._value
+
+
+@dataclass(frozen=True, eq=False)
+class TableField:
+    """One coefficient field read from a :class:`TableSource`: ``part`` 0
+    is the exchange table, 1 the diagonal table."""
+
+    source: TableSource
+    part: int
+
+    def table(self, lam: np.ndarray) -> np.ndarray:
+        """The whole n x n table at ``lam``, NaN at poles."""
+        return self.source(lam)[self.part]
+
+    def __call__(self, i: int, j: int, lam: np.ndarray) -> complex:
+        v = complex(self.table(lam)[i - 1, j - 1])
+        if not cmath.isfinite(v):
+            raise PoleError(_pole_message(i, j, lam))
+        return v
+
+
+def _field_table(coeff: CoefficientField, n: int, lam: np.ndarray,
+                 diagonal: bool) -> np.ndarray:
+    """n x n table of one field at ``lam``, NaN where it raises PoleError;
+    a plain callable is called once per entry (the diagonal is left 0
+    unless ``diagonal``)."""
+    if isinstance(coeff, TableField):
+        return coeff.table(lam)
+    tab = np.zeros((n, n), dtype=complex)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j or diagonal:
+                try:
+                    tab[i - 1, j - 1] = coeff(i, j, lam)
+                except PoleError:
+                    tab[i - 1, j - 1] = np.nan
+    return tab
 
 
 @dataclass(frozen=True)
@@ -51,11 +131,20 @@ class DynamicalRMatrix:
     provenance: Optional[Provenance] = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @classmethod
+    def from_tables(cls, n: int, fn: TableFunction,
+                    provenance: Optional[Provenance] = None) -> "DynamicalRMatrix":
+        """Matrix whose two fields share the whole-table evaluator ``fn``
+        (see :class:`TableSource`)."""
+        source = TableSource(fn)
+        return cls(n=n, delta=TableField(source, 0), d=TableField(source, 1),
+                   provenance=provenance)
+
     def tables(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Dense n x n coefficient tables (exchange, diagonal) at ``lam``.
 
-        Cached per evaluation point; raises :class:`PoleError` when any
-        coefficient is non-finite.
+        Cached per evaluation point; raises :class:`PoleError` naming the
+        first pair, in row-major order, with a non-finite coefficient.
         """
         lam = np.asarray(lam, dtype=complex)
         if lam.shape != (self.n,):
@@ -64,20 +153,24 @@ class DynamicalRMatrix:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        n = self.n
-        delta_tab = np.empty((n, n), dtype=complex)
-        d_tab = np.zeros((n, n), dtype=complex)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                delta_tab[i - 1, j - 1] = self.delta(i, j, lam)
-                if i != j:
-                    d_tab[i - 1, j - 1] = self.d(i, j, lam)
-        if not (np.all(np.isfinite(delta_tab)) and np.all(np.isfinite(d_tab))):
-            raise PoleError(f"non-finite coefficient at lam={lam}")
+        delta_tab, d_tab = raw_tables(self, lam)
+        if not (np.isfinite(delta_tab).all() and np.isfinite(d_tab).all()):
+            bad = ~(np.isfinite(delta_tab) & np.isfinite(d_tab))
+            i, j = divmod(int(np.flatnonzero(bad)[0]), self.n)
+            raise PoleError(_pole_message(i + 1, j + 1, lam))
         if len(self._cache) >= _TABLE_CACHE_MAX:
             self._cache.clear()
         self._cache[key] = (delta_tab, d_tab)
         return delta_tab, d_tab
+
+
+def raw_tables(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R's (exchange, diagonal) tables at ``lam`` with NaN at poles, the
+    input of a transform's table function.  Bypasses R's table cache and
+    never raises :class:`PoleError`."""
+    lam = np.asarray(lam, dtype=complex)
+    return (_field_table(R.delta, R.n, lam, diagonal=True),
+            _field_table(R.d, R.n, lam, diagonal=False))
 
 
 @dataclass(frozen=True)

@@ -244,15 +244,7 @@ def matrix_from_samples(points: list[DensePoint]) -> DynamicalRMatrix:
             )
         return tables[key]
 
-    def delta_fn(i: int, j: int, lam: np.ndarray) -> complex:
-        return complex(lookup(lam)[0][i - 1, j - 1])
-
-    def d_fn(i: int, j: int, lam: np.ndarray) -> complex:
-        if i == j:
-            return 0j
-        return complex(lookup(lam)[1][i - 1, j - 1])
-
-    return DynamicalRMatrix(n=n, delta=delta_fn, d=d_fn, provenance=None)
+    return DynamicalRMatrix.from_tables(n, lookup)
 
 
 # -- config loading ---------------------------------------------------------

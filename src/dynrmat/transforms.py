@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, PoleError
+from .errors import ParameterError
 from .params import (
     ClassificationParams,
     ExactTwoForm,
@@ -40,7 +40,7 @@ from .params import (
     principal_sqrt,
 )
 from .partition import DeltaClass, IndexPartition, ValidationResult, nd_pairs
-from .rmatrix import DynamicalRMatrix, Provenance
+from .rmatrix import DynamicalRMatrix, raw_tables
 
 DEFAULT_CLOSED_TOL = 1e-10
 
@@ -60,13 +60,12 @@ def apply_twist(
         raise ParameterError("twist needs one potential per index 1..n")
     multiplier = ExactTwoForm(beta=beta)
 
-    def new_d(i: int, j: int, lam: np.ndarray) -> complex:
-        base = R.d(i, j, lam)
-        if i == j or base == 0:
-            return base
-        return multiplier.value(i, j, lam) * base
+    def tables(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        delta, d = raw_tables(R, lam)
+        mask = d != 0
+        return delta, np.where(mask, d * multiplier.table(R.n, lam, mask), d)
 
-    return DynamicalRMatrix(n=R.n, delta=R.delta, d=new_d, provenance=R.provenance)
+    return DynamicalRMatrix.from_tables(R.n, tables, provenance=R.provenance)
 
 
 # -- multiplicative 2-form action -------------------------------------------
@@ -154,15 +153,16 @@ def apply_2form(
         res = check_closed(g, partition, tol=tol, seed=seed)
         if not res:
             raise ParameterError(res.message)
-    coupled = set(nd_pairs(partition)) | {(j, i) for (i, j) in nd_pairs(partition)}
+    coupled = np.zeros((R.n, R.n), dtype=bool)
+    for i, j in nd_pairs(partition):
+        coupled[i - 1, j - 1] = coupled[j - 1, i - 1] = True
 
-    def new_d(i: int, j: int, lam: np.ndarray) -> complex:
-        base = R.d(i, j, lam)
-        if (i, j) not in coupled or base == 0:
-            return base
-        return g.value(i, j, lam) * base
+    def tables(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        delta, d = raw_tables(R, lam)
+        mask = coupled & (d != 0)
+        return delta, np.where(mask, d * g.table(R.n, lam, mask), d)
 
-    return DynamicalRMatrix(n=R.n, delta=R.delta, d=new_d, provenance=R.provenance)
+    return DynamicalRMatrix.from_tables(R.n, tables, provenance=R.provenance)
 
 
 # -- contraction ------------------------------------------------------------
@@ -180,22 +180,16 @@ def contract(R: DynamicalRMatrix, subset: Sequence[int]) -> DynamicalRMatrix:
         raise ParameterError("contraction subset must be strictly increasing")
     if subset[0] < 1 or subset[-1] > R.n:
         raise ParameterError(f"contraction subset must lie in 1..{R.n}")
-    m = len(subset)
-    n = R.n
+    idx = np.array(subset) - 1
+    pick = np.ix_(idx, idx)
 
-    def lift(lam: np.ndarray) -> np.ndarray:
-        full = np.zeros(n, dtype=complex)
-        for pos, orig in enumerate(subset):
-            full[orig - 1] = lam[pos]
-        return full
+    def tables(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        full = np.zeros(R.n, dtype=complex)
+        full[idx] = lam
+        delta, d = raw_tables(R, full)
+        return delta[pick], d[pick]
 
-    def new_delta(a: int, b: int, lam: np.ndarray) -> complex:
-        return R.delta(subset[a - 1], subset[b - 1], lift(np.asarray(lam, dtype=complex)))
-
-    def new_d(a: int, b: int, lam: np.ndarray) -> complex:
-        return R.d(subset[a - 1], subset[b - 1], lift(np.asarray(lam, dtype=complex)))
-
-    return DynamicalRMatrix(n=m, delta=new_delta, d=new_d, provenance=None)
+    return DynamicalRMatrix.from_tables(len(subset), tables)
 
 
 # -- decoupled composition --------------------------------------------------
@@ -215,26 +209,18 @@ def decouple_compose(
     """
     if g_ab == 0 or g_ba == 0:
         raise ParameterError("cross coefficients of a decoupled composition must be nonzero")
-    na, nb = Ra.n, Rb.n
+    na, n = Ra.n, Ra.n + Rb.n
     g_ab, g_ba = complex(g_ab), complex(g_ba)
 
-    def new_delta(i: int, j: int, lam: np.ndarray) -> complex:
-        lam = np.asarray(lam, dtype=complex)
-        if i <= na and j <= na:
-            return Ra.delta(i, j, lam[:na])
-        if i > na and j > na:
-            return Rb.delta(i - na, j - na, lam[na:])
-        return 0j
+    def tables(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        delta = np.zeros((n, n), dtype=complex)
+        d = np.empty((n, n), dtype=complex)
+        d[:na, na:], d[na:, :na] = g_ab, g_ba
+        delta[:na, :na], d[:na, :na] = raw_tables(Ra, lam[:na])
+        delta[na:, na:], d[na:, na:] = raw_tables(Rb, lam[na:])
+        return delta, d
 
-    def new_d(i: int, j: int, lam: np.ndarray) -> complex:
-        lam = np.asarray(lam, dtype=complex)
-        if i <= na and j <= na:
-            return Ra.d(i, j, lam[:na])
-        if i > na and j > na:
-            return Rb.d(i - na, j - na, lam[na:])
-        return g_ab if i <= na else g_ba
-
-    return DynamicalRMatrix(n=na + nb, delta=new_delta, d=new_d, provenance=None)
+    return DynamicalRMatrix.from_tables(n, tables)
 
 
 # -- exchange-class merging under a scale -----------------------------------

@@ -347,6 +347,7 @@ def shift_identities(R: DynamicalRMatrix, lam: np.ndarray) -> dict[tuple[int, in
     c = R.provenance.params
     info = _index_table(p, c)
     lam = np.asarray(lam, dtype=complex)
+    dt0 = R.tables(lam)[0]
     out: dict[tuple[int, int], float] = {}
     for i in range(1, p.n + 1):
         for j in range(1, p.n + 1):
@@ -356,16 +357,16 @@ def shift_identities(R: DynamicalRMatrix, lam: np.ndarray) -> dict[tuple[int, in
             if fi.d_class == fj.d_class or fi.delta_class != fj.delta_class:
                 continue
             consts = c.per_block[fi.block]
-            k = fi.d_class[0]
-            lam_k = shifted(lam, k)
+            dt1 = R.tables(shifted(lam, fi.d_class[0]))[0]
+            a, b = i - 1, j - 1
             if consts.rational:
-                h0 = principal_sqrt(consts.det_const) / R.delta(i, j, lam)
-                h1 = principal_sqrt(consts.det_const) / R.delta(i, j, lam_k)
+                h0 = principal_sqrt(consts.det_const) / dt0[a, b]
+                h1 = principal_sqrt(consts.det_const) / dt1[a, b]
                 out[(i, j)] = abs(h1 - h0 - fi.sign)
             else:
                 derived = derive(consts.sum_const, consts.det_const)
-                b0 = R.delta(j, i, lam) / R.delta(i, j, lam)
-                b1 = R.delta(j, i, lam_k) / R.delta(i, j, lam_k)
+                b0 = dt0[b, a] / dt0[a, b]
+                b1 = dt1[b, a] / dt1[a, b]
                 expected = np.exp(derived.log_ratio * fi.sign)
                 out[(i, j)] = abs(b1 - b0 * expected)
     return out

@@ -1,0 +1,187 @@
+"""Per-entry closure implementations of the coefficient fields, kept as the
+reference that the whole-table evaluators are tested against.
+
+Each function mirrors one table function of the library (builder,
+transforms, sampled matrices) one entry at a time, with Python scalar
+arithmetic and ``cmath``, raising :class:`PoleError` at the first pole it
+meets.  :func:`oracle_tables` evaluates such a matrix in row-major order.
+"""
+
+from __future__ import annotations
+
+import cmath
+
+import numpy as np
+
+from dynrmat.builder import _class_constant, _index_table
+from dynrmat.errors import ParameterError, PoleError
+from dynrmat.params import POLE_GUARD, ExactTwoForm, derive, principal_sqrt
+from dynrmat.partition import nd_pairs
+from dynrmat.rmatrix import DynamicalRMatrix, tables_from_dense
+from dynrmat.serialize import sample_key
+
+
+class OraclePole(Exception):
+    """The oracle met a pole; ``pair`` is the first one in row-major order."""
+
+    def __init__(self, pair):
+        super().__init__(f"pole at pair {pair}")
+        self.pair = pair
+
+
+def oracle_tables(R: DynamicalRMatrix, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Tables from per-entry calls in row-major order (exchange, then
+    diagonal, per pair); raises :class:`OraclePole` at the first pair that
+    raises :class:`PoleError` or, failing that, holds a non-finite value."""
+    lam = np.asarray(lam, dtype=complex)
+    n = R.n
+    delta = np.empty((n, n), dtype=complex)
+    d = np.zeros((n, n), dtype=complex)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            try:
+                delta[i - 1, j - 1] = R.delta(i, j, lam)
+                if i != j:
+                    d[i - 1, j - 1] = R.d(i, j, lam)
+            except PoleError:
+                raise OraclePole((i, j)) from None
+    bad = ~(np.isfinite(delta) & np.isfinite(d))
+    if bad.any():
+        i, j = divmod(int(np.flatnonzero(bad)[0]), n)
+        raise OraclePole((i + 1, j + 1))
+    return delta, d
+
+
+def oracle_build(p, c) -> DynamicalRMatrix:
+    """The closed-form matrix of a validated datum, one closure per field."""
+    info = _index_table(p, c)
+    derived = [derive(b.sum_const, b.det_const) for b in c.per_block]
+    sqrt_det = [principal_sqrt(b.det_const) for b in c.per_block]
+    sqrt_cross = {k: principal_sqrt(v) for k, v in c.cross_det.items()}
+    class_const = {
+        cls: _class_constant(c.per_block[info[cls[0]].block],
+                             derived[info[cls[0]].block], int(c.signs[cls]))
+        for cls in p.all_d_classes()
+    }
+    two_form = c.two_form
+
+    def class_sum(cls, lam):
+        return complex(sum(lam[k - 1] for k in cls))
+
+    def delta_field(i, j, lam):
+        fi, fj = info[i], info[j]
+        if fi.d_class == fj.d_class:
+            return class_const[fi.d_class]
+        if fi.block != fj.block:
+            return 0j
+        consts = c.per_block[fi.block]
+        if fi.delta_class != fj.delta_class:
+            return consts.sum_const if fi.delta_class < fj.delta_class else 0j
+        x = fi.sign * class_sum(fi.d_class, lam) - fj.sign * class_sum(fj.d_class, lam)
+        if consts.rational:
+            denom = x + fi.f - fj.f
+            if abs(denom) < POLE_GUARD:
+                raise PoleError(f"rational pole for pair ({i},{j})")
+            return sqrt_det[fi.block] / denom
+        denom = 1 - cmath.exp(derived[fi.block].log_ratio * x) * fi.f / fj.f
+        if abs(denom) < POLE_GUARD:
+            raise PoleError(f"trigonometric pole for pair ({i},{j})")
+        return consts.sum_const / denom
+
+    def d_field(i, j, lam):
+        fi, fj = info[i], info[j]
+        if fi.d_class == fj.d_class:
+            return 0j
+        g = two_form.value(i, j, lam)
+        if fi.block != fj.block:
+            qq = (min(fi.block, fj.block), max(fi.block, fj.block))
+            return sqrt_cross[qq] * g
+        if fi.delta_class != fj.delta_class:
+            return sqrt_det[fi.block] * g
+        return g * (derived[fi.block].root - delta_field(i, j, lam))
+
+    return DynamicalRMatrix(n=p.n, delta=delta_field, d=d_field)
+
+
+def oracle_twist(R: DynamicalRMatrix, beta) -> DynamicalRMatrix:
+    multiplier = ExactTwoForm(beta=beta)
+
+    def new_d(i, j, lam):
+        base = R.d(i, j, lam)
+        if i == j or base == 0:
+            return base
+        return multiplier.value(i, j, lam) * base
+
+    return DynamicalRMatrix(n=R.n, delta=R.delta, d=new_d)
+
+
+def oracle_2form(R: DynamicalRMatrix, g, partition) -> DynamicalRMatrix:
+    coupled = set(nd_pairs(partition)) | {(j, i) for (i, j) in nd_pairs(partition)}
+
+    def new_d(i, j, lam):
+        base = R.d(i, j, lam)
+        if (i, j) not in coupled or base == 0:
+            return base
+        return g.value(i, j, lam) * base
+
+    return DynamicalRMatrix(n=R.n, delta=R.delta, d=new_d)
+
+
+def oracle_contract(R: DynamicalRMatrix, subset) -> DynamicalRMatrix:
+    def lift(lam):
+        full = np.zeros(R.n, dtype=complex)
+        for pos, orig in enumerate(subset):
+            full[orig - 1] = lam[pos]
+        return full
+
+    def new_delta(a, b, lam):
+        return R.delta(subset[a - 1], subset[b - 1], lift(np.asarray(lam, dtype=complex)))
+
+    def new_d(a, b, lam):
+        return R.d(subset[a - 1], subset[b - 1], lift(np.asarray(lam, dtype=complex)))
+
+    return DynamicalRMatrix(n=len(subset), delta=new_delta, d=new_d)
+
+
+def oracle_compose(Ra: DynamicalRMatrix, Rb: DynamicalRMatrix, g_ab, g_ba) -> DynamicalRMatrix:
+    na = Ra.n
+    g_ab, g_ba = complex(g_ab), complex(g_ba)
+
+    def new_delta(i, j, lam):
+        lam = np.asarray(lam, dtype=complex)
+        if i <= na and j <= na:
+            return Ra.delta(i, j, lam[:na])
+        if i > na and j > na:
+            return Rb.delta(i - na, j - na, lam[na:])
+        return 0j
+
+    def new_d(i, j, lam):
+        lam = np.asarray(lam, dtype=complex)
+        if i <= na and j <= na:
+            return Ra.d(i, j, lam[:na])
+        if i > na and j > na:
+            return Rb.d(i - na, j - na, lam[na:])
+        return g_ab if i <= na else g_ba
+
+    return DynamicalRMatrix(n=na + Rb.n, delta=new_delta, d=new_d)
+
+
+def oracle_samples(points) -> DynamicalRMatrix:
+    n = points[0].n
+    tables = {sample_key(pt.lam): tables_from_dense(pt.matrix, n) for pt in points}
+
+    def lookup(lam):
+        key = sample_key(lam)
+        if key not in tables:
+            raise ParameterError("sampled matrix is only evaluable at its own sample points")
+        return tables[key]
+
+    def delta_fn(i, j, lam):
+        return complex(lookup(lam)[0][i - 1, j - 1])
+
+    def d_fn(i, j, lam):
+        if i == j:
+            return 0j
+        return complex(lookup(lam)[1][i - 1, j - 1])
+
+    return DynamicalRMatrix(n=n, delta=delta_fn, d=d_fn)

@@ -53,6 +53,25 @@ def golden_expected_tables(lam: np.ndarray):
     return delta, d
 
 
+def overflow_datum():
+    """One trigonometric block with exchange classes {1, 2, (3,4)} and {5}
+    whose log ratio has |Re A| > 2, so that e^{A x} overflows once |x|
+    reaches a few hundred (at lam = (400, -400, 0, 0, 0), first for the
+    pair (2,1))."""
+    p = IndexPartition(n=5, blocks=((
+        DeltaClass(free=(1, 2), d_classes=((3, 4),)),
+        DeltaClass(free=(5,)),
+    ),))
+    c = ClassificationParams(
+        partition=p,
+        per_block=(BlockConstants(1 + 0j, 0.1 + 0j),),
+        signs={(1,): 1, (2,): 1, (3, 4): 1, (5,): 1},
+        f_consts={(1,): 1 + 0j, (2,): 0.8 + 0.1j, (3, 4): 1.2 - 0.3j, (5,): 1 + 0j},
+    )
+    c, _ = normalize_f(c)
+    return p, c
+
+
 @pytest.fixture
 def golden():
     p, c = golden_datum()

@@ -23,7 +23,7 @@ from dynrmat.rmatrix import (
 from dynrmat.serialize import params_to_json
 from dynrmat.verifier import sample_lambda
 
-from conftest import golden_datum
+from conftest import golden_datum, overflow_datum
 
 
 def _matrix_config(R, base_points, include_shifts=True, perturb=None):
@@ -139,6 +139,43 @@ def test_verify_nonpositive_samples(golden_config):
 def test_samples_only_on_verify(golden_config, capsys, command, value):
     assert main([command, golden_config, "--samples", value]) == EXIT_USAGE
     assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["build", "--tol=1e-9"], "--tol"),
+    (["build", "--seed", "3"], "--seed"),
+    (["transform", "--contract", "1,2", "--tol=nan"], "--tol"),
+    (["verify", "--lambda=1,2,3,4"], "--lambda"),
+    (["classify", "--lambda", "1,2,3,4"], "--lambda"),
+    (["hecke", "--lambda=-1,2,3,4"], "--lambda"),
+])
+def test_flags_only_where_read(golden_config, capsys, argv, flag):
+    assert main([argv[0], golden_config, *argv[1:]]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("build", []), ("transform", ["--contract", "1,2,3,4"]),
+])
+def test_lambda_value_may_start_with_minus(golden_config, capsys, command, extra):
+    point = "-0.5+1i,0,0.25,0"
+    assert main([command, golden_config, *extra, f"--lambda={point}"]) == EXIT_OK
+    attached = capsys.readouterr().out
+    for flag in ("--lambda", "--lam"):
+        assert main([command, golden_config, *extra, flag, point]) == EXIT_OK
+        assert capsys.readouterr().out == attached
+    assert '"re": -0.5' in attached
+
+
+def test_build_lambda_overflow_is_pole(tmp_path, capsys):
+    _, c = overflow_datum()
+    cfg = _write(tmp_path, "overflow.json", params_to_json(c))
+    assert main(["build", cfg, "--lambda=400,-400,0,0,0"]) == EXIT_POLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pole: non-finite coefficient at pair (2,1)")
 
 
 @pytest.mark.parametrize("command", ["verify", "classify", "hecke"])

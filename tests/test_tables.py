@@ -1,0 +1,382 @@
+"""Whole-table coefficient evaluation against the per-entry closure oracle.
+
+The builder, the transforms and sampled matrices fill n x n tables with
+numpy; ``closure_oracle`` keeps the per-entry closures they replaced.
+Values may differ in the last bits (numpy's complex ``*`` and ``exp``
+round differently from Python's and ``cmath``'s), so tables must agree to
+``ULPS`` units in the last place of the table's scale, and poles must fire
+at exactly the same points, naming the same first pair.
+"""
+
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from dynrmat.builder import build
+from dynrmat.errors import PoleError
+from dynrmat.params import (
+    BlockConstants,
+    ClassificationParams,
+    ExactTwoForm,
+    TableTwoForm,
+    TrivialTwoForm,
+    TwoFormSpec,
+    derive,
+    normalize_f,
+)
+from dynrmat.partition import DeltaClass, IndexPartition
+from dynrmat.rmatrix import DynamicalRMatrix, evaluate, shifted
+from dynrmat.sampling import random_datum, random_two_form
+from dynrmat.serialize import matrix_from_samples
+from dynrmat.transforms import apply_2form, apply_twist, contract, decouple_compose
+from dynrmat.verifier import sample_lambda
+
+from closure_oracle import (
+    OraclePole,
+    oracle_2form,
+    oracle_build,
+    oracle_compose,
+    oracle_contract,
+    oracle_samples,
+    oracle_tables,
+    oracle_twist,
+)
+from conftest import golden_datum, overflow_datum
+
+#: Allowed difference in units of eps times the largest |coefficient|; near
+#: a pole the exchange coefficient amplifies last-bit differences of its
+#: denominator, which reached 24 units on random data.
+ULPS = 64
+EPS = np.finfo(float).eps
+
+
+def outcome(tables_of, lam):
+    """("pole", first pair) or ("tables", (delta, d))."""
+    try:
+        return "tables", tables_of(lam)
+    except OraclePole as exc:
+        return "pole", exc.pair
+    except PoleError as exc:
+        found = re.search(r"pair \((\d+),(\d+)\)", str(exc))
+        assert found, f"PoleError names no pair: {exc}"
+        return "pole", (int(found.group(1)), int(found.group(2)))
+
+
+def assert_same(R, O, points, values=True):
+    """R (tables) and the oracle O agree at every point: the same pole
+    pair, or tables within ULPS of their scale.  ``values=False`` skips
+    the value comparison, for points within 1e-12 of a pole, where a
+    last-bit difference of a denominator moves the coefficient by its
+    relative size, up to 1e-4."""
+    for lam in points:
+        lam = np.asarray(lam, dtype=complex)
+        R._cache.clear()
+        kind, new = outcome(R.tables, lam)
+        okind, old = outcome(lambda mu: oracle_tables(O, mu), lam)
+        assert (kind, kind == "pole" and new) == (okind, okind == "pole" and old), lam
+        if kind == "tables" and values:
+            scale = max(1.0, *(float(np.abs(t).max()) for t in old))
+            for a, b in zip(new, old):
+                assert np.abs(a - b).max() <= ULPS * EPS * scale
+
+
+def assert_same_entry_poles(R, O, lam):
+    """Per-entry calls raise PoleError exactly where the oracle's do."""
+    for name in ("delta", "d"):
+        for i in range(1, R.n + 1):
+            for j in range(1, R.n + 1):
+                raised = []
+                for M in (R, O):
+                    try:
+                        getattr(M, name)(i, j, lam)
+                        raised.append(False)
+                    except PoleError:
+                        raised.append(True)
+                assert raised[0] == raised[1], (name, i, j)
+
+
+def _datum(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    p, c = random_datum(n, rng, kind)
+    return rng, p, c
+
+
+# -- agreement ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["trivial", "table", "exact"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_builder_tables_match_oracle(n, kind):
+    for seed in range(3):
+        rng, p, c = _datum(n, kind, seed)
+        O = oracle_build(p, c)
+        assert_same(build(p, c), O, sample_lambda(O, rng, 3))
+
+
+def _transformed(mode, n, seed):
+    """(new matrix, oracle matrix, points) for one transform mode."""
+    rng, p, c = _datum(n, "trivial", seed)
+    R, O = build(p, c), oracle_build(p, c)
+    if mode == "twist":
+        beta = random_two_form(p, rng, "exact").beta
+        return apply_twist(R, beta), oracle_twist(O, beta), None
+    if mode in ("table_2form", "exact_2form"):
+        g = random_two_form(p, rng, mode.split("_")[0])
+        return apply_2form(R, g), oracle_2form(O, g, p), None
+    if mode == "contract":
+        k = int(rng.integers(1, n + 1))
+        subset = tuple(sorted(int(i) for i in rng.choice(np.arange(1, n + 1), k, replace=False)))
+        return contract(R, subset), oracle_contract(O, subset), None
+    if mode == "chain":
+        g = random_two_form(p, rng, "table")
+        beta = random_two_form(p, rng, "exact").beta
+        subset = tuple(range(1, n + 1, 2)) or (1,)
+        new = contract(apply_twist(apply_2form(R, g), beta), subset)
+        old = oracle_contract(oracle_twist(oracle_2form(O, g, p), beta), subset)
+        return new, old, None
+    if mode == "compose":
+        _, p2, c2 = _datum(max(1, n - 2), "table", seed + 100)
+        g_ab, g_ba = 1.5 - 0.5j, 0.25 + 1j
+        return (decouple_compose(R, build(p2, c2), g_ab, g_ba),
+                oracle_compose(O, oracle_build(p2, c2), g_ab, g_ba), None)
+    assert mode == "sampled"
+    (lam,) = sample_lambda(O, rng, 1)
+    pts = [lam] + [shifted(lam, k) for k in range(1, n + 1)]
+    dense = [evaluate(R, mu) for mu in pts]
+    return matrix_from_samples(dense), oracle_samples(dense), pts
+
+
+@pytest.mark.parametrize(
+    "mode",
+    ["twist", "table_2form", "exact_2form", "contract", "chain", "compose", "sampled"],
+)
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_transform_tables_match_oracle(mode, n):
+    for seed in range(2):
+        new, old, points = _transformed(mode, n, seed)
+        if points is None:
+            points = sample_lambda(old, np.random.default_rng(seed + 50), 3)
+        assert_same(new, old, points)
+
+
+def test_sampled_tables_equal_oracle_exactly():
+    p, c = golden_datum()
+    R = build(p, c)
+    lam = np.array([0.3 + 0.1j, -0.7, 0.2j, 1.1], dtype=complex)
+    dense = [evaluate(R, mu) for mu in [lam] + [shifted(lam, k) for k in range(1, 5)]]
+    new, old = matrix_from_samples(dense), oracle_samples(dense)
+    for pt in dense:
+        for a, b in zip(new.tables(pt.lam), oracle_tables(old, pt.lam)):
+            assert np.array_equal(a, b)
+
+
+# -- pole set ----------------------------------------------------------------
+
+#: Offsets of one lambda component around a pole: on it, 1e-14 and 5e-14
+#: off (inside the 1e-13 pole guard), 2e-13 and 1e-12 off (outside).
+OFFSETS = (0.0, 1e-14, -1e-14, 1e-14j, 5e-14, -2e-13, 1e-12, -1e-12j)
+
+
+def _around(lam, k):
+    """``lam`` with component k (1-based) moved by each of OFFSETS."""
+    out = []
+    for off in OFFSETS:
+        mu = np.array(lam, dtype=complex)
+        mu[k - 1] += off
+        out.append(mu)
+    return out
+
+
+def _params(p, per_block, signs, f, two_form=None):
+    c = ClassificationParams(partition=p, per_block=per_block, signs=signs, f_consts=f,
+                             two_form=two_form or TrivialTwoForm())
+    return normalize_f(c)[0]
+
+
+def _free_block(n, S, Sigma, signs, f, two_form=None):
+    """One block, one exchange class of n free indices."""
+    p = IndexPartition(n=n, blocks=((DeltaClass(free=tuple(range(1, n + 1))),),))
+    c = _params(p, (BlockConstants(S, Sigma),),
+                {(i,): s for i, s in enumerate(signs, start=1)},
+                {(i,): v for i, v in enumerate(f, start=1)}, two_form)
+    return p, c
+
+
+def _check_poles(R, O, points):
+    assert_same(R, O, points, values=False)
+    kinds = [outcome(lambda mu: oracle_tables(O, mu), lam)[0] for lam in points]
+    assert "pole" in kinds and "tables" in kinds  # the offsets straddle the guard
+    for lam in points:
+        assert_same_entry_poles(R, O, lam)
+
+
+def test_rational_pole_set():
+    p, c = golden_datum()
+    R, O = build(p, c), oracle_build(p, c)
+    base = np.array([0.4 + 0.2j, 0.0, 0.3 - 0.1j, -0.6 + 0.5j])
+    # pair (2,3): x = lam2 + lam3 + lam4 = 0; pair (1,2): lam1 = lam2
+    on_23 = base.copy()
+    on_23[1] = -(base[2] + base[3])
+    on_12 = base.copy()
+    on_12[1] = base[0]
+    _check_poles(R, O, _around(on_23, 2) + _around(on_12, 2))
+
+
+def test_trigonometric_pole_set():
+    f = (1.0, 0.7 + 0.3j, 1.4 - 0.2j)
+    p, c = _free_block(3, 1 + 0.2j, 0.5 - 0.1j, (1, 1, -1), f)
+    R, O = build(p, c), oracle_build(p, c)
+    A = derive(1 + 0.2j, 0.5 - 0.1j).log_ratio
+    # pair (2,3): e^{A x} f2/f3 = 1 with x = lam2 + lam3
+    x = np.log(f[2] / f[1]) / A
+    lam = np.array([0.25 - 0.3j, x - 0.3, 0.3])
+    _check_poles(R, O, _around(lam, 2))
+
+
+def test_vanishing_potential_pole_set():
+    beta = {
+        1: lambda lam: np.exp(0.2 * lam[2]),
+        2: lambda lam: lam[0] + 0.5,      # beta_2(lam + e_1) = 0 at lam1 = -1.5
+        3: lambda lam: lam[1] - 0.3,      # beta_3(lam) = 0 at lam2 = 0.3
+    }
+    p, c = _free_block(3, 0j, 1 + 0.5j, (1, -1, 1), (0, 0.3, -0.2),
+                       ExactTwoForm(beta=beta))
+    R, O = build(p, c), oracle_build(p, c)
+    at_12 = np.array([-1.5, 0.7 + 0.1j, 0.2j])
+    at_3 = np.array([0.4, 0.3, -0.5 + 0.2j])
+    _check_poles(R, O, _around(at_12, 1) + _around(at_3, 2))
+    # the same potentials as a twist of the golden matrix
+    gp, gc = golden_datum()
+    beta[4] = lambda lam: 1 + 0j
+    T, OT = apply_twist(build(gp, gc), beta), oracle_twist(oracle_build(gp, gc), beta)
+    at = np.array([0.4, 0.3, -0.5 + 0.2j, 0.1])
+    _check_poles(T, OT, _around(at, 2))
+
+
+def test_vanishing_table_entry_pole_set():
+    g = TableTwoForm(g={
+        (1, 2): lambda lam: 2 + 0j,
+        (1, 3): lambda lam: 0.5 - 1j,
+        (2, 3): lambda lam: lam[2] - 0.25,   # vanishes at lam3 = 0.25
+    })
+    p, c = _free_block(3, 1 - 0.5j, 0.7j, (1, 1, -1), (1, 0.6, 1.3 + 0.4j), g)
+    R, O = build(p, c), oracle_build(p, c)
+    lam = np.array([0.1, -0.4 + 0.3j, 0.25])
+    _check_poles(R, O, _around(lam, 3))
+    # as a 2-form applied to another matrix (not closed, so unchecked)
+    p0, c0 = _free_block(3, 0j, 1 + 0j, (1, 1, 1), (0, 0.5, -0.5))
+    A, OA = apply_2form(build(p0, c0), g, check=False), oracle_2form(oracle_build(p0, c0), g, p0)
+    _check_poles(A, OA, _around(lam, 3))
+
+
+def test_contraction_drops_a_pole_pair():
+    p, c = golden_datum()
+    R, O = build(p, c), oracle_build(p, c)
+    # lifted points have lam1 = lam2 = 0: pair (1,2) of the parent is a pole
+    mu = np.array([0.3 + 0.1j, -0.2])
+    kept = contract(R, (1, 3, 4))
+    assert_same(kept, oracle_contract(O, (1, 3, 4)), [np.array([0j, *mu])])
+    assert np.isfinite(kept.tables(np.array([0j, *mu]))[0]).all()
+    hit = contract(R, (1, 2, 3))
+    assert_same(hit, oracle_contract(O, (1, 2, 3)), [np.array([0j, 0j, 0.5])])
+    with pytest.raises(PoleError, match=r"pair \(1,2\)"):
+        hit.tables(np.array([0j, 0j, 0.5]))
+
+
+# -- plain callables ---------------------------------------------------------
+
+
+def _scaled_exchange(R, pair, factor):
+    def delta(i, j, lam):
+        v = R.delta(i, j, lam)
+        return v * factor if (i, j) == pair else v
+
+    return DynamicalRMatrix(n=R.n, delta=delta, d=R.d)
+
+
+def test_plain_callable_wrapper_matches_oracle():
+    p, c = golden_datum()
+    R = _scaled_exchange(build(p, c), (1, 3), 1.3)
+    O = _scaled_exchange(oracle_build(p, c), (1, 3), 1.3)
+    rng = np.random.default_rng(4)
+    points = sample_lambda(O, rng, 4)
+    on_12 = np.array([0.2, 0.2, 0.5 - 0.5j, 0.1j])
+    assert_same(R, O, points)
+    assert_same(R, O, _around(on_12, 2), values=False)
+    for lam in points:
+        assert_same_entry_poles(R, O, lam)
+
+
+class _ValueOnly(TwoFormSpec):
+    """A 2-form with only the per-entry ``value``: tables call it per entry."""
+
+    def __init__(self, table):
+        self.inner = table
+
+    def value(self, i, j, lam):
+        return self.inner.value(i, j, lam)
+
+
+def test_value_only_two_form_matches_its_table():
+    g = TableTwoForm(g={
+        (1, 2): lambda lam: 2 + lam[0],
+        (1, 3): lambda lam: 0.5 - 1j,
+        (2, 3): lambda lam: lam[2] - 0.25,
+    })
+    p, c = _free_block(3, 1 - 0.5j, 0.7j, (1, 1, -1), (1, 0.6, 1.3 + 0.4j), g)
+    R = build(p, c)
+    V = build(p, replace(c, two_form=_ValueOnly(g)))
+    points = sample_lambda(R, np.random.default_rng(2), 3) + _around(np.array([0.1, 0.3, 0.25]), 3)
+    kinds = set()
+    for lam in points:
+        got, want = outcome(V.tables, lam), outcome(R.tables, lam)
+        kinds.add(want[0])
+        if want[0] == "pole":
+            assert got == want
+        else:
+            assert got[0] == "tables"
+            assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+    assert kinds == {"pole", "tables"}
+
+
+def test_table_function_runs_once_per_point():
+    p, c = golden_datum()
+    inner = build(p, c)
+    calls = []
+
+    def tables(lam):
+        calls.append(lam.copy())
+        return inner.tables(lam)
+
+    R = DynamicalRMatrix.from_tables(4, tables)
+    lam = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j])
+    R.delta(1, 2, lam)
+    R.d(2, 1, lam)
+    R.tables(lam)
+    assert len(calls) == 1
+    R.d(1, 2, shifted(lam, 1))
+    assert len(calls) == 2
+
+
+# -- overflow ----------------------------------------------------------------
+
+
+def test_overflow_is_a_pole_not_an_overflow_error():
+    p, c = overflow_datum()
+    R = build(p, c)
+    lam = np.array([400, -400, 0, 0, 0], dtype=complex)
+    with pytest.raises(OverflowError):
+        oracle_tables(oracle_build(p, c), lam)
+    with pytest.raises(PoleError, match=r"pair \(2,1\)"):
+        R.tables(lam)
+    with pytest.raises(PoleError):
+        R.delta(2, 1, lam)
+    assert R.delta(1, 2, lam) == c.per_block[0].sum_const  # e^{A x} underflows
+    try:
+        points = sample_lambda(R, np.random.default_rng(0), 3, box=1000.0)
+    except PoleError:
+        return
+    for lam in points:
+        assert all(np.isfinite(t).all() for t in R.tables(lam))
