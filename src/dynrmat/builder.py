@@ -82,9 +82,10 @@ def _class_constant(consts, derived: DerivedBlockConstants, sign: int) -> comple
 def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     """Construct the closed-form matrix for a validated, f-normalized datum.
 
-    The index arrays and constant tables are resolved here once; each
-    evaluation point then costs one class-sum product and masked numpy
-    expressions for the lambda-dependent pairs.
+    The index arrays and constant tables are resolved here once; a (P, n)
+    stack of evaluation points then costs one class-sum product per point
+    and masked numpy expressions for the lambda-dependent pairs, all over
+    the stack.
     """
     result = validate_params(c)
     if not result:
@@ -144,20 +145,23 @@ def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     root = np.array([derived[q].root for q in block], dtype=complex)[:, None]
     two_form = c.two_form
 
-    def tables(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # x_ij = eps_i Lam_I(i) - eps_j Lam_I(j), with Lam_I the class sums
-        signed = sign * (member @ lam)[cls_of]
-        x = (signed[:, None] - signed[None, :]).reshape(-1)
-        delta = delta0.copy()
-        flat = delta.reshape(-1)
+        # (one matrix-vector product per point, as for a single point)
+        lams = np.ascontiguousarray(lams)
+        P = len(lams)
+        signed = sign * (member @ lams[:, :, None])[:, cls_of, 0]
+        x = (signed[:, :, None] - signed[:, None, :]).reshape(P, -1)
+        delta = np.repeat(delta0[None], P, axis=0)
+        flat = delta.reshape(P, -1)
         if rat.size:
-            den = x[rat] + f[ri] - f[rj]
-            flat[rat] = np.where(np.abs(den) < POLE_GUARD, np.nan, r_num / den)
+            den = x[:, rat] + f[ri] - f[rj]
+            flat[:, rat] = np.where(np.abs(den) < POLE_GUARD, np.nan, r_num / den)
         if trig.size:
-            den = 1 - np.exp(t_log * x[trig]) * f[ti] / f[tj]
+            den = 1 - np.exp(t_log * x[:, trig]) * f[ti] / f[tj]
             ok = np.isfinite(den) & (np.abs(den) >= POLE_GUARD)
-            flat[trig] = np.where(ok, t_sum / den, np.nan)
-        g = two_form.table(n, lam, other_class)
+            flat[:, trig] = np.where(ok, t_sum / den, np.nan)
+        g = two_form.table(n, lams, other_class)
         d = g * np.where(coupled, root - delta, d0)
         return delta, d
 

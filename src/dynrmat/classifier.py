@@ -75,14 +75,7 @@ def detect_relations(
     if len(samples) < 3:
         raise ValueError("at least 3 samples are required")
     n = R.n
-    delta_stack = []
-    d_stack = []
-    for lam in samples:
-        dt, dd = R.tables(np.asarray(lam, dtype=complex))
-        delta_stack.append(np.abs(dt))
-        d_stack.append(np.abs(dd))
-    delta_mag = np.stack(delta_stack)
-    d_mag = np.stack(d_stack)
+    delta_mag, d_mag = map(np.abs, R.stacked_tables(np.asarray(samples, dtype=complex)))
     scale = max(float(delta_mag.max()), float(d_mag.max()))
     if scale == 0:
         raise NotInFamilyError("matrix is identically zero at all samples")

@@ -81,6 +81,17 @@ def _parse_lambda(text: str, n: Optional[int] = None) -> np.ndarray:
     return lam
 
 
+def _number_list(kind, what: str):
+    """argparse type for a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -304,7 +315,7 @@ def cmd_transform(args) -> int:
     R = build(p, c)
 
     if mode == "scale":
-        sd = transforms.scale_f(c, float(args.scale))
+        sd = transforms.scale_f(c, args.scale)
         obj = {
             "params": params_to_json(sd.params),
             "index_map": {str(k): v for k, v in sd.index_map.items()},
@@ -318,8 +329,7 @@ def cmd_transform(args) -> int:
         return EXIT_OK
 
     if mode == "limit":
-        xi = [float(tok) for tok in args.limit.split(",") if tok.strip()]
-        rep = transforms.trig_to_rational_limit(c, xi)
+        rep = transforms.trig_to_rational_limit(c, args.limit)
         obj = {
             "xi": rep.xi_values,
             "distances": rep.distances,
@@ -330,7 +340,7 @@ def cmd_transform(args) -> int:
         return EXIT_OK
 
     if mode == "contract":
-        subset = tuple(int(tok) for tok in args.contract.split(",") if tok.strip())
+        subset = tuple(args.contract)
         out_R = transforms.contract(R, subset)
         m = len(subset)
     elif mode == "compose":
@@ -395,12 +405,15 @@ def build_parser() -> _Parser:
     tp.add_argument("--twist", default=None, help="JSON file of per-index potentials")
     tp.add_argument("--two-form", dest="two_form", default=None,
                     help="JSON 2-form spec to apply")
-    tp.add_argument("--contract", default=None, help='index subset "1,2"')
+    tp.add_argument("--contract", type=_number_list(int, "integers"), default=None,
+                    help='index subset "1,2"')
     tp.add_argument("--compose", default=None, help="second datum config to append")
     tp.add_argument("--g-ab", dest="g_ab", type=complex, default=None)
     tp.add_argument("--g-ba", dest="g_ba", type=complex, default=None)
-    tp.add_argument("--scale", default=None, help="merge exchange classes at this scale")
-    tp.add_argument("--limit", default=None, help='xi sequence "1e-1,1e-2,..."')
+    tp.add_argument("--scale", type=float, default=None,
+                    help="merge exchange classes at this scale")
+    tp.add_argument("--limit", type=_number_list(float, "numbers"), default=None,
+                    help='xi sequence "1e-1,1e-2,..."')
     return parser
 
 

@@ -64,7 +64,7 @@ def hecke_classify(
     if samples is None:
         rng = np.random.default_rng(seed)
         samples = sample_lambda(R, rng, 5)
-    tabs = [R.tables(np.asarray(lam, dtype=complex)) for lam in samples]
+    tabs = list(zip(*R.stacked_tables(np.asarray(samples, dtype=complex))))
     scale = max(
         max(float(np.abs(dt).max()), float(np.abs(dd).max())) for dt, dd in tabs
     )

@@ -9,7 +9,8 @@ sign (+1/-1) and a complex constant ``f`` fixing its position inside the
 exchange class; the conventional normalization puts f = 1 (sum != 0,
 "trigonometric" block) or f = 0 (sum = 0, "rational" block) on the first
 d-class of every exchange class.  Finally a multiplicative 2-form rescales
-the diagonal coefficients.
+the diagonal coefficients; ``TwoFormSpec.table(n, lams, mask)`` evaluates it
+on a (P, n) stack of points and returns a (P, n, n) stack of tables.
 
 JSON field names (``S``, ``Sigma``, ``signs``, ``f``) follow the shared
 config schema; see :mod:`dynrmat.serialize`.
@@ -124,7 +125,8 @@ class TwoFormSpec:
 
     Subclasses provide ``value(i, j, lam) -> complex`` with the reciprocity
     g_ij * g_ji = 1 built in, and may override :meth:`table` with a
-    whole-table evaluation.
+    whole-table evaluation.  ``table(n, lams, mask)`` maps a (P, n) stack
+    of points to a (P, n, n) stack of tables.
     """
 
     kind = "abstract"
@@ -132,16 +134,18 @@ class TwoFormSpec:
     def value(self, i: int, j: int, lam: np.ndarray) -> complex:
         raise NotImplementedError
 
-    def table(self, n: int, lam: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """n x n table holding g_ij at ``lam`` where the boolean ``mask``
-        holds and 1 elsewhere, with NaN where :meth:`value` raises
+    def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """(P, n, n) stack holding g_ij at each point of the (P, n) stack
+        ``lams`` where the boolean ``mask`` (n x n, or one per point) holds
+        and 1 elsewhere, with NaN where :meth:`value` raises
         :class:`PoleError`.  This default calls :meth:`value` per entry."""
-        out = np.ones((n, n), dtype=complex)
-        for i, j in zip(*np.nonzero(mask)):
+        lams = np.asarray(lams, dtype=complex)
+        out = np.ones((len(lams), n, n), dtype=complex)
+        for p, i, j in zip(*np.nonzero(np.broadcast_to(mask, out.shape))):
             try:
-                out[i, j] = self.value(int(i) + 1, int(j) + 1, lam)
+                out[p, i, j] = self.value(int(i) + 1, int(j) + 1, lams[p])
             except PoleError:
-                out[i, j] = np.nan
+                out[p, i, j] = np.nan
         return out
 
 
@@ -153,8 +157,8 @@ class TrivialTwoForm(TwoFormSpec):
     def value(self, i: int, j: int, lam: np.ndarray) -> complex:
         return 1.0 + 0j
 
-    def table(self, n: int, lam: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return np.ones((n, n), dtype=complex)
+    def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        return np.ones((len(lams), n, n), dtype=complex)
 
 
 @dataclass
@@ -184,18 +188,23 @@ class ExactTwoForm(TwoFormSpec):
                 raise PoleError(f"potential of 2-form vanishes near lam={lam}")
         return (bij / bi0) * (bj0 / bji)
 
-    def table(self, n: int, lam: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """n(n+1) potential calls: beta_i(lam) and beta_i(lam + e_k)."""
-        lam = np.asarray(lam, dtype=complex)
-        b0 = np.array([complex(self.beta[i](lam)) for i in range(1, n + 1)])
-        b1 = np.empty((n, n), dtype=complex)  # b1[i, k] = beta_i(lam + e_k)
-        for k in range(n):
-            mu = lam.copy()
-            mu[k] += 1
-            b1[:, k] = [complex(self.beta[i](mu)) for i in range(1, n + 1)]
-        g = (b1 / b0[:, None]) * (b0[None, :] / b1.T)
+    def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Each potential is called once per distinct point among ``lams``
+        and lams + e_k: n(1 + n + n(n+1)/2) calls for the n+1 points of a
+        shift stencil."""
+        from .rmatrix import stencil_points  # rmatrix imports this module
+
+        pts = stencil_points(lams).reshape(-1, n)
+        first: dict[bytes, int] = {}
+        row = [first.setdefault(pt.tobytes(), p) for p, pt in enumerate(pts)]
+        values = {p: [complex(self.beta[i](pts[p])) for i in range(1, n + 1)]
+                  for p in first.values()}
+        b = np.array([values[p] for p in row]).reshape(len(lams), n + 1, n)
+        b0 = b[:, 0]    # b0[p, i] = beta_i(lam_p)
+        bk = b[:, 1:]   # bk[p, k, i] = beta_i(lam_p + e_k)
+        g = (bk.transpose(0, 2, 1) / b0[:, :, None]) * (b0[:, None, :] / bk)
         small = np.abs(b0) < POLE_GUARD
-        g[small[:, None] | small[None, :] | (np.abs(b1.T) < POLE_GUARD)] = np.nan
+        g[small[:, :, None] | small[:, None, :] | (np.abs(bk) < POLE_GUARD)] = np.nan
         return np.where(mask, g, 1)
 
 
@@ -222,20 +231,25 @@ class TableTwoForm(TwoFormSpec):
             raise PoleError(f"2-form table entry ({j},{i}) vanishes at lam={lam}")
         return 1.0 / v
 
-    def table(self, n: int, lam: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """One call per unordered pair that either orientation of ``mask``
-        needs; the other orientation is the reciprocal."""
-        lam = np.asarray(lam, dtype=complex)
-        out = np.ones((n, n), dtype=complex)
-        for i, j in zip(*np.nonzero(np.triu(mask | mask.T, 1))):
+    def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """One call per point and unordered pair that either orientation of
+        ``mask`` needs at some point; the other orientation is the
+        reciprocal."""
+        lams = np.asarray(lams, dtype=complex)
+        out = np.ones((len(lams), n, n), dtype=complex)
+        mask = np.broadcast_to(mask, out.shape)
+        need = (mask | mask.transpose(0, 2, 1)).any(axis=0)
+        for i, j in zip(*np.nonzero(np.triu(need, 1))):
             i, j = int(i), int(j)
-            try:
-                v = complex(self.g[(i + 1, j + 1)](lam))
-            except PoleError:
-                v = np.nan
-            if abs(v) < POLE_GUARD:
-                v = np.nan
-            out[i, j], out[j, i] = v, 1.0 / v
+            fn = self.g[(i + 1, j + 1)]
+            for p, lam in enumerate(lams):
+                try:
+                    v = complex(fn(lam))
+                except PoleError:
+                    v = np.nan
+                if abs(v) < POLE_GUARD:
+                    v = np.nan
+                out[p, i, j], out[p, j, i] = v, 1.0 / v
         return np.where(mask, out, 1)
 
 

@@ -11,12 +11,17 @@ normalization, not a parameter).
 Each field is called per entry, ``field(i, j, lam)``.  Matrices made by the
 builder, the transforms and sampled configs evaluate both fields at once:
 their ``delta`` and ``d`` are two :class:`TableField` views of one
-:class:`TableSource`, a function ``lam -> (delta_tab, d_tab)`` that fills
-whole n x n tables with numpy, marks a pole with NaN instead of raising and
-remembers its last lam.  A per-entry call reads the shared table and raises
+:class:`TableSource`.  Its table function maps a (P, n) stack of points to
+the (P, n, n) exchange and diagonal table stacks, filled with numpy, and
+marks a pole with NaN instead of raising; ``R.tables(lam)`` is a stack of
+one point.  A per-entry call reads the shared table and raises
 :class:`PoleError` on a non-finite entry.  Plain callables remain valid
 fields: :meth:`DynamicalRMatrix.tables` then falls back to one call per
-entry.
+entry, point by point.
+
+:meth:`DynamicalRMatrix.stacked_tables` evaluates a whole stack of points
+in one call (the uncached ones), and :func:`shift_stencil` uses it for the
+n+1 points lam, lam + e_1, ..., lam + e_n.
 
 Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
 1-based on both levels.
@@ -57,14 +62,22 @@ def _pole_message(i: int, j: int, lam: np.ndarray) -> str:
     return f"non-finite coefficient at pair ({i},{j}), lam={lam}"
 
 
+def _as_stack(lams: np.ndarray, n: int) -> np.ndarray:
+    lams = np.asarray(lams, dtype=complex)
+    if lams.ndim != 2 or lams.shape[1] != n:
+        raise ValueError(f"lambda stack must have shape (P, {n}), got {lams.shape}")
+    return lams
+
+
 class TableSource:
-    """Whole-table evaluator ``lam -> (delta_tab, d_tab)`` behind the two
+    """Whole-table evaluator ``lams -> (delta_tabs, d_tabs)`` behind the two
     fields of one matrix.
 
-    ``fn`` fills both n x n tables at once, with 0 on the diagonal of
-    ``d_tab`` and NaN (never an exception) at a pole.  The last lam and its
-    tables are remembered, so a run of per-entry calls at one point
-    evaluates the tables once.  The returned tables are read-only.
+    ``fn`` takes a (P, n) stack of points and fills both (P, n, n) table
+    stacks at once, with 0 on the diagonal of each diagonal table and NaN
+    (never an exception) at a pole.  The tables of the last single point
+    are remembered, so a run of per-entry calls at one point evaluates
+    them once.  The returned tables are read-only.
     """
 
     def __init__(self, fn: TableFunction):
@@ -72,16 +85,28 @@ class TableSource:
         self._key: Optional[bytes] = None
         self._value: Optional[tuple[np.ndarray, np.ndarray]] = None
 
-    def __call__(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lams = np.asarray(lams, dtype=complex)
+        if len(lams) == 1:
+            value = self.point(lams[0])
+            return value[0][None], value[1][None]
+        return self._evaluate(lams)
+
+    def point(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two n x n tables at one point, remembered until the next."""
         lam = np.asarray(lam, dtype=complex)
         key = lam.tobytes()
         if key != self._key:
-            with np.errstate(all="ignore"):
-                value = self._fn(lam)
-            for tab in value:
-                tab.setflags(write=False)
-            self._key, self._value = key, value
+            delta, d = self._evaluate(lam[None])
+            self._key, self._value = key, (delta[0], d[0])
         return self._value
+
+    def _evaluate(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(all="ignore"):
+            value = self._fn(lams)
+        for tab in value:
+            tab.setflags(write=False)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +118,8 @@ class TableField:
     part: int
 
     def table(self, lam: np.ndarray) -> np.ndarray:
-        """The whole n x n table at ``lam``, NaN at poles."""
-        return self.source(lam)[self.part]
+        """The whole n x n table at one point, NaN at poles."""
+        return self.source.point(lam)[self.part]
 
     def __call__(self, i: int, j: int, lam: np.ndarray) -> complex:
         v = complex(self.table(lam)[i - 1, j - 1])
@@ -105,9 +130,9 @@ class TableField:
 
 def _field_table(coeff: CoefficientField, n: int, lam: np.ndarray,
                  diagonal: bool) -> np.ndarray:
-    """n x n table of one field at ``lam``, NaN where it raises PoleError;
-    a plain callable is called once per entry (the diagonal is left 0
-    unless ``diagonal``)."""
+    """n x n table of one field at one point, NaN where it raises
+    PoleError; a plain callable is called once per entry (the diagonal is
+    left 0 unless ``diagonal``)."""
     if isinstance(coeff, TableField):
         return coeff.table(lam)
     tab = np.zeros((n, n), dtype=complex)
@@ -134,8 +159,9 @@ class DynamicalRMatrix:
     @classmethod
     def from_tables(cls, n: int, fn: TableFunction,
                     provenance: Optional[Provenance] = None) -> "DynamicalRMatrix":
-        """Matrix whose two fields share the whole-table evaluator ``fn``
-        (see :class:`TableSource`)."""
+        """Matrix whose two fields share the whole-table evaluator ``fn``,
+        a function from a (P, n) stack of points to the (P, n, n) exchange
+        and diagonal table stacks (see :class:`TableSource`)."""
         source = TableSource(fn)
         return cls(n=n, delta=TableField(source, 0), d=TableField(source, 1),
                    provenance=provenance)
@@ -149,28 +175,73 @@ class DynamicalRMatrix:
         lam = np.asarray(lam, dtype=complex)
         if lam.shape != (self.n,):
             raise ValueError(f"lambda must have length {self.n}, got {lam.shape}")
-        key = lam.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        delta_tab, d_tab = raw_tables(self, lam)
-        if not (np.isfinite(delta_tab).all() and np.isfinite(d_tab).all()):
-            bad = ~(np.isfinite(delta_tab) & np.isfinite(d_tab))
-            i, j = divmod(int(np.flatnonzero(bad)[0]), self.n)
-            raise PoleError(_pole_message(i + 1, j + 1, lam))
-        if len(self._cache) >= _TABLE_CACHE_MAX:
-            self._cache.clear()
-        self._cache[key] = (delta_tab, d_tab)
-        return delta_tab, d_tab
+        hit = self._cache.get(lam.tobytes())
+        if hit is None:
+            delta, d = self.stacked_tables(lam[None])
+            hit = delta[0], d[0]
+        return hit
+
+    def stacked_tables(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P, n, n) exchange and diagonal tables at a (P, n) stack of points.
+
+        Raises :class:`PoleError` at the first point, in stack order, with a
+        non-finite coefficient, naming its first pair in row-major order.
+        """
+        lams = _as_stack(lams, self.n)
+        delta, d = self.lookup(lams)
+        bad = ~(np.isfinite(delta) & np.isfinite(d))
+        if bad.any():
+            p, i, j = np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape)
+            raise PoleError(_pole_message(i + 1, j + 1, lams[p]))
+        return delta, d
+
+    def lookup(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P, n, n) tables at a (P, n) stack of points, NaN at poles.
+
+        The points missing from the cache are evaluated in one call; the
+        finite ones are then cached per point, read-only.
+        """
+        lams = _as_stack(lams, self.n)
+        keys = [lam.tobytes() for lam in lams]
+        tabs = [self._cache.get(key) for key in keys]
+        cold = [p for p, hit in enumerate(tabs) if hit is None]
+        if cold:
+            delta, d = raw_tables(self, lams[cold])
+            delta.setflags(write=False)
+            d.setflags(write=False)
+            finite = np.isfinite(delta).all(axis=(1, 2)) & np.isfinite(d).all(axis=(1, 2))
+            for k, p in enumerate(cold):
+                tabs[p] = delta[k], d[k]
+                if finite[k]:
+                    if len(self._cache) >= _TABLE_CACHE_MAX:
+                        self._cache.clear()
+                    self._cache[keys[p]] = tabs[p]
+            if len(cold) == len(keys):
+                return delta, d
+        return np.stack([t[0] for t in tabs]), np.stack([t[1] for t in tabs])
 
 
-def raw_tables(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R's (exchange, diagonal) tables at ``lam`` with NaN at poles, the
-    input of a transform's table function.  Bypasses R's table cache and
-    never raises :class:`PoleError`."""
-    lam = np.asarray(lam, dtype=complex)
-    return (_field_table(R.delta, R.n, lam, diagonal=True),
-            _field_table(R.d, R.n, lam, diagonal=False))
+def raw_tables(R: DynamicalRMatrix, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R's (P, n, n) exchange and diagonal tables at a (P, n) stack of
+    points, with NaN at poles: the input of a transform's table function.
+    Bypasses R's table cache and never raises :class:`PoleError`.
+
+    Two fields of one :class:`TableSource` are evaluated in one call.  Any
+    other pair of fields is evaluated point by point, both fields at each
+    point, so a field that reads another matrix's shared table finds it
+    remembered for the second field.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    if (isinstance(R.delta, TableField) and isinstance(R.d, TableField)
+            and R.delta.source is R.d.source):
+        value = R.delta.source(lams)
+        return value[R.delta.part], value[R.d.part]
+    delta = np.empty((len(lams), R.n, R.n), dtype=complex)
+    d = np.empty_like(delta)
+    for p, lam in enumerate(lams):
+        delta[p] = _field_table(R.delta, R.n, lam, diagonal=True)
+        d[p] = _field_table(R.d, R.n, lam, diagonal=False)
+    return delta, d
 
 
 @dataclass(frozen=True)
@@ -232,15 +303,26 @@ def shifted(lam: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def stencil_points(lam: np.ndarray) -> np.ndarray:
+    """The points lam, lam + e_1, ..., lam + e_n stacked along a new
+    second-to-last axis: (n,) -> (n+1, n), or (m, n) -> (m, n+1, n).  Each
+    shifted point equals :func:`shifted` bit for bit."""
+    lam = np.asarray(lam, dtype=complex)
+    n = lam.shape[-1]
+    pts = np.repeat(lam[..., None, :], n + 1, axis=-2)
+    k = np.arange(n)
+    pts[..., k + 1, k] += SHIFT_STEP
+    return pts
+
+
 def shift_stencil(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (exchange, diagonal) tables of shape (n+1, n, n): index 0 at
     ``lam``, index k at lam + e_k.
 
-    Evaluated in that order, so the first :class:`PoleError` propagates
-    before any later point is evaluated.
+    The n+1 points are evaluated in one call; a :class:`PoleError` names
+    the first of them, in that order, with a non-finite coefficient.
     """
-    tabs = [R.tables(lam)] + [R.tables(shifted(lam, k)) for k in range(1, R.n + 1)]
-    return np.stack([t[0] for t in tabs]), np.stack([t[1] for t in tabs])
+    return R.stacked_tables(stencil_points(lam))
 
 
 def evaluate(R: DynamicalRMatrix, lam: np.ndarray) -> DensePoint:

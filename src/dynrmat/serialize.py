@@ -236,13 +236,16 @@ def matrix_from_samples(points: list[DensePoint]) -> DynamicalRMatrix:
     n = points[0].n
     tables = {sample_key(pt.lam): tables_from_dense(pt.matrix, n) for pt in points}
 
-    def lookup(lam: np.ndarray):
-        key = sample_key(lam)
-        if key not in tables:
-            raise ParameterError(
-                "sampled matrix is only evaluable at its own sample points"
-            )
-        return tables[key]
+    def lookup(lams: np.ndarray):
+        found = []
+        for lam in lams:
+            key = sample_key(lam)
+            if key not in tables:
+                raise ParameterError(
+                    "sampled matrix is only evaluable at its own sample points"
+                )
+            found.append(tables[key])
+        return np.stack([t[0] for t in found]), np.stack([t[1] for t in found])
 
     return DynamicalRMatrix.from_tables(n, lookup)
 

@@ -23,6 +23,8 @@ Implemented here:
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -60,10 +62,10 @@ def apply_twist(
         raise ParameterError("twist needs one potential per index 1..n")
     multiplier = ExactTwoForm(beta=beta)
 
-    def tables(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        delta, d = raw_tables(R, lam)
+    def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        delta, d = raw_tables(R, lams)
         mask = d != 0
-        return delta, np.where(mask, d * multiplier.table(R.n, lam, mask), d)
+        return delta, np.where(mask, d * multiplier.table(R.n, lams, mask), d)
 
     return DynamicalRMatrix.from_tables(R.n, tables, provenance=R.provenance)
 
@@ -157,10 +159,10 @@ def apply_2form(
     for i, j in nd_pairs(partition):
         coupled[i - 1, j - 1] = coupled[j - 1, i - 1] = True
 
-    def tables(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        delta, d = raw_tables(R, lam)
+    def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        delta, d = raw_tables(R, lams)
         mask = coupled & (d != 0)
-        return delta, np.where(mask, d * g.table(R.n, lam, mask), d)
+        return delta, np.where(mask, d * g.table(R.n, lams, mask), d)
 
     return DynamicalRMatrix.from_tables(R.n, tables, provenance=R.provenance)
 
@@ -181,11 +183,11 @@ def contract(R: DynamicalRMatrix, subset: Sequence[int]) -> DynamicalRMatrix:
     if subset[0] < 1 or subset[-1] > R.n:
         raise ParameterError(f"contraction subset must lie in 1..{R.n}")
     idx = np.array(subset) - 1
-    pick = np.ix_(idx, idx)
+    pick = (slice(None),) + np.ix_(idx, idx)
 
-    def tables(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        full = np.zeros(R.n, dtype=complex)
-        full[idx] = lam
+    def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        full = np.zeros((len(lams), R.n), dtype=complex)
+        full[:, idx] = lams
         delta, d = raw_tables(R, full)
         return delta[pick], d[pick]
 
@@ -207,17 +209,21 @@ def decouple_compose(
     pairs get zero exchange coefficients and the constant diagonal
     coefficients ``g_ab`` (first range to second) and ``g_ba``.
     """
+    g_ab, g_ba = complex(g_ab), complex(g_ba)
+    for name, v in (("g_ab", g_ab), ("g_ba", g_ba)):
+        if not cmath.isfinite(v):
+            raise ParameterError(
+                f"cross coefficient {name} of a decoupled composition must be finite")
     if g_ab == 0 or g_ba == 0:
         raise ParameterError("cross coefficients of a decoupled composition must be nonzero")
     na, n = Ra.n, Ra.n + Rb.n
-    g_ab, g_ba = complex(g_ab), complex(g_ba)
 
-    def tables(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        delta = np.zeros((n, n), dtype=complex)
-        d = np.empty((n, n), dtype=complex)
-        d[:na, na:], d[na:, :na] = g_ab, g_ba
-        delta[:na, :na], d[:na, :na] = raw_tables(Ra, lam[:na])
-        delta[na:, na:], d[na:, na:] = raw_tables(Rb, lam[na:])
+    def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        delta = np.zeros((len(lams), n, n), dtype=complex)
+        d = np.empty_like(delta)
+        d[:, :na, na:], d[:, na:, :na] = g_ab, g_ba
+        delta[:, :na, :na], d[:, :na, :na] = raw_tables(Ra, lams[:, :na])
+        delta[:, na:, na:], d[:, na:, na:] = raw_tables(Rb, lams[:, na:])
         return delta, d
 
     return DynamicalRMatrix.from_tables(n, tables)
@@ -253,6 +259,8 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
     constant ``compensator`` 2-form make the merged build comparable to
     the original.
     """
+    if not math.isfinite(eta):
+        raise ParameterError("scale must be finite")
     if eta <= 0:
         raise ParameterError("scale must be positive")
     if not isinstance(params.two_form, TrivialTwoForm):

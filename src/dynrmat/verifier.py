@@ -35,8 +35,10 @@ from .rmatrix import (
     DensePoint,
     DynamicalRMatrix,
     evaluate,
+    _TABLE_CACHE_MAX,
     shift_stencil,
     shifted,
+    stencil_points,
     zero_weight_layout,
 )
 
@@ -86,24 +88,34 @@ def sample_lambda(
 ) -> list[np.ndarray]:
     """Draw dynamical points with independent uniform real/imaginary parts
     in [-box, box], rejecting points where the matrix (or any of its n
-    singly-shifted evaluations) hits a pole or exceeds the entry cap."""
+    singly-shifted evaluations) hits a pole or exceeds the entry cap.
+
+    Each round draws exactly as many points as are still missing, so the
+    accepted points and the final state of ``rng`` are those of drawing
+    one point at a time.  The shift stencils of a round are evaluated
+    together, at most ``_TABLE_CACHE_MAX`` points per table call.
+    """
+    n = R.n
+    per_call = max(1, _TABLE_CACHE_MAX // (n + 1))
     out: list[np.ndarray] = []
     tries = 0
     while len(out) < count:
-        tries += 1
-        if tries > max_tries:
+        k = min(count - len(out), max_tries - tries)
+        if k <= 0:
             raise PoleError(
                 f"could not find {count} well-conditioned sample points in "
                 f"{max_tries} draws"
             )
-        lam = rng.uniform(-box, box, R.n) + 1j * rng.uniform(-box, box, R.n)
-        try:
-            delta_st, d_st = shift_stencil(R, lam)
-        except PoleError:
-            continue
-        if max(float(np.abs(delta_st).max()), float(np.abs(d_st).max())) > entry_cap:
-            continue
-        out.append(lam)
+        tries += k
+        draws = rng.uniform(-box, box, (k, 2, n))
+        lams = draws[:, 0] + 1j * draws[:, 1]
+        for start in range(0, k, per_call):
+            chunk = lams[start:start + per_call]
+            delta, d = R.lookup(stencil_points(chunk).reshape(-1, n))
+            mags = np.concatenate([np.abs(delta), np.abs(d)], axis=1)
+            mags = mags.reshape(len(chunk), -1)
+            ok = np.isfinite(mags).all(axis=1) & ~(mags.max(axis=1) > entry_cap)
+            out.extend(chunk[ok])
     return out
 
 

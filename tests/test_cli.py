@@ -371,6 +371,36 @@ def test_transform_compose_zero_cross_factor_invalid(golden_config, capsys, flag
     assert "cross coefficients" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--g-ab", "--g-ba"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_transform_compose_non_finite_cross_factor_invalid(golden_config, capsys, flag, value):
+    code = main(["transform", golden_config, "--compose", golden_config, f"{flag}={value}"])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cross coefficient {flag[2:].replace('-', '_')} " in captured.err
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_transform_scale_non_finite_invalid(golden_config, capsys, value):
+    assert main(["transform", golden_config, "--scale", value]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scale must be finite" in captured.err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--contract", "a"), ("--contract", "1,b"), ("--scale", "abc"),
+    ("--limit", "abc"), ("--limit", "1e-2,x"),
+])
+def test_transform_unparseable_number_usage(golden_config, capsys, flag, value):
+    assert main(["transform", golden_config, flag, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err and repr(value) in captured.err
+
+
 def test_transform_two_form(golden_config, tmp_path, capsys):
     spec = {
         "type": "table",

@@ -10,6 +10,7 @@ from dynrmat.rmatrix import (
     permuted,
     shift_stencil,
     shifted,
+    stencil_points,
     sum_and_det_fields,
     tables_from_dense,
 )
@@ -79,6 +80,18 @@ def test_shift_stencil_matches_shifted_tables():
         pt = shifted(lam, k) if k else lam
         dt, dd = build(p, c).tables(pt)  # fresh matrix: no shared cache
         assert np.array_equal(delta_st[k], dt) and np.array_equal(d_st[k], dd)
+
+
+def test_stencil_points_equal_shifted_bit_for_bit():
+    lam = np.array([complex(-0.0, -0.0), complex(0.5, -0.0), complex(-0.0, 1.5)])
+    pts = stencil_points(lam)
+    assert pts.shape == (4, 3)
+    for k in range(4):
+        want = shifted(lam, k) if k else lam
+        assert pts[k].tobytes() == want.tobytes()
+    two = stencil_points(np.array([lam, 2 * lam]))
+    assert two.shape == (2, 4, 3)
+    assert two[0].tobytes() == pts.tobytes()
 
 
 def _embed_oracle(R, slot_pair, shift_slot, lam):

@@ -27,7 +27,14 @@ from dynrmat.params import (
     normalize_f,
 )
 from dynrmat.partition import DeltaClass, IndexPartition
-from dynrmat.rmatrix import DynamicalRMatrix, evaluate, shifted
+from dynrmat.rmatrix import (
+    DynamicalRMatrix,
+    evaluate,
+    raw_tables,
+    shift_stencil,
+    shifted,
+    stencil_points,
+)
 from dynrmat.sampling import random_datum, random_two_form
 from dynrmat.serialize import matrix_from_samples
 from dynrmat.transforms import apply_2form, apply_twist, contract, decouple_compose
@@ -43,7 +50,7 @@ from closure_oracle import (
     oracle_tables,
     oracle_twist,
 )
-from conftest import golden_datum, overflow_datum
+from conftest import golden_datum, overflow_datum, random_points
 
 #: Allowed difference in units of eps times the largest |coefficient|; near
 #: a pole the exchange coefficient amplifies last-bit differences of its
@@ -159,6 +166,30 @@ def test_transform_tables_match_oracle(mode, n):
         if points is None:
             points = sample_lambda(old, np.random.default_rng(seed + 50), 3)
         assert_same(new, old, points)
+
+
+@pytest.mark.parametrize("kind", ["trivial", "table", "exact"])
+def test_stacked_tables_equal_single_point_tables_bit_for_bit(kind):
+    """A point's tables do not depend on the stack it is evaluated in."""
+    for n in (3, 6, 9):
+        for mode in ("chain", "compose"):
+            rng, p, c = _datum(n, kind, n)
+            if mode == "chain":
+                g = random_two_form(p, rng, "table")
+                beta = random_two_form(p, rng, "exact").beta
+                make = lambda: contract(apply_twist(apply_2form(build(p, c), g), beta),
+                                        tuple(range(1, n)))
+                m = n - 1
+            else:
+                _, p2, c2 = _datum(4, "exact", n + 1)
+                make = lambda: decouple_compose(build(p, c), build(p2, c2), 2, 0.5j)
+                m = n + 4
+            lams = np.array(random_points(rng, m, 12, box=3.0))
+            stacked = make().lookup(stencil_points(lams).reshape(-1, m))
+            single = make()
+            for k, lam in enumerate(stencil_points(lams).reshape(-1, m)):
+                for got, want in zip(stacked, single.lookup(lam[None])):
+                    assert np.array_equal(got[k], want[0], equal_nan=True)
 
 
 def test_sampled_tables_equal_oracle_exactly():
@@ -341,16 +372,21 @@ def test_value_only_two_form_matches_its_table():
     assert kinds == {"pole", "tables"}
 
 
-def test_table_function_runs_once_per_point():
-    p, c = golden_datum()
-    inner = build(p, c)
+def _counting(inner):
+    """A matrix over ``inner``'s table function that records the stack it
+    is called with."""
     calls = []
 
-    def tables(lam):
-        calls.append(lam.copy())
-        return inner.tables(lam)
+    def tables(lams):
+        calls.append(lams.copy())
+        return raw_tables(inner, lams)
 
-    R = DynamicalRMatrix.from_tables(4, tables)
+    return DynamicalRMatrix.from_tables(inner.n, tables), calls
+
+
+def test_table_function_runs_once_per_point():
+    p, c = golden_datum()
+    R, calls = _counting(build(p, c))
     lam = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j])
     R.delta(1, 2, lam)
     R.d(2, 1, lam)
@@ -358,6 +394,104 @@ def test_table_function_runs_once_per_point():
     assert len(calls) == 1
     R.d(1, 2, shifted(lam, 1))
     assert len(calls) == 2
+
+
+def test_one_table_call_per_cold_stencil():
+    p, c = golden_datum()
+    R, calls = _counting(build(p, c))
+    lam = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j])
+    delta, d = shift_stencil(R, lam)
+    assert len(calls) == 1 and calls[0].shape == (5, 4)
+    assert np.array_equal(calls[0], stencil_points(lam))
+    for k in range(5):
+        pt = shifted(lam, k) if k else lam
+        want = build(p, c).tables(pt)
+        assert np.array_equal(delta[k], want[0]) and np.array_equal(d[k], want[1])
+    shift_stencil(R, lam)
+    R.tables(shifted(lam, 3))
+    assert len(calls) == 1  # every point cached
+    shift_stencil(R, shifted(lam, 2))
+    assert len(calls) == 2 and len(calls[1]) == 4  # lam + e_2 was cached
+    sample_lambda(R, np.random.default_rng(0), 8)
+    assert len(calls) == 3 and len(calls[2]) == 8 * 5  # no draw is rejected here
+
+
+def test_plain_callable_wrapper_evaluates_once_per_point():
+    p, c = golden_datum()
+    R, calls = _counting(build(p, c))
+    W = _scaled_exchange(R, (1, 3), 1.3)
+    lam = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j])
+    delta, _ = shift_stencil(W, lam)
+    assert [len(pts) for pts in calls] == [1] * 5
+    assert delta[0, 0, 2] == 1.3 * build(p, c).tables(lam)[0][0, 2]
+
+
+def test_stacked_pole_names_first_bad_point_and_pair():
+    p, c = golden_datum()
+    R = build(p, c)
+    good = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j])
+    on_12 = np.array([0.2, 0.2, 0.5 - 0.5j, 0.1j])   # pair (1,2): lam1 = lam2
+    on_13 = np.array([0.3, 0.1, -0.2, -0.1])          # pair (1,3): lam1 + lam3 + lam4 = 0
+    with pytest.raises(PoleError) as stacked:
+        R.stacked_tables(np.array([good, on_13, on_12]))
+    with pytest.raises(PoleError) as single:
+        build(p, c).tables(on_13)
+    assert str(stacked.value) == str(single.value)
+    assert "pair (1,3)" in str(stacked.value)
+    assert R.tables(good)[0].shape == (4, 4)
+    assert not R.tables(good)[0].flags.writeable
+
+
+def test_stack_mixing_hits_and_misses_survives_a_full_cache():
+    p, c = golden_datum()
+    R = build(p, c)
+    points = random_points(np.random.default_rng(6), 4, 520)
+    R.stacked_tables(np.array(points[:510]))
+    assert len(R._cache) == 510
+    mixed = np.array(points[505:520])  # five hits, then ten misses that fill the cache
+    delta, d = R.stacked_tables(mixed)
+    want = build(p, c).stacked_tables(mixed)
+    assert np.array_equal(delta, want[0]) and np.array_equal(d, want[1])
+    assert len(R._cache) < 512
+
+
+def test_exact_two_form_calls_each_potential_once_per_distinct_point():
+    n = 5
+    calls = []
+
+    def potential(i):
+        def beta(lam):
+            calls.append(i)
+            return np.exp(0.1 * i * lam[i - 1] + 0.05 * lam.sum())
+        return beta
+
+    g = ExactTwoForm(beta={i: potential(i) for i in range(1, n + 1)})
+    lam = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j, 0.2 - 0.1j])
+    mask = ~np.eye(n, dtype=bool)
+    stacked = g.table(n, stencil_points(lam), mask)
+    assert len(calls) == n * (1 + n + n * (n + 1) // 2)
+    assert sorted(set(calls)) == list(range(1, n + 1))
+    for k in range(n + 1):
+        pt = shifted(lam, k) if k else lam
+        want = np.ones((n, n), dtype=complex)
+        for i, j in zip(*np.nonzero(mask)):
+            want[i, j] = g.value(int(i) + 1, int(j) + 1, pt)
+        assert np.abs(stacked[k] - want).max() <= ULPS * EPS * np.abs(want).max()
+    # one built stencil makes the same number of calls
+    p, c = _free_block(n, 1 + 0.2j, 0.5 - 0.1j, (1,) * n, (1, 0.8, 1.2, 0.9j, 1.1), g)
+    calls.clear()
+    shift_stencil(build(p, c), lam)
+    assert len(calls) == n * (1 + n + n * (n + 1) // 2)
+
+
+def test_large_draw_keeps_table_calls_bounded():
+    rng = np.random.default_rng(5)
+    p, c = random_datum(8, rng, "trivial")
+    R, calls = _counting(build(p, c))
+    pts = sample_lambda(R, rng, 2000)
+    assert len(pts) == 2000
+    assert max(len(stack) for stack in calls) <= 512
+    assert sum(len(stack) for stack in calls) >= 2000 * 9
 
 
 # -- overflow ----------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dynrmat.builder import build
+from dynrmat.errors import PoleError
 from dynrmat.rmatrix import (
     DynamicalRMatrix,
     composite_index,
@@ -27,7 +28,7 @@ from dynrmat.verifier import (
     sample_lambda,
 )
 
-from conftest import golden_datum, random_points
+from conftest import golden_datum, overflow_datum, random_points
 
 
 def _triple_oracle(R, lam):
@@ -339,3 +340,92 @@ def test_check_system_requires_samples():
     R = build(p, c)
     with pytest.raises(ValueError):
         check_system(R, samples=[])
+
+
+# -- batched sampling against a one-point-at-a-time reference ----------------
+
+
+def _sequential_sample_lambda(R, rng, count, box=2.0, entry_cap=1e3, max_tries=2000):
+    """The one-draw-at-a-time sampler: draw a point, evaluate its shift
+    stencil point by point, accept it or draw the next."""
+    out = []
+    tries = 0
+    while len(out) < count:
+        tries += 1
+        if tries > max_tries:
+            raise PoleError(f"could not find {count} well-conditioned sample "
+                            f"points in {max_tries} draws")
+        lam = rng.uniform(-box, box, R.n) + 1j * rng.uniform(-box, box, R.n)
+        try:
+            tabs = [R.tables(lam)] + [R.tables(shifted(lam, k)) for k in range(1, R.n + 1)]
+        except PoleError:
+            continue
+        if max(float(np.abs(t).max()) for pair in tabs for t in pair) > entry_cap:
+            continue
+        out.append(lam)
+    return out
+
+
+def _sample_both(make, seed, count, **kw):
+    """(points or exception text, rng state) of the batched sampler and of
+    the reference, each on its own fresh matrix and generator."""
+    results = []
+    for sampler in (sample_lambda, _sequential_sample_lambda):
+        rng = np.random.default_rng(seed)
+        try:
+            got = [lam.tobytes() for lam in sampler(make(), rng, count, **kw)]
+        except PoleError as exc:
+            got = str(exc)
+        results.append((got, rng.bit_generator.state))
+    return results
+
+
+def _count_rejections(make, seed, count, **kw):
+    """(accepted, drawn) of the reference sampler."""
+    rng = np.random.default_rng(seed)
+    pts = _sequential_sample_lambda(make(), rng, count, **kw)
+    probe = np.random.default_rng(seed)
+    drawn = 0
+    while probe.bit_generator.state != rng.bit_generator.state:
+        probe.uniform(size=2 * make().n)
+        drawn += 1
+    return len(pts), drawn
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8])
+def test_sample_lambda_matches_sequential_reference(n):
+    for seed in range(3):
+        p, c = random_datum(n, np.random.default_rng(40 + seed), ["trivial", "table", "exact"][seed])
+        batched, reference = _sample_both(lambda: build(p, c), seed, 8, box=6.0)
+        assert batched == reference
+
+
+def test_sample_lambda_reference_with_pole_rejections():
+    p, c = overflow_datum()
+    rejected = 0
+    for seed in range(4):
+        batched, reference = _sample_both(lambda: build(p, c), seed, 4, box=1000.0)
+        assert batched == reference
+        if isinstance(batched[0], list):
+            accepted, drawn = _count_rejections(lambda: build(p, c), seed, 4, box=1000.0)
+            rejected += drawn - accepted
+    assert rejected > 0
+
+
+def test_sample_lambda_reference_with_entry_cap_rejections():
+    p, c = golden_datum()
+    accepted, drawn = _count_rejections(lambda: build(p, c), 8, 6, entry_cap=2.0)
+    assert drawn > accepted == 6
+    for seed in range(4):
+        batched, reference = _sample_both(lambda: build(p, c), seed, 6, entry_cap=2.0)
+        assert batched == reference
+
+
+def test_sample_lambda_exhausts_after_exactly_max_tries_draws():
+    p, c = golden_datum()
+    batched, reference = _sample_both(lambda: build(p, c), 3, 6, entry_cap=1.0, max_tries=30)
+    assert batched == reference
+    assert "in 30 draws" in batched[0]
+    probe = np.random.default_rng(3)
+    probe.uniform(size=(30, 2, 4))
+    assert batched[1] == probe.bit_generator.state
