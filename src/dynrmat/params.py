@@ -240,16 +240,16 @@ class TableTwoForm(TwoFormSpec):
         mask = np.broadcast_to(mask, out.shape)
         need = (mask | mask.transpose(0, 2, 1)).any(axis=0)
         for i, j in zip(*np.nonzero(np.triu(need, 1))):
-            i, j = int(i), int(j)
-            fn = self.g[(i + 1, j + 1)]
-            for p, lam in enumerate(lams):
+            fn = self.g[(int(i) + 1, int(j) + 1)]
+            values = []
+            for lam in lams:
                 try:
                     v = complex(fn(lam))
                 except PoleError:
                     v = np.nan
-                if abs(v) < POLE_GUARD:
-                    v = np.nan
-                out[p, i, j], out[p, j, i] = v, 1.0 / v
+                values.append(np.nan if abs(v) < POLE_GUARD else v)
+            out[:, i, j] = values
+            out[:, j, i] = [1.0 / v for v in values]
         return np.where(mask, out, 1)
 
 

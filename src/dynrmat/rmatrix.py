@@ -17,7 +17,11 @@ marks a pole with NaN instead of raising; ``R.tables(lam)`` is a stack of
 one point.  A per-entry call reads the shared table and raises
 :class:`PoleError` on a non-finite entry.  Plain callables remain valid
 fields: :meth:`DynamicalRMatrix.tables` then falls back to one call per
-entry, point by point.
+entry, point by point.  A wrapper such as
+``DynamicalRMatrix(n, delta=my_delta, d=R.d)`` still has one visible
+source, R's: :func:`raw_tables` evaluates it on the whole stack first and
+holds the tables while the loop runs, so ``my_delta``'s reads of
+``R.delta`` find them; nothing stays held after the call.
 
 :meth:`DynamicalRMatrix.stacked_tables` evaluates a whole stack of points
 in one call (the uncached ones), and :func:`shift_stencil` uses it for the
@@ -30,9 +34,10 @@ Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
 from __future__ import annotations
 
 import cmath
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,13 +82,15 @@ class TableSource:
     stacks at once, with 0 on the diagonal of each diagonal table and NaN
     (never an exception) at a pole.  The tables of the last single point
     are remembered, so a run of per-entry calls at one point evaluates
-    them once.  The returned tables are read-only.
+    them once; inside :meth:`held`, single points of the held stack are
+    read from it.  The returned tables are read-only.
     """
 
     def __init__(self, fn: TableFunction):
         self._fn = fn
         self._key: Optional[bytes] = None
         self._value: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._held: Optional[dict[bytes, tuple[np.ndarray, np.ndarray]]] = None
 
     def __call__(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lams = np.asarray(lams, dtype=complex)
@@ -92,10 +99,25 @@ class TableSource:
             return value[0][None], value[1][None]
         return self._evaluate(lams)
 
+    @contextmanager
+    def held(self, lams: np.ndarray) -> Iterator[None]:
+        """Evaluate the (P, n) stack ``lams`` in one call and serve its
+        points from those tables until the block exits; the enclosing hold,
+        if any, is then restored."""
+        delta, d = self._evaluate(lams)
+        outer = self._held
+        self._held = {lam.tobytes(): (delta[p], d[p]) for p, lam in enumerate(lams)}
+        try:
+            yield
+        finally:
+            self._held = outer
+
     def point(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The two n x n tables at one point, remembered until the next."""
         lam = np.asarray(lam, dtype=complex)
         key = lam.tobytes()
+        if self._held is not None and key in self._held:
+            return self._held[key]
         if key != self._key:
             delta, d = self._evaluate(lam[None])
             self._key, self._value = key, (delta[0], d[0])
@@ -228,8 +250,12 @@ def raw_tables(R: DynamicalRMatrix, lams: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Two fields of one :class:`TableSource` are evaluated in one call.  Any
     other pair of fields is evaluated point by point, both fields at each
-    point, so a field that reads another matrix's shared table finds it
-    remembered for the second field.
+    point.  Before that loop, the source of each of R's fields that is a
+    :class:`TableField` (say the untouched field of a wrapper around a
+    built matrix) is evaluated on the whole stack and held until the loop
+    ends (:meth:`TableSource.held`), so per-entry reads of that source,
+    direct or through the other field, find each point's tables without
+    evaluating it again.
     """
     lams = np.asarray(lams, dtype=complex)
     if (isinstance(R.delta, TableField) and isinstance(R.d, TableField)
@@ -238,9 +264,13 @@ def raw_tables(R: DynamicalRMatrix, lams: np.ndarray) -> tuple[np.ndarray, np.nd
         return value[R.delta.part], value[R.d.part]
     delta = np.empty((len(lams), R.n, R.n), dtype=complex)
     d = np.empty_like(delta)
-    for p, lam in enumerate(lams):
-        delta[p] = _field_table(R.delta, R.n, lam, diagonal=True)
-        d[p] = _field_table(R.d, R.n, lam, diagonal=False)
+    sources = dict.fromkeys(f.source for f in (R.delta, R.d) if isinstance(f, TableField))
+    with ExitStack() as holds:
+        for source in sources:
+            holds.enter_context(source.held(lams))
+        for p, lam in enumerate(lams):
+            delta[p] = _field_table(R.delta, R.n, lam, diagonal=True)
+            d[p] = _field_table(R.d, R.n, lam, diagonal=False)
     return delta, d
 
 

@@ -143,7 +143,9 @@ def apply_2form(
     Exchange coefficients and uncoupled pairs are untouched.  Unless
     ``check=False``, closedness of ``g`` over the coupled triplets of R's
     classification is verified first and a violation raises
-    :class:`ParameterError` naming the worst triplet.
+    :class:`ParameterError` naming the worst triplet.  A table 2-form
+    without an entry for a coupled pair raises :class:`ParameterError`
+    naming the first such pair.
     """
     if R.provenance is not None and R.provenance.partition is not None:
         partition = R.provenance.partition
@@ -151,6 +153,10 @@ def apply_2form(
         from .classifier import classify
 
         partition = classify(R).recovered_partition
+    if isinstance(g, TableTwoForm):
+        missing = [pair for pair in nd_pairs(partition) if pair not in g.g]
+        if missing:
+            raise ParameterError(f"2-form table has no entry for coupled pair {missing[0]}")
     if check:
         res = check_closed(g, partition, tol=tol, seed=seed)
         if not res:

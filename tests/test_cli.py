@@ -416,6 +416,28 @@ def test_transform_two_form(golden_config, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["residual"] < 1e-9
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_transform_two_form_missing_coupled_pair_invalid(tmp_path, capsys, seed):
+    from dynrmat.partition import nd_pairs
+    from dynrmat.sampling import random_datum
+
+    p, c = random_datum(4, np.random.default_rng(seed), "trivial")
+    assert (3, 4) in nd_pairs(p)
+    spec = {
+        "type": "table",
+        "values": {
+            key: {"re": 2.0, "im": 0.0}
+            for key in ("1,2", "1,3", "1,4", "2,3", "2,4")
+        },
+    }
+    cfg = _write(tmp_path, "d.json", params_to_json(c))
+    code = main(["transform", cfg, "--two-form", _write(tmp_path, "g.json", spec)])
+    assert code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no entry for coupled pair (3, 4)" in captured.err
+
+
 def test_transform_twist(golden_config, tmp_path, capsys):
     spec = {
         "potentials": {

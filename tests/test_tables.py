@@ -372,6 +372,27 @@ def test_value_only_two_form_matches_its_table():
     assert kinds == {"pole", "tables"}
 
 
+def test_table_two_form_table_equals_its_values_bit_for_bit():
+    n = 4
+    g = TableTwoForm(g={
+        (i, j): (lambda lam, i=i, j=j: (1.1 - 0.4j) * (lam[j - 1] - lam[i - 1]) + 0.3j * i + 0.2 * j)
+        for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    })
+    lams = np.array(random_points(np.random.default_rng(8), n, 40))
+    lams[7, 3] = lams[7, 2] - (0.8 + 0.9j) / (1.1 - 0.4j)  # g_34 vanishes at the eighth point
+    mask = ~np.eye(n, dtype=bool)
+    got = g.table(n, lams, mask)
+    for p, lam in enumerate(lams):
+        want = np.ones((n, n), dtype=complex)
+        for i, j in zip(*np.nonzero(mask)):
+            try:
+                want[i, j] = g.value(int(i) + 1, int(j) + 1, lam)
+            except PoleError:
+                want[i, j] = np.nan
+        assert np.array_equal(got[p], want, equal_nan=True)
+    assert np.isnan(got[7, 2, 3]) and np.isnan(got[7, 3, 2])
+
+
 def _counting(inner):
     """A matrix over ``inner``'s table function that records the stack it
     is called with."""
@@ -422,8 +443,100 @@ def test_plain_callable_wrapper_evaluates_once_per_point():
     W = _scaled_exchange(R, (1, 3), 1.3)
     lam = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j])
     delta, _ = shift_stencil(W, lam)
-    assert [len(pts) for pts in calls] == [1] * 5
+    assert [len(pts) for pts in calls] == [5]  # the inner stencil in one call
+    assert np.array_equal(calls[0], stencil_points(lam))
     assert delta[0, 0, 2] == 1.3 * build(p, c).tables(lam)[0][0, 2]
+
+
+def _one_sided_diagonal(R, pair):
+    def d(i, j, lam):
+        return 0j if (i, j) == pair else R.d(i, j, lam)
+
+    return DynamicalRMatrix(n=R.n, delta=R.delta, d=d)
+
+
+def _per_entry_tables(R, lam):
+    """Reference: R's two tables at one point from one per-entry call each,
+    NaN where the call raises PoleError."""
+    tabs = np.zeros((2, R.n, R.n), dtype=complex)
+    for t, fn in enumerate((R.delta, R.d)):
+        for i in range(1, R.n + 1):
+            for j in range(1, R.n + 1):
+                if i != j or t == 0:
+                    try:
+                        tabs[t, i - 1, j - 1] = fn(i, j, lam)
+                    except PoleError:
+                        tabs[t, i - 1, j - 1] = np.nan
+    return tabs
+
+
+def test_raw_tables_holds_nothing_after_it_returns():
+    p, c = golden_datum()
+    R, calls = _counting(build(p, c))
+    W = _scaled_exchange(R, (1, 3), 1.3)
+    lams = stencil_points(np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j]))
+    first = raw_tables(W, lams)
+    second = raw_tables(W, lams)
+    assert [len(pts) for pts in calls] == [5, 5]  # the second call evaluates again
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    W.delta(1, 3, lams[2])  # a point of the stack, read after the call
+    assert [len(pts) for pts in calls] == [5, 5, 1]
+
+    def failing(i, j, lam):
+        if np.array_equal(lam, lams[2]):
+            raise RuntimeError("wrapper failed")
+        return R.delta(i, j, lam)
+
+    with pytest.raises(RuntimeError):
+        raw_tables(DynamicalRMatrix(n=4, delta=failing, d=R.d), lams)
+    assert R.d.source._held is None
+
+
+def test_nested_wrappers_restore_the_enclosing_hold():
+    p, c = golden_datum()
+    R, calls = _counting(build(p, c))
+    lam = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j])
+    lams = stencil_points(lam)
+    # a wrapper of a wrapper over R: one inner call for the whole stack
+    W = _scaled_exchange(_scaled_exchange(R, (2, 1), 0.5), (1, 3), 1.3)
+    got = raw_tables(W, lams)
+    assert [len(pts) for pts in calls] == [5]
+    for k, mu in enumerate(lams):
+        want = _per_entry_tables(W, mu)
+        assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
+    # a wrapper whose d reads a table matrix over another wrapper of R: each
+    # of its points holds R again, inside the hold of the outer stack
+    T = DynamicalRMatrix.from_tables(4, lambda mus: raw_tables(W, mus))
+    V = DynamicalRMatrix(n=4, delta=R.delta, d=lambda i, j, mu: 2 * T.d(i, j, mu))
+    calls.clear()
+    got = raw_tables(V, lams)
+    assert [len(pts) for pts in calls] == [5] + [1] * 5  # the outer hold serves V.delta
+    assert R.d.source._held is None
+    for k, mu in enumerate(lams):
+        want = _per_entry_tables(V, mu)
+        assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
+
+
+@pytest.mark.parametrize("wrap", [_scaled_exchange, _one_sided_diagonal])
+def test_wrapper_tables_equal_per_point_reference_bit_for_bit(wrap):
+    gp, gc = golden_datum()
+    rng = np.random.default_rng(3)
+    beta = random_two_form(gp, rng, "exact").beta
+    args = ((1, 2), 1.3) if wrap is _scaled_exchange else ((1, 2),)
+    make = lambda: wrap(apply_twist(build(gp, gc), beta), *args)
+    on_12 = np.array([0.2, 0.2, 0.5 - 0.5j, 0.1j])  # pair (1,2): lam1 = lam2
+    good = random_points(rng, 4, 3)
+    lams = stencil_points(np.array([good[0], on_12, *good[1:]])).reshape(-1, 4)
+    got = raw_tables(make(), lams)
+    ref = make()
+    for k, mu in enumerate(lams):
+        want = _per_entry_tables(ref, mu)
+        assert np.array_equal(got[0][k], want[0], equal_nan=True)
+        assert np.array_equal(got[1][k], want[1], equal_nan=True)
+    assert np.isnan(got[0][5, 0, 1])  # the pole sits inside the stack
+    with pytest.raises(PoleError) as stacked:
+        make().stacked_tables(lams)
+    assert str(stacked.value) == f"non-finite coefficient at pair (1,2), lam={lams[5]}"
 
 
 def test_stacked_pole_names_first_bad_point_and_pair():
@@ -481,6 +594,10 @@ def test_exact_two_form_calls_each_potential_once_per_distinct_point():
     p, c = _free_block(n, 1 + 0.2j, 0.5 - 0.1j, (1,) * n, (1, 0.8, 1.2, 0.9j, 1.1), g)
     calls.clear()
     shift_stencil(build(p, c), lam)
+    assert len(calls) == n * (1 + n + n * (n + 1) // 2)
+    # and so does the stencil of a plain-callable wrapper around one
+    calls.clear()
+    shift_stencil(_scaled_exchange(build(p, c), (1, 2), 1.3), lam)
     assert len(calls) == n * (1 + n + n * (n + 1) // 2)
 
 
