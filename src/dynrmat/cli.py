@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -379,7 +380,10 @@ def cmd_transform(args) -> int:
 # -- entry point ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call of :func:`main` gets a fresh namespace."""
     parser = _Parser(prog="dynrmat", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 

@@ -197,8 +197,11 @@ class ExactTwoForm(TwoFormSpec):
         pts = stencil_points(lams).reshape(-1, n)
         first: dict[bytes, int] = {}
         row = [first.setdefault(pt.tobytes(), p) for p, pt in enumerate(pts)]
-        values = {p: [complex(self.beta[i](pts[p])) for i in range(1, n + 1)]
-                  for p in first.values()}
+        beta = [self.beta[i] for i in range(1, n + 1)]
+        values = {}
+        for p in first.values():
+            pt = pts[p]
+            values[p] = [complex(b(pt)) for b in beta]
         b = np.array([values[p] for p in row]).reshape(len(lams), n + 1, n)
         b0 = b[:, 0]    # b0[p, i] = beta_i(lam_p)
         bk = b[:, 1:]   # bk[p, k, i] = beta_i(lam_p + e_k)
@@ -253,11 +256,47 @@ class TableTwoForm(TwoFormSpec):
         return np.where(mask, out, 1)
 
 
+class ConstantTableTwoForm(TableTwoForm):
+    """Table 2-form of constants keyed by (i, j) with i < j.
+
+    ``g`` holds constant functions, as for any table 2-form, but
+    :meth:`table` reads one n x n table per n, built once: the constants
+    above the diagonal, their reciprocals below it (Python complex
+    arithmetic, as in :meth:`TableTwoForm.value`), NaN on both
+    orientations of a constant of magnitude below ``POLE_GUARD``.  A pair
+    that ``mask`` needs and that has no constant raises ``KeyError``, as in
+    :meth:`TableTwoForm.table`.
+    """
+
+    def __init__(self, values: Mapping[tuple[int, int], complex]):
+        self.values = {pair: complex(v) for pair, v in values.items()}
+        super().__init__(g={pair: (lambda lam, _v=v: _v) for pair, v in self.values.items()})
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        if n not in self._tables:
+            # the table, and the symmetric mask of the pairs without a constant
+            tab = np.ones((n, n), dtype=complex)
+            missing = ~np.eye(n, dtype=bool)
+            for (i, j), v in self.values.items():
+                if 1 <= i < j <= n:
+                    small = abs(v) < POLE_GUARD
+                    tab[i - 1, j - 1] = np.nan if small else v
+                    tab[j - 1, i - 1] = np.nan if small else 1.0 / v
+                    missing[i - 1, j - 1] = missing[j - 1, i - 1] = False
+            self._tables[n] = tab, missing
+        tab, missing = self._tables[n]
+        mask = np.broadcast_to(mask, (len(lams), n, n))
+        if (mask & missing).any():
+            need = (mask | mask.transpose(0, 2, 1)).any(axis=0) & missing
+            i, j = np.argwhere(np.triu(need, 1))[0]
+            raise KeyError((int(i) + 1, int(j) + 1))
+        return np.where(mask, tab, 1)
+
+
 def constant_table_two_form(values: Mapping[tuple[int, int], complex]) -> TableTwoForm:
     """Table 2-form from constants keyed by (i, j) with i < j."""
-    return TableTwoForm(
-        g={pair: (lambda lam, _v=complex(v): _v) for pair, v in values.items()}
-    )
+    return ConstantTableTwoForm(values)
 
 
 # -- classification data ---------------------------------------------------

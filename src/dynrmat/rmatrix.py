@@ -83,7 +83,9 @@ class TableSource:
     (never an exception) at a pole.  The tables of the last single point
     are remembered, so a run of per-entry calls at one point evaluates
     them once; inside :meth:`held`, single points of the held stack are
-    read from it.  The returned tables are read-only.
+    read from it.  The returned tables are read-only.  Per-entry reads go
+    through :meth:`entries`, which keeps the last point's tables as
+    nested lists.
     """
 
     def __init__(self, fn: TableFunction):
@@ -91,6 +93,7 @@ class TableSource:
         self._key: Optional[bytes] = None
         self._value: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._held: Optional[dict[bytes, tuple[np.ndarray, np.ndarray]]] = None
+        self._entries: Optional[tuple[bytes, tuple[list, list]]] = None
 
     def __call__(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lams = np.asarray(lams, dtype=complex)
@@ -107,10 +110,12 @@ class TableSource:
         delta, d = self._evaluate(lams)
         outer = self._held
         self._held = {lam.tobytes(): (delta[p], d[p]) for p, lam in enumerate(lams)}
+        self._entries = None
         try:
             yield
         finally:
             self._held = outer
+            self._entries = None
 
     def point(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The two n x n tables at one point, remembered until the next."""
@@ -122,6 +127,16 @@ class TableSource:
             delta, d = self._evaluate(lam[None])
             self._key, self._value = key, (delta[0], d[0])
         return self._value
+
+    def entries(self, lam: np.ndarray) -> tuple[list, list]:
+        """:meth:`point` as two nested lists of Python complex, one row per
+        list; the lists of the last point read are kept until a hold
+        begins or ends."""
+        key = np.asarray(lam, dtype=complex).tobytes()
+        if self._entries is None or self._entries[0] != key:
+            delta, d = self.point(lam)
+            self._entries = key, (delta.tolist(), d.tolist())
+        return self._entries[1]
 
     def _evaluate(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(all="ignore"):
@@ -144,7 +159,7 @@ class TableField:
         return self.source.point(lam)[self.part]
 
     def __call__(self, i: int, j: int, lam: np.ndarray) -> complex:
-        v = complex(self.table(lam)[i - 1, j - 1])
+        v = self.source.entries(lam)[self.part][i - 1][j - 1]
         if not cmath.isfinite(v):
             raise PoleError(_pole_message(i, j, lam))
         return v

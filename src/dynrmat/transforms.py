@@ -37,6 +37,7 @@ from .params import (
     TableTwoForm,
     TrivialTwoForm,
     TwoFormSpec,
+    constant_table_two_form,
     derive,
     normalize_f,
     principal_sqrt,
@@ -367,11 +368,11 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
             comp_values[(i, j)] = sq / (der.root - consts.sum_const)
         else:
             comp_values[(i, j)] = sq / der.root
-    compensator = TableTwoForm(
-        g={pair: (lambda lam, _v=v: _v) for pair, v in comp_values.items()}
-    )
     return ScaledDatum(
-        params=merged_params, index_map=index_map, compensator=compensator, eta=eta
+        params=merged_params,
+        index_map=index_map,
+        compensator=constant_table_two_form(comp_values),
+        eta=eta,
     )
 
 

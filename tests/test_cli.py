@@ -11,6 +11,7 @@ from dynrmat.cli import (
     EXIT_POLE,
     EXIT_RESIDUAL,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from dynrmat.rmatrix import (
@@ -492,3 +493,17 @@ def test_no_subcommand_usage():
 
 def test_unknown_subcommand_usage():
     assert main(["frobnicate", "x.json"]) == EXIT_USAGE
+
+
+def test_parser_is_built_once_and_keeps_no_option_values(golden_config, capsys):
+    build_parser.cache_clear()
+    argv = ["verify", golden_config, "--samples", "3", "--seed", "5"]
+    assert main(argv) == EXIT_OK
+    alone = capsys.readouterr().out
+    parser = build_parser()
+    assert main(argv + ["--tol", "1e-3"]) == EXIT_OK
+    assert '"tol": 0.001' in capsys.readouterr().out
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == alone
+    assert build_parser() is parser
+    assert main(["verify", golden_config, "--tol", "0"]) == EXIT_USAGE

@@ -23,6 +23,7 @@ from dynrmat.params import (
     TableTwoForm,
     TrivialTwoForm,
     TwoFormSpec,
+    constant_table_two_form,
     derive,
     normalize_f,
 )
@@ -393,6 +394,54 @@ def test_table_two_form_table_equals_its_values_bit_for_bit():
     assert np.isnan(got[7, 2, 3]) and np.isnan(got[7, 3, 2])
 
 
+def test_constant_two_form_table_equals_its_values_bit_for_bit():
+    n = 5
+    rng = np.random.default_rng(12)
+    values = {(i, j): complex(*rng.uniform(-2, 2, 2))
+              for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) != (2, 4)}
+    values[(1, 3)] = 0j             # vanishes: NaN on both orientations
+    values[(3, 5)] = 5e-14 + 0j     # below POLE_GUARD
+    g = constant_table_two_form(values)
+    general = TableTwoForm(g=dict(g.g))  # the per-point loop over the same pair functions
+    lams = np.array(random_points(rng, n, 6))
+    full = ~np.eye(n, dtype=bool)
+    full[1, 3] = full[3, 1] = False  # (2,4) has no constant
+    for mask in (full, full & (rng.random((len(lams), n, n)) < 0.6)):
+        got = g.table(n, lams, mask)
+        assert got.shape == (len(lams), n, n)
+        assert np.array_equal(got, general.table(n, lams, mask), equal_nan=True)
+        for p, lam in enumerate(lams):
+            want = np.ones((n, n), dtype=complex)
+            for i, j in zip(*np.nonzero(np.broadcast_to(mask, got.shape)[p])):
+                try:
+                    want[i, j] = g.value(int(i) + 1, int(j) + 1, lam)
+                except PoleError:
+                    want[i, j] = np.nan
+            assert np.array_equal(got[p], want, equal_nan=True)
+    got = g.table(n, lams, full)
+    for i, j in ((0, 2), (2, 0), (2, 4), (4, 2)):
+        assert np.isnan(got[:, i, j]).all()
+    assert np.isfinite(got[:, 0, 1]).all() and np.isfinite(got[:, 1, 0]).all()
+    for form in (g, general):
+        with pytest.raises(KeyError, match=r"\(2, 4\)"):
+            form.table(n, lams, ~np.eye(n, dtype=bool))
+
+
+def test_constant_two_form_matches_the_closure_oracle():
+    g = constant_table_two_form({(1, 2): 2 + 0j, (1, 3): 0.5 - 1j, (2, 3): 0j})
+    p, c = _free_block(3, 1 - 0.5j, 0.7j, (1, 1, -1), (1, 0.6, 1.3 + 0.4j), g)
+    lam = np.array([0.1, -0.4 + 0.3j, 0.25])
+    R, O = build(p, c), oracle_build(p, c)
+    assert_same(R, O, [lam])
+    assert outcome(R.tables, lam) == ("pole", (2, 3))
+    assert_same_entry_poles(R, O, lam)
+    p0, c0 = _free_block(3, 0j, 1 + 0j, (1, 1, 1), (0, 0.5, -0.5))
+    g = constant_table_two_form({(1, 2): 2 + 1j, (1, 3): 0.5 - 1j, (2, 3): -0.25j})
+    A, OA = apply_2form(build(p0, c0), g, check=False), oracle_2form(oracle_build(p0, c0), g, p0)
+    points = random_points(np.random.default_rng(13), 3, 5)
+    assert_same(A, OA, points)
+
+
 def _counting(inner):
     """A matrix over ``inner``'s table function that records the stack it
     is called with."""
@@ -477,6 +526,7 @@ def test_raw_tables_holds_nothing_after_it_returns():
     lams = stencil_points(np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j]))
     first = raw_tables(W, lams)
     second = raw_tables(W, lams)
+    assert R.d.source._held is None and R.d.source._entries is None
     assert [len(pts) for pts in calls] == [5, 5]  # the second call evaluates again
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
     W.delta(1, 3, lams[2])  # a point of the stack, read after the call
@@ -489,7 +539,39 @@ def test_raw_tables_holds_nothing_after_it_returns():
 
     with pytest.raises(RuntimeError):
         raw_tables(DynamicalRMatrix(n=4, delta=failing, d=R.d), lams)
-    assert R.d.source._held is None
+    assert R.d.source._held is None and R.d.source._entries is None
+
+
+def test_per_entry_reads_keep_pole_messages_and_lambda_conversion():
+    p, c = golden_datum()
+    R, calls = _counting(build(p, c))
+    on_12 = [0.2, 0.2, 0.5 - 0.5j, 0.1j]  # pair (1,2): lam1 = lam2
+    seen = []
+
+    def delta(i, j, lam):
+        try:
+            return R.delta(i, j, lam)
+        except PoleError as exc:
+            seen.append(str(exc))
+            raise
+
+    W = DynamicalRMatrix(n=4, delta=delta, d=R.d)
+    got = raw_tables(W, np.array([on_12]))  # the read inside the hold
+    assert np.isnan(got[0][0, 0, 1])
+    with pytest.raises(PoleError) as outside:
+        R.delta(1, 2, np.array(on_12))
+    assert seen[0] == str(outside.value) == f"non-finite coefficient at pair (1,2), lam={np.array(on_12, dtype=complex)}"
+    with pytest.raises(PoleError) as listed:
+        R.delta(1, 2, on_12)
+    assert str(listed.value) == f"non-finite coefficient at pair (1,2), lam={on_12}"
+    # a list, a real array or a list of floats reads the same point's tables
+    lam = np.array([0.1, 0.7, -0.3, 0.5], dtype=complex)
+    calls.clear()
+    want = [R.delta(1, 2, lam), R.d(2, 1, lam)]
+    for mu in (lam.tolist(), lam.real, [0.1, 0.7, -0.3, 0.5]):
+        assert [R.delta(1, 2, mu), R.d(2, 1, mu)] == want
+    assert len(calls) == 1
+    assert want == [complex(build(p, c).tables(lam)[t][i, j]) for t, i, j in ((0, 0, 1), (1, 1, 0))]
 
 
 def test_nested_wrappers_restore_the_enclosing_hold():
@@ -599,6 +681,19 @@ def test_exact_two_form_calls_each_potential_once_per_distinct_point():
     calls.clear()
     shift_stencil(_scaled_exchange(build(p, c), (1, 2), 1.3), lam)
     assert len(calls) == n * (1 + n + n * (n + 1) // 2)
+    # a constant 2-form on top adds no potential call and calls no pair
+    # function: its table is built once from the constants
+    const = constant_table_two_form({(i, j): 1 + 0.1j * i - 0.2 * j
+                                     for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+    pair_calls = []
+    const.g = {pair: (lambda mu, fn=fn: pair_calls.append(1) or fn(mu))
+               for pair, fn in const.g.items()}
+    A = apply_2form(build(p, c), const, check=False)
+    calls.clear()
+    shift_stencil(A, lam)
+    sample_lambda(A, np.random.default_rng(0), 3)
+    assert len(calls) == 4 * n * (1 + n + n * (n + 1) // 2)
+    assert pair_calls == []
 
 
 def test_large_draw_keeps_table_calls_bounded():
