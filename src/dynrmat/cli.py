@@ -216,6 +216,7 @@ def cmd_verify(args) -> int:
     inv = [check_invertibility(R, lam) for lam in samples]
     inv_ok = all(item["agree"] for item in inv)
     ok = report.passed and inv_ok
+    worst = report.worst_case
 
     rows = ["equation,max_normalized_residual"]
     for tag in sorted(report.per_equation):
@@ -230,19 +231,21 @@ def cmd_verify(args) -> int:
         "global_residual": max(report.global_residuals),
         "per_equation": {k: v for k, v in sorted(report.per_equation.items())},
         "invertibility_agree": bool(inv_ok),
-        "worst": {
-            "equation": report.worst_case.equation,
-            "indices": list(report.worst_case.indices),
-            "value": report.worst_case.value,
+        # None when every component residual is exactly 0
+        "worst": None if worst is None else {
+            "equation": worst.equation,
+            "indices": list(worst.indices),
+            "value": worst.value,
         },
     }
     text = _dumps(json_obj) + "\n" + csv_text
     if not ok:
-        sys.stderr.write(
-            f"FAIL: worst equation {report.worst_case.equation} at indices "
-            f"{list(report.worst_case.indices)} with normalized residual "
-            f"{report.worst_case.value:.3e}\n"
-        )
+        if worst is None:
+            reason = "every component residual is 0; the global or invertibility check failed"
+        else:
+            reason = (f"worst equation {worst.equation} at indices {list(worst.indices)} "
+                      f"with normalized residual {worst.value:.3e}")
+        sys.stderr.write(f"FAIL: {reason}\n")
         _emit(text, args.out)
         return EXIT_RESIDUAL
     _emit(text, args.out)

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import ParameterError, PoleError
-from .partition import IndexPartition, ValidationResult, validate as validate_partition
+from .partition import IndexPartition, ValidationResult, nd_pairs, validate as validate_partition
 
 #: A d-class is keyed by the tuple of its member indices.
 ClassKey = tuple[int, ...]
@@ -123,39 +123,36 @@ def derive(sum_const: complex, det_const: complex) -> DerivedBlockConstants:
 class TwoFormSpec:
     """Multiplicative 2-form g acting on the diagonal coefficients.
 
-    Subclasses provide ``value(i, j, lam) -> complex`` with the reciprocity
-    g_ij * g_ji = 1 built in, and may override :meth:`table` with a
-    whole-table evaluation.  ``table(n, lams, mask)`` maps a (P, n) stack
-    of points to a (P, n, n) stack of tables.
+    Subclasses implement ``table(n, lams, mask)``, which maps a (P, n)
+    stack of points to a (P, n, n) stack of tables holding g_ij where the
+    boolean ``mask`` (n x n, or one per point) holds and 1 elsewhere, NaN
+    at a pole, with the reciprocity g_ij * g_ji = 1 built in.  A per-entry
+    :meth:`value` reads a one-point table.
     """
 
     kind = "abstract"
 
-    def value(self, i: int, j: int, lam: np.ndarray) -> complex:
+    def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """(P, n, n) stack holding g_ij at each point of the (P, n) stack
-        ``lams`` where the boolean ``mask`` (n x n, or one per point) holds
-        and 1 elsewhere, with NaN where :meth:`value` raises
-        :class:`PoleError`.  This default calls :meth:`value` per entry."""
-        lams = np.asarray(lams, dtype=complex)
-        out = np.ones((len(lams), n, n), dtype=complex)
-        for p, i, j in zip(*np.nonzero(np.broadcast_to(mask, out.shape))):
-            try:
-                out[p, i, j] = self.value(int(i) + 1, int(j) + 1, lams[p])
-            except PoleError:
-                out[p, i, j] = np.nan
-        return out
+    def value(self, i: int, j: int, lam: np.ndarray) -> complex:
+        """g_ij at one point; raises :class:`PoleError` where the table
+        entry is not finite."""
+        lam = np.asarray(lam, dtype=complex)
+        n = len(lam)
+        mask = np.zeros((n, n), dtype=bool)
+        mask[i - 1, j - 1] = True
+        with np.errstate(all="ignore"):
+            v = complex(self.table(n, lam[None], mask)[0, i - 1, j - 1])
+        if not cmath.isfinite(v):
+            raise PoleError(f"2-form entry ({i},{j}) is not finite at lam={lam}")
+        return v
 
 
 class TrivialTwoForm(TwoFormSpec):
     """g identically 1."""
 
     kind = "trivial"
-
-    def value(self, i: int, j: int, lam: np.ndarray) -> complex:
-        return 1.0 + 0j
 
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         return np.ones((len(lams), n, n), dtype=complex)
@@ -173,20 +170,6 @@ class ExactTwoForm(TwoFormSpec):
 
     beta: Mapping[int, Callable[[np.ndarray], complex]]
     kind = "exact"
-
-    def value(self, i: int, j: int, lam: np.ndarray) -> complex:
-        lam = np.asarray(lam, dtype=complex)
-        shifted_j = lam.copy()
-        shifted_j[j - 1] += 1
-        shifted_i = lam.copy()
-        shifted_i[i - 1] += 1
-        bi, bj = self.beta[i], self.beta[j]
-        bi0, bj0 = complex(bi(lam)), complex(bj(lam))
-        bij, bji = complex(bi(shifted_j)), complex(bj(shifted_i))
-        for v in (bi0, bj0, bji):
-            if abs(v) < POLE_GUARD:
-                raise PoleError(f"potential of 2-form vanishes near lam={lam}")
-        return (bij / bi0) * (bj0 / bji)
 
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Each potential is called once per distinct point among ``lams``
@@ -222,18 +205,6 @@ class TableTwoForm(TwoFormSpec):
     g: Mapping[tuple[int, int], Callable[[np.ndarray], complex]]
     kind = "table"
 
-    def value(self, i: int, j: int, lam: np.ndarray) -> complex:
-        lam = np.asarray(lam, dtype=complex)
-        if i < j:
-            v = complex(self.g[(i, j)](lam))
-            if abs(v) < POLE_GUARD:
-                raise PoleError(f"2-form table entry ({i},{j}) vanishes at lam={lam}")
-            return v
-        v = complex(self.g[(j, i)](lam))
-        if abs(v) < POLE_GUARD:
-            raise PoleError(f"2-form table entry ({j},{i}) vanishes at lam={lam}")
-        return 1.0 / v
-
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """One call per point and unordered pair that either orientation of
         ``mask`` needs at some point; the other orientation is the
@@ -262,7 +233,7 @@ class ConstantTableTwoForm(TableTwoForm):
     ``g`` holds constant functions, as for any table 2-form, but
     :meth:`table` reads one n x n table per n, built once: the constants
     above the diagonal, their reciprocals below it (Python complex
-    arithmetic, as in :meth:`TableTwoForm.value`), NaN on both
+    arithmetic, as in :meth:`TableTwoForm.table`), NaN on both
     orientations of a constant of magnitude below ``POLE_GUARD``.  A pair
     that ``mask`` needs and that has no constant raises ``KeyError``, as in
     :meth:`TableTwoForm.table`.
@@ -313,8 +284,16 @@ class ClassificationParams:
     f_consts: Mapping[ClassKey, complex] = field(default_factory=dict)
     two_form: TwoFormSpec = field(default_factory=TrivialTwoForm)
 
-    def block_constants(self, q: int) -> BlockConstants:
-        return self.per_block[q]
+
+def two_form_covers(g: TwoFormSpec, partition: IndexPartition) -> ValidationResult:
+    """A table 2-form must have an entry for every coupled pair of
+    ``partition``; the message names the first one missing."""
+    if isinstance(g, TableTwoForm):
+        missing = [pair for pair in nd_pairs(partition) if pair not in g.g]
+        if missing:
+            return ValidationResult(
+                False, f"2-form table has no entry for coupled pair {missing[0]}")
+    return ValidationResult(True)
 
 
 def validate_params(c: ClassificationParams) -> ValidationResult:
@@ -393,7 +372,7 @@ def validate_params(c: ClassificationParams) -> ValidationResult:
                             f"exchange class must be {want} (got {fv}); apply "
                             "normalize_f first",
                         )
-    return ValidationResult(True)
+    return two_form_covers(c.two_form, p)
 
 
 def normalize_f(c: ClassificationParams) -> tuple[ClassificationParams, dict]:
@@ -432,7 +411,3 @@ def normalize_f(c: ClassificationParams) -> tuple[ClassificationParams, dict]:
                 new_f[first] = 1 + 0j
     return replace(c, f_consts=new_f), report
 
-
-def class_key(cls) -> str:
-    """JSON key for a d-class: comma-joined member indices."""
-    return ",".join(str(i) for i in cls)

@@ -20,8 +20,9 @@ fields: :meth:`DynamicalRMatrix.tables` then falls back to one call per
 entry, point by point.  A wrapper such as
 ``DynamicalRMatrix(n, delta=my_delta, d=R.d)`` still has one visible
 source, R's: :func:`raw_tables` evaluates it on the whole stack first and
-holds the tables while the loop runs, so ``my_delta``'s reads of
-``R.delta`` find them; nothing stays held after the call.
+hands it each point's tables before that point's entries are read, so
+``my_delta``'s reads of ``R.delta`` find them.  A source remembers one
+point only, as a copy, so no stack outlives the call.
 
 :meth:`DynamicalRMatrix.stacked_tables` evaluates a whole stack of points
 in one call (the uncached ones), and :func:`shift_stencil` uses it for the
@@ -34,10 +35,9 @@ Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
 from __future__ import annotations
 
 import cmath
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -80,70 +80,61 @@ class TableSource:
 
     ``fn`` takes a (P, n) stack of points and fills both (P, n, n) table
     stacks at once, with 0 on the diagonal of each diagonal table and NaN
-    (never an exception) at a pole.  The tables of the last single point
-    are remembered, so a run of per-entry calls at one point evaluates
-    them once; inside :meth:`held`, single points of the held stack are
-    read from it.  The returned tables are read-only.  Per-entry reads go
-    through :meth:`entries`, which keeps the last point's tables as
-    nested lists.
+    (never an exception) at a pole.  The source remembers one point: the
+    last one read, or the one :func:`raw_tables` handed it with
+    :meth:`remember`.  A run of per-entry calls at that point evaluates
+    nothing; :meth:`entries` converts its tables to nested lists once.
+    The returned tables are read-only.
     """
 
     def __init__(self, fn: TableFunction):
         self._fn = fn
-        self._key: Optional[bytes] = None
-        self._value: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._held: Optional[dict[bytes, tuple[np.ndarray, np.ndarray]]] = None
-        self._entries: Optional[tuple[bytes, tuple[list, list]]] = None
+        # (point key, its two tables, the tables as nested lists or None)
+        self._memo: Optional[tuple[bytes, tuple[np.ndarray, np.ndarray],
+                                   Optional[tuple[list, list]]]] = None
 
     def __call__(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lams = np.asarray(lams, dtype=complex)
         if len(lams) == 1:
             value = self.point(lams[0])
             return value[0][None], value[1][None]
-        return self._evaluate(lams)
+        return self.evaluate(lams)
 
-    @contextmanager
-    def held(self, lams: np.ndarray) -> Iterator[None]:
-        """Evaluate the (P, n) stack ``lams`` in one call and serve its
-        points from those tables until the block exits; the enclosing hold,
-        if any, is then restored."""
-        delta, d = self._evaluate(lams)
-        outer = self._held
-        self._held = {lam.tobytes(): (delta[p], d[p]) for p, lam in enumerate(lams)}
-        self._entries = None
-        try:
-            yield
-        finally:
-            self._held = outer
-            self._entries = None
-
-    def point(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The two n x n tables at one point, remembered until the next."""
-        lam = np.asarray(lam, dtype=complex)
-        key = lam.tobytes()
-        if self._held is not None and key in self._held:
-            return self._held[key]
-        if key != self._key:
-            delta, d = self._evaluate(lam[None])
-            self._key, self._value = key, (delta[0], d[0])
-        return self._value
-
-    def entries(self, lam: np.ndarray) -> tuple[list, list]:
-        """:meth:`point` as two nested lists of Python complex, one row per
-        list; the lists of the last point read are kept until a hold
-        begins or ends."""
-        key = np.asarray(lam, dtype=complex).tobytes()
-        if self._entries is None or self._entries[0] != key:
-            delta, d = self.point(lam)
-            self._entries = key, (delta.tolist(), d.tolist())
-        return self._entries[1]
-
-    def _evaluate(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only (P, n, n) table stacks at a (P, n) stack, in one
+        call of ``fn``, bypassing the remembered point."""
         with np.errstate(all="ignore"):
             value = self._fn(lams)
         for tab in value:
             tab.setflags(write=False)
         return value
+
+    def remember(self, lam: np.ndarray, delta: np.ndarray, d: np.ndarray) -> None:
+        """Serve the point ``lam`` from read-only copies of its tables
+        ``delta`` and ``d``; copies, so that no larger stack stays alive."""
+        tables = delta.copy(), d.copy()
+        for tab in tables:
+            tab.setflags(write=False)
+        self._memo = np.asarray(lam, dtype=complex).tobytes(), tables, None
+
+    def point(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two n x n tables at one point, remembered until the next."""
+        lam = np.asarray(lam, dtype=complex)
+        key = lam.tobytes()
+        if self._memo is None or self._memo[0] != key:
+            delta, d = self.evaluate(lam[None])
+            self._memo = key, (delta[0], d[0]), None
+        return self._memo[1]
+
+    def entries(self, lam: np.ndarray) -> tuple[list, list]:
+        """:meth:`point` as two nested lists of Python complex, one row per
+        list, converted once per remembered point."""
+        tables = self.point(lam)
+        key, _, lists = self._memo
+        if lists is None:
+            lists = tables[0].tolist(), tables[1].tolist()
+            self._memo = key, tables, lists
+        return lists
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,10 +258,10 @@ def raw_tables(R: DynamicalRMatrix, lams: np.ndarray) -> tuple[np.ndarray, np.nd
     other pair of fields is evaluated point by point, both fields at each
     point.  Before that loop, the source of each of R's fields that is a
     :class:`TableField` (say the untouched field of a wrapper around a
-    built matrix) is evaluated on the whole stack and held until the loop
-    ends (:meth:`TableSource.held`), so per-entry reads of that source,
-    direct or through the other field, find each point's tables without
-    evaluating it again.
+    built matrix) is evaluated once on the whole stack, and each point's
+    tables are handed to it (:meth:`TableSource.remember`) before that
+    point's fields are read, so per-entry reads of that source, direct or
+    through the other field, find them without evaluating it again.
     """
     lams = np.asarray(lams, dtype=complex)
     if (isinstance(R.delta, TableField) and isinstance(R.d, TableField)
@@ -280,12 +271,12 @@ def raw_tables(R: DynamicalRMatrix, lams: np.ndarray) -> tuple[np.ndarray, np.nd
     delta = np.empty((len(lams), R.n, R.n), dtype=complex)
     d = np.empty_like(delta)
     sources = dict.fromkeys(f.source for f in (R.delta, R.d) if isinstance(f, TableField))
-    with ExitStack() as holds:
-        for source in sources:
-            holds.enter_context(source.held(lams))
-        for p, lam in enumerate(lams):
-            delta[p] = _field_table(R.delta, R.n, lam, diagonal=True)
-            d[p] = _field_table(R.d, R.n, lam, diagonal=False)
+    stacks = [(source, source.evaluate(lams)) for source in sources]
+    for p, lam in enumerate(lams):
+        for source, (delta_st, d_st) in stacks:
+            source.remember(lam, delta_st[p], d_st[p])
+        delta[p] = _field_table(R.delta, R.n, lam, diagonal=True)
+        d[p] = _field_table(R.d, R.n, lam, diagonal=False)
     return delta, d
 
 

@@ -67,17 +67,16 @@ def _parse_class_key(key: str) -> tuple[int, ...]:
 # -- 2-form -----------------------------------------------------------------
 
 
-def two_form_to_json(g: TwoFormSpec, probe_lam: Optional[np.ndarray] = None) -> dict:
+def two_form_to_json(g: TwoFormSpec, n: int, probe_lam: Optional[np.ndarray] = None) -> dict:
+    """JSON of a 2-form on n indices; a table 2-form's pair functions are
+    read at ``probe_lam``, or at the origin of C^n when it is None."""
     if isinstance(g, TrivialTwoForm):
         return {"type": "trivial"}
     if isinstance(g, TableTwoForm):
+        lam = np.zeros(n) if probe_lam is None else probe_lam
+        lam = np.asarray(lam, dtype=complex)
         values = {}
         for (i, j), fn in g.g.items():
-            lam = (
-                np.zeros(max(i, j), dtype=complex)
-                if probe_lam is None
-                else np.asarray(probe_lam, dtype=complex)
-            )
             values[f"{i},{j}"] = complex_to_json(complex(fn(lam)))
         out = {"type": "table", "values": values}
         if probe_lam is not None:
@@ -151,7 +150,7 @@ def params_to_json(
         ],
         "signs": {",".join(map(str, k)): int(v) for k, v in c.signs.items()},
         "f": {",".join(map(str, k)): complex_to_json(v) for k, v in c.f_consts.items()},
-        "two_form": two_form_to_json(c.two_form, probe_lam),
+        "two_form": two_form_to_json(c.two_form, c.partition.n, probe_lam),
     }
     return obj
 

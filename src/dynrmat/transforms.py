@@ -30,20 +30,20 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, PoleError
 from .params import (
     ClassificationParams,
     ExactTwoForm,
-    TableTwoForm,
     TrivialTwoForm,
     TwoFormSpec,
     constant_table_two_form,
     derive,
     normalize_f,
     principal_sqrt,
+    two_form_covers,
 )
 from .partition import DeltaClass, IndexPartition, ValidationResult, nd_pairs
-from .rmatrix import DynamicalRMatrix, raw_tables
+from .rmatrix import DynamicalRMatrix, raw_tables, stencil_points
 
 DEFAULT_CLOSED_TOL = 1e-10
 
@@ -101,26 +101,39 @@ def check_closed(
     coefficients, the product
     (g_ij(lam+e_k)/g_ij(lam)) * (g_jk(lam+e_i)/g_jk(lam)) * (g_ki(lam+e_j)/g_ki(lam))
     must equal 1.  Trivial and potential-derived specs pass structurally
-    (the product telescopes); tables are checked numerically.
+    (the product telescopes); tables are checked numerically.  ``g`` is
+    evaluated in one :meth:`~dynrmat.params.TwoFormSpec.table` call, on the
+    shift stencils of all samples, for the pairs of the coupled triplets;
+    the products are then formed in Python complex arithmetic.  A
+    non-finite entry raises :class:`PoleError`.
     """
     if isinstance(g, (TrivialTwoForm, ExactTwoForm)):
         return ValidationResult(True)
+    triplets = list(_coupled_triplets(partition))
+    n = partition.n
     if samples is None:
         rng = np.random.default_rng(seed)
-        samples = [
-            rng.uniform(-2, 2, partition.n) + 1j * rng.uniform(-2, 2, partition.n)
-            for _ in range(4)
-        ]
+        samples = [rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n) for _ in range(4)]
+    mask = np.zeros((n, n), dtype=bool)
+    for (i, j, k) in triplets:
+        for (a, b) in ((i, j), (j, k), (k, i)):
+            mask[a - 1, b - 1] = True
+    points = stencil_points(np.asarray(samples, dtype=complex)).reshape(-1, n)
+    with np.errstate(all="ignore"):
+        tab = g.table(n, points, mask)
+    bad = mask & ~np.isfinite(tab)
+    if bad.any():
+        p, a, b = np.argwhere(bad)[0]
+        raise PoleError(f"2-form entry ({a + 1},{b + 1}) is not finite at lam={points[p]}")
+    # stencil[s][c] is the table at sample s shifted by e_c (c = 0: unshifted)
+    stencil = tab.reshape(-1, n + 1, n, n).tolist()
     worst = 0.0
     worst_triplet = None
-    for (i, j, k) in _coupled_triplets(partition):
-        for lam in samples:
-            lam = np.asarray(lam, dtype=complex)
+    for (i, j, k) in triplets:
+        for at in stencil:
             prod = 1.0 + 0j
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                shifted = lam.copy()
-                shifted[c - 1] += 1
-                prod *= g.value(a, b, shifted) / g.value(a, b, lam)
+                prod *= at[c][a - 1][b - 1] / at[0][a - 1][b - 1]
             dev = abs(prod - 1)
             if dev > worst:
                 worst, worst_triplet = dev, (i, j, k)
@@ -154,10 +167,9 @@ def apply_2form(
         from .classifier import classify
 
         partition = classify(R).recovered_partition
-    if isinstance(g, TableTwoForm):
-        missing = [pair for pair in nd_pairs(partition) if pair not in g.g]
-        if missing:
-            raise ParameterError(f"2-form table has no entry for coupled pair {missing[0]}")
+    covered = two_form_covers(g, partition)
+    if not covered:
+        raise ParameterError(covered.message)
     if check:
         res = check_closed(g, partition, tol=tol, seed=seed)
         if not res:

@@ -15,7 +15,14 @@ import numpy as np
 
 from dynrmat.builder import _class_constant, _index_table
 from dynrmat.errors import ParameterError, PoleError
-from dynrmat.params import POLE_GUARD, ExactTwoForm, derive, principal_sqrt
+from dynrmat.params import (
+    POLE_GUARD,
+    ExactTwoForm,
+    TableTwoForm,
+    TrivialTwoForm,
+    derive,
+    principal_sqrt,
+)
 from dynrmat.partition import nd_pairs
 from dynrmat.rmatrix import DynamicalRMatrix, tables_from_dense
 from dynrmat.serialize import sample_key
@@ -50,6 +57,35 @@ def oracle_tables(R: DynamicalRMatrix, lam) -> tuple[np.ndarray, np.ndarray]:
         i, j = divmod(int(np.flatnonzero(bad)[0]), n)
         raise OraclePole((i + 1, j + 1))
     return delta, d
+
+
+def oracle_two_form(g, i: int, j: int, lam) -> complex:
+    """g_ij at one point, read from ``g.beta`` (exact 2-forms) or ``g.g``
+    (table 2-forms) in Python scalar arithmetic; raises :class:`PoleError`
+    where a potential or the stored orientation's value falls below
+    ``POLE_GUARD``."""
+    lam = np.asarray(lam, dtype=complex)
+    if isinstance(g, TrivialTwoForm):
+        return 1.0 + 0j
+    if isinstance(g, ExactTwoForm):
+        shifted_j = lam.copy()
+        shifted_j[j - 1] += 1
+        shifted_i = lam.copy()
+        shifted_i[i - 1] += 1
+        bi, bj = g.beta[i], g.beta[j]
+        bi0, bj0 = complex(bi(lam)), complex(bj(lam))
+        bij, bji = complex(bi(shifted_j)), complex(bj(shifted_i))
+        for v in (bi0, bj0, bji):
+            if abs(v) < POLE_GUARD:
+                raise PoleError(f"potential of 2-form vanishes near lam={lam}")
+        return (bij / bi0) * (bj0 / bji)
+    if isinstance(g, TableTwoForm):
+        a, b = min(i, j), max(i, j)
+        v = complex(g.g[(a, b)](lam))
+        if abs(v) < POLE_GUARD:
+            raise PoleError(f"2-form table entry ({a},{b}) vanishes at lam={lam}")
+        return v if i < j else 1.0 / v
+    raise TypeError(f"no oracle for the 2-form {type(g).__name__}")
 
 
 def oracle_build(p, c) -> DynamicalRMatrix:
@@ -92,7 +128,7 @@ def oracle_build(p, c) -> DynamicalRMatrix:
         fi, fj = info[i], info[j]
         if fi.d_class == fj.d_class:
             return 0j
-        g = two_form.value(i, j, lam)
+        g = oracle_two_form(two_form, i, j, lam)
         if fi.block != fj.block:
             qq = (min(fi.block, fj.block), max(fi.block, fj.block))
             return sqrt_cross[qq] * g
@@ -110,7 +146,7 @@ def oracle_twist(R: DynamicalRMatrix, beta) -> DynamicalRMatrix:
         base = R.d(i, j, lam)
         if i == j or base == 0:
             return base
-        return multiplier.value(i, j, lam) * base
+        return oracle_two_form(multiplier, i, j, lam) * base
 
     return DynamicalRMatrix(n=R.n, delta=R.delta, d=new_d)
 
@@ -122,7 +158,7 @@ def oracle_2form(R: DynamicalRMatrix, g, partition) -> DynamicalRMatrix:
         base = R.d(i, j, lam)
         if (i, j) not in coupled or base == 0:
             return base
-        return g.value(i, j, lam) * base
+        return oracle_two_form(g, i, j, lam) * base
 
     return DynamicalRMatrix(n=R.n, delta=R.delta, d=new_d)
 

@@ -17,6 +17,7 @@ from dynrmat.errors import NotInFamilyError
 from dynrmat.params import BlockConstants, ClassificationParams, principal_sqrt
 from dynrmat.partition import DeltaClass, IndexPartition, to_json
 from dynrmat.sampling import random_datum, random_partition
+from dynrmat.serialize import params_to_json
 from dynrmat.verifier import sample_lambda
 
 from conftest import golden_datum
@@ -255,3 +256,18 @@ def test_non_family_matrix_rejected():
     ]
     with pytest.raises(NotInFamilyError):
         classify(R, samples=lam_samples)
+
+
+@pytest.mark.parametrize("kind", ["trivial", "table", "exact"])
+def test_recovered_params_serialize_without_a_probe_point(kind):
+    # the recovered 2-form depends on lambda; with no probe point given it is
+    # read at the origin of C^n
+    p, c = random_datum(4, np.random.default_rng(101), kind)
+    R = build(p, c)
+    params = recover_params(R, classify(R))
+    obj = params_to_json(params)
+    assert obj["two_form"]["type"] == "table" and "sampled_at" not in obj["two_form"]
+    origin = np.zeros(4, dtype=complex)
+    for (i, j), fn in params.two_form.g.items():
+        v = obj["two_form"]["values"][f"{i},{j}"]
+        assert complex(v["re"], v["im"]) == complex(fn(origin))

@@ -107,6 +107,41 @@ def test_verify_datum_passes(golden_config, capsys):
     assert "G0," in csv and "E6," in csv and "global," in csv
 
 
+def test_verify_datum_with_every_residual_zero(tmp_path, capsys):
+    # two single-index blocks: constant coefficients, every residual exactly 0
+    datum = {
+        "kind": "datum",
+        "partition": {"n": 2, "blocks": [[{"free": [1], "d_classes": []}],
+                                         [{"free": [2], "d_classes": []}]]},
+        "per_block": [{"S": {"re": 0, "im": 0}, "Sigma": {"re": 1, "im": 0}},
+                      {"S": {"re": 0, "im": 0}, "Sigma": {"re": 2, "im": 0}}],
+        "cross_sigma": [[0, 1, {"re": 1.5, "im": 0}]],
+        "signs": {"1": 1, "2": 1},
+        "f": {"1": {"re": 0, "im": 0}, "2": {"re": 0, "im": 0}},
+        "two_form": {"type": "trivial"},
+    }
+    assert main(["verify", _write(tmp_path, "zero.json", datum), "--seed", "0"]) == EXIT_OK
+    head, _, _ = capsys.readouterr().out.partition("\n}")
+    obj = json.loads(head + "\n}")
+    assert obj["passed"] is True and obj["worst"] is None
+    assert obj["global_residual"] == 0 and set(obj["per_equation"].values()) == {0}
+
+
+@pytest.mark.parametrize("argv", [["build"], ["verify"], ["classify"],
+                                  ["transform", "--contract", "1,2"]])
+def test_datum_two_form_missing_coupled_pair_invalid(tmp_path, capsys, argv):
+    from dynrmat.sampling import random_datum
+
+    _, c = random_datum(4, np.random.default_rng(3), "table")
+    obj = params_to_json(c)
+    del obj["two_form"]["values"]["1,2"]
+    cfg = _write(tmp_path, "d.json", obj)
+    assert main([argv[0], cfg, *argv[1:]]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no entry for coupled pair (1, 2)" in captured.err
+
+
 def test_verify_deterministic_output(golden_config, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -9,7 +9,6 @@ at exactly the same points, naming the same first pair.
 """
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from dynrmat.params import (
     ExactTwoForm,
     TableTwoForm,
     TrivialTwoForm,
-    TwoFormSpec,
     constant_table_two_form,
     derive,
     normalize_f,
@@ -50,6 +48,7 @@ from closure_oracle import (
     oracle_samples,
     oracle_tables,
     oracle_twist,
+    oracle_two_form,
 )
 from conftest import golden_datum, overflow_datum, random_points
 
@@ -341,38 +340,6 @@ def test_plain_callable_wrapper_matches_oracle():
         assert_same_entry_poles(R, O, lam)
 
 
-class _ValueOnly(TwoFormSpec):
-    """A 2-form with only the per-entry ``value``: tables call it per entry."""
-
-    def __init__(self, table):
-        self.inner = table
-
-    def value(self, i, j, lam):
-        return self.inner.value(i, j, lam)
-
-
-def test_value_only_two_form_matches_its_table():
-    g = TableTwoForm(g={
-        (1, 2): lambda lam: 2 + lam[0],
-        (1, 3): lambda lam: 0.5 - 1j,
-        (2, 3): lambda lam: lam[2] - 0.25,
-    })
-    p, c = _free_block(3, 1 - 0.5j, 0.7j, (1, 1, -1), (1, 0.6, 1.3 + 0.4j), g)
-    R = build(p, c)
-    V = build(p, replace(c, two_form=_ValueOnly(g)))
-    points = sample_lambda(R, np.random.default_rng(2), 3) + _around(np.array([0.1, 0.3, 0.25]), 3)
-    kinds = set()
-    for lam in points:
-        got, want = outcome(V.tables, lam), outcome(R.tables, lam)
-        kinds.add(want[0])
-        if want[0] == "pole":
-            assert got == want
-        else:
-            assert got[0] == "tables"
-            assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
-    assert kinds == {"pole", "tables"}
-
-
 def test_table_two_form_table_equals_its_values_bit_for_bit():
     n = 4
     g = TableTwoForm(g={
@@ -387,7 +354,7 @@ def test_table_two_form_table_equals_its_values_bit_for_bit():
         want = np.ones((n, n), dtype=complex)
         for i, j in zip(*np.nonzero(mask)):
             try:
-                want[i, j] = g.value(int(i) + 1, int(j) + 1, lam)
+                want[i, j] = oracle_two_form(g, int(i) + 1, int(j) + 1, lam)
             except PoleError:
                 want[i, j] = np.nan
         assert np.array_equal(got[p], want, equal_nan=True)
@@ -414,7 +381,7 @@ def test_constant_two_form_table_equals_its_values_bit_for_bit():
             want = np.ones((n, n), dtype=complex)
             for i, j in zip(*np.nonzero(np.broadcast_to(mask, got.shape)[p])):
                 try:
-                    want[i, j] = g.value(int(i) + 1, int(j) + 1, lam)
+                    want[i, j] = oracle_two_form(g, int(i) + 1, int(j) + 1, lam)
                 except PoleError:
                     want[i, j] = np.nan
             assert np.array_equal(got[p], want, equal_nan=True)
@@ -519,6 +486,12 @@ def _per_entry_tables(R, lam):
     return tabs
 
 
+def _owns_its_tables(source):
+    """The tables a source remembers own their data: no stack behind them
+    outlives the call that handed them over."""
+    return all(tab.base is None for tab in source._memo[1])
+
+
 def test_raw_tables_holds_nothing_after_it_returns():
     p, c = golden_datum()
     R, calls = _counting(build(p, c))
@@ -526,7 +499,7 @@ def test_raw_tables_holds_nothing_after_it_returns():
     lams = stencil_points(np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j]))
     first = raw_tables(W, lams)
     second = raw_tables(W, lams)
-    assert R.d.source._held is None and R.d.source._entries is None
+    assert _owns_its_tables(R.d.source)
     assert [len(pts) for pts in calls] == [5, 5]  # the second call evaluates again
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
     W.delta(1, 3, lams[2])  # a point of the stack, read after the call
@@ -539,7 +512,7 @@ def test_raw_tables_holds_nothing_after_it_returns():
 
     with pytest.raises(RuntimeError):
         raw_tables(DynamicalRMatrix(n=4, delta=failing, d=R.d), lams)
-    assert R.d.source._held is None and R.d.source._entries is None
+    assert _owns_its_tables(R.d.source)
 
 
 def test_per_entry_reads_keep_pole_messages_and_lambda_conversion():
@@ -556,7 +529,7 @@ def test_per_entry_reads_keep_pole_messages_and_lambda_conversion():
             raise
 
     W = DynamicalRMatrix(n=4, delta=delta, d=R.d)
-    got = raw_tables(W, np.array([on_12]))  # the read inside the hold
+    got = raw_tables(W, np.array([on_12]))  # the read at the remembered point
     assert np.isnan(got[0][0, 0, 1])
     with pytest.raises(PoleError) as outside:
         R.delta(1, 2, np.array(on_12))
@@ -574,7 +547,7 @@ def test_per_entry_reads_keep_pole_messages_and_lambda_conversion():
     assert want == [complex(build(p, c).tables(lam)[t][i, j]) for t, i, j in ((0, 0, 1), (1, 1, 0))]
 
 
-def test_nested_wrappers_restore_the_enclosing_hold():
+def test_nested_wrappers_read_the_remembered_point():
     p, c = golden_datum()
     R, calls = _counting(build(p, c))
     lam = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j])
@@ -587,13 +560,13 @@ def test_nested_wrappers_restore_the_enclosing_hold():
         want = _per_entry_tables(W, mu)
         assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
     # a wrapper whose d reads a table matrix over another wrapper of R: each
-    # of its points holds R again, inside the hold of the outer stack
+    # of its points evaluates R again, while R remembers the outer point
     T = DynamicalRMatrix.from_tables(4, lambda mus: raw_tables(W, mus))
     V = DynamicalRMatrix(n=4, delta=R.delta, d=lambda i, j, mu: 2 * T.d(i, j, mu))
     calls.clear()
     got = raw_tables(V, lams)
-    assert [len(pts) for pts in calls] == [5] + [1] * 5  # the outer hold serves V.delta
-    assert R.d.source._held is None
+    assert [len(pts) for pts in calls] == [5] + [1] * 5  # the outer stack serves V.delta
+    assert _owns_its_tables(R.d.source)
     for k, mu in enumerate(lams):
         want = _per_entry_tables(V, mu)
         assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
@@ -670,7 +643,7 @@ def test_exact_two_form_calls_each_potential_once_per_distinct_point():
         pt = shifted(lam, k) if k else lam
         want = np.ones((n, n), dtype=complex)
         for i, j in zip(*np.nonzero(mask)):
-            want[i, j] = g.value(int(i) + 1, int(j) + 1, pt)
+            want[i, j] = oracle_two_form(g, int(i) + 1, int(j) + 1, pt)
         assert np.abs(stacked[k] - want).max() <= ULPS * EPS * np.abs(want).max()
     # one built stencil makes the same number of calls
     p, c = _free_block(n, 1 + 0.2j, 0.5 - 0.1j, (1,) * n, (1, 0.8, 1.2, 0.9j, 1.1), g)

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from dynrmat.builder import build
-from dynrmat.errors import ParameterError
+from dynrmat.errors import ParameterError, PoleError
 from dynrmat.hecke import hecke_classify
 from dynrmat.params import (
     BlockConstants,
@@ -164,17 +166,45 @@ def test_check_closed_exact_structural():
     assert check_closed(ExactTwoForm(beta=beta), p)
 
 
+def _open_table(pair_calls=None):
+    """A table 2-form on the golden datum's coupled pairs whose cyclic
+    product over (1, 2, 3) is e; ``pair_calls`` records each pair read."""
+    pairs = {
+        (1, 2): lambda lam: complex(np.exp(lam[2])),
+        (1, 3): lambda lam: 1 + 0j,
+        (1, 4): lambda lam: 1 + 0j,
+        (2, 3): lambda lam: 1 + 0j,
+        (2, 4): lambda lam: 1 + 0j,
+    }
+    if pair_calls is None:
+        return TableTwoForm(g=pairs)
+    return TableTwoForm(g={
+        pair: (lambda lam, pair=pair, fn=fn: pair_calls.append(pair) or fn(lam))
+        for pair, fn in pairs.items()
+    })
+
+
+def test_check_closed_evaluates_the_2form_in_one_table_call():
+    p, _ = golden_datum()
+    pair_calls, table_calls = [], []
+    g = _open_table(pair_calls)
+    table = g.table
+    g.table = lambda n, lams, mask: table_calls.append(lams.shape) or table(n, lams, mask)
+    res = check_closed(g, p)
+    # 4 samples, each with its 5-point shift stencil; every coupled pair
+    # lies on the triplet (1, 2, 3) or (1, 2, 4)
+    assert table_calls == [(4 * 5, 4)]
+    assert Counter(pair_calls) == {pair: 4 * 5 for pair in g.g}
+    assert not res
+    assert res.message == "2-form not closed: triplet (1, 2, 3) has cyclic defect 1.718e+00"
+    values = {(1, 2): 2 + 1j, (1, 3): 0.5 - 1j, (1, 4): 1 + 0j, (2, 3): 0j, (2, 4): 1j}
+    with pytest.raises(PoleError, match=r"2-form entry \(2,3\)"):
+        check_closed(constant_table_two_form(values), p)
+
+
 def test_check_closed_rejects_open_table():
     p, _ = golden_datum()
-    g = TableTwoForm(
-        g={
-            (1, 2): lambda lam: complex(np.exp(lam[2])),
-            (1, 3): lambda lam: 1 + 0j,
-            (1, 4): lambda lam: 1 + 0j,
-            (2, 3): lambda lam: 1 + 0j,
-            (2, 4): lambda lam: 1 + 0j,
-        }
-    )
+    g = _open_table()
     res = check_closed(g, p)
     assert not res
     assert "(1, 2, 3)" in res.message
