@@ -11,10 +11,18 @@ never cause spurious failures.
 The global residual never forms the n^3 x n^3 operators.  A zero-weight
 factor sends e_x (x) e_y to at most two basis vectors, its swap and
 itself, so each side of the relation sends a basis triple to 8 weighted
-path products, all landing on permutations of that triple.  The path
-products of every column are built at once from one shift stencil and
-summed per (column, row) entry, which costs O(n^3) time and memory per
-sample instead of the O(n^9) time and O(n^6) memory of dense products.
+path products, all landing on permutations of that triple.  Which table
+entries each of the 16 n^3 path products multiplies, and which (column,
+row) entry it is summed into, depends on n only: that layout is built once
+per n.  A sample's defect is then three gathers from its shift stencil's
+tables and two ``bincount`` sums, O(n^3) time and memory instead of the
+O(n^9) time and O(n^6) memory of dense products.
+
+:func:`check_system` evaluates the shift stencils of its samples in one
+table call and the component equations on the whole stack of stencils, a
+chunk of samples at a time, so that no batched array holds more than
+``_SYSTEM_CHUNK`` entries unless one sample's n^3 does; the global defect
+is taken per sample.
 
 Residuals are cubic in the matrix coefficients, so all pass/fail decisions
 are made on *normalized* residuals: the raw max-abs defect divided by
@@ -25,8 +33,10 @@ with an absolute fallback when all entries are O(1)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +46,7 @@ from .rmatrix import (
     DynamicalRMatrix,
     evaluate,
     _TABLE_CACHE_MAX,
+    _as_stack,
     shift_stencil,
     shifted,
     stencil_points,
@@ -78,6 +89,11 @@ class ResidualReport:
         return all(v < self.tol for v in self.per_equation.values())
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def sample_lambda(
     R: DynamicalRMatrix,
     rng: np.random.Generator,
@@ -94,7 +110,10 @@ def sample_lambda(
     accepted points and the final state of ``rng`` are those of drawing
     one point at a time.  The shift stencils of a round are evaluated
     together, at most ``_TABLE_CACHE_MAX`` points per table call.
+    ``box`` and ``entry_cap`` must be finite and > 0.
     """
+    _require_positive("box", box)
+    _require_positive("entry_cap", entry_cap)
     n = R.n
     per_call = max(1, _TABLE_CACHE_MAX // (n + 1))
     out: list[np.ndarray] = []
@@ -126,49 +145,109 @@ _LEFT = (((1, 2), True), ((0, 2), False), ((0, 1), True))    # R12(lam+h3) R13(l
 _RIGHT = (((0, 1), False), ((0, 2), True), ((1, 2), False))  # R23(lam) R13(lam+h2) R12(lam)
 
 
-def _path_products(
-    delta_st: np.ndarray, d_st: np.ndarray, factors
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row and weight of every path product of one side of the relation.
+class DefectLayout(NamedTuple):
+    """Where the 16 n^3 path products of both sides come from and go to.
+
+    ``T`` is a stencil's tables flattened into one vector,
+    ``concat(delta_st.ravel(), d_st.ravel())``.  Product k multiplies
+    ``T[gather[0][k]] * T[gather[1][k]] * T[gather[2][k]]``, its factors in
+    the order they act.  The first 8 n^3 products are the left side's, the
+    rest the right side's; path j of column c of a side sits at j n^3 + c
+    of that side.  ``bins[k]`` is the (column, row) entry it is summed
+    into: left entries in [0, m), right entries in [m, 2m).
+    """
+
+    gather: tuple[np.ndarray, np.ndarray, np.ndarray]
+    bins: np.ndarray
+    m: int
+
+
+@lru_cache(maxsize=None)
+def _defect_layout(n: int) -> DefectLayout:
+    """The :class:`DefectLayout` of size n (cached, read-only int32 arrays).
 
     Starting from each basis triple, a factor on slots (p, q) sends
     e_x (x) e_y to Delta_yx e_y (x) e_x + d_xy e_x (x) e_y, with its tables
     taken at stencil index 0, or at spectator index + 1 when shifted.
-    Path k of column c sits at position k n^3 + c of the 8 n^3 outputs.
     """
+    size = n ** 3
+    d_offset = (n + 1) * n * n
+    rows, gathers = [], []
+    for factors in (_LEFT, _RIGHT):
+        state = np.indices((n, n, n)).reshape(3, -1)
+        picks: list[np.ndarray] = []
+        for (p, q), shift in factors:
+            x, y = state[p], state[q]
+            at = state[3 - p - q] + 1 if shift else 0
+            swapped = state.copy()
+            swapped[p], swapped[q] = y, x
+            state = np.concatenate([swapped, state], axis=1)
+            picks = [np.concatenate([g, g]) for g in picks]
+            picks.append(np.concatenate([(at * n + y) * n + x,
+                                         d_offset + (at * n + x) * n + y]))
+        rows.append((state[0] * n + state[1]) * n + state[2])
+        gathers.append(picks)
+    keys, inv = np.unique(np.tile(np.arange(size), 16) * size + np.concatenate(rows),
+                          return_inverse=True)
+    m = keys.size
+    bins = inv + np.repeat([0, m], 8 * size)
+    arrays = [np.concatenate(pair).astype(np.int32) for pair in zip(*gathers)]
+    arrays.append(bins.astype(np.int32))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return DefectLayout(tuple(arrays[:3]), arrays[3], m)
+
+
+def _path_weights(delta_st: np.ndarray, d_st: np.ndarray) -> np.ndarray:
+    """The weights of all 16 n^3 path products of one stencil's tables."""
+    gather = _defect_layout(delta_st.shape[1]).gather
+    T = np.concatenate([delta_st.ravel(), d_st.ravel()])
+    # the product so far times the next factor, as the factors act (complex
+    # products are not bitwise commutative); take() beats T[int32 indices]
+    w = T.take(gather[0])
+    w *= T.take(gather[1])
+    w *= T.take(gather[2])
+    return w
+
+
+def _path_products(
+    delta_st: np.ndarray, d_st: np.ndarray, factors
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and weight of every path product of one side of the relation
+    (``_LEFT`` or ``_RIGHT``), read from :func:`_defect_layout`.  Path k of
+    column c sits at position k n^3 + c of the 8 n^3 outputs.
+
+    Both branches of a factor on slots (p, q) leave slot p and slot q
+    holding the row and column of the table entry it gathered."""
     n = delta_st.shape[1]
-    state = np.indices((n, n, n)).reshape(3, -1)
-    weight = np.ones(n ** 3, dtype=complex)
-    for (p, q), shift in factors:
-        x, y = state[p], state[q]
-        at = state[3 - p - q] + 1 if shift else 0
-        swapped = state.copy()
-        swapped[p], swapped[q] = y, x
-        state = np.concatenate([swapped, state], axis=1)
-        weight = np.concatenate([weight * delta_st[at, y, x], weight * d_st[at, x, y]])
-    return (state[0] * n + state[1]) * n + state[2], weight
+    half = 8 * n ** 3
+    start = (_LEFT, _RIGHT).index(factors) * half
+    state = np.tile(np.indices((n, n, n)).reshape(3, -1), 8)
+    for ((p, q), _), g in zip(factors, _defect_layout(n).gather):
+        entry = g[start:start + half] % (n * n)
+        state[p], state[q] = entry // n, entry % n
+    rows = (state[0] * n + state[1]) * n + state[2]
+    return rows, _path_weights(delta_st, d_st)[start:start + half]
+
+
+def _stencil_defect(delta_st: np.ndarray, d_st: np.ndarray) -> tuple[float, float]:
+    """Raw max-abs defect and scale of the relation at one shift stencil's
+    (n+1, n, n) tables."""
+    layout = _defect_layout(delta_st.shape[1])
+    w = _path_weights(delta_st, d_st)
+    m = layout.m
+    sums = (np.bincount(layout.bins, w.real, 2 * m)
+            + 1j * np.bincount(layout.bins, w.imag, 2 * m))
+    left, right = sums[:m], sums[m:]
+    raw = float(np.abs(left - right).max())
+    scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
+    return raw, scale
 
 
 def dqybe_defect(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[float, float]:
     """Raw max-abs defect of the shifted Yang-Baxter relation and the
     max-abs entry of the two three-factor products (the natural scale)."""
-    delta_st, d_st = shift_stencil(R, np.asarray(lam, dtype=complex))
-    left_rows, left_w = _path_products(delta_st, d_st, _LEFT)
-    right_rows, right_w = _path_products(delta_st, d_st, _RIGHT)
-    size = R.n ** 3
-    cols = np.tile(np.arange(size), 16)
-    keys, inv = np.unique(
-        cols * size + np.concatenate([left_rows, right_rows]), return_inverse=True
-    )
-    # left entries in bins [0, m), right entries in [m, 2m)
-    m = keys.size
-    bins = inv + np.repeat([0, m], left_w.size)
-    w = np.concatenate([left_w, right_w])
-    sums = np.bincount(bins, w.real, 2 * m) + 1j * np.bincount(bins, w.imag, 2 * m)
-    left, right = sums[:m], sums[m:]
-    raw = float(np.abs(left - right).max())
-    scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
-    return raw, scale
+    return _stencil_defect(*shift_stencil(R, np.asarray(lam, dtype=complex)))
 
 
 def dqybe_residual(R: DynamicalRMatrix, lam: np.ndarray) -> float:
@@ -181,35 +260,51 @@ def dqybe_residual_normalized(R: DynamicalRMatrix, lam: np.ndarray) -> float:
     return raw / max(1.0, scale)
 
 
+@lru_cache(maxsize=None)
+def _equation_grids(n: int) -> tuple[np.ndarray, ...]:
+    """The index grids of the component equations of size n (cached,
+    read-only): ``arange(n)``; the (n, n) grids I, J and their mask
+    I != J; the (n, n, n) grids I3, J3, K3 and their mask of pairwise
+    distinct indices."""
+    r = np.arange(n)
+    I, J = np.meshgrid(r, r, indexing="ij")
+    I3, J3, K3 = np.meshgrid(r, r, r, indexing="ij")
+    grids = (r, I, J, I != J, I3, J3, K3, (I3 != J3) & (J3 != K3) & (I3 != K3))
+    for arr in grids:
+        arr.setflags(write=False)
+    return grids
+
+
 def _equation_values(
     delta0: np.ndarray,
     d0: np.ndarray,
     delta_sh: np.ndarray,
     d_sh: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """All sixteen component-equation value arrays at one sample.
+    """All sixteen component-equation value arrays at a stack of S samples.
 
-    ``delta_sh[k]`` / ``d_sh[k]`` are the coefficient tables at the point
-    with component k+1 shifted by one unit.
+    ``delta0`` / ``d0`` are the (S, n, n) tables at the samples, and
+    ``delta_sh[:, k]`` / ``d_sh[:, k]`` the tables at the points with
+    component k+1 shifted by one unit.  Each value array has the sample
+    axis first: (S, n) for G0, (S, n, n) for F1..F9, (S, n, n, n) for
+    E1..E6.
     """
-    n = delta0.shape[0]
-    r = np.arange(n)
-    I, J = np.meshgrid(r, r, indexing="ij")
+    r, I, J, offdiag, I3, J3, K3, distinct = _equation_grids(delta0.shape[1])
 
-    diag = np.diagonal(delta0)
-    diag_sh = delta_sh[r, r, r]                       # Delta_ii at shift i
+    diag = np.diagonal(delta0, axis1=1, axis2=2)
+    diag_sh = delta_sh[:, r, r, r]                    # Delta_ii at shift i
     g0 = diag * diag_sh * (diag_sh - diag)
 
-    dii_j = delta_sh[J, I, I]                         # Delta_ii at shift j
-    dii_0 = delta0[I, I]
+    dii_j = delta_sh[:, J, I, I]                      # Delta_ii at shift j
+    dii_0 = delta0[:, I, I]
     dij_0 = delta0
-    dji_0 = delta0.T
-    dij_i = delta_sh[I, I, J]                         # Delta_ij at shift i
-    dji_i = delta_sh[I, J, I]
+    dji_0 = delta0.transpose(0, 2, 1)
+    dij_i = delta_sh[:, I, I, J]                      # Delta_ij at shift i
+    dji_i = delta_sh[:, I, J, I]
     sij_0 = d0
-    sji_0 = d0.T
-    sij_i = d_sh[I, I, J]
-    sji_i = d_sh[I, J, I]
+    sji_0 = d0.transpose(0, 2, 1)
+    sij_i = d_sh[:, I, I, J]
+    sji_i = d_sh[:, I, J, I]
 
     brace_34 = dii_j * dij_i - dii_j * dij_0 - dji_0 * dij_i
     brace_56 = dii_0 * dji_i - dii_0 * dji_0 + dji_0 * dij_i
@@ -226,30 +321,27 @@ def _equation_values(
         "F9": dii_0 * sij_i * sji_i - dii_j * sij_0 * sji_0
         + dij_i * dji_0 * (dij_i - dji_0),
     }
-    offdiag = I != J
     for tag in pair:
         pair[tag] = np.where(offdiag, pair[tag], 0)
 
     out: dict[str, np.ndarray] = {"G0": g0, **pair}
 
-    I3, J3, K3 = np.meshgrid(r, r, r, indexing="ij")
-    distinct = (I3 != J3) & (J3 != K3) & (I3 != K3)
-    s_ij_k = d_sh[K3, I3, J3]
-    s_jk_i = d_sh[I3, J3, K3]
-    s_ik_j = d_sh[J3, I3, K3]
-    s_ji_k = d_sh[K3, J3, I3]
-    s_ij_0 = d0[I3, J3]
-    s_jk_0 = d0[J3, K3]
-    s_ik_0 = d0[I3, K3]
-    s_kj_0 = d0[K3, J3]
-    D_ij_k = delta_sh[K3, I3, J3]
-    D_ji_k = delta_sh[K3, J3, I3]
-    D_jk_i = delta_sh[I3, J3, K3]
-    D_ik_j = delta_sh[J3, I3, K3]
-    D_ij_0 = delta0[I3, J3]
-    D_jk_0 = delta0[J3, K3]
-    D_ik_0 = delta0[I3, K3]
-    D_kj_0 = delta0[K3, J3]
+    s_ij_k = d_sh[:, K3, I3, J3]
+    s_jk_i = d_sh[:, I3, J3, K3]
+    s_ik_j = d_sh[:, J3, I3, K3]
+    s_ji_k = d_sh[:, K3, J3, I3]
+    s_ij_0 = d0[:, I3, J3]
+    s_jk_0 = d0[:, J3, K3]
+    s_ik_0 = d0[:, I3, K3]
+    s_kj_0 = d0[:, K3, J3]
+    D_ij_k = delta_sh[:, K3, I3, J3]
+    D_ji_k = delta_sh[:, K3, J3, I3]
+    D_jk_i = delta_sh[:, I3, J3, K3]
+    D_ik_j = delta_sh[:, J3, I3, K3]
+    D_ij_0 = delta0[:, I3, J3]
+    D_jk_0 = delta0[:, J3, K3]
+    D_ik_0 = delta0[:, I3, K3]
+    D_kj_0 = delta0[:, K3, J3]
 
     triple = {
         "E1": s_ij_k * s_jk_i * s_ik_0 - s_ij_0 * s_jk_0 * s_ik_j,
@@ -265,42 +357,69 @@ def _equation_values(
     return out
 
 
+#: Most entries of one batched equation array in :func:`check_system`: a
+#: chunk holds max(1, _SYSTEM_CHUNK // n^3) samples.  8192 complex entries
+#: are 128 KiB, below the 256 KiB from which numpy evaluates
+#: ``a * fresh_temporary`` in place with the operands swapped (complex
+#: products are not bitwise commutative), so a batch rounds as one sample.
+_SYSTEM_CHUNK = 8192
+
+
 def check_system(
     R: DynamicalRMatrix,
     samples: Sequence[np.ndarray],
     tol: float = DEFAULT_TOL,
 ) -> ResidualReport:
-    """Evaluate all sixteen component equations at every sample point."""
+    """Evaluate all sixteen component equations and the global relation at
+    every sample point.
+
+    The shift stencils of a chunk of samples are evaluated in one table
+    call, so a :class:`PoleError` names the first pole of the first sample
+    that has one; a sample of the wrong length raises ``ValueError`` before
+    anything is evaluated.  ``tol`` must be finite and > 0.
+    """
+    _require_positive("tol", tol)
     if len(samples) < 1:
         raise ValueError("at least one sample point is required")
+    n = R.n
+    lams = [np.asarray(lam, dtype=complex) for lam in samples]
+    stencils = [_as_stack(stencil_points(lam), n) for lam in lams]
     per_eq = {tag: 0.0 for tag in EQUATION_TAGS}
     worst: Optional[WorstCase] = None
     global_res: list[float] = []
-    sample_list: list[tuple[complex, ...]] = []
-    for lam in samples:
-        lam = np.asarray(lam, dtype=complex)
-        sample_list.append(tuple(lam.tolist()))
-        delta_st, d_st = shift_stencil(R, lam)
-        scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
-        norm = max(1.0, scale ** 3)
-        values = _equation_values(delta_st[0], d_st[0], delta_st[1:], d_st[1:])
+    sample_list = [tuple(lam.tolist()) for lam in lams]
+    chunk = max(1, _SYSTEM_CHUNK // n ** 3)
+    for start in range(0, len(stencils), chunk):
+        part = stencils[start:start + chunk]
+        count = len(part)
+        delta, d = R.stacked_tables(np.concatenate(part))
+        delta = delta.reshape(count, n + 1, n, n)
+        d = d.reshape(count, n + 1, n, n)
+        scales = np.maximum(np.abs(delta).reshape(count, -1).max(axis=1),
+                            np.abs(d).reshape(count, -1).max(axis=1))
+        values = _equation_values(delta[:, 0], d[:, 0], delta[:, 1:], d[:, 1:])
+        peaks = {}
         for tag, arr in values.items():
-            mags = np.abs(arr)
-            raw = float(mags.max()) if mags.size else 0.0
-            res = raw / norm
-            if res > per_eq[tag]:
-                per_eq[tag] = res
-                idx = np.unravel_index(int(np.argmax(mags)), mags.shape)
-                indices = tuple(int(v) + 1 for v in idx)
-                if worst is None or res > worst.value:
-                    worst = WorstCase(
-                        equation=tag,
-                        indices=indices,
-                        lam=tuple(lam.tolist()),
-                        value=res,
-                    )
-        raw_defect, defect_scale = dqybe_defect(R, lam)
-        global_res.append(raw_defect / max(1.0, defect_scale))
+            mags = np.abs(arr).reshape(count, -1)
+            peaks[tag] = mags.max(axis=1), mags.argmax(axis=1), arr.shape[1:]
+        for s in range(count):
+            norm = max(1.0, float(scales[s]) ** 3)
+            for tag in EQUATION_TAGS:
+                raw, arg, shape = peaks[tag]
+                res = float(raw[s]) / norm
+                if res > per_eq[tag]:
+                    per_eq[tag] = res
+                    idx = np.unravel_index(int(arg[s]), shape)
+                    indices = tuple(int(v) + 1 for v in idx)
+                    if worst is None or res > worst.value:
+                        worst = WorstCase(
+                            equation=tag,
+                            indices=indices,
+                            lam=sample_list[start + s],
+                            value=res,
+                        )
+            raw_defect, defect_scale = _stencil_defect(delta[s], d[s])
+            global_res.append(raw_defect / max(1.0, defect_scale))
     return ResidualReport(
         global_residuals=global_res,
         per_equation=per_eq,

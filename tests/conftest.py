@@ -72,6 +72,22 @@ def overflow_datum():
     return p, c
 
 
+def zero_residual_config() -> dict:
+    """An n=2 datum config of two single-index blocks: constant
+    coefficients, every residual of the shifted relation exactly 0."""
+    return {
+        "kind": "datum",
+        "partition": {"n": 2, "blocks": [[{"free": [1], "d_classes": []}],
+                                         [{"free": [2], "d_classes": []}]]},
+        "per_block": [{"S": {"re": 0, "im": 0}, "Sigma": {"re": 1, "im": 0}},
+                      {"S": {"re": 0, "im": 0}, "Sigma": {"re": 2, "im": 0}}],
+        "cross_sigma": [[0, 1, {"re": 1.5, "im": 0}]],
+        "signs": {"1": 1, "2": 1},
+        "f": {"1": {"re": 0, "im": 0}, "2": {"re": 0, "im": 0}},
+        "two_form": {"type": "trivial"},
+    }
+
+
 @pytest.fixture
 def golden():
     p, c = golden_datum()

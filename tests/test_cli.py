@@ -24,7 +24,7 @@ from dynrmat.rmatrix import (
 from dynrmat.serialize import params_to_json
 from dynrmat.verifier import sample_lambda
 
-from conftest import golden_datum, overflow_datum
+from conftest import golden_datum, overflow_datum, zero_residual_config
 
 
 def _matrix_config(R, base_points, include_shifts=True, perturb=None):
@@ -108,18 +108,7 @@ def test_verify_datum_passes(golden_config, capsys):
 
 
 def test_verify_datum_with_every_residual_zero(tmp_path, capsys):
-    # two single-index blocks: constant coefficients, every residual exactly 0
-    datum = {
-        "kind": "datum",
-        "partition": {"n": 2, "blocks": [[{"free": [1], "d_classes": []}],
-                                         [{"free": [2], "d_classes": []}]]},
-        "per_block": [{"S": {"re": 0, "im": 0}, "Sigma": {"re": 1, "im": 0}},
-                      {"S": {"re": 0, "im": 0}, "Sigma": {"re": 2, "im": 0}}],
-        "cross_sigma": [[0, 1, {"re": 1.5, "im": 0}]],
-        "signs": {"1": 1, "2": 1},
-        "f": {"1": {"re": 0, "im": 0}, "2": {"re": 0, "im": 0}},
-        "two_form": {"type": "trivial"},
-    }
+    datum = zero_residual_config()
     assert main(["verify", _write(tmp_path, "zero.json", datum), "--seed", "0"]) == EXIT_OK
     head, _, _ = capsys.readouterr().out.partition("\n}")
     obj = json.loads(head + "\n}")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynrmat.builder import build
 from dynrmat.errors import PoleError
@@ -12,12 +14,14 @@ from dynrmat.rmatrix import (
     shifted,
 )
 from dynrmat.sampling import random_datum
-from dynrmat.serialize import matrix_from_samples
+from dynrmat.serialize import matrix_from_samples, parse_config
 from dynrmat.transforms import decouple_compose
 from dynrmat.verifier import (
     _LEFT,
     _RIGHT,
     EQUATION_TAGS,
+    _defect_layout,
+    _equation_grids,
     _path_products,
     check_invertibility,
     check_system,
@@ -28,7 +32,8 @@ from dynrmat.verifier import (
     sample_lambda,
 )
 
-from conftest import golden_datum, overflow_datum, random_points
+from conftest import golden_datum, overflow_datum, random_points, zero_residual_config
+from system_oracle import oracle_check_system
 
 
 def _triple_oracle(R, lam):
@@ -429,3 +434,156 @@ def test_sample_lambda_exhausts_after_exactly_max_tries_draws():
     probe = np.random.default_rng(3)
     probe.uniform(size=(30, 2, 4))
     assert batched[1] == probe.bit_generator.state
+
+
+# -- batched check_system against the per-sample oracle ----------------------
+
+
+def _both_reports(R, samples, **kw):
+    """(batched report, per-sample oracle report) of one matrix and samples."""
+    return check_system(R, samples, **kw), oracle_check_system(R, samples, **kw)
+
+
+@pytest.mark.parametrize("kind", ["trivial", "table", "exact"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
+def test_check_system_equals_oracle_on_members(n, kind):
+    rng = np.random.default_rng(300 + n)
+    R = build(*random_datum(n, rng, kind))
+    report, oracle = _both_reports(R, sample_lambda(R, rng, 8))
+    assert report == oracle
+    assert report.passed
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_check_system_equals_oracle_on_perturbed_non_members(n):
+    rng = np.random.default_rng(320 + n)
+    member = build(*random_datum(n, rng))
+    failed = 0
+    for R in (_scaled_entry(member, "delta", (1, 2), lambda v: 1.3 * v),
+              _scaled_entry(member, "d", (2, 1), lambda v: v + 0.1)):
+        report, oracle = _both_reports(R, sample_lambda(R, rng, 5), tol=1e-6)
+        assert report == oracle
+        failed += not report.passed
+    assert failed > 0
+
+
+def test_check_system_equals_oracle_when_every_residual_is_zero():
+    _, datum = parse_config(zero_residual_config())
+    R = build(*datum)
+    report, oracle = _both_reports(R, sample_lambda(R, np.random.default_rng(0), 8))
+    assert report == oracle
+    assert report.worst_case is None and set(report.per_equation.values()) == {0.0}
+
+
+def test_check_system_equals_oracle_on_sampled_matrix():
+    rng = np.random.default_rng(340)
+    member = build(*random_datum(4, rng, "table"))
+    bases = sample_lambda(member, rng, 3)
+    points = [mu for lam in bases for mu in [lam] + [shifted(lam, k) for k in range(1, 5)]]
+    S = matrix_from_samples([evaluate(member, mu) for mu in points])
+    report, oracle = _both_reports(S, bases)
+    assert report == oracle
+    assert report.passed
+
+
+def test_check_system_equals_oracle_across_chunks():
+    # n = 12 holds 4 samples per chunk, so 9 samples take three chunks
+    rng = np.random.default_rng(12)
+    R = build(*random_datum(12, rng, "exact"))
+    samples = sample_lambda(R, rng, 9)
+    for M in (R, _scaled_entry(R, "delta", (1, 2), lambda v: 1.3 * v)):
+        report, oracle = _both_reports(M, samples)
+        assert report == oracle
+
+
+def test_check_system_large_n_matches_oracle_one_sample_per_chunk():
+    # From 256 KiB up, numpy evaluates ``weight * fresh_temporary`` as
+    # ``fresh_temporary *= weight`` (temporary elision), and complex
+    # products with fused multiply-adds are not bitwise commutative.  The
+    # oracle's walk reaches that size at n = 16; the verifier multiplies in
+    # one order at every n, so there the defects agree to a few ulp only.
+    rng = np.random.default_rng(24)
+    R = build(*random_datum(24, rng))
+    bad = _scaled_entry(R, "delta", (1, 2), lambda v: 1.3 * v)
+    report, oracle = _both_reports(bad, sample_lambda(R, rng, 2))
+    assert report.per_equation == oracle.per_equation
+    assert report.worst_case == oracle.worst_case
+    assert report.samples == oracle.samples
+    assert np.allclose(report.global_residuals, oracle.global_residuals, rtol=1e-13, atol=0)
+    assert min(report.global_residuals) > 1e-6
+
+
+@pytest.mark.parametrize("second", [
+    np.array([0.5, 0.5, 0.2j, -0.3]),       # Delta_12 has a pole at lam_1 = lam_2
+    np.array([0.5, 1.5, 0.2j, -0.3]),       # ... and so at lam + e_1 here
+])
+def test_check_system_pole_at_second_sample_raises_oracle_error(second):
+    p, c = golden_datum()
+    first = sample_lambda(build(p, c), np.random.default_rng(9), 1)[0]
+    messages = []
+    for check in (check_system, oracle_check_system):
+        with pytest.raises(PoleError) as info:
+            check(build(p, c), [first, second])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_check_system_wrong_length_sample_raises_stack_error():
+    p, c = golden_datum()
+    R = build(p, c)
+    good = sample_lambda(R, np.random.default_rng(10), 1)[0]
+    messages = []
+    for check in (check_system, oracle_check_system):
+        with pytest.raises(ValueError) as info:
+            check(R, [good, good[:3]])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("lambda stack must have shape (P, 4)")
+
+
+# -- the cached layouts -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_cached_layout_arrays_are_read_only(n):
+    layout = _defect_layout(n)
+    arrays = [*layout.gather, layout.bins, *_equation_grids(n)]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 7))
+def test_cached_bins_equal_fresh_unique_of_path_rows(n):
+    size = n ** 3
+    tables = np.zeros((n + 1, n, n), dtype=complex)
+    rows = np.concatenate([_path_products(tables, tables, side)[0] for side in (_LEFT, _RIGHT)])
+    keys, inv = np.unique(np.tile(np.arange(size), 16) * size + rows, return_inverse=True)
+    layout = _defect_layout(n)
+    assert layout.m == keys.size
+    assert np.array_equal(layout.bins, inv + np.repeat([0, keys.size], 8 * size))
+
+
+# -- bad inputs raise ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+def test_check_system_rejects_bad_tol(tol):
+    p, c = golden_datum()
+    R = build(p, c)
+    samples = sample_lambda(R, np.random.default_rng(11), 2)
+    bad = _scaled_entry(R, "delta", (1, 2), lambda v: 1.3 * v)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        check_system(bad, samples, tol=tol)
+
+
+@pytest.mark.parametrize("name", ["box", "entry_cap"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -2.0])
+def test_sample_lambda_rejects_bad_box_and_entry_cap(name, value):
+    p, c = golden_datum()
+    rng = np.random.default_rng(12)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        sample_lambda(build(p, c), rng, 5, **{name: value})
+    assert rng.bit_generator.state == state
