@@ -50,9 +50,9 @@ from .rmatrix import (
     composite_index,
     dense_point_to_json,
     evaluate,
+    pair_invariants,
     permuted,
     shifted,
-    sum_and_det_fields,
 )
 from .sampling import random_datum, random_partition, random_two_form
 from .transforms import (
@@ -72,7 +72,6 @@ from .verifier import (
     check_invertibility,
     check_system,
     check_zero_weight,
-    dqybe_residual,
     dqybe_residual_normalized,
     sample_lambda,
     shift_identities,

@@ -28,7 +28,7 @@ from .params import (
     principal_sqrt,
 )
 from .partition import DeltaClass, IndexPartition
-from .rmatrix import DynamicalRMatrix, shift_stencil
+from .rmatrix import DynamicalRMatrix, pair_invariants, shift_stencil
 from .verifier import sample_lambda
 
 DEFAULT_ZERO_TOL = 1e-8
@@ -431,9 +431,10 @@ def recover_params(
 
     The returned params are expressed over the canonical labels of
     ``report.recovered_partition``.  Blocks without any cross-d-class pair
-    are degenerate (only the class constant is observable); their
-    (sum, det) constants are reported as (0, Delta^2... ) via the class
-    constant's quadratic relation with sign +1 by convention.
+    are degenerate (only the class constant Delta is observable); they are
+    reported as the rational datum sum = 0, det = Delta^2, with sign +1
+    when principal_sqrt(det) is at least as near to Delta as its negative,
+    else -1.
     """
     perm = report.index_permutation
     inv = {v: k for k, v in perm.items()}
@@ -444,18 +445,13 @@ def recover_params(
     lam_ref = _reference_point(R)
     dt_ref, _ = R.tables(lam_ref)
 
-    sum_det = {}
-    for lam in samples:
-        from .rmatrix import sum_and_det_fields
+    sum_st, det_st = pair_invariants(
+        *R.stacked_tables(np.asarray(samples, dtype=complex))
+    )
 
-        for pair, val in sum_and_det_fields(R, lam).items():
-            sum_det.setdefault(pair, []).append(val)
-
-    def pair_invariants(i0: int, j0: int) -> tuple[complex, complex]:
-        key = (min(i0, j0), max(i0, j0))
-        vals = sum_det[key]
-        sums = np.array([v[0] for v in vals])
-        dets = np.array([v[1] for v in vals])
+    def pair_constants(i0: int, j0: int) -> tuple[complex, complex]:
+        i, j = min(i0, j0) - 1, max(i0, j0) - 1
+        sums, dets = sum_st[:, i, j], det_st[:, i, j]
         scale = max(1.0, float(np.abs(sums).max()), float(np.abs(dets).max()))
         if (
             np.abs(sums - sums.mean()).max() > tol * scale
@@ -472,7 +468,6 @@ def recover_params(
     per_block: list[BlockConstants] = []
     signs: dict[tuple[int, ...], int] = {}
     f_consts: dict[tuple[int, ...], complex] = {}
-    degenerate_blocks: list[bool] = []
 
     # class sums at the reference point, per canonical d-class
     def class_sum(cls: tuple[int, ...], lam: np.ndarray) -> complex:
@@ -492,7 +487,6 @@ def recover_params(
             const = complex(dt_ref[orig(cls[0]) - 1, orig(cls[0]) - 1])
             det_c = const * const
             per_block.append(BlockConstants(0j, det_c))
-            degenerate_blocks.append(True)
             signs[cls] = (
                 +1 if abs(principal_sqrt(det_c) - const) <= abs(
                     principal_sqrt(det_c) + const
@@ -500,9 +494,8 @@ def recover_params(
             )
             f_consts[cls] = 0j
             continue
-        degenerate_blocks.append(False)
         pairs = [(a[0], b[0]) for a, b in nd]
-        inv_vals = [pair_invariants(orig(i), orig(j)) for (i, j) in pairs]
+        inv_vals = [pair_constants(orig(i), orig(j)) for (i, j) in pairs]
         s_vals = np.array([v[0] for v in inv_vals])
         det_vals = np.array([v[1] for v in inv_vals])
         scale = max(
@@ -562,7 +555,7 @@ def recover_params(
     for q in range(len(partition.blocks)):
         for qq in range(q + 1, len(partition.blocks)):
             i, j = first_index_of_block[q], first_index_of_block[qq]
-            _, det_c = pair_invariants(orig(i), orig(j))
+            _, det_c = pair_constants(orig(i), orig(j))
             cross_det[(q, qq)] = det_c
 
     # 2-form recovery: quotient of the measured diagonal coefficients by the
@@ -575,7 +568,7 @@ def recover_params(
         f_consts=f_consts,
         two_form=TrivialTwoForm(),
     )
-    g_table = _recover_two_form(R, base, inv, degenerate_blocks)
+    g_table = _recover_two_form(R, base, inv)
     return ClassificationParams(
         partition=partition,
         per_block=tuple(per_block),
@@ -590,7 +583,6 @@ def _recover_two_form(
     R: DynamicalRMatrix,
     base: ClassificationParams,
     inv: dict[int, int],
-    degenerate_blocks: list[bool],
 ) -> TableTwoForm:
     from .builder import build
     from .partition import class_id_map

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotInFamilyError
 from .params import principal_sqrt
-from .rmatrix import DynamicalRMatrix
+from .rmatrix import DynamicalRMatrix, pair_invariants
 from .verifier import sample_lambda
 
 DEFAULT_TOL = 1e-9
@@ -47,10 +47,15 @@ class HeckeReport:
     detail: str = ""
 
 
-def _constant_over_samples(values: np.ndarray, tol: float, scale: float, what: str):
-    if np.abs(values - values.mean()).max() > tol * max(1.0, scale):
-        raise NotInFamilyError(f"{what} varies with the dynamical point")
-    return complex(values.mean())
+def _constant_over_samples(values: np.ndarray, tol: float, scale: float):
+    """Per-entry means of a (S, ...) sample stack over its S samples, and
+    where an entry varies: deviates from its mean by more than
+    tol * max(1, scale) at some sample.  Each mean is the 1-D mean of one
+    contiguous column, so it rounds as the mean of that entry's samples."""
+    cols = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+    mean = cols.mean(axis=-1)
+    varies = np.abs(cols - mean[..., None]).max(axis=-1) > tol * max(1.0, scale)
+    return mean, varies
 
 
 def hecke_classify(
@@ -64,58 +69,46 @@ def hecke_classify(
     if samples is None:
         rng = np.random.default_rng(seed)
         samples = sample_lambda(R, rng, 5)
-    tabs = list(zip(*R.stacked_tables(np.asarray(samples, dtype=complex))))
-    scale = max(
-        max(float(np.abs(dt).max()), float(np.abs(dd).max())) for dt, dd in tabs
+    delta_st, d_st = R.stacked_tables(np.asarray(samples, dtype=complex))
+    scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
+    lim = tol * max(1.0, scale)
+
+    # diagonal eigenvalues Delta_ii and the per-plane invariants must be
+    # constants; the first that varies, diagonals first, then pairs in
+    # row-major order with the sum before the determinant, is reported
+    diag_mean, diag_varies = _constant_over_samples(
+        np.diagonal(delta_st, axis1=1, axis2=2), tol, scale
     )
+    sums, dets = pair_invariants(delta_st, d_st)
+    sum_mean, sum_varies = _constant_over_samples(sums, tol, scale)
+    det_mean, det_varies = _constant_over_samples(dets, tol, scale)
+    # peak |d_ij| or |d_ji|, and peak |Delta_ij - Delta_ji|, over the samples
+    off = np.abs(d_st).max(axis=0)
+    off = np.maximum(off, off.T)
+    skew = np.abs(delta_st - np.swapaxes(delta_st, 1, 2)).max(axis=0)
 
-    # diagonal eigenvalues Delta_ii (must be constants)
-    diag = {}
-    for i in range(1, n + 1):
-        vals = np.array([dt[i - 1, i - 1] for dt, _ in tabs])
-        diag[i] = _constant_over_samples(vals, tol, scale, f"Delta_{i}{i}")
+    for i in range(n):
+        if diag_varies[i]:
+            raise NotInFamilyError(f"Delta_{i + 1}{i + 1} varies with the dynamical point")
+    diag = {i + 1: complex(diag_mean[i]) for i in range(n)}
 
-    # per-plane invariants and eigenvalues
     pair_eigs: dict[tuple[int, int], tuple[complex, complex]] = {}
     pair_diagonalizable: dict[tuple[int, int], bool] = {}
-    all_d_zero = n > 1
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            s_vals = np.array(
-                [dt[i - 1, j - 1] + dt[j - 1, i - 1] for dt, _ in tabs]
-            )
-            det_vals = np.array(
-                [
-                    dd[i - 1, j - 1] * dd[j - 1, i - 1]
-                    - dt[i - 1, j - 1] * dt[j - 1, i - 1]
-                    for dt, dd in tabs
-                ]
-            )
-            s = _constant_over_samples(s_vals, tol, scale, f"pair sum ({i},{j})")
-            det = _constant_over_samples(
-                det_vals, tol, scale, f"pair determinant ({i},{j})"
-            )
+    for i in range(n):
+        for j in range(i + 1, n):
+            for what, varies in (("pair sum", sum_varies), ("pair determinant", det_varies)):
+                if varies[i, j]:
+                    raise NotInFamilyError(
+                        f"{what} ({i + 1},{j + 1}) varies with the dynamical point"
+                    )
+            s, det = complex(sum_mean[i, j]), complex(det_mean[i, j])
             disc = principal_sqrt(s * s + 4 * det)
-            pair_eigs[(i, j)] = ((s + disc) / 2, (s - disc) / 2)
-            if abs(disc) <= tol * max(1.0, scale):
-                # repeated eigenvalue: diagonalizable iff the block is scalar
-                off = max(
-                    max(abs(dd[i - 1, j - 1]), abs(dd[j - 1, i - 1]))
-                    for _, dd in tabs
-                )
-                skew = max(
-                    abs(dt[i - 1, j - 1] - dt[j - 1, i - 1]) for dt, _ in tabs
-                )
-                pair_diagonalizable[(i, j)] = (
-                    off <= tol * max(1.0, scale) and skew <= tol * max(1.0, scale)
-                )
-            else:
-                pair_diagonalizable[(i, j)] = True
-            d_mags = max(
-                max(abs(dd[i - 1, j - 1]), abs(dd[j - 1, i - 1])) for _, dd in tabs
+            pair_eigs[(i + 1, j + 1)] = ((s + disc) / 2, (s - disc) / 2)
+            # a repeated eigenvalue is diagonalizable iff the block is scalar
+            pair_diagonalizable[(i + 1, j + 1)] = (
+                bool(off[i, j] <= lim and skew[i, j] <= lim) if abs(disc) <= lim else True
             )
-            if d_mags > tol * max(1.0, scale):
-                all_d_zero = False
+    all_d_zero = n > 1 and not np.triu(off > lim, 1).any()
 
     evidence = {
         "diagonal": diag,
@@ -128,10 +121,9 @@ def hecke_classify(
         # one d-class covering everything: all diagonal coefficients vanish
         # and every exchange entry equals the same constant, so the
         # flip-composed matrix is that constant times the identity
-        eq_tol = tol * max(1.0, scale)
         delta = diag[1]
-        uniform = all(abs(diag[i] - delta) <= eq_tol for i in diag) and all(
-            abs(e1 - delta) <= eq_tol and abs(e2 - delta) <= eq_tol
+        uniform = all(abs(diag[i] - delta) <= lim for i in diag) and all(
+            abs(e1 - delta) <= lim and abs(e2 - delta) <= lim
             for (e1, e2) in pair_eigs.values()
         )
         if uniform:
@@ -149,7 +141,7 @@ def hecke_classify(
     for e1, e2 in pair_eigs.values():
         values.extend((e1, e2))
     clusters: list[list[complex]] = []
-    eq_tol = max(tol * max(1.0, scale), 1e-12)
+    eq_tol = max(lim, 1e-12)
     for v in values:
         for cl in clusters:
             if abs(v - cl[0]) <= 1e4 * eq_tol:

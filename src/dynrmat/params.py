@@ -194,6 +194,20 @@ class ExactTwoForm(TwoFormSpec):
         return np.where(mask, g, 1)
 
 
+def exp_quadratic_potential(
+    const: complex, lin: np.ndarray, quad: np.ndarray
+) -> Callable[[np.ndarray], complex]:
+    """The potential beta(lam) = exp(const + sum_k lin_k lam_k +
+    sum_k quad_k lam_k^2) of an :class:`ExactTwoForm`, as exact 2-form
+    configs and :func:`dynrmat.sampling.random_two_form` give it."""
+
+    def beta(lam: np.ndarray) -> complex:
+        lam = np.asarray(lam, dtype=complex)
+        return complex(np.exp(const + np.dot(lin, lam) + np.dot(quad, lam * lam)))
+
+    return beta
+
+
 @dataclass
 class TableTwoForm(TwoFormSpec):
     """g given pairwise: one evaluable function per unordered pair (i < j);

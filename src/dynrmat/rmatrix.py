@@ -420,23 +420,17 @@ def permuted(P: DensePoint) -> np.ndarray:
     return P.matrix[zero_weight_layout(P.n).swap]
 
 
-def sum_and_det_fields(
-    R: DynamicalRMatrix, lam: np.ndarray
-) -> dict[tuple[int, int], tuple[complex, complex]]:
-    """Per-pair invariants (i < j): the sum delta_ij + delta_ji and the
-    2x2-block determinant d_ij d_ji - delta_ij delta_ji."""
-    lam = np.asarray(lam, dtype=complex)
-    delta_tab, d_tab = R.tables(lam)
-    out: dict[tuple[int, int], tuple[complex, complex]] = {}
-    for i in range(1, R.n + 1):
-        for j in range(i + 1, R.n + 1):
-            s = delta_tab[i - 1, j - 1] + delta_tab[j - 1, i - 1]
-            det = (
-                d_tab[i - 1, j - 1] * d_tab[j - 1, i - 1]
-                - delta_tab[i - 1, j - 1] * delta_tab[j - 1, i - 1]
-            )
-            out[(i, j)] = (complex(s), complex(det))
-    return out
+def pair_invariants(delta: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two invariants of each plane span{e_i (x) e_j, e_j (x) e_i} from
+    (..., n, n) exchange and diagonal table stacks: the (..., n, n) stacks of
+    sums Delta_ij + Delta_ji and of 2x2-block determinants
+    d_ij d_ji - Delta_ij Delta_ji.
+
+    Read the entries with i < j.  The (j, i) entry multiplies the same
+    factors in the other order, which need not round to the same bits.
+    """
+    delta_t = np.swapaxes(delta, -1, -2)
+    return delta + delta_t, d * np.swapaxes(d, -1, -2) - delta * delta_t
 
 
 # -- JSON export -----------------------------------------------------------

@@ -22,6 +22,7 @@ from .params import (
     TwoFormSpec,
     constant_table_two_form,
     derive,
+    exp_quadratic_potential,
     normalize_f,
 )
 from .partition import DeltaClass, IndexPartition, nd_pairs
@@ -110,12 +111,10 @@ def random_two_form(
     # coefficients, giving genuinely lambda-dependent quotients
     lin = rng.uniform(-0.3, 0.3, (p.n, p.n)) + 1j * rng.uniform(-0.3, 0.3, (p.n, p.n))
     quad = rng.uniform(-0.1, 0.1, (p.n, p.n)) + 1j * rng.uniform(-0.1, 0.1, (p.n, p.n))
-    beta = {}
-    for i in range(1, p.n + 1):
-        def beta_i(lam, _a=lin[i - 1], _b=quad[i - 1]):
-            lam = np.asarray(lam, dtype=complex)
-            return complex(np.exp(np.dot(_a, lam) + np.dot(_b, lam * lam)))
-        beta[i] = beta_i
+    beta = {
+        i: exp_quadratic_potential(0j, lin[i - 1], quad[i - 1])
+        for i in range(1, p.n + 1)
+    }
     return ExactTwoForm(beta=beta)
 
 

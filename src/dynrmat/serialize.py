@@ -37,6 +37,7 @@ from .params import (
     TrivialTwoForm,
     TwoFormSpec,
     constant_table_two_form,
+    exp_quadratic_potential,
 )
 from .partition import IndexPartition
 from .partition import from_json as partition_from_json
@@ -116,12 +117,7 @@ def two_form_from_json(obj: Optional[dict], n: int) -> TwoFormSpec:
                 raise ParameterError(
                     f"potential {key}: coefficient arrays must have length {n}"
                 )
-
-            def beta_i(lam, _c=const, _a=lin, _b=quad):
-                lam = np.asarray(lam, dtype=complex)
-                return complex(np.exp(_c + np.dot(_a, lam) + np.dot(_b, lam * lam)))
-
-            beta[i] = beta_i
+            beta[i] = exp_quadratic_potential(const, lin, quad)
         for i in range(1, n + 1):
             if i not in beta:
                 beta[i] = lambda lam: 1.0 + 0j

@@ -47,6 +47,7 @@ from .rmatrix import (
     evaluate,
     _TABLE_CACHE_MAX,
     _as_stack,
+    pair_invariants,
     shift_stencil,
     shifted,
     stencil_points,
@@ -250,11 +251,6 @@ def dqybe_defect(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[float, float]:
     return _stencil_defect(*shift_stencil(R, np.asarray(lam, dtype=complex)))
 
 
-def dqybe_residual(R: DynamicalRMatrix, lam: np.ndarray) -> float:
-    """Raw max-abs defect of the shifted Yang-Baxter relation at ``lam``."""
-    return dqybe_defect(R, lam)[0]
-
-
 def dqybe_residual_normalized(R: DynamicalRMatrix, lam: np.ndarray) -> float:
     raw, scale = dqybe_defect(R, lam)
     return raw / max(1.0, scale)
@@ -443,12 +439,11 @@ def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
     """Compare the factorized determinant with a dense LU determinant."""
     lam = np.asarray(lam, dtype=complex)
     delta_tab, d_tab = R.tables(lam)
+    _, dets = pair_invariants(delta_tab, d_tab)
     det_fact = complex(np.prod(np.diagonal(delta_tab)))
-    for i in range(R.n):
-        for j in range(i + 1, R.n):
-            det_fact *= (
-                d_tab[i, j] * d_tab[j, i] - delta_tab[i, j] * delta_tab[j, i]
-            )
+    for i, row in enumerate(dets.tolist()):
+        for det in row[i + 1:]:
+            det_fact *= det
     det_dense = complex(np.linalg.det(evaluate(R, lam).matrix))
     scale = max(abs(det_fact), abs(det_dense))
     agree = (

@@ -6,6 +6,7 @@ import pytest
 from dynrmat.builder import build
 from dynrmat.params import BlockConstants, ClassificationParams, normalize_f
 from dynrmat.partition import DeltaClass, IndexPartition
+from dynrmat.rmatrix import DynamicalRMatrix
 from dynrmat.serialize import params_to_json
 
 
@@ -70,6 +71,21 @@ def overflow_datum():
     )
     c, _ = normalize_f(c)
     return p, c
+
+
+def varied_golden(delta_pairs=(), d_pairs=()):
+    """The golden matrix with the exchange entries at ``delta_pairs`` and
+    the diagonal entries at ``d_pairs`` (ordered pairs, 1-based) multiplied
+    by 1 + 0.3 lam_1: a non-member whose zero pattern is the golden one."""
+    R = build(*golden_datum())
+
+    def varied(field, pairs):
+        def coeff(i, j, lam):
+            v = field(i, j, lam)
+            return v * (1 + 0.3 * lam[0]) if (i, j) in pairs else v
+        return coeff
+
+    return DynamicalRMatrix(n=4, delta=varied(R.delta, delta_pairs), d=varied(R.d, d_pairs))
 
 
 def zero_residual_config() -> dict:

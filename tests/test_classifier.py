@@ -20,7 +20,7 @@ from dynrmat.sampling import random_datum, random_partition
 from dynrmat.serialize import params_to_json
 from dynrmat.verifier import sample_lambda
 
-from conftest import golden_datum
+from conftest import golden_datum, varied_golden
 
 
 def test_golden_structure():
@@ -256,6 +256,16 @@ def test_non_family_matrix_rejected():
     ]
     with pytest.raises(NotInFamilyError):
         classify(R, samples=lam_samples)
+
+
+def test_varying_pair_invariants_named():
+    # the golden zero pattern with d_13 and d_24 varying: classify accepts
+    # the structure, the constant recovery names the first varying pair
+    R = varied_golden(d_pairs={(1, 3), (2, 4)})
+    structure = classify(R)
+    with pytest.raises(NotInFamilyError) as exc:
+        recover_params(R, structure)
+    assert str(exc.value) == "pair invariants of (1,3) vary across samples"
 
 
 @pytest.mark.parametrize("kind", ["trivial", "table", "exact"])

@@ -1,4 +1,5 @@
-"""The walkthroughs in ``demos/`` run to completion and print something."""
+"""The walkthroughs in ``demos/`` run to completion and print something, and
+the README's library tour runs."""
 
 import os
 import subprocess
@@ -22,3 +23,10 @@ def test_demo_runs(demo):
                           env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("\n## Library tour\n", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (library tour)", "exec"), {})

@@ -13,7 +13,7 @@ from dynrmat.params import (
 from dynrmat.partition import DeltaClass, IndexPartition, single_class_partition
 from dynrmat.rmatrix import DynamicalRMatrix
 
-from conftest import golden_datum
+from conftest import golden_datum, varied_golden
 
 
 def _all_free_trig(n, S, Sigma, signs=None, two_form=None):
@@ -111,6 +111,20 @@ def test_lambda_dependent_invariants_rejected():
     ]
     with pytest.raises(NotInFamilyError):
         hecke_classify(R, samples=samples)
+
+
+@pytest.mark.parametrize("delta_pairs, d_pairs, message", [
+    # diagonals come before pairs
+    ({(2, 2), (1, 2)}, (), "Delta_22 varies with the dynamical point"),
+    # within a pair the sum comes before the determinant
+    ({(1, 2)}, {(1, 3)}, "pair sum (1,2) varies with the dynamical point"),
+    # pairs come in row-major order
+    ({(2, 4)}, {(2, 3), (1, 3)}, "pair determinant (1,3) varies with the dynamical point"),
+])
+def test_first_varying_invariant_is_named(delta_pairs, d_pairs, message):
+    with pytest.raises(NotInFamilyError) as exc:
+        hecke_classify(varied_golden(delta_pairs, d_pairs))
+    assert str(exc.value) == message
 
 
 def test_basic_form_identity_recipe():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynrmat.errors import PoleError
 from dynrmat.rmatrix import (
@@ -7,11 +9,11 @@ from dynrmat.rmatrix import (
     dense_point_to_json,
     embed_with_shift,
     evaluate,
+    pair_invariants,
     permuted,
     shift_stencil,
     shifted,
     stencil_points,
-    sum_and_det_fields,
     tables_from_dense,
 )
 
@@ -175,24 +177,52 @@ def test_permuted_block_structure():
             assert abs(M[r2, r2] - delta[i - 1, j - 1]) < 1e-12
 
 
-def test_sum_and_det_fields_constancy():
+def test_pair_invariants_constancy():
     p, c = golden_datum()
     R = build(p, c)
     rng = np.random.default_rng(2)
     pts = random_points(rng, 4, 3)
-    tables = [sum_and_det_fields(R, lam) for lam in pts]
-    for key in tables[0]:
-        sums = [t[key][0] for t in tables]
-        dets = [t[key][1] for t in tables]
-        assert max(abs(s - sums[0]) for s in sums) < 1e-10
-        assert max(abs(v - dets[0]) for v in dets) < 1e-10
+    sums, dets = pair_invariants(*R.stacked_tables(np.array(pts)))
+    iu = np.triu_indices(4, 1)
+    sums, dets = sums[:, iu[0], iu[1]], dets[:, iu[0], iu[1]]
+    assert np.abs(sums - sums[0]).max() < 1e-10
+    assert np.abs(dets - dets[0]).max() < 1e-10
     # the golden datum has pair sum 0 and pair determinant 1 on every
     # cross-class pair
-    for (i, j), (s, det) in tables[0].items():
+    for i, j, s, det in zip(iu[0] + 1, iu[1] + 1, sums[0], dets[0]):
         if (i, j) == (3, 4):
             assert abs(s + 2) < 1e-12 and abs(det + 1) < 1e-12
         else:
             assert abs(s) < 1e-12 and abs(det - 1) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_pair_invariants_match_scalar_loop(n, count, seed):
+    rng = np.random.default_rng(seed)
+
+    def stack():
+        mag = 10.0 ** rng.uniform(-8, 8, (count, n, n))
+        return mag * (rng.standard_normal((count, n, n))
+                      + 1j * rng.standard_normal((count, n, n)))
+
+    delta, d = stack(), stack()
+    sums, dets = pair_invariants(delta, d)
+    assert sums.shape == dets.shape == (count, n, n)
+    eps = np.finfo(float).eps
+    for p in range(count):
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = complex(delta[p, i, j]), complex(delta[p, j, i])
+                x, y = complex(d[p, i, j]), complex(d[p, j, i])
+                assert complex(sums[p, i, j]) == a + b
+                # with fused multiply-adds a component of a complex product
+                # is rounded once, not twice: allow 4 eps of the products' size
+                want = x * y - a * b
+                bound = 4 * eps * (abs(x) * abs(y) + abs(a) * abs(b))
+                got = complex(dets[p, i, j])
+                assert abs(got.real - want.real) <= bound
+                assert abs(got.imag - want.imag) <= bound
 
 
 def test_pole_detection():

@@ -27,7 +27,6 @@ from dynrmat.verifier import (
     check_system,
     check_zero_weight,
     dqybe_defect,
-    dqybe_residual,
     dqybe_residual_normalized,
     sample_lambda,
 )
