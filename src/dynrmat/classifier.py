@@ -312,10 +312,15 @@ def classify(
     seed: int = 0,
     num_samples: int = DEFAULT_SAMPLES,
 ) -> IncidenceReport:
-    """Full structural classification of a zero-weight matrix."""
+    """Full structural classification of a zero-weight matrix.
+
+    Without ``samples``, ``num_samples`` points are drawn from ``seed``;
+    each is checked for poles and the entry cap at that point alone, since
+    the classification reads no shifted point.
+    """
     if samples is None:
         rng = np.random.default_rng(seed)
-        samples = sample_lambda(R, rng, num_samples)
+        samples = sample_lambda(R, rng, num_samples, stencil=False)
     rel = detect_relations(R, samples, tol)
     eq = build_equivalences(rel, R.n)
     delta_classes = eq["delta_classes"]
@@ -435,13 +440,18 @@ def recover_params(
     reported as the rational datum sum = 0, det = Delta^2, with sign +1
     when principal_sqrt(det) is at least as near to Delta as its negative,
     else -1.
+
+    Without ``samples``, the pair invariants are read at points drawn from
+    ``seed``, each checked for poles and the entry cap at that point
+    alone.  The reference point of the class constants and positions is
+    still checked on its whole shift stencil.
     """
     perm = report.index_permutation
     inv = {v: k for k, v in perm.items()}
     partition = report.recovered_partition
     if samples is None:
         rng = np.random.default_rng(seed)
-        samples = sample_lambda(R, rng, DEFAULT_SAMPLES)
+        samples = sample_lambda(R, rng, DEFAULT_SAMPLES, stencil=False)
     lam_ref = _reference_point(R)
     dt_ref, _ = R.tables(lam_ref)
 

@@ -64,11 +64,16 @@ def hecke_classify(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> HeckeReport:
-    """Decide the spectral class of the flip-composed matrix."""
+    """Decide the spectral class of the flip-composed matrix.
+
+    Without ``samples``, five points are drawn from ``seed``; each is
+    checked for poles and the entry cap at that point alone, since the
+    analysis reads no shifted point.
+    """
     n = R.n
     if samples is None:
         rng = np.random.default_rng(seed)
-        samples = sample_lambda(R, rng, 5)
+        samples = sample_lambda(R, rng, 5, stencil=False)
     delta_st, d_st = R.stacked_tables(np.asarray(samples, dtype=complex))
     scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
     lim = tol * max(1.0, scale)

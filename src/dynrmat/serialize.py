@@ -28,7 +28,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, PoleError
 from .params import (
     BlockConstants,
     ClassificationParams,
@@ -70,7 +70,8 @@ def _parse_class_key(key: str) -> tuple[int, ...]:
 
 def two_form_to_json(g: TwoFormSpec, n: int, probe_lam: Optional[np.ndarray] = None) -> dict:
     """JSON of a 2-form on n indices; a table 2-form's pair functions are
-    read at ``probe_lam``, or at the origin of C^n when it is None."""
+    read at ``probe_lam``, or at the origin of C^n when it is None.  A pole
+    of a pair function at the origin raises :class:`ParameterError`."""
     if isinstance(g, TrivialTwoForm):
         return {"type": "trivial"}
     if isinstance(g, TableTwoForm):
@@ -78,7 +79,15 @@ def two_form_to_json(g: TwoFormSpec, n: int, probe_lam: Optional[np.ndarray] = N
         lam = np.asarray(lam, dtype=complex)
         values = {}
         for (i, j), fn in g.g.items():
-            values[f"{i},{j}"] = complex_to_json(complex(fn(lam)))
+            try:
+                values[f"{i},{j}"] = complex_to_json(complex(fn(lam)))
+            except PoleError as exc:
+                if probe_lam is not None:
+                    raise
+                raise ParameterError(
+                    f"the origin of C^{n} is a pole of the 2-form at pair "
+                    f"({i},{j}); pass probe_lam, a point where it is finite"
+                ) from exc
         out = {"type": "table", "values": values}
         if probe_lam is not None:
             out["sampled_at"] = [complex_to_json(z) for z in probe_lam]

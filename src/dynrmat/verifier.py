@@ -102,21 +102,28 @@ def sample_lambda(
     box: float = 2.0,
     entry_cap: float = DEFAULT_ENTRY_CAP,
     max_tries: int = 2000,
+    stencil: bool = True,
 ) -> list[np.ndarray]:
     """Draw dynamical points with independent uniform real/imaginary parts
-    in [-box, box], rejecting points where the matrix (or any of its n
-    singly-shifted evaluations) hits a pole or exceeds the entry cap.
+    in [-box, box], rejecting points where the matrix hits a pole or exceeds
+    the entry cap.
+
+    With ``stencil=True`` a draw is checked on its whole shift stencil,
+    lam, lam + e_1, ..., lam + e_n, as the shifted relation reads it.  With
+    ``stencil=False`` only the drawn point itself is checked, for callers
+    that read the tables at the samples alone.
 
     Each round draws exactly as many points as are still missing, so the
     accepted points and the final state of ``rng`` are those of drawing
-    one point at a time.  The shift stencils of a round are evaluated
+    one point at a time.  The checked points of a round are evaluated
     together, at most ``_TABLE_CACHE_MAX`` points per table call.
     ``box`` and ``entry_cap`` must be finite and > 0.
     """
     _require_positive("box", box)
     _require_positive("entry_cap", entry_cap)
     n = R.n
-    per_call = max(1, _TABLE_CACHE_MAX // (n + 1))
+    width = n + 1 if stencil else 1
+    per_call = max(1, _TABLE_CACHE_MAX // width)
     out: list[np.ndarray] = []
     tries = 0
     while len(out) < count:
@@ -131,7 +138,8 @@ def sample_lambda(
         lams = draws[:, 0] + 1j * draws[:, 1]
         for start in range(0, k, per_call):
             chunk = lams[start:start + per_call]
-            delta, d = R.lookup(stencil_points(chunk).reshape(-1, n))
+            points = stencil_points(chunk).reshape(-1, n) if stencil else chunk
+            delta, d = R.lookup(points)
             mags = np.concatenate([np.abs(delta), np.abs(d)], axis=1)
             mags = mags.reshape(len(chunk), -1)
             ok = np.isfinite(mags).all(axis=1) & ~(mags.max(axis=1) > entry_cap)

@@ -5,6 +5,7 @@ import pytest
 
 from dynrmat.builder import build
 from dynrmat.classifier import (
+    _reference_point,
     block_structure,
     check_propagation,
     classify,
@@ -13,7 +14,7 @@ from dynrmat.classifier import (
     recover_params,
     triangularize,
 )
-from dynrmat.errors import NotInFamilyError
+from dynrmat.errors import NotInFamilyError, ParameterError
 from dynrmat.params import BlockConstants, ClassificationParams, principal_sqrt
 from dynrmat.partition import DeltaClass, IndexPartition, to_json
 from dynrmat.sampling import random_datum, random_partition
@@ -281,3 +282,19 @@ def test_recovered_params_serialize_without_a_probe_point(kind):
     for (i, j), fn in params.two_form.g.items():
         v = obj["two_form"]["values"][f"{i},{j}"]
         assert complex(v["re"], v["im"]) == complex(fn(origin))
+
+
+def test_recovered_two_form_with_a_pole_at_the_origin_needs_a_probe_point():
+    # the golden bare build has Delta_12 = 1/(lam_1 - lam_2), so the recovered
+    # 2-form cannot be read at the origin
+    R = build(*golden_datum())
+    params = recover_params(R, classify(R))
+    with pytest.raises(ParameterError) as err:
+        params_to_json(params)
+    assert str(err.value) == (
+        "the origin of C^4 is a pole of the 2-form at pair (1,2); "
+        "pass probe_lam, a point where it is finite"
+    )
+    lam = _reference_point(R)
+    obj = params_to_json(params, probe_lam=lam)
+    assert obj["two_form"]["type"] == "table" and len(obj["two_form"]["sampled_at"]) == 4

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,18 @@ def test_verify_deterministic_output(golden_config, tmp_path):
     assert main(["verify", golden_config, "--seed", "7", "--out", str(a)]) == EXIT_OK
     assert main(["verify", golden_config, "--seed", "7", "--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", ["classify", "hecke"])
+def test_default_stdout_is_pinned(golden_config, capsys, command):
+    """The full stdout of classify and hecke on the golden datum at a fixed
+    seed, byte for byte, as recorded in tests/golden/."""
+    assert main([command, golden_config, "--seed", "7"]) == EXIT_OK
+    expected = (GOLDEN_DIR / f"{command}_seed7.out").read_text()
+    assert capsys.readouterr().out == expected
 
 
 def test_verify_env_seed(golden_config, tmp_path, monkeypatch):

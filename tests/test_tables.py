@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from dynrmat.builder import build
+from dynrmat.classifier import _reference_point, classify, recover_params
 from dynrmat.errors import PoleError
+from dynrmat.hecke import hecke_classify
 from dynrmat.params import (
     BlockConstants,
     ClassificationParams,
@@ -451,6 +453,31 @@ def test_one_table_call_per_cold_stencil():
     assert len(calls) == 2 and len(calls[1]) == 4  # lam + e_2 was cached
     sample_lambda(R, np.random.default_rng(0), 8)
     assert len(calls) == 3 and len(calls[2]) == 8 * 5  # no draw is rejected here
+
+
+def _first_draws(seed, count, n, box=2.0):
+    """The first ``count`` points a sampler seeded with ``seed`` draws."""
+    draws = np.random.default_rng(seed).uniform(-box, box, (count, 2, n))
+    return draws[:, 0] + 1j * draws[:, 1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_classifier_and_hecke_evaluate_only_their_samples(seed):
+    p, c = golden_datum()
+    R, calls = _counting(build(p, c))
+    report = classify(R, seed=seed)
+    assert len(calls) == 1 and np.array_equal(calls[0], _first_draws(seed, 5, 4))
+
+    R, calls = _counting(build(p, c))
+    hecke = hecke_classify(R, seed=seed)
+    assert len(calls) == 1 and np.array_equal(calls[0], _first_draws(seed, 5, 4))
+    assert np.array_equal(calls[0], hecke.lambda_samples)
+
+    # recover_params adds the stencil of its reference point, no more
+    R, calls = _counting(build(p, c))
+    recover_params(R, report, seed=seed)
+    assert len(calls) == 2 and np.array_equal(calls[0], _first_draws(seed, 5, 4))
+    assert np.array_equal(calls[1], stencil_points(_reference_point(R)))
 
 
 def test_plain_callable_wrapper_evaluates_once_per_point():

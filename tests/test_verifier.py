@@ -349,9 +349,11 @@ def test_check_system_requires_samples():
 # -- batched sampling against a one-point-at-a-time reference ----------------
 
 
-def _sequential_sample_lambda(R, rng, count, box=2.0, entry_cap=1e3, max_tries=2000):
-    """The one-draw-at-a-time sampler: draw a point, evaluate its shift
-    stencil point by point, accept it or draw the next."""
+def _sequential_sample_lambda(R, rng, count, box=2.0, entry_cap=1e3, max_tries=2000,
+                              stencil=True):
+    """The one-draw-at-a-time sampler: draw a point, evaluate it (and, with
+    ``stencil``, its n shifted neighbours) point by point, accept it or
+    draw the next."""
     out = []
     tries = 0
     while len(out) < count:
@@ -360,8 +362,9 @@ def _sequential_sample_lambda(R, rng, count, box=2.0, entry_cap=1e3, max_tries=2
             raise PoleError(f"could not find {count} well-conditioned sample "
                             f"points in {max_tries} draws")
         lam = rng.uniform(-box, box, R.n) + 1j * rng.uniform(-box, box, R.n)
+        shifts = range(1, R.n + 1) if stencil else ()
         try:
-            tabs = [R.tables(lam)] + [R.tables(shifted(lam, k)) for k in range(1, R.n + 1)]
+            tabs = [R.tables(lam)] + [R.tables(shifted(lam, k)) for k in shifts]
         except PoleError:
             continue
         if max(float(np.abs(t).max()) for pair in tabs for t in pair) > entry_cap:
@@ -400,39 +403,79 @@ def _count_rejections(make, seed, count, **kw):
 def test_sample_lambda_matches_sequential_reference(n):
     for seed in range(3):
         p, c = random_datum(n, np.random.default_rng(40 + seed), ["trivial", "table", "exact"][seed])
-        batched, reference = _sample_both(lambda: build(p, c), seed, 8, box=6.0)
-        assert batched == reference
+        for stencil in (True, False):
+            batched, reference = _sample_both(lambda: build(p, c), seed, 8, box=6.0,
+                                              stencil=stencil)
+            assert batched == reference
 
 
 def test_sample_lambda_reference_with_pole_rejections():
     p, c = overflow_datum()
-    rejected = 0
-    for seed in range(4):
-        batched, reference = _sample_both(lambda: build(p, c), seed, 4, box=1000.0)
-        assert batched == reference
-        if isinstance(batched[0], list):
-            accepted, drawn = _count_rejections(lambda: build(p, c), seed, 4, box=1000.0)
-            rejected += drawn - accepted
-    assert rejected > 0
+    for stencil in (True, False):
+        rejected = 0
+        for seed in range(4):
+            batched, reference = _sample_both(lambda: build(p, c), seed, 4, box=1000.0,
+                                              stencil=stencil)
+            assert batched == reference
+            if isinstance(batched[0], list):
+                accepted, drawn = _count_rejections(lambda: build(p, c), seed, 4,
+                                                    box=1000.0, stencil=stencil)
+                rejected += drawn - accepted
+        assert rejected > 0
 
 
 def test_sample_lambda_reference_with_entry_cap_rejections():
     p, c = golden_datum()
-    accepted, drawn = _count_rejections(lambda: build(p, c), 8, 6, entry_cap=2.0)
-    assert drawn > accepted == 6
-    for seed in range(4):
-        batched, reference = _sample_both(lambda: build(p, c), seed, 6, entry_cap=2.0)
-        assert batched == reference
+    for stencil in (True, False):
+        accepted, drawn = _count_rejections(lambda: build(p, c), 8, 6, entry_cap=2.0,
+                                            stencil=stencil)
+        assert drawn > accepted == 6
+        for seed in range(4):
+            batched, reference = _sample_both(lambda: build(p, c), seed, 6, entry_cap=2.0,
+                                              stencil=stencil)
+            assert batched == reference
 
 
 def test_sample_lambda_exhausts_after_exactly_max_tries_draws():
     p, c = golden_datum()
-    batched, reference = _sample_both(lambda: build(p, c), 3, 6, entry_cap=1.0, max_tries=30)
-    assert batched == reference
-    assert "in 30 draws" in batched[0]
-    probe = np.random.default_rng(3)
-    probe.uniform(size=(30, 2, 4))
-    assert batched[1] == probe.bit_generator.state
+    for stencil in (True, False):
+        batched, reference = _sample_both(lambda: build(p, c), 3, 6, entry_cap=1.0,
+                                          max_tries=30, stencil=stencil)
+        assert batched == reference
+        assert "in 30 draws" in batched[0]
+        probe = np.random.default_rng(3)
+        probe.uniform(size=(30, 2, 4))
+        assert batched[1] == probe.bit_generator.state
+
+
+def _golden_with_pole_beyond_re_lam1_2():
+    """The golden matrix behind plain callables that raise PoleError
+    wherever Re lam_1 > 2: a box of 2 never draws such a point, but the
+    shift e_1 reaches one from every draw with Re lam_1 > 1."""
+    G = build(*golden_datum())
+
+    def guarded(field):
+        def coeff(i, j, lam):
+            if lam[0].real > 2:
+                raise PoleError(f"pole at lam={lam}")
+            return field(i, j, lam)
+        return coeff
+
+    return DynamicalRMatrix(n=G.n, delta=guarded(G.delta), d=guarded(G.d))
+
+
+def test_sample_lambda_stencil_mode_decides_a_pole_beyond_the_box():
+    make = _golden_with_pole_beyond_re_lam1_2
+    got = {}
+    for stencil in (True, False):
+        batched, reference = _sample_both(make, 5, 6, box=2.0, stencil=stencil)
+        assert batched == reference
+        got[stencil] = batched[0]
+    draws = np.random.default_rng(5).uniform(-2.0, 2.0, (50, 2, 4))
+    points = [(draw[0] + 1j * draw[1]).tobytes() for draw in draws]
+    assert got[False] == points[:6]
+    kept = [pt for pt, draw in zip(points, draws) if draw[0, 0] <= 1][:6]
+    assert got[True] == kept != points[:6]
 
 
 # -- batched check_system against the per-sample oracle ----------------------
