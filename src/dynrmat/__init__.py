@@ -27,6 +27,7 @@ from .params import (
     ClassificationParams,
     DerivedBlockConstants,
     ExactTwoForm,
+    QuadraticExactTwoForm,
     TableTwoForm,
     TrivialTwoForm,
     TwoFormSpec,

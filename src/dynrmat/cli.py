@@ -31,14 +31,14 @@ from .errors import (
 from .hecke import DEFAULT_TOL as HECKE_TOL, hecke_classify
 from .params import validate_params
 from .partition import to_json as partition_to_json
-from .rmatrix import dense_point_to_json, evaluate, shifted
+from .rmatrix import dense_point_to_json, evaluate, stencil_points
 from .serialize import (
     complex_to_json,
     load_config,
     matrix_from_samples,
     params_to_json,
     parse_config,
-    sample_key,
+    sample_keys,
     two_form_from_json,
 )
 from .verifier import (
@@ -202,11 +202,10 @@ def cmd_verify(args) -> int:
     else:
         # a sampled matrix is verifiable when, for some base points, all n
         # singly-shifted points are in the sample set too
-        keys = {sample_key(lam) for lam in points}
-        samples = [
-            lam for lam in points
-            if all(sample_key(shifted(lam, k)) in keys for k in range(1, R.n + 1))
-        ]
+        keys = set(sample_keys(points))
+        shifts = stencil_points(points)[:, 1:].reshape(-1, R.n)
+        found = np.array([key in keys for key in sample_keys(shifts)]).reshape(len(points), R.n)
+        samples = [lam for lam, ok in zip(points, found.all(axis=1)) if ok]
         if not samples:
             raise ParameterError(
                 "sampled matrix is not verifiable: no sample point has all "
@@ -358,8 +357,9 @@ def cmd_transform(args) -> int:
         m = p.n + p2.n
     elif mode == "twist":
         spec = load_config(args.twist)
-        pots = two_form_from_json({"type": "exact", **spec}, p.n)
-        out_R = transforms.apply_twist(R, pots.beta)
+        if not isinstance(spec, dict):
+            raise ParameterError('a --twist file is an object {"potentials": {...}}')
+        out_R = transforms.apply_twist(R, two_form_from_json({**spec, "type": "exact"}, p.n))
         m = p.n
     else:  # two_form
         spec = load_config(args.two_form)

@@ -198,14 +198,65 @@ def exp_quadratic_potential(
     const: complex, lin: np.ndarray, quad: np.ndarray
 ) -> Callable[[np.ndarray], complex]:
     """The potential beta(lam) = exp(const + sum_k lin_k lam_k +
-    sum_k quad_k lam_k^2) of an :class:`ExactTwoForm`, as exact 2-form
-    configs and :func:`dynrmat.sampling.random_two_form` give it."""
+    sum_k quad_k lam_k^2), as :class:`QuadraticExactTwoForm` keeps it in
+    ``beta``."""
 
     def beta(lam: np.ndarray) -> complex:
         lam = np.asarray(lam, dtype=complex)
         return complex(np.exp(const + np.dot(lin, lam) + np.dot(quad, lam * lam)))
 
     return beta
+
+
+class QuadraticExactTwoForm(ExactTwoForm):
+    """Exact 2-form of the potentials beta_i(lam) = exp(const_i +
+    sum_k lin_ik lam_k + sum_k quad_ik lam_k^2), kept as coefficients:
+    ``const`` is an n-vector, ``lin`` and ``quad`` are n x n, row i-1
+    holding the coefficients of beta_i; all must be finite
+    (:class:`ParameterError` otherwise).
+
+    A unit shift of lam_j multiplies beta_i by exp(lin_ij + quad_ij (2 lam_j + 1)),
+    so log g_ij = h_ij - h_ji with h_ij = lin_ij + quad_ij (2 lam_j + 1), and
+    ``const`` drops out.  :meth:`table` is one ``exp`` over the stack: it
+    calls no potential and has no pole where the potentials over- or
+    underflow but g does not.  An entry is NaN where g_ij or g_ji is not
+    finite.  ``beta`` holds the potentials as callables
+    (:func:`exp_quadratic_potential`) for per-point readers.
+    """
+
+    def __init__(self, const, lin, quad):
+        const = np.array(const, dtype=complex)
+        lin = np.array(lin, dtype=complex)
+        quad = np.array(quad, dtype=complex)
+        n = len(const)
+        if const.shape != (n,) or lin.shape != (n, n) or quad.shape != (n, n):
+            raise ParameterError(
+                f"exact 2-form coefficients: const must have length n and lin, "
+                f"quad shape (n, n); got {const.shape}, {lin.shape}, {quad.shape}"
+            )
+        for name, arr in (("const", const[:, None]), ("lin", lin), ("quad", quad)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
+                i, k = bad[0]
+                where = "" if name == "const" else f"[{k + 1}]"
+                raise ParameterError(f"potential {i + 1}: {name}{where} must be finite")
+        for arr in (const, lin, quad):
+            arr.flags.writeable = False
+        self.const, self.lin, self.quad = const, lin, quad
+        super().__init__(beta={
+            i + 1: exp_quadratic_potential(const[i], lin[i], quad[i]) for i in range(n)
+        })
+
+    def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        if n != len(self.const):
+            raise ParameterError(f"exact 2-form on {len(self.const)} indices read at n = {n}")
+        lams = np.asarray(lams, dtype=complex)
+        half = self.lin + self.quad * (2 * lams[:, None, :] + 1)
+        with np.errstate(all="ignore"):
+            g = np.exp(half - half.transpose(0, 2, 1))
+        bad = ~np.isfinite(g)
+        g[bad | bad.transpose(0, 2, 1)] = np.nan
+        return np.where(mask, g, 1)
 
 
 @dataclass

@@ -17,12 +17,11 @@ import numpy as np
 from .params import (
     BlockConstants,
     ClassificationParams,
-    ExactTwoForm,
+    QuadraticExactTwoForm,
     TrivialTwoForm,
     TwoFormSpec,
     constant_table_two_form,
     derive,
-    exp_quadratic_potential,
     normalize_f,
 )
 from .partition import DeltaClass, IndexPartition, nd_pairs
@@ -111,11 +110,7 @@ def random_two_form(
     # coefficients, giving genuinely lambda-dependent quotients
     lin = rng.uniform(-0.3, 0.3, (p.n, p.n)) + 1j * rng.uniform(-0.3, 0.3, (p.n, p.n))
     quad = rng.uniform(-0.1, 0.1, (p.n, p.n)) + 1j * rng.uniform(-0.1, 0.1, (p.n, p.n))
-    beta = {
-        i: exp_quadratic_potential(0j, lin[i - 1], quad[i - 1])
-        for i in range(1, p.n + 1)
-    }
-    return ExactTwoForm(beta=beta)
+    return QuadraticExactTwoForm(np.zeros(p.n), lin, quad)
 
 
 def random_datum(

@@ -13,12 +13,19 @@ One config schema covers two kinds of input, discriminated by ``kind``:
 Complex numbers are always objects ``{"re": float, "im": float}`` for
 bit-exact round-trips.  A DensePoint is ``{"n": n, "lambda": [C, ...],
 "entries": [{"row": [a, b], "col": [c, d], "re": .., "im": ..}, ...]}``
-listing nonzero entries only, with 1-based factor indices.
+listing nonzero entries only, with factor indices in 1..n; of entries that
+repeat a (row, col) pair the last one counts.  A sample's matrix is filled
+by one assignment, and a sampled matrix finds the tables of a stack of
+points by their :func:`sample_keys`.
 
 2-form schemas: ``{"type": "trivial"}``; ``{"type": "table", "values":
 {"1,2": C}}`` (constant per unordered pair); ``{"type": "exact",
 "potentials": {"1": {"const": C, "lin": [C...], "quad": [C...]}}}`` giving
-per-index potentials exp(const + sum_k lin_k lam_k + sum_k quad_k lam_k^2).
+per-index potentials exp(const + sum_k lin_k lam_k + sum_k quad_k lam_k^2),
+keyed "1".."n" (an index without one has beta_i = 1).  An exact 2-form is
+read into, and written back from, the coefficient form
+:class:`~dynrmat.params.QuadraticExactTwoForm`, whose tables are closed-form.
+Bad keys, indices and coefficients raise :class:`ParameterError` naming them.
 """
 
 from __future__ import annotations
@@ -33,11 +40,11 @@ from .params import (
     BlockConstants,
     ClassificationParams,
     ExactTwoForm,
+    QuadraticExactTwoForm,
     TableTwoForm,
     TrivialTwoForm,
     TwoFormSpec,
     constant_table_two_form,
-    exp_quadratic_potential,
 )
 from .partition import IndexPartition
 from .partition import from_json as partition_from_json
@@ -55,7 +62,10 @@ def json_to_complex(obj: Any) -> complex:
         return complex(obj)
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ParameterError(f"expected a complex object {{re, im}}, got {obj!r}")
-    return complex(float(obj["re"]), float(obj["im"]))
+    try:
+        return complex(float(obj["re"]), float(obj["im"]))
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"expected a complex object {{re, im}}, got {obj!r}") from exc
 
 
 def _parse_class_key(key: str) -> tuple[int, ...]:
@@ -92,10 +102,20 @@ def two_form_to_json(g: TwoFormSpec, n: int, probe_lam: Optional[np.ndarray] = N
         if probe_lam is not None:
             out["sampled_at"] = [complex_to_json(z) for z in probe_lam]
         return out
+    if isinstance(g, QuadraticExactTwoForm):
+        return {"type": "exact", "potentials": {
+            str(i + 1): {
+                "const": complex_to_json(g.const[i]),
+                "lin": [complex_to_json(z) for z in g.lin[i]],
+                "quad": [complex_to_json(z) for z in g.quad[i]],
+            }
+            for i in range(len(g.const))
+        }}
     if isinstance(g, ExactTwoForm):
         raise ParameterError(
             "potential-derived 2-forms can be serialized only when created "
-            "from coefficient arrays; pass the coefficient form instead"
+            "from coefficient arrays; pass the coefficient form "
+            "QuadraticExactTwoForm instead"
         )
     raise ParameterError(f"unknown 2-form spec {type(g).__name__}")
 
@@ -115,23 +135,40 @@ def two_form_from_json(obj: Optional[dict], n: int) -> TwoFormSpec:
             values[pair] = json_to_complex(cval)
         return constant_table_two_form(values)
     if kind == "exact":
-        beta = {}
-        pots = obj.get("potentials", {})
-        for key, pot in pots.items():
+        return _exact_two_form_from_json(obj.get("potentials", {}), n)
+    raise ParameterError(f"unknown 2-form type {kind!r}")
+
+
+def _exact_two_form_from_json(pots: Any, n: int) -> QuadraticExactTwoForm:
+    """The coefficient form of exact-2-form potentials keyed "1".."n"; an
+    index without a potential gets zero coefficients (beta_i = 1)."""
+    if not isinstance(pots, dict):
+        raise ParameterError(f"exact 2-form potentials must be an object, got {pots!r}")
+    coeffs = {"const": np.zeros(n, dtype=complex),
+              "lin": np.zeros((n, n), dtype=complex),
+              "quad": np.zeros((n, n), dtype=complex)}
+    seen: set[int] = set()
+    for key, pot in pots.items():
+        try:
             i = int(key)
-            const = json_to_complex(pot.get("const", 0))
-            lin = np.array([json_to_complex(v) for v in pot.get("lin", [0] * n)])
-            quad = np.array([json_to_complex(v) for v in pot.get("quad", [0] * n)])
-            if len(lin) != n or len(quad) != n:
+        except ValueError:
+            i = 0
+        if not 1 <= i <= n:
+            raise ParameterError(f"potential key {key!r} is not an index 1..{n}")
+        if i in seen:
+            raise ParameterError(f"potential key {key!r} repeats index {i}")
+        seen.add(i)
+        if not isinstance(pot, dict):
+            raise ParameterError(f"potential {key}: expected an object, got {pot!r}")
+        coeffs["const"][i - 1] = json_to_complex(pot.get("const", 0))
+        for name in ("lin", "quad"):
+            values = pot.get(name, [0] * n)
+            if not isinstance(values, list) or len(values) != n:
                 raise ParameterError(
                     f"potential {key}: coefficient arrays must have length {n}"
                 )
-            beta[i] = exp_quadratic_potential(const, lin, quad)
-        for i in range(1, n + 1):
-            if i not in beta:
-                beta[i] = lambda lam: 1.0 + 0j
-        return ExactTwoForm(beta=beta)
-    raise ParameterError(f"unknown 2-form type {kind!r}")
+            coeffs[name][i - 1] = [json_to_complex(v) for v in values]
+    return QuadraticExactTwoForm(**coeffs)
 
 
 # -- datum ------------------------------------------------------------------
@@ -198,24 +235,62 @@ def params_from_json(obj: dict) -> tuple[IndexPartition, ClassificationParams]:
 # -- dense matrix samples ---------------------------------------------------
 
 
+def _size(obj: dict) -> int:
+    try:
+        return int(obj["n"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError('a sampled matrix and each sample need an integer "n"') from exc
+
+
 def dense_point_from_json(obj: dict) -> DensePoint:
-    n = int(obj["n"])
+    """A sampled point; every factor index of ``row`` and ``col`` must lie
+    in 1..n (:class:`ParameterError` naming the entry otherwise), and of
+    entries repeating a (row, col) pair the last one counts."""
+    n = _size(obj)
+    if not isinstance(obj.get("lambda"), list):
+        raise ParameterError('a sample needs a "lambda" list')
     lam = np.array([json_to_complex(v) for v in obj["lambda"]], dtype=complex)
     if len(lam) != n:
         raise ParameterError("lambda length does not match n")
-    mat = np.zeros((n * n, n * n), dtype=complex)
-    for e in obj.get("entries", []):
-        a, b = (int(v) for v in e["row"])
-        cc, d = (int(v) for v in e["col"])
-        mat[composite_index(n, a, b), composite_index(n, cc, d)] = complex(
-            float(e["re"]), float(e["im"])
+    entries = obj.get("entries", [])
+    m = len(entries)
+    malformed = ParameterError(
+        "every entry needs a row and a col of two integer factor indices and numbers re, im")
+    try:
+        # m rows, then m cols: one (2m, 2) array of factor indices
+        idx = np.array([e["row"] for e in entries] + [e["col"] for e in entries],
+                       dtype=float) if m else np.zeros((0, 2))
+        values = np.empty(m, dtype=complex)
+        values.real = [e["re"] for e in entries]
+        values.imag = [e["im"] for e in entries]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise malformed from exc
+    if idx.shape != (2 * m, 2) or not (np.isfinite(idx) & (idx == np.round(idx))).all():
+        raise malformed
+    if ((idx < 1) | (idx > n)).any():
+        e = int(np.flatnonzero(((idx < 1) | (idx > n)).any(axis=1))[0]) % m
+        raise ParameterError(
+            f"entry {e}: row {idx[e].astype(int).tolist()}, col "
+            f"{idx[m + e].astype(int).tolist()} has a factor index outside 1..{n}"
         )
+    comp = composite_index(n, *idx.astype(np.int64).T)
+    pos = comp[:m] * (n * n) + comp[m:]
+    # the last entry of each position, so that a repeated pair keeps its last value
+    _, last = np.unique(pos[::-1], return_index=True)
+    keep = len(pos) - 1 - last
+    mat = np.zeros((n * n, n * n), dtype=complex)
+    mat.flat[pos[keep]] = values[keep]
     return DensePoint(n=n, lam=lam, matrix=mat)
 
 
 def sampled_matrix_from_json(obj: dict) -> list[DensePoint]:
-    n = int(obj["n"])
-    points = [dense_point_from_json(s) for s in obj.get("samples", [])]
+    n = _size(obj)
+    points = []
+    for s, sample in enumerate(obj.get("samples", [])):
+        try:
+            points.append(dense_point_from_json(sample))
+        except ParameterError as exc:
+            raise ParameterError(f"sample {s}: {exc}") from exc
     if not points:
         raise ParameterError("matrix input has no samples")
     for pt in points:
@@ -224,10 +299,16 @@ def sampled_matrix_from_json(obj: dict) -> list[DensePoint]:
     return points
 
 
+def sample_keys(lams) -> list[tuple]:
+    """Lookup keys of a (P, n) stack of sampled dynamical points: components
+    rounded to 12 decimals, so points recomputed by a unit shift find their
+    sample."""
+    return list(map(tuple, np.round(np.asarray(lams, dtype=complex), 12).tolist()))
+
+
 def sample_key(lam) -> tuple:
-    """Lookup key of a sampled dynamical point: components rounded to 12
-    decimals, so points recomputed by a unit shift find their sample."""
-    return tuple(np.round(np.asarray(lam, dtype=complex), 12))
+    """The :func:`sample_keys` key of one point."""
+    return sample_keys(np.asarray(lam)[None])[0]
 
 
 def matrix_from_samples(points: list[DensePoint]) -> DynamicalRMatrix:
@@ -235,21 +316,22 @@ def matrix_from_samples(points: list[DensePoint]) -> DynamicalRMatrix:
 
     Evaluable only at the sampled dynamical points (nearest-key lookup
     with an exact-match tolerance); anywhere else raises
-    :class:`ParameterError`.
+    :class:`ParameterError`.  Of samples with the same key the last counts.
     """
     n = points[0].n
-    tables = {sample_key(pt.lam): tables_from_dense(pt.matrix, n) for pt in points}
+    row = {key: s for s, key in enumerate(sample_keys([pt.lam for pt in points]))}
+    tabs = [tables_from_dense(pt.matrix, n) for pt in points]
+    delta = np.stack([t[0] for t in tabs])
+    d = np.stack([t[1] for t in tabs])
 
     def lookup(lams: np.ndarray):
-        found = []
-        for lam in lams:
-            key = sample_key(lam)
-            if key not in tables:
-                raise ParameterError(
-                    "sampled matrix is only evaluable at its own sample points"
-                )
-            found.append(tables[key])
-        return np.stack([t[0] for t in found]), np.stack([t[1] for t in found])
+        try:
+            rows = [row[key] for key in sample_keys(lams)]
+        except KeyError:
+            raise ParameterError(
+                "sampled matrix is only evaluable at its own sample points"
+            ) from None
+        return delta[rows], d[rows]
 
     return DynamicalRMatrix.from_tables(n, lookup)
 

@@ -52,16 +52,19 @@ DEFAULT_CLOSED_TOL = 1e-10
 
 
 def apply_twist(
-    R: DynamicalRMatrix, beta: Mapping[int, Callable[[np.ndarray], complex]]
+    R: DynamicalRMatrix,
+    beta: ExactTwoForm | Mapping[int, Callable[[np.ndarray], complex]],
 ) -> DynamicalRMatrix:
     """Gauge the diagonal coefficients by per-index potentials.
 
     d'_ij(lam) = (beta_i(lam+e_j)/beta_i(lam)) * (beta_j(lam)/beta_j(lam+e_i)) * d_ij(lam);
-    exchange coefficients are unchanged.
+    exchange coefficients are unchanged.  ``beta`` is the mapping of
+    potentials, or an :class:`ExactTwoForm` whose ``table`` gives the
+    multiplier (a :class:`QuadraticExactTwoForm` in closed form).
     """
-    if set(beta.keys()) != set(range(1, R.n + 1)):
+    multiplier = beta if isinstance(beta, ExactTwoForm) else ExactTwoForm(beta=beta)
+    if set(multiplier.beta.keys()) != set(range(1, R.n + 1)):
         raise ParameterError("twist needs one potential per index 1..n")
-    multiplier = ExactTwoForm(beta=beta)
 
     def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         delta, d = raw_tables(R, lams)

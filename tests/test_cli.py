@@ -266,6 +266,16 @@ def test_verify_matrix_perturbed_fails_naming_equation(golden_R, tmp_path, capsy
     assert "FAIL: worst equation" in err
 
 
+@pytest.mark.parametrize("row, col", [([1, 5], [5, 1]), ([0, 2], [2, 0]), ([1, -1], [-1, 1]),
+                                      ([5, 1], [1, 5])])
+def test_sampled_entry_index_outside_one_to_n_invalid(golden_R, tmp_path, capsys, row, col):
+    obj = _matrix_config(golden_R, sample_lambda(golden_R, np.random.default_rng(0), 1))
+    obj["samples"][1]["entries"].insert(3, {"row": row, "col": col, "re": 1.0, "im": 0.0})
+    assert main(["verify", _write(tmp_path, "m.json", obj)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"sample 1: entry 3: row {row}, col {col} has a factor index outside 1..4" in err
+
+
 def test_verify_missing_file(tmp_path):
     assert main(["verify", str(tmp_path / "nope.json")]) == EXIT_INVALID
 
@@ -488,6 +498,33 @@ def test_transform_twist(golden_config, tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["residual"] < 1e-9
+
+
+@pytest.mark.parametrize("key", ["0", "-1", "5", "x", "1.5"])
+@pytest.mark.parametrize("command", ["build", "twist"])
+def test_exact_potential_bad_key_invalid(golden_config, tmp_path, capsys, key, command):
+    pots = {"1": {"lin": [0.2, 0.0, 0.0, 0.0]}, key: {"lin": [0.1, 0.0, 0.0, 0.0]}}
+    argv = _exact_argv(golden_config, tmp_path, command, pots)
+    assert main(argv) == EXIT_INVALID
+    assert f"potential key '{key}' is not an index 1..4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "twist"])
+def test_exact_potential_nan_coefficient_invalid(golden_config, tmp_path, capsys, command):
+    pots = {"2": {"lin": [0.2, 0.0, float("nan"), 0.0]}}
+    assert main(_exact_argv(golden_config, tmp_path, command, pots)) == EXIT_INVALID
+    assert "potential 2: lin[3] must be finite" in capsys.readouterr().err
+
+
+def _exact_argv(golden_config, tmp_path, command, pots):
+    """argv of ``build`` on the golden datum with these exact potentials,
+    or of a ``transform --twist`` of the golden datum by them."""
+    if command == "twist":
+        return ["transform", golden_config, "--twist",
+                _write(tmp_path, "b.json", {"potentials": pots})]
+    obj = json.loads(open(golden_config).read())
+    obj["two_form"] = {"type": "exact", "potentials": pots}
+    return ["build", _write(tmp_path, "exact.json", obj)]
 
 
 def test_transform_limit(golden_config, capsys):

@@ -1,4 +1,5 @@
 import cmath
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from dynrmat.params import (
     BlockConstants,
     ClassificationParams,
     ExactTwoForm,
+    QuadraticExactTwoForm,
     TrivialTwoForm,
     constant_table_two_form,
     derive,
@@ -234,3 +236,46 @@ def test_exact_two_form_pole():
     g = ExactTwoForm(beta=beta)
     with pytest.raises(PoleError):
         g.value(1, 2, np.zeros(2, dtype=complex))
+
+
+def test_quadratic_two_form_has_no_spurious_overflow_pole():
+    """Both potentials overflow at lam = (3, 3), so their quotient is NaN,
+    a pole that g does not have: g_12 = exp(300 - 300) = 1."""
+    lin = [[0, 300], [300, 0]]
+    g = QuadraticExactTwoForm([0, 0], lin, np.zeros((2, 2)))
+    lam = np.array([3, 3], dtype=complex)
+    assert g.value(1, 2, lam) == 1 and g.value(2, 1, lam) == 1
+    with pytest.raises(PoleError):
+        ExactTwoForm(beta=g.beta).value(1, 2, lam)
+
+
+def test_quadratic_two_form_closed_form():
+    rng = np.random.default_rng(3)
+    n = 3
+    const, lin, quad = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in (n, (n, n), (n, n)))
+    g = QuadraticExactTwoForm(const, lin, quad)
+    lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                log_g = (lin[i, j] + quad[i, j] * (2 * lam[j] + 1)
+                         - lin[j, i] - quad[j, i] * (2 * lam[i] + 1))
+                assert abs(g.value(i + 1, j + 1, lam) - cmath.exp(log_g)) <= 1e-14 * abs(
+                    cmath.exp(log_g))
+    # the table is 1 off the mask, and a non-finite entry is NaN in both orientations
+    tab = g.table(n, lam[None], np.eye(n, dtype=bool))
+    assert np.array_equal(tab[0], np.ones((n, n)))
+    big = QuadraticExactTwoForm(np.zeros(2), [[0, 800], [0, 0]], np.zeros((2, 2)))
+    assert np.isnan(big.table(2, np.zeros((1, 2)), ~np.eye(2, dtype=bool))).sum() == 2
+
+
+@pytest.mark.parametrize("name, slot, where", [("const", 1, ""), ("lin", (1, 1), "[2]"),
+                                               ("quad", (1, 1), "[2]")])
+def test_quadratic_two_form_rejects_non_finite_coefficients(name, slot, where):
+    coeffs = {"const": np.zeros(2, dtype=complex), "lin": np.zeros((2, 2), dtype=complex),
+              "quad": np.zeros((2, 2), dtype=complex)}
+    coeffs[name][slot] = complex("nan")
+    with pytest.raises(ParameterError, match=rf"potential 2: {name}{re.escape(where)} must be finite"):
+        QuadraticExactTwoForm(**coeffs)
+    with pytest.raises(ParameterError, match="coefficients"):
+        QuadraticExactTwoForm(np.zeros(2), np.zeros((2, 3)), np.zeros((2, 2)))

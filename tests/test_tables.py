@@ -9,6 +9,7 @@ at exactly the same points, naming the same first pair.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dynrmat.params import (
     BlockConstants,
     ClassificationParams,
     ExactTwoForm,
+    QuadraticExactTwoForm,
     TableTwoForm,
     TrivialTwoForm,
     constant_table_two_form,
@@ -37,8 +39,14 @@ from dynrmat.rmatrix import (
     stencil_points,
 )
 from dynrmat.sampling import random_datum, random_two_form
-from dynrmat.serialize import matrix_from_samples
-from dynrmat.transforms import apply_2form, apply_twist, contract, decouple_compose
+from dynrmat.serialize import matrix_from_samples, two_form_from_json
+from dynrmat.transforms import (
+    apply_2form,
+    apply_twist,
+    check_closed,
+    contract,
+    decouple_compose,
+)
 from dynrmat.verifier import sample_lambda
 
 from closure_oracle import (
@@ -694,6 +702,60 @@ def test_exact_two_form_calls_each_potential_once_per_distinct_point():
     sample_lambda(A, np.random.default_rng(0), 3)
     assert len(calls) == 4 * n * (1 + n + n * (n + 1) // 2)
     assert pair_calls == []
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_form_exact_two_form_matches_potential_oracle(n):
+    """The coefficient form against its own potentials, read per entry by
+    the oracle: its table on shift stencils, and a twist by it."""
+    mask = ~np.eye(n, dtype=bool)
+    for seed in range(4):
+        rng, p, c = _datum(n, "trivial", 200 + seed)
+        g = random_two_form(p, rng, "exact")
+        assert isinstance(g, QuadraticExactTwoForm)
+        O = oracle_build(p, c)
+        points = sample_lambda(O, rng, 3)
+        for lam in points:
+            pts = stencil_points(lam)
+            tab = g.table(n, pts, mask)
+            for k, pt in enumerate(pts):
+                want = np.ones((n, n), dtype=complex)
+                for i, j in zip(*np.nonzero(mask)):
+                    want[i, j] = oracle_two_form(g, int(i) + 1, int(j) + 1, pt)
+                assert np.abs(tab[k] - want).max() <= ULPS * EPS * np.abs(want).max()
+        assert_same(apply_twist(build(p, c), g), oracle_twist(O, g.beta), points)
+
+
+def test_exact_two_forms_from_configs_call_no_potential():
+    """Configs and random_two_form give the coefficient form, whose tables
+    call no Python potential: not in a build, a twist, a 2-form action or
+    the closedness check.  A callable ExactTwoForm on the same potentials
+    does call them, so the guard can see a call."""
+    n = 5
+    rng, p, c = _datum(n, "trivial", 7)
+    spec = {"type": "exact", "potentials": {
+        str(i): {"const": 0.1 * i, "lin": [0.1 * (i - k) for k in range(n)],
+                 "quad": [{"re": 0.0, "im": 0.02 * k} for k in range(n)]}
+        for i in range(1, n + 1)}}
+    calls = []
+
+    def counted(g):
+        g.beta = {i: (lambda lam, fn=fn: calls.append(i) or fn(lam)) for i, fn in g.beta.items()}
+        return g
+
+    def use(g):
+        lam = sample_lambda(build(p, c), np.random.default_rng(1), 1)[0]
+        shift_stencil(build(p, replace(c, two_form=g)), lam)
+        shift_stencil(apply_twist(build(p, c), g), lam)
+        shift_stencil(apply_2form(build(p, c), g), lam)
+        assert check_closed(g, p)
+
+    for g in (two_form_from_json(spec, n), random_two_form(p, rng, "exact")):
+        assert isinstance(g, QuadraticExactTwoForm)
+        use(counted(g))
+    assert calls == []
+    use(ExactTwoForm(beta=counted(two_form_from_json(spec, n)).beta))
+    assert calls
 
 
 def test_large_draw_keeps_table_calls_bounded():
