@@ -130,9 +130,9 @@ def _positive(value, flag: str, default):
     return value
 
 
-def _load(path: str):
+def _parse(obj):
     """Parsed config; a datum's params are validated."""
-    kind, payload = parse_config(load_config(path))
+    kind, payload = parse_config(obj)
     if kind == "datum":
         res = validate_params(payload[1])
         if not res:
@@ -141,22 +141,24 @@ def _load(path: str):
 
 
 def _load_datum(path: str):
-    kind, payload = _load(path)
-    if kind != "datum":
+    """A datum config's (partition, params); a sampled matrix is rejected
+    by its ``kind``, before its samples are parsed."""
+    obj = load_config(path)
+    if isinstance(obj, dict) and obj.get("kind") == "matrix":
         raise ParameterError(
             "this command needs an evaluable datum config "
             '("kind": "datum"); a sampled matrix cannot be rebuilt'
         )
-    return payload
+    return _parse(obj)[1]
 
 
 def _load_any(path: str):
     """Returns (R, points_or_None): the sample points of a sampled matrix,
     None for a datum."""
-    kind, payload = _load(path)
+    kind, payload = _parse(load_config(path))
     if kind == "datum":
         return build(*payload), None
-    return matrix_from_samples(payload), [np.asarray(pt.lam, dtype=complex) for pt in payload]
+    return matrix_from_samples(payload), list(payload.lams)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -195,7 +197,11 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     num = _positive(args.samples, "--samples", DEFAULT_SAMPLES)
     tol = _positive(args.tol, "--tol", DEFAULT_TOL)
-    R, points = _load_any(args.config)
+    try:
+        R, points = _load_any(args.config)
+    except NotInFamilyError as exc:  # a sample outside the zero-weight patterns
+        sys.stderr.write(f"FAIL: {exc}\n")
+        return EXIT_RESIDUAL
     seed = _seed(args)
     if points is None:
         samples = sample_lambda(R, np.random.default_rng(seed), num)

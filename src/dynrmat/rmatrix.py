@@ -48,6 +48,10 @@ from .partition import IndexPartition
 #: Fixed dynamical shift step (the normalization used throughout).
 SHIFT_STEP = 1.0
 
+#: An entry outside the two sparsity patterns counts as zero when its
+#: modulus is below this.
+ZERO_WEIGHT_TOL = 1e-14
+
 _TABLE_CACHE_MAX = 512
 
 
@@ -325,11 +329,16 @@ def zero_weight_layout(n: int) -> ZeroWeightLayout:
 
 def tables_from_dense(M: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of the layout: the (exchange, diagonal) n x n tables read off
-    a dense n^2 x n^2 matrix; entries outside the two patterns are ignored."""
+    a dense n^2 x n^2 matrix, or (..., n, n) stacks off a (..., n^2, n^2)
+    stack.  Only the two patterns are read, and entries elsewhere are not
+    checked here: :func:`dynrmat.verifier.check_zero_weight` tests them, and
+    :func:`dynrmat.serialize.matrix_from_samples` rejects a dense sample
+    that has one."""
     rows, swap, offdiag = zero_weight_layout(n)
-    d_flat = np.zeros(n * n, dtype=complex)
-    d_flat[offdiag] = M[offdiag, offdiag]
-    return M[rows, swap].reshape(n, n), d_flat.reshape(n, n)
+    lead = M.shape[:-2]
+    d_flat = np.zeros(lead + (n * n,), dtype=complex)
+    d_flat[..., offdiag] = M[..., offdiag, offdiag]
+    return M[..., rows, swap].reshape(lead + (n, n)), d_flat.reshape(lead + (n, n))
 
 
 def shifted(lam: np.ndarray, k: int) -> np.ndarray:

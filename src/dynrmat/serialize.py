@@ -1,4 +1,4 @@
-"""JSON schemas for configs, data, and dense matrix samples.
+"""JSON schemas for configs, data, and sampled matrices.
 
 One config schema covers two kinds of input, discriminated by ``kind``:
 
@@ -8,15 +8,20 @@ One config schema covers two kinds of input, discriminated by ``kind``:
   "two_form": {...}}`` where ``C`` is a complex number and d-class keys are
   comma-joined member indices.
 * ``"matrix"`` -- a raw sampled matrix:
-  ``{"kind": "matrix", "n": n, "samples": [DensePoint, ...]}``.
+  ``{"kind": "matrix", "n": n, "samples": [sample, ...]}``.
 
 Complex numbers are always objects ``{"re": float, "im": float}`` for
-bit-exact round-trips.  A DensePoint is ``{"n": n, "lambda": [C, ...],
+bit-exact round-trips.  A sample is ``{"n": n, "lambda": [C, ...],
 "entries": [{"row": [a, b], "col": [c, d], "re": .., "im": ..}, ...]}``
 listing nonzero entries only, with factor indices in 1..n; of entries that
-repeat a (row, col) pair the last one counts.  A sample's matrix is filled
-by one assignment, and a sampled matrix finds the tables of a stack of
-points by their :func:`sample_keys`.
+repeat a (row, col) pair the last one counts.  All samples of a config are
+parsed in one pass straight to :class:`SampledTables`, the (S, n, n)
+exchange and diagonal table stacks, without a dense matrix.  A position
+outside the two zero-weight patterns whose value is not below
+:data:`~dynrmat.rmatrix.ZERO_WEIGHT_TOL` in modulus raises
+:class:`NotInFamilyError` naming the sample and the entry; an explicit 0
+there is legal.  A sampled matrix finds the tables of a stack of points by
+their :func:`sample_keys`.
 
 2-form schemas: ``{"type": "trivial"}``; ``{"type": "table", "values":
 {"1,2": C}}`` (constant per unordered pair); ``{"type": "exact",
@@ -25,17 +30,21 @@ per-index potentials exp(const + sum_k lin_k lam_k + sum_k quad_k lam_k^2),
 keyed "1".."n" (an index without one has beta_i = 1).  An exact 2-form is
 read into, and written back from, the coefficient form
 :class:`~dynrmat.params.QuadraticExactTwoForm`, whose tables are closed-form.
-Bad keys, indices and coefficients raise :class:`ParameterError` naming them.
+Bad keys, indices and coefficients raise :class:`ParameterError` naming them,
+and so does a field of the wrong JSON type (a list where an object belongs,
+say), or a config that is not an object.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from itertools import chain
+from operator import itemgetter
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ParameterError, PoleError
+from .errors import NotInFamilyError, ParameterError, PoleError
 from .params import (
     BlockConstants,
     ClassificationParams,
@@ -49,7 +58,13 @@ from .params import (
 from .partition import IndexPartition
 from .partition import from_json as partition_from_json
 from .partition import to_json as partition_to_json
-from .rmatrix import DensePoint, DynamicalRMatrix, composite_index, tables_from_dense
+from .rmatrix import (
+    ZERO_WEIGHT_TOL,
+    DensePoint,
+    DynamicalRMatrix,
+    tables_from_dense,
+    zero_weight_layout,
+)
 
 
 def complex_to_json(z: complex) -> dict:
@@ -66,6 +81,26 @@ def json_to_complex(obj: Any) -> complex:
         return complex(float(obj["re"]), float(obj["im"]))
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"expected a complex object {{re, im}}, got {obj!r}") from exc
+
+
+def _json_type(value: Any) -> str:
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    return {dict: "an object", list: "a list", str: "a string"}.get(type(value), "null")
+
+
+def _field(obj: dict, name: str, kind: type, default: Any) -> Any:
+    """``obj[name]``, or ``default`` when it is absent; a value of another
+    JSON type raises :class:`ParameterError` naming the field."""
+    if name not in obj:
+        return default
+    value = obj[name]
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ParameterError(f'"{name}" must be {what}, got {_json_type(value)}')
+    return value
 
 
 def _parse_class_key(key: str) -> tuple[int, ...]:
@@ -123,12 +158,14 @@ def two_form_to_json(g: TwoFormSpec, n: int, probe_lam: Optional[np.ndarray] = N
 def two_form_from_json(obj: Optional[dict], n: int) -> TwoFormSpec:
     if obj is None:
         return TrivialTwoForm()
+    if not isinstance(obj, dict):
+        raise ParameterError(f'a 2-form ("two_form") must be an object, got {_json_type(obj)}')
     kind = obj.get("type")
     if kind == "trivial":
         return TrivialTwoForm()
     if kind == "table":
         values = {}
-        for key, cval in obj.get("values", {}).items():
+        for key, cval in _field(obj, "values", dict, {}).items():
             pair = _parse_class_key(key)
             if len(pair) != 2 or not (1 <= pair[0] < pair[1] <= n):
                 raise ParameterError(f"bad 2-form table key {key!r}")
@@ -200,30 +237,35 @@ def params_to_json(
 def params_from_json(obj: dict) -> tuple[IndexPartition, ClassificationParams]:
     try:
         partition = partition_from_json(obj["partition"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParameterError(f"bad or missing partition: {exc}") from exc
-    per_block = tuple(
-        BlockConstants(
-            sum_const=json_to_complex(b.get("S", 0)),
-            det_const=json_to_complex(b.get("Sigma", 0)),
-        )
-        for b in obj.get("per_block", [])
-    )
+    per_block = []
+    for b in _field(obj, "per_block", list, []):
+        if not isinstance(b, dict):
+            raise ParameterError(f'"per_block" items must be objects, got {_json_type(b)}')
+        per_block.append(BlockConstants(sum_const=json_to_complex(b.get("S", 0)),
+                                        det_const=json_to_complex(b.get("Sigma", 0))))
     cross = {}
-    for item in obj.get("cross_sigma", []):
-        if len(item) != 3:
-            raise ParameterError(f"bad cross_sigma entry {item!r}")
-        cross[(int(item[0]), int(item[1]))] = json_to_complex(item[2])
+    for item in _field(obj, "cross_sigma", list, []):
+        try:
+            q, qq, value = item
+            cross[(int(q), int(qq))] = json_to_complex(value)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"bad cross_sigma entry {item!r}") from exc
     signs = {}
-    for key, v in obj.get("signs", {}).items():
-        signs[_parse_class_key(key)] = int(v)
+    for key, v in _field(obj, "signs", dict, {}).items():
+        try:
+            signs[_parse_class_key(key)] = int(v)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"sign of d-class {key!r} must be an integer, "
+                                 f"got {_json_type(v)}") from exc
     f_consts = {}
-    for key, v in obj.get("f", {}).items():
+    for key, v in _field(obj, "f", dict, {}).items():
         f_consts[_parse_class_key(key)] = json_to_complex(v)
     two_form = two_form_from_json(obj.get("two_form"), partition.n)
     c = ClassificationParams(
         partition=partition,
-        per_block=per_block,
+        per_block=tuple(per_block),
         cross_det=cross,
         signs=signs,
         f_consts=f_consts,
@@ -232,71 +274,153 @@ def params_from_json(obj: dict) -> tuple[IndexPartition, ClassificationParams]:
     return partition, c
 
 
-# -- dense matrix samples ---------------------------------------------------
+# -- sampled matrices -------------------------------------------------------
 
 
-def _size(obj: dict) -> int:
+_MALFORMED = ("every entry needs a row and a col of two integer factor indices "
+              "and numbers re, im")
+_ENTRY_FIELDS = tuple(map(itemgetter, ("row", "col", "re", "im")))
+
+
+class SampledTables(NamedTuple):
+    """The samples of a sampled matrix as stacks: the (S, n) points and the
+    (S, n, n) exchange and diagonal tables at them."""
+
+    lams: np.ndarray
+    delta: np.ndarray
+    d: np.ndarray
+
+
+def _size(obj) -> int:
     try:
         return int(obj["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError('a sampled matrix and each sample need an integer "n"') from exc
 
 
-def dense_point_from_json(obj: dict) -> DensePoint:
-    """A sampled point; every factor index of ``row`` and ``col`` must lie
-    in 1..n (:class:`ParameterError` naming the entry otherwise), and of
-    entries repeating a (row, col) pair the last one counts."""
-    n = _size(obj)
-    if not isinstance(obj.get("lambda"), list):
+def _sample_head(sample) -> tuple[int, list, list]:
+    """A sample's n, its point and its entries, checked in that order."""
+    n = _size(sample)
+    lam = sample.get("lambda")
+    if not isinstance(lam, list):
         raise ParameterError('a sample needs a "lambda" list')
-    lam = np.array([json_to_complex(v) for v in obj["lambda"]], dtype=complex)
+    lam = [json_to_complex(v) for v in lam]
     if len(lam) != n:
         raise ParameterError("lambda length does not match n")
-    entries = obj.get("entries", [])
-    m = len(entries)
-    malformed = ParameterError(
-        "every entry needs a row and a col of two integer factor indices and numbers re, im")
+    return n, lam, _field(sample, "entries", list, [])
+
+
+def _entries(rows: list, cols: list, res: list, ims: list,
+             sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 4) factor indices (row, then col) and the m values of the
+    ``row``, ``col``, ``re`` and ``im`` fields of m entries, the indices of
+    entry k checked against 1..``sizes[k]``; an error names the entry by
+    its place in the lists."""
+    m = len(rows)
+    pairs = rows + cols
+    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+        raise ParameterError(_MALFORMED)
     try:
-        # m rows, then m cols: one (2m, 2) array of factor indices
-        idx = np.array([e["row"] for e in entries] + [e["col"] for e in entries],
-                       dtype=float) if m else np.zeros((0, 2))
+        idx = np.array(list(chain.from_iterable(pairs)), dtype=float)
         values = np.empty(m, dtype=complex)
-        values.real = [e["re"] for e in entries]
-        values.imag = [e["im"] for e in entries]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise malformed from exc
-    if idx.shape != (2 * m, 2) or not (np.isfinite(idx) & (idx == np.round(idx))).all():
-        raise malformed
-    if ((idx < 1) | (idx > n)).any():
-        e = int(np.flatnonzero(((idx < 1) | (idx > n)).any(axis=1))[0]) % m
+        values.real = res
+        values.imag = ims
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(_MALFORMED) from exc
+    if idx.shape != (4 * m,) or not (np.isfinite(idx) & (idx == np.round(idx))).all():
+        raise ParameterError(_MALFORMED)
+    idx = idx.reshape(2, m, 2).transpose(1, 0, 2).reshape(m, 4)
+    outside = (idx < 1) | (idx > sizes[:, None])
+    if outside.any():
+        # the first entry with a bad row, else the first with a bad col
+        bad_row = outside[:, :2].any(axis=1)
+        e = int(np.flatnonzero(bad_row if bad_row.any() else outside[:, 2:].any(axis=1))[0])
         raise ParameterError(
-            f"entry {e}: row {idx[e].astype(int).tolist()}, col "
-            f"{idx[m + e].astype(int).tolist()} has a factor index outside 1..{n}"
+            f"entry {e}: row {idx[e, :2].astype(int).tolist()}, col "
+            f"{idx[e, 2:].astype(int).tolist()} has a factor index outside 1..{sizes[e]}"
         )
-    comp = composite_index(n, *idx.astype(np.int64).T)
-    pos = comp[:m] * (n * n) + comp[m:]
-    # the last entry of each position, so that a repeated pair keeps its last value
-    _, last = np.unique(pos[::-1], return_index=True)
-    keep = len(pos) - 1 - last
-    mat = np.zeros((n * n, n * n), dtype=complex)
-    mat.flat[pos[keep]] = values[keep]
-    return DensePoint(n=n, lam=lam, matrix=mat)
+    return idx.astype(np.int64), values
 
 
-def sampled_matrix_from_json(obj: dict) -> list[DensePoint]:
+def _outside_pattern(row: list, col: list, value: complex) -> str:
+    return (f"row {row}, col {col} is outside the zero-weight pattern "
+            f"(|value| {abs(value):g})")
+
+
+def sampled_tables_from_json(obj: dict) -> SampledTables:
+    """The :class:`SampledTables` of a sampled-matrix config, parsed in one
+    pass over all samples.
+
+    Structural errors raise :class:`ParameterError` naming the first
+    sample, in order, that has one.  A (row, col) position outside the two
+    zero-weight patterns whose value (the last entry's, when the pair
+    repeats) is not below :data:`ZERO_WEIGHT_TOL` in modulus raises
+    :class:`NotInFamilyError` naming the sample and that entry.
+    """
     n = _size(obj)
-    points = []
-    for s, sample in enumerate(obj.get("samples", [])):
+    heads, late = [], None
+    columns = [], [], [], []  # the row, col, re and im fields of all entries
+    for s, sample in enumerate(_field(obj, "samples", list, [])):
         try:
-            points.append(dense_point_from_json(sample))
+            head = _sample_head(sample)
+            try:
+                for column, get in zip(columns, _ENTRY_FIELDS):
+                    column += map(get, head[2])
+            except (KeyError, TypeError) as exc:
+                raise ParameterError(_MALFORMED) from exc
         except ParameterError as exc:
-            raise ParameterError(f"sample {s}: {exc}") from exc
-    if not points:
+            late = s, exc  # the entries of an earlier sample may hold the first error
+            break
+        heads.append(head)
+    sizes = [head[0] for head in heads]
+    counts = [len(head[2]) for head in heads]
+    for column in columns:  # the fields of a sample that failed part way
+        del column[sum(counts):]
+    try:
+        idx, values = _entries(*columns, np.repeat(sizes, counts))
+    except ParameterError:
+        # name the first sample with a bad entry, and the entry in it
+        start = 0
+        for s, (size, count) in enumerate(zip(sizes, counts)):
+            try:
+                _entries(*(column[start:start + count] for column in columns),
+                         np.full(count, size))
+            except ParameterError as exc:
+                raise ParameterError(f"sample {s}: {exc}") from exc
+            start += count
+        raise
+    if late is not None:
+        s, exc = late
+        raise ParameterError(f"sample {s}: {exc}") from exc
+    if not heads:
         raise ParameterError("matrix input has no samples")
-    for pt in points:
-        if pt.n != n:
-            raise ParameterError("sample size does not match n")
-    return points
+    if any(size != n for size in sizes):
+        raise ParameterError("sample size does not match n")
+    S, nn = len(heads), n * n
+    sample_of = np.repeat(np.arange(S), counts)
+    a, b, c, e = (idx - 1).T
+    row, col = a * n + b, c * n + e
+    # the entry that sets each (sample, row, col) is the last of its run
+    key = (sample_of * nn + row) * nn + col
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    last = order[np.append(key[1:] != key[:-1], True)]
+    exchange = col[last] == (b * n + a)[last]
+    diagonal = ~exchange & (col[last] == row[last])
+    outside = ~(exchange | diagonal) & ~(np.abs(values[last]) < ZERO_WEIGHT_TOL)
+    if outside.any():
+        k = int(last[outside].min())
+        s = int(sample_of[k])
+        raise NotInFamilyError(
+            f"sample {s}: entry {k - sum(counts[:s])}: "
+            + _outside_pattern(idx[k, :2].tolist(), idx[k, 2:].tolist(), values[k]))
+    delta = np.zeros((S, nn), dtype=complex)
+    d = np.zeros((S, nn), dtype=complex)
+    for table, part in ((delta, exchange), (d, diagonal)):
+        won = last[part]
+        table[sample_of[won], row[won]] = values[won]
+    lams = np.array([head[1] for head in heads], dtype=complex)
+    return SampledTables(lams, delta.reshape(S, n, n), d.reshape(S, n, n))
 
 
 def sample_keys(lams) -> list[tuple]:
@@ -311,18 +435,37 @@ def sample_key(lam) -> tuple:
     return sample_keys(np.asarray(lam)[None])[0]
 
 
-def matrix_from_samples(points: list[DensePoint]) -> DynamicalRMatrix:
-    """Zero-weight matrix backed by a finite list of dense samples.
+def _tables_of_points(points: list[DensePoint]) -> SampledTables:
+    """The :class:`SampledTables` of dense samples; an entry outside the two
+    zero-weight patterns that is not below :data:`ZERO_WEIGHT_TOL` in
+    modulus raises :class:`NotInFamilyError` naming the sample."""
+    n = points[0].n
+    mats = np.stack([pt.matrix for pt in points])
+    rows, swap, offdiag = zero_weight_layout(n)
+    off = np.abs(mats)
+    off[:, rows, swap] = 0
+    off[:, offdiag, offdiag] = 0
+    bad = np.argwhere(~(off < ZERO_WEIGHT_TOL))
+    if len(bad):
+        s, r, c = (int(v) for v in bad[0])
+        raise NotInFamilyError(f"sample {s}: " + _outside_pattern(
+            [r // n + 1, r % n + 1], [c // n + 1, c % n + 1], mats[s, r, c]))
+    delta, d = tables_from_dense(mats, n)
+    return SampledTables(np.array([pt.lam for pt in points], dtype=complex), delta, d)
+
+
+def matrix_from_samples(samples: SampledTables | list[DensePoint]) -> DynamicalRMatrix:
+    """Zero-weight matrix backed by the stacks of a finite set of samples,
+    or by a list of dense samples (read through :func:`_tables_of_points`).
 
     Evaluable only at the sampled dynamical points (nearest-key lookup
     with an exact-match tolerance); anywhere else raises
     :class:`ParameterError`.  Of samples with the same key the last counts.
     """
-    n = points[0].n
-    row = {key: s for s, key in enumerate(sample_keys([pt.lam for pt in points]))}
-    tabs = [tables_from_dense(pt.matrix, n) for pt in points]
-    delta = np.stack([t[0] for t in tabs])
-    d = np.stack([t[1] for t in tabs])
+    if not isinstance(samples, SampledTables):
+        samples = _tables_of_points(samples)
+    lams, delta, d = samples
+    row = {key: s for s, key in enumerate(sample_keys(lams))}
 
     def lookup(lams: np.ndarray):
         try:
@@ -333,7 +476,7 @@ def matrix_from_samples(points: list[DensePoint]) -> DynamicalRMatrix:
             ) from None
         return delta[rows], d[rows]
 
-    return DynamicalRMatrix.from_tables(n, lookup)
+    return DynamicalRMatrix.from_tables(lams.shape[1], lookup)
 
 
 # -- config loading ---------------------------------------------------------
@@ -345,15 +488,17 @@ def load_config(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ParameterError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParameterError(f"config file is not valid JSON: {exc}") from exc
 
 
 def parse_config(obj: dict):
-    """Returns ("datum", (partition, params)) or ("matrix", [DensePoint])."""
+    """Returns ("datum", (partition, params)) or ("matrix", SampledTables)."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"a config must be a JSON object, got {_json_type(obj)}")
     kind = obj.get("kind")
     if kind == "datum":
         return "datum", params_from_json(obj)
     if kind == "matrix":
-        return "matrix", sampled_matrix_from_json(obj)
+        return "matrix", sampled_tables_from_json(obj)
     raise ParameterError(f'config "kind" must be "datum" or "matrix", got {kind!r}')

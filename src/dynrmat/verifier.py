@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import PoleError
 from .rmatrix import (
+    ZERO_WEIGHT_TOL,
     DensePoint,
     DynamicalRMatrix,
     evaluate,
@@ -433,7 +434,7 @@ def check_system(
     )
 
 
-def check_zero_weight(P: DensePoint, tol: float = 1e-14) -> bool:
+def check_zero_weight(P: DensePoint, tol: float = ZERO_WEIGHT_TOL) -> bool:
     """True iff all entries outside the two allowed patterns vanish."""
     rows, swap, offdiag = zero_weight_layout(P.n)
     mask = np.ones((P.n * P.n, P.n * P.n), dtype=bool)

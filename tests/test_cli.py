@@ -1,9 +1,11 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynrmat.serialize
 from dynrmat.builder import build
 from dynrmat.cli import (
     EXIT_INVALID,
@@ -274,6 +276,67 @@ def test_sampled_entry_index_outside_one_to_n_invalid(golden_R, tmp_path, capsys
     assert main(["verify", _write(tmp_path, "m.json", obj)]) == EXIT_INVALID
     err = capsys.readouterr().err
     assert f"sample 1: entry 3: row {row}, col {col} has a factor index outside 1..4" in err
+
+
+def _off_pattern_config(golden_R, value):
+    """A sampled golden config with ``value`` at (row (1,2), col (1,3)),
+    outside both zero-weight patterns, in every sample."""
+    obj = _matrix_config(golden_R, sample_lambda(golden_R, np.random.default_rng(0), 1))
+    for sample in obj["samples"]:
+        sample["entries"].append({"row": [1, 2], "col": [1, 3], "re": value, "im": 0.0})
+    return obj, len(obj["samples"][0]["entries"]) - 1
+
+
+@pytest.mark.parametrize("command,code", [("verify", EXIT_RESIDUAL),
+                                          ("classify", EXIT_NOT_IN_FAMILY),
+                                          ("hecke", EXIT_NOT_IN_FAMILY)])
+def test_sampled_entry_outside_zero_weight_patterns(golden_R, tmp_path, capsys, command, code):
+    obj, entry = _off_pattern_config(golden_R, 5.0)
+    assert main([command, _write(tmp_path, "m.json", obj)]) == code
+    out, err = capsys.readouterr()
+    msg = (f"sample 0: entry {entry}: row [1, 2], col [1, 3] is outside the "
+           "zero-weight pattern (|value| 5)")
+    prefix = "FAIL: " if command == "verify" else "not in family: "
+    assert err == prefix + msg + "\n" and out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "hecke"])
+def test_sampled_explicit_zero_outside_patterns_is_legal(golden_R, tmp_path, capsys, command):
+    obj, _ = _off_pattern_config(golden_R, 0.0)
+    assert main([command, _write(tmp_path, "m.json", obj)]) == EXIT_OK
+    plain = _matrix_config(golden_R, sample_lambda(golden_R, np.random.default_rng(0), 1))
+    out = capsys.readouterr().out
+    assert main([command, _write(tmp_path, "p.json", plain)]) == EXIT_OK
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "hecke"])
+def test_sampled_configs_build_no_dense_samples(golden_R, tmp_path, monkeypatch, capsys, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled config was read through a dense matrix")
+
+    base = sample_lambda(golden_R, np.random.default_rng(0), 1 if command == "verify" else 5)
+    cfg = _write(tmp_path, "m.json", _matrix_config(golden_R, base))
+    for name, module in list(sys.modules.items()):
+        if name == "dynrmat" or name.startswith("dynrmat."):
+            for attr in ("tables_from_dense", "dense_point_from_json"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert dynrmat.serialize.tables_from_dense is refuse
+    assert main([command, cfg]) == EXIT_OK, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["build"], ["transform", "--contract", "1,2"]])
+def test_datum_commands_reject_sampled_matrix_by_kind(golden_R, tmp_path, monkeypatch,
+                                                      capsys, argv):
+    def refuse(obj):
+        raise AssertionError("the samples of a config a command cannot use were parsed")
+
+    monkeypatch.setattr(dynrmat.serialize, "sampled_tables_from_json", refuse)
+    obj, _ = _off_pattern_config(golden_R, 5.0)
+    assert main([argv[0], _write(tmp_path, "m.json", obj), *argv[1:]]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(
+        "invalid input: this command needs an evaluable datum config")
 
 
 def test_verify_missing_file(tmp_path):

@@ -234,7 +234,7 @@ def test_pole_detection():
 
 
 def test_dense_point_json_round_trip():
-    from dynrmat.serialize import dense_point_from_json
+    from sampled_oracle import dense_point_from_json
 
     p, c = golden_datum()
     R = build(p, c)

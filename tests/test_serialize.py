@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from dynrmat.builder import build
-from dynrmat.errors import ParameterError
+from dynrmat.errors import NotInFamilyError, ParameterError
 from dynrmat.params import ExactTwoForm, QuadraticExactTwoForm
-from dynrmat.rmatrix import composite_index, dense_point_to_json, evaluate, stencil_points
-from dynrmat.sampling import random_two_form
+from dynrmat.rmatrix import (
+    ZERO_WEIGHT_TOL,
+    DensePoint,
+    composite_index,
+    dense_point_to_json,
+    evaluate,
+    stencil_points,
+)
+from dynrmat.sampling import random_datum, random_two_form
 from dynrmat.serialize import (
-    dense_point_from_json,
     matrix_from_samples,
     parse_config,
     sample_key,
@@ -22,6 +28,7 @@ from dynrmat.serialize import (
 )
 
 from conftest import golden_datum, random_points
+from sampled_oracle import dense_point_from_json, oracle_sampled_tables
 
 
 def test_sample_keys_equal_per_point_keys():
@@ -115,6 +122,8 @@ def test_dense_point_index_outside_one_to_n_invalid(row, col):
     msg = f"entry 2: row {row}, col {col} has a factor index outside 1..4"
     with pytest.raises(ParameterError, match=re.escape(msg)):
         dense_point_from_json(obj)
+    with pytest.raises(ParameterError, match=re.escape("sample 0: " + msg)):
+        parse_config({"kind": "matrix", "n": 4, "samples": [obj]})
 
 
 @pytest.mark.parametrize("entry", [{"row": [1, 2], "col": [2]}, {"row": [1.5, 2], "col": [2, 1]},
@@ -122,8 +131,123 @@ def test_dense_point_index_outside_one_to_n_invalid(row, col):
                                    {"col": [2, 1], "re": 1, "im": 0}])
 def test_dense_point_malformed_entry_invalid(entry):
     entry = {"re": 1.0, "im": 0.0, **entry}
+    sample = {"n": 2, "lambda": [0, 0], "entries": [entry]}
     with pytest.raises(ParameterError, match="every entry needs a row and a col"):
-        dense_point_from_json({"n": 2, "lambda": [0, 0], "entries": [entry]})
+        dense_point_from_json(sample)
+    with pytest.raises(ParameterError, match="sample 0: every entry needs a row and a col"):
+        parse_config({"kind": "matrix", "n": 2, "samples": [sample]})
+
+
+# -- the one-pass stack parse against the per-sample dense oracle -----------
+
+
+def _golden_samples():
+    """Sample JSON of the golden datum at the five points of a stencil."""
+    R = build(*golden_datum())
+    pts = stencil_points(np.array([0.3 + 0.1j, -0.7, 0.2j, 1.1]))
+    return [dense_point_to_json(evaluate(R, lam)) for lam in pts]
+
+
+def _assert_same_stacks(obj):
+    got = parse_config(obj)[1]
+    want = oracle_sampled_tables(obj)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return got
+
+
+def test_stack_parse_equals_dense_oracle_bit_for_bit():
+    samples = _golden_samples()
+    got = _assert_same_stacks({"kind": "matrix", "n": 4, "samples": samples})
+    assert got.lams.shape == (5, 4) and got.delta.shape == got.d.shape == (5, 4, 4)
+    for n, kind in [(3, "trivial"), (5, "table"), (6, "exact")]:
+        rng = np.random.default_rng(n)
+        R = build(*random_datum(n, rng, kind))
+        pts = stencil_points(random_points(rng, n, 2)).reshape(-1, n)
+        _assert_same_stacks({"kind": "matrix", "n": n,
+                             "samples": [dense_point_to_json(evaluate(R, mu)) for mu in pts]})
+
+
+def test_stack_parse_keeps_last_repeat_and_signed_zeros():
+    samples = _golden_samples()
+    for s, sample in enumerate(samples):
+        entries = sample["entries"]
+        first, last = dict(entries[0]), dict(entries[-1])
+        # a pair written three times keeps the last value, at either end of the list
+        sample["entries"] = ([dict(last, re=9.0, im=s)] + entries
+                             + [dict(first, re=-0.0, im=-0.0)])
+    # an exchange and a diagonal entry set to -0.0, and an explicit zero
+    # outside the patterns, which stays legal
+    samples[2]["entries"] += [{"row": [1, 3], "col": [3, 1], "re": -0.0, "im": 0.0},
+                              {"row": [2, 4], "col": [2, 4], "re": 0.0, "im": -0.0},
+                              {"row": [1, 2], "col": [1, 3], "re": 0.0, "im": 0.0}]
+    got = _assert_same_stacks({"kind": "matrix", "n": 4, "samples": samples})
+    i, j = (v - 1 for v in samples[0]["entries"][-1]["row"])
+    assert np.signbit(got.delta[:, i, j].real).all() and np.signbit(got.delta[:, i, j].imag).all()
+    assert np.signbit(got.delta[2, 0, 2].real) and np.signbit(got.d[2, 1, 3].imag)
+
+
+@pytest.mark.parametrize("where", ["range", "malformed", "lambda", "size", "n", "range+lambda",
+                                   "malformed+range", "missing", "missing+range", "none"])
+def test_stack_parse_errors_equal_oracle(where):
+    samples = _golden_samples()
+    bad_range = {"row": [1, 5], "col": [5, 1], "re": 1.0, "im": 0.0}
+    malformed = {"row": [1, 2], "col": [2], "re": 1.0, "im": 0.0}
+    if "range" in where:
+        samples[3]["entries"].insert(4, bad_range)
+    if "malformed" in where:
+        samples[1]["entries"].append(malformed)
+    if "lambda" in where:
+        samples[4 if "+" in where else 2]["lambda"].pop()
+    if "missing" in where:  # an entry without "re" in the middle of sample 2
+        del samples[2]["entries"][5]["re"]
+    if where == "size":
+        samples[1] = {**samples[1], "n": 3, "lambda": samples[1]["lambda"][:3]}
+    if where == "n":
+        del samples[0]["n"]
+    obj = {"kind": "matrix", "n": 4, "samples": samples if where != "none" else []}
+    with pytest.raises(ParameterError) as want:
+        oracle_sampled_tables(obj)
+    with pytest.raises(ParameterError) as got:
+        parse_config(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_entry_outside_zero_weight_patterns_not_in_family():
+    samples = _golden_samples()
+    samples[3]["entries"].insert(7, {"row": [1, 2], "col": [1, 3], "re": 5.0, "im": 0.0})
+    samples[4]["entries"].insert(2, {"row": [2, 1], "col": [3, 4], "re": 0, "im": 1.0})
+    obj = {"kind": "matrix", "n": 4, "samples": samples}
+    msg = "sample 3: entry 7: row [1, 2], col [1, 3] is outside the zero-weight pattern (|value| 5)"
+    with pytest.raises(NotInFamilyError, match=re.escape(msg)):
+        parse_config(obj)
+    # the last value of a repeated position decides, and below the threshold counts as zero
+    samples[3]["entries"].append({"row": [1, 2], "col": [1, 3], "re": 0.5 * ZERO_WEIGHT_TOL})
+    samples[3]["entries"][-1]["im"] = 0.0
+    with pytest.raises(NotInFamilyError, match=re.escape("sample 4: entry 2: row [2, 1], col [3, 4]")):
+        parse_config(obj)
+    samples[4]["entries"].append({"row": [2, 1], "col": [3, 4], "re": 0.0, "im": -0.0})
+    parse_config(obj)
+    for value in (ZERO_WEIGHT_TOL, float("nan")):
+        samples[0]["entries"].insert(1, {"row": [3, 3], "col": [4, 4], "re": value, "im": 0.0})
+        with pytest.raises(NotInFamilyError, match=re.escape("sample 0: entry 1: row [3, 3]")):
+            parse_config(obj)
+        samples[0]["entries"].pop(1)
+
+
+def test_matrix_from_dense_points_rejects_entry_outside_patterns():
+    R = build(*golden_datum())
+    points = [evaluate(R, lam) for lam in stencil_points(np.array([0.3 + 0.1j, -0.7, 0.2j, 1.1]))]
+    S = matrix_from_samples(points)
+    M = points[2].matrix.copy()
+    M[composite_index(4, 1, 2), composite_index(4, 1, 3)] = 5
+    points[2] = DensePoint(n=4, lam=points[2].lam, matrix=M)
+    msg = "sample 2: row [1, 2], col [1, 3] is outside the zero-weight pattern (|value| 5)"
+    with pytest.raises(NotInFamilyError, match=re.escape(msg)):
+        matrix_from_samples(points)
+    M[composite_index(4, 1, 2), composite_index(4, 1, 3)] = 0.5 * ZERO_WEIGHT_TOL
+    lam = points[2].lam
+    assert np.array_equal(matrix_from_samples(points).tables(lam)[0], S.tables(lam)[0])
 
 
 @pytest.mark.parametrize("obj, msg", [
