@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import cmath
-
 import numpy as np
 
 from .errors import AmbiguityError, NotInFamilyError, PoleError
@@ -33,6 +31,8 @@ from .verifier import sample_lambda
 
 DEFAULT_ZERO_TOL = 1e-8
 DEFAULT_SAMPLES = 5
+#: fewest samples :func:`detect_relations` reads zero patterns from
+MIN_SAMPLES = 3
 
 
 @dataclass
@@ -72,8 +72,8 @@ def detect_relations(
     is large at some samples but below the threshold at others, which
     indicates an accidental zero at a special point.
     """
-    if len(samples) < 3:
-        raise ValueError("at least 3 samples are required")
+    if len(samples) < MIN_SAMPLES:
+        raise ValueError(f"at least {MIN_SAMPLES} samples are required")
     n = R.n
     delta_mag, d_mag = map(np.abs, R.stacked_tables(np.asarray(samples, dtype=complex)))
     scale = max(float(delta_mag.max()), float(d_mag.max()))
@@ -409,7 +409,8 @@ def check_propagation(M: np.ndarray) -> None:
 
 
 def _reference_point(R: DynamicalRMatrix) -> np.ndarray:
-    """Deterministic well-conditioned evaluation point for constant recovery."""
+    """Deterministic evaluation point, pole-free and below the entry cap on
+    its whole shift stencil, for output that needs one fixed point."""
     n = R.n
     direction = np.array(
         [0.3 * (k + 1) + 0.17j * (k + 2) for k in range(n)], dtype=complex
@@ -441,10 +442,16 @@ def recover_params(
     when principal_sqrt(det) is at least as near to Delta as its negative,
     else -1.
 
-    Without ``samples``, the pair invariants are read at points drawn from
-    ``seed``, each checked for poles and the entry cap at that point
-    alone.  The reference point of the class constants and positions is
-    still checked on its whole shift stencil.
+    Every constant is read off the tables at the samples: the pair
+    invariants from all of them, the class constants (constant in lambda)
+    from the first, and each position constant f at the sample where its
+    inversion is best conditioned, the first such sample on a tie.
+    Without ``samples``, they are drawn from ``seed``, each checked for
+    poles and the entry cap at that point alone.  The fixed
+    :func:`_reference_point` is not read here; the CLI's ``build``,
+    ``classify`` (the recovered 2-form's ``sampled_at`` point) and
+    ``transform`` commands and :func:`dynrmat.transforms.trig_to_rational_limit`
+    still use it.
     """
     perm = report.index_permutation
     inv = {v: k for k, v in perm.items()}
@@ -452,12 +459,9 @@ def recover_params(
     if samples is None:
         rng = np.random.default_rng(seed)
         samples = sample_lambda(R, rng, DEFAULT_SAMPLES, stencil=False)
-    lam_ref = _reference_point(R)
-    dt_ref, _ = R.tables(lam_ref)
-
-    sum_st, det_st = pair_invariants(
-        *R.stacked_tables(np.asarray(samples, dtype=complex))
-    )
+    lams = np.asarray(samples, dtype=complex)
+    delta_st, d_st = R.stacked_tables(lams)
+    sum_st, det_st = pair_invariants(delta_st, d_st)
 
     def pair_constants(i0: int, j0: int) -> tuple[complex, complex]:
         i, j = min(i0, j0) - 1, max(i0, j0) - 1
@@ -475,13 +479,17 @@ def recover_params(
     def orig(i: int) -> int:
         return inv[i]
 
+    def class_const(cls: tuple[int, ...]) -> complex:
+        k = orig(cls[0]) - 1
+        return complex(delta_st[0, k, k])
+
+    def class_sums(cls: tuple[int, ...]) -> np.ndarray:
+        """The class's sum of lambda components at every sample."""
+        return lams[:, [orig(k) - 1 for k in cls]].sum(axis=1)
+
     per_block: list[BlockConstants] = []
     signs: dict[tuple[int, ...], int] = {}
     f_consts: dict[tuple[int, ...], complex] = {}
-
-    # class sums at the reference point, per canonical d-class
-    def class_sum(cls: tuple[int, ...], lam: np.ndarray) -> complex:
-        return complex(sum(lam[orig(k) - 1] for k in cls))
 
     for q, block in enumerate(partition.blocks):
         all_classes = [cls for dc in block for cls in dc.all_d_classes()]
@@ -494,7 +502,7 @@ def recover_params(
             # single d-class block: only the class constant is observable;
             # report the rational datum reproducing it (det = Delta^2)
             cls = all_classes[0]
-            const = complex(dt_ref[orig(cls[0]) - 1, orig(cls[0]) - 1])
+            const = class_const(cls)
             det_c = const * const
             per_block.append(BlockConstants(0j, det_c))
             signs[cls] = (
@@ -529,13 +537,14 @@ def recover_params(
         root_plus = (sum_c + derived.discriminant) / 2
         root_minus = (sum_c - derived.discriminant) / 2
         for cls in all_classes:
-            const = complex(dt_ref[orig(cls[0]) - 1, orig(cls[0]) - 1])
+            const = class_const(cls)
             signs[cls] = (
                 +1
                 if abs(const - root_plus) <= abs(const - root_minus)
                 else -1
             )
-        # f recovery inside each exchange class, anchored on its first class
+        # f recovery inside each exchange class, anchored on its first class:
+        # one value per sample, kept where the inversion is best conditioned
         for dc in block:
             classes = dc.all_d_classes()
             anchor = classes[0]
@@ -543,20 +552,23 @@ def recover_params(
             i = anchor[0]
             for cls in classes[1:]:
                 j = cls[0]
-                dval = complex(dt_ref[orig(i) - 1, orig(j) - 1])
+                dval = delta_st[:, orig(i) - 1, orig(j) - 1]
                 x = (
-                    signs[anchor] * class_sum(anchor, lam_ref)
-                    - signs[cls] * class_sum(cls, lam_ref)
+                    signs[anchor] * class_sums(anchor)
+                    - signs[cls] * class_sums(cls)
                 )
                 if rational:
                     # sqrt(det)/Delta = x + f_anchor - f_cls with f_anchor = 0
-                    f_consts[cls] = -(principal_sqrt(det_c) / dval - x)
+                    root = principal_sqrt(det_c) / dval
+                    f_st = -(root - x)
+                    cond = np.abs(x) + np.abs(root)
                 else:
                     # 1 - S/Delta = e^{A x} f_anchor/f_cls with f_anchor = 1
-                    ratio = (1 - sum_c / dval) * cmath.exp(
-                        -derived.log_ratio * x
-                    )
-                    f_consts[cls] = 1.0 / ratio
+                    r = sum_c / dval
+                    ax = derived.log_ratio * x
+                    f_st = 1.0 / ((1 - r) * np.exp(-ax))
+                    cond = np.abs(r) / np.abs(1 - r) + np.abs(ax)
+                f_consts[cls] = complex(f_st[np.argmin(cond)])
 
     cross_det: dict[tuple[int, int], complex] = {}
     first_index_of_block = [

@@ -21,7 +21,13 @@ from typing import Optional
 import numpy as np
 
 from .builder import build
-from .classifier import DEFAULT_ZERO_TOL, classify, recover_params, _reference_point
+from .classifier import (
+    DEFAULT_ZERO_TOL,
+    MIN_SAMPLES,
+    classify,
+    recover_params,
+    _reference_point,
+)
 from .errors import (
     AmbiguityError,
     NotInFamilyError,
@@ -261,6 +267,11 @@ def cmd_classify(args) -> int:
     tol = _positive(args.tol, "--tol", DEFAULT_ZERO_TOL)
     R, samples = _load_any(args.config)
     seed = _seed(args)
+    if samples is not None and len(samples) < MIN_SAMPLES:
+        raise ParameterError(
+            f"classify needs at least {MIN_SAMPLES} sample points; "
+            f"the sampled matrix has {len(samples)}"
+        )
     report = classify(R, samples=samples, tol=tol, seed=seed)
     obj = {
         "partition": partition_to_json(report.recovered_partition),

@@ -15,7 +15,14 @@ from dynrmat.classifier import (
     triangularize,
 )
 from dynrmat.errors import NotInFamilyError, ParameterError
-from dynrmat.params import BlockConstants, ClassificationParams, principal_sqrt
+from dynrmat.params import (
+    BlockConstants,
+    ClassificationParams,
+    ExactTwoForm,
+    TrivialTwoForm,
+    normalize_f,
+    principal_sqrt,
+)
 from dynrmat.partition import DeltaClass, IndexPartition, to_json
 from dynrmat.sampling import random_datum, random_partition
 from dynrmat.serialize import params_to_json
@@ -101,6 +108,98 @@ def test_round_trip_random_data():
         assert _signs_match_up_to_block_flip(
             p, rec.signs, rec.f_consts, c.signs, c.f_consts, rational, skip
         )
+
+
+def _alternating_sign_datum(blocks, two_form, rng):
+    """A datum whose d-class signs alternate by ordinal across the whole
+    partition, trigonometric blocks included.  ``blocks`` lists per block
+    its (sum, det) constants and its exchange classes as (free count,
+    d-class sizes); the other constants and the 2-form's potentials are
+    drawn from ``rng``."""
+    def draw(lo, hi):
+        return complex(rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.uniform()))
+
+    out, signs, f = [], {}, {}
+    nxt = 1
+    for (sum_c, _), classes in blocks:
+        block = []
+        for free, sizes in classes:
+            frees = tuple(range(nxt, nxt + free))
+            nxt += free
+            dcs = []
+            for size in sizes:
+                dcs.append(tuple(range(nxt, nxt + size)))
+                nxt += size
+            block.append(DeltaClass(free=frees, d_classes=tuple(dcs)))
+            for cls in block[-1].all_d_classes():
+                signs[cls] = 1 if len(signs) % 2 == 0 else -1
+                f[cls] = draw(0.3, 3.0) if sum_c else draw(0.0, 2.0)
+        out.append(tuple(block))
+    n = nxt - 1
+    p = IndexPartition(n=n, blocks=tuple(out))
+    if two_form == "exact":
+        lin = rng.uniform(-0.3, 0.3, (n, n)) + 1j * rng.uniform(-0.3, 0.3, (n, n))
+        quad = rng.uniform(-0.1, 0.1, (n, n)) + 1j * rng.uniform(-0.1, 0.1, (n, n))
+        g = ExactTwoForm(beta={
+            i: lambda lam, a=lin[i - 1], b=quad[i - 1]: np.exp(a @ lam + b @ (lam * lam))
+            for i in range(1, n + 1)
+        })
+    else:
+        g = TrivialTwoForm()
+    c = ClassificationParams(
+        partition=p,
+        per_block=tuple(BlockConstants(*consts) for consts, _ in blocks),
+        cross_det={(q, qq): draw(0.3, 3.0)
+                   for q in range(len(blocks)) for qq in range(q + 1, len(blocks))},
+        signs=signs,
+        f_consts=f,
+        two_form=g,
+    )
+    c, _ = normalize_f(c)
+    return p, c
+
+
+# Trigonometric blocks with several d-classes per exchange class and a log
+# ratio |A| > 3: with alternating signs, the class-sum difference x of a
+# pair adds lambda components, and an f read where |e^{A x}| is far from 1
+# loses digits.
+ALTERNATING_SHAPES = {
+    "T f2d2,f1d2,f2 | R f2": [
+        ((-2 + 1j, 0.4j), [(2, (2,)), (1, (2,)), (2, ())]),
+        ((0j, 0.8 - 0.3j), [(2, ())]),
+    ],
+    "T f2,d2d2 | T f2 | R f2": [
+        ((2.5 + 0.5j, 0.3 - 0.1j), [(2, ()), (0, (2, 2))]),
+        ((-2 + 1j, 0.4j), [(2, ())]),
+        ((0j, 0.8 - 0.3j), [(2, ())]),
+    ],
+    "T f2d2,f1d2 | R f1d2": [
+        ((-2 + 1j, 0.4j), [(2, (2,)), (1, (2,))]),
+        ((0j, 0.8 - 0.3j), [(1, (2,))]),
+    ],
+}
+
+
+@pytest.mark.parametrize("two_form", ["trivial", "exact"])
+@pytest.mark.parametrize("shape", sorted(ALTERNATING_SHAPES))
+def test_recovery_with_alternating_signs_in_trigonometric_blocks(shape, two_form):
+    """The matrix rebuilt from the recovered params matches the input to
+    1e-11 of its scale at fresh points."""
+    worst = 0.0
+    for seed in range(8):
+        rng = np.random.default_rng([seed, 17])
+        p, c = _alternating_sign_datum(ALTERNATING_SHAPES[shape], two_form, rng)
+        R = build(p, c)
+        report = classify(R, seed=seed)
+        assert report.recovered_partition == p
+        rec = recover_params(R, report, seed=seed + 1)
+        Rrec = build(rec.partition, rec)
+        for lam in sample_lambda(R, rng, 3, stencil=False):
+            a, b = R.tables(lam), Rrec.tables(lam)
+            scale = max(1.0, float(np.abs(a[0]).max()), float(np.abs(a[1]).max()))
+            err = max(float(np.abs(a[0] - b[0]).max()), float(np.abs(a[1] - b[1]).max()))
+            worst = max(worst, err / scale)
+    assert worst <= 1e-11
 
 
 def test_recovered_two_form_reproduces_diagonal_coefficients():
@@ -257,6 +356,13 @@ def test_non_family_matrix_rejected():
     ]
     with pytest.raises(NotInFamilyError):
         classify(R, samples=lam_samples)
+
+
+def test_detect_relations_needs_three_samples():
+    R = build(*golden_datum())
+    samples = sample_lambda(R, np.random.default_rng(0), 2)
+    with pytest.raises(ValueError, match="at least 3 samples are required"):
+        detect_relations(R, samples)
 
 
 def test_varying_pair_invariants_named():

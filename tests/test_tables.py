@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dynrmat.builder import build
-from dynrmat.classifier import _reference_point, classify, recover_params
+from dynrmat.classifier import classify, recover_params
 from dynrmat.errors import PoleError
 from dynrmat.hecke import hecke_classify
 from dynrmat.params import (
@@ -481,11 +481,10 @@ def test_classifier_and_hecke_evaluate_only_their_samples(seed):
     assert len(calls) == 1 and np.array_equal(calls[0], _first_draws(seed, 5, 4))
     assert np.array_equal(calls[0], hecke.lambda_samples)
 
-    # recover_params adds the stencil of its reference point, no more
+    # recover_params reads every constant off the tables at its samples
     R, calls = _counting(build(p, c))
     recover_params(R, report, seed=seed)
-    assert len(calls) == 2 and np.array_equal(calls[0], _first_draws(seed, 5, 4))
-    assert np.array_equal(calls[1], stencil_points(_reference_point(R)))
+    assert len(calls) == 1 and np.array_equal(calls[0], _first_draws(seed, 5, 4))
 
 
 def test_plain_callable_wrapper_evaluates_once_per_point():
