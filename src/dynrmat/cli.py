@@ -167,6 +167,16 @@ def _load_any(path: str):
     return matrix_from_samples(payload), list(payload.lams)
 
 
+def _enough_samples(samples, command: str) -> None:
+    """Rejects a sampled matrix with fewer points than the classifier's
+    zero-pattern detection needs; ``samples`` is None for a datum."""
+    if samples is not None and len(samples) < MIN_SAMPLES:
+        raise ParameterError(
+            f"{command} needs at least {MIN_SAMPLES} sample points; "
+            f"the sampled matrix has {len(samples)}"
+        )
+
+
 # -- subcommands ------------------------------------------------------------
 
 
@@ -267,11 +277,7 @@ def cmd_classify(args) -> int:
     tol = _positive(args.tol, "--tol", DEFAULT_ZERO_TOL)
     R, samples = _load_any(args.config)
     seed = _seed(args)
-    if samples is not None and len(samples) < MIN_SAMPLES:
-        raise ParameterError(
-            f"classify needs at least {MIN_SAMPLES} sample points; "
-            f"the sampled matrix has {len(samples)}"
-        )
+    _enough_samples(samples, "classify")
     report = classify(R, samples=samples, tol=tol, seed=seed)
     obj = {
         "partition": partition_to_json(report.recovered_partition),
@@ -292,6 +298,7 @@ def cmd_hecke(args) -> int:
     tol = _positive(args.tol, "--tol", HECKE_TOL)
     R, samples = _load_any(args.config)
     seed = _seed(args)
+    _enough_samples(samples, "hecke")
     report = hecke_classify(R, samples=samples, tol=tol, seed=seed)
 
     def fmt(z: complex) -> str:

@@ -8,25 +8,27 @@ fields are functions of the dynamical vector lam in C^n; dynamical shifts
 move one component of lam by exactly 1 (the shift step is a fixed
 normalization, not a parameter).
 
-Each field is called per entry, ``field(i, j, lam)``.  Matrices made by the
-builder, the transforms and sampled configs evaluate both fields at once:
-their ``delta`` and ``d`` are two :class:`TableField` views of one
-:class:`TableSource`.  Its table function maps a (P, n) stack of points to
-the (P, n, n) exchange and diagonal table stacks, filled with numpy, and
-marks a pole with NaN instead of raising; ``R.tables(lam)`` is a stack of
-one point.  A per-entry call reads the shared table and raises
-:class:`PoleError` on a non-finite entry.  Plain callables remain valid
-fields: :meth:`DynamicalRMatrix.tables` then falls back to one call per
-entry, point by point.  A wrapper such as
-``DynamicalRMatrix(n, delta=my_delta, d=R.d)`` still has one visible
-source, R's: :func:`raw_tables` evaluates it on the whole stack first and
-hands it each point's tables before that point's entries are read, so
-``my_delta``'s reads of ``R.delta`` find them.  A source remembers one
-point only, as a copy, so no stack outlives the call.
+A :class:`DynamicalRMatrix` holds one table function and one memo.  The
+table function maps a (P, n) stack of points to the (P, n, n) exchange and
+diagonal table stacks, filled with numpy, and marks a pole with NaN instead
+of raising.  The memo is the matrix's table cache, keyed per point:
+:meth:`DynamicalRMatrix.stacked_tables` evaluates the points of a stack
+that it misses in one call, and :func:`shift_stencil` uses it for the n+1
+points lam, lam + e_1, ..., lam + e_n.  ``R.delta(i, j, lam)`` and
+``R.d(i, j, lam)`` read one entry of those cached tables and raise
+:class:`PoleError` on a non-finite entry.
 
-:meth:`DynamicalRMatrix.stacked_tables` evaluates a whole stack of points
-in one call (the uncached ones), and :func:`shift_stencil` uses it for the
-n+1 points lam, lam + e_1, ..., lam + e_n.
+The builder, the transforms and sampled configs make their matrices with
+:meth:`DynamicalRMatrix.from_tables`.  The keyword constructor
+``DynamicalRMatrix(n, delta=..., d=...)`` adapts per-entry fields, callables
+``(i, j, lam) -> complex``.  Given the two readers of one matrix, it shares
+that matrix's table function behind an empty cache of its own.  Otherwise
+its table function calls each plain callable once per entry and point, and
+copies a field that is another matrix's reader, as ``R.d`` in
+``DynamicalRMatrix(n, delta=my_delta, d=R.d)``, from R's tables, evaluated
+once on the whole stack.  While the per-entry loop runs, R's cache holds
+those points, so ``my_delta``'s reads of ``R.delta`` find them; the held
+entries are removed afterwards, so no stack outlives the call.
 
 Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
 1-based on both levels.
@@ -35,7 +37,7 @@ Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
@@ -78,125 +80,58 @@ def _as_stack(lams: np.ndarray, n: int) -> np.ndarray:
     return lams
 
 
-class TableSource:
-    """Whole-table evaluator ``lams -> (delta_tabs, d_tabs)`` behind the two
-    fields of one matrix.
-
-    ``fn`` takes a (P, n) stack of points and fills both (P, n, n) table
-    stacks at once, with 0 on the diagonal of each diagonal table and NaN
-    (never an exception) at a pole.  The source remembers one point: the
-    last one read, or the one :func:`raw_tables` handed it with
-    :meth:`remember`.  A run of per-entry calls at that point evaluates
-    nothing; :meth:`entries` converts its tables to nested lists once.
-    The returned tables are read-only.
-    """
-
-    def __init__(self, fn: TableFunction):
-        self._fn = fn
-        # (point key, its two tables, the tables as nested lists or None)
-        self._memo: Optional[tuple[bytes, tuple[np.ndarray, np.ndarray],
-                                   Optional[tuple[list, list]]]] = None
-
-    def __call__(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lams = np.asarray(lams, dtype=complex)
-        if len(lams) == 1:
-            value = self.point(lams[0])
-            return value[0][None], value[1][None]
-        return self.evaluate(lams)
-
-    def evaluate(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only (P, n, n) table stacks at a (P, n) stack, in one
-        call of ``fn``, bypassing the remembered point."""
-        with np.errstate(all="ignore"):
-            value = self._fn(lams)
-        for tab in value:
-            tab.setflags(write=False)
-        return value
-
-    def remember(self, lam: np.ndarray, delta: np.ndarray, d: np.ndarray) -> None:
-        """Serve the point ``lam`` from read-only copies of its tables
-        ``delta`` and ``d``; copies, so that no larger stack stays alive."""
-        tables = delta.copy(), d.copy()
-        for tab in tables:
-            tab.setflags(write=False)
-        self._memo = np.asarray(lam, dtype=complex).tobytes(), tables, None
-
-    def point(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The two n x n tables at one point, remembered until the next."""
-        lam = np.asarray(lam, dtype=complex)
-        key = lam.tobytes()
-        if self._memo is None or self._memo[0] != key:
-            delta, d = self.evaluate(lam[None])
-            self._memo = key, (delta[0], d[0]), None
-        return self._memo[1]
-
-    def entries(self, lam: np.ndarray) -> tuple[list, list]:
-        """:meth:`point` as two nested lists of Python complex, one row per
-        list, converted once per remembered point."""
-        tables = self.point(lam)
-        key, _, lists = self._memo
-        if lists is None:
-            lists = tables[0].tolist(), tables[1].tolist()
-            self._memo = key, tables, lists
-        return lists
-
-
-@dataclass(frozen=True, eq=False)
-class TableField:
-    """One coefficient field read from a :class:`TableSource`: ``part`` 0
-    is the exchange table, 1 the diagonal table."""
-
-    source: TableSource
-    part: int
-
-    def table(self, lam: np.ndarray) -> np.ndarray:
-        """The whole n x n table at one point, NaN at poles."""
-        return self.source.point(lam)[self.part]
-
-    def __call__(self, i: int, j: int, lam: np.ndarray) -> complex:
-        v = self.source.entries(lam)[self.part][i - 1][j - 1]
-        if not cmath.isfinite(v):
-            raise PoleError(_pole_message(i, j, lam))
-        return v
-
-
-def _field_table(coeff: CoefficientField, n: int, lam: np.ndarray,
-                 diagonal: bool) -> np.ndarray:
-    """n x n table of one field at one point, NaN where it raises
-    PoleError; a plain callable is called once per entry (the diagonal is
-    left 0 unless ``diagonal``)."""
-    if isinstance(coeff, TableField):
-        return coeff.table(lam)
-    tab = np.zeros((n, n), dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j or diagonal:
-                try:
-                    tab[i - 1, j - 1] = coeff(i, j, lam)
-                except PoleError:
-                    tab[i - 1, j - 1] = np.nan
-    return tab
-
-
-@dataclass(frozen=True)
 class DynamicalRMatrix:
-    """Zero-weight dynamical R-matrix given by its two coefficient fields."""
+    """Zero-weight dynamical R-matrix given by one table function."""
 
-    n: int
-    delta: CoefficientField
-    d: CoefficientField
-    provenance: Optional[Provenance] = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, n: int, delta: CoefficientField, d: CoefficientField,
+                 provenance: Optional[Provenance] = None):
+        """The matrix of two per-entry coefficient fields (see the module
+        docstring); :meth:`from_tables` makes a matrix from its table
+        function."""
+        readers = _reader(delta), _reader(d)
+        owner = readers[0] and readers[0][0]
+        if readers == ((owner, 0), (owner, 1)):
+            fn = owner._fn
+        else:
+            fn = _per_entry_tables(n, (delta, d), readers)
+        self._init(n, fn, provenance)
+
+    def _init(self, n: int, fn: TableFunction, provenance: Optional[Provenance]) -> None:
+        self.n = n
+        self.provenance = provenance
+        self._fn = fn
+        self._cache: dict = {}
 
     @classmethod
     def from_tables(cls, n: int, fn: TableFunction,
                     provenance: Optional[Provenance] = None) -> "DynamicalRMatrix":
-        """Matrix whose two fields share the whole-table evaluator ``fn``,
-        a function from a (P, n) stack of points to the (P, n, n) exchange
-        and diagonal table stacks (see :class:`TableSource`)."""
-        source = TableSource(fn)
-        return cls(n=n, delta=TableField(source, 0), d=TableField(source, 1),
-                   provenance=provenance)
+        """Matrix of the table function ``fn``, from a (P, n) stack of points
+        to the (P, n, n) exchange and diagonal table stacks, with 0 on the
+        diagonal of each diagonal table and NaN (never an exception) at a
+        pole."""
+        R = cls.__new__(cls)
+        R._init(n, fn, provenance)
+        return R
+
+    def delta(self, i: int, j: int, lam) -> complex:
+        """Exchange coefficient Delta_ij at ``lam``, read from the tables."""
+        return self._entry(0, i, j, lam)
+
+    def d(self, i: int, j: int, lam) -> complex:
+        """Diagonal coefficient d_ij at ``lam`` (0 for i = j), read from the
+        tables."""
+        return self._entry(1, i, j, lam)
+
+    def _entry(self, part: int, i: int, j: int, lam) -> complex:
+        mu = np.asarray(lam, dtype=complex)
+        hit = self._cache.get(mu.tobytes())
+        if hit is None:
+            delta, d = self.lookup(mu[None])
+            hit = delta[0], d[0]
+        v = hit[part].item(i - 1, j - 1)
+        if not cmath.isfinite(v):
+            raise PoleError(_pole_message(i, j, lam))
+        return v
 
     def tables(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Dense n x n coefficient tables (exchange, diagonal) at ``lam``.
@@ -208,7 +143,8 @@ class DynamicalRMatrix:
         if lam.shape != (self.n,):
             raise ValueError(f"lambda must have length {self.n}, got {lam.shape}")
         hit = self._cache.get(lam.tobytes())
-        if hit is None:
+        # a cached point may be a pole
+        if hit is None or not (np.isfinite(hit[0]).all() and np.isfinite(hit[1]).all()):
             delta, d = self.stacked_tables(lam[None])
             hit = delta[0], d[0]
         return hit
@@ -230,8 +166,8 @@ class DynamicalRMatrix:
     def lookup(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(P, n, n) tables at a (P, n) stack of points, NaN at poles.
 
-        The points missing from the cache are evaluated in one call; the
-        finite ones are then cached per point, read-only.
+        The points missing from the cache are evaluated in one call and then
+        cached per point, read-only, poles included.
         """
         lams = _as_stack(lams, self.n)
         keys = [lam.tobytes() for lam in lams]
@@ -239,49 +175,80 @@ class DynamicalRMatrix:
         cold = [p for p, hit in enumerate(tabs) if hit is None]
         if cold:
             delta, d = raw_tables(self, lams[cold])
-            delta.setflags(write=False)
-            d.setflags(write=False)
-            finite = np.isfinite(delta).all(axis=(1, 2)) & np.isfinite(d).all(axis=(1, 2))
             for k, p in enumerate(cold):
                 tabs[p] = delta[k], d[k]
-                if finite[k]:
-                    if len(self._cache) >= _TABLE_CACHE_MAX:
-                        self._cache.clear()
-                    self._cache[keys[p]] = tabs[p]
+                if len(self._cache) >= _TABLE_CACHE_MAX:
+                    self._cache.clear()
+                self._cache[keys[p]] = tabs[p]
             if len(cold) == len(keys):
                 return delta, d
         return np.stack([t[0] for t in tabs]), np.stack([t[1] for t in tabs])
 
 
+def _reader(field: CoefficientField) -> Optional[tuple[DynamicalRMatrix, int]]:
+    """(M, 0) for ``M.delta``, (M, 1) for ``M.d``, None for any other field."""
+    owner = getattr(field, "__self__", None)
+    if isinstance(owner, DynamicalRMatrix):
+        for part, name in enumerate(("delta", "d")):
+            if field == getattr(owner, name):
+                return owner, part
+    return None
+
+
+def _per_entry_tables(n: int, fields: tuple[CoefficientField, CoefficientField],
+                      readers: tuple) -> TableFunction:
+    """The table function of the per-entry fields ``(delta, d)``, whose
+    :func:`_reader` results are ``readers``: a reader's table is copied from
+    its matrix's stack, and each plain callable is called once per entry and
+    point, point by point (the diagonal of d is left 0), NaN where it raises
+    :class:`PoleError`.  The matrices behind the readers hold the points of
+    the stack in their caches while the callables run."""
+    owners = list(dict.fromkeys(r[0] for r in readers if r is not None))
+    plain = [(part, f) for part, (f, r) in enumerate(zip(fields, readers)) if r is None]
+
+    def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        stacks = {M: raw_tables(M, lams) for M in owners}
+        out = np.zeros((2, len(lams), n, n), dtype=complex)
+        for part, r in enumerate(readers):
+            if r is not None:
+                out[part] = stacks[r[0]][r[1]]
+        held = []
+        try:
+            for M, stack in stacks.items():
+                for p, lam in enumerate(lams):
+                    key = lam.tobytes()
+                    if key not in M._cache:
+                        M._cache[key] = value = stack[0][p], stack[1][p]
+                        held.append((M, key, value))
+            for p, lam in enumerate(lams):
+                for part, field in plain:
+                    tab = out[part, p]
+                    for i in range(1, n + 1):
+                        for j in range(1, n + 1):
+                            if i != j or part == 0:
+                                try:
+                                    tab[i - 1, j - 1] = field(i, j, lam)
+                                except PoleError:
+                                    tab[i - 1, j - 1] = np.nan
+        finally:
+            for M, key, value in held:
+                if M._cache.get(key) is value:
+                    del M._cache[key]
+        return out[0], out[1]
+
+    return tables
+
+
 def raw_tables(R: DynamicalRMatrix, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R's (P, n, n) exchange and diagonal tables at a (P, n) stack of
-    points, with NaN at poles: the input of a transform's table function.
-    Bypasses R's table cache and never raises :class:`PoleError`.
-
-    Two fields of one :class:`TableSource` are evaluated in one call.  Any
-    other pair of fields is evaluated point by point, both fields at each
-    point.  Before that loop, the source of each of R's fields that is a
-    :class:`TableField` (say the untouched field of a wrapper around a
-    built matrix) is evaluated once on the whole stack, and each point's
-    tables are handed to it (:meth:`TableSource.remember`) before that
-    point's fields are read, so per-entry reads of that source, direct or
-    through the other field, find them without evaluating it again.
-    """
-    lams = np.asarray(lams, dtype=complex)
-    if (isinstance(R.delta, TableField) and isinstance(R.d, TableField)
-            and R.delta.source is R.d.source):
-        value = R.delta.source(lams)
-        return value[R.delta.part], value[R.d.part]
-    delta = np.empty((len(lams), R.n, R.n), dtype=complex)
-    d = np.empty_like(delta)
-    sources = dict.fromkeys(f.source for f in (R.delta, R.d) if isinstance(f, TableField))
-    stacks = [(source, source.evaluate(lams)) for source in sources]
-    for p, lam in enumerate(lams):
-        for source, (delta_st, d_st) in stacks:
-            source.remember(lam, delta_st[p], d_st[p])
-        delta[p] = _field_table(R.delta, R.n, lam, diagonal=True)
-        d[p] = _field_table(R.d, R.n, lam, diagonal=False)
-    return delta, d
+    points, with NaN at poles, from one call of R's table function: the
+    input of a transform's table function.  Bypasses R's table cache, never
+    raises :class:`PoleError`, and returns read-only tables."""
+    with np.errstate(all="ignore"):
+        value = R._fn(np.asarray(lams, dtype=complex))
+    for tab in value:
+        tab.setflags(write=False)
+    return value
 
 
 @dataclass(frozen=True)

@@ -430,11 +430,6 @@ def sample_keys(lams) -> list[tuple]:
     return list(map(tuple, np.round(np.asarray(lams, dtype=complex), 12).tolist()))
 
 
-def sample_key(lam) -> tuple:
-    """The :func:`sample_keys` key of one point."""
-    return sample_keys(np.asarray(lam)[None])[0]
-
-
 def _tables_of_points(points: list[DensePoint]) -> SampledTables:
     """The :class:`SampledTables` of dense samples; an entry outside the two
     zero-weight patterns that is not below :data:`ZERO_WEIGHT_TOL` in

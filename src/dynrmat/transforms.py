@@ -296,7 +296,7 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
     order: list[int] = []
     new_f: dict = {}
     new_signs: dict = {}
-    # remember, per (old_label), the exchange-class position for the compensator
+    # per (old_label), the exchange-class position for the compensator
     class_position: dict[int, int] = {}
     old_class_of: dict[int, tuple[int, ...]] = {}
     for q, block in enumerate(p.blocks):

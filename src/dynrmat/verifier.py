@@ -220,26 +220,6 @@ def _path_weights(delta_st: np.ndarray, d_st: np.ndarray) -> np.ndarray:
     return w
 
 
-def _path_products(
-    delta_st: np.ndarray, d_st: np.ndarray, factors
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row and weight of every path product of one side of the relation
-    (``_LEFT`` or ``_RIGHT``), read from :func:`_defect_layout`.  Path k of
-    column c sits at position k n^3 + c of the 8 n^3 outputs.
-
-    Both branches of a factor on slots (p, q) leave slot p and slot q
-    holding the row and column of the table entry it gathered."""
-    n = delta_st.shape[1]
-    half = 8 * n ** 3
-    start = (_LEFT, _RIGHT).index(factors) * half
-    state = np.tile(np.indices((n, n, n)).reshape(3, -1), 8)
-    for ((p, q), _), g in zip(factors, _defect_layout(n).gather):
-        entry = g[start:start + half] % (n * n)
-        state[p], state[q] = entry // n, entry % n
-    rows = (state[0] * n + state[1]) * n + state[2]
-    return rows, _path_weights(delta_st, d_st)[start:start + half]
-
-
 def _stencil_defect(delta_st: np.ndarray, d_st: np.ndarray) -> tuple[float, float]:
     """Raw max-abs defect and scale of the relation at one shift stencil's
     (n+1, n, n) tables."""

@@ -25,7 +25,7 @@ from dynrmat.params import (
 )
 from dynrmat.partition import nd_pairs
 from dynrmat.rmatrix import DynamicalRMatrix, tables_from_dense
-from dynrmat.serialize import sample_key
+from dynrmat.serialize import sample_keys
 
 
 class OraclePole(Exception):
@@ -204,10 +204,10 @@ def oracle_compose(Ra: DynamicalRMatrix, Rb: DynamicalRMatrix, g_ab, g_ba) -> Dy
 
 def oracle_samples(points) -> DynamicalRMatrix:
     n = points[0].n
-    tables = {sample_key(pt.lam): tables_from_dense(pt.matrix, n) for pt in points}
+    tables = {sample_keys([pt.lam])[0]: tables_from_dense(pt.matrix, n) for pt in points}
 
     def lookup(lam):
-        key = sample_key(lam)
+        key = sample_keys(np.asarray(lam)[None])[0]
         if key not in tables:
             raise ParameterError("sampled matrix is only evaluable at its own sample points")
         return tables[key]

@@ -1,22 +1,37 @@
-"""The benchmark's traced run wraps library functions by name; every name it
-lists must exist, or ``bench/run.py --trace 1`` fails before measuring."""
+"""What the benchmark uses of the library must keep working.
+
+Its traced run wraps library functions by name; every name it lists must
+exist, or ``bench/run.py --trace 1`` fails before measuring.  Its inputs
+wrap built matrices with per-entry fields; those wrappers must keep their
+values and ``fresh`` its single stacked evaluation.
+"""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dynrmat
+from dynrmat.rmatrix import DynamicalRMatrix, raw_tables, stencil_points
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from conftest import random_points
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}_contract", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _targets() -> dict:
-    spec = importlib.util.spec_from_file_location("bench_spans_contract", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+    return _bench_module("spans").TARGETS
 
 
 @pytest.mark.parametrize("span,target", sorted(_targets().items()))
@@ -26,3 +41,63 @@ def test_traced_name_resolves_in_library(span, target):
     package_dir = Path(dynrmat.__file__).resolve().parent
     assert Path(module.__file__).resolve().parent == package_dir, span
     assert callable(getattr(module, attr, None)), f"{span}: {modname}.{attr} is missing"
+
+
+def _rule_tables(R, lam, rule):
+    """Per-entry reference: R's entries read one at a time, each passed
+    through ``rule(part, i, j, value)`` (part 0 is the exchange table)."""
+    tabs = np.zeros((2, R.n, R.n), dtype=complex)
+    for part, field in enumerate((R.delta, R.d)):
+        for i in range(1, R.n + 1):
+            for j in range(1, R.n + 1):
+                if i != j or part == 0:
+                    tabs[part, i - 1, j - 1] = rule(part, i, j, field(i, j, lam))
+    return tabs
+
+
+@pytest.mark.parametrize("two_form", ["trivial", "exact"])
+def test_input_wrappers_equal_a_per_entry_reference(two_form):
+    inputs = _bench_module("inputs")
+    datum = inputs.draw_datum(inputs.Template("T f2d2,f1 | R f1", two_form),
+                              np.random.default_rng(5))
+    R = datum.build()
+    pair = inputs.coupled_pair(datum.partition)
+    lams = stencil_points(np.array(random_points(np.random.default_rng(6), R.n, 3)))
+    lams = lams.reshape(-1, R.n)
+    factors = (lambda lam: 1.4, lambda lam: 1 + 0.3 * lam[0])
+    cases = [(inputs.fresh(R), lambda part, i, j, v, lam: v),
+             (inputs.one_sided_diagonal(R, pair),
+              lambda part, i, j, v, lam: 0j if (part, i, j) == (1, *pair) else v)]
+    for f in factors:
+        cases.append((inputs.scaled_exchange(R, pair, f),
+                      lambda part, i, j, v, lam, f=f: v * f(lam) if (part, i, j) == (0, *pair) else v))
+    for W, rule in cases:
+        got = W.stacked_tables(lams)
+        for k, lam in enumerate(lams):
+            want = _rule_tables(R, lam, lambda part, i, j, v: rule(part, i, j, v, lam))
+            assert got[0][k].tobytes() == want[0].tobytes()
+            assert got[1][k].tobytes() == want[1].tobytes()
+
+
+def test_fresh_evaluates_a_stack_in_one_call_behind_its_own_cache():
+    inputs = _bench_module("inputs")
+    datum = inputs.draw_datum(inputs.Template("T f2d2,f1 | R f1", "exact"),
+                              np.random.default_rng(5))
+    inner = datum.build()
+    calls = []
+
+    def tables(lams):
+        calls.append(len(lams))
+        return raw_tables(inner, lams)
+
+    R = DynamicalRMatrix.from_tables(inner.n, tables)
+    lams = stencil_points(np.array(random_points(np.random.default_rng(6), R.n, 2)))
+    lams = lams.reshape(-1, R.n)
+    F = inputs.fresh(R)
+    got = F.stacked_tables(lams)
+    assert calls == [len(lams)]
+    F.stacked_tables(lams)
+    assert calls == [len(lams)]  # F caches what it evaluated ...
+    want = R.stacked_tables(lams)
+    assert calls == [len(lams)] * 2  # ... in its own cache, not in R's
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -280,21 +280,33 @@ def test_sampled_entry_index_outside_one_to_n_invalid(golden_R, tmp_path, capsys
     assert f"sample 1: entry 3: row {row}, col {col} has a factor index outside 1..4" in err
 
 
-def test_classify_with_too_few_samples_invalid(golden_R, tmp_path, capsys):
-    # two sample points and no shifts: too few for the zero-pattern detection
-    base = sample_lambda(golden_R, np.random.default_rng(4), 2)
+def _assert_too_few_samples(golden_R, tmp_path, capsys, command, count):
+    """``command`` on a sampled config of ``count`` points and no shifts
+    exits 2 with one message, in-process and through ``python -m``."""
+    base = sample_lambda(golden_R, np.random.default_rng(4), count)
     cfg = _write(tmp_path, "m.json", _matrix_config(golden_R, base, include_shifts=False))
-    msg = "invalid input: classify needs at least 3 sample points; the sampled matrix has 2\n"
-    assert main(["classify", cfg]) == EXIT_INVALID
+    msg = (f"invalid input: {command} needs at least 3 sample points; "
+           f"the sampled matrix has {count}\n")
+    assert main([command, cfg]) == EXIT_INVALID
     assert capsys.readouterr() == ("", msg)
-
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                       os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "dynrmat.cli", "classify", cfg],
+    proc = subprocess.run([sys.executable, "-m", "dynrmat.cli", command, cfg],
                           capture_output=True, text=True, env=env, timeout=120)
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INVALID, "", msg)
+
+
+def test_classify_with_too_few_samples_invalid(golden_R, tmp_path, capsys):
+    # two sample points and no shifts: too few for the zero-pattern detection
+    _assert_too_few_samples(golden_R, tmp_path, capsys, "classify", 2)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_hecke_with_too_few_samples_invalid(golden_R, tmp_path, capsys, count):
+    # the same check as classify: a verdict from one or two points is not given
+    _assert_too_few_samples(golden_R, tmp_path, capsys, "hecke", count)
 
 
 def _off_pattern_config(golden_R, value):

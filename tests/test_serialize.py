@@ -21,7 +21,6 @@ from dynrmat.sampling import random_datum, random_two_form
 from dynrmat.serialize import (
     matrix_from_samples,
     parse_config,
-    sample_key,
     sample_keys,
     two_form_from_json,
     two_form_to_json,
@@ -39,7 +38,7 @@ def test_sample_keys_equal_per_point_keys():
     lams[1] = [-1e-13, 1e-13, 0.0, 0.5e-12, complex(2.0000000000005, 1e-13)]
     stack = np.concatenate([lams, stencil_points(lams).reshape(-1, 5)])
     keys = sample_keys(stack)
-    assert keys == [sample_key(lam) for lam in stack]
+    assert keys == [sample_keys(lam[None])[0] for lam in stack]
     assert keys == [tuple(np.round(lam, 12)) for lam in stack]
     assert keys[0] == keys[1]
 

@@ -487,6 +487,21 @@ def test_classifier_and_hecke_evaluate_only_their_samples(seed):
     assert len(calls) == 1 and np.array_equal(calls[0], _first_draws(seed, 5, 4))
 
 
+def test_recovered_two_form_evaluates_the_matrix_once_per_point():
+    p, c = random_datum(8, np.random.default_rng(1), "trivial")
+    R, calls = _counting(build(p, c))
+    g = recover_params(R, classify(R)).two_form
+    mask = np.zeros((8, 8), dtype=bool)
+    for i, j in g.g:
+        mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
+    lams = np.array(random_points(np.random.default_rng(2), 8, 6))
+    calls.clear()
+    g.table(8, lams, mask)
+    # one pair function per pair reads R at each point: the cache serves
+    # every pair after the first
+    assert len(g.g) == 28 and [len(pts) for pts in calls] == [1] * 6
+
+
 def test_plain_callable_wrapper_evaluates_once_per_point():
     p, c = golden_datum()
     R, calls = _counting(build(p, c))
@@ -520,33 +535,75 @@ def _per_entry_tables(R, lam):
     return tabs
 
 
-def _owns_its_tables(source):
-    """The tables a source remembers own their data: no stack behind them
-    outlives the call that handed them over."""
-    return all(tab.base is None for tab in source._memo[1])
-
-
-def test_raw_tables_holds_nothing_after_it_returns():
+def test_raw_tables_evaluates_a_wrapper_once_per_call():
     p, c = golden_datum()
     R, calls = _counting(build(p, c))
     W = _scaled_exchange(R, (1, 3), 1.3)
     lams = stencil_points(np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j]))
     first = raw_tables(W, lams)
     second = raw_tables(W, lams)
-    assert _owns_its_tables(R.d.source)
     assert [len(pts) for pts in calls] == [5, 5]  # the second call evaluates again
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
     W.delta(1, 3, lams[2])  # a point of the stack, read after the call
     assert [len(pts) for pts in calls] == [5, 5, 1]
 
-    def failing(i, j, lam):
-        if np.array_equal(lam, lams[2]):
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_wrapper_evaluation_leaves_the_inner_cache_as_it_found_it(fail):
+    p, c = golden_datum()
+    R, calls = _counting(build(p, c))
+    lams = stencil_points(np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j]))
+
+    def delta(i, j, lam):
+        if fail and np.array_equal(lam, lams[2]):
             raise RuntimeError("wrapper failed")
         return R.delta(i, j, lam)
 
-    with pytest.raises(RuntimeError):
-        raw_tables(DynamicalRMatrix(n=4, delta=failing, d=R.d), lams)
-    assert _owns_its_tables(R.d.source)
+    W = DynamicalRMatrix(n=4, delta=delta, d=R.d)
+    R.tables(lams[0])  # R has one point of the stack cached
+    calls.clear()
+    if fail:
+        with pytest.raises(RuntimeError, match="wrapper failed"):
+            raw_tables(W, lams)
+    else:
+        raw_tables(W, lams)
+    assert [len(pts) for pts in calls] == [5]
+    # the point cached before stays cached; the points held for the
+    # per-entry loop are gone
+    R.stacked_tables(lams)
+    assert [len(pts) for pts in calls] == [5, 4]
+    assert np.array_equal(calls[1], lams[1:])
+
+
+def test_tables_raise_at_a_pole_whether_cold_cached_or_held():
+    p, c = golden_datum()
+    R = build(p, c)
+    good = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j])
+    on_12 = np.array([0.2, 0.2, 0.5 - 0.5j, 0.1j])  # pair (1,2): lam1 = lam2
+    msg = f"non-finite coefficient at pair (1,2), lam={on_12}"
+
+    def pole_messages(lam):
+        out = []
+        for fn, arg in ((R.tables, lam), (R.stacked_tables, np.array([good, lam]))):
+            with pytest.raises(PoleError) as exc:
+                fn(arg)
+            out.append(str(exc.value))
+        return out
+
+    assert pole_messages(on_12) == [msg, msg]  # cold
+    R.tables(good)
+    assert R.delta(1, 3, on_12) == build(p, c).delta(1, 3, on_12)  # a finite entry
+    assert pole_messages(on_12) == [msg, msg]  # after reads there and a cached point
+    held = []
+
+    def delta(i, j, lam):
+        if np.array_equal(lam, on_12):
+            held.extend(pole_messages(lam))
+        return R.delta(i, j, lam)
+
+    got = raw_tables(DynamicalRMatrix(n=4, delta=delta, d=R.d), np.array([good, on_12]))
+    assert held == [msg, msg] * 16  # on every read while on_12 is held
+    assert np.isnan(got[0][1, 0, 1]) and np.isfinite(got[0][1, 0, 2])
 
 
 def test_per_entry_reads_keep_pole_messages_and_lambda_conversion():
@@ -563,7 +620,7 @@ def test_per_entry_reads_keep_pole_messages_and_lambda_conversion():
             raise
 
     W = DynamicalRMatrix(n=4, delta=delta, d=R.d)
-    got = raw_tables(W, np.array([on_12]))  # the read at the remembered point
+    got = raw_tables(W, np.array([on_12]))  # the read at a held point
     assert np.isnan(got[0][0, 0, 1])
     with pytest.raises(PoleError) as outside:
         R.delta(1, 2, np.array(on_12))
@@ -581,7 +638,7 @@ def test_per_entry_reads_keep_pole_messages_and_lambda_conversion():
     assert want == [complex(build(p, c).tables(lam)[t][i, j]) for t, i, j in ((0, 0, 1), (1, 1, 0))]
 
 
-def test_nested_wrappers_read_the_remembered_point():
+def test_nested_wrappers_evaluate_the_inner_matrix_once_per_stack():
     p, c = golden_datum()
     R, calls = _counting(build(p, c))
     lam = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j])
@@ -594,13 +651,12 @@ def test_nested_wrappers_read_the_remembered_point():
         want = _per_entry_tables(W, mu)
         assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
     # a wrapper whose d reads a table matrix over another wrapper of R: each
-    # of its points evaluates R again, while R remembers the outer point
+    # of its points evaluates R again, while R holds the outer stack
     T = DynamicalRMatrix.from_tables(4, lambda mus: raw_tables(W, mus))
     V = DynamicalRMatrix(n=4, delta=R.delta, d=lambda i, j, mu: 2 * T.d(i, j, mu))
     calls.clear()
     got = raw_tables(V, lams)
     assert [len(pts) for pts in calls] == [5] + [1] * 5  # the outer stack serves V.delta
-    assert _owns_its_tables(R.d.source)
     for k, mu in enumerate(lams):
         want = _per_entry_tables(V, mu)
         assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])

@@ -22,7 +22,6 @@ from dynrmat.verifier import (
     EQUATION_TAGS,
     _defect_layout,
     _equation_grids,
-    _path_products,
     check_invertibility,
     check_system,
     check_zero_weight,
@@ -32,7 +31,7 @@ from dynrmat.verifier import (
 )
 
 from conftest import golden_datum, overflow_datum, random_points, zero_residual_config
-from system_oracle import oracle_check_system
+from system_oracle import oracle_check_system, oracle_path_products
 
 
 def _triple_oracle(R, lam):
@@ -114,7 +113,7 @@ def _dense_sides(R, lam):
 def _summed_paths(R, lam, factors):
     """One side of the relation assembled densely from its path products."""
     size = R.n ** 3
-    rows, weights = _path_products(*shift_stencil(R, lam), factors)
+    rows, weights = oracle_path_products(*shift_stencil(R, lam), factors)
     out = np.zeros((size, size), dtype=complex)
     np.add.at(out, (rows, np.tile(np.arange(size), 8)), weights)
     return out
@@ -600,7 +599,8 @@ def test_cached_layout_arrays_are_read_only(n):
 def test_cached_bins_equal_fresh_unique_of_path_rows(n):
     size = n ** 3
     tables = np.zeros((n + 1, n, n), dtype=complex)
-    rows = np.concatenate([_path_products(tables, tables, side)[0] for side in (_LEFT, _RIGHT)])
+    rows = np.concatenate([oracle_path_products(tables, tables, side)[0]
+                           for side in (_LEFT, _RIGHT)])
     keys, inv = np.unique(np.tile(np.arange(size), 16) * size + rows, return_inverse=True)
     layout = _defect_layout(n)
     assert layout.m == keys.size
