@@ -10,22 +10,26 @@ closed forms to recover the numeric datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .builder import build
 from .errors import AmbiguityError, NotInFamilyError, PoleError
 from .params import (
     POLE_GUARD,
     BlockConstants,
     ClassificationParams,
     TableTwoForm,
-    TrivialTwoForm,
+    check_covered,
     derive,
+    needed_pairs,
+    pair_table,
     principal_sqrt,
 )
-from .partition import DeltaClass, IndexPartition
+from .partition import DeltaClass, IndexPartition, class_id_map
 from .rmatrix import DynamicalRMatrix, pair_invariants, shift_stencil
 from .verifier import sample_lambda
 
@@ -581,53 +585,40 @@ def recover_params(
             cross_det[(q, qq)] = det_c
 
     # 2-form recovery: quotient of the measured diagonal coefficients by the
-    # reconstructed bare ones, as evaluable functions of lambda
-    base = ClassificationParams(
-        partition=partition,
-        per_block=tuple(per_block),
-        cross_det=cross_det,
-        signs=signs,
-        f_consts=f_consts,
-        two_form=TrivialTwoForm(),
-    )
-    g_table = _recover_two_form(R, base, inv)
-    return ClassificationParams(
-        partition=partition,
-        per_block=tuple(per_block),
-        cross_det=cross_det,
-        signs=signs,
-        f_consts=f_consts,
-        two_form=g_table,
-    )
+    # reconstructed bare ones
+    base = ClassificationParams(partition=partition, per_block=tuple(per_block),
+                                cross_det=cross_det, signs=signs, f_consts=f_consts)
+    to_orig = np.array([orig(a) - 1 for a in range(1, partition.n + 1)])
+    return replace(base, two_form=QuotientTwoForm(R, base, to_orig))
 
 
-def _recover_two_form(
-    R: DynamicalRMatrix,
-    base: ClassificationParams,
-    inv: dict[int, int],
-) -> TableTwoForm:
-    from .builder import build
-    from .partition import class_id_map
+class QuotientTwoForm(TableTwoForm):
+    """The 2-form recovered from R: R's d over the d of ``bare``, the build
+    of the datum ``base`` (trivial 2-form), on the canonical labels, where
+    R's index ``to_orig[a] + 1`` is canonical ``a + 1``.  :meth:`table`
+    reads each matrix's tables once per stack and divides with Python's
+    complex division, NaN where either d is not finite or the bare one is
+    below ``POLE_GUARD``.  ``g`` reads that table, one entry per cross-class
+    pair."""
 
-    bare = build(base.partition, base)
-    cid = class_id_map(base.partition)
-    table = {}
-    n = base.partition.n
-    to_orig = np.array([inv[a] - 1 for a in range(1, n + 1)])
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if cid[i] == cid[j]:
-                continue
+    def __init__(self, R: DynamicalRMatrix, base: ClassificationParams, to_orig: np.ndarray):
+        cid = np.array(sorted(class_id_map(base.partition).items()))[:, 1]
+        same = cid[:, None] == cid[None, :]
+        self.R, self.bare, self.to_orig = R, build(base.partition, base), to_orig
+        self._from_orig = np.argsort(to_orig)
+        self._missing = same & ~np.eye(len(cid), dtype=bool)
+        rows, cols = np.nonzero(np.triu(~same, 1))
+        pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+        super().__init__(g={pair: partial(self.value, *pair) for pair in pairs})
 
-            def g_func(lam, _i=i, _j=j):
-                # lam is expressed over the canonical labels
-                lam = np.asarray(lam, dtype=complex)
-                orig_lam = np.empty(n, dtype=complex)
-                orig_lam[to_orig] = lam
-                denom = bare.d(_i, _j, lam)
-                if abs(denom) < POLE_GUARD:
-                    raise PoleError(f"bare diagonal coefficient vanishes at {lam}")
-                return R.d(inv[_i], inv[_j], orig_lam) / denom
-
-            table[(i, j)] = g_func
-    return TableTwoForm(g=table)
+    def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        lams = np.asarray(lams, dtype=complex)
+        mask = np.broadcast_to(mask, (len(lams), n, n))
+        check_covered(mask, self._missing)
+        rows, cols = needed_pairs(mask)
+        num = self.R.lookup(lams[:, self._from_orig])[1][:, self.to_orig[rows], self.to_orig[cols]]
+        den = self.bare.lookup(lams)[1][:, rows, cols]
+        ok = np.isfinite(num) & np.isfinite(den) & (np.abs(den) >= POLE_GUARD)
+        quot = np.full(num.shape, np.nan, dtype=complex)
+        quot[ok] = [a / b for a, b in zip(num[ok].tolist(), den[ok].tolist())]
+        return pair_table(n, rows, cols, quot, mask)

@@ -46,6 +46,7 @@ from .serialize import (
     parse_config,
     sample_keys,
     two_form_from_json,
+    two_form_to_json,
 )
 from .verifier import (
     DEFAULT_SAMPLES,
@@ -346,10 +347,7 @@ def cmd_transform(args) -> int:
         obj = {
             "params": params_to_json(sd.params),
             "index_map": {str(k): v for k, v in sd.index_map.items()},
-            "compensator": {
-                ",".join(map(str, pair)): complex_to_json(fn(np.zeros(p.n)))
-                for pair, fn in sd.compensator.g.items()
-            },
+            "compensator": two_form_to_json(sd.compensator, p.n)["values"],
             "eta": sd.eta,
         }
         _emit(_dumps(obj), args.out)

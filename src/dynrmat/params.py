@@ -259,6 +259,42 @@ class QuadraticExactTwoForm(ExactTwoForm):
         return np.where(mask, g, 1)
 
 
+def needed_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based pairs (i, j), i < j, that either orientation of a
+    (P, n, n) ``mask`` needs at some point, as row and column arrays."""
+    need = (mask | mask.transpose(0, 2, 1)).any(axis=0)
+    return np.nonzero(np.triu(need, 1))
+
+
+def check_covered(mask: np.ndarray, missing: np.ndarray) -> None:
+    """Raise ``KeyError((i, j))`` for the first pair i < j that a (P, n, n)
+    ``mask`` needs in either orientation and the symmetric n x n
+    ``missing`` marks."""
+    if (mask & missing).any():
+        rows, cols = needed_pairs(mask)
+        k = np.flatnonzero(missing[rows, cols])[0]
+        raise KeyError((int(rows[k]) + 1, int(cols[k]) + 1))
+
+
+def pair_table(n: int, rows: np.ndarray, cols: np.ndarray, upper: np.ndarray,
+               mask: np.ndarray) -> np.ndarray:
+    """The (P, n, n) table of a 2-form from its (P, K) values ``upper`` at
+    the 0-based pairs (rows, cols), rows < cols: each value where it is
+    finite with modulus at least ``POLE_GUARD``, NaN on both orientations
+    of any other (a pole), the reciprocal on the reverse orientation, and 1
+    on the diagonal and wherever ``mask`` is False.  Reciprocals are taken
+    with Python's complex division, whose rounding differs from numpy's."""
+    upper = np.array(upper, dtype=complex)
+    ok = np.isfinite(upper) & (np.abs(upper) >= POLE_GUARD)
+    upper[~ok] = np.nan
+    lower = np.full_like(upper, np.nan)
+    lower[ok] = [1.0 / v for v in upper[ok].tolist()]
+    out = np.ones((len(upper), n, n), dtype=complex)
+    out[:, rows, cols] = upper
+    out[:, cols, rows] = lower
+    return np.where(mask, out, 1)
+
+
 @dataclass
 class TableTwoForm(TwoFormSpec):
     """g given pairwise: one evaluable function per unordered pair (i < j);
@@ -272,61 +308,53 @@ class TableTwoForm(TwoFormSpec):
 
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """One call per point and unordered pair that either orientation of
-        ``mask`` needs at some point; the other orientation is the
-        reciprocal."""
+        ``mask`` needs at some point, NaN where it raises
+        :class:`PoleError`; :func:`pair_table` makes the table."""
         lams = np.asarray(lams, dtype=complex)
-        out = np.ones((len(lams), n, n), dtype=complex)
-        mask = np.broadcast_to(mask, out.shape)
-        need = (mask | mask.transpose(0, 2, 1)).any(axis=0)
-        for i, j in zip(*np.nonzero(np.triu(need, 1))):
+        mask = np.broadcast_to(mask, (len(lams), n, n))
+        rows, cols = needed_pairs(mask)
+        upper = np.empty((len(lams), len(rows)), dtype=complex)
+        for k, (i, j) in enumerate(zip(rows, cols)):
             fn = self.g[(int(i) + 1, int(j) + 1)]
-            values = []
-            for lam in lams:
+            for p, lam in enumerate(lams):
                 try:
-                    v = complex(fn(lam))
+                    upper[p, k] = complex(fn(lam))
                 except PoleError:
-                    v = np.nan
-                values.append(np.nan if abs(v) < POLE_GUARD else v)
-            out[:, i, j] = values
-            out[:, j, i] = [1.0 / v for v in values]
-        return np.where(mask, out, 1)
+                    upper[p, k] = np.nan
+        return pair_table(n, rows, cols, upper, mask)
 
 
 class ConstantTableTwoForm(TableTwoForm):
-    """Table 2-form of constants keyed by (i, j) with i < j.
+    """Table 2-form of constants keyed by (i, j) with i < j; every constant
+    must be finite (:class:`ParameterError` otherwise).
 
     ``g`` holds constant functions, as for any table 2-form, but
-    :meth:`table` reads one n x n table per n, built once: the constants
-    above the diagonal, their reciprocals below it (Python complex
-    arithmetic, as in :meth:`TableTwoForm.table`), NaN on both
-    orientations of a constant of magnitude below ``POLE_GUARD``.  A pair
-    that ``mask`` needs and that has no constant raises ``KeyError``, as in
-    :meth:`TableTwoForm.table`.
+    :meth:`table` reads one n x n table per n, built once by
+    :func:`pair_table`.  A pair that ``mask`` needs and that has no
+    constant raises ``KeyError``, as in :meth:`TableTwoForm.table`.
     """
 
     def __init__(self, values: Mapping[tuple[int, int], complex]):
         self.values = {pair: complex(v) for pair, v in values.items()}
+        for (i, j), v in self.values.items():
+            if not cmath.isfinite(v):
+                raise ParameterError(f"2-form table entry ({i},{j}) must be finite")
         super().__init__(g={pair: (lambda lam, _v=v: _v) for pair, v in self.values.items()})
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         if n not in self._tables:
             # the table, and the symmetric mask of the pairs without a constant
-            tab = np.ones((n, n), dtype=complex)
+            pairs = [pair for pair in self.values if 1 <= pair[0] < pair[1] <= n]
+            rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T - 1
+            upper = np.array([[self.values[pair] for pair in pairs]], dtype=complex)
+            tab = pair_table(n, rows, cols, upper, True)[0]
             missing = ~np.eye(n, dtype=bool)
-            for (i, j), v in self.values.items():
-                if 1 <= i < j <= n:
-                    small = abs(v) < POLE_GUARD
-                    tab[i - 1, j - 1] = np.nan if small else v
-                    tab[j - 1, i - 1] = np.nan if small else 1.0 / v
-                    missing[i - 1, j - 1] = missing[j - 1, i - 1] = False
+            missing[rows, cols] = missing[cols, rows] = False
             self._tables[n] = tab, missing
         tab, missing = self._tables[n]
         mask = np.broadcast_to(mask, (len(lams), n, n))
-        if (mask & missing).any():
-            need = (mask | mask.transpose(0, 2, 1)).any(axis=0) & missing
-            i, j = np.argwhere(np.triu(need, 1))[0]
-            raise KeyError((int(i) + 1, int(j) + 1))
+        check_covered(mask, missing)
         return np.where(mask, tab, 1)
 
 

@@ -37,6 +37,7 @@ say), or a config that is not an object.
 
 from __future__ import annotations
 
+import cmath
 import json
 from itertools import chain
 from operator import itemgetter
@@ -114,25 +115,31 @@ def _parse_class_key(key: str) -> tuple[int, ...]:
 
 
 def two_form_to_json(g: TwoFormSpec, n: int, probe_lam: Optional[np.ndarray] = None) -> dict:
-    """JSON of a 2-form on n indices; a table 2-form's pair functions are
-    read at ``probe_lam``, or at the origin of C^n when it is None.  A pole
-    of a pair function at the origin raises :class:`ParameterError`."""
+    """JSON of a 2-form on n indices; a table 2-form is read from one table
+    at ``probe_lam``, or at the origin of C^n when it is None.  A pole of
+    the table there raises :class:`PoleError` (:class:`ParameterError` at
+    the origin)."""
     if isinstance(g, TrivialTwoForm):
         return {"type": "trivial"}
     if isinstance(g, TableTwoForm):
-        lam = np.zeros(n) if probe_lam is None else probe_lam
-        lam = np.asarray(lam, dtype=complex)
-        values = {}
-        for (i, j), fn in g.g.items():
-            try:
-                values[f"{i},{j}"] = complex_to_json(complex(fn(lam)))
-            except PoleError as exc:
-                if probe_lam is not None:
-                    raise
-                raise ParameterError(
-                    f"the origin of C^{n} is a pole of the 2-form at pair "
-                    f"({i},{j}); pass probe_lam, a point where it is finite"
-                ) from exc
+        lam = np.asarray(np.zeros(n) if probe_lam is None else probe_lam, dtype=complex)
+        if not all(1 <= i < j <= n for i, j in g.g):
+            raise ParameterError(f"2-form table keys must be pairs i < j of 1..{n}, got {list(g.g)}")
+        rows, cols = np.array(list(g.g), dtype=int).reshape(-1, 2).T - 1
+        mask = np.zeros((n, n), dtype=bool)
+        mask[rows, cols] = True
+        with np.errstate(all="ignore"):
+            entries = g.table(n, lam[None], mask)[0, rows, cols].tolist()
+        for (i, j), v in zip(g.g, entries):
+            if cmath.isfinite(v):
+                continue
+            if probe_lam is not None:
+                raise PoleError(f"2-form entry ({i},{j}) is not finite at lam={lam}")
+            raise ParameterError(
+                f"the origin of C^{n} is a pole of the 2-form at pair "
+                f"({i},{j}); pass probe_lam, a point where it is finite"
+            )
+        values = {f"{i},{j}": complex_to_json(v) for (i, j), v in zip(g.g, entries)}
         out = {"type": "table", "values": values}
         if probe_lam is not None:
             out["sampled_at"] = [complex_to_json(z) for z in probe_lam]

@@ -5,15 +5,19 @@ Each function mirrors one table function of the library (builder,
 transforms, sampled matrices) one entry at a time, with Python scalar
 arithmetic and ``cmath``, raising :class:`PoleError` at the first pole it
 meets.  :func:`oracle_tables` evaluates such a matrix in row-major order.
+:func:`oracle_recovered_two_form` keeps the classifier's per-pair closures
+of the recovered 2-form, and :func:`oracle_pair_table` the per-pair loop
+that made their table.
 """
 
 from __future__ import annotations
 
 import cmath
+from dataclasses import replace
 
 import numpy as np
 
-from dynrmat.builder import _class_constant, _index_table
+from dynrmat.builder import _class_constant, _index_table, build
 from dynrmat.errors import ParameterError, PoleError
 from dynrmat.params import (
     POLE_GUARD,
@@ -23,7 +27,7 @@ from dynrmat.params import (
     derive,
     principal_sqrt,
 )
-from dynrmat.partition import nd_pairs
+from dynrmat.partition import class_id_map, nd_pairs
 from dynrmat.rmatrix import DynamicalRMatrix, tables_from_dense
 from dynrmat.serialize import sample_keys
 
@@ -86,6 +90,59 @@ def oracle_two_form(g, i: int, j: int, lam) -> complex:
             raise PoleError(f"2-form table entry ({a},{b}) vanishes at lam={lam}")
         return v if i < j else 1.0 / v
     raise TypeError(f"no oracle for the 2-form {type(g).__name__}")
+
+
+def oracle_recovered_two_form(R: DynamicalRMatrix, params, inv) -> dict:
+    """The recovered 2-form of ``params`` (a datum over the canonical labels
+    of R's classification, ``inv`` mapping a canonical index to R's) as
+    one closure per cross-class pair (i, j), i < j: R's d_ij over the bare
+    rebuild's, read one entry at a time, raising :class:`PoleError` where
+    either is not finite or the bare one is below ``POLE_GUARD``."""
+    base = replace(params, two_form=TrivialTwoForm())
+    bare = build(base.partition, base)
+    cid = class_id_map(base.partition)
+    n = base.partition.n
+    to_orig = np.array([inv[a] - 1 for a in range(1, n + 1)])
+    closures = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if cid[i] == cid[j]:
+                continue
+
+            def g_func(lam, _i=i, _j=j):
+                lam = np.asarray(lam, dtype=complex)
+                orig_lam = np.empty(n, dtype=complex)
+                orig_lam[to_orig] = lam
+                denom = bare.d(_i, _j, lam)
+                if abs(denom) < POLE_GUARD:
+                    raise PoleError(f"bare diagonal coefficient vanishes at {lam}")
+                return R.d(inv[_i], inv[_j], orig_lam) / denom
+
+            closures[(i, j)] = g_func
+    return closures
+
+
+def oracle_pair_table(closures: dict, n: int, lams, mask) -> np.ndarray:
+    """The (P, n, n) table of per-pair closures: one call per point and
+    needed pair i < j, NaN where it raises :class:`PoleError` or falls
+    below ``POLE_GUARD``, and the reciprocal (Python division) on the
+    reverse orientation."""
+    lams = np.asarray(lams, dtype=complex)
+    out = np.ones((len(lams), n, n), dtype=complex)
+    mask = np.broadcast_to(mask, out.shape)
+    need = (mask | mask.transpose(0, 2, 1)).any(axis=0)
+    for i, j in zip(*np.nonzero(np.triu(need, 1))):
+        fn = closures[(int(i) + 1, int(j) + 1)]
+        values = []
+        for lam in lams:
+            try:
+                v = complex(fn(lam))
+            except PoleError:
+                v = np.nan
+            values.append(np.nan if abs(v) < POLE_GUARD else v)
+        out[:, i, j] = values
+        out[:, j, i] = [1.0 / v for v in values]
+    return np.where(mask, out, 1)
 
 
 def oracle_build(p, c) -> DynamicalRMatrix:

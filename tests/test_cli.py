@@ -156,6 +156,19 @@ def test_default_stdout_is_pinned(golden_config, capsys, command):
     assert capsys.readouterr().out == expected
 
 
+def test_classify_stdout_with_an_exact_two_form_is_pinned(tmp_path, capsys):
+    """The full stdout of classify on a datum with a lambda-dependent exact
+    2-form, whose recovered values are not 1, byte for byte."""
+    from dynrmat.sampling import random_datum
+
+    _, c = random_datum(5, np.random.default_rng(1), "exact")
+    cfg = tmp_path / "exact.json"
+    cfg.write_text(json.dumps(params_to_json(c)))
+    assert main(["classify", str(cfg), "--seed", "7"]) == EXIT_OK
+    expected = (GOLDEN_DIR / "classify_exact_seed7.out").read_text()
+    assert capsys.readouterr().out == expected
+
+
 def test_verify_env_seed(golden_config, tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -580,6 +593,30 @@ def test_transform_two_form_missing_coupled_pair_invalid(tmp_path, capsys, seed)
     assert "no entry for coupled pair (3, 4)" in captured.err
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("command", ["build", "verify", "classify", "hecke", "--two-form"])
+def test_non_finite_two_form_table_constant_invalid(golden_config, tmp_path, capsys,
+                                                    command, value):
+    spec = {
+        "type": "table",
+        "values": {
+            key: {"re": 1.0, "im": 0.0}
+            for key in ("1,2", "1,3", "1,4", "2,3", "2,4")
+        },
+    }
+    spec["values"]["1,3"] = {"re": value, "im": 0.0}
+    if command == "--two-form":
+        argv = ["transform", golden_config, command, _write(tmp_path, "g.json", spec)]
+    else:
+        obj = json.loads(open(golden_config).read())
+        obj["two_form"] = spec
+        argv = [command, _write(tmp_path, "d.json", obj)]
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2-form table entry (1,3) must be finite" in captured.err
+
+
 def test_transform_twist(golden_config, tmp_path, capsys):
     spec = {
         "potentials": {
@@ -650,6 +687,8 @@ def test_transform_scale(tmp_path, capsys):
     assert set(obj["index_map"]) == {"1", "2"}
     merged = obj["params"]["partition"]["blocks"]
     assert len(merged[0]) == 1  # classes merged into one
+    # g_12 = sqrt(Sigma) / (B - S) with B = 2, S = 1
+    assert obj["compensator"] == {"1,2": {"re": 2 ** 0.5, "im": 0.0}}
 
 
 # -- top level --------------------------------------------------------------

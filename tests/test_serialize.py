@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from dynrmat.builder import build
-from dynrmat.errors import NotInFamilyError, ParameterError
-from dynrmat.params import ExactTwoForm, QuadraticExactTwoForm
+from dynrmat.errors import NotInFamilyError, ParameterError, PoleError
+from dynrmat.params import ExactTwoForm, QuadraticExactTwoForm, TableTwoForm
 from dynrmat.rmatrix import (
     ZERO_WEIGHT_TOL,
     DensePoint,
@@ -64,6 +64,32 @@ def test_random_exact_two_form_round_trips():
     g = random_two_form(all_free_partition(5), np.random.default_rng(2), "exact")
     back = two_form_from_json(json.loads(json.dumps(two_form_to_json(g, 5))), 5)
     assert back.lin.tobytes() == g.lin.tobytes() and back.quad.tobytes() == g.quad.tobytes()
+
+
+def test_table_two_form_is_read_from_one_table_and_its_poles_raise():
+    calls = []
+
+    def g_12(lam):
+        calls.append(lam)
+        return 1e-14 if lam[0] == 1 else 2 + 0.5j
+
+    g = TableTwoForm(g={(1, 2): g_12, (1, 3): lambda lam: 1 / lam[2], (2, 3): lambda lam: -1j})
+    probe = np.array([0.5, 0, 0.25j])
+    assert two_form_to_json(g, 3, probe) == {
+        "type": "table",
+        "values": {"1,2": {"re": 2.0, "im": 0.5}, "1,3": {"re": 0.0, "im": -4.0},
+                   "2,3": {"re": -0.0, "im": -1.0}},
+        "sampled_at": [{"re": 0.5, "im": 0.0}, {"re": 0.0, "im": 0.0},
+                       {"re": 0.0, "im": 0.25}],
+    }
+    assert len(calls) == 1
+    # a value below POLE_GUARD, or a non-finite one, is a pole of the table
+    with pytest.raises(PoleError, match=r"entry \(1,2\) is not finite"):
+        two_form_to_json(g, 3, np.array([1, 0, 0.25j]))
+    with pytest.raises(ParameterError, match=r"origin of C\^3 is a pole of the 2-form at pair \(1,3\)"):
+        two_form_to_json(g, 3)
+    with pytest.raises(ParameterError, match=r"keys must be pairs i < j of 1..3, got \[\(2, 1\)\]"):
+        two_form_to_json(TableTwoForm(g={(2, 1): lambda lam: 1}), 3)
 
 
 def test_missing_potentials_are_one():

@@ -55,6 +55,8 @@ from closure_oracle import (
     oracle_build,
     oracle_compose,
     oracle_contract,
+    oracle_pair_table,
+    oracle_recovered_two_form,
     oracle_samples,
     oracle_tables,
     oracle_twist,
@@ -491,15 +493,125 @@ def test_recovered_two_form_evaluates_the_matrix_once_per_point():
     p, c = random_datum(8, np.random.default_rng(1), "trivial")
     R, calls = _counting(build(p, c))
     g = recover_params(R, classify(R)).two_form
+    g.bare, bare_calls = _counting(g.bare)
     mask = np.zeros((8, 8), dtype=bool)
     for i, j in g.g:
         mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
     lams = np.array(random_points(np.random.default_rng(2), 8, 6))
     calls.clear()
     g.table(8, lams, mask)
-    # one pair function per pair reads R at each point: the cache serves
-    # every pair after the first
-    assert len(g.g) == 28 and [len(pts) for pts in calls] == [1] * 6
+    # R and the bare build each evaluate the whole stack in one call
+    assert len(g.g) == 28 and [len(pts) for pts in calls] == [6]
+    assert [len(pts) for pts in bare_calls] == [6]
+    g.table(8, lams, mask)  # warm: both caches serve every point
+    assert len(calls) == len(bare_calls) == 1
+
+
+def test_rebuild_of_recovered_params_never_runs_the_per_pair_loop(monkeypatch):
+    loop = TableTwoForm.table
+    runs = []
+
+    def counting(self, n, lams, mask):
+        runs.append(type(self).__name__)
+        return loop(self, n, lams, mask)
+
+    monkeypatch.setattr(TableTwoForm, "table", counting)
+    one = TableTwoForm(g={(1, 2): lambda lam: 2 + 0j})
+    one.table(2, np.zeros((1, 2)), ~np.eye(2, dtype=bool))
+    assert runs == ["TableTwoForm"]  # the counter sees the general loop
+    runs.clear()
+    for kind in ("trivial", "table", "exact"):
+        p, c = random_datum(6, np.random.default_rng(3), kind)
+        R = build(p, c)
+        params = recover_params(R, classify(R))
+        lams = np.array(random_points(np.random.default_rng(4), 6, 3))
+        build(params.partition, params).stacked_tables(stencil_points(lams).reshape(-1, 6))
+    assert runs == []
+
+
+def _relabelled(R, order):
+    """R with its indices relabelled: new index a + 1 is R's index
+    ``order[a] + 1``."""
+    def tables(lams):
+        old = np.empty_like(lams)
+        old[:, order] = lams
+        return tuple(t[:, order][:, :, order] for t in raw_tables(R, old))
+
+    return DynamicalRMatrix.from_tables(R.n, tables)
+
+
+def _assert_bit_equal(got, want):
+    nan = np.isnan(got)
+    assert np.array_equal(nan, np.isnan(want))
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["trivial", "table", "exact"])
+def test_recovered_two_form_equals_the_closure_oracle_bit_for_bit(kind):
+    rng = np.random.default_rng(21)
+    for n in range(3, 10):
+        p, c = random_datum(n, np.random.default_rng(n), kind)
+        R = build(p, c)
+        if n % 2:  # original labels that differ from the canonical ones
+            R = _relabelled(R, rng.permutation(n))
+        report = classify(R)
+        params = recover_params(R, report)
+        inv = {v: k for k, v in report.index_permutation.items()}
+        closures = oracle_recovered_two_form(R, params, inv)
+        g = params.two_form
+        assert list(g.g) == list(closures)
+        lams = np.array(random_points(rng, n, 12))
+        full = ~np.eye(n, dtype=bool)
+        cross = np.zeros((n, n), dtype=bool)
+        for i, j in closures:
+            cross[i - 1, j - 1] = cross[j - 1, i - 1] = True
+        for mask in (cross, cross & (rng.random((len(lams), n, n)) < 0.5)):
+            with np.errstate(all="ignore"):
+                _assert_bit_equal(g.table(n, lams, mask),
+                                  oracle_pair_table(closures, n, lams, mask))
+        if not cross[full].all():  # a pair inside a d-class has no entry
+            with pytest.raises(KeyError):
+                g.table(n, lams, full)
+
+
+def test_recovered_two_form_poles_equal_the_closure_oracle():
+    # the golden bare build has Delta_12 = 1/(lam_1 - lam_2) and
+    # d_12 = 1 - Delta_12: the quotient is a pole where lam_1 = lam_2 and
+    # where lam_1 - lam_2 = 1
+    R = build(*golden_datum())
+    params = recover_params(R, classify(R))
+    closures = oracle_recovered_two_form(R, params, {a: a for a in range(1, 5)})
+    g = params.two_form
+    lams = np.array(random_points(np.random.default_rng(5), 4, 8))
+    lams[1, 1] = lams[1, 0]
+    lams[4, 1] = lams[4, 0] - 1
+    lams[6] = 0
+    mask = np.zeros((4, 4), dtype=bool)
+    for i, j in closures:
+        mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
+    with np.errstate(all="ignore"):
+        got = g.table(4, lams, mask)
+        _assert_bit_equal(got, oracle_pair_table(closures, 4, lams, mask))
+    for p in (1, 4, 6):
+        assert np.isnan(got[p, 0, 1]) and np.isnan(got[p, 1, 0])
+    assert np.isfinite(got[[0, 2, 3, 5, 7]]).all()
+    with pytest.raises(PoleError):
+        g.g[(1, 2)](lams[1])
+    assert g.g[(1, 2)](lams[0]) == got[0, 0, 1] and g.value(2, 1, lams[0]) == got[0, 1, 0]
+
+
+@pytest.mark.parametrize("bad", [complex("inf"), complex("nan"), complex(1.0, float("inf")), 1e-14])
+def test_a_pair_value_that_is_a_pole_is_nan_on_both_orientations(bad):
+    g = TableTwoForm(g={(1, 2): lambda lam: bad, (1, 3): lambda lam: 2 + 0j,
+                        (2, 3): lambda lam: 0.5j})
+    lam = np.array([0.1, 0.2j, 0.3])
+    with np.errstate(all="ignore"):
+        tab = g.table(3, lam[None], ~np.eye(3, dtype=bool))[0]
+    assert np.isnan(tab[0, 1]) and np.isnan(tab[1, 0])
+    assert tab[0, 2] == 2 and tab[2, 0] == 0.5 and tab[1, 2] == 0.5j and tab[2, 1] == -2j
+    for i, j in ((1, 2), (2, 1)):
+        with pytest.raises(PoleError):
+            g.value(i, j, lam)
 
 
 def test_plain_callable_wrapper_evaluates_once_per_point():
