@@ -10,7 +10,7 @@ closed forms to recover the numeric datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence
 
@@ -35,6 +35,9 @@ from .verifier import sample_lambda
 
 DEFAULT_ZERO_TOL = 1e-8
 DEFAULT_SAMPLES = 5
+#: relative spread allowed between the pair invariants :func:`recover_params`
+#: reads at different samples and pairs
+RECOVER_TOL = 1e-7
 #: fewest samples :func:`detect_relations` reads zero patterns from
 MIN_SAMPLES = 3
 
@@ -51,17 +54,11 @@ class RelationReport:
 
 @dataclass
 class IncidenceReport:
-    M: np.ndarray                          # n x n 0/1 exchange-incidence matrix
     M_R: np.ndarray                        # r x r reduced matrix (input class order)
-    sigma: list[int]                       # upper-triangularizing class order (0-based)
     levels: list[int]                      # chain level per class (input order)
-    pi: list[int]                          # block-grouping class order (0-based)
-    block_sizes: list[int]                 # sizes of the grouped blocks, in pi order
-    d_classes: list[tuple[int, ...]]       # original-label d-classes, input order
-    delta_classes: list[tuple[int, ...]]   # original-label exchange classes, input order
+    block_sizes: list[int]                 # sizes of the grouped blocks, in block order
     recovered_partition: IndexPartition    # canonical partition over new labels
     index_permutation: dict[int, int]      # original index -> canonical index
-    class_members: list[list[tuple[int, ...]]] = field(default_factory=list)
 
 
 def detect_relations(
@@ -314,17 +311,16 @@ def classify(
     samples: Optional[Sequence[np.ndarray]] = None,
     tol: float = DEFAULT_ZERO_TOL,
     seed: int = 0,
-    num_samples: int = DEFAULT_SAMPLES,
 ) -> IncidenceReport:
     """Full structural classification of a zero-weight matrix.
 
-    Without ``samples``, ``num_samples`` points are drawn from ``seed``;
+    Without ``samples``, ``DEFAULT_SAMPLES`` points are drawn from ``seed``;
     each is checked for poles and the entry cap at that point alone, since
     the classification reads no shifted point.
     """
     if samples is None:
         rng = np.random.default_rng(seed)
-        samples = sample_lambda(R, rng, num_samples, stencil=False)
+        samples = sample_lambda(R, rng, DEFAULT_SAMPLES, stencil=False)
     rel = detect_relations(R, samples, tol)
     eq = build_equivalences(rel, R.n)
     delta_classes = eq["delta_classes"]
@@ -343,13 +339,11 @@ def classify(
     index_permutation: dict[int, int] = {}
     next_label = 1
     blocks = []
-    class_members: list[list[tuple[int, ...]]] = []
     pos = 0
     for size in sizes:
         block_cls = pi[pos:pos + size]
         pos += size
         block = []
-        members_here = []
         for c in block_cls:
             members = delta_classes[c]
             frees = sorted(i for i in members if len(dclass_of[i]) == 1)
@@ -368,22 +362,14 @@ def classify(
                 tuple(index_permutation[i] for i in sorted(m)) for m in multis
             )
             block.append(DeltaClass(free=new_free, d_classes=new_multis))
-            members_here.append(tuple(ordered))
         blocks.append(tuple(block))
-        class_members.append(members_here)
     partition = IndexPartition(n=R.n, blocks=tuple(blocks))
     return IncidenceReport(
-        M=M,
         M_R=M_R,
-        sigma=sigma,
         levels=levels,
-        pi=pi,
         block_sizes=sizes,
-        d_classes=d_classes,
-        delta_classes=delta_classes,
         recovered_partition=partition,
         index_permutation=index_permutation,
-        class_members=class_members,
     )
 
 
@@ -433,8 +419,6 @@ def _reference_point(R: DynamicalRMatrix) -> np.ndarray:
 def recover_params(
     R: DynamicalRMatrix,
     report: IncidenceReport,
-    samples: Optional[Sequence[np.ndarray]] = None,
-    tol: float = 1e-7,
     seed: int = 0,
 ) -> ClassificationParams:
     """Invert the closed forms: recover all numeric constants of the datum.
@@ -449,9 +433,10 @@ def recover_params(
     Every constant is read off the tables at the samples: the pair
     invariants from all of them, the class constants (constant in lambda)
     from the first, and each position constant f at the sample where its
-    inversion is best conditioned, the first such sample on a tie.
-    Without ``samples``, they are drawn from ``seed``, each checked for
-    poles and the entry cap at that point alone.  The fixed
+    inversion is best conditioned, the first such sample on a tie.  The
+    ``DEFAULT_SAMPLES`` samples are drawn from ``seed``, each checked for
+    poles and the entry cap at that point alone: with the seed of
+    :func:`classify`, they are the points it read.  The fixed
     :func:`_reference_point` is not read here; the CLI's ``build``,
     ``classify`` (the recovered 2-form's ``sampled_at`` point) and
     ``transform`` commands and :func:`dynrmat.transforms.trig_to_rational_limit`
@@ -460,10 +445,8 @@ def recover_params(
     perm = report.index_permutation
     inv = {v: k for k, v in perm.items()}
     partition = report.recovered_partition
-    if samples is None:
-        rng = np.random.default_rng(seed)
-        samples = sample_lambda(R, rng, DEFAULT_SAMPLES, stencil=False)
-    lams = np.asarray(samples, dtype=complex)
+    rng = np.random.default_rng(seed)
+    lams = np.asarray(sample_lambda(R, rng, DEFAULT_SAMPLES, stencil=False), dtype=complex)
     delta_st, d_st = R.stacked_tables(lams)
     sum_st, det_st = pair_invariants(delta_st, d_st)
 
@@ -472,8 +455,8 @@ def recover_params(
         sums, dets = sum_st[:, i, j], det_st[:, i, j]
         scale = max(1.0, float(np.abs(sums).max()), float(np.abs(dets).max()))
         if (
-            np.abs(sums - sums.mean()).max() > tol * scale
-            or np.abs(dets - dets.mean()).max() > tol * scale
+            np.abs(sums - sums.mean()).max() > RECOVER_TOL * scale
+            or np.abs(dets - dets.mean()).max() > RECOVER_TOL * scale
         ):
             raise NotInFamilyError(
                 f"pair invariants of ({i0},{j0}) vary across samples"
@@ -495,14 +478,9 @@ def recover_params(
     signs: dict[tuple[int, ...], int] = {}
     f_consts: dict[tuple[int, ...], complex] = {}
 
-    for q, block in enumerate(partition.blocks):
+    for q, (block, degenerate) in enumerate(zip(partition.blocks, degenerate_blocks(partition))):
         all_classes = [cls for dc in block for cls in dc.all_d_classes()]
-        nd = [
-            (a, b)
-            for ai, a in enumerate(all_classes)
-            for b in all_classes[ai + 1:]
-        ]
-        if not nd:
+        if degenerate:
             # single d-class block: only the class constant is observable;
             # report the rational datum reproducing it (det = Delta^2)
             cls = all_classes[0]
@@ -516,7 +494,7 @@ def recover_params(
             )
             f_consts[cls] = 0j
             continue
-        pairs = [(a[0], b[0]) for a, b in nd]
+        pairs = [(a[0], b[0]) for k, a in enumerate(all_classes) for b in all_classes[k + 1:]]
         inv_vals = [pair_constants(orig(i), orig(j)) for (i, j) in pairs]
         s_vals = np.array([v[0] for v in inv_vals])
         det_vals = np.array([v[1] for v in inv_vals])
@@ -524,15 +502,15 @@ def recover_params(
             1.0, float(np.abs(s_vals).max()), float(np.abs(det_vals).max())
         )
         if (
-            np.abs(s_vals - s_vals.mean()).max() > tol * scale
-            or np.abs(det_vals - det_vals.mean()).max() > tol * scale
+            np.abs(s_vals - s_vals.mean()).max() > RECOVER_TOL * scale
+            or np.abs(det_vals - det_vals.mean()).max() > RECOVER_TOL * scale
         ):
             raise NotInFamilyError(
                 f"block {q + 1}: pair invariants differ between pairs"
             )
         sum_c = complex(s_vals.mean())
         det_c = complex(det_vals.mean())
-        rational = abs(sum_c) < tol * scale
+        rational = abs(sum_c) < RECOVER_TOL * scale
         if rational:
             sum_c = 0j
         consts = BlockConstants(sum_c, det_c)

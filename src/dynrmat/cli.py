@@ -288,7 +288,7 @@ def cmd_classify(args) -> int:
         "block_sizes": list(report.block_sizes),
     }
     if samples is None:
-        params = recover_params(R, report)
+        params = recover_params(R, report, seed=seed)
         ref = _reference_point(R)
         obj["params"] = params_to_json(params, probe_lam=ref)
     _emit(_dumps(obj), args.out)

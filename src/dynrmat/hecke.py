@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .classifier import DEFAULT_SAMPLES, classify, recover_params
 from .errors import NotInFamilyError
 from .params import principal_sqrt
 from .rmatrix import DynamicalRMatrix, pair_invariants
@@ -31,17 +32,10 @@ DEFAULT_TOL = 1e-9
 
 
 @dataclass
-class HeckeAssignment:
-    rho: complex
-    kappa: complex
-
-
-@dataclass
 class HeckeReport:
     kind: str  # "Hecke" | "WeakHecke" | "DegenerateSingleDClass" | "NotHecke"
     rho: Optional[complex] = None
     kappa: Optional[complex] = None
-    assignments: list[HeckeAssignment] = field(default_factory=list)
     evidence: dict = field(default_factory=dict)
     lambda_samples: list = field(default_factory=list)
     detail: str = ""
@@ -66,14 +60,14 @@ def hecke_classify(
 ) -> HeckeReport:
     """Decide the spectral class of the flip-composed matrix.
 
-    Without ``samples``, five points are drawn from ``seed``; each is
-    checked for poles and the entry cap at that point alone, since the
-    analysis reads no shifted point.
+    Without ``samples``, ``DEFAULT_SAMPLES`` points are drawn from
+    ``seed``; each is checked for poles and the entry cap at that point
+    alone, since the analysis reads no shifted point.
     """
     n = R.n
     if samples is None:
         rng = np.random.default_rng(seed)
-        samples = sample_lambda(R, rng, 5, stencil=False)
+        samples = sample_lambda(R, rng, DEFAULT_SAMPLES, stencil=False)
     delta_st, d_st = R.stacked_tables(np.asarray(samples, dtype=complex))
     scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
     lim = tol * max(1.0, scale)
@@ -177,30 +171,18 @@ def hecke_classify(
         return abs(a - b) <= 1e4 * eq_tol
 
     e1, e2 = centers
-    diag_hits = {0: [], 1: []}
-    for i, v in diag.items():
-        diag_hits[0 if near(v, e1) else 1].append(i)
-    assignments = []
-    if diag_hits[0]:
-        assignments.append(HeckeAssignment(rho=e1, kappa=-e2))
-    if diag_hits[1]:
-        assignments.append(HeckeAssignment(rho=e2, kappa=-e1))
-    if not assignments:  # cannot happen: diagonals are among the clusters
-        assignments.append(HeckeAssignment(rho=e1, kappa=-e2))
-    # primary assignment: eigenvalue carried by more diagonal lines, ties
-    # resolved toward the smallest index
-    if len(assignments) == 2:
-        c0, c1 = len(diag_hits[0]), len(diag_hits[1])
-        if c1 > c0 or (c1 == c0 and min(diag_hits[1]) < min(diag_hits[0])):
-            assignments.reverse()
-    primary = assignments[0]
+    on_e1 = [i for i, v in diag.items() if near(v, e1)]
+    on_e2 = [i for i, v in diag.items() if not near(v, e1)]
+    # rho is the eigenvalue carried by more diagonal lines, ties resolved
+    # toward the smallest index; -kappa is the other one
+    if len(on_e2) > len(on_e1) or (len(on_e2) == len(on_e1) and min(on_e2) < min(on_e1)):
+        e1, e2 = e2, e1
+    rho, kappa = e1, -e2
 
     # Hecke: a single eigenvalue on every diagonal line and both
     # eigenvalues on every off-diagonal plane
-    hecke = (not diag_hits[0]) or (not diag_hits[1])
+    hecke = not (on_e1 and on_e2)
     if hecke:
-        rho = primary.rho
-        kappa = primary.kappa
         for (i, j), (f1, f2) in pair_eigs.items():
             pair_vals = sorted((f1, f2), key=lambda z: (z.real, z.imag))
             want = sorted((rho, -kappa), key=lambda z: (z.real, z.imag))
@@ -208,7 +190,7 @@ def hecke_classify(
                 hecke = False
                 break
     kind = "Hecke" if hecke else "WeakHecke"
-    if primary.rho == 0 or primary.kappa == 0 or near(primary.rho, -primary.kappa):
+    if rho == 0 or kappa == 0 or near(rho, -kappa):
         return HeckeReport(
             kind="NotHecke",
             evidence=evidence,
@@ -217,9 +199,8 @@ def hecke_classify(
         )
     return HeckeReport(
         kind=kind,
-        rho=primary.rho,
-        kappa=primary.kappa,
-        assignments=assignments,
+        rho=rho,
+        kappa=kappa,
         evidence=evidence,
         lambda_samples=lam_list,
     )
@@ -238,8 +219,6 @@ def basic_form_distance(R: DynamicalRMatrix, report: HeckeReport) -> dict:
         raise NotInFamilyError(
             f"basic-form reduction needs a (weak) Hecke matrix, got {report.kind}"
         )
-    from .classifier import classify, recover_params
-
     struct = classify(R)
     params = recover_params(R, struct)
 

@@ -49,6 +49,7 @@ from .errors import NotInFamilyError, ParameterError, PoleError
 from .params import (
     BlockConstants,
     ClassificationParams,
+    ConstantTableTwoForm,
     ExactTwoForm,
     QuadraticExactTwoForm,
     TableTwoForm,
@@ -118,7 +119,8 @@ def two_form_to_json(g: TwoFormSpec, n: int, probe_lam: Optional[np.ndarray] = N
     """JSON of a 2-form on n indices; a table 2-form is read from one table
     at ``probe_lam``, or at the origin of C^n when it is None.  A pole of
     the table there raises :class:`PoleError` (:class:`ParameterError` at
-    the origin)."""
+    the origin); a constant below ``POLE_GUARD`` is a pole at every point
+    and raises :class:`ParameterError` naming it."""
     if isinstance(g, TrivialTwoForm):
         return {"type": "trivial"}
     if isinstance(g, TableTwoForm):
@@ -133,6 +135,11 @@ def two_form_to_json(g: TwoFormSpec, n: int, probe_lam: Optional[np.ndarray] = N
         for (i, j), v in zip(g.g, entries):
             if cmath.isfinite(v):
                 continue
+            if isinstance(g, ConstantTableTwoForm):
+                raise ParameterError(
+                    f"2-form constant {g.values[(i, j)]} at pair ({i},{j}) is below "
+                    "POLE_GUARD in modulus: a pole at every point"
+                )
             if probe_lam is not None:
                 raise PoleError(f"2-form entry ({i},{j}) is not finite at lam={lam}")
             raise ParameterError(

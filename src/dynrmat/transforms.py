@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -94,7 +94,6 @@ def _coupled_triplets(p: IndexPartition):
 def check_closed(
     g: TwoFormSpec,
     partition: IndexPartition,
-    samples: Optional[Sequence[np.ndarray]] = None,
     tol: float = DEFAULT_CLOSED_TOL,
     seed: int = 0,
 ) -> ValidationResult:
@@ -104,9 +103,10 @@ def check_closed(
     coefficients, the product
     (g_ij(lam+e_k)/g_ij(lam)) * (g_jk(lam+e_i)/g_jk(lam)) * (g_ki(lam+e_j)/g_ki(lam))
     must equal 1.  Trivial and potential-derived specs pass structurally
-    (the product telescopes); tables are checked numerically.  ``g`` is
-    evaluated in one :meth:`~dynrmat.params.TwoFormSpec.table` call, on the
-    shift stencils of all samples, for the pairs of the coupled triplets;
+    (the product telescopes); tables are checked numerically at four
+    points drawn from ``seed``.  ``g`` is evaluated in one
+    :meth:`~dynrmat.params.TwoFormSpec.table` call, on the shift stencils
+    of all four, for the pairs of the coupled triplets;
     the products are then formed in Python complex arithmetic.  A
     non-finite entry raises :class:`PoleError`.
     """
@@ -114,9 +114,8 @@ def check_closed(
         return ValidationResult(True)
     triplets = list(_coupled_triplets(partition))
     n = partition.n
-    if samples is None:
-        rng = np.random.default_rng(seed)
-        samples = [rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n) for _ in range(4)]
+    rng = np.random.default_rng(seed)
+    samples = [rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n) for _ in range(4)]
     mask = np.zeros((n, n), dtype=bool)
     for (i, j, k) in triplets:
         for (a, b) in ((i, j), (j, k), (k, i)):
@@ -152,7 +151,6 @@ def apply_2form(
     R: DynamicalRMatrix,
     g: TwoFormSpec,
     check: bool = True,
-    tol: float = DEFAULT_CLOSED_TOL,
     seed: int = 0,
 ) -> DynamicalRMatrix:
     """Multiply each coupled diagonal coefficient d_ij by g_ij.
@@ -174,7 +172,7 @@ def apply_2form(
     if not covered:
         raise ParameterError(covered.message)
     if check:
-        res = check_closed(g, partition, tol=tol, seed=seed)
+        res = check_closed(g, partition, seed=seed)
         if not res:
             raise ParameterError(res.message)
     coupled = np.zeros((R.n, R.n), dtype=bool)
@@ -298,7 +296,6 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
     new_signs: dict = {}
     # per (old_label), the exchange-class position for the compensator
     class_position: dict[int, int] = {}
-    old_class_of: dict[int, tuple[int, ...]] = {}
     for q, block in enumerate(p.blocks):
         if len(block) < 2:
             # nothing to merge; keep as is
@@ -310,8 +307,6 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
                 for cls in dclass.all_d_classes():
                     new_f[cls] = params.f_consts[cls]
                     new_signs[cls] = params.signs[cls]
-                    for idx in cls:
-                        old_class_of[idx] = cls
             continue
         if params.per_block[q].rational:
             raise ParameterError(
@@ -327,12 +322,10 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
                 cls = (idx,)
                 new_f[cls] = complex(params.f_consts[cls]) * scale
                 new_signs[cls] = params.signs[cls]
-                old_class_of[idx] = cls
             for cls in dclass.d_classes:
                 dcs.append(cls)
                 for idx in cls:
                     class_position[idx] = pos
-                    old_class_of[idx] = cls
                 new_f[cls] = complex(params.f_consts[cls]) * scale
                 new_signs[cls] = params.signs[cls]
         merged = DeltaClass(free=tuple(frees), d_classes=tuple(dcs))
@@ -444,7 +437,6 @@ class LimitReport:
     xi_values: list[float]
     distances: list[float]
     orders: list[float] = field(default_factory=list)
-    lam: Optional[np.ndarray] = None
 
     @property
     def converging(self) -> bool:
@@ -472,18 +464,19 @@ def _limit_member(
 def trig_to_rational_limit(
     rational_params: ClassificationParams,
     xi_sequence: Sequence[float],
-    slopes: Optional[Sequence[complex]] = None,
-    lam: Optional[np.ndarray] = None,
 ) -> LimitReport:
     """Entrywise convergence of a nonzero-sum family to a zero-sum datum.
 
     Every block of the input must have zero sum constant and a single
     exchange class.  For each xi the family member has sum constant
-    slope*xi (slope defaults to the principal square root of the block's
-    determinant constant) and position constants 1 - f*(slope/sqrt(det))*xi;
-    the report gives the max entrywise distance to the zero-sum build at a
-    fixed test point and the empirical convergence orders between
-    consecutive xi values.
+    slope*xi, where slope is the principal square root of the block's
+    determinant constant, and position constants 1 - f*(slope/sqrt(det))*xi;
+    the report gives the max entrywise distance to the zero-sum build at
+    :func:`~dynrmat.classifier._reference_point` and the empirical
+    convergence orders between consecutive xi values.  ``xi_sequence``
+    must hold at least two finite nonzero values of one sign, no two
+    consecutive ones of equal magnitude, so that every order is defined
+    (:class:`ParameterError` otherwise).
     """
     from .builder import build
     from .classifier import _reference_point
@@ -497,16 +490,21 @@ def trig_to_rational_limit(
             raise ParameterError(
                 f"block {q + 1} has several exchange classes; limit needs one"
             )
-    if slopes is None:
-        slopes = [
-            principal_sqrt(c.det_const) for c in rational_params.per_block
-        ]
-    R0 = build(p, rational_params)
-    if lam is None:
-        lam = _reference_point(R0)
-    lam = np.asarray(lam, dtype=complex)
-    base = evaluate(R0, lam).matrix
     xi_values = [float(x) for x in xi_sequence]
+    if (
+        len(xi_values) < 2
+        or not all(math.isfinite(x) and x != 0 for x in xi_values)
+        or len({x > 0 for x in xi_values}) != 1
+        or any(abs(a) == abs(b) for a, b in zip(xi_values, xi_values[1:]))
+    ):
+        raise ParameterError(
+            f"limit sequence {xi_values} shows no convergence order: it needs at least "
+            "two finite nonzero values of one sign, no two consecutive of equal magnitude"
+        )
+    slopes = [principal_sqrt(c.det_const) for c in rational_params.per_block]
+    R0 = build(p, rational_params)
+    lam = _reference_point(R0)
+    base = evaluate(R0, lam).matrix
     distances = []
     for xi in xi_values:
         member = _limit_member(rational_params, xi, slopes)
@@ -520,4 +518,4 @@ def trig_to_rational_limit(
             orders.append(float("inf"))
         else:
             orders.append(float(np.log(d1 / d2) / np.log(x1 / x2)))
-    return LimitReport(xi_values=xi_values, distances=distances, orders=orders, lam=lam)
+    return LimitReport(xi_values=xi_values, distances=distances, orders=orders)

@@ -82,7 +82,6 @@ class ResidualReport:
     samples: list[tuple[complex, ...]]
     worst_case: Optional[WorstCase]
     tol: float
-    seed: Optional[int] = None
 
     @property
     def passed(self) -> bool:
@@ -414,14 +413,15 @@ def check_system(
     )
 
 
-def check_zero_weight(P: DensePoint, tol: float = ZERO_WEIGHT_TOL) -> bool:
-    """True iff all entries outside the two allowed patterns vanish."""
+def check_zero_weight(P: DensePoint) -> bool:
+    """True iff all entries outside the two allowed patterns are below
+    ``ZERO_WEIGHT_TOL`` in modulus."""
     rows, swap, offdiag = zero_weight_layout(P.n)
     mask = np.ones((P.n * P.n, P.n * P.n), dtype=bool)
     mask[rows, swap] = False
     mask[offdiag, offdiag] = False
     off = np.abs(P.matrix[mask])
-    return bool(off.size == 0 or off.max() < tol)
+    return bool(off.size == 0 or off.max() < ZERO_WEIGHT_TOL)
 
 
 def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:

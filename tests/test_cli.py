@@ -169,6 +169,18 @@ def test_classify_stdout_with_an_exact_two_form_is_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_classify_recovers_from_the_seed_it_classifies_with(golden_config, capsys, seed):
+    """classify --seed S recovers the constants from seed S's draws."""
+    from dynrmat.classifier import _reference_point, classify, recover_params
+
+    assert main(["classify", golden_config, "--seed", str(seed)]) == EXIT_OK
+    R = build(*golden_datum())
+    params = recover_params(R, classify(R, seed=seed), seed=seed)
+    expected = json.loads(json.dumps(params_to_json(params, _reference_point(R))))
+    assert json.loads(capsys.readouterr().out)["params"] == expected
+
+
 def test_verify_env_seed(golden_config, tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -664,6 +676,20 @@ def test_transform_limit(golden_config, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["converging"] is True
     assert len(obj["distances"]) == 3
+
+
+@pytest.mark.parametrize("value", [",", "1e-2,1e-2", "0"])
+def test_transform_limit_without_an_order_invalid(golden_config, capsys, value):
+    """An empty sequence, repeated magnitudes and a zero show no order: they
+    exit 2 with a message naming the sequence, never NaN or an empty success."""
+    assert main(["transform", golden_config, f"--limit={value}"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    xi = [float(tok) for tok in value.split(",") if tok]
+    assert captured.err == (
+        f"invalid input: limit sequence {xi} shows no convergence order: it needs at "
+        "least two finite nonzero values of one sign, no two consecutive of equal magnitude\n"
+    )
 
 
 def test_transform_scale(tmp_path, capsys):

@@ -46,12 +46,22 @@ def test_all_free_uniform_sign_is_hecke():
 
 
 def test_mixed_signs_weak_but_not_hecke():
-    p, c = _all_free_trig(
-        3, 1 + 0j, 2 + 0j, signs={(1,): 1, (2,): -1, (3,): 1}
-    )
-    R = build(p, c)
-    rep = hecke_classify(R)
-    assert rep.kind == "WeakHecke"
+    """S = 1, Sigma = 2: the eigenvalues are 2 and -1.  rho is the one on
+    more diagonal lines; on a tie, the one on the smallest index."""
+    for signs, rho, kappa in [
+        ((1, -1), 2, 1),
+        ((-1, 1), -1, -2),
+        ((1, -1, -1), -1, -2),
+        ((-1, 1, 1), 2, 1),
+        ((1, -1, 1), 2, 1),
+    ]:
+        p, c = _all_free_trig(
+            len(signs), 1 + 0j, 2 + 0j, signs={(i,): s for i, s in enumerate(signs, start=1)}
+        )
+        rep = hecke_classify(build(p, c))
+        assert rep.kind == "WeakHecke", signs
+        assert abs(rep.rho - rho) < 1e-9, (signs, rep.rho)
+        assert abs(rep.kappa - kappa) < 1e-9, (signs, rep.kappa)
 
 
 def test_golden_weak_hecke(golden):

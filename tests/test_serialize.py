@@ -8,7 +8,12 @@ import pytest
 
 from dynrmat.builder import build
 from dynrmat.errors import NotInFamilyError, ParameterError, PoleError
-from dynrmat.params import ExactTwoForm, QuadraticExactTwoForm, TableTwoForm
+from dynrmat.params import (
+    ExactTwoForm,
+    QuadraticExactTwoForm,
+    TableTwoForm,
+    constant_table_two_form,
+)
 from dynrmat.rmatrix import (
     ZERO_WEIGHT_TOL,
     DensePoint,
@@ -90,6 +95,16 @@ def test_table_two_form_is_read_from_one_table_and_its_poles_raise():
         two_form_to_json(g, 3)
     with pytest.raises(ParameterError, match=r"keys must be pairs i < j of 1..3, got \[\(2, 1\)\]"):
         two_form_to_json(TableTwoForm(g={(2, 1): lambda lam: 1}), 3)
+
+
+@pytest.mark.parametrize("probe", [None, np.array([0.5, 0, 0.25j])], ids=["origin", "probe"])
+def test_constant_below_the_pole_guard_is_named(probe):
+    """A constant below POLE_GUARD is a pole at every point, so no probe
+    point helps: with or without one, the error names the constant."""
+    g = constant_table_two_form({(1, 2): 2 + 0j, (1, 3): 0j, (2, 3): 1j})
+    with pytest.raises(ParameterError, match=r"^2-form constant 0j at pair \(1,3\) is below "
+                       r"POLE_GUARD in modulus: a pole at every point$"):
+        two_form_to_json(g, 3, probe)
 
 
 def test_missing_potentials_are_one():

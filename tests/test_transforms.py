@@ -476,8 +476,25 @@ def test_limit_members_are_solutions(golden):
 
 def test_limit_rejects_nonzero_sum_input():
     p, c = _two_class_trig()
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="block 1 has nonzero sum constant"):
         trig_to_rational_limit(c, [0.1])
+
+
+@pytest.mark.parametrize("xi", [
+    [], [0.1], [0.1, 0.0], [0.1, float("nan")], [0.1, float("inf")], [-0.1, 0.01],
+    [1e-2, 1e-2], [1e-1, 1e-2, 1e-2],
+], ids=["empty", "one", "zero", "nan", "inf", "two-signs", "equal", "equal-tail"])
+def test_limit_rejects_sequences_without_an_order(golden, xi):
+    _, c, _ = golden
+    with pytest.raises(ParameterError, match=r"^limit sequence \[.*\] shows no convergence order"):
+        trig_to_rational_limit(c, xi)
+
+
+def test_limit_accepts_a_negative_sequence(golden):
+    _, c, _ = golden
+    rep = trig_to_rational_limit(c, [-1e-1, -1e-2, -1e-3])
+    assert rep.converging
+    assert all(0.9 <= o <= 1.1 for o in rep.orders)
 
 
 # -- gauge invariance across random data ------------------------------------
