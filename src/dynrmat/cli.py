@@ -262,8 +262,12 @@ def cmd_verify(args) -> int:
     }
     text = _dumps(json_obj) + "\n" + csv_text
     if not ok:
-        if worst is None:
-            reason = "every component residual is 0; the global or invertibility check failed"
+        if report.passed:
+            k = next(k for k, item in enumerate(inv) if not item["agree"])
+            reason = (f"invertibility check failed at sample {k + 1} of {len(samples)}, "
+                      f"lam={np.asarray(samples[k], dtype=complex)}: {inv[k]['detail']}")
+        elif worst is None:
+            reason = "every component residual is 0; the global check failed"
         else:
             reason = (f"worst equation {worst.equation} at indices {list(worst.indices)} "
                       f"with normalized residual {worst.value:.3e}")

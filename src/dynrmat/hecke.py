@@ -183,10 +183,11 @@ def hecke_classify(
     # eigenvalues on every off-diagonal plane
     hecke = not (on_e1 and on_e2)
     if hecke:
-        for (i, j), (f1, f2) in pair_eigs.items():
-            pair_vals = sorted((f1, f2), key=lambda z: (z.real, z.imag))
-            want = sorted((rho, -kappa), key=lambda z: (z.real, z.imag))
-            if not (near(pair_vals[0], want[0]) and near(pair_vals[1], want[1])):
+        # either assignment: on the square-root cut the two eigenvalues
+        # share a real part, so no ordering of them is stable to one ulp
+        for f1, f2 in pair_eigs.values():
+            if not ((near(f1, rho) and near(f2, -kappa))
+                    or (near(f1, -kappa) and near(f2, rho))):
                 hecke = False
                 break
     kind = "Hecke" if hecke else "WeakHecke"

@@ -26,9 +26,13 @@ that matrix's table function behind an empty cache of its own.  Otherwise
 its table function calls each plain callable once per entry and point, and
 copies a field that is another matrix's reader, as ``R.d`` in
 ``DynamicalRMatrix(n, delta=my_delta, d=R.d)``, from R's tables, evaluated
-once on the whole stack.  While the per-entry loop runs, R's cache holds
-those points, so ``my_delta``'s reads of ``R.delta`` find them; the held
-entries are removed afterwards, so no stack outlives the call.
+once on the whole stack.  ``my_delta`` gets each point as ``lam``, a
+read-only row of a private copy of the stack.  While it runs at a point, R
+pins that exact object with the point's tables as nested lists, so a read
+``R.delta(i, j, lam)`` of the object passed is served from the pin; R's
+cache also holds the stack's points, so a read at an equal copy finds them.
+The pin is given back and the held entries are removed afterwards, so no
+table or pin outlives the call.
 
 Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
 1-based on both levels.
@@ -101,6 +105,9 @@ class DynamicalRMatrix:
         self.provenance = provenance
         self._fn = fn
         self._cache: dict = {}
+        # (lam, delta rows, d rows): the point a per-entry adapter is
+        # running its callables at, read by identity (see _per_entry_tables)
+        self._pin: Optional[tuple] = None
 
     @classmethod
     def from_tables(cls, n: int, fn: TableFunction,
@@ -123,12 +130,16 @@ class DynamicalRMatrix:
         return self._entry(1, i, j, lam)
 
     def _entry(self, part: int, i: int, j: int, lam) -> complex:
-        mu = np.asarray(lam, dtype=complex)
-        hit = self._cache.get(mu.tobytes())
-        if hit is None:
-            delta, d = self.lookup(mu[None])
-            hit = delta[0], d[0]
-        v = hit[part].item(i - 1, j - 1)
+        pin = self._pin
+        if pin is not None and lam is pin[0]:
+            v = pin[part + 1][i - 1][j - 1]
+        else:
+            mu = np.asarray(lam, dtype=complex)
+            hit = self._cache.get(mu.tobytes())
+            if hit is None:
+                delta, d = self.lookup(mu[None])
+                hit = delta[0], d[0]
+            v = hit[part].item(i - 1, j - 1)
         if not cmath.isfinite(v):
             raise PoleError(_pole_message(i, j, lam))
         return v
@@ -201,10 +212,19 @@ def _per_entry_tables(n: int, fields: tuple[CoefficientField, CoefficientField],
     :func:`_reader` results are ``readers``: a reader's table is copied from
     its matrix's stack, and each plain callable is called once per entry and
     point, point by point (the diagonal of d is left 0), NaN where it raises
-    :class:`PoleError`.  The matrices behind the readers hold the points of
-    the stack in their caches while the callables run."""
+    :class:`PoleError`.  The callables get each point as a read-only row of
+    a private copy of the stack.  While they run at a point, each matrix
+    behind a reader pins that row object with its two tables as nested
+    lists, and the matrices hold every point of the stack in their caches,
+    so a read at an equal point finds it too."""
     owners = list(dict.fromkeys(r[0] for r in readers if r is not None))
     plain = [(part, f) for part, (f, r) in enumerate(zip(fields, readers)) if r is None]
+    nan = complex("nan")
+    # the (i, j) at which a plain delta or d is called, and their positions
+    # in a row-major table
+    entries = [[(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if part == 0 or i != j]
+               for part in (0, 1)]
+    flat = [np.array([(i - 1) * n + j - 1 for i, j in e], dtype=np.intp) for e in entries]
 
     def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         stacks = {M: raw_tables(M, lams) for M in owners}
@@ -212,6 +232,9 @@ def _per_entry_tables(n: int, fields: tuple[CoefficientField, CoefficientField],
         for part, r in enumerate(readers):
             if r is not None:
                 out[part] = stacks[r[0]][r[1]]
+        lams = lams.copy()
+        lams.setflags(write=False)
+        saved = [(M, M._pin) for M in owners]
         held = []
         try:
             for M, stack in stacks.items():
@@ -221,16 +244,19 @@ def _per_entry_tables(n: int, fields: tuple[CoefficientField, CoefficientField],
                         M._cache[key] = value = stack[0][p], stack[1][p]
                         held.append((M, key, value))
             for p, lam in enumerate(lams):
+                for M, stack in stacks.items():
+                    M._pin = lam, stack[0][p].tolist(), stack[1][p].tolist()
                 for part, field in plain:
-                    tab = out[part, p]
-                    for i in range(1, n + 1):
-                        for j in range(1, n + 1):
-                            if i != j or part == 0:
-                                try:
-                                    tab[i - 1, j - 1] = field(i, j, lam)
-                                except PoleError:
-                                    tab[i - 1, j - 1] = np.nan
+                    vals = []
+                    for i, j in entries[part]:
+                        try:
+                            vals.append(field(i, j, lam))
+                        except PoleError:
+                            vals.append(nan)
+                    out[part, p].reshape(-1)[flat[part]] = vals
         finally:
+            for M, pin in saved:
+                M._pin = pin
             for M, key, value in held:
                 if M._cache.get(key) is value:
                     del M._cache[key]
@@ -337,16 +363,22 @@ def shift_stencil(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[np.ndarray, np.
     return R.stacked_tables(stencil_points(lam))
 
 
-def evaluate(R: DynamicalRMatrix, lam: np.ndarray) -> DensePoint:
-    """Dense evaluation at ``lam``; only the two sparsity patterns are filled."""
-    lam = np.asarray(lam, dtype=complex)
-    delta_tab, d_tab = R.tables(lam)
-    n = R.n
+def dense_from_tables(delta_tab: np.ndarray, d_tab: np.ndarray) -> np.ndarray:
+    """The dense n^2 x n^2 matrix of one point's n x n exchange and diagonal
+    tables, placed by the layout: the inverse of :func:`tables_from_dense`."""
+    n = len(delta_tab)
     rows, swap, offdiag = zero_weight_layout(n)
     M = np.zeros((n * n, n * n), dtype=complex)
     M[rows, swap] = delta_tab.ravel()
     M[offdiag, offdiag] = d_tab.ravel()[offdiag]
-    return DensePoint(n=n, lam=tuple(lam.tolist()), matrix=M)
+    return M
+
+
+def evaluate(R: DynamicalRMatrix, lam: np.ndarray) -> DensePoint:
+    """Dense evaluation at ``lam``; only the two sparsity patterns are filled."""
+    lam = np.asarray(lam, dtype=complex)
+    M = dense_from_tables(*R.tables(lam))
+    return DensePoint(n=R.n, lam=tuple(lam.tolist()), matrix=M)
 
 
 def embed_with_shift(

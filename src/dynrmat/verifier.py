@@ -33,6 +33,7 @@ with an absolute fallback when all entries are O(1)).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,9 +46,9 @@ from .rmatrix import (
     ZERO_WEIGHT_TOL,
     DensePoint,
     DynamicalRMatrix,
-    evaluate,
     _TABLE_CACHE_MAX,
     _as_stack,
+    dense_from_tables,
     pair_invariants,
     shift_stencil,
     shifted,
@@ -61,6 +62,10 @@ EQUATION_TAGS = ("G0",) + tuple(f"F{k}" for k in range(1, 10)) + tuple(
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 8
+
+#: check_invertibility's bound on the difference of the two log-determinants:
+#: a relative tolerance on |det| and an absolute one, in radians, on its phase.
+INVERTIBILITY_TOL = 1e-8
 
 #: Rejection-sampler bound on coefficient magnitudes; keeps cubic products
 #: well inside the meaningful range of double precision.
@@ -424,24 +429,60 @@ def check_zero_weight(P: DensePoint) -> bool:
     return bool(off.size == 0 or off.max() < ZERO_WEIGHT_TOL)
 
 
+def _exp(z: complex) -> complex:
+    """e^z, with modulus inf (not OverflowError) above the float range."""
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        return complex(math.inf * math.cos(z.imag), math.inf * math.sin(z.imag))
+
+
 def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
-    """Compare the factorized determinant with a dense LU determinant."""
+    """Compare the factorized determinant with a dense LU determinant.
+
+    The factors are the Delta_ii and the plane determinants
+    d_ij d_ji - Delta_ij Delta_ji, i < j.  Both sides are compared as
+    complex logarithms, so neither overflows nor underflows: ``agree``
+    needs every factor finite and nonzero, and log|det| and the phase
+    (modulo 2 pi) of the two sides to agree within ``INVERTIBILITY_TOL``.
+    ``det_factorized`` and ``det_dense`` are the exponentials of the two
+    logarithms, inf or 0 outside the float range (``det_factorized`` is the
+    plain product when a factor is zero or not finite).  ``detail`` says why
+    ``agree`` is False, naming the first zero or non-finite factor
+    (diagonal ones first, then pairs in row-major order), or is None.
+    """
     lam = np.asarray(lam, dtype=complex)
     delta_tab, d_tab = R.tables(lam)
     _, dets = pair_invariants(delta_tab, d_tab)
-    det_fact = complex(np.prod(np.diagonal(delta_tab)))
+    factors = np.diagonal(delta_tab).tolist()
     for i, row in enumerate(dets.tolist()):
-        for det in row[i + 1:]:
-            det_fact *= det
-    det_dense = complex(np.linalg.det(evaluate(R, lam).matrix))
-    scale = max(abs(det_fact), abs(det_dense))
-    agree = (
-        scale > 0
-        and abs(det_fact - det_dense) / scale < 1e-8
-        and det_fact != 0
-        and det_dense != 0
-    )
-    return {"det_factorized": det_fact, "det_dense": det_dense, "agree": agree}
+        factors += row[i + 1:]
+    sign, log_abs = np.linalg.slogdet(dense_from_tables(delta_tab, d_tab))
+    det_dense = _exp(complex(log_abs, cmath.phase(sign)))
+    try:
+        log_fact = sum(map(cmath.log, factors))
+    except ValueError:  # a zero factor
+        log_fact = complex("nan")
+    if not cmath.isfinite(log_fact):
+        k = next(k for k, v in enumerate(factors) if v == 0 or not cmath.isfinite(v))
+        n = R.n
+        if k < n:
+            where = f"Delta_ii at index {k + 1}"
+        else:
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            where = "det_ij at pair ({},{})".format(*pairs[k - n])
+        detail = f"factor {where} is {factors[k]}, zero or not finite"
+        det_fact = math.prod(factors)
+    else:
+        det_fact = _exp(log_fact)
+        d_mod = log_fact.real - float(log_abs)
+        d_phase = math.remainder(log_fact.imag - cmath.phase(sign), 2 * math.pi)
+        detail = None
+        if not max(abs(d_mod), abs(d_phase)) <= INVERTIBILITY_TOL:
+            detail = (f"log-determinants differ by {d_mod:.3e} in modulus and "
+                      f"{d_phase:.3e} in phase")
+    return {"det_factorized": det_fact, "det_dense": det_dense,
+            "agree": detail is None, "detail": detail}
 
 
 def shift_identities(R: DynamicalRMatrix, lam: np.ndarray) -> dict[tuple[int, int], float]:

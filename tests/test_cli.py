@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from dynrmat.rmatrix import (
     evaluate,
     shifted,
 )
+from dynrmat.params import BlockConstants
+from dynrmat.sampling import random_datum
 from dynrmat.serialize import params_to_json
 from dynrmat.verifier import sample_lambda
 
@@ -293,6 +296,40 @@ def test_verify_matrix_perturbed_fails_naming_equation(golden_R, tmp_path, capsy
     assert main(["verify", cfg]) == EXIT_RESIDUAL
     err = capsys.readouterr().err
     assert "FAIL: worst equation" in err
+
+
+def test_verify_names_the_sample_and_factor_when_only_invertibility_fails(tmp_path, capsys):
+    R = build(*dynrmat.serialize.parse_config(zero_residual_config())[1])
+    W = DynamicalRMatrix(n=2, delta=lambda i, j, lam: 0j if i == j == 2 else R.delta(i, j, lam),
+                         d=R.d)
+    lam = np.array([0.3, 0.1j])
+    cfg = _write(tmp_path, "m.json", _matrix_config(W, [lam]))
+    assert main(["verify", cfg]) == EXIT_RESIDUAL
+    out, err = capsys.readouterr()
+    obj = json.loads(out.partition("\n}")[0] + "\n}")
+    assert obj["passed"] is False and obj["invertibility_agree"] is False
+    assert obj["global_residual"] == 0 and set(obj["per_equation"].values()) == {0}
+    assert err == (f"FAIL: invertibility check failed at sample 1 of 1, lam={lam}: "
+                   "factor Delta_ii at index 2 is 0j, zero or not finite\n")
+
+
+def _scaled_datum(n, c):
+    """random_datum(n) as the member c R: S -> c S, Sigma -> c^2 Sigma."""
+    p, params = random_datum(n, np.random.default_rng(1), "trivial")
+    return replace(
+        params,
+        per_block=tuple(BlockConstants(b.sum_const * c, b.det_const * c * c)
+                        for b in params.per_block),
+        cross_det={k: v * c * c for k, v in params.cross_det.items()},
+    )
+
+
+@pytest.mark.parametrize("n, c", [(12, 1e-4), (16, 100.0)], ids=["underflow", "overflow"])
+def test_verify_passes_members_whose_determinant_leaves_the_float_range(tmp_path, capsys, n, c):
+    cfg = _write(tmp_path, "scaled.json", params_to_json(_scaled_datum(n, c)))
+    assert main(["verify", cfg]) == EXIT_OK
+    obj = json.loads(capsys.readouterr().out.partition("\n}")[0] + "\n}")
+    assert obj["passed"] is True and obj["invertibility_agree"] is True
 
 
 @pytest.mark.parametrize("row, col", [([1, 5], [5, 1]), ([0, 2], [2, 0]), ([1, -1], [-1, 1]),

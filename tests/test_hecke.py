@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from dynrmat.builder import build
+from dynrmat.cli import EXIT_OK, main
 from dynrmat.errors import NotInFamilyError
 from dynrmat.hecke import basic_form_distance, hecke_classify
 from dynrmat.params import (
@@ -12,6 +15,7 @@ from dynrmat.params import (
 )
 from dynrmat.partition import DeltaClass, IndexPartition, single_class_partition
 from dynrmat.rmatrix import DynamicalRMatrix
+from dynrmat.serialize import params_to_json
 
 from conftest import golden_datum, varied_golden
 
@@ -62,6 +66,36 @@ def test_mixed_signs_weak_but_not_hecke():
         assert rep.kind == "WeakHecke", signs
         assert abs(rep.rho - rho) < 1e-9, (signs, rep.rho)
         assert abs(rep.kappa - kappa) < 1e-9, (signs, rep.kappa)
+
+
+#: S = 0.5, Sigma = -0.3125: S^2 + 4 Sigma = -1 lies on the cut of the
+#: square root, so each plane's eigenvalues (S +- i)/2 share their real part,
+#: and a one-ulp difference between the computed real parts decides any
+#: ordering of them
+CUT_SIGMAS = [complex(-0.3125, 0.0), complex(-0.3125, -0.0),
+              complex(-0.3125, 1e-13), complex(-0.3125, -1e-13)]
+
+
+@pytest.mark.parametrize("sigma", CUT_SIGMAS, ids=["+0", "-0", "+1e-13", "-1e-13"])
+def test_hecke_on_and_off_the_square_root_cut(sigma):
+    p, c = _all_free_trig(3, 0.5 + 0j, sigma)
+    rep = hecke_classify(build(p, c))
+    assert rep.kind == "Hecke"
+    assert abs(rep.rho - rep.kappa - 0.5) < 1e-9
+    assert abs(rep.rho * rep.kappa - sigma) < 1e-9
+    assert abs(abs(rep.rho.imag) - 0.5) < 1e-9
+
+
+@pytest.mark.parametrize("sigma", CUT_SIGMAS, ids=["+0", "-0", "+1e-13", "-1e-13"])
+def test_hecke_cli_on_and_off_the_square_root_cut(sigma, tmp_path, capsys):
+    p, c = _all_free_trig(3, 0.5 + 0j, sigma)
+    cfg = tmp_path / "cut.json"
+    cfg.write_text(json.dumps(params_to_json(c)))
+    im = json.loads(cfg.read_text())["per_block"][0]["Sigma"]["im"]
+    assert (im, np.signbit(im)) == (sigma.imag, np.signbit(sigma.imag))  # signed zero kept
+    assert main(["hecke", str(cfg)]) == EXIT_OK
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("Hecke rho=0.25") and "not Hecke" not in line, line
 
 
 def test_golden_weak_hecke(golden):

@@ -796,6 +796,143 @@ def test_wrapper_tables_equal_per_point_reference_bit_for_bit(wrap):
     assert str(stacked.value) == f"non-finite coefficient at pair (1,2), lam={lams[5]}"
 
 
+def _read(fn, i, j, lam):
+    """fn(i, j, lam) as the bits of its value, or the PoleError message."""
+    try:
+        v = fn(i, j, lam)
+    except PoleError as exc:
+        return str(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+def test_reads_at_the_pinned_point_equal_per_entry_reads_bit_for_bit():
+    gp, gc = golden_datum()
+    rng = np.random.default_rng(3)
+    beta = random_two_form(gp, rng, "exact").beta
+    R = apply_twist(build(gp, gc), beta)
+    on_12 = np.array([0.2, 0.2, 0.5 - 0.5j, 0.1j])  # pair (1,2): lam1 = lam2
+    lams = stencil_points(np.array([random_points(rng, 4, 1)[0], on_12])).reshape(-1, 4)
+    seen = {}
+
+    def delta(i, j, lam):
+        assert lam is R._pin[0] and not lam.flags.writeable  # served from the pin
+        for part, fn in enumerate((R.delta, R.d)):
+            seen[lam.tobytes(), part, i, j] = _read(fn, i, j, lam)
+        return 1j
+
+    raw_tables(DynamicalRMatrix(n=4, delta=delta, d=R.d), lams)
+    assert R._pin is None
+    ref = apply_twist(build(gp, gc), beta)  # read entry by entry, nothing pinned
+    want = {(mu.tobytes(), part, i, j): _read(fn, i, j, mu)
+            for mu in lams for part, fn in enumerate((ref.delta, ref.d))
+            for i in range(1, 5) for j in range(1, 5)}
+    assert seen == want
+    # the pole sits inside the stack, and a pinned read names it as before
+    assert want[lams[5].tobytes(), 0, 1, 2] == f"non-finite coefficient at pair (1,2), lam={lams[5]}"
+
+
+def test_no_pin_outlives_nested_wrappers_or_a_callable_that_raises():
+    p, c = golden_datum()
+    R = build(p, c)
+    lams = stencil_points(np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j]))
+    X = _scaled_exchange(R, (2, 1), 0.5)
+    raw_tables(_scaled_exchange(X, (1, 3), 1.3), lams)
+    assert R._pin is None and X._pin is None
+    # an inner evaluation pins R again and gives the outer pin back
+    T = DynamicalRMatrix.from_tables(4, lambda mus: raw_tables(X, mus))
+    restored = []
+
+    def d(i, j, mu):
+        v = T.d(i, j, mu)
+        restored.append(R._pin[0] is mu)
+        return v
+
+    raw_tables(DynamicalRMatrix(n=4, delta=R.delta, d=d), lams)
+    assert len(restored) == 5 * 12 and all(restored) and R._pin is None
+
+    def failing(i, j, mu):
+        if np.array_equal(mu, lams[2]):
+            raise RuntimeError("wrapper failed")
+        return R.delta(i, j, mu)
+
+    with pytest.raises(RuntimeError, match="wrapper failed"):
+        raw_tables(DynamicalRMatrix(n=4, delta=failing, d=R.d), lams)
+    assert R._pin is None and R._cache == {}
+
+
+def test_writing_to_the_point_inside_a_callable_raises():
+    p, c = golden_datum()
+    R = build(p, c)
+    lams = stencil_points(np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j]))
+
+    def delta(i, j, lam):
+        lam[0] += 1
+        return R.delta(i, j, lam)
+
+    with pytest.raises(ValueError, match="read-only"):
+        raw_tables(DynamicalRMatrix(n=4, delta=delta, d=R.d), lams)
+    assert R._pin is None and R._cache == {}
+    assert lams.flags.writeable and lams[0, 0] == 0.1  # the caller's stack is untouched
+
+
+def test_a_read_at_an_equal_point_is_served_by_the_held_stack():
+    p, c = golden_datum()
+    R, calls = _counting(build(p, c))
+    lams = stencil_points(np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j]))
+    pairs = []
+
+    def delta(i, j, lam):
+        mu = lam.copy()
+        pairs.append((_read(R.delta, i, j, mu), _read(R.delta, i, j, lam)))
+        return R.delta(i, j, mu)
+
+    got = raw_tables(DynamicalRMatrix(n=4, delta=delta, d=R.d), lams)
+    assert [len(pts) for pts in calls] == [5]  # no extra inner call
+    assert len(pairs) == 5 * 16 and all(a == b for a, b in pairs)
+    assert np.array_equal(got[0], build(p, c).stacked_tables(lams)[0])
+
+
+def test_a_read_at_another_point_is_not_served_from_the_pin():
+    p, c = golden_datum()
+    R = build(p, c)
+    lams = stencil_points(np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j]))
+    far = np.array([0.3, -0.2j, 0.9, 0.4 - 0.1j])
+    reads = []
+
+    def delta(i, j, lam):
+        reads.append((i, j, _read(R.delta, i, j, far), _read(R.d, i, j, far)))
+        return R.delta(i, j, lam)
+
+    raw_tables(DynamicalRMatrix(n=4, delta=delta, d=R.d), lams)
+    ref = build(p, c)
+    assert reads == [(i, j, _read(ref.delta, i, j, far), _read(ref.d, i, j, far))
+                     for _ in lams for i in range(1, 5) for j in range(1, 5)]
+
+
+def test_each_plain_field_is_called_once_per_entry_and_point():
+    p, c = golden_datum()
+    R = build(p, c)
+    lams = stencil_points(np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j]))
+    seen = {"delta": [], "d": []}
+
+    def counted(name, fn):
+        def field(i, j, lam):
+            seen[name].append((i, j, lam.tobytes()))
+            return fn(i, j, lam)
+        return field
+
+    W = DynamicalRMatrix(n=4, delta=counted("delta", R.delta), d=counted("d", R.d))
+    got = raw_tables(W, lams)
+    keys = {lam.tobytes() for lam in lams}
+    assert sorted(seen["delta"]) == sorted((i, j, k) for i in range(1, 5)
+                                           for j in range(1, 5) for k in keys)
+    assert sorted(seen["d"]) == sorted((i, j, k) for i in range(1, 5)
+                                       for j in range(1, 5) if i != j for k in keys)
+    assert len(seen["delta"]) == 5 * 16 and len(seen["d"]) == 5 * 12
+    want = build(p, c).stacked_tables(lams)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_stacked_pole_names_first_bad_point_and_pair():
     p, c = golden_datum()
     R = build(p, c)

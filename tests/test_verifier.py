@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from dynrmat.rmatrix import (
     composite_index,
     embed_with_shift,
     evaluate,
+    raw_tables,
     shift_stencil,
     shifted,
 )
@@ -324,6 +327,74 @@ def test_invertibility_factorization():
         res = check_invertibility(R, lam)
         assert res["agree"]
         assert res["det_factorized"] != 0
+
+
+def _scaled(R, c):
+    """c R, a member whenever R is one (S -> c S, Sigma -> c^2 Sigma)."""
+    return DynamicalRMatrix.from_tables(R.n, lambda lams: tuple(t * c for t in raw_tables(R, lams)))
+
+
+@pytest.mark.parametrize("c, det", [(1e-4, 0.0), (1e4, math.inf)], ids=["underflow", "overflow"])
+def test_invertibility_agrees_outside_the_float_range(c, det):
+    R = build(*random_datum(12, np.random.default_rng(1), "trivial"))
+    samples = sample_lambda(R, np.random.default_rng(0), 2)
+    S = _scaled(R, c)
+    assert check_system(S, samples).passed
+    for lam in samples:
+        res = check_invertibility(S, lam)
+        assert res["agree"] and res["detail"] is None, res
+        assert abs(res["det_dense"]) == abs(res["det_factorized"]) == det
+        assert check_invertibility(R, lam)["agree"]
+
+
+def _zero_factor(which):
+    """The every-residual-zero datum with Delta_22 or the plane (1,2) set to 0."""
+    R = build(*parse_config(zero_residual_config())[1])
+    if which == "Delta_22":
+        return DynamicalRMatrix(n=2, delta=lambda i, j, lam: 0j if i == j == 2 else R.delta(i, j, lam),
+                                d=R.d)
+    return DynamicalRMatrix(n=2, delta=R.delta, d=lambda i, j, lam: 0j)
+
+
+@pytest.mark.parametrize("which, name", [("Delta_22", "Delta_ii at index 2"),
+                                         ("plane", "det_ij at pair (1,2)")],
+                         ids=["Delta_22", "det_12"])
+def test_invertibility_names_a_zero_factor(which, name):
+    W = _zero_factor(which)
+    lam = np.array([0.3, 0.1j])
+    assert check_system(W, [lam]).passed
+    res = check_invertibility(W, lam)
+    assert res == {"det_factorized": 0j, "det_dense": 0j, "agree": False,
+                   "detail": f"factor {name} is 0j, zero or not finite"}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_invertibility_names_a_non_finite_factor():
+    # d_12 d_21 overflows: the plane determinant is not finite
+    def tables(lams):
+        delta = np.broadcast_to(np.eye(2, dtype=complex), (len(lams), 2, 2)).copy()
+        d = np.broadcast_to(np.array([[0, 1e200], [1e200, 0]], dtype=complex), delta.shape).copy()
+        return delta, d
+
+    res = check_invertibility(DynamicalRMatrix.from_tables(2, tables), np.zeros(2))
+    assert not res["agree"] and res["detail"].startswith("factor det_ij at pair (1,2) is (inf")
+
+
+def test_invertibility_compares_log_moduli_and_phases_modulo_two_pi(monkeypatch):
+    R = build(*random_datum(5, np.random.default_rng(2), "trivial"))
+    (lam,) = sample_lambda(R, np.random.default_rng(0), 1)
+    slogdet = np.linalg.slogdet
+    for shift, agree in ((0.0, True), (2j * np.pi, True), (-4j * np.pi, True),
+                         (1e-6, False), (1e-6j, False)):
+        def moved(M, shift=shift):
+            sign, log_abs = slogdet(M)
+            return sign * np.exp(1j * shift.imag), log_abs + shift.real
+
+        monkeypatch.setattr(np.linalg, "slogdet", moved)
+        res = check_invertibility(R, lam)
+        assert res["agree"] is agree, (shift, res)
+        if not agree:
+            assert res["detail"].startswith("log-determinants differ by")
 
 
 def test_sample_lambda_respects_caps():
