@@ -52,7 +52,6 @@ from .rmatrix import (
     dense_point_to_json,
     evaluate,
     pair_invariants,
-    permuted,
     shifted,
 )
 from .sampling import random_datum, random_partition, random_two_form
@@ -72,7 +71,6 @@ from .verifier import (
     ResidualReport,
     check_invertibility,
     check_system,
-    check_zero_weight,
     dqybe_residual_normalized,
     sample_lambda,
     shift_identities,

@@ -37,7 +37,7 @@ from .errors import (
 from .hecke import DEFAULT_TOL as HECKE_TOL, hecke_classify
 from .params import validate_params
 from .partition import to_json as partition_to_json
-from .rmatrix import dense_point_to_json, evaluate, stencil_points
+from .rmatrix import point_to_json, stencil_points
 from .serialize import (
     complex_to_json,
     load_config,
@@ -206,7 +206,7 @@ def cmd_build(args) -> int:
     out_obj = {"summary": lines}
     if args.lam:
         lam = _parse_lambda(args.lam, p.n)
-        out_obj["point"] = dense_point_to_json(evaluate(R, lam))
+        out_obj["point"] = point_to_json(lam, *R.tables(lam))
     _emit(_dumps(out_obj), args.out)
     return EXIT_OK
 
@@ -399,7 +399,7 @@ def cmd_transform(args) -> int:
         lam = _reference_point(out_R)
     obj = {
         "n": m,
-        "point": dense_point_to_json(evaluate(out_R, lam)),
+        "point": point_to_json(lam, *out_R.tables(lam)),
         "residual": dqybe_residual_normalized(out_R, lam),
     }
     _emit(_dumps(obj), args.out)

@@ -285,10 +285,6 @@ class DensePoint:
     lam: tuple[complex, ...]
     matrix: np.ndarray
 
-    def entry(self, row: tuple[int, int], col: tuple[int, int]) -> complex:
-        return complex(self.matrix[composite_index(self.n, *row),
-                                   composite_index(self.n, *col)])
-
 
 def composite_index(n: int, a: int, b: int) -> int:
     """0-based position of the composite basis vector (a, b), 1-based inputs."""
@@ -323,10 +319,8 @@ def zero_weight_layout(n: int) -> ZeroWeightLayout:
 def tables_from_dense(M: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of the layout: the (exchange, diagonal) n x n tables read off
     a dense n^2 x n^2 matrix, or (..., n, n) stacks off a (..., n^2, n^2)
-    stack.  Only the two patterns are read, and entries elsewhere are not
-    checked here: :func:`dynrmat.verifier.check_zero_weight` tests them, and
-    :func:`dynrmat.serialize.matrix_from_samples` rejects a dense sample
-    that has one."""
+    stack.  Only the two patterns are read; entries elsewhere are not
+    checked."""
     rows, swap, offdiag = zero_weight_layout(n)
     lead = M.shape[:-2]
     d_flat = np.zeros(lead + (n * n,), dtype=complex)
@@ -420,14 +414,6 @@ def embed_with_shift(
     return T.reshape(n ** 3, n ** 3)
 
 
-def permuted(P: DensePoint) -> np.ndarray:
-    """The flip-composed matrix: apply the factor swap v_i (x) v_j -> v_j (x) v_i
-    after the matrix.  On span{e_i (x) e_j, e_j (x) e_i} the restriction is
-    [[delta_ji, d_ji], [d_ij, delta_ij]]; on e_i (x) e_i it is delta_ii.
-    """
-    return P.matrix[zero_weight_layout(P.n).swap]
-
-
 def pair_invariants(delta: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two invariants of each plane span{e_i (x) e_j, e_j (x) e_i} from
     (..., n, n) exchange and diagonal table stacks: the (..., n, n) stacks of
@@ -443,24 +429,25 @@ def pair_invariants(delta: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.nd
 
 # -- JSON export -----------------------------------------------------------
 
-def dense_point_to_json(P: DensePoint) -> dict:
-    n = P.n
-    delta, d = tables_from_dense(P.matrix, n)
+def point_to_json(lam, delta: np.ndarray, d: np.ndarray) -> dict:
+    """The JSON of one point from its n x n exchange and diagonal tables:
+    row-major over (i, j), the exchange entry and then the diagonal one,
+    each only when it is nonzero, and no diagonal entry for i = j."""
     entries = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            v = complex(delta[i - 1, j - 1])
+    for i, (delta_row, d_row) in enumerate(zip(delta.tolist(), d.tolist()), 1):
+        for j, (v, w) in enumerate(zip(delta_row, d_row), 1):
             if v != 0:
-                entries.append(
-                    {"row": [i, j], "col": [j, i], "re": v.real, "im": v.imag}
-                )
-            v = complex(d[i - 1, j - 1])
-            if v != 0:
-                entries.append(
-                    {"row": [i, j], "col": [i, j], "re": v.real, "im": v.imag}
-                )
+                entries.append({"row": [i, j], "col": [j, i], "re": v.real, "im": v.imag})
+            if w != 0 and i != j:
+                entries.append({"row": [i, j], "col": [i, j], "re": w.real, "im": w.imag})
     return {
-        "n": n,
-        "lambda": [{"re": z.real, "im": z.imag} for z in P.lam],
+        "n": len(delta),
+        "lambda": [{"re": z.real, "im": z.imag}
+                   for z in np.asarray(lam, dtype=complex).tolist()],
         "entries": entries,
     }
+
+
+def dense_point_to_json(P: DensePoint) -> dict:
+    """The JSON of a dense point, read through :func:`tables_from_dense`."""
+    return point_to_json(P.lam, *tables_from_dense(P.matrix, P.n))

@@ -60,13 +60,7 @@ from .params import (
 from .partition import IndexPartition
 from .partition import from_json as partition_from_json
 from .partition import to_json as partition_to_json
-from .rmatrix import (
-    ZERO_WEIGHT_TOL,
-    DensePoint,
-    DynamicalRMatrix,
-    tables_from_dense,
-    zero_weight_layout,
-)
+from .rmatrix import ZERO_WEIGHT_TOL, DynamicalRMatrix
 
 
 def complex_to_json(z: complex) -> dict:
@@ -356,11 +350,6 @@ def _entries(rows: list, cols: list, res: list, ims: list,
     return idx.astype(np.int64), values
 
 
-def _outside_pattern(row: list, col: list, value: complex) -> str:
-    return (f"row {row}, col {col} is outside the zero-weight pattern "
-            f"(|value| {abs(value):g})")
-
-
 def sampled_tables_from_json(obj: dict) -> SampledTables:
     """The :class:`SampledTables` of a sampled-matrix config, parsed in one
     pass over all samples.
@@ -427,7 +416,8 @@ def sampled_tables_from_json(obj: dict) -> SampledTables:
         s = int(sample_of[k])
         raise NotInFamilyError(
             f"sample {s}: entry {k - sum(counts[:s])}: "
-            + _outside_pattern(idx[k, :2].tolist(), idx[k, 2:].tolist(), values[k]))
+            f"row {idx[k, :2].tolist()}, col {idx[k, 2:].tolist()} is outside the "
+            f"zero-weight pattern (|value| {abs(values[k]):g})")
     delta = np.zeros((S, nn), dtype=complex)
     d = np.zeros((S, nn), dtype=complex)
     for table, part in ((delta, exchange), (d, diagonal)):
@@ -444,35 +434,13 @@ def sample_keys(lams) -> list[tuple]:
     return list(map(tuple, np.round(np.asarray(lams, dtype=complex), 12).tolist()))
 
 
-def _tables_of_points(points: list[DensePoint]) -> SampledTables:
-    """The :class:`SampledTables` of dense samples; an entry outside the two
-    zero-weight patterns that is not below :data:`ZERO_WEIGHT_TOL` in
-    modulus raises :class:`NotInFamilyError` naming the sample."""
-    n = points[0].n
-    mats = np.stack([pt.matrix for pt in points])
-    rows, swap, offdiag = zero_weight_layout(n)
-    off = np.abs(mats)
-    off[:, rows, swap] = 0
-    off[:, offdiag, offdiag] = 0
-    bad = np.argwhere(~(off < ZERO_WEIGHT_TOL))
-    if len(bad):
-        s, r, c = (int(v) for v in bad[0])
-        raise NotInFamilyError(f"sample {s}: " + _outside_pattern(
-            [r // n + 1, r % n + 1], [c // n + 1, c % n + 1], mats[s, r, c]))
-    delta, d = tables_from_dense(mats, n)
-    return SampledTables(np.array([pt.lam for pt in points], dtype=complex), delta, d)
-
-
-def matrix_from_samples(samples: SampledTables | list[DensePoint]) -> DynamicalRMatrix:
-    """Zero-weight matrix backed by the stacks of a finite set of samples,
-    or by a list of dense samples (read through :func:`_tables_of_points`).
+def matrix_from_samples(samples: SampledTables) -> DynamicalRMatrix:
+    """Zero-weight matrix backed by the stacks of a finite set of samples.
 
     Evaluable only at the sampled dynamical points (nearest-key lookup
     with an exact-match tolerance); anywhere else raises
     :class:`ParameterError`.  Of samples with the same key the last counts.
     """
-    if not isinstance(samples, SampledTables):
-        samples = _tables_of_points(samples)
     lams, delta, d = samples
     row = {key: s for s, key in enumerate(sample_keys(lams))}
 

@@ -471,8 +471,9 @@ def trig_to_rational_limit(
     exchange class.  For each xi the family member has sum constant
     slope*xi, where slope is the principal square root of the block's
     determinant constant, and position constants 1 - f*(slope/sqrt(det))*xi;
-    the report gives the max entrywise distance to the zero-sum build at
-    :func:`~dynrmat.classifier._reference_point` and the empirical
+    the report gives the max entrywise distance of its coefficient tables
+    (so of its matrix) to the zero-sum build's at
+    :func:`~dynrmat.classifier._reference_point`, and the empirical
     convergence orders between consecutive xi values.  ``xi_sequence``
     must hold at least two finite nonzero values of one sign, no two
     consecutive ones of equal magnitude, so that every order is defined
@@ -480,7 +481,6 @@ def trig_to_rational_limit(
     """
     from .builder import build
     from .classifier import _reference_point
-    from .rmatrix import evaluate
 
     p = rational_params.partition
     for q, block in enumerate(p.blocks):
@@ -504,12 +504,12 @@ def trig_to_rational_limit(
     slopes = [principal_sqrt(c.det_const) for c in rational_params.per_block]
     R0 = build(p, rational_params)
     lam = _reference_point(R0)
-    base = evaluate(R0, lam).matrix
+    base = np.stack(R0.tables(lam))
     distances = []
     for xi in xi_values:
         member = _limit_member(rational_params, xi, slopes)
-        Rxi = build(p, member)
-        distances.append(float(np.abs(evaluate(Rxi, lam).matrix - base).max()))
+        # the entrywise distance of the matrices: every other entry is 0 in both
+        distances.append(float(np.abs(np.stack(build(p, member).tables(lam)) - base).max()))
     orders = []
     for (x1, d1), (x2, d2) in zip(
         zip(xi_values, distances), zip(xi_values[1:], distances[1:])

@@ -28,7 +28,9 @@ Residuals are cubic in the matrix coefficients, so all pass/fail decisions
 are made on *normalized* residuals: the raw max-abs defect divided by
 max(1, C^3) where C is the largest coefficient magnitude seen at the
 sample (equivalently, relative to the size of the three-factor products,
-with an absolute fallback when all entries are O(1)).
+with an absolute fallback when all entries are O(1)).  A sample with C
+above 2^256 is divided by a power of two first (``_RESCALE_ABOVE``), so
+that its products cannot overflow.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ import numpy as np
 
 from .errors import PoleError
 from .rmatrix import (
-    ZERO_WEIGHT_TOL,
-    DensePoint,
     DynamicalRMatrix,
     _TABLE_CACHE_MAX,
     _as_stack,
@@ -53,7 +53,6 @@ from .rmatrix import (
     shift_stencil,
     shifted,
     stencil_points,
-    zero_weight_layout,
 )
 
 EQUATION_TAGS = ("G0",) + tuple(f"F{k}" for k in range(1, 10)) + tuple(
@@ -353,6 +352,13 @@ def _equation_values(
 #: products are not bitwise commutative), so a batch rounds as one sample.
 _SYSTEM_CHUNK = 8192
 
+#: :func:`check_system` divides the tables of a sample whose largest
+#: coefficient modulus C is above this by 2^(e-1), e the binary exponent of
+#: C, so that its cubic residuals cannot overflow.  A power of two scales
+#: exactly and the equations are homogeneous, so the normalized residuals
+#: keep their values.
+_RESCALE_ABOVE = 2.0 ** 256
+
 
 def check_system(
     R: DynamicalRMatrix,
@@ -386,6 +392,12 @@ def check_system(
         d = d.reshape(count, n + 1, n, n)
         scales = np.maximum(np.abs(delta).reshape(count, -1).max(axis=1),
                             np.abs(d).reshape(count, -1).max(axis=1))
+        big = scales > _RESCALE_ABOVE
+        if big.any():
+            factor = np.ldexp(1.0, 1 - np.frexp(np.where(big, scales, 1.0))[1])
+            scales = scales * factor
+            delta = delta * factor[:, None, None, None]
+            d = d * factor[:, None, None, None]
         values = _equation_values(delta[:, 0], d[:, 0], delta[:, 1:], d[:, 1:])
         peaks = {}
         for tag, arr in values.items():
@@ -418,17 +430,6 @@ def check_system(
     )
 
 
-def check_zero_weight(P: DensePoint) -> bool:
-    """True iff all entries outside the two allowed patterns are below
-    ``ZERO_WEIGHT_TOL`` in modulus."""
-    rows, swap, offdiag = zero_weight_layout(P.n)
-    mask = np.ones((P.n * P.n, P.n * P.n), dtype=bool)
-    mask[rows, swap] = False
-    mask[offdiag, offdiag] = False
-    off = np.abs(P.matrix[mask])
-    return bool(off.size == 0 or off.max() < ZERO_WEIGHT_TOL)
-
-
 def _exp(z: complex) -> complex:
     """e^z, with modulus inf (not OverflowError) above the float range."""
     try:
@@ -453,7 +454,8 @@ def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
     """
     lam = np.asarray(lam, dtype=complex)
     delta_tab, d_tab = R.tables(lam)
-    _, dets = pair_invariants(delta_tab, d_tab)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite factor is named below
+        _, dets = pair_invariants(delta_tab, d_tab)
     factors = np.diagonal(delta_tab).tolist()
     for i, row in enumerate(dets.tolist()):
         factors += row[i + 1:]

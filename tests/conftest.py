@@ -54,6 +54,16 @@ def golden_expected_tables(lam: np.ndarray):
     return delta, d
 
 
+def off_pattern(M: np.ndarray, n: int) -> np.ndarray:
+    """The entries of a dense n^2 x n^2 matrix outside the two zero-weight
+    patterns, row (i, j) with col (j, i) and row (i, j) with col (i, j)."""
+    mask = np.ones((n * n, n * n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            mask[i * n + j, j * n + i] = mask[i * n + j, i * n + j] = False
+    return M[mask]
+
+
 def overflow_datum():
     """One trigonometric block with exchange classes {1, 2, (3,4)} and {5}
     whose log ratio has |Re A| > 2, so that e^{A x} overflows once |x|

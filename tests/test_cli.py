@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -298,6 +299,68 @@ def test_verify_matrix_perturbed_fails_naming_equation(golden_R, tmp_path, capsy
     assert "FAIL: worst equation" in err
 
 
+def _large_case(member: bool):
+    """A trivial n = 3 member, or the non-member with Delta_12 times 1.3,
+    and one base point of the member."""
+    R = build(*random_datum(3, np.random.default_rng(1), "trivial"))
+    base = sample_lambda(R, np.random.default_rng(0), 1)
+    if member:
+        return R, base
+    bad = DynamicalRMatrix(
+        n=3, delta=lambda i, j, lam: (1.3 if (i, j) == (1, 2) else 1) * R.delta(i, j, lam), d=R.d)
+    return bad, base
+
+
+def _scaled_config(tmp_path, M, base, factor):
+    """The sampled config of M on the stencils of ``base``, every entry
+    times ``factor``."""
+    obj = _matrix_config(M, base)
+    for sample in obj["samples"]:
+        for entry in sample["entries"]:
+            entry["re"] *= factor
+            entry["im"] *= factor
+    return _write(tmp_path, f"m{factor:g}.json", obj)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("member", [True, False], ids=["member", "non_member"])
+def test_verify_large_coefficients_print_what_scale_one_prints(tmp_path, capsys, member):
+    """Times 2^400 the cubic residuals would overflow; verify rescales each
+    such sample by a power of two, so its output is that of scale 1."""
+    M, base = _large_case(member)
+    runs = []
+    for factor in (1.0, 2.0 ** 400):
+        code = main(["verify", _scaled_config(tmp_path, M, base, factor)])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[1] == runs[0]
+    code, _, err = runs[0]
+    if member:
+        assert code == EXIT_OK and err == ""
+    else:
+        assert code == EXIT_RESIDUAL
+        assert err.startswith("FAIL: worst equation F9 at indices [1, 2]") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_member_times_1e120_passes(tmp_path, capsys):
+    M, base = _large_case(True)
+    assert main(["verify", _scaled_config(tmp_path, M, base, 1e120)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_member_times_2_to_600_names_the_infinite_factor(tmp_path, capsys):
+    """Each plane determinant overflows: verify fails on invertibility,
+    naming the factor, in one line of stderr and without a numpy warning."""
+    M, base = _large_case(True)
+    assert main(["verify", _scaled_config(tmp_path, M, base, 2.0 ** 600)]) == EXIT_RESIDUAL
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: invertibility check failed at sample 1 of 1, lam=")
+    assert err.count("\n") == 1
+    # d_ij d_ji - Delta_ij Delta_ji is inf - inf here
+    assert re.search(r": factor det_ij at pair \(\d,\d\) is \((inf|nan)", err), err
+
+
 def test_verify_names_the_sample_and_factor_when_only_invertibility_fails(tmp_path, capsys):
     R = build(*dynrmat.serialize.parse_config(zero_residual_config())[1])
     W = DynamicalRMatrix(n=2, delta=lambda i, j, lam: 0j if i == j == 2 else R.delta(i, j, lam),
@@ -415,7 +478,7 @@ def test_sampled_configs_build_no_dense_samples(golden_R, tmp_path, monkeypatch,
             for attr in ("tables_from_dense", "dense_point_from_json"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
-    assert dynrmat.serialize.tables_from_dense is refuse
+    assert not hasattr(dynrmat.serialize, "tables_from_dense")
     assert main([command, cfg]) == EXIT_OK, capsys.readouterr().err
 
 

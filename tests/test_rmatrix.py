@@ -10,17 +10,16 @@ from dynrmat.rmatrix import (
     embed_with_shift,
     evaluate,
     pair_invariants,
-    permuted,
     shift_stencil,
     shifted,
     stencil_points,
     tables_from_dense,
 )
 
-from conftest import golden_datum, golden_expected_tables, random_points
+from conftest import golden_datum, golden_expected_tables, off_pattern, random_points
 from dynrmat.builder import build
 from dynrmat.sampling import random_datum
-from dynrmat.verifier import check_zero_weight, sample_lambda
+from dynrmat.verifier import sample_lambda
 
 
 def test_composite_index_convention():
@@ -48,16 +47,12 @@ def test_evaluate_sparsity_and_values():
     n = 4
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            assert abs(P.entry((i, j), (j, i)) - delta[i - 1, j - 1]) < 1e-12
+            row = composite_index(n, i, j)
+            assert abs(P.matrix[row, composite_index(n, j, i)] - delta[i - 1, j - 1]) < 1e-12
             if i != j:
-                assert abs(P.entry((i, j), (i, j)) - d[i - 1, j - 1]) < 1e-12
+                assert abs(P.matrix[row, row] - d[i - 1, j - 1]) < 1e-12
     # everything else is zero
-    mask = np.ones((n * n, n * n), dtype=bool)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            mask[composite_index(n, i, j), composite_index(n, j, i)] = False
-            mask[composite_index(n, i, j), composite_index(n, i, j)] = False
-    assert np.abs(P.matrix[mask]).max() == 0
+    assert not off_pattern(P.matrix, n).any()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -66,7 +61,7 @@ def test_tables_from_dense_inverts_evaluate(n):
     R = build(p, c)
     (lam,) = sample_lambda(R, np.random.default_rng(n), 1)
     P = evaluate(R, lam)
-    assert check_zero_weight(P)
+    assert not off_pattern(P.matrix, n).any()
     delta, d = tables_from_dense(P.matrix, n)
     dt, dd = R.tables(lam)
     assert np.array_equal(delta, dt) and np.array_equal(d, dd)
@@ -150,31 +145,6 @@ def test_embed_rejects_bad_slots():
         embed_with_shift(R, (2, 1), None, lam)
     with pytest.raises(ValueError):
         embed_with_shift(R, (1, 2), 1, lam)  # shift slot must spectate
-
-
-def test_permuted_block_structure():
-    p, c = golden_datum()
-    R = build(p, c)
-    rng = np.random.default_rng(1)
-    (lam,) = random_points(rng, 4, 1)
-    P = evaluate(R, lam)
-    M = permuted(P)
-    delta, d = golden_expected_tables(lam)
-    n = 4
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                assert abs(M[composite_index(n, i, i), composite_index(n, i, i)]
-                           - delta[i - 1, i - 1]) < 1e-12
-                continue
-            # on span{e_i e_j, e_j e_i} the flip-composed restriction is
-            # [[delta_ji, d_ji], [d_ij, delta_ij]]
-            r1 = composite_index(n, i, j)
-            r2 = composite_index(n, j, i)
-            assert abs(M[r1, r1] - delta[j - 1, i - 1]) < 1e-12
-            assert abs(M[r1, r2] - d[j - 1, i - 1]) < 1e-12
-            assert abs(M[r2, r1] - d[i - 1, j - 1]) < 1e-12
-            assert abs(M[r2, r2] - delta[i - 1, j - 1]) < 1e-12
 
 
 def test_pair_invariants_constancy():

@@ -16,7 +16,6 @@ from dynrmat.params import (
 )
 from dynrmat.rmatrix import (
     ZERO_WEIGHT_TOL,
-    DensePoint,
     composite_index,
     dense_point_to_json,
     evaluate,
@@ -24,6 +23,7 @@ from dynrmat.rmatrix import (
 )
 from dynrmat.sampling import random_datum, random_two_form
 from dynrmat.serialize import (
+    SampledTables,
     matrix_from_samples,
     parse_config,
     sample_keys,
@@ -275,21 +275,6 @@ def test_entry_outside_zero_weight_patterns_not_in_family():
         samples[0]["entries"].pop(1)
 
 
-def test_matrix_from_dense_points_rejects_entry_outside_patterns():
-    R = build(*golden_datum())
-    points = [evaluate(R, lam) for lam in stencil_points(np.array([0.3 + 0.1j, -0.7, 0.2j, 1.1]))]
-    S = matrix_from_samples(points)
-    M = points[2].matrix.copy()
-    M[composite_index(4, 1, 2), composite_index(4, 1, 3)] = 5
-    points[2] = DensePoint(n=4, lam=points[2].lam, matrix=M)
-    msg = "sample 2: row [1, 2], col [1, 3] is outside the zero-weight pattern (|value| 5)"
-    with pytest.raises(NotInFamilyError, match=re.escape(msg)):
-        matrix_from_samples(points)
-    M[composite_index(4, 1, 2), composite_index(4, 1, 3)] = 0.5 * ZERO_WEIGHT_TOL
-    lam = points[2].lam
-    assert np.array_equal(matrix_from_samples(points).tables(lam)[0], S.tables(lam)[0])
-
-
 @pytest.mark.parametrize("obj, msg", [
     ({"kind": "matrix", "samples": [{"n": 2, "lambda": [0, 0]}]}, 'need an integer "n"'),
     ({"kind": "matrix", "n": 2, "samples": [{"lambda": [0, 0]}]}, 'sample 0: .*integer "n"'),
@@ -304,7 +289,7 @@ def test_sampled_lookup_reads_stacks_of_sample_points():
     p, c = golden_datum()
     R = build(p, c)
     pts = list(stencil_points(np.array([0.3 + 0.1j, -0.7, 0.2j, 1.1])))
-    S = matrix_from_samples([evaluate(R, lam) for lam in pts])
+    S = matrix_from_samples(SampledTables(np.array(pts), *R.stacked_tables(np.array(pts))))
     delta, d = S.lookup(np.array(pts[::-1]))
     want = R.lookup(np.array(pts[::-1]))
     assert np.array_equal(delta, want[0]) and np.array_equal(d, want[1])

@@ -39,7 +39,7 @@ from dynrmat.rmatrix import (
     stencil_points,
 )
 from dynrmat.sampling import random_datum, random_two_form
-from dynrmat.serialize import matrix_from_samples, two_form_from_json
+from dynrmat.serialize import SampledTables, matrix_from_samples, two_form_from_json
 from dynrmat.transforms import (
     apply_2form,
     apply_twist,
@@ -163,8 +163,9 @@ def _transformed(mode, n, seed):
     assert mode == "sampled"
     (lam,) = sample_lambda(O, rng, 1)
     pts = [lam] + [shifted(lam, k) for k in range(1, n + 1)]
-    dense = [evaluate(R, mu) for mu in pts]
-    return matrix_from_samples(dense), oracle_samples(dense), pts
+    stack = np.array(pts)
+    return (matrix_from_samples(SampledTables(stack, *R.stacked_tables(stack))),
+            oracle_samples([evaluate(R, mu) for mu in pts]), pts)
 
 
 @pytest.mark.parametrize(
@@ -209,7 +210,9 @@ def test_sampled_tables_equal_oracle_exactly():
     R = build(p, c)
     lam = np.array([0.3 + 0.1j, -0.7, 0.2j, 1.1], dtype=complex)
     dense = [evaluate(R, mu) for mu in [lam] + [shifted(lam, k) for k in range(1, 5)]]
-    new, old = matrix_from_samples(dense), oracle_samples(dense)
+    lams = np.array([pt.lam for pt in dense])
+    new = matrix_from_samples(SampledTables(lams, *R.stacked_tables(lams)))
+    old = oracle_samples(dense)
     for pt in dense:
         for a, b in zip(new.tables(pt.lam), oracle_tables(old, pt.lam)):
             assert np.array_equal(a, b)

@@ -9,7 +9,6 @@ from dynrmat.builder import build
 from dynrmat.errors import PoleError
 from dynrmat.rmatrix import (
     DynamicalRMatrix,
-    composite_index,
     embed_with_shift,
     evaluate,
     raw_tables,
@@ -17,7 +16,7 @@ from dynrmat.rmatrix import (
     shifted,
 )
 from dynrmat.sampling import random_datum
-from dynrmat.serialize import matrix_from_samples, parse_config
+from dynrmat.serialize import SampledTables, matrix_from_samples, parse_config
 from dynrmat.transforms import decouple_compose
 from dynrmat.verifier import (
     _LEFT,
@@ -27,7 +26,6 @@ from dynrmat.verifier import (
     _equation_grids,
     check_invertibility,
     check_system,
-    check_zero_weight,
     dqybe_defect,
     dqybe_residual_normalized,
     sample_lambda,
@@ -137,8 +135,8 @@ def _scaled_entry(R, field, pair, change):
 
 def _sampled_copy(R, lam):
     """A sampled matrix holding R at lam and its n unit shifts."""
-    pts = [lam] + [shifted(lam, k) for k in range(1, R.n + 1)]
-    return matrix_from_samples([evaluate(R, mu) for mu in pts])
+    pts = np.array([lam] + [shifted(lam, k) for k in range(1, R.n + 1)])
+    return matrix_from_samples(SampledTables(pts, *R.stacked_tables(pts)))
 
 
 def _kernel_cases(n, rng):
@@ -303,20 +301,6 @@ def test_normalized_residual_scale_invariance():
     assert 0.2 < r10 / r1 < 5
 
 
-def test_check_zero_weight_rejects_stray_entry():
-    p, c = golden_datum()
-    R = build(p, c)
-    rng = np.random.default_rng(6)
-    (lam,) = sample_lambda(R, rng, 1)
-    P = evaluate(R, lam)
-    assert check_zero_weight(P)
-    M = P.matrix.copy()
-    M[composite_index(4, 1, 2), composite_index(4, 3, 4)] = 0.5
-    from dynrmat.rmatrix import DensePoint
-
-    assert not check_zero_weight(DensePoint(n=4, lam=P.lam, matrix=M))
-
-
 def test_invertibility_factorization():
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -368,7 +352,6 @@ def test_invertibility_names_a_zero_factor(which, name):
                    "detail": f"factor {name} is 0j, zero or not finite"}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_invertibility_names_a_non_finite_factor():
     # d_12 d_21 overflows: the plane determinant is not finite
     def tables(lams):
@@ -591,8 +574,8 @@ def test_check_system_equals_oracle_on_sampled_matrix():
     rng = np.random.default_rng(340)
     member = build(*random_datum(4, rng, "table"))
     bases = sample_lambda(member, rng, 3)
-    points = [mu for lam in bases for mu in [lam] + [shifted(lam, k) for k in range(1, 5)]]
-    S = matrix_from_samples([evaluate(member, mu) for mu in points])
+    points = np.array([mu for lam in bases for mu in [lam] + [shifted(lam, k) for k in range(1, 5)]])
+    S = matrix_from_samples(SampledTables(points, *member.stacked_tables(points)))
     report, oracle = _both_reports(S, bases)
     assert report == oracle
     assert report.passed
