@@ -31,7 +31,7 @@ from .params import (
 )
 from .partition import DeltaClass, IndexPartition, class_id_map
 from .rmatrix import DynamicalRMatrix, pair_invariants, shift_stencil
-from .verifier import sample_lambda
+from .verifier import _require_positive, sample_lambda
 
 DEFAULT_ZERO_TOL = 1e-8
 DEFAULT_SAMPLES = 5
@@ -71,41 +71,38 @@ def detect_relations(
     An entry is *zero* when its max magnitude over all samples is below
     tol * scale; it is *ambiguous* (raises :class:`AmbiguityError`) when it
     is large at some samples but below the threshold at others, which
-    indicates an accidental zero at a special point.
+    indicates an accidental zero at a special point.  The first ambiguous
+    entry in row-major order, Delta_ij before d_ij, is named.  ``tol`` must
+    be finite and > 0.
     """
+    _require_positive("tol", tol)
     if len(samples) < MIN_SAMPLES:
         raise ValueError(f"at least {MIN_SAMPLES} samples are required")
     n = R.n
-    delta_mag, d_mag = map(np.abs, R.stacked_tables(np.asarray(samples, dtype=complex)))
-    scale = max(float(delta_mag.max()), float(d_mag.max()))
+    # (S, n, n, 2) magnitudes: Delta_ij, then d_ij
+    mag = np.abs(np.stack(R.stacked_tables(np.asarray(samples, dtype=complex)), axis=-1))
+    peak, trough = mag.max(axis=0), mag.min(axis=0)
+    scale = float(peak.max())
     if scale == 0:
         raise NotInFamilyError("matrix is identically zero at all samples")
     cut = tol * scale
 
-    def classify(mag_max: float, mag_min: float, what: str) -> bool:
-        if mag_max < cut:
-            return True
-        # Trigonometric entries legitimately span many orders of magnitude
-        # over the sample box, so dipping under the threshold at one sample
-        # is only suspicious when the entry never gets clearly above it.
-        if mag_min < cut and mag_max < 1e3 * cut:
-            raise AmbiguityError(
-                f"{what} is below threshold at some samples but never far "
-                "above it; add samples or move them"
-            )
-        return False
-
-    delta_zero: set[tuple[int, int]] = set()
-    d_zero_ordered: set[tuple[int, int]] = set()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            col = delta_mag[:, i - 1, j - 1]
-            if classify(float(col.max()), float(col.min()), f"Delta_{i}{j}"):
-                delta_zero.add((i, j))
-            if i != j:
-                col = d_mag[:, i - 1, j - 1]
-                if classify(float(col.max()), float(col.min()), f"d_{i}{j}"):
-                    d_zero_ordered.add((i, j))
+    read = np.ones((n, n, 2), dtype=bool)
+    read[..., 1] = ~np.eye(n, dtype=bool)  # d_ii is never read
+    zero = read & (peak < cut)
+    # Trigonometric entries legitimately span many orders of magnitude
+    # over the sample box, so dipping under the threshold at one sample
+    # is only suspicious when the entry never gets clearly above it.
+    ambiguous = np.argwhere(read & ~zero & (trough < cut) & (peak < 1e3 * cut))
+    if len(ambiguous):
+        i, j, field = ambiguous[0].tolist()
+        raise AmbiguityError(
+            f"{('Delta', 'd')[field]}_{i + 1}{j + 1} is below threshold at some "
+            "samples but never far above it; add samples or move them"
+        )
+    delta_zero, d_zero_ordered = (
+        {tuple(p) for p in (np.argwhere(zero[..., field]) + 1).tolist()} for field in (0, 1)
+    )
     d_zero = {
         (i, j)
         for (i, j) in d_zero_ordered
@@ -117,6 +114,15 @@ def detect_relations(
         d_zero_ordered=d_zero_ordered,
         scale=scale,
     )
+
+
+def mean_and_spread(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry means of a (S, ...) sample stack over its S samples, and
+    each entry's spread: its largest deviation from that mean.  Each mean is
+    the 1-D mean of one contiguous column, so it rounds as the mean of that
+    entry's samples alone."""
+    mean = np.ascontiguousarray(np.moveaxis(values, 0, -1)).mean(axis=-1)
+    return mean, np.abs(values - mean).max(axis=0)
 
 
 class _UnionFind:
@@ -206,31 +212,29 @@ def incidence_matrices(
     uniformly zero or uniformly nonzero in each direction; mixed patterns
     certify a non-solution.
     """
-    M = np.ones((n, n), dtype=int)
+    m = [[1] * n for _ in range(n)]
     for (i, j) in rel.delta_zero:
         if i != j:
-            M[i - 1, j - 1] = 0
+            m[i - 1][j - 1] = 0
     for i in range(1, n + 1):
         if (i, i) in rel.delta_zero:
             raise NotInFamilyError(
                 f"Delta_{i}{i} vanishes; diagonal exchange coefficients are "
                 "nonzero for every invertible member of the family"
             )
-    r = len(delta_classes)
-    M_R = np.zeros((r, r), dtype=int)
+    M_R = [[1] * len(delta_classes) for _ in delta_classes]
     for a, ca in enumerate(delta_classes):
         for b, cb in enumerate(delta_classes):
             if a == b:
-                M_R[a, b] = 1
                 continue
-            vals = {M[i - 1, j - 1] for i in ca for j in cb}
+            vals = {m[i - 1][j - 1] for i in ca for j in cb}
             if len(vals) != 1:
                 raise NotInFamilyError(
                     f"mixed zero/nonzero exchange pattern between classes "
                     f"{ca} and {cb}"
                 )
-            M_R[a, b] = vals.pop()
-    return M, M_R
+            M_R[a][b] = vals.pop()
+    return np.array(m, dtype=int), np.array(M_R, dtype=int)
 
 
 def triangularize(M_R: np.ndarray) -> tuple[list[int], list[int]]:
@@ -242,14 +246,15 @@ def triangularize(M_R: np.ndarray) -> tuple[list[int], list[int]]:
     couplings certify a non-solution.
     """
     r = M_R.shape[0]
+    m = M_R.tolist()
     for a in range(r):
         for b in range(a + 1, r):
-            if M_R[a, b] and M_R[b, a]:
+            if m[a][b] and m[b][a]:
                 raise NotInFamilyError(
                     f"classes {a + 1} and {b + 1} dominate each other "
                     "(antisymmetry violation)"
                 )
-    preds = {b: [a for a in range(r) if a != b and M_R[a, b]] for b in range(r)}
+    preds = {b: [a for a in range(r) if a != b and m[a][b]] for b in range(r)}
     levels: list[Optional[int]] = [None] * r
     in_progress: set[int] = set()
 
@@ -279,8 +284,10 @@ def block_structure(M_R: np.ndarray, sigma: list[int]) -> tuple[list[int], list[
     it as one block.  A class comparable to two mutually incomparable
     classes certifies a non-solution.
     """
+    m = M_R.tolist()
+
     def comparable(a: int, b: int) -> bool:
-        return bool(M_R[a, b] or M_R[b, a])
+        return bool(m[a][b] or m[b][a])
 
     remaining = list(sigma)
     pi: list[int] = []
@@ -296,9 +303,9 @@ def block_structure(M_R: np.ndarray, sigma: list[int]) -> tuple[list[int], list[
                         f"class {head + 1} but not to each other"
                     )
         # order the chain by domination: a before b iff M_R[a, b] = 1
-        chain = sorted(group, key=lambda c: -sum(int(M_R[c, o]) for o in group))
+        chain = sorted(group, key=lambda c: -sum(m[c][o] for o in group))
         for a, b in zip(chain, chain[1:]):
-            if not M_R[a, b]:
+            if not m[a][b]:
                 raise NotInFamilyError("comparable classes do not form a chain")
         pi.extend(chain)
         sizes.append(len(chain))
@@ -316,8 +323,10 @@ def classify(
 
     Without ``samples``, ``DEFAULT_SAMPLES`` points are drawn from ``seed``;
     each is checked for poles and the entry cap at that point alone, since
-    the classification reads no shifted point.
+    the classification reads no shifted point.  ``tol`` must be finite and
+    > 0.
     """
+    _require_positive("tol", tol)
     if samples is None:
         rng = np.random.default_rng(seed)
         samples = sample_lambda(R, rng, DEFAULT_SAMPLES, stencil=False)
@@ -387,11 +396,12 @@ def degenerate_blocks(partition: IndexPartition) -> list[bool]:
 def check_propagation(M: np.ndarray) -> None:
     """Zero exchange entries propagate: M[i,j] = 0 forces M[i,k] M[k,j] = 0."""
     n = M.shape[0]
+    m = M.tolist()
     for i in range(n):
         for j in range(n):
-            if i != j and M[i, j] == 0:
+            if i != j and m[i][j] == 0:
                 for k in range(n):
-                    if M[i, k] and M[k, j]:
+                    if m[i][k] and m[k][j]:
                         raise NotInFamilyError(
                             f"zero-propagation violated at "
                             f"({i + 1},{j + 1}) via {k + 1}"
@@ -448,27 +458,14 @@ def recover_params(
     rng = np.random.default_rng(seed)
     lams = np.asarray(sample_lambda(R, rng, DEFAULT_SAMPLES, stencil=False), dtype=complex)
     delta_st, d_st = R.stacked_tables(lams)
-    sum_st, det_st = pair_invariants(delta_st, d_st)
-
-    def pair_constants(i0: int, j0: int) -> tuple[complex, complex]:
-        i, j = min(i0, j0) - 1, max(i0, j0) - 1
-        sums, dets = sum_st[:, i, j], det_st[:, i, j]
-        scale = max(1.0, float(np.abs(sums).max()), float(np.abs(dets).max()))
-        if (
-            np.abs(sums - sums.mean()).max() > RECOVER_TOL * scale
-            or np.abs(dets - dets.mean()).max() > RECOVER_TOL * scale
-        ):
-            raise NotInFamilyError(
-                f"pair invariants of ({i0},{j0}) vary across samples"
-            )
-        return complex(sums.mean()), complex(dets.mean())
+    pair_constants = _pair_constants(*pair_invariants(delta_st, d_st))
+    first_diag = np.diagonal(delta_st[0]).tolist()
 
     def orig(i: int) -> int:
         return inv[i]
 
     def class_const(cls: tuple[int, ...]) -> complex:
-        k = orig(cls[0]) - 1
-        return complex(delta_st[0, k, k])
+        return first_diag[orig(cls[0]) - 1]
 
     def class_sums(cls: tuple[int, ...]) -> np.ndarray:
         """The class's sum of lambda components at every sample."""
@@ -568,6 +565,31 @@ def recover_params(
                                 cross_det=cross_det, signs=signs, f_consts=f_consts)
     to_orig = np.array([orig(a) - 1 for a in range(1, partition.n + 1)])
     return replace(base, two_form=QuotientTwoForm(R, base, to_orig))
+
+
+def _pair_constants(sum_st: np.ndarray, det_st: np.ndarray):
+    """``pair_constants(i0, j0)``: the sum and determinant invariants of the
+    plane of i0 and j0, from the (S, n, n) stacks read at i < j, each the
+    mean over the S samples.  It raises :class:`NotInFamilyError` when
+    either deviates from its mean at some sample by more than
+    ``RECOVER_TOL`` times the pair's peak magnitude, or times 1 if that is
+    larger."""
+    invariants = np.stack([sum_st, det_st], axis=-1)
+    mean, spread = mean_and_spread(invariants)
+    peak = np.abs(invariants).max(axis=0)
+    lim = RECOVER_TOL * np.maximum(1.0, np.maximum(peak[..., 0], peak[..., 1]))
+    varies = ((spread[..., 0] > lim) | (spread[..., 1] > lim)).tolist()
+    mean = mean.tolist()
+
+    def pair_constants(i0: int, j0: int) -> tuple[complex, complex]:
+        i, j = min(i0, j0) - 1, max(i0, j0) - 1
+        if varies[i][j]:
+            raise NotInFamilyError(
+                f"pair invariants of ({i0},{j0}) vary across samples"
+            )
+        return tuple(mean[i][j])
+
+    return pair_constants
 
 
 class QuotientTwoForm(TableTwoForm):

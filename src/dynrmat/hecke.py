@@ -22,11 +22,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifier import DEFAULT_SAMPLES, classify, recover_params
+from .classifier import DEFAULT_SAMPLES, classify, mean_and_spread, recover_params
 from .errors import NotInFamilyError
 from .params import principal_sqrt
 from .rmatrix import DynamicalRMatrix, pair_invariants
-from .verifier import sample_lambda
+from .verifier import _require_positive, sample_lambda
 
 DEFAULT_TOL = 1e-9
 
@@ -41,15 +41,44 @@ class HeckeReport:
     detail: str = ""
 
 
-def _constant_over_samples(values: np.ndarray, tol: float, scale: float):
-    """Per-entry means of a (S, ...) sample stack over its S samples, and
-    where an entry varies: deviates from its mean by more than
-    tol * max(1, scale) at some sample.  Each mean is the 1-D mean of one
-    contiguous column, so it rounds as the mean of that entry's samples."""
-    cols = np.ascontiguousarray(np.moveaxis(values, 0, -1))
-    mean = cols.mean(axis=-1)
-    varies = np.abs(cols - mean[..., None]).max(axis=-1) > tol * max(1.0, scale)
-    return mean, varies
+def _planes(delta_st: np.ndarray, d_st: np.ndarray, lim: float):
+    """The spectrum of the flip-composed matrix from (S, n, n) table stacks:
+    the diagonal eigenvalues {i: Delta_ii}, the eigenvalue pair of each
+    plane {(i, j): (e+, e-)} for i < j, whether each plane is
+    diagonalizable, and whether no d_ij with i != j exceeds ``lim``.
+    Delta_ii and the per-plane invariants must be constants: the first that
+    deviates from its mean over the samples by more than ``lim``, diagonals
+    first, then pairs in row-major order with the sum before the
+    determinant, is reported."""
+    n = delta_st.shape[1]
+    diag_mean, diag_spread = mean_and_spread(np.diagonal(delta_st, axis1=1, axis2=2))
+    # (n, n, 2): the sum, then the determinant
+    pair_mean, pair_spread = mean_and_spread(np.stack(pair_invariants(delta_st, d_st), axis=-1))
+    for i, varies in enumerate((diag_spread > lim).tolist(), 1):
+        if varies:
+            raise NotInFamilyError(f"Delta_{i}{i} varies with the dynamical point")
+    # peak |d_ij| or |d_ji|, and peak |Delta_ij - Delta_ji|, over the samples
+    off = np.abs(d_st).max(axis=0)
+    off = np.maximum(off, off.T)
+    skew = np.abs(delta_st - np.swapaxes(delta_st, 1, 2)).max(axis=0)
+    # a repeated eigenvalue is diagonalizable iff the block is scalar
+    scalar = ((off <= lim) & (skew <= lim)).tolist()
+    pair_mean, pair_varies = pair_mean.tolist(), (pair_spread > lim).tolist()
+    pair_eigs: dict[tuple[int, int], tuple[complex, complex]] = {}
+    pair_diagonalizable: dict[tuple[int, int], bool] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for what, varies in zip(("pair sum", "pair determinant"), pair_varies[i][j]):
+                if varies:
+                    raise NotInFamilyError(
+                        f"{what} ({i + 1},{j + 1}) varies with the dynamical point"
+                    )
+            s, det = pair_mean[i][j]
+            disc = principal_sqrt(s * s + 4 * det)
+            pair_eigs[(i + 1, j + 1)] = ((s + disc) / 2, (s - disc) / 2)
+            pair_diagonalizable[(i + 1, j + 1)] = scalar[i][j] if abs(disc) <= lim else True
+    diag = dict(enumerate(diag_mean.tolist(), 1))
+    return diag, pair_eigs, pair_diagonalizable, not bool(np.triu(off > lim, 1).any())
 
 
 def hecke_classify(
@@ -62,8 +91,10 @@ def hecke_classify(
 
     Without ``samples``, ``DEFAULT_SAMPLES`` points are drawn from
     ``seed``; each is checked for poles and the entry cap at that point
-    alone, since the analysis reads no shifted point.
+    alone, since the analysis reads no shifted point.  ``tol`` must be
+    finite and > 0.
     """
+    _require_positive("tol", tol)
     n = R.n
     if samples is None:
         rng = np.random.default_rng(seed)
@@ -72,42 +103,8 @@ def hecke_classify(
     scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
     lim = tol * max(1.0, scale)
 
-    # diagonal eigenvalues Delta_ii and the per-plane invariants must be
-    # constants; the first that varies, diagonals first, then pairs in
-    # row-major order with the sum before the determinant, is reported
-    diag_mean, diag_varies = _constant_over_samples(
-        np.diagonal(delta_st, axis1=1, axis2=2), tol, scale
-    )
-    sums, dets = pair_invariants(delta_st, d_st)
-    sum_mean, sum_varies = _constant_over_samples(sums, tol, scale)
-    det_mean, det_varies = _constant_over_samples(dets, tol, scale)
-    # peak |d_ij| or |d_ji|, and peak |Delta_ij - Delta_ji|, over the samples
-    off = np.abs(d_st).max(axis=0)
-    off = np.maximum(off, off.T)
-    skew = np.abs(delta_st - np.swapaxes(delta_st, 1, 2)).max(axis=0)
-
-    for i in range(n):
-        if diag_varies[i]:
-            raise NotInFamilyError(f"Delta_{i + 1}{i + 1} varies with the dynamical point")
-    diag = {i + 1: complex(diag_mean[i]) for i in range(n)}
-
-    pair_eigs: dict[tuple[int, int], tuple[complex, complex]] = {}
-    pair_diagonalizable: dict[tuple[int, int], bool] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for what, varies in (("pair sum", sum_varies), ("pair determinant", det_varies)):
-                if varies[i, j]:
-                    raise NotInFamilyError(
-                        f"{what} ({i + 1},{j + 1}) varies with the dynamical point"
-                    )
-            s, det = complex(sum_mean[i, j]), complex(det_mean[i, j])
-            disc = principal_sqrt(s * s + 4 * det)
-            pair_eigs[(i + 1, j + 1)] = ((s + disc) / 2, (s - disc) / 2)
-            # a repeated eigenvalue is diagonalizable iff the block is scalar
-            pair_diagonalizable[(i + 1, j + 1)] = (
-                bool(off[i, j] <= lim and skew[i, j] <= lim) if abs(disc) <= lim else True
-            )
-    all_d_zero = n > 1 and not np.triu(off > lim, 1).any()
+    diag, pair_eigs, pair_diagonalizable, d_small = _planes(delta_st, d_st, lim)
+    all_d_zero = n > 1 and d_small
 
     evidence = {
         "diagonal": diag,

@@ -6,7 +6,7 @@ import pytest
 from dynrmat.builder import build
 from dynrmat.params import BlockConstants, ClassificationParams, normalize_f
 from dynrmat.partition import DeltaClass, IndexPartition
-from dynrmat.rmatrix import DynamicalRMatrix
+from dynrmat.rmatrix import DynamicalRMatrix, raw_tables
 from dynrmat.serialize import params_to_json
 
 
@@ -96,6 +96,17 @@ def varied_golden(delta_pairs=(), d_pairs=()):
         return coeff
 
     return DynamicalRMatrix(n=4, delta=varied(R.delta, delta_pairs), d=varied(R.d, d_pairs))
+
+
+def relabelled(R, order):
+    """R with its indices relabelled: new index a + 1 is R's index
+    ``order[a] + 1``."""
+    def tables(lams):
+        old = np.empty_like(lams)
+        old[:, order] = lams
+        return tuple(t[:, order][:, :, order] for t in raw_tables(R, old))
+
+    return DynamicalRMatrix.from_tables(R.n, tables)
 
 
 def zero_residual_config() -> dict:

@@ -5,6 +5,7 @@ import pytest
 
 from dynrmat.builder import build
 from dynrmat.classifier import (
+    DEFAULT_ZERO_TOL,
     _reference_point,
     block_structure,
     check_propagation,
@@ -14,7 +15,7 @@ from dynrmat.classifier import (
     recover_params,
     triangularize,
 )
-from dynrmat.errors import NotInFamilyError, ParameterError
+from dynrmat.errors import AmbiguityError, NotInFamilyError, ParameterError
 from dynrmat.params import (
     BlockConstants,
     ClassificationParams,
@@ -24,6 +25,7 @@ from dynrmat.params import (
     principal_sqrt,
 )
 from dynrmat.partition import DeltaClass, IndexPartition, to_json
+from dynrmat.rmatrix import DynamicalRMatrix
 from dynrmat.sampling import random_datum, random_partition
 from dynrmat.serialize import params_to_json
 from dynrmat.verifier import sample_lambda
@@ -404,3 +406,68 @@ def test_recovered_two_form_with_a_pole_at_the_origin_needs_a_probe_point():
     lam = _reference_point(R)
     obj = params_to_json(params, probe_lam=lam)
     assert obj["two_form"]["type"] == "table" and len(obj["two_form"]["sampled_at"]) == 4
+
+
+def _threshold_matrix(entries, values):
+    """An n = 2 matrix of constant entries of magnitude at most 1, with
+    Delta_11 = 1, so that its scale is 1; each of ``entries``, a (field,
+    i, j) with field 0 for Delta and 1 for d, is ``values[k]`` at a sample
+    whose lambda_1 is k."""
+    def tables(lams):
+        delta = np.ones((len(lams), 2, 2), dtype=complex)
+        d = np.full((len(lams), 2, 2), 0.5 + 0j)
+        d[:, [0, 1], [0, 1]] = 0
+        for field, i, j in entries:
+            (delta, d)[field][:, i - 1, j - 1] = np.asarray(values)[lams[:, 0].real.astype(int)]
+        return delta, d
+
+    return DynamicalRMatrix.from_tables(2, tables)
+
+
+THRESHOLD_SAMPLES = [np.array([k, 0.5j]) for k in range(3)]
+#: the cut of detect_relations, tol times scale, at the default tol and scale 1
+CUT = DEFAULT_ZERO_TOL * 1.0
+
+
+@pytest.mark.parametrize("field", [0, 1])
+@pytest.mark.parametrize("values, zero", [
+    ([CUT, CUT, CUT], False),                   # max exactly the cut
+    ([0, 0, np.nextafter(CUT, 0)], True),       # max just below it
+    ([0, 0, 1e3 * CUT], False),                 # max exactly 1e3 cuts
+    ([np.nextafter(CUT, 0), 1, 1], False),      # far above it elsewhere
+])
+def test_detect_relations_at_the_thresholds(field, values, zero):
+    rel = detect_relations(_threshold_matrix([(field, 1, 2)], values), THRESHOLD_SAMPLES)
+    assert rel.scale == 1.0
+    assert ((1, 2) in (rel.delta_zero, rel.d_zero_ordered)[field]) == zero
+
+
+@pytest.mark.parametrize("entries, name", [
+    ([(0, 1, 2)], "Delta_12"),
+    ([(1, 1, 2)], "d_12"),
+    # the first in row-major order, Delta_ij before d_ij
+    ([(0, 1, 2), (1, 1, 2)], "Delta_12"),
+    ([(0, 2, 1), (1, 2, 1), (1, 1, 2)], "d_12"),
+])
+@pytest.mark.parametrize("values", [
+    [0, 0, np.nextafter(1e3 * CUT, 0)],
+    [np.nextafter(CUT, 0), CUT, np.nextafter(1e3 * CUT, 0)],
+])
+def test_entry_below_the_cut_somewhere_and_never_far_above_is_ambiguous(entries, name, values):
+    with pytest.raises(AmbiguityError) as err:
+        detect_relations(_threshold_matrix(entries, values), THRESHOLD_SAMPLES)
+    assert str(err.value) == (f"{name} is below threshold at some samples but never far "
+                              "above it; add samples or move them")
+
+
+@pytest.mark.parametrize("tol", [0, -1e-8, float("nan"), float("inf"), -float("inf")])
+def test_classifier_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    R = build(*random_datum(5, np.random.default_rng(1), "trivial"))
+    msg = f"tol must be finite and > 0, got {tol!r}"
+    with pytest.raises(ValueError) as err:
+        classify(R, tol=tol)
+    assert str(err.value) == msg
+    samples = sample_lambda(R, np.random.default_rng(0), 3, stencil=False)
+    with pytest.raises(ValueError) as err:
+        detect_relations(R, samples, tol)
+    assert str(err.value) == msg

@@ -26,6 +26,7 @@ from dynrmat.rmatrix import (
     composite_index,
     dense_point_to_json,
     evaluate,
+    point_to_json,
     shifted,
 )
 from dynrmat.params import BlockConstants
@@ -840,3 +841,18 @@ def test_parser_is_built_once_and_keeps_no_option_values(golden_config, capsys):
     assert capsys.readouterr().out == alone
     assert build_parser() is parser
     assert main(["verify", golden_config, "--tol", "0"]) == EXIT_USAGE
+
+
+def test_classify_ambiguous_sampled_config_not_in_family(tmp_path, capsys):
+    # Delta_12 dips to 0 at two of three points and peaks just below 1e3
+    # times the cut (scale 1, default tol): the zero pattern is ambiguous
+    peak = np.nextafter(1e3 * 1e-8, 0)
+    samples = []
+    for k, v in enumerate([0.0, 0.0, peak]):
+        delta = np.array([[1, v], [1, 1]], dtype=complex)
+        d = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
+        samples.append(point_to_json(np.array([k, 0.5j]), delta, d))
+    cfg = _write(tmp_path, "m.json", {"kind": "matrix", "n": 2, "samples": samples})
+    assert main(["classify", cfg]) == EXIT_NOT_IN_FAMILY
+    assert capsys.readouterr() == ("", "not in family: Delta_12 is below threshold at some "
+                                       "samples but never far above it; add samples or move them\n")

@@ -15,6 +15,7 @@ from dynrmat.params import (
 )
 from dynrmat.partition import DeltaClass, IndexPartition, single_class_partition
 from dynrmat.rmatrix import DynamicalRMatrix
+from dynrmat.sampling import random_datum
 from dynrmat.serialize import params_to_json
 
 from conftest import golden_datum, varied_golden
@@ -217,3 +218,11 @@ def test_basic_form_requires_hecke_type():
     rep = hecke_classify(R)
     with pytest.raises(NotInFamilyError):
         basic_form_distance(R, rep)
+
+
+@pytest.mark.parametrize("tol", [0, -1e-9, float("nan"), float("inf")])
+def test_hecke_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    R = build(*random_datum(5, np.random.default_rng(1), "trivial"))
+    with pytest.raises(ValueError) as err:
+        hecke_classify(R, tol=tol)
+    assert str(err.value) == f"tol must be finite and > 0, got {tol!r}"

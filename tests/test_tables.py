@@ -62,7 +62,7 @@ from closure_oracle import (
     oracle_twist,
     oracle_two_form,
 )
-from conftest import golden_datum, overflow_datum, random_points
+from conftest import golden_datum, overflow_datum, random_points, relabelled
 
 #: Allowed difference in units of eps times the largest |coefficient|; near
 #: a pole the exchange coefficient amplifies last-bit differences of its
@@ -532,17 +532,6 @@ def test_rebuild_of_recovered_params_never_runs_the_per_pair_loop(monkeypatch):
     assert runs == []
 
 
-def _relabelled(R, order):
-    """R with its indices relabelled: new index a + 1 is R's index
-    ``order[a] + 1``."""
-    def tables(lams):
-        old = np.empty_like(lams)
-        old[:, order] = lams
-        return tuple(t[:, order][:, :, order] for t in raw_tables(R, old))
-
-    return DynamicalRMatrix.from_tables(R.n, tables)
-
-
 def _assert_bit_equal(got, want):
     nan = np.isnan(got)
     assert np.array_equal(nan, np.isnan(want))
@@ -556,7 +545,7 @@ def test_recovered_two_form_equals_the_closure_oracle_bit_for_bit(kind):
         p, c = random_datum(n, np.random.default_rng(n), kind)
         R = build(p, c)
         if n % 2:  # original labels that differ from the canonical ones
-            R = _relabelled(R, rng.permutation(n))
+            R = relabelled(R, rng.permutation(n))
         report = classify(R)
         params = recover_params(R, report)
         inv = {v: k for k, v in report.index_permutation.items()}
