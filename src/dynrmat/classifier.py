@@ -408,9 +408,11 @@ def check_propagation(M: np.ndarray) -> None:
                         )
 
 
-def _reference_point(R: DynamicalRMatrix) -> np.ndarray:
+def _reference_point(R: DynamicalRMatrix, stencil: bool = True) -> np.ndarray:
     """Deterministic evaluation point, pole-free and below the entry cap on
-    its whole shift stencil, for output that needs one fixed point."""
+    its whole shift stencil, for output that needs one fixed point.  With
+    ``stencil=False`` only the point itself is checked, for output that
+    reads the tables at the point alone."""
     n = R.n
     direction = np.array(
         [0.3 * (k + 1) + 0.17j * (k + 2) for k in range(n)], dtype=complex
@@ -418,10 +420,10 @@ def _reference_point(R: DynamicalRMatrix) -> np.ndarray:
     for step in range(9, 60):
         lam = 0.1 * step * direction
         try:
-            delta_st, d_st = shift_stencil(R, lam)
+            delta, d = shift_stencil(R, lam) if stencil else R.tables(lam)
         except PoleError:
             continue
-        if max(np.abs(delta_st).max(), np.abs(d_st).max()) <= 1e6:
+        if max(np.abs(delta).max(), np.abs(d).max()) <= 1e6:
             return lam
     raise PoleError("no well-conditioned reference point found")
 
@@ -447,10 +449,10 @@ def recover_params(
     ``DEFAULT_SAMPLES`` samples are drawn from ``seed``, each checked for
     poles and the entry cap at that point alone: with the seed of
     :func:`classify`, they are the points it read.  The fixed
-    :func:`_reference_point` is not read here; the CLI's ``build``,
-    ``classify`` (the recovered 2-form's ``sampled_at`` point) and
-    ``transform`` commands and :func:`dynrmat.transforms.trig_to_rational_limit`
-    still use it.
+    :func:`_reference_point` is not read here; the CLI's ``build`` and
+    ``classify`` (the recovered 2-form's ``sampled_at`` point) commands
+    use it checked at the point alone, its ``transform`` command and
+    :func:`dynrmat.transforms.trig_to_rational_limit` on the whole stencil.
     """
     perm = report.index_permutation
     inv = {v: k for k, v in perm.items()}

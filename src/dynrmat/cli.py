@@ -190,7 +190,7 @@ def cmd_build(args) -> int:
     p, c = _load_datum(args.config)
     R = build(p, c)
     lines = [f"n = {p.n}", f"partition = {partition_to_json(p)['blocks']}"]
-    ref = _reference_point(R)
+    ref = _reference_point(R, stencil=False)
     dt, dd = R.tables(ref)
     lines.append("per-pair coefficients at the reference point "
                  f"{[complex_to_json(z) for z in ref]}:")
@@ -293,7 +293,7 @@ def cmd_classify(args) -> int:
     }
     if samples is None:
         params = recover_params(R, report, seed=seed)
-        ref = _reference_point(R)
+        ref = _reference_point(R, stencil=False)
         obj["params"] = params_to_json(params, probe_lam=ref)
     _emit(_dumps(obj), args.out)
     return EXIT_OK

@@ -15,14 +15,20 @@ path products, all landing on permutations of that triple.  Which table
 entries each of the 16 n^3 path products multiplies, and which (column,
 row) entry it is summed into, depends on n only: that layout is built once
 per n.  A sample's defect is then three gathers from its shift stencil's
-tables and two ``bincount`` sums, O(n^3) time and memory instead of the
-O(n^9) time and O(n^6) memory of dense products.
+tables and one ``bincount`` over the interleaved real and imaginary parts
+of the products, O(n^3) time and memory instead of the O(n^9) time and
+O(n^6) memory of dense products.
 
+The component equations have a layout per n as well: for each family the
+positions of its factors in a stencil's flattened tables, at only the
+entries the family constrains: each i for G0, the pairs i != j for F, the
+triples of distinct indices for E.  An index tuple with a repeated index
+is no equation of its family, and counts as a residual of 0.
 :func:`check_system` evaluates the shift stencils of its samples in one
-table call and the component equations on the whole stack of stencils, a
-chunk of samples at a time, so that no batched array holds more than
-``_SYSTEM_CHUNK`` entries unless one sample's n^3 does; the global defect
-is taken per sample.
+table call and reads each family from the whole stack with one gather, a
+chunk of samples at a time, so that no operand of the equations holds more
+than ``_SYSTEM_CHUNK`` entries unless one sample's n^3 does; the global
+defect is taken per sample.
 
 Residuals are cubic in the matrix coefficients, so all pass/fail decisions
 are made on *normalized* residuals: the raw max-abs defect divided by
@@ -167,11 +173,14 @@ class DefectLayout(NamedTuple):
     the order they act.  The first 8 n^3 products are the left side's, the
     rest the right side's; path j of column c of a side sits at j n^3 + c
     of that side.  ``bins[k]`` is the (column, row) entry it is summed
-    into: left entries in [0, m), right entries in [m, 2m).
+    into: left entries in [0, m), right entries in [m, 2m).  ``parts``
+    interleaves 2 ``bins[k]`` and 2 ``bins[k]`` + 1, the bins of product
+    k's real and imaginary parts as ``view(float64)`` lays them out.
     """
 
     gather: tuple[np.ndarray, np.ndarray, np.ndarray]
     bins: np.ndarray
+    parts: np.ndarray
     m: int
 
 
@@ -206,9 +215,10 @@ def _defect_layout(n: int) -> DefectLayout:
     bins = inv + np.repeat([0, m], 8 * size)
     arrays = [np.concatenate(pair).astype(np.int32) for pair in zip(*gathers)]
     arrays.append(bins.astype(np.int32))
+    arrays.append((2 * arrays[3][:, None] + np.arange(2, dtype=np.int32)).ravel())
     for arr in arrays:
         arr.setflags(write=False)
-    return DefectLayout(tuple(arrays[:3]), arrays[3], m)
+    return DefectLayout(tuple(arrays[:3]), arrays[3], arrays[4], m)
 
 
 def _path_weights(delta_st: np.ndarray, d_st: np.ndarray) -> np.ndarray:
@@ -229,8 +239,9 @@ def _stencil_defect(delta_st: np.ndarray, d_st: np.ndarray) -> tuple[float, floa
     layout = _defect_layout(delta_st.shape[1])
     w = _path_weights(delta_st, d_st)
     m = layout.m
-    sums = (np.bincount(layout.bins, w.real, 2 * m)
-            + 1j * np.bincount(layout.bins, w.imag, 2 * m))
+    # one sum over real and imaginary parts: each bin adds its weights in
+    # the order of two separate sums
+    sums = np.bincount(layout.parts, w.view(np.float64), 4 * m).view(complex)
     left, right = sums[:m], sums[m:]
     raw = float(np.abs(left - right).max())
     scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
@@ -248,56 +259,83 @@ def dqybe_residual_normalized(R: DynamicalRMatrix, lam: np.ndarray) -> float:
     return raw / max(1.0, scale)
 
 
-@lru_cache(maxsize=None)
-def _equation_grids(n: int) -> tuple[np.ndarray, ...]:
-    """The index grids of the component equations of size n (cached,
-    read-only): ``arange(n)``; the (n, n) grids I, J and their mask
-    I != J; the (n, n, n) grids I3, J3, K3 and their mask of pairwise
-    distinct indices."""
-    r = np.arange(n)
-    I, J = np.meshgrid(r, r, indexing="ij")
-    I3, J3, K3 = np.meshgrid(r, r, r, indexing="ij")
-    grids = (r, I, J, I != J, I3, J3, K3, (I3 != J3) & (J3 != K3) & (I3 != K3))
-    for arr in grids:
-        arr.setflags(write=False)
-    return grids
+class EquationLayout(NamedTuple):
+    """Where the component equations of size n read their factors.
 
-
-def _equation_values(
-    delta0: np.ndarray,
-    d0: np.ndarray,
-    delta_sh: np.ndarray,
-    d_sh: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """All sixteen component-equation value arrays at a stack of S samples.
-
-    ``delta0`` / ``d0`` are the (S, n, n) tables at the samples, and
-    ``delta_sh[:, k]`` / ``d_sh[:, k]`` the tables at the points with
-    component k+1 shifted by one unit.  Each value array has the sample
-    axis first: (S, n) for G0, (S, n, n) for F1..F9, (S, n, n, n) for
-    E1..E6.
+    ``positions`` holds one (factors, entries) array per family: G0, the
+    pair families F1..F9 and the triple families E1..E6.  Row k holds the
+    position of the family's k-th factor in :func:`_equation_values`, at
+    every entry the family constrains, in a stencil's flattened tables
+    ``concat(delta_st.ravel(), d_st.ravel())``.  The entries are each i for
+    G0, the pairs i != j for F and the triples of distinct indices for E,
+    in row-major order; ``indices`` holds their 1-based indices, one
+    (entries, 1), (entries, 2) or (entries, 3) array per family.
     """
-    r, I, J, offdiag, I3, J3, K3, distinct = _equation_grids(delta0.shape[1])
 
-    diag = np.diagonal(delta0, axis1=1, axis2=2)
-    diag_sh = delta_sh[:, r, r, r]                    # Delta_ii at shift i
+    positions: tuple[np.ndarray, np.ndarray, np.ndarray]
+    indices: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+#: The equation tags of each family, in the order of the layout's arrays.
+_FAMILIES = (EQUATION_TAGS[:1], EQUATION_TAGS[1:10], EQUATION_TAGS[10:])
+
+
+@lru_cache(maxsize=None)
+def _equation_layout(n: int) -> EquationLayout:
+    """The :class:`EquationLayout` of size n (cached, read-only int32
+    arrays)."""
+    I, J = np.indices((n, n)).reshape(2, -1)
+    I, J = I[I != J], J[I != J]
+    I3, J3, K3 = np.indices((n, n, n)).reshape(3, -1)
+    distinct = (I3 != J3) & (J3 != K3) & (I3 != K3)
+    I3, J3, K3 = I3[distinct], J3[distinct], K3[distinct]
+    r = np.arange(n)
+
+    def D(at, x, y):  # Delta_xy at stencil index ``at``: 0, or m + 1 at lam + e_(m+1)
+        return (at * n + x) * n + y
+
+    def s(at, x, y):  # d_xy at stencil index ``at``
+        return (n + 1) * n * n + D(at, x, y)
+
+    i, j, k = I3 + 1, J3 + 1, K3 + 1  # the stencil indices of the shifts
+    positions = (
+        [D(0, r, r), D(r + 1, r, r)],
+        [D(J + 1, I, I), D(0, I, I), D(0, I, J), D(0, J, I), D(I + 1, I, J),
+         D(I + 1, J, I), s(0, I, J), s(0, J, I), s(I + 1, I, J), s(I + 1, J, I)],
+        [s(k, I3, J3), s(i, J3, K3), s(j, I3, K3), s(k, J3, I3),
+         s(0, I3, J3), s(0, J3, K3), s(0, I3, K3), s(0, K3, J3),
+         D(k, I3, J3), D(k, J3, I3), D(i, J3, K3), D(j, I3, K3),
+         D(0, I3, J3), D(0, J3, K3), D(0, I3, K3), D(0, K3, J3)],
+    )
+    arrays = [np.array(rows, dtype=np.int32).reshape(len(rows), -1) for rows in positions]
+    arrays += [np.stack(group, axis=1).astype(np.int32) + 1
+               for group in ([r], [I, J], [I3, J3, K3])]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return EquationLayout(tuple(arrays[:3]), tuple(arrays[3:]))
+
+
+def _equation_values(T: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """All sixteen component-equation value arrays of S flattened shift
+    stencils, the columns of ``T``, (2 (n+1) n^2, S).
+
+    Each value array is (entries, S) over the entries its family
+    constrains, in the order of :func:`_equation_layout`.  A stencil per
+    column makes each factor's gather one contiguous block.
+    """
+    g_pos, f_pos, e_pos = _equation_layout(n).positions
+
+    diag, diag_sh = T.take(g_pos, axis=0)
     g0 = diag * diag_sh * (diag_sh - diag)
 
-    dii_j = delta_sh[:, J, I, I]                      # Delta_ii at shift j
-    dii_0 = delta0[:, I, I]
-    dij_0 = delta0
-    dji_0 = delta0.transpose(0, 2, 1)
-    dij_i = delta_sh[:, I, I, J]                      # Delta_ij at shift i
-    dji_i = delta_sh[:, I, J, I]
-    sij_0 = d0
-    sji_0 = d0.transpose(0, 2, 1)
-    sij_i = d_sh[:, I, I, J]
-    sji_i = d_sh[:, I, J, I]
+    (dii_j, dii_0, dij_0, dji_0, dij_i, dji_i,
+     sij_0, sji_0, sij_i, sji_i) = T.take(f_pos, axis=0)
 
     brace_34 = dii_j * dij_i - dii_j * dij_0 - dji_0 * dij_i
     brace_56 = dii_0 * dji_i - dii_0 * dji_0 + dji_0 * dij_i
 
-    pair = {
+    out = {
+        "G0": g0,
         "F1": sij_0 * sij_i * (dii_j - dii_0),
         "F2": sji_0 * sji_i * (dii_j - dii_0),
         "F3": sij_0 * brace_34,
@@ -309,29 +347,12 @@ def _equation_values(
         "F9": dii_0 * sij_i * sji_i - dii_j * sij_0 * sji_0
         + dij_i * dji_0 * (dij_i - dji_0),
     }
-    for tag in pair:
-        pair[tag] = np.where(offdiag, pair[tag], 0)
 
-    out: dict[str, np.ndarray] = {"G0": g0, **pair}
+    (s_ij_k, s_jk_i, s_ik_j, s_ji_k, s_ij_0, s_jk_0, s_ik_0, s_kj_0,
+     D_ij_k, D_ji_k, D_jk_i, D_ik_j, D_ij_0, D_jk_0, D_ik_0,
+     D_kj_0) = T.take(e_pos, axis=0)
 
-    s_ij_k = d_sh[:, K3, I3, J3]
-    s_jk_i = d_sh[:, I3, J3, K3]
-    s_ik_j = d_sh[:, J3, I3, K3]
-    s_ji_k = d_sh[:, K3, J3, I3]
-    s_ij_0 = d0[:, I3, J3]
-    s_jk_0 = d0[:, J3, K3]
-    s_ik_0 = d0[:, I3, K3]
-    s_kj_0 = d0[:, K3, J3]
-    D_ij_k = delta_sh[:, K3, I3, J3]
-    D_ji_k = delta_sh[:, K3, J3, I3]
-    D_jk_i = delta_sh[:, I3, J3, K3]
-    D_ik_j = delta_sh[:, J3, I3, K3]
-    D_ij_0 = delta0[:, I3, J3]
-    D_jk_0 = delta0[:, J3, K3]
-    D_ik_0 = delta0[:, I3, K3]
-    D_kj_0 = delta0[:, K3, J3]
-
-    triple = {
+    out.update({
         "E1": s_ij_k * s_jk_i * s_ik_0 - s_ij_0 * s_jk_0 * s_ik_j,
         "E2": s_jk_0 * s_ik_j * (D_ij_k - D_ij_0),
         "E3": s_ij_k * s_ik_0 * (D_jk_i - D_jk_0),
@@ -339,14 +360,13 @@ def _equation_values(
         "E5": s_jk_0 * (D_ij_k * D_jk_0 + D_ik_j * D_kj_0 - D_ij_k * D_ik_j),
         "E6": s_ij_k * s_ji_k * D_ik_0 - s_jk_0 * s_kj_0 * D_ik_j
         + D_ij_k * D_jk_0 * (D_ij_k - D_jk_0),
-    }
-    for tag in triple:
-        out[tag] = np.where(distinct, triple[tag], 0)
+    })
     return out
 
 
-#: Most entries of one batched equation array in :func:`check_system`: a
-#: chunk holds max(1, _SYSTEM_CHUNK // n^3) samples.  8192 complex entries
+#: Most entries of one operand of the batched equations in
+#: :func:`check_system`: a chunk holds max(1, _SYSTEM_CHUNK // n^3) samples,
+#: and a family has at most n^3 entries per sample.  8192 complex entries
 #: are 128 KiB, below the 256 KiB from which numpy evaluates
 #: ``a * fresh_temporary`` in place with the operands swapped (complex
 #: products are not bitwise commutative), so a batch rounds as one sample.
@@ -378,16 +398,20 @@ def check_system(
         raise ValueError("at least one sample point is required")
     n = R.n
     lams = [np.asarray(lam, dtype=complex) for lam in samples]
-    stencils = [_as_stack(stencil_points(lam), n) for lam in lams]
+    for lam in lams:
+        if lam.shape != (n,):
+            _as_stack(stencil_points(lam), n)  # raises the stencil's stack error
+    stencils = stencil_points(np.array(lams))
     per_eq = {tag: 0.0 for tag in EQUATION_TAGS}
     worst: Optional[WorstCase] = None
     global_res: list[float] = []
     sample_list = [tuple(lam.tolist()) for lam in lams]
     chunk = max(1, _SYSTEM_CHUNK // n ** 3)
+    layout = _equation_layout(n)
     for start in range(0, len(stencils), chunk):
         part = stencils[start:start + chunk]
         count = len(part)
-        delta, d = R.stacked_tables(np.concatenate(part))
+        delta, d = R.stacked_tables(part.reshape(-1, n))
         delta = delta.reshape(count, n + 1, n, n)
         d = d.reshape(count, n + 1, n, n)
         scales = np.maximum(np.abs(delta).reshape(count, -1).max(axis=1),
@@ -398,24 +422,26 @@ def check_system(
             scales = scales * factor
             delta = delta * factor[:, None, None, None]
             d = d * factor[:, None, None, None]
-        values = _equation_values(delta[:, 0], d[:, 0], delta[:, 1:], d[:, 1:])
-        peaks = {}
-        for tag, arr in values.items():
-            mags = np.abs(arr).reshape(count, -1)
-            peaks[tag] = mags.max(axis=1), mags.argmax(axis=1), arr.shape[1:]
-        for s in range(count):
-            norm = max(1.0, float(scales[s]) ** 3)
-            for tag in EQUATION_TAGS:
-                raw, arg, shape = peaks[tag]
-                res = float(raw[s]) / norm
+        # one column per sample: concat(delta_st.ravel(), d_st.ravel())
+        T = np.concatenate([delta.reshape(count, -1).T, d.reshape(count, -1).T])
+        values = _equation_values(T, n)
+        peaks = []
+        for tags, indices in zip(_FAMILIES, layout.indices):
+            if len(indices):  # an empty family keeps its 0.0
+                mags = np.abs(np.stack([values[tag] for tag in tags]))
+                for tag, raw, arg in zip(tags, mags.max(axis=1).tolist(),
+                                         mags.argmax(axis=1).tolist()):
+                    peaks.append((tag, raw, arg, indices))
+        for s, scale in enumerate(scales.tolist()):
+            norm = max(1.0, scale ** 3)
+            for tag, raw, arg, indices in peaks:
+                res = raw[s] / norm
                 if res > per_eq[tag]:
                     per_eq[tag] = res
-                    idx = np.unravel_index(int(arg[s]), shape)
-                    indices = tuple(int(v) + 1 for v in idx)
                     if worst is None or res > worst.value:
                         worst = WorstCase(
                             equation=tag,
-                            indices=indices,
+                            indices=tuple(indices[arg[s]].tolist()),
                             lam=sample_list[start + s],
                             value=res,
                         )

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 import dynrmat
-from dynrmat.rmatrix import DynamicalRMatrix, raw_tables, stencil_points
+from dynrmat import verifier
+from dynrmat.builder import build
+from dynrmat.rmatrix import DynamicalRMatrix, raw_tables, shift_stencil, stencil_points
 
-from conftest import random_points
+from conftest import golden_datum, random_points
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -101,3 +103,17 @@ def test_fresh_evaluates_a_stack_in_one_call_behind_its_own_cache():
     want = R.stacked_tables(lams)
     assert calls == [len(lams)] * 2  # ... in its own cache, not in R's
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_stencil_defect_is_the_defect_of_one_shift_stencil():
+    """A traced global check can wrap ``verifier._stencil_defect``: it takes
+    one stencil's (n+1, n, n) tables and gives ``dqybe_defect``'s (raw,
+    scale) there."""
+    assert callable(getattr(verifier, "_stencil_defect", None))
+    member = build(*golden_datum())
+    off = DynamicalRMatrix(member.n, lambda i, j, lam: 1.3 * member.delta(i, j, lam), member.d)
+    for R in (member, off):
+        for lam in random_points(np.random.default_rng(7), R.n, 3):
+            got = verifier._stencil_defect(*shift_stencil(R, lam))
+            assert got == verifier.dqybe_defect(R, lam)
+    assert got[0] > 1e-6  # the scaled exchange table is not a solution

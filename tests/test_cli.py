@@ -29,9 +29,10 @@ from dynrmat.rmatrix import (
     point_to_json,
     shifted,
 )
+from dynrmat.errors import PoleError
 from dynrmat.params import BlockConstants
 from dynrmat.sampling import random_datum
-from dynrmat.serialize import params_to_json
+from dynrmat.serialize import complex_to_json, params_to_json
 from dynrmat.verifier import sample_lambda
 
 from conftest import golden_datum, overflow_datum, zero_residual_config
@@ -184,6 +185,38 @@ def test_classify_recovers_from_the_seed_it_classifies_with(golden_config, capsy
     params = recover_params(R, classify(R, seed=seed), seed=seed)
     expected = json.loads(json.dumps(params_to_json(params, _reference_point(R))))
     assert json.loads(capsys.readouterr().out)["params"] == expected
+
+
+def test_build_and_classify_check_the_reference_point_alone(tmp_path, capsys):
+    """build and classify read the tables at the reference point only, so a
+    pole at one of its shifts does not move their point; the stencil
+    search that transform keeps moves on to the next step."""
+    from dynrmat.classifier import _reference_point
+    from dynrmat.params import ClassificationParams
+    from dynrmat.partition import DeltaClass, IndexPartition
+
+    direction = np.array([0.3 * (k + 1) + 0.17j * (k + 2) for k in range(2)])
+    first = 0.1 * 9 * direction  # the first point the search tries
+    shift = shifted(first, 1)
+    # Delta_12 = 1 / (lam_1 - lam_2 + f_1 - f_2) has its pole at first + e_1
+    p = IndexPartition(n=2, blocks=((DeltaClass(free=(1, 2), d_classes=()),),))
+    c = ClassificationParams(partition=p, per_block=(BlockConstants(0j, 1 + 0j),),
+                             signs={(1,): 1, (2,): 1},
+                             f_consts={(1,): 0j, (2,): complex(shift[0] - shift[1])})
+    R = build(p, c)
+    with pytest.raises(PoleError):
+        R.tables(shift)
+    assert _reference_point(R, stencil=False).tobytes() == first.tobytes()
+    assert _reference_point(R).tobytes() == (0.1 * 10 * direction).tobytes()
+
+    cfg = tmp_path / "pole.json"
+    cfg.write_text(json.dumps(params_to_json(c)))
+    where = [complex_to_json(z) for z in first]
+    assert main(["build", str(cfg)]) == EXIT_OK
+    assert f"at the reference point {where}:" in capsys.readouterr().out
+    assert main(["classify", str(cfg)]) == EXIT_OK
+    two_form = json.loads(capsys.readouterr().out)["params"]["two_form"]
+    assert two_form["sampled_at"] == json.loads(json.dumps(where))
 
 
 def test_verify_env_seed(golden_config, tmp_path, monkeypatch):

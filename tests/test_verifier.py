@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from dynrmat.builder import build
 from dynrmat.errors import PoleError
+from dynrmat.params import BlockConstants, ClassificationParams, normalize_f
+from dynrmat.partition import DeltaClass, IndexPartition
 from dynrmat.rmatrix import (
     DynamicalRMatrix,
     embed_with_shift,
@@ -22,8 +24,10 @@ from dynrmat.verifier import (
     _LEFT,
     _RIGHT,
     EQUATION_TAGS,
+    _FAMILIES,
     _defect_layout,
-    _equation_grids,
+    _equation_layout,
+    _equation_values,
     check_invertibility,
     check_system,
     dqybe_defect,
@@ -32,7 +36,7 @@ from dynrmat.verifier import (
 )
 
 from conftest import golden_datum, overflow_datum, random_points, zero_residual_config
-from system_oracle import oracle_check_system, oracle_path_products
+from system_oracle import oracle_check_system, oracle_equation_values, oracle_path_products
 
 
 def _triple_oracle(R, lam):
@@ -540,7 +544,7 @@ def _both_reports(R, samples, **kw):
 
 
 @pytest.mark.parametrize("kind", ["trivial", "table", "exact"])
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_check_system_equals_oracle_on_members(n, kind):
     rng = np.random.default_rng(300 + n)
     R = build(*random_datum(n, rng, kind))
@@ -558,6 +562,31 @@ def test_check_system_equals_oracle_on_perturbed_non_members(n):
               _scaled_entry(member, "d", (2, 1), lambda v: v + 0.1)):
         report, oracle = _both_reports(R, sample_lambda(R, rng, 5), tol=1e-6)
         assert report == oracle
+        failed += not report.passed
+    assert failed > 0
+
+
+def test_check_system_equals_oracle_on_a_one_index_non_member():
+    R = DynamicalRMatrix(1, lambda i, j, lam: 1 + 0.3 * lam[0], lambda i, j, lam: 0j)
+    report, oracle = _both_reports(R, random_points(np.random.default_rng(312), 1, 4))
+    assert report == oracle
+    assert report.worst_case.equation == "G0" and report.worst_case.indices == (1,)
+    assert {report.per_equation[tag] for tag in EQUATION_TAGS[1:]} == {0.0}
+
+
+def test_check_system_equals_oracle_on_two_index_perturbed_non_members():
+    # indices 1 and 2 coupled in one trigonometric exchange class
+    p = IndexPartition(n=2, blocks=((DeltaClass(free=(1, 2), d_classes=()),),))
+    c = ClassificationParams(partition=p, per_block=(BlockConstants(0.7 + 0.2j, 1.3 - 0.4j),),
+                             signs={(1,): 1, (2,): -1}, f_consts={(1,): 1, (2,): 0.5 + 0.5j})
+    member = build(p, normalize_f(c)[0])
+    rng = np.random.default_rng(322)
+    failed = 0
+    for R in (_scaled_entry(member, "delta", (1, 2), lambda v: 1.3 * v),
+              _scaled_entry(member, "d", (2, 1), lambda v: v + 0.1)):
+        report, oracle = _both_reports(R, sample_lambda(R, rng, 5), tol=1e-6)
+        assert report == oracle
+        assert {report.per_equation[tag] for tag in EQUATION_TAGS[10:]} == {0.0}
         failed += not report.passed
     assert failed > 0
 
@@ -641,11 +670,37 @@ def test_check_system_wrong_length_sample_raises_stack_error():
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_cached_layout_arrays_are_read_only(n):
-    layout = _defect_layout(n)
-    arrays = [*layout.gather, layout.bins, *_equation_grids(n)]
+    layout, equations = _defect_layout(n), _equation_layout(n)
+    arrays = [*layout.gather, layout.bins, layout.parts, *equations.positions,
+              *equations.indices]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.3, 0.8]))
+def test_equation_layout_equals_the_oracle_at_its_entries_and_leaves_out_zeros(n, seed, zeros):
+    rng = np.random.default_rng(seed)
+    shape = (n + 1, n, n)
+    delta, d = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ab")
+    for tab in (delta, d):
+        tab[rng.random(shape) < zeros] = 0
+    want = oracle_equation_values(delta[0], d[0], delta[1:], d[1:])
+    got = _equation_values(np.concatenate([delta.ravel(), d.ravel()])[:, None], n)
+    for tags, indices in zip(_FAMILIES, _equation_layout(n).indices):
+        arity = {"G": 1, "F": 2, "E": 3}[tags[0][0]]
+        # the entries are every index tuple of pairwise distinct indices, in
+        # row-major order, each naming its own entry of the oracle's array
+        every = [t for t in np.ndindex(*(n,) * arity) if len(set(t)) == arity]
+        assert [tuple(t) for t in indices.tolist()] == [tuple(v + 1 for v in t) for t in every]
+        at = tuple(np.array(every, dtype=int).reshape(-1, arity).T)
+        left_out = np.ones((n,) * arity, dtype=bool)
+        left_out[at] = False
+        for tag in tags:
+            assert got[tag].shape == (len(indices), 1)
+            assert got[tag][:, 0].tobytes() == want[tag][at].tobytes()
+            assert (want[tag][left_out] == 0).all()
 
 
 @settings(max_examples=20, deadline=None)
