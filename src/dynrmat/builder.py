@@ -30,6 +30,7 @@ from .errors import ParameterError
 from .params import (
     POLE_GUARD,
     ClassificationParams,
+    ClassKey,
     DerivedBlockConstants,
     derive,
     principal_sqrt,
@@ -79,6 +80,27 @@ def _class_constant(consts, derived: DerivedBlockConstants, sign: int) -> comple
     return consts.sum_const / denom
 
 
+def check_datum(
+    p: IndexPartition, c: ClassificationParams
+) -> tuple[list[DerivedBlockConstants], dict[ClassKey, complex]]:
+    """Raise the :class:`ParameterError` that :func:`build` raises on a
+    datum it cannot build, and return each block's derived constants and
+    each d-class's constant exchange coefficient."""
+    result = validate_params(c)
+    if not result:
+        raise ParameterError(result.message)
+    if c.partition != p:
+        raise ParameterError("partition does not match the one inside the params")
+    derived = [derive(b.sum_const, b.det_const) for b in c.per_block]
+    class_const = {
+        cls: _class_constant(c.per_block[q], derived[q], int(c.signs[cls]))
+        for q, block in enumerate(p.blocks)
+        for dclass in block
+        for cls in dclass.all_d_classes()
+    }
+    return derived, class_const
+
+
 def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     """Construct the closed-form matrix for a validated, f-normalized datum.
 
@@ -87,16 +109,10 @@ def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     and masked numpy expressions for the lambda-dependent pairs, all over
     the stack.
     """
-    result = validate_params(c)
-    if not result:
-        raise ParameterError(result.message)
-    if c.partition != p:
-        raise ParameterError("partition does not match the one inside the params")
-
+    derived, class_const = check_datum(p, c)
     n = p.n
     table = _index_table(p, c)
     info = [table[i] for i in range(1, n + 1)]
-    derived = [derive(b.sum_const, b.det_const) for b in c.per_block]
     sqrt_det = [principal_sqrt(b.det_const) for b in c.per_block]
     sqrt_cross = {k: principal_sqrt(v) for k, v in c.cross_det.items()}
     classes = p.all_d_classes()
@@ -124,7 +140,7 @@ def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     for a, b in zip(*np.nonzero(~coupled)):
         fa, fb = info[a], info[b]
         if same_class[a, b]:
-            delta0[a, b] = _class_constant(c.per_block[fa.block], derived[fa.block], fa.sign)
+            delta0[a, b] = class_const[fa.d_class]
         elif fa.block != fb.block:
             qq = (min(fa.block, fb.block), max(fa.block, fb.block))
             d0[a, b] = sqrt_cross[qq]
@@ -179,15 +195,11 @@ def build_commuting_ops(p: IndexPartition, c: ClassificationParams) -> dict:
     """
     R = build(p, c)
     n = p.n
-    info = _index_table(p, c)
-    derived = [derive(b.sum_const, b.det_const) for b in c.per_block]
+    _, class_const = check_datum(p, c)
     free_part = np.zeros((n * n, n * n), dtype=complex)
     family: dict[tuple[int, ...], np.ndarray] = {}
     for cls in p.all_d_classes():
-        const = _class_constant(
-            c.per_block[info[cls[0]].block], derived[info[cls[0]].block],
-            int(c.signs[cls]),
-        )
+        const = class_const[cls]
         if len(cls) == 1:
             i = cls[0]
             pos = composite_index(n, i, i)

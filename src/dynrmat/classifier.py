@@ -11,12 +11,12 @@ closed forms to recover the numeric datum.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .builder import build
+from .builder import build, check_datum
 from .errors import AmbiguityError, NotInFamilyError, PoleError
 from .params import (
     POLE_GUARD,
@@ -254,25 +254,22 @@ def triangularize(M_R: np.ndarray) -> tuple[list[int], list[int]]:
                     f"classes {a + 1} and {b + 1} dominate each other "
                     "(antisymmetry violation)"
                 )
-    preds = {b: [a for a in range(r) if a != b and m[a][b]] for b in range(r)}
-    levels: list[Optional[int]] = [None] * r
-    in_progress: set[int] = set()
-
-    def level(b: int) -> int:
-        if levels[b] is not None:
-            return levels[b]
-        if b in in_progress:
-            raise NotInFamilyError("cyclic domination between exchange classes")
-        in_progress.add(b)
-        lv = 0 if not preds[b] else 1 + max(level(a) for a in preds[b])
-        in_progress.discard(b)
-        levels[b] = lv
-        return lv
-
-    for b in range(r):
-        level(b)
+    # longest-chain levels in topological order: a class is settled once
+    # every class dominating it is; any class never settled lies on a cycle
+    levels = [0] * r
+    waiting = [sum(1 for a in range(r) if a != b and m[a][b]) for b in range(r)]
+    ready = [b for b in range(r) if not waiting[b]]
+    for a in ready:
+        for b in range(r):
+            if b != a and m[a][b]:
+                levels[b] = max(levels[b], levels[a] + 1)
+                waiting[b] -= 1
+                if not waiting[b]:
+                    ready.append(b)
+    if len(ready) < r:
+        raise NotInFamilyError("cyclic domination between exchange classes")
     sigma = sorted(range(r), key=lambda b: (levels[b], b))
-    return sigma, [int(v) for v in levels]
+    return sigma, levels
 
 
 def block_structure(M_R: np.ndarray, sigma: list[int]) -> tuple[list[int], list[int]]:
@@ -601,17 +598,33 @@ class QuotientTwoForm(TableTwoForm):
     reads each matrix's tables once per stack and divides with Python's
     complex division, NaN where either d is not finite or the bare one is
     below ``POLE_GUARD``.  ``g`` reads that table, one entry per cross-class
-    pair."""
+    pair.
+
+    The datum is checked here, so a datum :func:`build` rejects raises its
+    :class:`ParameterError` now; ``bare`` itself is built on the first
+    read.  ``g`` is made on each read and not kept, so the form holds no
+    reference to itself and is freed as soon as it is unused; it is equal
+    only to itself."""
 
     def __init__(self, R: DynamicalRMatrix, base: ClassificationParams, to_orig: np.ndarray):
+        check_datum(base.partition, base)
         cid = np.array(sorted(class_id_map(base.partition).items()))[:, 1]
         same = cid[:, None] == cid[None, :]
-        self.R, self.bare, self.to_orig = R, build(base.partition, base), to_orig
+        self.R, self.base, self.to_orig = R, base, to_orig
         self._from_orig = np.argsort(to_orig)
         self._missing = same & ~np.eye(len(cid), dtype=bool)
         rows, cols = np.nonzero(np.triu(~same, 1))
-        pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
-        super().__init__(g={pair: partial(self.value, *pair) for pair in pairs})
+        self._pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+
+    __eq__ = object.__eq__
+
+    @cached_property
+    def bare(self) -> DynamicalRMatrix:
+        return build(self.base.partition, self.base)
+
+    @property
+    def g(self) -> dict[tuple[int, int], partial]:
+        return {pair: partial(self.value, *pair) for pair in self._pairs}
 
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         lams = np.asarray(lams, dtype=complex)

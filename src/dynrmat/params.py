@@ -172,20 +172,35 @@ class ExactTwoForm(TwoFormSpec):
     kind = "exact"
 
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Each potential is called once per distinct point among ``lams``
-        and lams + e_k: n(1 + n + n(n+1)/2) calls for the n+1 points of a
-        shift stencil."""
+        """Each potential is called at most once per distinct point among
+        ``lams`` and lams + e_k, and only where a masked entry reads it:
+        beta_i(lam) where row or column i of that point's mask has an
+        entry, beta_i(lam + e_j) where mask[i, j] or mask[j, i].  Points
+        are visited in first-seen order, potentials in ascending i.  A
+        point's mask without its diagonal reads at most n^2 values; the
+        n+1 points of a shift stencil with the full off-diagonal mask call
+        n(1 + n + n(n+1)/2) - n potentials."""
         from .rmatrix import stencil_points  # rmatrix imports this module
 
+        P = len(lams)
+        mask = np.broadcast_to(mask, (P, n, n))
         pts = stencil_points(lams).reshape(-1, n)
         first: dict[bytes, int] = {}
-        row = [first.setdefault(pt.tobytes(), p) for p, pt in enumerate(pts)]
+        row = [first.setdefault(pt.tobytes(), s) for s, pt in enumerate(pts)]
+        # reads[s, i]: slot s (lam_p, then lam_p + e_k) reads beta_i; a
+        # point's potentials are read wherever one of its slots reads them
+        both = mask | mask.transpose(0, 2, 1)
+        reads = np.concatenate([both.any(axis=2)[:, None], both], axis=1).reshape(-1, n)
+        wanted = np.zeros_like(reads)
+        np.logical_or.at(wanted, row, reads)
+        wanted = wanted.tolist()
         beta = [self.beta[i] for i in range(1, n + 1)]
-        values = {}
-        for p in first.values():
-            pt = pts[p]
-            values[p] = [complex(b(pt)) for b in beta]
-        b = np.array([values[p] for p in row]).reshape(len(lams), n + 1, n)
+        # an unread value is 1; only unmasked entries see it
+        b = np.ones((len(pts), n), dtype=complex)
+        for s in first.values():
+            pt = pts[s]
+            b[s] = [complex(f(pt)) if w else 1 for f, w in zip(beta, wanted[s])]
+        b = b[row].reshape(P, n + 1, n)
         b0 = b[:, 0]    # b0[p, i] = beta_i(lam_p)
         bk = b[:, 1:]   # bk[p, k, i] = beta_i(lam_p + e_k)
         g = (bk.transpose(0, 2, 1) / b0[:, :, None]) * (b0[:, None, :] / bk)
@@ -382,7 +397,8 @@ def two_form_covers(g: TwoFormSpec, partition: IndexPartition) -> ValidationResu
     """A table 2-form must have an entry for every coupled pair of
     ``partition``; the message names the first one missing."""
     if isinstance(g, TableTwoForm):
-        missing = [pair for pair in nd_pairs(partition) if pair not in g.g]
+        pairs = g.g
+        missing = [pair for pair in nd_pairs(partition) if pair not in pairs]
         if missing:
             return ValidationResult(
                 False, f"2-form table has no entry for coupled pair {missing[0]}")

@@ -119,14 +119,15 @@ def two_form_to_json(g: TwoFormSpec, n: int, probe_lam: Optional[np.ndarray] = N
         return {"type": "trivial"}
     if isinstance(g, TableTwoForm):
         lam = np.asarray(np.zeros(n) if probe_lam is None else probe_lam, dtype=complex)
-        if not all(1 <= i < j <= n for i, j in g.g):
-            raise ParameterError(f"2-form table keys must be pairs i < j of 1..{n}, got {list(g.g)}")
-        rows, cols = np.array(list(g.g), dtype=int).reshape(-1, 2).T - 1
+        pairs = list(g.g)
+        if not all(1 <= i < j <= n for i, j in pairs):
+            raise ParameterError(f"2-form table keys must be pairs i < j of 1..{n}, got {pairs}")
+        rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T - 1
         mask = np.zeros((n, n), dtype=bool)
         mask[rows, cols] = True
         with np.errstate(all="ignore"):
             entries = g.table(n, lam[None], mask)[0, rows, cols].tolist()
-        for (i, j), v in zip(g.g, entries):
+        for (i, j), v in zip(pairs, entries):
             if cmath.isfinite(v):
                 continue
             if isinstance(g, ConstantTableTwoForm):
@@ -140,7 +141,7 @@ def two_form_to_json(g: TwoFormSpec, n: int, probe_lam: Optional[np.ndarray] = N
                 f"the origin of C^{n} is a pole of the 2-form at pair "
                 f"({i},{j}); pass probe_lam, a point where it is finite"
             )
-        values = {f"{i},{j}": complex_to_json(v) for (i, j), v in zip(g.g, entries)}
+        values = {f"{i},{j}": complex_to_json(v) for (i, j), v in zip(pairs, entries)}
         out = {"type": "table", "values": values}
         if probe_lam is not None:
             out["sampled_at"] = [complex_to_json(z) for z in probe_lam]

@@ -172,14 +172,13 @@ class DefectLayout(NamedTuple):
     ``T[gather[0][k]] * T[gather[1][k]] * T[gather[2][k]]``, its factors in
     the order they act.  The first 8 n^3 products are the left side's, the
     rest the right side's; path j of column c of a side sits at j n^3 + c
-    of that side.  ``bins[k]`` is the (column, row) entry it is summed
-    into: left entries in [0, m), right entries in [m, 2m).  ``parts``
-    interleaves 2 ``bins[k]`` and 2 ``bins[k]`` + 1, the bins of product
-    k's real and imaginary parts as ``view(float64)`` lays them out.
+    of that side.  Product k is summed into the (column, row) entry
+    b_k, left entries in [0, m) and right entries in [m, 2m); ``parts``
+    interleaves 2 b_k and 2 b_k + 1, the bins of product k's real and
+    imaginary parts as ``view(float64)`` lays them out.
     """
 
     gather: tuple[np.ndarray, np.ndarray, np.ndarray]
-    bins: np.ndarray
     parts: np.ndarray
     m: int
 
@@ -214,11 +213,10 @@ def _defect_layout(n: int) -> DefectLayout:
     m = keys.size
     bins = inv + np.repeat([0, m], 8 * size)
     arrays = [np.concatenate(pair).astype(np.int32) for pair in zip(*gathers)]
-    arrays.append(bins.astype(np.int32))
-    arrays.append((2 * arrays[3][:, None] + np.arange(2, dtype=np.int32)).ravel())
+    arrays.append((2 * bins[:, None] + np.arange(2)).ravel().astype(np.int32))
     for arr in arrays:
         arr.setflags(write=False)
-    return DefectLayout(tuple(arrays[:3]), arrays[3], arrays[4], m)
+    return DefectLayout(tuple(arrays[:3]), arrays[3], m)
 
 
 def _path_weights(delta_st: np.ndarray, d_st: np.ndarray) -> np.ndarray:

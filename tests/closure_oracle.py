@@ -7,7 +7,8 @@ arithmetic and ``cmath``, raising :class:`PoleError` at the first pole it
 meets.  :func:`oracle_tables` evaluates such a matrix in row-major order.
 :func:`oracle_recovered_two_form` keeps the classifier's per-pair closures
 of the recovered 2-form, and :func:`oracle_pair_table` the per-pair loop
-that made their table.
+that made their table.  :func:`oracle_exact_table` is the exact 2-form's
+table with every potential called at every distinct point.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dynrmat.params import (
     principal_sqrt,
 )
 from dynrmat.partition import class_id_map, nd_pairs
-from dynrmat.rmatrix import DynamicalRMatrix, tables_from_dense
+from dynrmat.rmatrix import DynamicalRMatrix, stencil_points, tables_from_dense
 from dynrmat.serialize import sample_keys
 
 
@@ -143,6 +144,23 @@ def oracle_pair_table(closures: dict, n: int, lams, mask) -> np.ndarray:
         out[:, i, j] = values
         out[:, j, i] = [1.0 / v for v in values]
     return np.where(mask, out, 1)
+
+
+def oracle_exact_table(beta, n: int, lams, mask) -> np.ndarray:
+    """:meth:`ExactTwoForm.table` as it was before it skipped unread
+    potentials: every potential called once at every distinct point among
+    ``lams`` and lams + e_k, then the same whole-stack arithmetic."""
+    lams = np.asarray(lams, dtype=complex)
+    pts = stencil_points(lams).reshape(-1, n)
+    first: dict[bytes, int] = {}
+    row = [first.setdefault(pt.tobytes(), p) for p, pt in enumerate(pts)]
+    values = {p: [complex(beta[i](pts[p])) for i in range(1, n + 1)] for p in first.values()}
+    b = np.array([values[p] for p in row]).reshape(len(lams), n + 1, n)
+    b0, bk = b[:, 0], b[:, 1:]
+    g = (bk.transpose(0, 2, 1) / b0[:, :, None]) * (b0[:, None, :] / bk)
+    small = np.abs(b0) < POLE_GUARD
+    g[small[:, :, None] | small[:, None, :] | (np.abs(bk) < POLE_GUARD)] = np.nan
+    return np.where(mask, g, 1)
 
 
 def oracle_build(p, c) -> DynamicalRMatrix:

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -144,3 +145,27 @@ def random_points(rng: np.random.Generator, n: int, count: int, box: float = 2.0
         rng.uniform(-box, box, n) + 1j * rng.uniform(-box, box, n)
         for _ in range(count)
     ]
+
+
+def assert_no_cyclic_garbage(operation) -> None:
+    """Run ``operation()`` with the garbage collector off, drop its result,
+    and assert that nothing it made waits for the collector: every object
+    is freed by reference counting, so no reference cycle is left."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    before = len(gc.garbage)
+    try:
+        operation()
+        gc.collect()
+        left = gc.garbage[before:]
+        kinds = sorted({type(obj).__name__ for obj in left})
+        count = len(left)
+        del left
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+        if enabled:
+            gc.enable()
+    assert count == 0, f"{count} objects in reference cycles: {kinds}"

@@ -1,11 +1,14 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dynrmat import classifier
 from dynrmat.builder import build
 from dynrmat.classifier import (
     DEFAULT_ZERO_TOL,
+    QuotientTwoForm,
     _reference_point,
     block_structure,
     check_propagation,
@@ -16,6 +19,7 @@ from dynrmat.classifier import (
     triangularize,
 )
 from dynrmat.errors import AmbiguityError, NotInFamilyError, ParameterError
+from dynrmat.hecke import hecke_classify
 from dynrmat.params import (
     BlockConstants,
     ClassificationParams,
@@ -26,11 +30,12 @@ from dynrmat.params import (
 )
 from dynrmat.partition import DeltaClass, IndexPartition, to_json
 from dynrmat.rmatrix import DynamicalRMatrix
-from dynrmat.sampling import random_datum, random_partition
+from dynrmat.sampling import random_datum, random_partition, random_two_form
 from dynrmat.serialize import params_to_json
+from dynrmat.transforms import apply_2form, apply_twist, contract
 from dynrmat.verifier import sample_lambda
 
-from conftest import golden_datum, varied_golden
+from conftest import assert_no_cyclic_garbage, golden_datum, random_points, varied_golden
 
 
 def test_golden_structure():
@@ -308,6 +313,35 @@ def test_triangularize_rejects_mutual_domination():
         triangularize(M)
 
 
+def _longest_chain_levels(M):
+    """Each class's longest strict chain ending at it, by recursion."""
+    r = len(M)
+
+    def level(b):
+        preds = [a for a in range(r) if a != b and M[a][b]]
+        return max((1 + level(a) for a in preds), default=0)
+
+    return [level(b) for b in range(r)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_triangularize_levels_are_longest_chains(seed):
+    rng = np.random.default_rng(100 + seed)
+    r = int(rng.integers(1, 8))
+    upper = np.triu(rng.random((r, r)) < 0.4, 1).astype(int) + np.eye(r, dtype=int)
+    perm = rng.permutation(r)
+    M = upper[np.ix_(perm, perm)]
+    sigma, levels = triangularize(M)
+    assert levels == _longest_chain_levels(M.tolist())
+    assert sigma == sorted(range(r), key=lambda b: (levels[b], b))
+
+
+def test_triangularize_rejects_a_domination_cycle():
+    M = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 1, 1]])
+    with pytest.raises(NotInFamilyError, match="^cyclic domination between exchange classes$"):
+        triangularize(M)
+
+
 def test_block_structure_rejects_broken_chain():
     # class 0 comparable to 1 and 2, but 1 and 2 incomparable
     M = np.array(
@@ -471,3 +505,81 @@ def test_classifier_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError) as err:
         detect_relations(R, samples, tol)
     assert str(err.value) == msg
+
+
+def _chain_member():
+    """A transform chain on a table member: a constant 2-form, a twist by
+    callable potentials, then a contraction to the odd indices."""
+    rng = np.random.default_rng(8)
+    p, c = random_datum(6, rng, "table")
+    g = random_two_form(p, rng, "table")
+    beta = random_two_form(p, rng, "exact").beta
+    return contract(apply_twist(apply_2form(build(p, c), g), beta), (1, 3, 5))
+
+
+@pytest.mark.parametrize("kind", ["trivial", "table", "exact", "chain"])
+def test_classification_leaves_no_reference_cycle(kind):
+    def operation():
+        if kind == "chain":
+            R = _chain_member()
+        else:
+            R = build(*random_datum(6, np.random.default_rng(7), kind))
+        recover_params(R, classify(R))
+        hecke_classify(R)
+
+    assert_no_cyclic_garbage(operation)
+
+
+def _counting_builds(monkeypatch):
+    builds = []
+
+    def counting(p, c):
+        builds.append(p)
+        return build(p, c)
+
+    monkeypatch.setattr(classifier, "build", counting)
+    return builds
+
+
+def test_recovered_two_form_builds_the_bare_datum_on_first_read(monkeypatch):
+    R = build(*random_datum(5, np.random.default_rng(2), "table"))
+    report = classify(R)
+    builds = _counting_builds(monkeypatch)
+    unread = recover_params(R, report)
+    assert builds == []
+    g = recover_params(R, report).two_form
+    assert builds == [] and g == g and g != unread.two_form
+    pairs = list(g.g)
+    mask = np.zeros((5, 5), dtype=bool)
+    for i, j in pairs:
+        mask[i - 1, j - 1] = True
+    lams = np.array(random_points(np.random.default_rng(3), 5, 3))
+    first = g.table(5, lams, mask)
+    assert len(builds) == 1
+    assert np.array_equal(g.table(5, lams, mask), first)
+    assert g.g[pairs[0]](lams[0]) == first[0][tuple(np.array(pairs[0]) - 1)]
+    assert len(builds) == 1 and list(g.g) == pairs
+
+
+def _one_index_datum(sum_const, det_const):
+    p = IndexPartition(n=1, blocks=((DeltaClass(free=(1,)),),))
+    return p, ClassificationParams(partition=p, per_block=(BlockConstants(sum_const, det_const),),
+                                   signs={(1,): 1}, f_consts={(1,): 1 + 0j})
+
+
+@pytest.mark.parametrize("bad", ["sign", "D + S", "class constant"])
+def test_recovered_two_form_rejects_what_build_rejects_before_building(monkeypatch, bad):
+    if bad == "sign":
+        p, c = golden_datum()
+        c = replace(c, signs={})
+    elif bad == "D + S":
+        p, c = _one_index_datum(-1 + 0j, 1e-20 + 0j)
+    else:
+        p, c = _one_index_datum(1e-15 + 0j, 1 + 0j)
+    with pytest.raises(ParameterError) as built:
+        build(p, c)
+    R = build(*golden_datum())
+    builds = _counting_builds(monkeypatch)
+    with pytest.raises(ParameterError) as err:
+        QuotientTwoForm(R, c, np.arange(p.n))
+    assert str(err.value) == str(built.value) and builds == []

@@ -55,6 +55,7 @@ from closure_oracle import (
     oracle_build,
     oracle_compose,
     oracle_contract,
+    oracle_exact_table,
     oracle_pair_table,
     oracle_recovered_two_form,
     oracle_samples,
@@ -968,7 +969,9 @@ def test_exact_two_form_calls_each_potential_once_per_distinct_point():
     lam = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j, 0.2 - 0.1j])
     mask = ~np.eye(n, dtype=bool)
     stacked = g.table(n, stencil_points(lam), mask)
-    assert len(calls) == n * (1 + n + n * (n + 1) // 2)
+    # every distinct point but beta_k(lam + 2 e_k), which no entry reads
+    per_stencil = n * (1 + n + n * (n + 1) // 2) - n
+    assert len(calls) == per_stencil == 100
     assert sorted(set(calls)) == list(range(1, n + 1))
     for k in range(n + 1):
         pt = shifted(lam, k) if k else lam
@@ -980,11 +983,11 @@ def test_exact_two_form_calls_each_potential_once_per_distinct_point():
     p, c = _free_block(n, 1 + 0.2j, 0.5 - 0.1j, (1,) * n, (1, 0.8, 1.2, 0.9j, 1.1), g)
     calls.clear()
     shift_stencil(build(p, c), lam)
-    assert len(calls) == n * (1 + n + n * (n + 1) // 2)
+    assert len(calls) == per_stencil
     # and so does the stencil of a plain-callable wrapper around one
     calls.clear()
     shift_stencil(_scaled_exchange(build(p, c), (1, 2), 1.3), lam)
-    assert len(calls) == n * (1 + n + n * (n + 1) // 2)
+    assert len(calls) == per_stencil
     # a constant 2-form on top adds no potential call and calls no pair
     # function: its table is built once from the constants
     const = constant_table_two_form({(i, j): 1 + 0.1j * i - 0.2 * j
@@ -996,8 +999,87 @@ def test_exact_two_form_calls_each_potential_once_per_distinct_point():
     calls.clear()
     shift_stencil(A, lam)
     sample_lambda(A, np.random.default_rng(0), 3)
-    assert len(calls) == 4 * n * (1 + n + n * (n + 1) // 2)
+    assert len(calls) == 4 * per_stencil
     assert pair_calls == []
+
+
+def _recording_potentials(n, calls):
+    """Potentials beta_i(lam) = exp(0.1 i lam_i + 0.05 sum(lam)) that
+    append (i, lam) to ``calls`` on every call."""
+    def potential(i):
+        def beta(lam):
+            calls.append((i, tuple(lam.tolist())))
+            return np.exp(0.1 * i * lam[i - 1] + 0.05 * lam.sum())
+        return beta
+    return {i: potential(i) for i in range(1, n + 1)}
+
+
+def test_exact_two_form_calls_only_the_potentials_a_masked_entry_reads():
+    n = 4
+    calls = []
+    g = ExactTwoForm(beta=_recording_potentials(n, calls))
+    lam = np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j])
+    off = ~np.eye(n, dtype=bool)
+    # one point: beta_i at lam, and beta_i(lam + e_j) for every j != i
+    g.table(n, lam[None], off)
+    assert len(calls) == n * n
+    # a d-class {3, 4}: no entry reads beta_3(lam + e_4) or beta_4(lam + e_3)
+    dclass = off.copy()
+    dclass[2, 3] = dclass[3, 2] = False
+    calls.clear()
+    g.table(n, lam[None], dclass)
+    assert len(calls) == n * n - 2
+    # per-point masks: (1, 2) at lam, (3, 4) at lam + e_1, which is also
+    # the first shift of lam; points in first-seen order, i ascending
+    per_point = np.zeros((2, n, n), dtype=bool)
+    per_point[0, 0, 1] = per_point[1, 2, 3] = True
+    calls.clear()
+    g.table(n, np.array([lam, shifted(lam, 1)]), per_point)
+
+    def at(i, *shifts):
+        pt = lam.copy()
+        for k in shifts:
+            pt[k - 1] += 1
+        return i, tuple(pt.tolist())
+
+    assert calls == [at(1), at(2), at(2, 1), at(3, 1), at(4, 1), at(1, 2),
+                     at(4, 1, 3), at(3, 1, 4)]
+    calls.clear()
+    g.table(n, np.array([lam, lam + 5]), np.zeros((2, n, n), dtype=bool))
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_two_form_table_equals_the_all_points_oracle_bit_for_bit(n):
+    """Masked entries, poles included, against every potential called at
+    every point.  beta_i vanishes where lam_i = 0.25 (rounded to 12
+    decimals), which some points and shifts hit."""
+    rng = np.random.default_rng(30 + n)
+    lin = rng.uniform(-0.3, 0.3, (n, n)) + 1j * rng.uniform(-0.3, 0.3, (n, n))
+
+    def potential(i):
+        def beta(lam):
+            return np.exp(np.dot(lin[i - 1], lam)) * np.round(lam[i - 1] - 0.25, 12)
+        return beta
+
+    g = ExactTwoForm(beta={i: potential(i) for i in range(1, n + 1)})
+    points = np.array(random_points(rng, n, 4))
+    points[1, 0] = 0.25
+    points[2, -1] = -0.75
+    off = ~np.eye(n, dtype=bool)
+    dclass = off.copy()
+    dclass[:2, :2] = False
+    for lams, pole in ((points, True), (stencil_points(points[0]), False),
+                       (stencil_points(points[2]), True)):
+        masks = (off, dclass, rng.random((len(lams), n, n)) < 0.3,
+                 np.ones((n, n), dtype=bool))
+        for mask in masks:
+            with np.errstate(all="ignore"):
+                got = g.table(n, lams, mask)
+                want = oracle_exact_table(g.beta, n, lams, mask)
+            _assert_bit_equal(got, want)
+            if mask is off:
+                assert np.isnan(got).any() == (pole and n > 1)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -671,7 +671,7 @@ def test_check_system_wrong_length_sample_raises_stack_error():
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_cached_layout_arrays_are_read_only(n):
     layout, equations = _defect_layout(n), _equation_layout(n)
-    arrays = [*layout.gather, layout.bins, layout.parts, *equations.positions,
+    arrays = [*layout.gather, layout.parts, *equations.positions,
               *equations.indices]
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -713,7 +713,7 @@ def test_cached_bins_equal_fresh_unique_of_path_rows(n):
     keys, inv = np.unique(np.tile(np.arange(size), 16) * size + rows, return_inverse=True)
     layout = _defect_layout(n)
     assert layout.m == keys.size
-    assert np.array_equal(layout.bins, inv + np.repeat([0, keys.size], 8 * size))
+    assert np.array_equal(layout.parts[::2] // 2, inv + np.repeat([0, keys.size], 8 * size))
 
 
 # -- bad inputs raise ---------------------------------------------------------
