@@ -445,19 +445,15 @@ class LimitReport:
         )
 
 
-def _limit_member(
-    params: ClassificationParams, xi: float, slopes: Sequence[complex]
-) -> ClassificationParams:
+def _limit_member(params: ClassificationParams, xi: float) -> ClassificationParams:
     per_block = []
     new_f = dict(params.f_consts)
     for q, block in enumerate(params.partition.blocks):
         consts = params.per_block[q]
-        slope = complex(slopes[q])
-        per_block.append(replace(consts, sum_const=slope * xi))
-        ratio = slope / principal_sqrt(consts.det_const)
+        per_block.append(replace(consts, sum_const=principal_sqrt(consts.det_const) * xi))
         for dclass in block:
             for cls in dclass.all_d_classes():
-                new_f[cls] = 1 - complex(params.f_consts[cls]) * ratio * xi
+                new_f[cls] = 1 - complex(params.f_consts[cls]) * xi
     return replace(params, per_block=tuple(per_block), f_consts=new_f)
 
 
@@ -470,7 +466,7 @@ def trig_to_rational_limit(
     Every block of the input must have zero sum constant and a single
     exchange class.  For each xi the family member has sum constant
     slope*xi, where slope is the principal square root of the block's
-    determinant constant, and position constants 1 - f*(slope/sqrt(det))*xi;
+    determinant constant, and position constants 1 - f*xi;
     the report gives the max entrywise distance of its coefficient tables
     (so of its matrix) to the zero-sum build's at
     :func:`~dynrmat.classifier._reference_point`, and the empirical
@@ -501,13 +497,12 @@ def trig_to_rational_limit(
             f"limit sequence {xi_values} shows no convergence order: it needs at least "
             "two finite nonzero values of one sign, no two consecutive of equal magnitude"
         )
-    slopes = [principal_sqrt(c.det_const) for c in rational_params.per_block]
     R0 = build(p, rational_params)
     lam = _reference_point(R0)
     base = np.stack(R0.tables(lam))
     distances = []
     for xi in xi_values:
-        member = _limit_member(rational_params, xi, slopes)
+        member = _limit_member(rational_params, xi)
         # the entrywise distance of the matrices: every other entry is 0 in both
         distances.append(float(np.abs(np.stack(build(p, member).tables(lam)) - base).max()))
     orders = []

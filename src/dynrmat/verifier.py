@@ -31,12 +31,19 @@ than ``_SYSTEM_CHUNK`` entries unless one sample's n^3 does; the global
 defect is taken per sample.
 
 Residuals are cubic in the matrix coefficients, so all pass/fail decisions
-are made on *normalized* residuals: the raw max-abs defect divided by
-max(1, C^3) where C is the largest coefficient magnitude seen at the
-sample (equivalently, relative to the size of the three-factor products,
-with an absolute fallback when all entries are O(1)).  A sample with C
-above 2^256 is divided by a power of two first (``_RESCALE_ABOVE``), so
-that its products cannot overflow.
+are made on *normalized* residuals.  A component residual is the raw
+max-abs value divided by C^3, C the largest coefficient magnitude seen at
+the sample: the equations read the sample's tables times 2^(1-e), e the
+binary exponent of C, so that C is in [1, 2) and no product overflows or
+underflows.  A power of two scales exactly, so 2^k R has the component
+residuals of R bit for bit, and C = 0 gives residuals of 0.  The global
+residual is the raw defect divided by max(1, scale), scale the largest
+entry of the two three-factor products, so it is absolute below scale 1;
+only a sample with C above 2^256 (``_RESCALE_ABOVE``) has its defect taken
+on the tables divided by 2^(e-1), so that they cannot overflow.
+
+The determinant is read from its factors alone (:func:`check_invertibility`):
+no dense n^2 x n^2 matrix is formed.
 """
 
 from __future__ import annotations
@@ -54,7 +61,6 @@ from .rmatrix import (
     DynamicalRMatrix,
     _TABLE_CACHE_MAX,
     _as_stack,
-    dense_from_tables,
     pair_invariants,
     shift_stencil,
     shifted,
@@ -67,10 +73,6 @@ EQUATION_TAGS = ("G0",) + tuple(f"F{k}" for k in range(1, 10)) + tuple(
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 8
-
-#: check_invertibility's bound on the difference of the two log-determinants:
-#: a relative tolerance on |det| and an absolute one, in radians, on its phase.
-INVERTIBILITY_TOL = 1e-8
 
 #: Rejection-sampler bound on coefficient magnitudes; keeps cubic products
 #: well inside the meaningful range of double precision.
@@ -370,11 +372,9 @@ def _equation_values(T: np.ndarray, n: int) -> dict[str, np.ndarray]:
 #: products are not bitwise commutative), so a batch rounds as one sample.
 _SYSTEM_CHUNK = 8192
 
-#: :func:`check_system` divides the tables of a sample whose largest
-#: coefficient modulus C is above this by 2^(e-1), e the binary exponent of
-#: C, so that its cubic residuals cannot overflow.  A power of two scales
-#: exactly and the equations are homogeneous, so the normalized residuals
-#: keep their values.
+#: :func:`check_system` takes the global defect of a sample whose largest
+#: coefficient modulus C is above this on its tables divided by 2^(e-1), e
+#: the binary exponent of C, so that its cubic products cannot overflow.
 _RESCALE_ABOVE = 2.0 ** 256
 
 
@@ -414,14 +414,13 @@ def check_system(
         d = d.reshape(count, n + 1, n, n)
         scales = np.maximum(np.abs(delta).reshape(count, -1).max(axis=1),
                             np.abs(d).reshape(count, -1).max(axis=1))
-        big = scales > _RESCALE_ABOVE
-        if big.any():
-            factor = np.ldexp(1.0, 1 - np.frexp(np.where(big, scales, 1.0))[1])
-            scales = scales * factor
-            delta = delta * factor[:, None, None, None]
-            d = d * factor[:, None, None, None]
+        # 2^(1-e), e the binary exponent of C: times this, C is in [1, 2),
+        # so the equations neither overflow nor underflow, and 2^k R reads
+        # the same numbers as R
+        units = np.ldexp(1.0, 1 - np.frexp(scales)[1])
         # one column per sample: concat(delta_st.ravel(), d_st.ravel())
         T = np.concatenate([delta.reshape(count, -1).T, d.reshape(count, -1).T])
+        T *= units
         values = _equation_values(T, n)
         peaks = []
         for tags, indices in zip(_FAMILIES, layout.indices):
@@ -430,8 +429,8 @@ def check_system(
                 for tag, raw, arg in zip(tags, mags.max(axis=1).tolist(),
                                          mags.argmax(axis=1).tolist()):
                     peaks.append((tag, raw, arg, indices))
-        for s, scale in enumerate(scales.tolist()):
-            norm = max(1.0, scale ** 3)
+        for s, (scale, unit) in enumerate(zip(scales.tolist(), units.tolist())):
+            norm = (scale * unit) ** 3 or 1.0  # C = 0 has residuals of 0
             for tag, raw, arg, indices in peaks:
                 res = raw[s] / norm
                 if res > per_eq[tag]:
@@ -443,7 +442,8 @@ def check_system(
                             lam=sample_list[start + s],
                             value=res,
                         )
-            raw_defect, defect_scale = _stencil_defect(delta[s], d[s])
+            f = unit if scale > _RESCALE_ABOVE else 1.0
+            raw_defect, defect_scale = _stencil_defect(delta[s] * f, d[s] * f)
             global_res.append(raw_defect / max(1.0, defect_scale))
     return ResidualReport(
         global_residuals=global_res,
@@ -463,18 +463,18 @@ def _exp(z: complex) -> complex:
 
 
 def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
-    """Compare the factorized determinant with a dense LU determinant.
+    """The determinant of R at ``lam`` from its factors, and whether R is
+    invertible there.
 
-    The factors are the Delta_ii and the plane determinants
-    d_ij d_ji - Delta_ij Delta_ji, i < j.  Both sides are compared as
-    complex logarithms, so neither overflows nor underflows: ``agree``
-    needs every factor finite and nonzero, and log|det| and the phase
-    (modulo 2 pi) of the two sides to agree within ``INVERTIBILITY_TOL``.
-    ``det_factorized`` and ``det_dense`` are the exponentials of the two
-    logarithms, inf or 0 outside the float range (``det_factorized`` is the
-    plain product when a factor is zero or not finite).  ``detail`` says why
-    ``agree`` is False, naming the first zero or non-finite factor
-    (diagonal ones first, then pairs in row-major order), or is None.
+    A zero-weight matrix is a direct sum of the 1x1 blocks Delta_ii and the
+    plane blocks of the pairs i < j, so its determinant is the product of
+    the Delta_ii and the plane determinants d_ij d_ji - Delta_ij Delta_ji.
+    ``agree`` says that every factor is finite and nonzero.
+    ``det_factorized`` is the exponential of the sum of their complex
+    logarithms, inf or 0 outside the float range, or the plain product when
+    a factor is zero or not finite; ``det_dense`` holds the same value.
+    ``detail`` names the first zero or non-finite factor (diagonal ones
+    first, then pairs in row-major order), or is None.
     """
     lam = np.asarray(lam, dtype=complex)
     delta_tab, d_tab = R.tables(lam)
@@ -483,32 +483,21 @@ def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
     factors = np.diagonal(delta_tab).tolist()
     for i, row in enumerate(dets.tolist()):
         factors += row[i + 1:]
-    sign, log_abs = np.linalg.slogdet(dense_from_tables(delta_tab, d_tab))
-    det_dense = _exp(complex(log_abs, cmath.phase(sign)))
-    try:
-        log_fact = sum(map(cmath.log, factors))
-    except ValueError:  # a zero factor
-        log_fact = complex("nan")
-    if not cmath.isfinite(log_fact):
-        k = next(k for k, v in enumerate(factors) if v == 0 or not cmath.isfinite(v))
+    bad = next((k for k, v in enumerate(factors) if v == 0 or not cmath.isfinite(v)), None)
+    if bad is None:
+        det = _exp(sum(map(cmath.log, factors)))
+        detail = None
+    else:
         n = R.n
-        if k < n:
-            where = f"Delta_ii at index {k + 1}"
+        if bad < n:
+            where = f"Delta_ii at index {bad + 1}"
         else:
             pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-            where = "det_ij at pair ({},{})".format(*pairs[k - n])
-        detail = f"factor {where} is {factors[k]}, zero or not finite"
-        det_fact = math.prod(factors)
-    else:
-        det_fact = _exp(log_fact)
-        d_mod = log_fact.real - float(log_abs)
-        d_phase = math.remainder(log_fact.imag - cmath.phase(sign), 2 * math.pi)
-        detail = None
-        if not max(abs(d_mod), abs(d_phase)) <= INVERTIBILITY_TOL:
-            detail = (f"log-determinants differ by {d_mod:.3e} in modulus and "
-                      f"{d_phase:.3e} in phase")
-    return {"det_factorized": det_fact, "det_dense": det_dense,
-            "agree": detail is None, "detail": detail}
+            where = "det_ij at pair ({},{})".format(*pairs[bad - n])
+        det = math.prod(factors)
+        detail = f"factor {where} is {factors[bad]}, zero or not finite"
+    return {"det_factorized": det, "det_dense": det, "agree": detail is None,
+            "detail": detail}
 
 
 def shift_identities(R: DynamicalRMatrix, lam: np.ndarray) -> dict[tuple[int, int], float]:

@@ -1,14 +1,43 @@
 import gc
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import dynrmat.verifier
 from dynrmat.builder import build
 from dynrmat.params import BlockConstants, ClassificationParams, normalize_f
 from dynrmat.partition import DeltaClass, IndexPartition
 from dynrmat.rmatrix import DynamicalRMatrix, raw_tables
 from dynrmat.serialize import params_to_json
+
+from invertibility_oracle import assert_matches_dense
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "without_dense_oracle: check_invertibility runs unwrapped by the dense oracle")
+
+
+@pytest.fixture(autouse=True)
+def invertibility_checked_against_dense(request, monkeypatch):
+    """Every ``check_invertibility`` result of a test, from the library or
+    from the CLI, is checked against the dense oracle.  The function is
+    replaced wherever a dynrmat or test module holds it."""
+    if request.node.get_closest_marker("without_dense_oracle"):
+        return
+    original = dynrmat.verifier.check_invertibility
+
+    def checked(R, lam):
+        res = original(R, lam)
+        assert_matches_dense(R, lam, res)
+        return res
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dynrmat" or name.startswith("test_"):
+            if getattr(module, "check_invertibility", None) is original:
+                monkeypatch.setattr(module, "check_invertibility", checked)
 
 
 def golden_datum():

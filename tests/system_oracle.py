@@ -10,6 +10,7 @@ its report must equal this one float for float.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -149,8 +150,12 @@ def oracle_check_system(R, samples, tol: float = DEFAULT_TOL) -> ResidualReport:
         sample_list.append(tuple(lam.tolist()))
         delta_st, d_st = shift_stencil(R, lam)
         scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
-        norm = max(1.0, scale ** 3)
-        values = oracle_equation_values(delta_st[0], d_st[0], delta_st[1:], d_st[1:])
+        # the equations on the tables times 2^(1-e), e the binary exponent
+        # of the scale C, over C^3 of those tables: C in [1, 2)
+        unit = math.ldexp(1.0, 1 - math.frexp(scale)[1])
+        norm = (scale * unit) ** 3 or 1.0
+        values = oracle_equation_values(delta_st[0] * unit, d_st[0] * unit,
+                                        delta_st[1:] * unit, d_st[1:] * unit)
         for tag, arr in values.items():
             mags = np.abs(arr)
             raw = float(mags.max()) if mags.size else 0.0

@@ -333,15 +333,15 @@ def test_verify_matrix_perturbed_fails_naming_equation(golden_R, tmp_path, capsy
     assert "FAIL: worst equation" in err
 
 
-def _large_case(member: bool):
-    """A trivial n = 3 member, or the non-member with Delta_12 times 1.3,
-    and one base point of the member."""
-    R = build(*random_datum(3, np.random.default_rng(1), "trivial"))
-    base = sample_lambda(R, np.random.default_rng(0), 1)
+def _large_case(member: bool, n: int = 3, count: int = 1):
+    """A trivial member of size n, or the non-member with Delta_12 times
+    1.3, and ``count`` base points of the member."""
+    R = build(*random_datum(n, np.random.default_rng(1), "trivial"))
+    base = sample_lambda(R, np.random.default_rng(0), count)
     if member:
         return R, base
     bad = DynamicalRMatrix(
-        n=3, delta=lambda i, j, lam: (1.3 if (i, j) == (1, 2) else 1) * R.delta(i, j, lam), d=R.d)
+        n=n, delta=lambda i, j, lam: (1.3 if (i, j) == (1, 2) else 1) * R.delta(i, j, lam), d=R.d)
     return bad, base
 
 
@@ -373,6 +373,16 @@ def test_verify_large_coefficients_print_what_scale_one_prints(tmp_path, capsys,
     else:
         assert code == EXIT_RESIDUAL
         assert err.startswith("FAIL: worst equation F9 at indices [1, 2]") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("factor", [1e-4, 1e-6, 1e-120])
+def test_verify_fails_a_small_non_member(tmp_path, capsys, factor):
+    """The component residuals are relative to C^3 however small C is."""
+    M, base = _large_case(False, n=4, count=3)
+    assert main(["verify", _scaled_config(tmp_path, M, base, factor)]) == EXIT_RESIDUAL
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: worst equation F9 at indices [") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")

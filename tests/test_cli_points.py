@@ -1,8 +1,10 @@
 """The full stdout of ``build --lambda`` and of every ``transform`` mode,
 byte for byte, on the golden datum and on
 ``random_datum(5, default_rng(1), "exact")``, as recorded in
-tests/golden/; and the same bytes with every dense helper refused, since
-points and limit distances are written from coefficient tables."""
+tests/golden/; and the same bytes with every dense helper and dense
+determinant refused, since points and limit distances are written from
+coefficient tables.  ``verify`` on a datum and on a sampled config writes
+the same bytes with them refused, too."""
 
 import json
 import sys
@@ -11,9 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dynrmat.builder import build
 from dynrmat.cli import EXIT_OK, main
+from dynrmat.rmatrix import point_to_json, stencil_points
 from dynrmat.sampling import random_datum
 from dynrmat.serialize import params_to_json
+from dynrmat.verifier import sample_lambda
 
 from conftest import golden_datum
 
@@ -21,8 +26,19 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 EXACT_LAMBDA = "0.3+0.1i,-0.7,1.1-0.4i,0.2i,-1.3"
 
+def _sampled_golden():
+    """The golden member as a sampled config on the shift stencils of two
+    points."""
+    R = build(*golden_datum())
+    base = sample_lambda(R, np.random.default_rng(0), 2)
+    points = stencil_points(np.array(base)).reshape(-1, R.n)
+    return {"kind": "matrix", "n": R.n,
+            "samples": [point_to_json(mu, *R.tables(mu)) for mu in points]}
+
+
 INPUTS = {
     "golden": lambda: params_to_json(golden_datum()[1]),
+    "sampled": _sampled_golden,
     "exact": lambda: params_to_json(random_datum(5, np.random.default_rng(1), "exact")[1]),
     "twist4": lambda: {"potentials": {
         "1": {"lin": [0.2, 0.0, 0.0, 0.0]},
@@ -70,12 +86,26 @@ def argv_of(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(make()))
         paths[name] = str(path)
-    return lambda case: [paths.get(tok, tok) for tok in CASES[case]]
+    return lambda argv: [paths.get(tok, tok) for tok in argv]
+
+
+def _refuse_dense(monkeypatch):
+    """Make every dense helper and dense determinant raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the output went through a dense matrix")
+
+    for name, module in list(sys.modules.items()):
+        if name == "dynrmat" or name.startswith("dynrmat."):
+            for attr in ("dense_from_tables", "tables_from_dense", "evaluate"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(np.linalg, "slogdet", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_is_pinned(argv_of, capsys, case):
-    assert main(argv_of(case)) == EXIT_OK
+    assert main(argv_of(CASES[case])) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN_DIR / f"{case}.out").read_text()
@@ -83,13 +113,17 @@ def test_stdout_is_pinned(argv_of, capsys, case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_needs_no_dense_matrix(argv_of, monkeypatch, capsys, case):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a point or a limit distance went through a dense matrix")
-
-    for name, module in list(sys.modules.items()):
-        if name == "dynrmat" or name.startswith("dynrmat."):
-            for attr in ("dense_from_tables", "tables_from_dense", "evaluate"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
-    assert main(argv_of(case)) == EXIT_OK, capsys.readouterr().err
+    _refuse_dense(monkeypatch)
+    assert main(argv_of(CASES[case])) == EXIT_OK, capsys.readouterr().err
     assert capsys.readouterr().out == (GOLDEN_DIR / f"{case}.out").read_text()
+
+
+@pytest.mark.without_dense_oracle
+@pytest.mark.parametrize("config", ["golden", "exact", "sampled"])
+def test_verify_needs_no_dense_matrix(argv_of, monkeypatch, capsys, config):
+    argv = argv_of(["verify", config, "--seed", "7"])
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr()
+    _refuse_dense(monkeypatch)
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
+    assert capsys.readouterr() == expected

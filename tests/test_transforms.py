@@ -467,7 +467,7 @@ def test_limit_members_are_solutions(golden):
     _, c, _ = golden
     from dynrmat.transforms import _limit_member
 
-    member = _limit_member(c, 1e-2, [principal_sqrt(1 + 0j)])
+    member = _limit_member(c, 1e-2)
     R = build(c.partition, member)
     rng = np.random.default_rng(11)
     for lam in sample_lambda(R, rng, 3):

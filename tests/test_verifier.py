@@ -11,6 +11,7 @@ from dynrmat.params import BlockConstants, ClassificationParams, normalize_f
 from dynrmat.partition import DeltaClass, IndexPartition
 from dynrmat.rmatrix import (
     DynamicalRMatrix,
+    dense_from_tables,
     embed_with_shift,
     evaluate,
     raw_tables,
@@ -36,6 +37,7 @@ from dynrmat.verifier import (
 )
 
 from conftest import golden_datum, overflow_datum, random_points, zero_residual_config
+from invertibility_oracle import assert_matches_dense, dense_matrix
 from system_oracle import oracle_check_system, oracle_equation_values, oracle_path_products
 
 
@@ -335,6 +337,37 @@ def test_invertibility_agrees_outside_the_float_range(c, det):
         assert check_invertibility(R, lam)["agree"]
 
 
+def _non_member_4():
+    """random_datum(4, default_rng(1), "trivial"), the member, and the
+    non-member with Delta_12 times 1.3, with 8 sample points of the member."""
+    member = build(*random_datum(4, np.random.default_rng(1), "trivial"))
+    bad = _scaled_entry(member, "delta", (1, 2), lambda v: 1.3 * v)
+    return member, bad, sample_lambda(member, np.random.default_rng(0), 8)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-4, 1e-6, 1e-120])
+def test_a_scaled_non_member_fails_at_small_scales(s):
+    """The component residuals are relative to C^3 at every C > 0: a small
+    non-member fails with the worst equation and residual of scale 1."""
+    _, bad, samples = _non_member_4()
+    report = check_system(_scaled(bad, s), samples)
+    worst, ref = report.worst_case, check_system(bad, samples).worst_case
+    assert not report.passed
+    assert (worst.equation, worst.indices, worst.lam) == (ref.equation, ref.indices, ref.lam)
+    assert worst.value == pytest.approx(ref.value, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-300, 300))
+def test_a_power_of_two_times_r_gives_the_component_report_of_r(k):
+    member, bad, samples = _non_member_4()
+    for R in (member, bad):
+        report, scaled = check_system(R, samples), check_system(_scaled(R, 2.0 ** k), samples)
+        assert scaled.per_equation == report.per_equation
+        assert scaled.worst_case == report.worst_case
+        assert scaled.passed == report.passed
+
+
 def _zero_factor(which):
     """The every-residual-zero datum with Delta_22 or the plane (1,2) set to 0."""
     R = build(*parse_config(zero_residual_config())[1])
@@ -367,9 +400,12 @@ def test_invertibility_names_a_non_finite_factor():
     assert not res["agree"] and res["detail"].startswith("factor det_ij at pair (1,2) is (inf")
 
 
-def test_invertibility_compares_log_moduli_and_phases_modulo_two_pi(monkeypatch):
+@pytest.mark.without_dense_oracle
+def test_dense_oracle_compares_log_moduli_and_phases_modulo_two_pi(monkeypatch):
     R = build(*random_datum(5, np.random.default_rng(2), "trivial"))
     (lam,) = sample_lambda(R, np.random.default_rng(0), 1)
+    assert np.array_equal(dense_matrix(*R.tables(lam)), dense_from_tables(*R.tables(lam)))
+    res = check_invertibility(R, lam)
     slogdet = np.linalg.slogdet
     for shift, agree in ((0.0, True), (2j * np.pi, True), (-4j * np.pi, True),
                          (1e-6, False), (1e-6j, False)):
@@ -378,10 +414,11 @@ def test_invertibility_compares_log_moduli_and_phases_modulo_two_pi(monkeypatch)
             return sign * np.exp(1j * shift.imag), log_abs + shift.real
 
         monkeypatch.setattr(np.linalg, "slogdet", moved)
-        res = check_invertibility(R, lam)
-        assert res["agree"] is agree, (shift, res)
-        if not agree:
-            assert res["detail"].startswith("log-determinants differ by")
+        if agree:
+            assert_matches_dense(R, lam, res)
+        else:
+            with pytest.raises(AssertionError, match="^log-determinants differ by"):
+                assert_matches_dense(R, lam, res)
 
 
 def test_sample_lambda_respects_caps():
