@@ -13,11 +13,17 @@ e_j (x) e_i}.  The eigenvalue structure decides the classification:
 * ``Hecke`` -- additionally rho occurs on every diagonal line and every
   off-diagonal plane carries both eigenvalues;
 * ``NotHecke`` -- anything else (e.g. more than two distinct values).
+
+Every threshold is relative to ``scale``, the largest coefficient modulus
+over the samples: values are constant within ``tol * scale`` (``tol *
+scale**2`` for a plane determinant) and eigenvalues equal within ``1e4 *
+tol * scale``, so c R has the verdict of R, with rho and kappa times c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,13 +47,14 @@ class HeckeReport:
     detail: str = ""
 
 
-def _planes(delta_st: np.ndarray, d_st: np.ndarray, lim: float):
+def _planes(delta_st: np.ndarray, d_st: np.ndarray, lim: float, scale: float):
     """The spectrum of the flip-composed matrix from (S, n, n) table stacks:
     the diagonal eigenvalues {i: Delta_ii}, the eigenvalue pair of each
     plane {(i, j): (e+, e-)} for i < j, whether each plane is
     diagonalizable, and whether no d_ij with i != j exceeds ``lim``.
     Delta_ii and the per-plane invariants must be constants: the first that
-    deviates from its mean over the samples by more than ``lim``, diagonals
+    deviates from its mean over the samples by more than ``lim`` (``lim *
+    scale`` for the determinant, a product of two entries), diagonals
     first, then pairs in row-major order with the sum before the
     determinant, is reported."""
     n = delta_st.shape[1]
@@ -63,7 +70,7 @@ def _planes(delta_st: np.ndarray, d_st: np.ndarray, lim: float):
     skew = np.abs(delta_st - np.swapaxes(delta_st, 1, 2)).max(axis=0)
     # a repeated eigenvalue is diagonalizable iff the block is scalar
     scalar = ((off <= lim) & (skew <= lim)).tolist()
-    pair_mean, pair_varies = pair_mean.tolist(), (pair_spread > lim).tolist()
+    pair_mean, pair_varies = pair_mean.tolist(), (pair_spread > [lim, lim * scale]).tolist()
     pair_eigs: dict[tuple[int, int], tuple[complex, complex]] = {}
     pair_diagonalizable: dict[tuple[int, int], bool] = {}
     for i in range(n):
@@ -92,116 +99,63 @@ def hecke_classify(
     Without ``samples``, ``DEFAULT_SAMPLES`` points are drawn from
     ``seed``; each is checked for poles and the entry cap at that point
     alone, since the analysis reads no shifted point.  ``tol`` must be
-    finite and > 0.
+    finite and > 0.  The verdict reads one array of the n + n(n-1)
+    eigenvalues: the diagonal values, then each plane's pair.
     """
     _require_positive("tol", tol)
-    n = R.n
     if samples is None:
-        rng = np.random.default_rng(seed)
-        samples = sample_lambda(R, rng, DEFAULT_SAMPLES, stencil=False)
+        samples = sample_lambda(R, np.random.default_rng(seed), DEFAULT_SAMPLES, stencil=False)
     delta_st, d_st = R.stacked_tables(np.asarray(samples, dtype=complex))
     scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
-    lim = tol * max(1.0, scale)
+    lim = tol * scale
+    reach = 1e4 * lim
+    diag, pair_eigs, pair_diagonalizable, d_small = _planes(delta_st, d_st, lim, scale)
+    evidence = {"diagonal": diag, "pair_eigenvalues": pair_eigs, "scale": scale}
+    report = partial(HeckeReport, evidence=evidence, lambda_samples=[
+        tuple(np.asarray(l, dtype=complex).tolist()) for l in samples])
+    values = np.array([*diag.values(), *(e for pair in pair_eigs.values() for e in pair)])
 
-    diag, pair_eigs, pair_diagonalizable, d_small = _planes(delta_st, d_st, lim)
-    all_d_zero = n > 1 and d_small
+    if d_small and (np.abs(values - values[0]) <= reach).all():
+        # one d-class: the flip-composed matrix is a constant times the
+        # identity, up to the ~sqrt(eps) split of each plane's double root
+        return report("DegenerateSingleDClass", diag[1], -diag[1],
+                      detail="single d-class: minimal polynomial has degree one")
 
-    evidence = {
-        "diagonal": diag,
-        "pair_eigenvalues": pair_eigs,
-        "scale": scale,
-    }
-    lam_list = [tuple(np.asarray(l, dtype=complex).tolist()) for l in samples]
-
-    if n == 1 or all_d_zero:
-        # one d-class covering everything: all diagonal coefficients vanish
-        # and every exchange entry equals the same constant, so the
-        # flip-composed matrix is that constant times the identity
-        delta = diag[1]
-        uniform = all(abs(diag[i] - delta) <= lim for i in diag) and all(
-            abs(e1 - delta) <= lim and abs(e2 - delta) <= lim
-            for (e1, e2) in pair_eigs.values()
-        )
-        if uniform:
-            return HeckeReport(
-                kind="DegenerateSingleDClass",
-                rho=delta,
-                kappa=-delta,
-                evidence=evidence,
-                lambda_samples=lam_list,
-                detail="single d-class: minimal polynomial has degree one",
-            )
-
-    # cluster all eigenvalues
-    values: list[complex] = list(diag.values())
-    for e1, e2 in pair_eigs.values():
-        values.extend((e1, e2))
-    clusters: list[list[complex]] = []
-    eq_tol = max(lim, 1e-12)
-    for v in values:
-        for cl in clusters:
-            if abs(v - cl[0]) <= 1e4 * eq_tol:
-                cl.append(v)
-                break
-        else:
-            clusters.append([v])
-    centers = [complex(np.mean(cl)) for cl in clusters]
+    # first-fit clusters: each head takes every value left within reach
+    left = np.ones(len(values), dtype=bool)
+    centers = []
+    while left.any():
+        head = left.argmax()
+        members = left & (np.abs(values - values[head]) <= reach)
+        members[head] = True  # a NaN is a cluster of its own
+        centers.append(complex(values[members].mean()))
+        left &= ~members
     evidence["eigenvalue_clusters"] = centers
 
     if len(centers) != 2:
-        return HeckeReport(
-            kind="NotHecke",
-            evidence=evidence,
-            lambda_samples=lam_list,
-            detail=f"{len(centers)} distinct eigenvalue(s), need exactly 2",
-        )
-    if not all(pair_diagonalizable.values()):
-        bad = [p for p, okd in pair_diagonalizable.items() if not okd]
-        return HeckeReport(
-            kind="NotHecke",
-            evidence=evidence,
-            lambda_samples=lam_list,
-            detail=f"non-diagonalizable repeated-eigenvalue plane(s) {bad}",
-        )
+        return report("NotHecke", detail=f"{len(centers)} distinct eigenvalue(s), need exactly 2")
+    bad = [p for p, okd in pair_diagonalizable.items() if not okd]
+    if bad:
+        return report("NotHecke", detail=f"non-diagonalizable repeated-eigenvalue plane(s) {bad}")
 
-    def near(a: complex, b: complex) -> bool:
-        return abs(a - b) <= 1e4 * eq_tol
-
+    n = R.n
     e1, e2 = centers
-    on_e1 = [i for i, v in diag.items() if near(v, e1)]
-    on_e2 = [i for i, v in diag.items() if not near(v, e1)]
+    on_e1 = np.abs(values[:n] - e1) <= reach
+    count = int(on_e1.sum())
     # rho is the eigenvalue carried by more diagonal lines, ties resolved
     # toward the smallest index; -kappa is the other one
-    if len(on_e2) > len(on_e1) or (len(on_e2) == len(on_e1) and min(on_e2) < min(on_e1)):
+    if 2 * count < n or (2 * count == n and not on_e1[0]):
         e1, e2 = e2, e1
     rho, kappa = e1, -e2
+    if rho == 0 or kappa == 0 or abs(e1 - e2) <= reach:
+        return report("NotHecke", detail="degenerate parameters (rho, kappa)")
 
-    # Hecke: a single eigenvalue on every diagonal line and both
-    # eigenvalues on every off-diagonal plane
-    hecke = not (on_e1 and on_e2)
-    if hecke:
-        # either assignment: on the square-root cut the two eigenvalues
-        # share a real part, so no ordering of them is stable to one ulp
-        for f1, f2 in pair_eigs.values():
-            if not ((near(f1, rho) and near(f2, -kappa))
-                    or (near(f1, -kappa) and near(f2, rho))):
-                hecke = False
-                break
-    kind = "Hecke" if hecke else "WeakHecke"
-    if rho == 0 or kappa == 0 or near(rho, -kappa):
-        return HeckeReport(
-            kind="NotHecke",
-            evidence=evidence,
-            lambda_samples=lam_list,
-            detail="degenerate parameters (rho, kappa)",
-        )
-    return HeckeReport(
-        kind=kind,
-        rho=rho,
-        kappa=kappa,
-        evidence=evidence,
-        lambda_samples=lam_list,
-    )
+    # Hecke: one eigenvalue on every diagonal line, both on every plane in
+    # either order (on the square-root cut no order is stable to one ulp)
+    pairs = values[n:].reshape(-1, 2)
+    on_rho, on_e2 = np.abs(pairs - rho) <= reach, np.abs(pairs - e2) <= reach
+    hecke = count in (0, n) and bool((on_rho & on_e2[:, ::-1]).any(axis=1).all())
+    return report("Hecke" if hecke else "WeakHecke", rho, kappa)
 
 
 def basic_form_distance(R: DynamicalRMatrix, report: HeckeReport) -> dict:

@@ -130,8 +130,6 @@ class TwoFormSpec:
     :meth:`value` reads a one-point table.
     """
 
-    kind = "abstract"
-
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -152,8 +150,6 @@ class TwoFormSpec:
 class TrivialTwoForm(TwoFormSpec):
     """g identically 1."""
 
-    kind = "trivial"
-
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         return np.ones((len(lams), n, n), dtype=complex)
 
@@ -169,7 +165,6 @@ class ExactTwoForm(TwoFormSpec):
     """
 
     beta: Mapping[int, Callable[[np.ndarray], complex]]
-    kind = "exact"
 
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Each potential is called at most once per distinct point among
@@ -319,7 +314,6 @@ class TableTwoForm(TwoFormSpec):
     """
 
     g: Mapping[tuple[int, int], Callable[[np.ndarray], complex]]
-    kind = "table"
 
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """One call per point and unordered pair that either orientation of

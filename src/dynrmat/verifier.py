@@ -254,9 +254,28 @@ def dqybe_defect(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[float, float]:
     return _stencil_defect(*shift_stencil(R, np.asarray(lam, dtype=complex)))
 
 
-def dqybe_residual_normalized(R: DynamicalRMatrix, lam: np.ndarray) -> float:
-    raw, scale = dqybe_defect(R, lam)
+#: A stencil whose largest coefficient modulus C is above this has its
+#: global defect taken on its tables divided by 2^(e-1), e the binary
+#: exponent of C, so that the cubic products cannot overflow.
+_RESCALE_ABOVE = 2.0 ** 256
+
+
+def _global_residual(delta_st: np.ndarray, d_st: np.ndarray, C: float) -> float:
+    """The global residual at one stencil's (n+1, n, n) tables, of largest
+    modulus C: the defect divided by max(1, scale), rescaled above
+    ``_RESCALE_ABOVE``."""
+    if C > _RESCALE_ABOVE:
+        unit = math.ldexp(1.0, 1 - math.frexp(C)[1])
+        delta_st, d_st = delta_st * unit, d_st * unit
+    raw, scale = _stencil_defect(delta_st, d_st)
     return raw / max(1.0, scale)
+
+
+def dqybe_residual_normalized(R: DynamicalRMatrix, lam: np.ndarray) -> float:
+    """The global residual that :func:`check_system` reports at ``lam``."""
+    delta_st, d_st = shift_stencil(R, np.asarray(lam, dtype=complex))
+    C = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
+    return _global_residual(delta_st, d_st, C)
 
 
 class EquationLayout(NamedTuple):
@@ -372,12 +391,6 @@ def _equation_values(T: np.ndarray, n: int) -> dict[str, np.ndarray]:
 #: products are not bitwise commutative), so a batch rounds as one sample.
 _SYSTEM_CHUNK = 8192
 
-#: :func:`check_system` takes the global defect of a sample whose largest
-#: coefficient modulus C is above this on its tables divided by 2^(e-1), e
-#: the binary exponent of C, so that its cubic products cannot overflow.
-_RESCALE_ABOVE = 2.0 ** 256
-
-
 def check_system(
     R: DynamicalRMatrix,
     samples: Sequence[np.ndarray],
@@ -442,9 +455,7 @@ def check_system(
                             lam=sample_list[start + s],
                             value=res,
                         )
-            f = unit if scale > _RESCALE_ABOVE else 1.0
-            raw_defect, defect_scale = _stencil_defect(delta[s] * f, d[s] * f)
-            global_res.append(raw_defect / max(1.0, defect_scale))
+            global_res.append(_global_residual(delta[s], d[s], scale))
     return ResidualReport(
         global_residuals=global_res,
         per_equation=per_eq,

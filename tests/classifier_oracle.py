@@ -7,6 +7,10 @@ numpy reductions on that column and element reads inside Python loops:
 :func:`pair_constants` as the factory ``dynrmat.classifier._pair_constants``
 and :func:`planes` as ``dynrmat.hecke._planes``, with the same signatures,
 results and first error.
+
+:func:`first_fit_verdict` is the verdict of ``dynrmat.hecke.hecke_classify``
+on :func:`planes`' results, taken one value at a time in Python loops, and
+:func:`assert_matches_first_fit` checks a ``HeckeReport`` against it.
 """
 
 from __future__ import annotations
@@ -73,10 +77,10 @@ def pair_constants(sum_st: np.ndarray, det_st: np.ndarray):
     return constants
 
 
-def planes(delta_st: np.ndarray, d_st: np.ndarray, lim: float):
+def planes(delta_st: np.ndarray, d_st: np.ndarray, lim: float, scale: float):
     n = delta_st.shape[1]
 
-    def constant(col: np.ndarray) -> tuple[complex, bool]:
+    def constant(col: np.ndarray, lim: float = lim) -> tuple[complex, bool]:
         mean = col.mean()
         return complex(mean), bool(np.abs(col - mean).max() > lim)
 
@@ -93,7 +97,7 @@ def planes(delta_st: np.ndarray, d_st: np.ndarray, lim: float):
     for i in range(n):
         for j in range(i + 1, n):
             s, s_varies = constant(sums[:, i, j])
-            det, det_varies = constant(dets[:, i, j])
+            det, det_varies = constant(dets[:, i, j], lim * scale)
             for what, varies in (("pair sum", s_varies), ("pair determinant", det_varies)):
                 if varies:
                     raise NotInFamilyError(
@@ -104,3 +108,78 @@ def planes(delta_st: np.ndarray, d_st: np.ndarray, lim: float):
                 bool(off[i, j] <= lim and skew[i, j] <= lim) if abs(disc) <= lim else True
             )
     return diag, pair_eigs, pair_diagonalizable, not np.triu(off > lim, 1).any()
+
+
+def first_fit_verdict(diag: dict, pair_eigs: dict, pair_diagonalizable: dict,
+                      d_small: bool, lim: float):
+    """The (kind, rho, kappa, eigenvalue clusters, detail) of the spectrum
+    that :func:`planes` returns at threshold ``lim``: the clusters are None
+    where the report has none.  Eigenvalues within 1e4 * lim of a
+    cluster's first value join the earliest such cluster."""
+    n = len(diag)
+    if n == 1 or (n > 1 and d_small):
+        delta = diag[1]
+        uniform = all(abs(diag[i] - delta) <= 1e4 * lim for i in diag) and all(
+            abs(e1 - delta) <= 1e4 * lim and abs(e2 - delta) <= 1e4 * lim
+            for (e1, e2) in pair_eigs.values()
+        )
+        if uniform:
+            return ("DegenerateSingleDClass", delta, -delta, None,
+                    "single d-class: minimal polynomial has degree one")
+
+    values: list[complex] = list(diag.values())
+    for e1, e2 in pair_eigs.values():
+        values.extend((e1, e2))
+    clusters: list[list[complex]] = []
+    for v in values:
+        for cl in clusters:
+            if abs(v - cl[0]) <= 1e4 * lim:
+                cl.append(v)
+                break
+        else:
+            clusters.append([v])
+    centers = [complex(np.mean(cl)) for cl in clusters]
+
+    if len(centers) != 2:
+        return ("NotHecke", None, None, centers,
+                f"{len(centers)} distinct eigenvalue(s), need exactly 2")
+    if not all(pair_diagonalizable.values()):
+        bad = [p for p, okd in pair_diagonalizable.items() if not okd]
+        return ("NotHecke", None, None, centers,
+                f"non-diagonalizable repeated-eigenvalue plane(s) {bad}")
+
+    def near(a: complex, b: complex) -> bool:
+        return abs(a - b) <= 1e4 * lim
+
+    e1, e2 = centers
+    on_e1 = [i for i, v in diag.items() if near(v, e1)]
+    on_e2 = [i for i, v in diag.items() if not near(v, e1)]
+    if len(on_e2) > len(on_e1) or (len(on_e2) == len(on_e1) and min(on_e2) < min(on_e1)):
+        e1, e2 = e2, e1
+    rho, kappa = e1, -e2
+    hecke = not (on_e1 and on_e2)
+    if hecke:
+        for f1, f2 in pair_eigs.values():
+            if not ((near(f1, rho) and near(f2, -kappa))
+                    or (near(f1, -kappa) and near(f2, rho))):
+                hecke = False
+                break
+    if rho == 0 or kappa == 0 or near(rho, -kappa):
+        return ("NotHecke", None, None, centers, "degenerate parameters (rho, kappa)")
+    return ("Hecke" if hecke else "WeakHecke", rho, kappa, centers, "")
+
+
+def assert_matches_first_fit(R: DynamicalRMatrix, tol: float, report) -> None:
+    """``report``, the result of ``hecke_classify(R, tol=tol)``, is the
+    per-value verdict on the per-entry spectrum at its own samples, to the
+    last bit."""
+    delta_st, d_st = R.stacked_tables(np.array(report.lambda_samples, dtype=complex))
+    scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
+    lim = tol * scale
+    spectrum = planes(delta_st, d_st, lim, scale)
+    kind, rho, kappa, clusters, detail = first_fit_verdict(*spectrum, lim)
+    evidence = {"diagonal": spectrum[0], "pair_eigenvalues": spectrum[1], "scale": scale}
+    if clusters is not None:
+        evidence["eigenvalue_clusters"] = clusters
+    assert repr((report.kind, report.rho, report.kappa, report.evidence, report.detail)) == repr(
+        (kind, rho, kappa, evidence, detail))

@@ -5,13 +5,15 @@ import sys
 import numpy as np
 import pytest
 
+import dynrmat.hecke
 import dynrmat.verifier
 from dynrmat.builder import build
-from dynrmat.params import BlockConstants, ClassificationParams, normalize_f
+from dynrmat.params import BlockConstants, ClassificationParams, TrivialTwoForm, normalize_f
 from dynrmat.partition import DeltaClass, IndexPartition
 from dynrmat.rmatrix import DynamicalRMatrix, raw_tables
 from dynrmat.serialize import params_to_json
 
+from classifier_oracle import assert_matches_first_fit
 from invertibility_oracle import assert_matches_dense
 
 
@@ -20,11 +22,19 @@ def pytest_configure(config):
         "markers", "without_dense_oracle: check_invertibility runs unwrapped by the dense oracle")
 
 
+def _replace_everywhere(monkeypatch, name: str, original, checked) -> None:
+    """Replace ``original`` by ``checked`` wherever a dynrmat or test module
+    holds it as ``name``."""
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "dynrmat" or modname.startswith("test_"):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, checked)
+
+
 @pytest.fixture(autouse=True)
 def invertibility_checked_against_dense(request, monkeypatch):
     """Every ``check_invertibility`` result of a test, from the library or
-    from the CLI, is checked against the dense oracle.  The function is
-    replaced wherever a dynrmat or test module holds it."""
+    from the CLI, is checked against the dense oracle."""
     if request.node.get_closest_marker("without_dense_oracle"):
         return
     original = dynrmat.verifier.check_invertibility
@@ -34,10 +44,21 @@ def invertibility_checked_against_dense(request, monkeypatch):
         assert_matches_dense(R, lam, res)
         return res
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "dynrmat" or name.startswith("test_"):
-            if getattr(module, "check_invertibility", None) is original:
-                monkeypatch.setattr(module, "check_invertibility", checked)
+    _replace_everywhere(monkeypatch, "check_invertibility", original, checked)
+
+
+@pytest.fixture(autouse=True)
+def hecke_checked_against_first_fit(monkeypatch):
+    """Every ``hecke_classify`` result of a test, from the library or from
+    the CLI, is checked against the per-value first-fit verdict."""
+    original = dynrmat.hecke.hecke_classify
+
+    def checked(R, samples=None, tol=dynrmat.hecke.DEFAULT_TOL, seed=0):
+        report = original(R, samples, tol, seed)
+        assert_matches_first_fit(R, tol, report)
+        return report
+
+    _replace_everywhere(monkeypatch, "hecke_classify", original, checked)
 
 
 def golden_datum():
@@ -113,6 +134,22 @@ def overflow_datum():
     return p, c
 
 
+def huge_datum():
+    """Two free indices in one trigonometric block with S = 1e120 and
+    Sigma = (1 + 0.5i) 1e240: the cubic products of the global defect
+    overflow unless the tables are rescaled first."""
+    p = IndexPartition(n=2, blocks=((DeltaClass(free=(1, 2)),),))
+    c = ClassificationParams(
+        partition=p,
+        per_block=(BlockConstants(1e120 + 0j, (1 + 0.5j) * 1e240),),
+        signs={(1,): 1, (2,): 1},
+        f_consts={(1,): 1 + 0j, (2,): 1 + 0j},
+        two_form=TrivialTwoForm(),
+    )
+    c, _ = normalize_f(c)
+    return p, c
+
+
 def varied_golden(delta_pairs=(), d_pairs=()):
     """The golden matrix with the exchange entries at ``delta_pairs`` and
     the diagonal entries at ``d_pairs`` (ordered pairs, 1-based) multiplied
@@ -126,6 +163,11 @@ def varied_golden(delta_pairs=(), d_pairs=()):
         return coeff
 
     return DynamicalRMatrix(n=4, delta=varied(R.delta, delta_pairs), d=varied(R.d, d_pairs))
+
+
+def times(R, c):
+    """c R, a member whenever R is one (S -> c S, Sigma -> c^2 Sigma)."""
+    return DynamicalRMatrix.from_tables(R.n, lambda lams: tuple(t * c for t in raw_tables(R, lams)))
 
 
 def relabelled(R, order):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -35,7 +36,7 @@ from dynrmat.sampling import random_datum
 from dynrmat.serialize import complex_to_json, params_to_json
 from dynrmat.verifier import sample_lambda
 
-from conftest import golden_datum, overflow_datum, zero_residual_config
+from conftest import golden_datum, huge_datum, overflow_datum, zero_residual_config
 
 
 def _matrix_config(R, base_points, include_shifts=True, perturb=None):
@@ -418,6 +419,31 @@ def test_verify_names_the_sample_and_factor_when_only_invertibility_fails(tmp_pa
     assert obj["global_residual"] == 0 and set(obj["per_equation"].values()) == {0}
     assert err == (f"FAIL: invertibility check failed at sample 1 of 1, lam={lam}: "
                    "factor Delta_ii at index 2 is 0j, zero or not finite\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_transform_prints_a_finite_residual_for_huge_coefficients(tmp_path, capsys):
+    """The residual is rescaled as in verify: without that, its cubic
+    products overflow and it prints NaN, which is not JSON."""
+    cfg = _write(tmp_path, "huge.json", params_to_json(huge_datum()[1]))
+    argv = ["transform", cfg, "--contract", "1,2", "--lambda", "0.3+0.1i,0.2-0.4i"]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    residual = json.loads(out)["residual"]
+    assert math.isfinite(residual) and residual < 1e-9 and err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_hecke_on_a_member_times_2_to_minus_40_prints_what_scale_one_prints(tmp_path, capsys):
+    """Every Hecke threshold is relative: at 2^-40 the six distinct
+    eigenvalues of this member stay six."""
+    M, base = _large_case(True, n=5, count=2)
+    runs = []
+    for factor in (1.0, 2.0 ** -40):
+        assert main(["hecke", _scaled_config(tmp_path, M, base, factor)]) == EXIT_OK
+        runs.append(capsys.readouterr())
+    assert runs[1] == runs[0]
+    assert runs[0].out.startswith("NotHecke (6 distinct eigenvalue(s), need exactly 2)\n")
 
 
 def _scaled_datum(n, c):

@@ -1,7 +1,10 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynrmat.builder import build
 from dynrmat.cli import EXIT_OK, main
@@ -17,8 +20,10 @@ from dynrmat.partition import DeltaClass, IndexPartition, single_class_partition
 from dynrmat.rmatrix import DynamicalRMatrix
 from dynrmat.sampling import random_datum
 from dynrmat.serialize import params_to_json
+from dynrmat.verifier import sample_lambda
 
-from conftest import golden_datum, varied_golden
+from conftest import golden_datum, times, varied_golden
+from hecke_predictor import predict
 
 
 def _all_free_trig(n, S, Sigma, signs=None, two_form=None):
@@ -226,3 +231,85 @@ def test_hecke_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError) as err:
         hecke_classify(R, tol=tol)
     assert str(err.value) == f"tol must be finite and > 0, got {tol!r}"
+
+
+def _assert_predicted(p, c):
+    rep = hecke_classify(build(p, c))
+    kind, rho, kappa = predict(p, c)
+    assert rep.kind == kind, rep.detail
+    if rho is None:
+        assert rep.rho is None and rep.kappa is None
+    else:
+        top = max(abs(rho), abs(kappa))
+        assert abs(rep.rho - rho) <= 1e-9 * top and abs(rep.kappa - kappa) <= 1e-9 * top
+    return kind
+
+
+def test_hecke_agrees_with_the_predictor_on_random_data():
+    """Every 2-form kind at n = 1..6.  Single d-classes of size 2 and more
+    are among them: each plane's double root splits by about sqrt(eps)."""
+    kinds = set()
+    for seed in range(120):
+        n = 1 + seed % 6
+        two_form = ("trivial", "table", "exact")[seed // 6 % 3]
+        kinds.add(_assert_predicted(*random_datum(n, np.random.default_rng(seed), two_form)))
+    assert kinds == {"Hecke", "WeakHecke", "DegenerateSingleDClass", "NotHecke"}
+
+
+@pytest.mark.parametrize("sigma", CUT_SIGMAS, ids=["+0", "-0", "+1e-13", "-1e-13"])
+def test_hecke_agrees_with_the_predictor_on_the_square_root_cut(sigma):
+    assert _assert_predicted(*_all_free_trig(3, 0.5 + 0j, sigma)) == "Hecke"
+
+
+@lru_cache(maxsize=None)
+def _scale_cases():
+    """(R, its samples, its report) for one matrix of each kind; the samples
+    are drawn once, from R, since the entry cap of ``sample_lambda`` is
+    absolute."""
+    single = single_class_partition(3)
+    single_params, _ = normalize_f(ClassificationParams(
+        partition=single, per_block=(BlockConstants(0j, 4 + 0j),),
+        signs={(1, 2, 3): 1}, f_consts={(1, 2, 3): 0j}))
+    cases = []
+    for p, c in (random_datum(5, np.random.default_rng(1), "trivial"), golden_datum(),
+                 _all_free_trig(3, 1 + 0j, 2 + 0j), (single, single_params)):
+        R = build(p, c)
+        samples = sample_lambda(R, np.random.default_rng(0), 5, stencil=False)
+        cases.append((R, samples, hecke_classify(R, samples=samples)))
+    assert [rep.kind for *_, rep in cases] == [
+        "NotHecke", "WeakHecke", "Hecke", "DegenerateSingleDClass"]
+    return cases
+
+
+def _assert_scaled_report(c):
+    for R, samples, base in _scale_cases():
+        rep = hecke_classify(times(R, c), samples=samples)
+        assert (rep.kind, rep.detail) == (base.kind, base.detail)
+        if base.rho is None:
+            assert rep.rho is None and rep.kappa is None
+        else:
+            for got, want in ((rep.rho, base.rho), (rep.kappa, base.kappa)):
+                assert abs(got - c * want) <= 1e-12 * abs(c * want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-300, 300))
+def test_hecke_verdict_is_that_of_r_at_every_power_of_two(k):
+    """2^k R has the kind and detail of R, and rho and kappa times 2^k: no
+    threshold is absolute."""
+    _assert_scaled_report(2.0 ** k)
+
+
+@pytest.mark.parametrize("c", [1e-1, 1e-3, 1e-6, 1e-9, 1e-12, 1e3, 1e6])
+def test_hecke_verdict_is_that_of_r_at_decimal_scales(c):
+    _assert_scaled_report(c)
+
+
+def test_hecke_ends_on_an_overflowed_spectrum():
+    """Times 2^600 the plane determinants of the n = 3 Hecke member overflow
+    to NaN, with a numpy warning: each NaN eigenvalue is a cluster of its
+    own, next to the one of the three diagonal values."""
+    R, samples, _ = _scale_cases()[2]
+    with pytest.warns(RuntimeWarning):
+        rep = hecke_classify(times(R, 2.0 ** 600), samples=samples)
+    assert (rep.kind, rep.detail) == ("NotHecke", "7 distinct eigenvalue(s), need exactly 2")

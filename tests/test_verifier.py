@@ -14,7 +14,6 @@ from dynrmat.rmatrix import (
     dense_from_tables,
     embed_with_shift,
     evaluate,
-    raw_tables,
     shift_stencil,
     shifted,
 )
@@ -36,7 +35,9 @@ from dynrmat.verifier import (
     sample_lambda,
 )
 
-from conftest import golden_datum, overflow_datum, random_points, zero_residual_config
+from conftest import (
+    golden_datum, huge_datum, overflow_datum, random_points, times, zero_residual_config,
+)
 from invertibility_oracle import assert_matches_dense, dense_matrix
 from system_oracle import oracle_check_system, oracle_equation_values, oracle_path_products
 
@@ -319,16 +320,22 @@ def test_invertibility_factorization():
         assert res["det_factorized"] != 0
 
 
-def _scaled(R, c):
-    """c R, a member whenever R is one (S -> c S, Sigma -> c^2 Sigma)."""
-    return DynamicalRMatrix.from_tables(R.n, lambda lams: tuple(t * c for t in raw_tables(R, lams)))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("datum", [golden_datum, overflow_datum, huge_datum])
+def test_residual_normalized_is_the_global_residual_of_check_system(datum):
+    """One normalization for both: huge tables are rescaled in each."""
+    R = build(*datum())
+    for lam in random_points(np.random.default_rng(3), R.n, 3):
+        got = dqybe_residual_normalized(R, lam)
+        assert got == check_system(R, [lam]).global_residuals[0]
+        assert got < 1e-9
 
 
 @pytest.mark.parametrize("c, det", [(1e-4, 0.0), (1e4, math.inf)], ids=["underflow", "overflow"])
 def test_invertibility_agrees_outside_the_float_range(c, det):
     R = build(*random_datum(12, np.random.default_rng(1), "trivial"))
     samples = sample_lambda(R, np.random.default_rng(0), 2)
-    S = _scaled(R, c)
+    S = times(R, c)
     assert check_system(S, samples).passed
     for lam in samples:
         res = check_invertibility(S, lam)
@@ -350,7 +357,7 @@ def test_a_scaled_non_member_fails_at_small_scales(s):
     """The component residuals are relative to C^3 at every C > 0: a small
     non-member fails with the worst equation and residual of scale 1."""
     _, bad, samples = _non_member_4()
-    report = check_system(_scaled(bad, s), samples)
+    report = check_system(times(bad, s), samples)
     worst, ref = report.worst_case, check_system(bad, samples).worst_case
     assert not report.passed
     assert (worst.equation, worst.indices, worst.lam) == (ref.equation, ref.indices, ref.lam)
@@ -362,7 +369,7 @@ def test_a_scaled_non_member_fails_at_small_scales(s):
 def test_a_power_of_two_times_r_gives_the_component_report_of_r(k):
     member, bad, samples = _non_member_4()
     for R in (member, bad):
-        report, scaled = check_system(R, samples), check_system(_scaled(R, 2.0 ** k), samples)
+        report, scaled = check_system(R, samples), check_system(times(R, 2.0 ** k), samples)
         assert scaled.per_equation == report.per_equation
         assert scaled.worst_case == report.worst_case
         assert scaled.passed == report.passed
