@@ -494,19 +494,17 @@ def recover_params(
         inv_vals = [pair_constants(orig(i), orig(j)) for (i, j) in pairs]
         s_vals = np.array([v[0] for v in inv_vals])
         det_vals = np.array([v[1] for v in inv_vals])
-        scale = max(
-            1.0, float(np.abs(s_vals).max()), float(np.abs(det_vals).max())
-        )
+        scale = _magnitude(np.abs(s_vals).max(), np.abs(det_vals).max())
         if (
             np.abs(s_vals - s_vals.mean()).max() > RECOVER_TOL * scale
-            or np.abs(det_vals - det_vals.mean()).max() > RECOVER_TOL * scale
+            or np.abs(det_vals - det_vals.mean()).max() > RECOVER_TOL * scale * scale
         ):
             raise NotInFamilyError(
                 f"block {q + 1}: pair invariants differ between pairs"
             )
         sum_c = complex(s_vals.mean())
         det_c = complex(det_vals.mean())
-        rational = abs(sum_c) < RECOVER_TOL * scale
+        rational = abs(sum_c) <= RECOVER_TOL * scale
         if rational:
             sum_c = 0j
         consts = BlockConstants(sum_c, det_c)
@@ -566,18 +564,26 @@ def recover_params(
     return replace(base, two_form=QuotientTwoForm(R, base, to_orig))
 
 
+def _magnitude(sum_peak, det_peak):
+    """The magnitude of plane invariants whose sums peak at ``sum_peak`` and
+    determinants at ``det_peak``: max(|S|, sqrt|Sigma|), which is c times
+    that of R for c R, so the thresholds made from it are relative."""
+    return np.maximum(sum_peak, np.sqrt(det_peak))
+
+
 def _pair_constants(sum_st: np.ndarray, det_st: np.ndarray):
     """``pair_constants(i0, j0)``: the sum and determinant invariants of the
     plane of i0 and j0, from the (S, n, n) stacks read at i < j, each the
-    mean over the S samples.  It raises :class:`NotInFamilyError` when
-    either deviates from its mean at some sample by more than
-    ``RECOVER_TOL`` times the pair's peak magnitude, or times 1 if that is
-    larger."""
+    mean over the S samples.  It raises :class:`NotInFamilyError` when the
+    sum deviates from its mean at some sample by more than ``RECOVER_TOL``
+    times the pair's :func:`_magnitude`, or the determinant by more than
+    ``RECOVER_TOL`` times its square."""
     invariants = np.stack([sum_st, det_st], axis=-1)
     mean, spread = mean_and_spread(invariants)
     peak = np.abs(invariants).max(axis=0)
-    lim = RECOVER_TOL * np.maximum(1.0, np.maximum(peak[..., 0], peak[..., 1]))
-    varies = ((spread[..., 0] > lim) | (spread[..., 1] > lim)).tolist()
+    mag = _magnitude(peak[..., 0], peak[..., 1])
+    varies = ((spread[..., 0] > RECOVER_TOL * mag)
+              | (spread[..., 1] > RECOVER_TOL * mag * mag)).tolist()
     mean = mean.tolist()
 
     def pair_constants(i0: int, j0: int) -> tuple[complex, complex]:

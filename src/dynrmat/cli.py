@@ -309,7 +309,7 @@ def cmd_hecke(args) -> int:
     def fmt(z: complex) -> str:
         if z is None:
             return "-"
-        if abs(z.imag) < 1e-12 * max(1.0, abs(z)):
+        if abs(z.imag) <= 1e-12 * abs(z):  # relative: 0 prints as "0"
             return f"{z.real:.6g}"
         return f"{z.real:.6g}{z.imag:+.6g}i"
 

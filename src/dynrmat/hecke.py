@@ -18,11 +18,16 @@ Every threshold is relative to ``scale``, the largest coefficient modulus
 over the samples: values are constant within ``tol * scale`` (``tol *
 scale**2`` for a plane determinant) and eigenvalues equal within ``1e4 *
 tol * scale``, so c R has the verdict of R, with rho and kappa times c.
+Tables whose scale is above ``_RESCALE_ABOVE`` (2^256) are decided times
+a power of two that brings the scale into [1, 2), as
+:func:`dynrmat.verifier.check_system` takes their global defect, so that
+no plane determinant overflows; the report is scaled back exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional, Sequence
 
@@ -32,7 +37,7 @@ from .classifier import DEFAULT_SAMPLES, classify, mean_and_spread, recover_para
 from .errors import NotInFamilyError
 from .params import principal_sqrt
 from .rmatrix import DynamicalRMatrix, pair_invariants
-from .verifier import _require_positive, sample_lambda
+from .verifier import _RESCALE_ABOVE, _require_positive, sample_lambda
 
 DEFAULT_TOL = 1e-9
 
@@ -107,12 +112,40 @@ def hecke_classify(
         samples = sample_lambda(R, np.random.default_rng(seed), DEFAULT_SAMPLES, stencil=False)
     delta_st, d_st = R.stacked_tables(np.asarray(samples, dtype=complex))
     scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
+    lambda_samples = [tuple(np.asarray(l, dtype=complex).tolist()) for l in samples]
+    if scale > _RESCALE_ABOVE:  # decide at a scale in [1, 2): see the module docstring
+        e = math.frexp(scale)[1]
+        unit = math.ldexp(1.0, 1 - e)
+        report = _verdict(delta_st * unit, d_st * unit, scale * unit, tol, lambda_samples)
+        return _scaled_report(report, math.ldexp(1.0, e - 1))
+    return _verdict(delta_st, d_st, scale, tol, lambda_samples)
+
+
+def _scaled_report(report: HeckeReport, c: float) -> HeckeReport:
+    """``report`` of R as the report of c R: every eigenvalue, rho, kappa
+    and the scale times c."""
+    ev = report.evidence
+    evidence = {
+        "diagonal": {i: v * c for i, v in ev["diagonal"].items()},
+        "pair_eigenvalues": {p: (a * c, b * c) for p, (a, b) in ev["pair_eigenvalues"].items()},
+        "scale": ev["scale"] * c,
+    }
+    if "eigenvalue_clusters" in ev:
+        evidence["eigenvalue_clusters"] = [v * c for v in ev["eigenvalue_clusters"]]
+    return replace(report, evidence=evidence,
+                   rho=None if report.rho is None else report.rho * c,
+                   kappa=None if report.kappa is None else report.kappa * c)
+
+
+def _verdict(delta_st: np.ndarray, d_st: np.ndarray, scale: float, tol: float,
+             lambda_samples: list) -> HeckeReport:
+    """The report of (S, n, n) table stacks whose largest modulus is
+    ``scale``."""
     lim = tol * scale
     reach = 1e4 * lim
     diag, pair_eigs, pair_diagonalizable, d_small = _planes(delta_st, d_st, lim, scale)
     evidence = {"diagonal": diag, "pair_eigenvalues": pair_eigs, "scale": scale}
-    report = partial(HeckeReport, evidence=evidence, lambda_samples=[
-        tuple(np.asarray(l, dtype=complex).tolist()) for l in samples])
+    report = partial(HeckeReport, evidence=evidence, lambda_samples=lambda_samples)
     values = np.array([*diag.values(), *(e for pair in pair_eigs.values() for e in pair)])
 
     if d_small and (np.abs(values - values[0]) <= reach).all():
@@ -138,7 +171,7 @@ def hecke_classify(
     if bad:
         return report("NotHecke", detail=f"non-diagonalizable repeated-eigenvalue plane(s) {bad}")
 
-    n = R.n
+    n = len(diag)
     e1, e2 = centers
     on_e1 = np.abs(values[:n] - e1) <= reach
     count = int(on_e1.sum())

@@ -102,7 +102,8 @@ def derive(sum_const: complex, det_const: complex) -> DerivedBlockConstants:
             root=principal_sqrt(det_const),
         )
     denom = disc + sum_const
-    if abs(denom) < POLE_GUARD:
+    # relative to S, as D + S of c S and c^2 Sigma is c (D + S)
+    if abs(denom) < POLE_GUARD * abs(sum_const):
         raise ParameterError("degenerate block constants: D + S = 0")
     ratio = (disc - sum_const) / denom
     if ratio == 0:
@@ -188,13 +189,15 @@ class ExactTwoForm(TwoFormSpec):
         reads = np.concatenate([both.any(axis=2)[:, None], both], axis=1).reshape(-1, n)
         wanted = np.zeros_like(reads)
         np.logical_or.at(wanted, row, reads)
-        wanted = wanted.tolist()
         beta = [self.beta[i] for i in range(1, n + 1)]
+        # the (point, i) of every call: first-seen points, ascending i; all
+        # potentials at a point get the same row object
+        heads = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+        at, idx = np.nonzero(wanted[heads])
+        rows = [pts[s] for s in heads.tolist()]
         # an unread value is 1; only unmasked entries see it
         b = np.ones((len(pts), n), dtype=complex)
-        for s in first.values():
-            pt = pts[s]
-            b[s] = [complex(f(pt)) if w else 1 for f, w in zip(beta, wanted[s])]
+        b[heads[at], idx] = [complex(beta[i](rows[a])) for a, i in zip(at.tolist(), idx.tolist())]
         b = b[row].reshape(P, n + 1, n)
         b0 = b[:, 0]    # b0[p, i] = beta_i(lam_p)
         bk = b[:, 1:]   # bk[p, k, i] = beta_i(lam_p + e_k)

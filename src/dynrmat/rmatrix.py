@@ -14,9 +14,12 @@ diagonal table stacks, filled with numpy, and marks a pole with NaN instead
 of raising.  The memo is the matrix's table cache, keyed per point:
 :meth:`DynamicalRMatrix.stacked_tables` evaluates the points of a stack
 that it misses in one call, and :func:`shift_stencil` uses it for the n+1
-points lam, lam + e_1, ..., lam + e_n.  ``R.delta(i, j, lam)`` and
-``R.d(i, j, lam)`` read one entry of those cached tables and raise
-:class:`PoleError` on a non-finite entry.
+points lam, lam + e_1, ..., lam + e_n.  The last stack that
+:meth:`DynamicalRMatrix.lookup` evaluated whole is kept with its tables, so
+asking for the same points again, as :func:`dynrmat.verifier.check_system`
+does after :func:`dynrmat.verifier.sample_lambda`, stacks nothing.
+``R.delta(i, j, lam)`` and ``R.d(i, j, lam)`` read one entry of those
+cached tables and raise :class:`PoleError` on a non-finite entry.
 
 The builder, the transforms and sampled configs make their matrices with
 :meth:`DynamicalRMatrix.from_tables`.  The keyword constructor
@@ -59,6 +62,8 @@ SHIFT_STEP = 1.0
 ZERO_WEIGHT_TOL = 1e-14
 
 _TABLE_CACHE_MAX = 512
+
+_isfinite = cmath.isfinite
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,8 @@ class DynamicalRMatrix:
         self.provenance = provenance
         self._fn = fn
         self._cache: dict = {}
+        # (points as bytes, delta, d) of the last stack lookup evaluated whole
+        self._last: Optional[tuple] = None
         # (lam, delta rows, d rows): the point a per-entry adapter is
         # running its callables at, read by identity (see _per_entry_tables)
         self._pin: Optional[tuple] = None
@@ -120,13 +127,25 @@ class DynamicalRMatrix:
         R._init(n, fn, provenance)
         return R
 
+    # delta and d read a finite pinned entry themselves, not through _entry:
+    # a per-entry adapter's callables make such a read per entry and point
     def delta(self, i: int, j: int, lam) -> complex:
         """Exchange coefficient Delta_ij at ``lam``, read from the tables."""
+        pin = self._pin
+        if pin is not None and lam is pin[0]:
+            v = pin[1][i - 1][j - 1]
+            if _isfinite(v):
+                return v
         return self._entry(0, i, j, lam)
 
     def d(self, i: int, j: int, lam) -> complex:
         """Diagonal coefficient d_ij at ``lam`` (0 for i = j), read from the
         tables."""
+        pin = self._pin
+        if pin is not None and lam is pin[0]:
+            v = pin[2][i - 1][j - 1]
+            if _isfinite(v):
+                return v
         return self._entry(1, i, j, lam)
 
     def _entry(self, part: int, i: int, j: int, lam) -> complex:
@@ -140,7 +159,7 @@ class DynamicalRMatrix:
                 delta, d = self.lookup(mu[None])
                 hit = delta[0], d[0]
             v = hit[part].item(i - 1, j - 1)
-        if not cmath.isfinite(v):
+        if not _isfinite(v):
             raise PoleError(_pole_message(i, j, lam))
         return v
 
@@ -178,10 +197,17 @@ class DynamicalRMatrix:
         """(P, n, n) tables at a (P, n) stack of points, NaN at poles.
 
         The points missing from the cache are evaluated in one call and then
-        cached per point, read-only, poles included.
+        cached per point, read-only, poles included.  The last stack
+        evaluated whole is kept with its tables, and asking for the same
+        points again returns those tables.
         """
         lams = _as_stack(lams, self.n)
-        keys = [lam.tobytes() for lam in lams]
+        blob = lams.tobytes()
+        last = self._last
+        if last is not None and last[0] == blob:
+            return last[1], last[2]
+        width = 16 * self.n
+        keys = [blob[k:k + width] for k in range(0, len(blob), width)]
         tabs = [self._cache.get(key) for key in keys]
         cold = [p for p, hit in enumerate(tabs) if hit is None]
         if cold:
@@ -192,6 +218,7 @@ class DynamicalRMatrix:
                     self._cache.clear()
                 self._cache[keys[p]] = tabs[p]
             if len(cold) == len(keys):
+                self._last = blob, delta, d
                 return delta, d
         return np.stack([t[0] for t in tabs]), np.stack([t[1] for t in tabs])
 

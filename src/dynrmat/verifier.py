@@ -11,13 +11,14 @@ never cause spurious failures.
 The global residual never forms the n^3 x n^3 operators.  A zero-weight
 factor sends e_x (x) e_y to at most two basis vectors, its swap and
 itself, so each side of the relation sends a basis triple to 8 weighted
-path products, all landing on permutations of that triple.  Which table
-entries each of the 16 n^3 path products multiplies, and which (column,
-row) entry it is summed into, depends on n only: that layout is built once
-per n.  A sample's defect is then three gathers from its shift stencil's
-tables and one ``bincount`` over the interleaved real and imaginary parts
-of the products, O(n^3) time and memory instead of the O(n^9) time and
-O(n^6) memory of dense products.
+path products, all landing on permutations of that triple.  A path through
+a diagonal coefficient d_xx, which is 0 by construction, is left out.
+Which table entries each of the remaining path products (at most 16 n^3)
+multiplies, and which (column, row) entry it is summed into, depends on n
+only: that layout is built once per n.  A sample's defect is then three
+gathers from its shift stencil's tables and one ``bincount`` over the
+interleaved real and imaginary parts of the products, O(n^3) time and
+memory instead of the O(n^9) time and O(n^6) memory of dense products.
 
 The component equations have a layout per n as well: for each family the
 positions of its factors in a stencil's flattened tables, at only the
@@ -167,17 +168,21 @@ _RIGHT = (((0, 1), False), ((0, 2), True), ((1, 2), False))  # R23(lam) R13(lam+
 
 
 class DefectLayout(NamedTuple):
-    """Where the 16 n^3 path products of both sides come from and go to.
+    """Where the path products of both sides come from and go to.
 
-    ``T`` is a stencil's tables flattened into one vector,
-    ``concat(delta_st.ravel(), d_st.ravel())``.  Product k multiplies
-    ``T[gather[0][k]] * T[gather[1][k]] * T[gather[2][k]]``, its factors in
-    the order they act.  The first 8 n^3 products are the left side's, the
-    rest the right side's; path j of column c of a side sits at j n^3 + c
-    of that side.  Product k is summed into the (column, row) entry
-    b_k, left entries in [0, m) and right entries in [m, 2m); ``parts``
-    interleaves 2 b_k and 2 b_k + 1, the bins of product k's real and
-    imaginary parts as ``view(float64)`` lays them out.
+    Of the 8 n^3 path products of each side, those through a diagonal
+    coefficient d_xx, 0 by construction, are left out: each would add an
+    exact zero to its entry.  ``T`` is a stencil's tables flattened into
+    one vector, ``concat(delta_st.ravel(), d_st.ravel())``.  Product k
+    multiplies ``T[gather[0][k]] * T[gather[1][k]] * T[gather[2][k]]``,
+    its factors in the order they act.  The left side's products come
+    first, then the right side's, each side's kept in the order of its
+    paths: path j of column c at j n^3 + c.  Product k is summed into the
+    (column, row) entry b_k, left entries in [0, m) and right entries in
+    [m, 2m); every entry a path reaches is reached by a kept one, so m is
+    that of all 16 n^3 products.  ``parts`` interleaves 2 b_k and
+    2 b_k + 1, the bins of product k's real and imaginary parts as
+    ``view(float64)`` lays them out.
     """
 
     gather: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -195,10 +200,11 @@ def _defect_layout(n: int) -> DefectLayout:
     """
     size = n ** 3
     d_offset = (n + 1) * n * n
-    rows, gathers = [], []
+    rows, gathers, kept = [], [], []
     for factors in (_LEFT, _RIGHT):
         state = np.indices((n, n, n)).reshape(3, -1)
         picks: list[np.ndarray] = []
+        keep = np.ones(size, dtype=bool)
         for (p, q), shift in factors:
             x, y = state[p], state[q]
             at = state[3 - p - q] + 1 if shift else 0
@@ -208,13 +214,17 @@ def _defect_layout(n: int) -> DefectLayout:
             picks = [np.concatenate([g, g]) for g in picks]
             picks.append(np.concatenate([(at * n + y) * n + x,
                                          d_offset + (at * n + x) * n + y]))
+            # d_xx is 0 by construction: a path through it adds an exact zero
+            keep = np.concatenate([keep, keep & (x != y)])
         rows.append((state[0] * n + state[1]) * n + state[2])
         gathers.append(picks)
+        kept.append(keep)
     keys, inv = np.unique(np.tile(np.arange(size), 16) * size + np.concatenate(rows),
                           return_inverse=True)
     m = keys.size
-    bins = inv + np.repeat([0, m], 8 * size)
-    arrays = [np.concatenate(pair).astype(np.int32) for pair in zip(*gathers)]
+    kept = np.concatenate(kept)
+    bins = (inv + np.repeat([0, m], 8 * size))[kept]
+    arrays = [np.concatenate(pair)[kept].astype(np.int32) for pair in zip(*gathers)]
     arrays.append((2 * bins[:, None] + np.arange(2)).ravel().astype(np.int32))
     for arr in arrays:
         arr.setflags(write=False)
@@ -222,7 +232,8 @@ def _defect_layout(n: int) -> DefectLayout:
 
 
 def _path_weights(delta_st: np.ndarray, d_st: np.ndarray) -> np.ndarray:
-    """The weights of all 16 n^3 path products of one stencil's tables."""
+    """The weights of the path products of one stencil's tables that
+    :func:`_defect_layout` keeps."""
     gather = _defect_layout(delta_st.shape[1]).gather
     T = np.concatenate([delta_st.ravel(), d_st.ravel()])
     # the product so far times the next factor, as the factors act (complex

@@ -15,6 +15,7 @@ on :func:`planes`' results, taken one value at a time in Python loops, and
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from dynrmat.classifier import MIN_SAMPLES, RECOVER_TOL, RelationReport
 from dynrmat.errors import AmbiguityError, NotInFamilyError
 from dynrmat.params import principal_sqrt
 from dynrmat.rmatrix import DynamicalRMatrix, pair_invariants
+from dynrmat.verifier import _RESCALE_ABOVE
 
 
 def detect_relations(R: DynamicalRMatrix, samples: Sequence[np.ndarray],
@@ -66,10 +68,11 @@ def pair_constants(sum_st: np.ndarray, det_st: np.ndarray):
     def constants(i0: int, j0: int) -> tuple[complex, complex]:
         i, j = min(i0, j0) - 1, max(i0, j0) - 1
         sums, dets = sum_st[:, i, j], det_st[:, i, j]
-        scale = max(1.0, float(np.abs(sums).max()), float(np.abs(dets).max()))
+        # max(|S|, sqrt|Sigma|): c times that of R for c R
+        scale = max(float(np.abs(sums).max()), math.sqrt(float(np.abs(dets).max())))
         if (
             np.abs(sums - sums.mean()).max() > RECOVER_TOL * scale
-            or np.abs(dets - dets.mean()).max() > RECOVER_TOL * scale
+            or np.abs(dets - dets.mean()).max() > RECOVER_TOL * scale * scale
         ):
             raise NotInFamilyError(f"pair invariants of ({i0},{j0}) vary across samples")
         return complex(sums.mean()), complex(dets.mean())
@@ -175,11 +178,18 @@ def assert_matches_first_fit(R: DynamicalRMatrix, tol: float, report) -> None:
     last bit."""
     delta_st, d_st = R.stacked_tables(np.array(report.lambda_samples, dtype=complex))
     scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
-    lim = tol * scale
-    spectrum = planes(delta_st, d_st, lim, scale)
-    kind, rho, kappa, clusters, detail = first_fit_verdict(*spectrum, lim)
-    evidence = {"diagonal": spectrum[0], "pair_eigenvalues": spectrum[1], "scale": scale}
+    # above 2^256 the tables are read times 2^(1-e), e the binary exponent
+    # of the scale, and every value is scaled back by 2^(e-1)
+    e = math.frexp(scale)[1] if scale > _RESCALE_ABOVE else 1
+    unit, back = math.ldexp(1.0, 1 - e), math.ldexp(1.0, e - 1)
+    lim = tol * scale * unit
+    diag, pair_eigs, *rest = planes(delta_st * unit, d_st * unit, lim, scale * unit)
+    kind, rho, kappa, clusters, detail = first_fit_verdict(diag, pair_eigs, *rest, lim)
+    rho, kappa = (None if v is None else v * back for v in (rho, kappa))
+    evidence = {"diagonal": {i: v * back for i, v in diag.items()},
+                "pair_eigenvalues": {p: (a * back, b * back) for p, (a, b) in pair_eigs.items()},
+                "scale": scale}
     if clusters is not None:
-        evidence["eigenvalue_clusters"] = clusters
+        evidence["eigenvalue_clusters"] = [v * back for v in clusters]
     assert repr((report.kind, report.rho, report.kappa, report.evidence, report.detail)) == repr(
         (kind, rho, kappa, evidence, detail))

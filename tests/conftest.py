@@ -10,16 +10,19 @@ import dynrmat.verifier
 from dynrmat.builder import build
 from dynrmat.params import BlockConstants, ClassificationParams, TrivialTwoForm, normalize_f
 from dynrmat.partition import DeltaClass, IndexPartition
-from dynrmat.rmatrix import DynamicalRMatrix, raw_tables
+from dynrmat.rmatrix import DynamicalRMatrix, raw_tables, shift_stencil
 from dynrmat.serialize import params_to_json
 
 from classifier_oracle import assert_matches_first_fit
 from invertibility_oracle import assert_matches_dense
+from system_oracle import oracle_check_system
 
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "without_dense_oracle: check_invertibility runs unwrapped by the dense oracle")
+    config.addinivalue_line(
+        "markers", "without_system_oracle: check_system runs unwrapped by the per-sample oracle")
 
 
 def _replace_everywhere(monkeypatch, name: str, original, checked) -> None:
@@ -45,6 +48,39 @@ def invertibility_checked_against_dense(request, monkeypatch):
         return res
 
     _replace_everywhere(monkeypatch, "check_invertibility", original, checked)
+
+
+def _assert_matches_oracle(R, samples, tol, report) -> None:
+    """``report``, the result of ``check_system(R, samples, tol)``, is the
+    per-sample oracle's float for float; the global residual of a stencil
+    whose largest coefficient is above ``_RESCALE_ABOVE`` is left out, as
+    the oracle does not rescale it."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an unrescaled huge defect
+        want = oracle_check_system(R, samples, tol)
+    rescaled = [max(float(np.abs(t).max()) for t in shift_stencil(R, lam))
+                > dynrmat.verifier._RESCALE_ABOVE for lam in samples]
+
+    def fields(rep):
+        kept = [None if big else r for r, big in zip(rep.global_residuals, rescaled)]
+        return repr((kept, rep.per_equation, rep.samples, rep.worst_case, rep.tol))
+
+    assert fields(report) == fields(want)
+
+
+@pytest.fixture(autouse=True)
+def system_checked_against_oracle(request, monkeypatch):
+    """Every ``check_system`` result of a test, from the library or from
+    the CLI, is checked against the per-sample oracle."""
+    if request.node.get_closest_marker("without_system_oracle"):
+        return
+    original = dynrmat.verifier.check_system
+
+    def checked(R, samples, tol=dynrmat.verifier.DEFAULT_TOL):
+        report = original(R, samples, tol)
+        _assert_matches_oracle(R, samples, tol, report)
+        return report
+
+    _replace_everywhere(monkeypatch, "check_system", original, checked)
 
 
 @pytest.fixture(autouse=True)
@@ -145,6 +181,21 @@ def huge_datum():
         signs={(1,): 1, (2,): 1},
         f_consts={(1,): 1 + 0j, (2,): 1 + 0j},
         two_form=TrivialTwoForm(),
+    )
+    c, _ = normalize_f(c)
+    return p, c
+
+
+def all_free_trig(n, S, Sigma, signs=None, two_form=None):
+    """One trigonometric block of n free indices with constants S and Sigma,
+    signs +1 unless given, f = 1 and the trivial 2-form unless given."""
+    p = IndexPartition(n=n, blocks=((DeltaClass(free=tuple(range(1, n + 1))),),))
+    c = ClassificationParams(
+        partition=p,
+        per_block=(BlockConstants(S, Sigma),),
+        signs=signs or {(i,): 1 for i in range(1, n + 1)},
+        f_consts={(i,): 1 + 0j for i in range(1, n + 1)},
+        two_form=two_form or TrivialTwoForm(),
     )
     c, _ = normalize_f(c)
     return p, c

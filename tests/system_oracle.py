@@ -38,7 +38,11 @@ def oracle_path_products(delta_st, d_st, factors):
         swapped = state.copy()
         swapped[p], swapped[q] = y, x
         state = np.concatenate([swapped, state], axis=1)
-        weight = np.concatenate([weight * delta_st[at, y, x], weight * d_st[at, x, y]])
+        # the factors are named: from 256 KiB up, numpy would evaluate
+        # ``weight * fresh_temporary`` in place with the operands swapped,
+        # and complex products are not bitwise commutative
+        exchange, diagonal = delta_st[at, y, x], d_st[at, x, y]
+        weight = np.concatenate([weight * exchange, weight * diagonal])
     return (state[0] * n + state[1]) * n + state[2], weight
 
 

@@ -1,8 +1,11 @@
 import itertools
 from dataclasses import replace
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynrmat import classifier
 from dynrmat.builder import build
@@ -33,9 +36,9 @@ from dynrmat.rmatrix import DynamicalRMatrix
 from dynrmat.sampling import random_datum, random_partition, random_two_form
 from dynrmat.serialize import params_to_json
 from dynrmat.transforms import apply_2form, apply_twist, contract
-from dynrmat.verifier import sample_lambda
+from dynrmat.verifier import DEFAULT_ENTRY_CAP, sample_lambda
 
-from conftest import assert_no_cyclic_garbage, golden_datum, random_points, varied_golden
+from conftest import assert_no_cyclic_garbage, golden_datum, random_points, times, varied_golden
 
 
 def test_golden_structure():
@@ -583,3 +586,49 @@ def test_recovered_two_form_rejects_what_build_rejects_before_building(monkeypat
     with pytest.raises(ParameterError) as err:
         QuotientTwoForm(R, c, np.arange(p.n))
     assert str(err.value) == str(built.value) and builds == []
+
+
+@lru_cache(maxsize=None)
+def _recovered_member():
+    """A member with a rational and a trigonometric block, two exchange
+    classes in the latter."""
+    return build(*random_datum(5, np.random.default_rng(1), "trivial"))
+
+
+def _recovered_at(c):
+    """(partition, [(S, Sigma)], f) that classify and recover_params read
+    off c R.  The draws are checked against the entry cap times c, so that
+    c = 2^k keeps exactly the draws of c = 1: the cap is absolute, and this
+    checks the recovery, not the sampler."""
+    M = times(_recovered_member(), c)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classifier, "sample_lambda",
+                  partial(sample_lambda, entry_cap=DEFAULT_ENTRY_CAP * c))
+        report = classify(M)
+        params = recover_params(M, report)
+    return (report.recovered_partition,
+            [(b.sum_const, b.det_const) for b in params.per_block], params.f_consts)
+
+
+def _assert_recovered_scales(c):
+    partition, consts, f = _recovered_at(c)
+    partition_1, consts_1, f_1 = _recovered_at(1.0)
+    assert partition == partition_1
+    want = [(S * c, Sigma * c * c) for S, Sigma in consts_1]
+    assert [S == 0 for S, _ in consts] == [S == 0 for S, _ in want] == [True, False]
+    for got, ref in zip([v for pair in consts for v in pair] + [f[k] for k in f_1],
+                        [v for pair in want for v in pair] + list(f_1.values())):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-300, 300))
+def test_recover_params_reads_c_r_as_r_at_every_power_of_two(k):
+    """2^k R recovers the partition of R, S 2^k, Sigma 4^k and the f of R:
+    the spread and rational tests are relative to the block's magnitude."""
+    _assert_recovered_scales(2.0 ** k)
+
+
+@pytest.mark.parametrize("c", [1e-1, 1e-3, 1e-6, 1e-8, 1e-9, 1e-12])
+def test_recover_params_reads_c_r_as_r_at_decimal_scales(c):
+    _assert_recovered_scales(c)

@@ -36,7 +36,9 @@ from dynrmat.sampling import random_datum
 from dynrmat.serialize import complex_to_json, params_to_json
 from dynrmat.verifier import sample_lambda
 
-from conftest import golden_datum, huge_datum, overflow_datum, zero_residual_config
+from conftest import (
+    all_free_trig, golden_datum, huge_datum, overflow_datum, zero_residual_config,
+)
 
 
 def _matrix_config(R, base_points, include_shifts=True, perturb=None):
@@ -444,6 +446,20 @@ def test_hecke_on_a_member_times_2_to_minus_40_prints_what_scale_one_prints(tmp_
         runs.append(capsys.readouterr())
     assert runs[1] == runs[0]
     assert runs[0].out.startswith("NotHecke (6 distinct eigenvalue(s), need exactly 2)\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_hecke_prints_both_parts_of_a_small_complex_rho_and_kappa(tmp_path, capsys):
+    """An imaginary part is dropped only below 1e-12 |z|: times 2^-40 the
+    complex rho and kappa of this Hecke member keep both parts."""
+    R = build(*all_free_trig(3, 1 + 1j, 2 + 0.5j))
+    base = sample_lambda(R, np.random.default_rng(0), 2)
+    lines = []
+    for factor in (1.0, 2.0 ** -40):
+        assert main(["hecke", _scaled_config(tmp_path, R, base, factor)]) == EXIT_OK
+        lines.append(capsys.readouterr().out.partition("\n")[0])
+    assert lines == ["Hecke rho=1.95535+0.843561i kappa=0.955347-0.156439i",
+                     "Hecke rho=1.77838e-12+7.67214e-13i kappa=8.68883e-13-1.42281e-13i"]
 
 
 def _scaled_datum(n, c):

@@ -22,30 +22,12 @@ from dynrmat.sampling import random_datum
 from dynrmat.serialize import params_to_json
 from dynrmat.verifier import sample_lambda
 
-from conftest import golden_datum, times, varied_golden
+from conftest import all_free_trig, golden_datum, times, varied_golden
 from hecke_predictor import predict
 
 
-def _all_free_trig(n, S, Sigma, signs=None, two_form=None):
-    p = IndexPartition(n=n, blocks=((DeltaClass(free=tuple(range(1, n + 1))),),))
-    c = ClassificationParams(
-        partition=p,
-        per_block=(BlockConstants(S, Sigma),),
-        signs=signs or {(i,): 1 for i in range(1, n + 1)},
-        f_consts={(i,): 1 + 0j for i in range(1, n + 1)},
-        two_form=two_form or None,
-    )
-    if two_form is None:
-        from dataclasses import replace
-        from dynrmat.params import TrivialTwoForm
-
-        c = replace(c, two_form=TrivialTwoForm())
-    c, _ = normalize_f(c)
-    return p, c
-
-
 def test_all_free_uniform_sign_is_hecke():
-    p, c = _all_free_trig(3, 1 + 0j, 2 + 0j)
+    p, c = all_free_trig(3, 1 + 0j, 2 + 0j)
     R = build(p, c)
     rep = hecke_classify(R)
     assert rep.kind == "Hecke"
@@ -65,7 +47,7 @@ def test_mixed_signs_weak_but_not_hecke():
         ((-1, 1, 1), 2, 1),
         ((1, -1, 1), 2, 1),
     ]:
-        p, c = _all_free_trig(
+        p, c = all_free_trig(
             len(signs), 1 + 0j, 2 + 0j, signs={(i,): s for i, s in enumerate(signs, start=1)}
         )
         rep = hecke_classify(build(p, c))
@@ -84,7 +66,7 @@ CUT_SIGMAS = [complex(-0.3125, 0.0), complex(-0.3125, -0.0),
 
 @pytest.mark.parametrize("sigma", CUT_SIGMAS, ids=["+0", "-0", "+1e-13", "-1e-13"])
 def test_hecke_on_and_off_the_square_root_cut(sigma):
-    p, c = _all_free_trig(3, 0.5 + 0j, sigma)
+    p, c = all_free_trig(3, 0.5 + 0j, sigma)
     rep = hecke_classify(build(p, c))
     assert rep.kind == "Hecke"
     assert abs(rep.rho - rep.kappa - 0.5) < 1e-9
@@ -94,7 +76,7 @@ def test_hecke_on_and_off_the_square_root_cut(sigma):
 
 @pytest.mark.parametrize("sigma", CUT_SIGMAS, ids=["+0", "-0", "+1e-13", "-1e-13"])
 def test_hecke_cli_on_and_off_the_square_root_cut(sigma, tmp_path, capsys):
-    p, c = _all_free_trig(3, 0.5 + 0j, sigma)
+    p, c = all_free_trig(3, 0.5 + 0j, sigma)
     cfg = tmp_path / "cut.json"
     cfg.write_text(json.dumps(params_to_json(c)))
     im = json.loads(cfg.read_text())["per_block"][0]["Sigma"]["im"]
@@ -183,7 +165,7 @@ def test_basic_form_identity_recipe():
     g = constant_table_two_form(
         {(1, 2): -1 + 0j, (1, 3): -1 + 0j, (2, 3): -1 + 0j}
     )
-    p, c = _all_free_trig(3, 1 + 0j, 2 + 0j, two_form=g)
+    p, c = all_free_trig(3, 1 + 0j, 2 + 0j, two_form=g)
     R = build(p, c)
     rep = hecke_classify(R)
     assert rep.kind == "Hecke"
@@ -198,7 +180,7 @@ def test_basic_form_identity_recipe():
 def test_basic_form_recipe_divides_modified_pair():
     values = {(1, 2): -2 + 0j, (1, 3): -1 + 0j, (2, 3): -1 + 0j}
     g = constant_table_two_form(values)
-    p, c = _all_free_trig(3, 1 + 0j, 2 + 0j, two_form=g)
+    p, c = all_free_trig(3, 1 + 0j, 2 + 0j, two_form=g)
     R = build(p, c)
     rep = hecke_classify(R)
     recipe = basic_form_distance(R, rep)
@@ -258,7 +240,7 @@ def test_hecke_agrees_with_the_predictor_on_random_data():
 
 @pytest.mark.parametrize("sigma", CUT_SIGMAS, ids=["+0", "-0", "+1e-13", "-1e-13"])
 def test_hecke_agrees_with_the_predictor_on_the_square_root_cut(sigma):
-    assert _assert_predicted(*_all_free_trig(3, 0.5 + 0j, sigma)) == "Hecke"
+    assert _assert_predicted(*all_free_trig(3, 0.5 + 0j, sigma)) == "Hecke"
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +254,7 @@ def _scale_cases():
         signs={(1, 2, 3): 1}, f_consts={(1, 2, 3): 0j}))
     cases = []
     for p, c in (random_datum(5, np.random.default_rng(1), "trivial"), golden_datum(),
-                 _all_free_trig(3, 1 + 0j, 2 + 0j), (single, single_params)):
+                 all_free_trig(3, 1 + 0j, 2 + 0j), (single, single_params)):
         R = build(p, c)
         samples = sample_lambda(R, np.random.default_rng(0), 5, stencil=False)
         cases.append((R, samples, hecke_classify(R, samples=samples)))
@@ -293,10 +275,11 @@ def _assert_scaled_report(c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.integers(-300, 300))
+@given(k=st.integers(-300, 1000))
 def test_hecke_verdict_is_that_of_r_at_every_power_of_two(k):
     """2^k R has the kind and detail of R, and rho and kappa times 2^k: no
-    threshold is absolute."""
+    threshold is absolute, and tables above 2^256 are rescaled before any
+    plane determinant can overflow."""
     _assert_scaled_report(2.0 ** k)
 
 
@@ -305,11 +288,13 @@ def test_hecke_verdict_is_that_of_r_at_decimal_scales(c):
     _assert_scaled_report(c)
 
 
-def test_hecke_ends_on_an_overflowed_spectrum():
-    """Times 2^600 the plane determinants of the n = 3 Hecke member overflow
-    to NaN, with a numpy warning: each NaN eigenvalue is a cluster of its
-    own, next to the one of the three diagonal values."""
-    R, samples, _ = _scale_cases()[2]
-    with pytest.warns(RuntimeWarning):
-        rep = hecke_classify(times(R, 2.0 ** 600), samples=samples)
-    assert (rep.kind, rep.detail) == ("NotHecke", "7 distinct eigenvalue(s), need exactly 2")
+def test_hecke_rescales_a_spectrum_that_would_overflow():
+    """Times 2^600 the plane determinants of the n = 3 Hecke member would
+    overflow: the tables are rescaled first, so the verdict is Hecke, with
+    rho and kappa times 2^600 exactly, and no numpy warning is raised."""
+    R, samples, base = _scale_cases()[2]
+    c = 2.0 ** 600
+    rep = hecke_classify(times(R, c), samples=samples)
+    assert (rep.kind, rep.detail) == ("Hecke", "")
+    assert (rep.rho, rep.kappa) == (base.rho * c, base.kappa * c)
+    assert rep.evidence["scale"] == base.evidence["scale"] * c

@@ -21,6 +21,7 @@ from dynrmat.hecke import hecke_classify
 from dynrmat.params import (
     BlockConstants,
     ClassificationParams,
+    POLE_GUARD,
     ExactTwoForm,
     QuadraticExactTwoForm,
     TableTwoForm,
@@ -1080,6 +1081,72 @@ def test_exact_two_form_table_equals_the_all_points_oracle_bit_for_bit(n):
             _assert_bit_equal(got, want)
             if mask is off:
                 assert np.isnan(got).any() == (pole and n > 1)
+
+
+def _per_slot_exact_table(beta, n, lams, mask):
+    """``ExactTwoForm.table`` as one list of calls and one row assignment
+    per first-seen slot: the reference for the order of its calls and the
+    bits of its table."""
+    P = len(lams)
+    mask = np.broadcast_to(mask, (P, n, n))
+    pts = stencil_points(lams).reshape(-1, n)
+    first = {}
+    row = [first.setdefault(pt.tobytes(), s) for s, pt in enumerate(pts)]
+    both = mask | mask.transpose(0, 2, 1)
+    reads = np.concatenate([both.any(axis=2)[:, None], both], axis=1).reshape(-1, n)
+    wanted = np.zeros_like(reads)
+    np.logical_or.at(wanted, row, reads)
+    wanted = wanted.tolist()
+    b = np.ones((len(pts), n), dtype=complex)
+    for s in first.values():
+        pt = pts[s]
+        b[s] = [complex(beta[i](pt)) if w else 1 for i, w in enumerate(wanted[s], 1)]
+    b = b[row].reshape(P, n + 1, n)
+    b0, bk = b[:, 0], b[:, 1:]
+    g = (bk.transpose(0, 2, 1) / b0[:, :, None]) * (b0[:, None, :] / bk)
+    small = np.abs(b0) < POLE_GUARD
+    g[small[:, :, None] | small[:, None, :] | (np.abs(bk) < POLE_GUARD)] = np.nan
+    return np.where(mask, g, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_two_form_calls_as_the_per_slot_loop_and_gives_its_bits(n):
+    """Logging potentials are called in the per-slot loop's order, with
+    equal points, and give its table bit for bit.  beta_1 is below
+    POLE_GUARD where Re lam_1 = 0.25 and beta_n is NaN where Re lam_n =
+    -0.75, which some points and shifts hit."""
+    rng = np.random.default_rng(60 + n)
+    lin = rng.uniform(-0.3, 0.3, (n, n)) + 1j * rng.uniform(-0.3, 0.3, (n, n))
+    calls = []
+
+    def potential(i):
+        def beta(lam):
+            calls.append((i, lam.tobytes()))
+            v = complex(np.exp(np.dot(lin[i - 1], lam)))
+            if i == 1 and lam[0].real == 0.25:
+                return v * 1e-14
+            if i == n and lam[-1].real == -0.75:
+                return complex("nan")
+            return v
+        return beta
+
+    g = ExactTwoForm(beta={i: potential(i) for i in range(1, n + 1)})
+    points = np.array(random_points(rng, n, 4))
+    points[1, 0] = 0.25
+    points[2, -1] = -1.75
+    off = ~np.eye(n, dtype=bool)
+    for lams in (points, stencil_points(points[0]), stencil_points(points[2]),
+                 np.concatenate([points, points[::-1]])):
+        for mask in (off, rng.random((len(lams), n, n)) < 0.3, np.ones((n, n), dtype=bool)):
+            with np.errstate(all="ignore"):
+                got = g.table(n, lams, mask)
+                logged = calls[:]
+                calls.clear()
+                want = _per_slot_exact_table(g.beta, n, lams, mask)
+            assert logged == calls
+            calls.clear()
+            _assert_bit_equal(got, want)
+    assert np.isnan(g.table(n, points, off)).any() == (n > 1)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -14,8 +14,10 @@ from dynrmat.rmatrix import (
     dense_from_tables,
     embed_with_shift,
     evaluate,
+    raw_tables,
     shift_stencil,
     shifted,
+    stencil_points,
 )
 from dynrmat.sampling import random_datum
 from dynrmat.serialize import SampledTables, matrix_from_samples, parse_config
@@ -28,6 +30,8 @@ from dynrmat.verifier import (
     _defect_layout,
     _equation_layout,
     _equation_values,
+    _path_weights,
+    _stencil_defect,
     check_invertibility,
     check_system,
     dqybe_defect,
@@ -39,7 +43,9 @@ from conftest import (
     golden_datum, huge_datum, overflow_datum, random_points, times, zero_residual_config,
 )
 from invertibility_oracle import assert_matches_dense, dense_matrix
-from system_oracle import oracle_check_system, oracle_equation_values, oracle_path_products
+from system_oracle import (
+    oracle_check_system, oracle_defect, oracle_equation_values, oracle_path_products,
+)
 
 
 def _triple_oracle(R, lam):
@@ -549,6 +555,34 @@ def test_sample_lambda_exhausts_after_exactly_max_tries_draws():
         assert batched[1] == probe.bit_generator.state
 
 
+@pytest.mark.parametrize("entry_cap, calls", [(1e3, [40]), (2.0, [40, 15, 10, 5])])
+def test_certify_evaluates_each_sampled_stencil_once(entry_cap, calls):
+    """sample_lambda, check_system and check_invertibility on a fresh
+    matrix call its table function only in sample_lambda's rounds.  When
+    every draw is accepted, check_system asks for the stack sample_lambda
+    evaluated whole and gets those tables back; when draws are rejected,
+    the per-point cache serves the same bytes as a fresh evaluation."""
+    inner = build(*golden_datum())
+    seen = []
+
+    def tables(lams):
+        seen.append(len(lams))
+        return raw_tables(inner, lams)
+
+    R = DynamicalRMatrix.from_tables(inner.n, tables)
+    samples = sample_lambda(R, np.random.default_rng(3), 8, entry_cap=entry_cap)
+    report = check_system(R, samples)
+    invertibility = [check_invertibility(R, lam) for lam in samples]
+    assert seen == calls
+    points = stencil_points(np.array(samples)).reshape(-1, R.n)
+    got = R.stacked_tables(points)
+    assert seen == calls
+    assert (R.lookup(points)[0] is got[0]) == (len(calls) == 1)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, raw_tables(inner, points)))
+    assert repr(report) == repr(check_system(inner, samples))
+    assert repr(invertibility) == repr([check_invertibility(inner, lam) for lam in samples])
+
+
 def _golden_with_pole_beyond_re_lam1_2():
     """The golden matrix behind plain callables that raise PoleError
     wherever Re lam_1 > 2: a box of 2 never draws such a point, but the
@@ -668,16 +702,13 @@ def test_check_system_large_n_matches_oracle_one_sample_per_chunk():
     # From 256 KiB up, numpy evaluates ``weight * fresh_temporary`` as
     # ``fresh_temporary *= weight`` (temporary elision), and complex
     # products with fused multiply-adds are not bitwise commutative.  The
-    # oracle's walk reaches that size at n = 16; the verifier multiplies in
-    # one order at every n, so there the defects agree to a few ulp only.
+    # oracle's walk reaches that size at n = 16 and names its factors, so
+    # it multiplies in the verifier's order there too.
     rng = np.random.default_rng(24)
     R = build(*random_datum(24, rng))
     bad = _scaled_entry(R, "delta", (1, 2), lambda v: 1.3 * v)
     report, oracle = _both_reports(bad, sample_lambda(R, rng, 2))
-    assert report.per_equation == oracle.per_equation
-    assert report.worst_case == oracle.worst_case
-    assert report.samples == oracle.samples
-    assert np.allclose(report.global_residuals, oracle.global_residuals, rtol=1e-13, atol=0)
+    assert report == oracle
     assert min(report.global_residuals) > 1e-6
 
 
@@ -747,17 +778,56 @@ def test_equation_layout_equals_the_oracle_at_its_entries_and_leaves_out_zeros(n
             assert (want[tag][left_out] == 0).all()
 
 
+def _random_stencil(rng, n, zeros):
+    """Random (n+1, n, n) exchange and diagonal tables, a share ``zeros`` of
+    their entries set to 0, and d's diagonal 0 as every matrix has it."""
+    shape = (n + 1, n, n)
+    delta, d = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ab")
+    for tab in (delta, d):
+        tab[rng.random(shape) < zeros] = 0
+    d[:, np.arange(n), np.arange(n)] = 0
+    return delta, d
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.integers(1, 7))
-def test_cached_bins_equal_fresh_unique_of_path_rows(n):
+@given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+def test_cached_layout_keeps_the_paths_off_d_diagonal_binned_as_a_fresh_unique(n, seed):
+    """The layout keeps exactly the path products with no d_xx factor, in
+    path order, and their bins are a fresh ``np.unique`` of their (column,
+    row) keys: every entry a path reaches is reached without d_xx."""
     size = n ** 3
-    tables = np.zeros((n + 1, n, n), dtype=complex)
-    rows = np.concatenate([oracle_path_products(tables, tables, side)[0]
-                           for side in (_LEFT, _RIGHT)])
-    keys, inv = np.unique(np.tile(np.arange(size), 16) * size + rows, return_inverse=True)
+    delta, d = _random_stencil(np.random.default_rng(seed), n, 0.0)
+    # all ones but d's diagonal: a product is 0 exactly when it has a d_xx factor
+    ones = np.ones((n + 1, n, n), dtype=complex)
+    marks = ones - np.eye(n)
+    rows, kept, weights = [], [], []
+    for side in (_LEFT, _RIGHT):
+        side_rows, mark = oracle_path_products(ones, marks, side)
+        rows.append(side_rows)
+        kept.append(mark != 0)
+        weights.append(oracle_path_products(delta, d, side)[1])
+    keep = np.concatenate(kept)
     layout = _defect_layout(n)
+    d_pos = np.concatenate(layout.gather) - (n + 1) * n * n
+    d_pos = d_pos[d_pos >= 0]
+    assert (d_pos // n % n != d_pos % n).all()  # no factor d_xx
+    assert _path_weights(delta, d).tobytes() == np.concatenate(weights)[keep].tobytes()
+    keys, inv = np.unique((np.tile(np.arange(size), 16) * size + np.concatenate(rows))[keep],
+                          return_inverse=True)
     assert layout.m == keys.size
-    assert np.array_equal(layout.parts[::2] // 2, inv + np.repeat([0, keys.size], 8 * size))
+    assert np.array_equal(layout.parts[::2] // 2,
+                          inv + np.repeat([0, keys.size], [kept[0].sum(), kept[1].sum()]))
+    assert np.array_equal(layout.parts[1::2], layout.parts[::2] + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.3, 0.8]))
+def test_stencil_defect_equals_the_oracle_over_every_path(n, seed, zeros):
+    """Leaving out the products through d_xx only drops exact zeros: the
+    defect and scale are the oracle's, over all 16 n^3 products, bit for
+    bit."""
+    delta, d = _random_stencil(np.random.default_rng(seed), n, zeros)
+    assert _stencil_defect(delta, d) == oracle_defect(delta, d)
 
 
 # -- bad inputs raise ---------------------------------------------------------
