@@ -603,8 +603,10 @@ class QuotientTwoForm(TableTwoForm):
     R's index ``to_orig[a] + 1`` is canonical ``a + 1``.  :meth:`table`
     reads each matrix's tables once per stack and divides with Python's
     complex division, NaN where either d is not finite or the bare one is
-    below ``POLE_GUARD``.  ``g`` reads that table, one entry per cross-class
-    pair.
+    below ``POLE_GUARD`` times the datum's magnitude, max(|S|, sqrt|Sigma|)
+    over its blocks and cross constants: c R recovers c S and c^2 Sigma,
+    whose bare d are c times those of R's.  ``g`` reads that table, one
+    entry per cross-class pair.
 
     The datum is checked here, so a datum :func:`build` rejects raises its
     :class:`ParameterError` now; ``bare`` itself is built on the first
@@ -619,6 +621,9 @@ class QuotientTwoForm(TableTwoForm):
         self.R, self.base, self.to_orig = R, base, to_orig
         self._from_orig = np.argsort(to_orig)
         self._missing = same & ~np.eye(len(cid), dtype=bool)
+        sigmas = [b.det_const for b in base.per_block] + list(base.cross_det.values())
+        self._guard = POLE_GUARD * max([abs(b.sum_const) for b in base.per_block]
+                                       + [abs(v) ** 0.5 for v in sigmas])
         rows, cols = np.nonzero(np.triu(~same, 1))
         self._pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
@@ -639,7 +644,7 @@ class QuotientTwoForm(TableTwoForm):
         rows, cols = needed_pairs(mask)
         num = self.R.lookup(lams[:, self._from_orig])[1][:, self.to_orig[rows], self.to_orig[cols]]
         den = self.bare.lookup(lams)[1][:, rows, cols]
-        ok = np.isfinite(num) & np.isfinite(den) & (np.abs(den) >= POLE_GUARD)
+        ok = np.isfinite(num) & np.isfinite(den) & (np.abs(den) >= self._guard)
         quot = np.full(num.shape, np.nan, dtype=complex)
         quot[ok] = [a / b for a, b in zip(num[ok].tolist(), den[ok].tolist())]
         return pair_table(n, rows, cols, quot, mask)

@@ -18,10 +18,9 @@ Every threshold is relative to ``scale``, the largest coefficient modulus
 over the samples: values are constant within ``tol * scale`` (``tol *
 scale**2`` for a plane determinant) and eigenvalues equal within ``1e4 *
 tol * scale``, so c R has the verdict of R, with rho and kappa times c.
-Tables whose scale is above ``_RESCALE_ABOVE`` (2^256) are decided times
-a power of two that brings the scale into [1, 2), as
-:func:`dynrmat.verifier.check_system` takes their global defect, so that
-no plane determinant overflows; the report is scaled back exactly.
+The tables are decided at unit scale, times the power of two
+:func:`dynrmat.rmatrix.unit_scale` gives, so that no plane determinant
+overflows or underflows; the report is scaled back exactly.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ import numpy as np
 from .classifier import DEFAULT_SAMPLES, classify, mean_and_spread, recover_params
 from .errors import NotInFamilyError
 from .params import principal_sqrt
-from .rmatrix import DynamicalRMatrix, pair_invariants
-from .verifier import _RESCALE_ABOVE, _require_positive, sample_lambda
+from .rmatrix import DynamicalRMatrix, pair_invariants, unit_scale
+from .verifier import _require_positive, sample_lambda
 
 DEFAULT_TOL = 1e-9
 
@@ -110,15 +109,10 @@ def hecke_classify(
     _require_positive("tol", tol)
     if samples is None:
         samples = sample_lambda(R, np.random.default_rng(seed), DEFAULT_SAMPLES, stencil=False)
-    delta_st, d_st = R.stacked_tables(np.asarray(samples, dtype=complex))
-    scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
+    tables = np.array(R.stacked_tables(np.asarray(samples, dtype=complex)))
+    k, scale = unit_scale(tables)
     lambda_samples = [tuple(np.asarray(l, dtype=complex).tolist()) for l in samples]
-    if scale > _RESCALE_ABOVE:  # decide at a scale in [1, 2): see the module docstring
-        e = math.frexp(scale)[1]
-        unit = math.ldexp(1.0, 1 - e)
-        report = _verdict(delta_st * unit, d_st * unit, scale * unit, tol, lambda_samples)
-        return _scaled_report(report, math.ldexp(1.0, e - 1))
-    return _verdict(delta_st, d_st, scale, tol, lambda_samples)
+    return _scaled_report(_verdict(*tables, scale, tol, lambda_samples), math.ldexp(1.0, -k))
 
 
 def _scaled_report(report: HeckeReport, c: float) -> HeckeReport:

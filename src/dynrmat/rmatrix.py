@@ -454,6 +454,19 @@ def pair_invariants(delta: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.nd
     return delta + delta_t, d * np.swapaxes(d, -1, -2) - delta * delta_t
 
 
+def unit_scale(T: np.ndarray, axis: Optional[int] = None) -> tuple:
+    """Multiply the finite complex array ``T``, in place, by 2^k, k = 1 - e
+    for e the binary exponent of its largest modulus C (of each column for
+    ``axis=0``), so that C 2^k is in [1, 2); C = 0 has k = 1.  ``np.ldexp``
+    on the float view is exact, also where 2^k is no float (C < 2^-1022).
+    Returns k and C 2^k: numbers, or lists of one per column."""
+    mant, e = np.frexp(np.abs(T).max(axis=axis))
+    k = 1 - e
+    F = T[..., None].view(np.float64)
+    np.ldexp(F, k[..., None], out=F)
+    return k.tolist(), (2 * mant).tolist()
+
+
 # -- JSON export -----------------------------------------------------------
 
 def point_to_json(lam, delta: np.ndarray, d: np.ndarray) -> dict:

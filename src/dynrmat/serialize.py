@@ -316,6 +316,9 @@ def _sample_head(sample) -> tuple[int, list, list]:
     lam = [json_to_complex(v) for v in lam]
     if len(lam) != n:
         raise ParameterError("lambda length does not match n")
+    for k, z in enumerate(lam, 1):
+        if not cmath.isfinite(z):
+            raise ParameterError(f"lambda component {k} is not finite: {z}")
     return n, lam, _field(sample, "entries", list, [])
 
 

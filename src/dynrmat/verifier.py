@@ -32,16 +32,13 @@ than ``_SYSTEM_CHUNK`` entries unless one sample's n^3 does; the global
 defect is taken per sample.
 
 Residuals are cubic in the matrix coefficients, so all pass/fail decisions
-are made on *normalized* residuals.  A component residual is the raw
-max-abs value divided by C^3, C the largest coefficient magnitude seen at
-the sample: the equations read the sample's tables times 2^(1-e), e the
-binary exponent of C, so that C is in [1, 2) and no product overflows or
-underflows.  A power of two scales exactly, so 2^k R has the component
-residuals of R bit for bit, and C = 0 gives residuals of 0.  The global
-residual is the raw defect divided by max(1, scale), scale the largest
-entry of the two three-factor products, so it is absolute below scale 1;
-only a sample with C above 2^256 (``_RESCALE_ABOVE``) has its defect taken
-on the tables divided by 2^(e-1), so that they cannot overflow.
+are made on *normalized* residuals, read from each sample's tables at unit
+scale (:func:`dynrmat.rmatrix.unit_scale`): times 2^k, so that C, the
+largest coefficient modulus at the sample, is in [1, 2).  A component
+residual is the raw max-abs value there over (C 2^k)^3, so 2^j R has the
+residuals of R bit for bit, and C = 0 gives 0.  The global residual is
+raw / max(1, scale), scale the largest entry of the two three-factor
+products, absolute below scale 1: at unit scale, raw / max(2^(3k), scale).
 
 The determinant is read from its factors alone (:func:`check_invertibility`):
 no dense n^2 x n^2 matrix is formed.
@@ -66,6 +63,7 @@ from .rmatrix import (
     shift_stencil,
     shifted,
     stencil_points,
+    unit_scale,
 )
 
 EQUATION_TAGS = ("G0",) + tuple(f"F{k}" for k in range(1, 10)) + tuple(
@@ -265,28 +263,21 @@ def dqybe_defect(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[float, float]:
     return _stencil_defect(*shift_stencil(R, np.asarray(lam, dtype=complex)))
 
 
-#: A stencil whose largest coefficient modulus C is above this has its
-#: global defect taken on its tables divided by 2^(e-1), e the binary
-#: exponent of C, so that the cubic products cannot overflow.
-_RESCALE_ABOVE = 2.0 ** 256
-
-
-def _global_residual(delta_st: np.ndarray, d_st: np.ndarray, C: float) -> float:
-    """The global residual at one stencil's (n+1, n, n) tables, of largest
-    modulus C: the defect divided by max(1, scale), rescaled above
-    ``_RESCALE_ABOVE``."""
-    if C > _RESCALE_ABOVE:
-        unit = math.ldexp(1.0, 1 - math.frexp(C)[1])
-        delta_st, d_st = delta_st * unit, d_st * unit
+def _global_residual(delta_st: np.ndarray, d_st: np.ndarray, k: int) -> float:
+    """The global residual of one stencil from its (n+1, n, n) tables at
+    unit scale, times 2^k: raw / max(2^(3k), scale), without 2^(3k), which
+    is no float when C is below 2^-341 or above 2^358."""
     raw, scale = _stencil_defect(delta_st, d_st)
-    return raw / max(1.0, scale)
+    if scale and math.frexp(scale)[1] > 3 * k:  # scale >= 2^(3k)
+        return raw / scale
+    return math.ldexp(raw, -3 * k)
 
 
 def dqybe_residual_normalized(R: DynamicalRMatrix, lam: np.ndarray) -> float:
     """The global residual that :func:`check_system` reports at ``lam``."""
-    delta_st, d_st = shift_stencil(R, np.asarray(lam, dtype=complex))
-    C = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
-    return _global_residual(delta_st, d_st, C)
+    stencil = np.array(shift_stencil(R, np.asarray(lam, dtype=complex)))
+    k, _ = unit_scale(stencil)
+    return _global_residual(*stencil, k)
 
 
 class EquationLayout(NamedTuple):
@@ -434,17 +425,9 @@ def check_system(
         part = stencils[start:start + chunk]
         count = len(part)
         delta, d = R.stacked_tables(part.reshape(-1, n))
-        delta = delta.reshape(count, n + 1, n, n)
-        d = d.reshape(count, n + 1, n, n)
-        scales = np.maximum(np.abs(delta).reshape(count, -1).max(axis=1),
-                            np.abs(d).reshape(count, -1).max(axis=1))
-        # 2^(1-e), e the binary exponent of C: times this, C is in [1, 2),
-        # so the equations neither overflow nor underflow, and 2^k R reads
-        # the same numbers as R
-        units = np.ldexp(1.0, 1 - np.frexp(scales)[1])
-        # one column per sample: concat(delta_st.ravel(), d_st.ravel())
+        # one column per sample at unit scale: concat(delta_st.ravel(), d_st.ravel())
         T = np.concatenate([delta.reshape(count, -1).T, d.reshape(count, -1).T])
-        T *= units
+        ks, units = unit_scale(T, axis=0)
         values = _equation_values(T, n)
         peaks = []
         for tags, indices in zip(_FAMILIES, layout.indices):
@@ -453,8 +436,8 @@ def check_system(
                 for tag, raw, arg in zip(tags, mags.max(axis=1).tolist(),
                                          mags.argmax(axis=1).tolist()):
                     peaks.append((tag, raw, arg, indices))
-        for s, (scale, unit) in enumerate(zip(scales.tolist(), units.tolist())):
-            norm = (scale * unit) ** 3 or 1.0  # C = 0 has residuals of 0
+        for s, (k, unit) in enumerate(zip(ks, units)):
+            norm = unit ** 3 or 1.0  # C = 0 has residuals of 0
             for tag, raw, arg, indices in peaks:
                 res = raw[s] / norm
                 if res > per_eq[tag]:
@@ -466,7 +449,7 @@ def check_system(
                             lam=sample_list[start + s],
                             value=res,
                         )
-            global_res.append(_global_residual(delta[s], d[s], scale))
+            global_res.append(_global_residual(*T[:, s].reshape(2, n + 1, n, n), k))
     return ResidualReport(
         global_residuals=global_res,
         per_equation=per_eq,
@@ -477,11 +460,12 @@ def check_system(
 
 
 def _exp(z: complex) -> complex:
-    """e^z, with modulus inf (not OverflowError) above the float range."""
+    """e^z; above the float range, modulus inf (not OverflowError) and
+    phase Im z, so that a real z gives a real inf."""
     try:
         return cmath.exp(z)
     except OverflowError:
-        return complex(math.inf * math.cos(z.imag), math.inf * math.sin(z.imag))
+        return cmath.rect(math.inf, z.imag)
 
 
 def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
@@ -491,23 +475,25 @@ def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
     A zero-weight matrix is a direct sum of the 1x1 blocks Delta_ii and the
     plane blocks of the pairs i < j, so its determinant is the product of
     the Delta_ii and the plane determinants d_ij d_ji - Delta_ij Delta_ji.
+    The factors are read at unit scale, times 2^k and 2^(2k), so that none
+    overflows or underflows and c R is invertible where R is.
     ``agree`` says that every factor is finite and nonzero.
     ``det_factorized`` is the exponential of the sum of their complex
-    logarithms, inf or 0 outside the float range, or the plain product when
-    a factor is zero or not finite; ``det_dense`` holds the same value.
-    ``detail`` names the first zero or non-finite factor (diagonal ones
-    first, then pairs in row-major order), or is None.
+    logarithms, less k n^2 log 2, inf or 0 outside the float range, or 0
+    when a factor is zero; ``det_dense`` holds the same value.  ``detail``
+    names the first zero or non-finite factor (diagonal ones first, then
+    pairs in row-major order), or is None.
     """
-    lam = np.asarray(lam, dtype=complex)
-    delta_tab, d_tab = R.tables(lam)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite factor is named below
-        _, dets = pair_invariants(delta_tab, d_tab)
+    tables = np.array(R.tables(np.asarray(lam, dtype=complex)))
+    k, _ = unit_scale(tables)
+    delta_tab, d_tab = tables
+    _, dets = pair_invariants(delta_tab, d_tab)
     factors = np.diagonal(delta_tab).tolist()
     for i, row in enumerate(dets.tolist()):
         factors += row[i + 1:]
-    bad = next((k for k, v in enumerate(factors) if v == 0 or not cmath.isfinite(v)), None)
+    bad = next((i for i, v in enumerate(factors) if v == 0 or not cmath.isfinite(v)), None)
     if bad is None:
-        det = _exp(sum(map(cmath.log, factors)))
+        det = _exp(sum(map(cmath.log, factors)) - k * R.n ** 2 * math.log(2))
         detail = None
     else:
         n = R.n

@@ -24,7 +24,8 @@ from dynrmat.classifier import MIN_SAMPLES, RECOVER_TOL, RelationReport
 from dynrmat.errors import AmbiguityError, NotInFamilyError
 from dynrmat.params import principal_sqrt
 from dynrmat.rmatrix import DynamicalRMatrix, pair_invariants
-from dynrmat.verifier import _RESCALE_ABOVE
+
+from system_oracle import at_unit_scale
 
 
 def detect_relations(R: DynamicalRMatrix, samples: Sequence[np.ndarray],
@@ -176,19 +177,17 @@ def assert_matches_first_fit(R: DynamicalRMatrix, tol: float, report) -> None:
     """``report``, the result of ``hecke_classify(R, tol=tol)``, is the
     per-value verdict on the per-entry spectrum at its own samples, to the
     last bit."""
-    delta_st, d_st = R.stacked_tables(np.array(report.lambda_samples, dtype=complex))
-    scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
-    # above 2^256 the tables are read times 2^(1-e), e the binary exponent
-    # of the scale, and every value is scaled back by 2^(e-1)
-    e = math.frexp(scale)[1] if scale > _RESCALE_ABOVE else 1
-    unit, back = math.ldexp(1.0, 1 - e), math.ldexp(1.0, e - 1)
-    lim = tol * scale * unit
-    diag, pair_eigs, *rest = planes(delta_st * unit, d_st * unit, lim, scale * unit)
+    # every value is read at unit scale, times 2^k, and scaled back by 2^-k
+    k, scale, (delta_st, d_st) = at_unit_scale(
+        *R.stacked_tables(np.array(report.lambda_samples, dtype=complex)))
+    back = math.ldexp(1.0, -k)
+    lim = tol * scale
+    diag, pair_eigs, *rest = planes(delta_st, d_st, lim, scale)
     kind, rho, kappa, clusters, detail = first_fit_verdict(diag, pair_eigs, *rest, lim)
     rho, kappa = (None if v is None else v * back for v in (rho, kappa))
     evidence = {"diagonal": {i: v * back for i, v in diag.items()},
                 "pair_eigenvalues": {p: (a * back, b * back) for p, (a, b) in pair_eigs.items()},
-                "scale": scale}
+                "scale": scale * back}
     if clusters is not None:
         evidence["eigenvalue_clusters"] = [v * back for v in clusters]
     assert repr((report.kind, report.rho, report.kappa, report.evidence, report.detail)) == repr(

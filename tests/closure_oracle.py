@@ -98,8 +98,14 @@ def oracle_recovered_two_form(R: DynamicalRMatrix, params, inv) -> dict:
     of R's classification, ``inv`` mapping a canonical index to R's) as
     one closure per cross-class pair (i, j), i < j: R's d_ij over the bare
     rebuild's, read one entry at a time, raising :class:`PoleError` where
-    either is not finite or the bare one is below ``POLE_GUARD``."""
+    either is not finite or the bare one is below ``POLE_GUARD`` times the
+    datum's largest |S|, sqrt|Sigma| or sqrt of a cross constant."""
     base = replace(params, two_form=TrivialTwoForm())
+    magnitude = 0.0
+    for block in base.per_block:
+        magnitude = max(magnitude, abs(block.sum_const), abs(block.det_const) ** 0.5)
+    for sigma in base.cross_det.values():
+        magnitude = max(magnitude, abs(sigma) ** 0.5)
     bare = build(base.partition, base)
     cid = class_id_map(base.partition)
     n = base.partition.n
@@ -115,7 +121,7 @@ def oracle_recovered_two_form(R: DynamicalRMatrix, params, inv) -> dict:
                 orig_lam = np.empty(n, dtype=complex)
                 orig_lam[to_orig] = lam
                 denom = bare.d(_i, _j, lam)
-                if abs(denom) < POLE_GUARD:
+                if abs(denom) < POLE_GUARD * magnitude:
                     raise PoleError(f"bare diagonal coefficient vanishes at {lam}")
                 return R.d(inv[_i], inv[_j], orig_lam) / denom
 

@@ -10,7 +10,7 @@ import dynrmat.verifier
 from dynrmat.builder import build
 from dynrmat.params import BlockConstants, ClassificationParams, TrivialTwoForm, normalize_f
 from dynrmat.partition import DeltaClass, IndexPartition
-from dynrmat.rmatrix import DynamicalRMatrix, raw_tables, shift_stencil
+from dynrmat.rmatrix import DynamicalRMatrix, raw_tables
 from dynrmat.serialize import params_to_json
 
 from classifier_oracle import assert_matches_first_fit
@@ -52,17 +52,11 @@ def invertibility_checked_against_dense(request, monkeypatch):
 
 def _assert_matches_oracle(R, samples, tol, report) -> None:
     """``report``, the result of ``check_system(R, samples, tol)``, is the
-    per-sample oracle's float for float; the global residual of a stencil
-    whose largest coefficient is above ``_RESCALE_ABOVE`` is left out, as
-    the oracle does not rescale it."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an unrescaled huge defect
-        want = oracle_check_system(R, samples, tol)
-    rescaled = [max(float(np.abs(t).max()) for t in shift_stencil(R, lam))
-                > dynrmat.verifier._RESCALE_ABOVE for lam in samples]
+    per-sample oracle's float for float."""
+    want = oracle_check_system(R, samples, tol)
 
     def fields(rep):
-        kept = [None if big else r for r, big in zip(rep.global_residuals, rescaled)]
-        return repr((kept, rep.per_equation, rep.samples, rep.worst_case, rep.tol))
+        return repr((rep.global_residuals, rep.per_equation, rep.samples, rep.worst_case, rep.tol))
 
     assert fields(report) == fields(want)
 

@@ -3,9 +3,11 @@
 The verifier reads the determinant of a zero-weight matrix from its factors
 alone: the Delta_ii and the plane determinants d_ij d_ji - Delta_ij Delta_ji,
 i < j.  This oracle places one point's tables in a dense n^2 x n^2 matrix of
-its own and takes its LU log-determinant with ``np.linalg.slogdet``.  A
-result agrees with it when ``agree`` holds exactly when every factor is
-finite and nonzero, and then the log-determinant of the dense matrix equals
+its own and takes its LU log-determinant with ``np.linalg.slogdet``, both
+at unit scale: the tables times 2^k, so that their largest modulus is in
+[1, 2), which adds k n^2 log 2 to the log-determinant.  A result agrees
+with it when ``agree`` holds exactly when every factor there is finite and
+nonzero, and then the log-determinant of the dense matrix equals
 the sum of the factors' logarithms and, where it is a normal float, the log
 of ``det_factorized``: log|det| within ``DENSE_TOL`` and the phase within
 ``DENSE_TOL`` modulo 2 pi.
@@ -18,6 +20,8 @@ import math
 import sys
 
 import numpy as np
+
+from system_oracle import at_unit_scale
 
 #: bound on the difference of the two log-determinants: relative on |det|,
 #: and absolute, in radians, on its phase
@@ -65,14 +69,15 @@ def factors(delta: np.ndarray, d: np.ndarray) -> list[complex]:
 def assert_matches_dense(R, lam, res: dict) -> None:
     """Check one ``check_invertibility(R, lam)`` result against the dense
     LU determinant of R at ``lam``."""
-    delta, d = R.tables(np.asarray(lam, dtype=complex))
+    k, _, (delta, d) = at_unit_scale(*R.tables(np.asarray(lam, dtype=complex)))
+    shift = k * len(delta) ** 2 * math.log(2)
     fs = factors(delta, d)
     invertible = all(f != 0 and cmath.isfinite(f) for f in fs)
     assert res["agree"] is invertible, (res, fs)
     if not invertible:
         return
-    log_dense = dense_log_det(delta, d)
-    logs = [sum(map(cmath.log, fs))]
+    log_dense = dense_log_det(delta, d) - shift
+    logs = [sum(map(cmath.log, fs)) - shift]
     if sys.float_info.min <= abs(res["det_factorized"]) < math.inf:
         logs.append(cmath.log(res["det_factorized"]))
     for log_fact in logs:

@@ -5,12 +5,16 @@ Each sample is certified on its own: one shift stencil, the sixteen
 component equations on that stencil's tables, and the global defect from a
 fresh walk of the path products with its own ``np.unique`` over their
 (column, row) keys.  The arithmetic of every entry is the verifier's, so
-its report must equal this one float for float.
+its report must equal this one float for float.  Every sample is read at
+unit scale, its tables times 2^k so that their largest modulus C is in
+[1, 2), and the global residual raw / max(1, scale) of the unscaled
+tables is taken from the defect there in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -24,6 +28,15 @@ from dynrmat.verifier import (
     ResidualReport,
     WorstCase,
 )
+
+
+def at_unit_scale(*tables):
+    """k = 1 - e, e the binary exponent of the largest modulus C of
+    ``tables`` (k = 1 for C = 0), C 2^k and each table times 2^k, exactly."""
+    C = max(float(np.abs(t).max()) for t in tables)
+    k = 1 - math.frexp(C)[1]
+    return k, math.ldexp(C, k), [np.ldexp(np.ascontiguousarray(t).view(np.float64), k)
+                                 .view(complex) for t in tables]
 
 
 def oracle_path_products(delta_st, d_st, factors):
@@ -152,14 +165,9 @@ def oracle_check_system(R, samples, tol: float = DEFAULT_TOL) -> ResidualReport:
     for lam in samples:
         lam = np.asarray(lam, dtype=complex)
         sample_list.append(tuple(lam.tolist()))
-        delta_st, d_st = shift_stencil(R, lam)
-        scale = max(float(np.abs(delta_st).max()), float(np.abs(d_st).max()))
-        # the equations on the tables times 2^(1-e), e the binary exponent
-        # of the scale C, over C^3 of those tables: C in [1, 2)
-        unit = math.ldexp(1.0, 1 - math.frexp(scale)[1])
-        norm = (scale * unit) ** 3 or 1.0
-        values = oracle_equation_values(delta_st[0] * unit, d_st[0] * unit,
-                                        delta_st[1:] * unit, d_st[1:] * unit)
+        k, scale, (delta_st, d_st) = at_unit_scale(*shift_stencil(R, lam))
+        norm = scale ** 3 or 1.0
+        values = oracle_equation_values(delta_st[0], d_st[0], delta_st[1:], d_st[1:])
         for tag, arr in values.items():
             mags = np.abs(arr)
             raw = float(mags.max()) if mags.size else 0.0
@@ -175,8 +183,9 @@ def oracle_check_system(R, samples, tol: float = DEFAULT_TOL) -> ResidualReport:
                         lam=tuple(lam.tolist()),
                         value=res,
                     )
-        raw_defect, defect_scale = oracle_defect(delta_st, d_st)
-        global_res.append(raw_defect / max(1.0, defect_scale))
+        raw, defect_scale = map(Fraction, oracle_defect(delta_st, d_st))
+        # raw / max(1, scale) of the unscaled tables: the defect is cubic
+        global_res.append(float(raw and raw / max(Fraction(2) ** (3 * k), defect_scale)))
     return ResidualReport(
         global_residuals=global_res,
         per_equation=per_eq,

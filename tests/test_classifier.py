@@ -4,7 +4,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynrmat import classifier
@@ -596,37 +596,51 @@ def _recovered_member():
 
 
 def _recovered_at(c):
-    """(partition, [(S, Sigma)], f) that classify and recover_params read
-    off c R.  The draws are checked against the entry cap times c, so that
-    c = 2^k keeps exactly the draws of c = 1: the cap is absolute, and this
-    checks the recovery, not the sampler."""
+    """(partition, [(S, Sigma)], f, 2-form table) that classify and
+    recover_params read off c R, the table at three fixed points.  The
+    draws are checked against the entry cap times c, so that c = 2^k keeps
+    exactly the draws of c = 1: the cap is absolute, and this checks the
+    recovery, not the sampler."""
     M = times(_recovered_member(), c)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(classifier, "sample_lambda",
                   partial(sample_lambda, entry_cap=DEFAULT_ENTRY_CAP * c))
         report = classify(M)
         params = recover_params(M, report)
+    g = params.two_form
+    mask = np.zeros((M.n, M.n), dtype=bool)
+    for i, j in g.g:
+        mask[i - 1, j - 1] = mask[j - 1, i - 1] = True
+    table = g.table(M.n, np.array(random_points(np.random.default_rng(3), M.n, 3)), mask)
     return (report.recovered_partition,
-            [(b.sum_const, b.det_const) for b in params.per_block], params.f_consts)
+            [(b.sum_const, b.det_const) for b in params.per_block], params.f_consts, table)
 
 
 def _assert_recovered_scales(c):
-    partition, consts, f = _recovered_at(c)
-    partition_1, consts_1, f_1 = _recovered_at(1.0)
+    """The recovered datum of c R is that of R with S c and Sigma c^2, and
+    its 2-form table is R's; returns both tables."""
+    partition, consts, f, table = _recovered_at(c)
+    partition_1, consts_1, f_1, table_1 = _recovered_at(1.0)
     assert partition == partition_1
     want = [(S * c, Sigma * c * c) for S, Sigma in consts_1]
     assert [S == 0 for S, _ in consts] == [S == 0 for S, _ in want] == [True, False]
     for got, ref in zip([v for pair in consts for v in pair] + [f[k] for k in f_1],
                         [v for pair in want for v in pair] + list(f_1.values())):
         assert abs(got - ref) <= 1e-12 * abs(ref)
+    assert np.isfinite(table).all()
+    assert (np.abs(table - table_1) <= 1e-12 * np.abs(table_1)).all()
+    return table, table_1
 
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(-300, 300))
+@example(k=-300)
 def test_recover_params_reads_c_r_as_r_at_every_power_of_two(k):
-    """2^k R recovers the partition of R, S 2^k, Sigma 4^k and the f of R:
-    the spread and rational tests are relative to the block's magnitude."""
-    _assert_recovered_scales(2.0 ** k)
+    """2^k R recovers the partition of R, S 2^k, Sigma 4^k, the f of R and
+    its 2-form table bit for bit: the spread and rational tests and the
+    2-form's pole guard are relative to the datum's magnitude."""
+    table, table_1 = _assert_recovered_scales(2.0 ** k)
+    assert table.tobytes() == table_1.tobytes()
 
 
 @pytest.mark.parametrize("c", [1e-1, 1e-3, 1e-6, 1e-8, 1e-9, 1e-12])

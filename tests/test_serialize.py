@@ -285,6 +285,17 @@ def test_sampled_matrix_missing_field_invalid(obj, msg):
         parse_config(obj)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_sampled_point_with_a_non_finite_component_invalid(value):
+    """A point no lookup can find is named, sample and component, not
+    dropped."""
+    good = {"n": 2, "lambda": [{"re": 0.5, "im": 0.0}] * 2}
+    bad = {"n": 2, "lambda": [{"re": 0.5, "im": 0.0}, {"re": 0.0, "im": value}]}
+    obj = {"kind": "matrix", "n": 2, "samples": [good, bad]}
+    with pytest.raises(ParameterError, match=r"sample 1: lambda component 2 is not finite"):
+        parse_config(obj)
+
+
 def test_sampled_lookup_reads_stacks_of_sample_points():
     p, c = golden_datum()
     R = build(p, c)

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynrmat.builder import build
@@ -337,7 +338,9 @@ def test_residual_normalized_is_the_global_residual_of_check_system(datum):
         assert got < 1e-9
 
 
-@pytest.mark.parametrize("c, det", [(1e-4, 0.0), (1e4, math.inf)], ids=["underflow", "overflow"])
+@pytest.mark.parametrize("c, det", [(1e-4, 0.0), (1e4, math.inf), (2.0 ** -600, 0.0),
+                                    (2.0 ** 600, math.inf)],
+                         ids=["underflow", "overflow", "2^-600", "2^600"])
 def test_invertibility_agrees_outside_the_float_range(c, det):
     R = build(*random_datum(12, np.random.default_rng(1), "trivial"))
     samples = sample_lambda(R, np.random.default_rng(0), 2)
@@ -371,14 +374,36 @@ def test_a_scaled_non_member_fails_at_small_scales(s):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(-300, 300))
+@given(st.integers(-900, 900))
 def test_a_power_of_two_times_r_gives_the_component_report_of_r(k):
+    """2^k R has the component report of R bit for bit.  A member's global
+    residual is raw / max(1, scale) of R's defect times 2^(3k), rounded
+    once: the defect at unit scale is R's, bit for bit."""
     member, bad, samples = _non_member_4()
+    reports = {}
     for R in (member, bad):
         report, scaled = check_system(R, samples), check_system(times(R, 2.0 ** k), samples)
         assert scaled.per_equation == report.per_equation
         assert scaled.worst_case == report.worst_case
         assert scaled.passed == report.passed
+        reports[R] = scaled
+    cube = Fraction(2) ** (3 * k)
+    want = []
+    for lam in samples:
+        raw, scale = map(Fraction, dqybe_defect(member, lam))
+        want.append(float(raw * cube / max(1, scale * cube)))
+    assert reports[member].global_residuals == want and reports[member].passed
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-1060, 1000))
+@example(-1040)
+def test_a_non_member_fails_at_every_power_of_two(k):
+    """Below 2^-1022 the tables are subnormal and 2^(1-e) is no float; the
+    non-member still fails, and no numpy warning is raised."""
+    _, bad, samples = _non_member_4()
+    assert not check_system(times(bad, 2.0 ** k), samples).passed
 
 
 def _zero_factor(which):
@@ -402,15 +427,16 @@ def test_invertibility_names_a_zero_factor(which, name):
                    "detail": f"factor {name} is 0j, zero or not finite"}
 
 
-def test_invertibility_names_a_non_finite_factor():
-    # d_12 d_21 overflows: the plane determinant is not finite
+def test_invertibility_reads_an_overflowing_plane_at_unit_scale():
+    # d_12 d_21 = 1e400 is no float, but at unit scale the plane determinant is
     def tables(lams):
         delta = np.broadcast_to(np.eye(2, dtype=complex), (len(lams), 2, 2)).copy()
         d = np.broadcast_to(np.array([[0, 1e200], [1e200, 0]], dtype=complex), delta.shape).copy()
         return delta, d
 
     res = check_invertibility(DynamicalRMatrix.from_tables(2, tables), np.zeros(2))
-    assert not res["agree"] and res["detail"].startswith("factor det_ij at pair (1,2) is (inf")
+    assert res["agree"] and res["detail"] is None
+    assert res["det_factorized"] == res["det_dense"] == complex(math.inf, 0)
 
 
 @pytest.mark.without_dense_oracle
