@@ -474,24 +474,16 @@ def recover_params(
     signs: dict[tuple[int, ...], int] = {}
     f_consts: dict[tuple[int, ...], complex] = {}
 
-    for q, (block, degenerate) in enumerate(zip(partition.blocks, degenerate_blocks(partition))):
+    for q, block in enumerate(partition.blocks):
         all_classes = [cls for dc in block for cls in dc.all_d_classes()]
-        if degenerate:
-            # single d-class block: only the class constant is observable;
-            # report the rational datum reproducing it (det = Delta^2)
-            cls = all_classes[0]
-            const = class_const(cls)
-            det_c = const * const
-            per_block.append(BlockConstants(0j, det_c))
-            signs[cls] = (
-                +1 if abs(principal_sqrt(det_c) - const) <= abs(
-                    principal_sqrt(det_c) + const
-                ) else -1
-            )
-            f_consts[cls] = 0j
-            continue
         pairs = [(a[0], b[0]) for k, a in enumerate(all_classes) for b in all_classes[k + 1:]]
-        inv_vals = [pair_constants(orig(i), orig(j)) for (i, j) in pairs]
+        if pairs:
+            inv_vals = [pair_constants(orig(i), orig(j)) for (i, j) in pairs]
+        else:
+            # single d-class block: only the class constant is observable;
+            # read it as the rational datum reproducing it (det = Delta^2)
+            const = class_const(all_classes[0])
+            inv_vals = [(0j, const * const)]
         s_vals = np.array([v[0] for v in inv_vals])
         det_vals = np.array([v[1] for v in inv_vals])
         scale = _magnitude(np.abs(s_vals).max(), np.abs(det_vals).max())
@@ -622,8 +614,8 @@ class QuotientTwoForm(TableTwoForm):
         self._from_orig = np.argsort(to_orig)
         self._missing = same & ~np.eye(len(cid), dtype=bool)
         sigmas = [b.det_const for b in base.per_block] + list(base.cross_det.values())
-        self._guard = POLE_GUARD * max([abs(b.sum_const) for b in base.per_block]
-                                       + [abs(v) ** 0.5 for v in sigmas])
+        self._guard = POLE_GUARD * _magnitude(max(abs(b.sum_const) for b in base.per_block),
+                                              max(map(abs, sigmas)))
         rows, cols = np.nonzero(np.triu(~same, 1))
         self._pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
 

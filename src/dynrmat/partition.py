@@ -75,15 +75,6 @@ class IndexPartition:
             out.extend(dclass.all_d_classes())
         return out
 
-    def block_of(self, i: int) -> int:
-        """0-based block index containing index ``i``."""
-        self._check_index(i)
-        for q, block in enumerate(self.blocks):
-            for dclass in block:
-                if i in dclass.members():
-                    return q
-        raise IndexError(f"index {i} not found in partition")
-
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise IndexError(f"index {i} out of range 1..{self.n}")

@@ -24,18 +24,11 @@ cached tables and raise :class:`PoleError` on a non-finite entry.
 The builder, the transforms and sampled configs make their matrices with
 :meth:`DynamicalRMatrix.from_tables`.  The keyword constructor
 ``DynamicalRMatrix(n, delta=..., d=...)`` adapts per-entry fields, callables
-``(i, j, lam) -> complex``.  Given the two readers of one matrix, it shares
-that matrix's table function behind an empty cache of its own.  Otherwise
-its table function calls each plain callable once per entry and point, and
-copies a field that is another matrix's reader, as ``R.d`` in
-``DynamicalRMatrix(n, delta=my_delta, d=R.d)``, from R's tables, evaluated
-once on the whole stack.  ``my_delta`` gets each point as ``lam``, a
-read-only row of a private copy of the stack.  While it runs at a point, R
-pins that exact object with the point's tables as nested lists, so a read
-``R.delta(i, j, lam)`` of the object passed is served from the pin; R's
-cache also holds the stack's points, so a read at an equal copy finds them.
-The pin is given back and the held entries are removed afterwards, so no
-table or pin outlives the call.
+``(i, j, lam) -> complex`` (see :func:`_field_tables`).  In
+``DynamicalRMatrix(n, delta=my_delta, d=R.d)``, R pins each point object
+that ``my_delta`` gets with the point's tables, so ``R.delta(i, j, lam)`` is
+served from the pin; a read at an equal copy of ``lam`` goes through R's
+cache like any other read, and leaves that point in it.
 
 Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
 1-based on both levels.
@@ -89,6 +82,33 @@ def _as_stack(lams: np.ndarray, n: int) -> np.ndarray:
     return lams
 
 
+def _coefficient_reader(part: int):
+    """The reader ``R.delta`` (part 0) or ``R.d`` (part 1)."""
+    row = part + 1
+
+    def read(self, i: int, j: int, lam) -> complex:
+        """Entry (i, j) of the exchange (``delta``) or diagonal (``d``, 0 for
+        i = j) table at ``lam``: from the pin when ``lam`` is the pinned
+        object (see :func:`_field_tables`), else from the cached tables
+        (a list or a real ``lam`` reads the same point).  Raises
+        :class:`PoleError` on a non-finite entry."""
+        pin = self._pin
+        if pin is not None and lam is pin[0]:
+            v = pin[row][i - 1][j - 1]
+        else:
+            mu = np.asarray(lam, dtype=complex)
+            hit = self._cache.get(mu.tobytes())
+            if hit is None:
+                delta, d = self.lookup(mu[None])
+                hit = delta[0], d[0]
+            v = hit[part].item(i - 1, j - 1)
+        if _isfinite(v):
+            return v
+        raise PoleError(_pole_message(i, j, lam))
+
+    return read
+
+
 class DynamicalRMatrix:
     """Zero-weight dynamical R-matrix given by one table function."""
 
@@ -102,7 +122,7 @@ class DynamicalRMatrix:
         if readers == ((owner, 0), (owner, 1)):
             fn = owner._fn
         else:
-            fn = _per_entry_tables(n, (delta, d), readers)
+            fn = _field_tables(n, (delta, d), readers)
         self._init(n, fn, provenance)
 
     def _init(self, n: int, fn: TableFunction, provenance: Optional[Provenance]) -> None:
@@ -113,7 +133,7 @@ class DynamicalRMatrix:
         # (points as bytes, delta, d) of the last stack lookup evaluated whole
         self._last: Optional[tuple] = None
         # (lam, delta rows, d rows): the point a per-entry adapter is
-        # running its callables at, read by identity (see _per_entry_tables)
+        # running its callables at, read by identity (see _field_tables)
         self._pin: Optional[tuple] = None
 
     @classmethod
@@ -127,41 +147,8 @@ class DynamicalRMatrix:
         R._init(n, fn, provenance)
         return R
 
-    # delta and d read a finite pinned entry themselves, not through _entry:
-    # a per-entry adapter's callables make such a read per entry and point
-    def delta(self, i: int, j: int, lam) -> complex:
-        """Exchange coefficient Delta_ij at ``lam``, read from the tables."""
-        pin = self._pin
-        if pin is not None and lam is pin[0]:
-            v = pin[1][i - 1][j - 1]
-            if _isfinite(v):
-                return v
-        return self._entry(0, i, j, lam)
-
-    def d(self, i: int, j: int, lam) -> complex:
-        """Diagonal coefficient d_ij at ``lam`` (0 for i = j), read from the
-        tables."""
-        pin = self._pin
-        if pin is not None and lam is pin[0]:
-            v = pin[2][i - 1][j - 1]
-            if _isfinite(v):
-                return v
-        return self._entry(1, i, j, lam)
-
-    def _entry(self, part: int, i: int, j: int, lam) -> complex:
-        pin = self._pin
-        if pin is not None and lam is pin[0]:
-            v = pin[part + 1][i - 1][j - 1]
-        else:
-            mu = np.asarray(lam, dtype=complex)
-            hit = self._cache.get(mu.tobytes())
-            if hit is None:
-                delta, d = self.lookup(mu[None])
-                hit = delta[0], d[0]
-            v = hit[part].item(i - 1, j - 1)
-        if not _isfinite(v):
-            raise PoleError(_pole_message(i, j, lam))
-        return v
+    delta = _coefficient_reader(0)
+    d = _coefficient_reader(1)
 
     def tables(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Dense n x n coefficient tables (exchange, diagonal) at ``lam``.
@@ -233,8 +220,8 @@ def _reader(field: CoefficientField) -> Optional[tuple[DynamicalRMatrix, int]]:
     return None
 
 
-def _per_entry_tables(n: int, fields: tuple[CoefficientField, CoefficientField],
-                      readers: tuple) -> TableFunction:
+def _field_tables(n: int, fields: tuple[CoefficientField, CoefficientField],
+                  readers: tuple) -> TableFunction:
     """The table function of the per-entry fields ``(delta, d)``, whose
     :func:`_reader` results are ``readers``: a reader's table is copied from
     its matrix's stack, and each plain callable is called once per entry and
@@ -242,8 +229,7 @@ def _per_entry_tables(n: int, fields: tuple[CoefficientField, CoefficientField],
     :class:`PoleError`.  The callables get each point as a read-only row of
     a private copy of the stack.  While they run at a point, each matrix
     behind a reader pins that row object with its two tables as nested
-    lists, and the matrices hold every point of the stack in their caches,
-    so a read at an equal point finds it too."""
+    lists; a read at any other object goes through the matrix's cache."""
     owners = list(dict.fromkeys(r[0] for r in readers if r is not None))
     plain = [(part, f) for part, (f, r) in enumerate(zip(fields, readers)) if r is None]
     nan = complex("nan")
@@ -262,14 +248,7 @@ def _per_entry_tables(n: int, fields: tuple[CoefficientField, CoefficientField],
         lams = lams.copy()
         lams.setflags(write=False)
         saved = [(M, M._pin) for M in owners]
-        held = []
         try:
-            for M, stack in stacks.items():
-                for p, lam in enumerate(lams):
-                    key = lam.tobytes()
-                    if key not in M._cache:
-                        M._cache[key] = value = stack[0][p], stack[1][p]
-                        held.append((M, key, value))
             for p, lam in enumerate(lams):
                 for M, stack in stacks.items():
                     M._pin = lam, stack[0][p].tolist(), stack[1][p].tolist()
@@ -284,9 +263,6 @@ def _per_entry_tables(n: int, fields: tuple[CoefficientField, CoefficientField],
         finally:
             for M, pin in saved:
                 M._pin = pin
-            for M, key, value in held:
-                if M._cache.get(key) is value:
-                    del M._cache[key]
         return out[0], out[1]
 
     return tables

@@ -477,12 +477,12 @@ def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
     the Delta_ii and the plane determinants d_ij d_ji - Delta_ij Delta_ji.
     The factors are read at unit scale, times 2^k and 2^(2k), so that none
     overflows or underflows and c R is invertible where R is.
-    ``agree`` says that every factor is finite and nonzero.
-    ``det_factorized`` is the exponential of the sum of their complex
-    logarithms, less k n^2 log 2, inf or 0 outside the float range, or 0
-    when a factor is zero; ``det_dense`` holds the same value.  ``detail``
-    names the first zero or non-finite factor (diagonal ones first, then
-    pairs in row-major order), or is None.
+    At unit scale every factor is finite, and ``agree`` says that none is
+    zero.  ``det_factorized`` is the exponential of the sum of their
+    complex logarithms, less k n^2 log 2, inf or 0 outside the float range,
+    or 0 when a factor is zero; ``det_dense`` holds the same value.
+    ``detail`` names the first zero factor (diagonal ones first, then pairs
+    in row-major order) and its value, or is None.
     """
     tables = np.array(R.tables(np.asarray(lam, dtype=complex)))
     k, _ = unit_scale(tables)
@@ -491,7 +491,7 @@ def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
     factors = np.diagonal(delta_tab).tolist()
     for i, row in enumerate(dets.tolist()):
         factors += row[i + 1:]
-    bad = next((i for i, v in enumerate(factors) if v == 0 or not cmath.isfinite(v)), None)
+    bad = next((i for i, v in enumerate(factors) if v == 0), None)
     if bad is None:
         det = _exp(sum(map(cmath.log, factors)) - k * R.n ** 2 * math.log(2))
         detail = None
@@ -503,7 +503,7 @@ def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
             pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
             where = "det_ij at pair ({},{})".format(*pairs[bad - n])
         det = math.prod(factors)
-        detail = f"factor {where} is {factors[bad]}, zero or not finite"
+        detail = f"factor {where} is {factors[bad]}"
     return {"det_factorized": det, "det_dense": det, "agree": detail is None,
             "detail": detail}
 

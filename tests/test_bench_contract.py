@@ -105,6 +105,32 @@ def test_fresh_evaluates_a_stack_in_one_call_behind_its_own_cache():
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("wrapper", ["scaled_exchange", "one_sided_diagonal"])
+def test_input_wrappers_read_their_inner_matrix_from_one_stack_call(wrapper):
+    """The benchmark's non-member wrappers read their inner matrix at the
+    point they are given, so its pin serves every read: one table call per
+    stack, and no per-entry cache miss."""
+    inputs = _bench_module("inputs")
+    datum = inputs.draw_datum(inputs.Template("T f2d2,f1 | R f1", "exact"),
+                              np.random.default_rng(5))
+    inner = datum.build()
+    calls = []
+
+    def tables(lams):
+        calls.append(len(lams))
+        return raw_tables(inner, lams)
+
+    R = DynamicalRMatrix.from_tables(inner.n, tables)
+    pair = inputs.coupled_pair(datum.partition)
+    args = (lambda lam: 1 + 0.3 * lam[0],) if wrapper == "scaled_exchange" else ()
+    W = getattr(inputs, wrapper)(R, pair, *args)
+    lams = stencil_points(np.array(random_points(np.random.default_rng(6), R.n, 2)))
+    for stack in lams:
+        W.stacked_tables(stack)
+    assert calls == [len(lams[0])] * len(lams)
+    assert R._cache == {} and R._pin is None
+
+
 def test_stencil_defect_is_the_defect_of_one_shift_stencil():
     """A traced global check can wrap ``verifier._stencil_defect``: it takes
     one stencil's (n+1, n, n) tables and gives ``dqybe_defect``'s (raw,

@@ -428,7 +428,7 @@ def test_verify_names_the_sample_and_factor_when_only_invertibility_fails(tmp_pa
     assert obj["passed"] is False and obj["invertibility_agree"] is False
     assert obj["global_residual"] == 0 and set(obj["per_equation"].values()) == {0}
     assert err == (f"FAIL: invertibility check failed at sample 1 of 1, lam={lam}: "
-                   "factor Delta_ii at index 2 is 0j, zero or not finite\n")
+                   "factor Delta_ii at index 2 is 0j\n")
 
 
 @pytest.mark.filterwarnings("error")

@@ -674,8 +674,7 @@ def test_wrapper_evaluation_leaves_the_inner_cache_as_it_found_it(fail):
     else:
         raw_tables(W, lams)
     assert [len(pts) for pts in calls] == [5]
-    # the point cached before stays cached; the points held for the
-    # per-entry loop are gone
+    # the point cached before stays cached; the per-entry loop cached none
     R.stacked_tables(lams)
     assert [len(pts) for pts in calls] == [5, 4]
     assert np.array_equal(calls[1], lams[1:])
@@ -700,15 +699,15 @@ def test_tables_raise_at_a_pole_whether_cold_cached_or_held():
     R.tables(good)
     assert R.delta(1, 3, on_12) == build(p, c).delta(1, 3, on_12)  # a finite entry
     assert pole_messages(on_12) == [msg, msg]  # after reads there and a cached point
-    held = []
+    pinned = []
 
     def delta(i, j, lam):
         if np.array_equal(lam, on_12):
-            held.extend(pole_messages(lam))
+            pinned.extend(pole_messages(lam))
         return R.delta(i, j, lam)
 
     got = raw_tables(DynamicalRMatrix(n=4, delta=delta, d=R.d), np.array([good, on_12]))
-    assert held == [msg, msg] * 16  # on every read while on_12 is held
+    assert pinned == [msg, msg] * 16  # on every read while on_12 is pinned
     assert np.isnan(got[0][1, 0, 1]) and np.isfinite(got[0][1, 0, 2])
 
 
@@ -726,7 +725,7 @@ def test_per_entry_reads_keep_pole_messages_and_lambda_conversion():
             raise
 
     W = DynamicalRMatrix(n=4, delta=delta, d=R.d)
-    got = raw_tables(W, np.array([on_12]))  # the read at a held point
+    got = raw_tables(W, np.array([on_12]))  # the read at a pinned point
     assert np.isnan(got[0][0, 0, 1])
     with pytest.raises(PoleError) as outside:
         R.delta(1, 2, np.array(on_12))
@@ -757,7 +756,7 @@ def test_nested_wrappers_evaluate_the_inner_matrix_once_per_stack():
         want = _per_entry_tables(W, mu)
         assert np.array_equal(got[0][k], want[0]) and np.array_equal(got[1][k], want[1])
     # a wrapper whose d reads a table matrix over another wrapper of R: each
-    # of its points evaluates R again, while R holds the outer stack
+    # of its points evaluates R again, while R pins the outer stack
     T = DynamicalRMatrix.from_tables(4, lambda mus: raw_tables(W, mus))
     V = DynamicalRMatrix(n=4, delta=R.delta, d=lambda i, j, mu: 2 * T.d(i, j, mu))
     calls.clear()
@@ -869,21 +868,54 @@ def test_writing_to_the_point_inside_a_callable_raises():
     assert lams.flags.writeable and lams[0, 0] == 0.1  # the caller's stack is untouched
 
 
-def test_a_read_at_an_equal_point_is_served_by_the_held_stack():
+@pytest.mark.parametrize("fail", [False, True])
+def test_a_read_at_an_equal_copy_goes_through_the_inner_cache(fail):
     p, c = golden_datum()
     R, calls = _counting(build(p, c))
     lams = stencil_points(np.array([0.1, 0.7j, -0.3, 0.5 + 0.5j]))
     pairs = []
 
     def delta(i, j, lam):
+        if fail and np.array_equal(lam, lams[3]):
+            raise RuntimeError("wrapper failed")
         mu = lam.copy()
         pairs.append((_read(R.delta, i, j, mu), _read(R.delta, i, j, lam)))
         return R.delta(i, j, mu)
 
-    got = raw_tables(DynamicalRMatrix(n=4, delta=delta, d=R.d), lams)
-    assert [len(pts) for pts in calls] == [5]  # no extra inner call
-    assert len(pairs) == 5 * 16 and all(a == b for a, b in pairs)
-    assert np.array_equal(got[0], build(p, c).stacked_tables(lams)[0])
+    W = DynamicalRMatrix(n=4, delta=delta, d=R.d)
+    if fail:
+        with pytest.raises(RuntimeError, match="wrapper failed"):
+            raw_tables(W, lams)
+    else:
+        got = raw_tables(W, lams)
+        assert np.array_equal(got[0], build(p, c).stacked_tables(lams)[0])
+    done = 3 if fail else 5  # the points whose callables ran
+    # the inner stack in one call, and one call per distinct copied point
+    assert [len(pts) for pts in calls] == [5] + [1] * done
+    assert all(np.array_equal(pts[0], mu) for pts, mu in zip(calls[1:], lams))
+    assert len(pairs) == done * 16 and all(a == b for a, b in pairs)
+    assert R._pin is None
+    if not fail:  # the copied points stay cached: a second evaluation reads them there
+        calls.clear()
+        raw_tables(W, lams)
+        assert [len(pts) for pts in calls] == [5]
+
+
+def test_a_read_of_a_pole_at_an_equal_copy_raises_the_pinned_text():
+    p, c = golden_datum()
+    R = build(p, c)
+    on_12 = np.array([0.2, 0.2, 0.5 - 0.5j, 0.1j])  # pair (1,2): lam1 = lam2
+    texts = []
+
+    def delta(i, j, lam):
+        if (i, j) == (1, 2):
+            texts.append((_read(R.delta, i, j, lam), _read(R.delta, i, j, lam.copy())))
+        return R.delta(i, j, lam)
+
+    got = raw_tables(DynamicalRMatrix(n=4, delta=delta, d=R.d), np.array([on_12]))
+    msg = f"non-finite coefficient at pair (1,2), lam={on_12}"
+    assert texts == [(msg, msg)]
+    assert np.isnan(got[0][0, 0, 1]) and np.isfinite(got[0][0, 0, 2])
 
 
 def test_a_read_at_another_point_is_not_served_from_the_pin():

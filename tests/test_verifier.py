@@ -424,7 +424,7 @@ def test_invertibility_names_a_zero_factor(which, name):
     assert check_system(W, [lam]).passed
     res = check_invertibility(W, lam)
     assert res == {"det_factorized": 0j, "det_dense": 0j, "agree": False,
-                   "detail": f"factor {name} is 0j, zero or not finite"}
+                   "detail": f"factor {name} is 0j"}
 
 
 def test_invertibility_reads_an_overflowing_plane_at_unit_scale():
