@@ -29,7 +29,7 @@ from .params import (
     pair_table,
     principal_sqrt,
 )
-from .partition import DeltaClass, IndexPartition, class_id_map
+from .partition import IndexPartition, class_id_map, relabel
 from .rmatrix import DynamicalRMatrix, pair_invariants, shift_stencil
 from .verifier import _require_positive, sample_lambda
 
@@ -337,39 +337,18 @@ def classify(
     pi, sizes = block_structure(M_R, sigma)
 
     # canonical partition: blocks in pi order, exchange classes in chain
-    # order, free indices before multi-element d-classes, relabelled 1..n
-    dclass_of = {}
-    for cls in d_classes:
-        for i in cls:
-            dclass_of[i] = cls
-    index_permutation: dict[int, int] = {}
-    next_label = 1
+    # order, members ascending inside each (classes are sorted tuples)
+    dclass_of = {i: cls for cls in d_classes for i in cls}
     blocks = []
     pos = 0
     for size in sizes:
-        block_cls = pi[pos:pos + size]
+        blocks.append([
+            ([i for i in delta_classes[c] if len(dclass_of[i]) == 1],
+             sorted({dclass_of[i] for i in delta_classes[c] if len(dclass_of[i]) > 1}))
+            for c in pi[pos:pos + size]
+        ])
         pos += size
-        block = []
-        for c in block_cls:
-            members = delta_classes[c]
-            frees = sorted(i for i in members if len(dclass_of[i]) == 1)
-            multis = sorted(
-                {dclass_of[i] for i in members if len(dclass_of[i]) > 1},
-                key=lambda cls: cls[0],
-            )
-            ordered = list(frees)
-            for m in multis:
-                ordered.extend(sorted(m))
-            for i in ordered:
-                index_permutation[i] = next_label
-                next_label += 1
-            new_free = tuple(index_permutation[i] for i in frees)
-            new_multis = tuple(
-                tuple(index_permutation[i] for i in sorted(m)) for m in multis
-            )
-            block.append(DeltaClass(free=new_free, d_classes=new_multis))
-        blocks.append(tuple(block))
-    partition = IndexPartition(n=R.n, blocks=tuple(blocks))
+    partition, index_permutation = relabel(R.n, blocks)
     return IncidenceReport(
         M_R=M_R,
         levels=levels,

@@ -86,7 +86,10 @@ def _planes(delta_st: np.ndarray, d_st: np.ndarray, lim: float, scale: float):
                     )
             s, det = pair_mean[i][j]
             disc = principal_sqrt(s * s + 4 * det)
-            pair_eigs[(i + 1, j + 1)] = ((s + disc) / 2, (s - disc) / 2)
+            # a block scalar within lim has the double root s/2; from disc,
+            # its two values would split by about sqrt(eps) scale
+            pair_eigs[(i + 1, j + 1)] = (
+                (s / 2, s / 2) if scalar[i][j] else ((s + disc) / 2, (s - disc) / 2))
             pair_diagonalizable[(i + 1, j + 1)] = scalar[i][j] if abs(disc) <= lim else True
     diag = dict(enumerate(diag_mean.tolist(), 1))
     return diag, pair_eigs, pair_diagonalizable, not bool(np.triu(off > lim, 1).any())
@@ -143,8 +146,7 @@ def _verdict(delta_st: np.ndarray, d_st: np.ndarray, scale: float, tol: float,
     values = np.array([*diag.values(), *(e for pair in pair_eigs.values() for e in pair)])
 
     if d_small and (np.abs(values - values[0]) <= reach).all():
-        # one d-class: the flip-composed matrix is a constant times the
-        # identity, up to the ~sqrt(eps) split of each plane's double root
+        # one d-class: the flip-composed matrix is a constant times the identity
         return report("DegenerateSingleDClass", diag[1], -diag[1],
                       detail="single d-class: minimal polynomial has degree one")
 

@@ -80,6 +80,32 @@ class IndexPartition:
             raise IndexError(f"index {i} out of range 1..{self.n}")
 
 
+def relabel(n: int, blocks) -> tuple[IndexPartition, dict]:
+    """Number the labels of ``blocks`` 1..n depth-first: the canonical order.
+
+    ``blocks`` is a sequence of blocks, each a sequence of exchange classes
+    given as ``(free, d_classes)`` over arbitrary labels.  Labels are
+    numbered block by block, class by class, frees before d-classes, in the
+    order given.  Returns the partition and the map old label -> new label,
+    in new-label order.
+    """
+    index_map: dict = {}
+
+    def number(labels) -> tuple[int, ...]:
+        for i in labels:
+            index_map[i] = len(index_map) + 1
+        return tuple(index_map[i] for i in labels)
+
+    relabelled = tuple(
+        tuple(
+            DeltaClass(free=number(free), d_classes=tuple(number(c) for c in d_classes))
+            for free, d_classes in block
+        )
+        for block in blocks
+    )
+    return IndexPartition(n=n, blocks=relabelled), index_map
+
+
 def validate(p: IndexPartition) -> ValidationResult:
     """Check all structural invariants of an :class:`IndexPartition`.
 

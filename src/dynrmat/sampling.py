@@ -10,6 +10,7 @@ tolerances remain meaningful.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ from .params import (
     derive,
     normalize_f,
 )
-from .partition import DeltaClass, IndexPartition, nd_pairs
+from .partition import IndexPartition, nd_pairs, relabel
 
 
 def _random_composition(total: int, rng: np.random.Generator) -> list[int]:
@@ -38,8 +39,8 @@ def _random_composition(total: int, rng: np.random.Generator) -> list[int]:
 
 
 def random_partition(n: int, rng: np.random.Generator) -> IndexPartition:
+    labels = itertools.count()  # placeholders, numbered 1..n by relabel
     blocks = []
-    next_index = 1
     for block_size in _random_composition(n, rng):
         classes = []
         for class_size in _random_composition(block_size, rng):
@@ -56,15 +57,10 @@ def random_partition(n: int, rng: np.random.Generator) -> IndexPartition:
                     size += 1
                 d_sizes.append(size)
                 rest -= size
-            free = tuple(range(next_index, next_index + free_count))
-            next_index += free_count
-            d_classes = []
-            for size in d_sizes:
-                d_classes.append(tuple(range(next_index, next_index + size)))
-                next_index += size
-            classes.append(DeltaClass(free=free, d_classes=tuple(d_classes)))
-        blocks.append(tuple(classes))
-    return IndexPartition(n=n, blocks=tuple(blocks))
+            classes.append(([next(labels) for _ in range(free_count)],
+                            [[next(labels) for _ in range(k)] for k in d_sizes]))
+        blocks.append(classes)
+    return relabel(n, blocks)[0]
 
 
 def _random_complex(rng: np.random.Generator, lo: float, hi: float) -> complex:

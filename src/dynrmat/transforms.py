@@ -42,7 +42,7 @@ from .params import (
     principal_sqrt,
     two_form_covers,
 )
-from .partition import DeltaClass, IndexPartition, ValidationResult, nd_pairs
+from .partition import IndexPartition, ValidationResult, nd_pairs, relabel
 from .rmatrix import DynamicalRMatrix, raw_tables, stencil_points
 
 DEFAULT_CLOSED_TOL = 1e-10
@@ -289,70 +289,33 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
             "apply the 2-form separately"
         )
     p = params.partition
-    new_blocks = []
-    # original label -> (new position in canonical order)
-    order: list[int] = []
+    blocks = []
+    # per old d-class its f times eta^(1-p), p the exchange class's position;
+    # a real scale, componentwise: at p = 1 every bit stays, signed zeros too
     new_f: dict = {}
-    new_signs: dict = {}
-    # per (old_label), the exchange-class position for the compensator
-    class_position: dict[int, int] = {}
+    class_position: dict[int, int] = {}  # per old label, for the compensator
     for q, block in enumerate(p.blocks):
-        if len(block) < 2:
-            # nothing to merge; keep as is
-            new_blocks.append(block)
-            for dclass in block:
-                for idx in dclass.members():
-                    order.append(idx)
-                    class_position[idx] = 1
-                for cls in dclass.all_d_classes():
-                    new_f[cls] = params.f_consts[cls]
-                    new_signs[cls] = params.signs[cls]
-            continue
-        if params.per_block[q].rational:
-            raise ParameterError(
-                "cannot merge exchange classes of a zero-sum block"
-            )
-        frees: list[int] = []
-        dcs: list[tuple[int, ...]] = []
+        if len(block) > 1 and params.per_block[q].rational:
+            raise ParameterError("cannot merge exchange classes of a zero-sum block")
         for pos, dclass in enumerate(block, start=1):
-            scale = eta ** (1 - pos)
-            for idx in dclass.free:
-                frees.append(idx)
-                class_position[idx] = pos
-                cls = (idx,)
-                new_f[cls] = complex(params.f_consts[cls]) * scale
-                new_signs[cls] = params.signs[cls]
-            for cls in dclass.d_classes:
-                dcs.append(cls)
-                for idx in cls:
-                    class_position[idx] = pos
-                new_f[cls] = complex(params.f_consts[cls]) * scale
-                new_signs[cls] = params.signs[cls]
-        merged = DeltaClass(free=tuple(frees), d_classes=tuple(dcs))
-        new_blocks.append((merged,))
-        order.extend(merged.members())
-    index_map = {old: pos + 1 for pos, old in enumerate(order)}
+            for cls in dclass.all_d_classes():
+                f, s = params.f_consts[cls], eta ** (1 - pos)
+                new_f[cls] = complex(f.real * s, f.imag * s)
+                class_position.update(dict.fromkeys(cls, pos))
+        blocks.append([([i for dc in block for i in dc.free],
+                        [cls for dc in block for cls in dc.d_classes])])
+    new_p, index_map = relabel(p.n, blocks)
+    order = list(index_map)  # old labels in new-label order
 
-    def relabel_cls(cls: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted(index_map[i] for i in cls))
+    def new(cls: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(index_map[i] for i in cls)
 
-    relabeled_blocks = tuple(
-        tuple(
-            DeltaClass(
-                free=tuple(index_map[i] for i in dclass.free),
-                d_classes=tuple(relabel_cls(c) for c in dclass.d_classes),
-            )
-            for dclass in block
-        )
-        for block in new_blocks
-    )
-    new_p = IndexPartition(n=p.n, blocks=relabeled_blocks)
     merged_params = ClassificationParams(
         partition=new_p,
         per_block=params.per_block,
         cross_det=params.cross_det,
-        signs={relabel_cls(c): s for c, s in new_signs.items()},
-        f_consts={relabel_cls(c): v for c, v in new_f.items()},
+        signs={new(c): params.signs[c] for c in new_f},
+        f_consts={new(c): f for c, f in new_f.items()},
         two_form=TrivialTwoForm(),
     )
     merged_params, _ = normalize_f(merged_params)

@@ -107,10 +107,11 @@ def planes(delta_st: np.ndarray, d_st: np.ndarray, lim: float, scale: float):
                     raise NotInFamilyError(
                         f"{what} ({i + 1},{j + 1}) varies with the dynamical point")
             disc = principal_sqrt(s * s + 4 * det)
-            pair_eigs[(i + 1, j + 1)] = ((s + disc) / 2, (s - disc) / 2)
-            pair_diagonalizable[(i + 1, j + 1)] = (
-                bool(off[i, j] <= lim and skew[i, j] <= lim) if abs(disc) <= lim else True
-            )
+            scalar = bool(off[i, j] <= lim and skew[i, j] <= lim)
+            # a scalar block's double root, exactly
+            pair_eigs[(i + 1, j + 1)] = (
+                (s / 2, s / 2) if scalar else ((s + disc) / 2, (s - disc) / 2))
+            pair_diagonalizable[(i + 1, j + 1)] = scalar if abs(disc) <= lim else True
     return diag, pair_eigs, pair_diagonalizable, not np.triu(off > lim, 1).any()
 
 

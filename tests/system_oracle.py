@@ -9,12 +9,18 @@ its report must equal this one float for float.  Every sample is read at
 unit scale, its tables times 2^k so that their largest modulus C is in
 [1, 2), and the global residual raw / max(1, scale) of the unscaled
 tables is taken from the defect there in exact rational arithmetic.
+
+:func:`oracle_entry_map` pins the paper's equivalence of the shifted
+relation with the component system entry by entry: each entry of
+left - right that is not identically zero is one component equation's
+value, up to a sign.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -76,6 +82,59 @@ def oracle_defect(delta_st, d_st):
     raw = float(np.abs(left - right).max())
     scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
     return raw, scale
+
+
+def oracle_entry_sums(delta_st, d_st):
+    """left - right and the sum of |path products| of every (column, row)
+    entry that a path reaches, summed in path order with Python's operators,
+    so that tables of exact numbers (object arrays) give exact entries."""
+    size = delta_st.shape[1] ** 3
+    entries, weights = {}, {}
+    for sign, factors in ((1, _LEFT), (-1, _RIGHT)):
+        rows, w = oracle_path_products(delta_st, d_st, factors)
+        for key, v in zip(zip(np.tile(np.arange(size), 8).tolist(), rows.tolist()), w.tolist()):
+            entries[key] = entries.get(key, 0) + sign * v
+            weights[key] = weights.get(key, 0) + abs(v)
+    return entries, weights
+
+
+def constrained_indices(tag: str, n: int) -> list[tuple[int, ...]]:
+    """The 1-based index tuples at which equation ``tag`` is an equation:
+    each i for G0, the pairs i != j for F, the distinct triples for E."""
+    arity = {"G": 1, "F": 2, "E": 3}[tag[0]]
+    return [tuple(i + 1 for i in idx) for idx in np.ndindex(*(n,) * arity)
+            if len(set(idx)) == arity]
+
+
+@lru_cache(maxsize=None)
+def oracle_entry_map(n: int) -> dict:
+    """Map each (column, row) entry of left - right that is not identically
+    zero to ``(tag, indices, sign)``: the entry is ``sign`` times the value
+    of equation ``tag`` at the 1-based ``indices``.
+
+    Found on one draw of random complex tables with d's diagonal 0, by
+    matching each entry (nonzero there, against the sum of |path products|
+    of the entry) to the one component value that equals it up to sign;
+    the match must be unambiguous and reach every component value once.
+    """
+    rng = np.random.default_rng(n)
+    delta_st, d_st = rng.normal(size=(2, n + 1, n, n, 2)) @ np.array([1, 1j])
+    d_st[:, np.arange(n), np.arange(n)] = 0
+    entries, weights = oracle_entry_sums(delta_st, d_st)
+    values = oracle_equation_values(delta_st[0], d_st[0], delta_st[1:], d_st[1:])
+    labels = [(tag, idx) for tag in EQUATION_TAGS for idx in constrained_indices(tag, n)]
+    candidates = np.array([values[tag][tuple(i - 1 for i in idx)] for tag, idx in labels])
+    out = {}
+    for key, v in entries.items():
+        if abs(v) <= 1e-12 * weights[key]:
+            continue
+        gap = np.stack([abs(candidates - v), abs(candidates + v)])  # sign +1, -1
+        best = np.unravel_index(int(np.argmin(gap)), gap.shape)
+        assert gap[best] <= 1e-12 * weights[key], (key, v)
+        assert (np.delete(gap.min(axis=0), best[1]) > 1e-6 * abs(v)).all(), (key, v)
+        out[key] = (*labels[best[1]], 1 - 2 * int(best[0]))
+    assert sorted(label[:2] for label in out.values()) == sorted(labels)
+    return out
 
 
 def oracle_equation_values(delta0, d0, delta_sh, d_sh):

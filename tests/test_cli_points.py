@@ -1,5 +1,5 @@
 """The full stdout of ``build --lambda`` and of every ``transform`` mode,
-byte for byte, on the golden datum and on
+byte for byte, on the golden datum, on a two-block datum for ``--scale``, and on
 ``random_datum(5, default_rng(1), "exact")``, as recorded in
 tests/golden/; and the same bytes with every dense helper and dense
 determinant refused, since points and limit distances are written from
@@ -40,6 +40,20 @@ INPUTS = {
     "golden": lambda: params_to_json(golden_datum()[1]),
     "sampled": _sampled_golden,
     "exact": lambda: params_to_json(random_datum(5, np.random.default_rng(1), "exact")[1]),
+    # one two-class trigonometric block, and one single-class rational block
+    # whose f carries a signed zero
+    "mixed": lambda: {
+        "kind": "datum",
+        "partition": {"n": 6, "blocks": [
+            [{"free": [], "d_classes": [[1, 2]]}, {"free": [3], "d_classes": []}],
+            [{"free": [4], "d_classes": [[5, 6]]}]]},
+        "per_block": [{"S": {"re": 1.0, "im": 0.5}, "Sigma": {"re": 0.75, "im": -0.25}},
+                      {"S": {"re": 0.0, "im": 0.0}, "Sigma": {"re": 2.0, "im": 0.0}}],
+        "cross_sigma": [[0, 1, {"re": 1.5, "im": 0.25}]],
+        "signs": {"1,2": 1, "3": 1, "4": 1, "5,6": -1},
+        "f": {"1,2": {"re": 1.0, "im": 0.0}, "3": {"re": 1.0, "im": 0.0},
+              "4": {"re": 0.0, "im": 0.0}, "5,6": {"re": 0.7, "im": -0.0}},
+        "two_form": {"type": "trivial"}},
     "twist4": lambda: {"potentials": {
         "1": {"lin": [0.2, 0.0, 0.0, 0.0]},
         "3": {"const": 1.0, "quad": [0.0, 0.0, 0.1, 0.0]},
@@ -74,6 +88,7 @@ CASES = {
     "transform_compose_exact": ["transform", "exact", "--compose", "golden",
                                 "--g-ab", "1+0.5j", "--g-ba", "-0.75"],
     "transform_scale_golden": ["transform", "golden", "--scale", "0.1"],
+    "transform_scale_mixed": ["transform", "mixed", "--scale", "0.1"],
     "transform_limit_golden": ["transform", "golden", "--limit", "1e-1,1e-2,1e-3"],
     "transform_limit_golden_negative": ["transform", "golden", "--limit=-0.5,-0.05,-0.004"],
 }

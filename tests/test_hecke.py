@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dynrmat.builder import build
 from dynrmat.cli import EXIT_OK, main
 from dynrmat.errors import NotInFamilyError
-from dynrmat.hecke import basic_form_distance, hecke_classify
+from dynrmat.hecke import _verdict, basic_form_distance, hecke_classify
 from dynrmat.params import (
     BlockConstants,
     ClassificationParams,
@@ -17,7 +17,7 @@ from dynrmat.params import (
     normalize_f,
 )
 from dynrmat.partition import DeltaClass, IndexPartition, single_class_partition
-from dynrmat.rmatrix import DynamicalRMatrix
+from dynrmat.rmatrix import DynamicalRMatrix, raw_tables
 from dynrmat.sampling import random_datum
 from dynrmat.serialize import params_to_json
 from dynrmat.verifier import sample_lambda
@@ -236,6 +236,72 @@ def test_hecke_agrees_with_the_predictor_on_random_data():
         two_form = ("trivial", "table", "exact")[seed // 6 % 3]
         kinds.add(_assert_predicted(*random_datum(n, np.random.default_rng(seed), two_form)))
     assert kinds == {"Hecke", "WeakHecke", "DegenerateSingleDClass", "NotHecke"}
+
+
+@pytest.mark.parametrize("spread, varies", [(2.5, False), (4.0, True)])
+def test_hecke_holds_a_plane_determinant_to_lim_times_scale(spread, varies):
+    """At scale C = 1.9 and tol 1e-9, lim is 1.9e-9: a plane determinant,
+    a product of two entries, may vary by lim * C = 3.61e-9 and no more."""
+    eps = spread * 1e-9
+
+    def tables(lams):
+        delta = np.array([[1.9, 0.3], [0.4, 0.7]], dtype=complex)
+        d = np.zeros((len(lams), 2, 2), dtype=complex)
+        d[:, 0, 1] = 0.5 + eps * np.sign(lams[:, 0].real)
+        d[:, 1, 0] = 1.0
+        return np.repeat(delta[None], len(lams), axis=0), d
+
+    R = DynamicalRMatrix.from_tables(2, tables)
+    samples = [np.array([x, 0j]) for x in (1.0, -1.0, 2.0, -2.0)]
+    if varies:
+        with pytest.raises(NotInFamilyError, match=r"pair determinant \(1,2\) varies"):
+            hecke_classify(R, samples=samples)
+    else:
+        hecke_classify(R, samples=samples)
+
+
+def test_hecke_takes_values_within_reach_for_one_single_d_class():
+    """Eigenvalues within 1e4 tol scale are one: a single d-class whose
+    Delta_22 is off by 1e-7 relative, far above tol scale, is still
+    degenerate."""
+    R = build(single_class_partition(3), normalize_f(ClassificationParams(
+        partition=single_class_partition(3), per_block=(BlockConstants(0j, 4 + 0j),),
+        signs={(1, 2, 3): 1}, f_consts={(1, 2, 3): 0j}))[0])
+
+    def tables(lams):
+        delta, d = (t.copy() for t in raw_tables(R, lams))
+        delta[:, 1, 1] *= 1 + 1e-7
+        return delta, d
+
+    rep = hecke_classify(DynamicalRMatrix.from_tables(3, tables))
+    assert (rep.kind, rep.rho) == ("DegenerateSingleDClass", 2)
+
+
+def test_a_nan_eigenvalue_is_a_cluster_of_its_own():
+    """Finite tables never give one, but the first-fit clustering must end
+    on any value: a NaN, near no value, heads its own cluster."""
+    delta = np.array([[[np.nan, 0.5], [0.5, 1.0]]] * 3, dtype=complex)
+    rep = _verdict(delta, np.zeros_like(delta), 1.0, 1e-9, [])
+    clusters = rep.evidence["eigenvalue_clusters"]
+    assert np.isnan(clusters[0]) and clusters[1:] == [1, 0.5], clusters
+    assert rep.kind == "NotHecke"
+
+
+def test_hecke_at_a_tight_tol_agrees_with_the_predictor_at_every_scale():
+    """At tol 1e-13 the eigenvalues of c R, c in {1, 3.7, 1e-8, 2^40},
+    are read at the same samples: a plane inside a d-class is scalar
+    and its double root is s/2 exactly, so the kind and detail are those of
+    c = 1 and the predictor's, with no sqrt(eps) split of the root."""
+    for seed in range(600):
+        n = 1 + seed % 6
+        two_form = ("trivial", "table", "exact")[seed // 6 % 3]
+        p, c = random_datum(n, np.random.default_rng(seed), two_form)
+        R = build(p, c)
+        samples = sample_lambda(R, np.random.default_rng(0), 5, stencil=False)
+        kind, rho, kappa = predict(p, c)
+        reports = [hecke_classify(times(R, scale), samples=samples, tol=1e-13)
+                   for scale in (1.0, 3.7, 1e-8, 2.0 ** 40)]
+        assert {(rep.kind, rep.detail) for rep in reports} == {(kind, reports[0].detail)}, seed
 
 
 @pytest.mark.parametrize("sigma", CUT_SIGMAS, ids=["+0", "-0", "+1e-13", "-1e-13"])

@@ -12,6 +12,7 @@ from dynrmat.partition import (
     delta_class_of,
     from_json,
     nd_pairs,
+    relabel,
     single_class_partition,
     to_json,
     validate,
@@ -82,6 +83,44 @@ def test_members_and_all_d_classes():
     cls = DeltaClass(free=(1, 2), d_classes=((3, 4), (5, 6, 7)))
     assert cls.members() == (1, 2, 3, 4, 5, 6, 7)
     assert cls.all_d_classes() == ((1,), (2,), (3, 4), (5, 6, 7))
+
+
+def _as_blocks(p):
+    return [[(d.free, d.d_classes) for d in block] for block in p.blocks]
+
+
+def test_relabel_of_a_canonical_partition_is_the_identity():
+    for p in (golden_datum()[0], all_free_partition(3), single_class_partition(4),
+              random_partition(9, np.random.default_rng(5))):
+        q, index_map = relabel(p.n, _as_blocks(p))
+        assert q == p
+        assert list(index_map.items()) == [(i, i) for i in range(1, p.n + 1)]
+
+
+def test_relabel_numbers_shuffled_labels_depth_first_frees_first():
+    blocks = [[(["e"], [("b", "x")]), ((), [("q", "a"), ("z", "c")])], [(("m", "k"), ())]]
+    p, index_map = relabel(9, blocks)
+    assert p == IndexPartition(n=9, blocks=(
+        (DeltaClass(free=(1,), d_classes=((2, 3),)),
+         DeltaClass(d_classes=((4, 5), (6, 7)))),
+        (DeltaClass(free=(8, 9)),),
+    ))
+    assert list(index_map.items()) == [
+        ("e", 1), ("b", 2), ("x", 3), ("q", 4), ("a", 5), ("z", 6), ("c", 7), ("m", 8), ("k", 9)]
+    assert validate(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=9), seed=st.integers(0, 2**31 - 1))
+def test_relabel_undoes_a_permutation_of_the_labels(n, seed):
+    rng = np.random.default_rng(seed)
+    p = random_partition(n, rng)
+    perm = dict(zip(range(1, n + 1), (rng.permutation(n) + 1).tolist()))
+    shuffled = [[([perm[i] for i in free], [[perm[i] for i in c] for c in dcs])
+                 for free, dcs in block] for block in _as_blocks(p)]
+    q, index_map = relabel(n, shuffled)
+    assert q == p
+    assert index_map == {perm[i]: i for i in range(1, n + 1)}
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -334,6 +335,34 @@ def test_scale_f_identity_on_single_class(golden):
     assert sd.index_map == {i: i for i in range(1, 5)}
     for cls, v in c.f_consts.items():
         assert abs(sd.params.f_consts[cls] - v) < 1e-15
+
+
+def test_scale_f_keeps_single_class_blocks_bit_for_bit():
+    """A block with one exchange class has nothing to merge: beside merged
+    blocks, and with a zero sum constant too, it keeps its class, its labels,
+    its signs and the bits of its f as normalize_f leaves them, signed zeros
+    included."""
+    def signed(x):
+        return -0.0 if x == 0 else x
+
+    seen = Counter()
+    for seed in range(40):
+        p, c = random_datum(6, np.random.default_rng(seed), "trivial")
+        c = replace(c, f_consts={k: complex(signed(v.real), signed(v.imag))
+                                 for k, v in c.f_consts.items()})
+        want, _ = normalize_f(c)
+        sd = scale_f(c, 0.1)
+        for q, block in enumerate(p.blocks):
+            if len(block) > 1:
+                seen["merged"] += 1
+                continue
+            seen["rational" if c.per_block[q].rational else "single"] += 1
+            assert sd.params.partition.blocks[q] == block
+            for cls in block[0].all_d_classes():
+                assert all(sd.index_map[i] == i for i in cls)
+                assert sd.params.signs[cls] == c.signs[cls]
+                assert repr(sd.params.f_consts[cls]) == repr(want.f_consts[cls])
+    assert min(seen.values()) >= 5, seen
 
 
 def test_scale_f_rejects_zero_sum_merge():
