@@ -156,7 +156,8 @@ def _verdict(delta_st: np.ndarray, d_st: np.ndarray, scale: float, tol: float,
     while left.any():
         head = left.argmax()
         members = left & (np.abs(values - values[head]) <= reach)
-        members[head] = True  # a NaN is a cluster of its own
+        # the head always leaves ``left``, so the loop ends on any input, a NaN included
+        members[head] = True
         centers.append(complex(values[members].mean()))
         left &= ~members
     evidence["eigenvalue_clusters"] = centers

@@ -15,10 +15,10 @@ path products, all landing on permutations of that triple.  A path through
 a diagonal coefficient d_xx, which is 0 by construction, is left out.
 Which table entries each of the remaining path products (at most 16 n^3)
 multiplies, and which (column, row) entry it is summed into, depends on n
-only: that layout is built once per n.  A sample's defect is then three
-gathers from its shift stencil's tables and one ``bincount`` over the
-interleaved real and imaginary parts of the products, O(n^3) time and
-memory instead of the O(n^9) time and O(n^6) memory of dense products.
+only: that layout is built once per n.  Every entry receives one or two
+of them, so a sample's defect is three gathers from its shift stencil's
+flattened tables and two from the products, O(n^3) time and memory
+instead of the O(n^9) time and O(n^6) memory of dense products.
 
 The component equations have a layout per n as well: for each family the
 positions of its factors in a stencil's flattened tables, at only the
@@ -59,7 +59,6 @@ from .rmatrix import (
     DynamicalRMatrix,
     _TABLE_CACHE_MAX,
     _as_stack,
-    pair_invariants,
     shift_stencil,
     shifted,
     stencil_points,
@@ -175,16 +174,18 @@ class DefectLayout(NamedTuple):
     multiplies ``T[gather[0][k]] * T[gather[1][k]] * T[gather[2][k]]``,
     its factors in the order they act.  The left side's products come
     first, then the right side's, each side's kept in the order of its
-    paths: path j of column c at j n^3 + c.  Product k is summed into the
-    (column, row) entry b_k, left entries in [0, m) and right entries in
-    [m, 2m); every entry a path reaches is reached by a kept one, so m is
-    that of all 16 n^3 products.  ``parts`` interleaves 2 b_k and
-    2 b_k + 1, the bins of product k's real and imaginary parts as
-    ``view(float64)`` lays them out.
+    paths: path j of column c at j n^3 + c.  The (column, row) entries are
+    numbered left entries in [0, m) and right entries in [m, 2m); every
+    entry a path reaches is reached by a kept one on each side, so m is
+    that of all 16 n^3 products.  Entry b receives kept products
+    ``first[b]`` and ``second[b]``, in path order, or only ``first[b]``
+    and ``second[b]`` is K, the pad: a product after the K kept ones that
+    reads d_11 three times, 0 by construction.
     """
 
     gather: tuple[np.ndarray, np.ndarray, np.ndarray]
-    parts: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
     m: int
 
 
@@ -221,19 +222,31 @@ def _defect_layout(n: int) -> DefectLayout:
                           return_inverse=True)
     m = keys.size
     kept = np.concatenate(kept)
+    # the cached arrays are made before the temporaries: made after them,
+    # they would sit on top of the heap and keep it, and the RSS, up
+    gather, pairs = np.empty((3, kept.sum() + 1), np.int32), np.empty((2, 2 * m), np.int32)
+    for g, pair in zip(gather, zip(*gathers)):
+        g[:-1] = np.concatenate(pair)[kept]
+    gather[:, -1] = d_offset  # the pad, product K, is d_11 d_11 d_11 at lam: 0 by construction
+    del gathers, picks  # copied: freed before the entries are paired, a lower peak
     bins = (inv + np.repeat([0, m], 8 * size))[kept]
-    arrays = [np.concatenate(pair)[kept].astype(np.int32) for pair in zip(*gathers)]
-    arrays.append((2 * bins[:, None] + np.arange(2)).ravel().astype(np.int32))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return DefectLayout(tuple(arrays[:3]), arrays[3], m)
+    # a side's 8 paths reach each row of a column at most twice (the 4 paths
+    # of each parity reach its 3 permutations), so an entry receives one or
+    # two kept products: its first in path order, and its last
+    counts = np.bincount(bins)
+    ends = np.cumsum(counts)
+    order = np.argsort(bins * bins.size + np.arange(bins.size))  # by entry, then path
+    first, last = order[ends - counts], order[ends - 1]
+    pairs[:] = first, np.where(last > first, last, bins.size)
+    gather.setflags(write=False)
+    pairs.setflags(write=False)
+    return DefectLayout(tuple(gather), *pairs, m)
 
 
-def _path_weights(delta_st: np.ndarray, d_st: np.ndarray) -> np.ndarray:
-    """The weights of the path products of one stencil's tables that
-    :func:`_defect_layout` keeps."""
-    gather = _defect_layout(delta_st.shape[1]).gather
-    T = np.concatenate([delta_st.ravel(), d_st.ravel()])
+def _path_weights(T: np.ndarray, n: int) -> np.ndarray:
+    """The weights of the path products that :func:`_defect_layout` keeps,
+    and of its pad, at one stencil's flattened tables ``T``."""
+    gather = _defect_layout(n).gather
     # the product so far times the next factor, as the factors act (complex
     # products are not bitwise commutative); take() beats T[int32 indices]
     w = T.take(gather[0])
@@ -242,19 +255,22 @@ def _path_weights(delta_st: np.ndarray, d_st: np.ndarray) -> np.ndarray:
     return w
 
 
+def _defect(T: np.ndarray, n: int) -> tuple[float, float]:
+    """Raw max-abs defect and scale of the relation at one shift stencil's
+    flattened tables ``T``, ``concat(delta_st.ravel(), d_st.ravel())``."""
+    layout = _defect_layout(n)
+    w = _path_weights(T, n)
+    # each entry adds its second product, or the pad's exact 0, to its first
+    sums = w.take(layout.first)
+    sums += w.take(layout.second)
+    raw = float(np.abs(sums[:layout.m] - sums[layout.m:]).max())
+    return raw, float(np.abs(sums).max())
+
+
 def _stencil_defect(delta_st: np.ndarray, d_st: np.ndarray) -> tuple[float, float]:
     """Raw max-abs defect and scale of the relation at one shift stencil's
     (n+1, n, n) tables."""
-    layout = _defect_layout(delta_st.shape[1])
-    w = _path_weights(delta_st, d_st)
-    m = layout.m
-    # one sum over real and imaginary parts: each bin adds its weights in
-    # the order of two separate sums
-    sums = np.bincount(layout.parts, w.view(np.float64), 4 * m).view(complex)
-    left, right = sums[:m], sums[m:]
-    raw = float(np.abs(left - right).max())
-    scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
-    return raw, scale
+    return _defect(np.concatenate([delta_st.ravel(), d_st.ravel()]), delta_st.shape[1])
 
 
 def dqybe_defect(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[float, float]:
@@ -263,11 +279,11 @@ def dqybe_defect(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[float, float]:
     return _stencil_defect(*shift_stencil(R, np.asarray(lam, dtype=complex)))
 
 
-def _global_residual(delta_st: np.ndarray, d_st: np.ndarray, k: int) -> float:
-    """The global residual of one stencil from its (n+1, n, n) tables at
-    unit scale, times 2^k: raw / max(2^(3k), scale), without 2^(3k), which
-    is no float when C is below 2^-341 or above 2^358."""
-    raw, scale = _stencil_defect(delta_st, d_st)
+def _global_residual(T: np.ndarray, n: int, k: int) -> float:
+    """The global residual of one stencil from its flattened tables at unit
+    scale, times 2^k: raw / max(2^(3k), scale), without 2^(3k), which is no
+    float when C is below 2^-341 or above 2^358."""
+    raw, scale = _defect(T, n)
     if scale and math.frexp(scale)[1] > 3 * k:  # scale >= 2^(3k)
         return raw / scale
     return math.ldexp(raw, -3 * k)
@@ -275,9 +291,9 @@ def _global_residual(delta_st: np.ndarray, d_st: np.ndarray, k: int) -> float:
 
 def dqybe_residual_normalized(R: DynamicalRMatrix, lam: np.ndarray) -> float:
     """The global residual that :func:`check_system` reports at ``lam``."""
-    stencil = np.array(shift_stencil(R, np.asarray(lam, dtype=complex)))
-    k, _ = unit_scale(stencil)
-    return _global_residual(*stencil, k)
+    T = np.concatenate([t.ravel() for t in shift_stencil(R, np.asarray(lam, dtype=complex))])
+    k, _ = unit_scale(T)
+    return _global_residual(T, R.n, k)
 
 
 class EquationLayout(NamedTuple):
@@ -449,7 +465,7 @@ def check_system(
                             lam=sample_list[start + s],
                             value=res,
                         )
-            global_res.append(_global_residual(*T[:, s].reshape(2, n + 1, n, n), k))
+            global_res.append(_global_residual(np.ascontiguousarray(T[:, s]), n, k))
     return ResidualReport(
         global_residuals=global_res,
         per_equation=per_eq,
@@ -468,6 +484,20 @@ def _exp(z: complex) -> complex:
         return cmath.rect(math.inf, z.imag)
 
 
+@lru_cache(maxsize=None)
+def _factor_positions(n: int) -> np.ndarray:
+    """Where the determinant's factors sit in one point's ``concat(delta.ravel(),
+    d.ravel())`` (cached, read-only int32): each Delta_ii, then d_ij, d_ji,
+    Delta_ij and Delta_ji, each over the pairs i < j in row-major order."""
+    pos = np.empty(n * (2 * n - 1), dtype=np.int32)  # made first, as in _defect_layout
+    I, J = np.indices((n, n)).reshape(2, -1)
+    I, J = I[I < J], J[I < J]
+    pos[:] = np.concatenate([np.arange(n) * (n + 1), n * n + I * n + J, n * n + J * n + I,
+                             I * n + J, J * n + I])
+    pos.setflags(write=False)
+    return pos
+
+
 def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
     """The determinant of R at ``lam`` from its factors, and whether R is
     invertible there.
@@ -484,19 +514,17 @@ def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
     ``detail`` names the first zero factor (diagonal ones first, then pairs
     in row-major order) and its value, or is None.
     """
-    tables = np.array(R.tables(np.asarray(lam, dtype=complex)))
-    k, _ = unit_scale(tables)
-    delta_tab, d_tab = tables
-    _, dets = pair_invariants(delta_tab, d_tab)
-    factors = np.diagonal(delta_tab).tolist()
-    for i, row in enumerate(dets.tolist()):
-        factors += row[i + 1:]
+    n = R.n
+    tables = R.tables(np.asarray(lam, dtype=complex))
+    g = np.concatenate([t.ravel() for t in tables]).take(_factor_positions(n))
+    k, _ = unit_scale(g)  # g is all but d's zero diagonal: its C is the tables'
+    d_ij, d_ji, delta_ij, delta_ji = g[n:].reshape(4, -1)
+    factors = g[:n].tolist() + (d_ij * d_ji - delta_ij * delta_ji).tolist()
     bad = next((i for i, v in enumerate(factors) if v == 0), None)
     if bad is None:
-        det = _exp(sum(map(cmath.log, factors)) - k * R.n ** 2 * math.log(2))
+        det = _exp(sum(map(cmath.log, factors)) - k * n ** 2 * math.log(2))
         detail = None
     else:
-        n = R.n
         if bad < n:
             where = f"Delta_ii at index {bad + 1}"
         else:

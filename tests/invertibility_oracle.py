@@ -21,6 +21,9 @@ import sys
 
 import numpy as np
 
+from dynrmat.rmatrix import pair_invariants, unit_scale
+from dynrmat.verifier import _exp
+
 from system_oracle import at_unit_scale
 
 #: bound on the difference of the two log-determinants: relative on |det|,
@@ -85,3 +88,24 @@ def assert_matches_dense(R, lam, res: dict) -> None:
         d_phase = math.remainder(log_fact.imag - log_dense.imag, 2 * math.pi)
         assert max(abs(d_mod), abs(d_phase)) <= DENSE_TOL, (
             f"log-determinants differ by {d_mod:.3e} in modulus and {d_phase:.3e} in phase")
+
+
+def whole_table_result(R, lam) -> dict:
+    """``check_invertibility(R, lam)`` read the whole-table way: both tables
+    copied and put at unit scale by ``unit_scale``, every plane determinant
+    formed by ``pair_invariants``, and those with i < j read off."""
+    tables = np.array(R.tables(np.asarray(lam, dtype=complex)))
+    k, _ = unit_scale(tables)
+    delta, d = tables
+    n = len(delta)
+    fs = np.diagonal(delta).tolist() + pair_invariants(delta, d)[1][np.triu_indices(n, 1)].tolist()
+    bad = next((i for i, v in enumerate(fs) if v == 0), None)
+    if bad is None:
+        det = _exp(sum(map(cmath.log, fs)) - k * n ** 2 * math.log(2))
+        return {"det_factorized": det, "det_dense": det, "agree": True, "detail": None}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    where = (f"Delta_ii at index {bad + 1}" if bad < n
+             else "det_ij at pair ({},{})".format(*pairs[bad - n]))
+    det = math.prod(fs)
+    return {"det_factorized": det, "det_dense": det, "agree": False,
+            "detail": f"factor {where} is {fs[bad]}"}

@@ -3,9 +3,11 @@
 Each record names one exact edit of one source file and the tests that must
 fail under it.  The runner copies ``src/``, ``tests/``, ``bench/`` and
 ``demos/`` of a tree to a temporary directory, applies one mutant there,
-runs the named tests with pytest, and reports each mutant as killed, survived, not applicable (its old
-text is not in the tree) or error.  A survivor is a missing test: add the
-test, never drop or weaken the mutant.  The file has no ``test_`` prefix, so
+runs the named tests with pytest, and reports each mutant as killed,
+survived, not applicable (its old text is not in the tree exactly once) or
+error.  A survivor is a missing test: add the test, never drop or weaken
+the mutant; a mutant that no longer applies is ported to the code that
+replaced its old text.  The file has no ``test_`` prefix, so
 pytest does not collect it; it uses the standard library only.
 
 Run from the repository root::
@@ -15,7 +17,7 @@ Run from the repository root::
     python3 tests/mutants.py --only NAME ... # some mutants, by name
     python3 tests/mutants.py --discover NAME # full suite: which tests fail
 
-It exits 1 when a mutant survives or errs.  A mutant that hangs is killed
+It exits 1 when a mutant survives, errs or does not apply.  A mutant that hangs is killed
 by its timeout and reported as such.
 """
 
@@ -80,11 +82,11 @@ MUTANTS = [
            "        - dij_i * dji_0 * (dij_i - dji_0),",
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_acceptance.py::test_criterion_03_determinant_factorization")),
-    Mutant("defect: both interleaved bins on the real part", V,
-           "(2 * bins[:, None] + np.arange(2))",
-           "(2 * bins[:, None] + np.zeros(2, dtype=int))",
+    Mutant("defect: every second product replaced by the pad", V,
+           "pairs[:] = first, np.where(last > first, last, bins.size)",
+           "pairs[:] = first, bins.size",
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
-            "tests/test_acceptance.py::test_criterion_03_determinant_factorization")),
+            "tests/test_verifier.py::test_stencil_defect_equals_the_oracle_over_every_path")),
     Mutant("defect: last left factor unshifted", V,
            "_LEFT = (((1, 2), True), ((0, 2), False), ((0, 1), True))",
            "_LEFT = (((1, 2), True), ((0, 2), False), ((0, 1), False))",
@@ -95,6 +97,21 @@ MUTANTS = [
            "d_offset + (at * n + y) * n + x",
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_acceptance.py::test_criterion_03_determinant_factorization")),
+    Mutant("invertibility: Delta_ij read for d_ij", V,
+           "np.arange(n) * (n + 1), n * n + I * n + J,",
+           "np.arange(n) * (n + 1), I * n + J,",
+           ("tests/test_verifier.py::test_invertibility_gathers_the_whole_table_factors_bit_for_bit",
+            "tests/test_verifier.py::test_invertibility_factorization")),
+    Mutant("invertibility: diagonal positions off by one stride", V,
+           "np.arange(n) * (n + 1), n * n + I * n + J,",
+           "np.arange(n) * n, n * n + I * n + J,",
+           ("tests/test_verifier.py::test_invertibility_gathers_the_whole_table_factors_bit_for_bit",
+            "tests/test_verifier.py::test_factor_positions_name_the_determinant_factors_in_order")),
+    Mutant("invertibility: k n^2 log 2 taken as k n log 2", V,
+           "- k * n ** 2 * math.log(2))",
+           "- k * n * math.log(2))",
+           ("tests/test_verifier.py::test_invertibility_gathers_the_whole_table_factors_bit_for_bit",
+            "tests/test_verifier.py::test_invertibility_agrees_outside_the_float_range")),
     Mutant("sample_lambda: count drawn every round", V,
            "k = min(count - len(out), max_tries - tries)",
            "k = min(count, max_tries - tries)",
@@ -134,7 +151,7 @@ MUTANTS = [
            ("tests/test_classifier_oracle.py::test_members_equal_the_per_entry_oracles",
             "tests/test_hecke.py::test_hecke_on_and_off_the_square_root_cut[+0]")),
     Mutant("hecke: NaN guard dropped (hangs)", H,
-           "        members[head] = True  # a NaN is a cluster of its own\n",
+           "        members[head] = True\n",
            "",
            ("tests/test_hecke.py::test_a_nan_eigenvalue_is_a_cluster_of_its_own",)),
     Mutant("hecke: scalar plane's double root from the discriminant", H,
@@ -391,10 +408,11 @@ def main() -> int:
         else:
             verdict, tail = run_mutant(args.tree, m, ["-x", *m.tests])
         print(f"{verdict:17} {time.perf_counter() - t0:6.1f} s  {m.name}", flush=True)
-        if args.discover or verdict in ("survived", "error"):
+        failed = verdict in ("survived", "error", "not applicable")
+        if args.discover or failed:
             print("    " + tail.replace("\n", "\n    "))
-        bad += verdict in ("survived", "error")
-    print(f"{len(chosen)} mutants, {bad} survived or erred, "
+        bad += failed
+    print(f"{len(chosen)} mutants, {bad} survived, erred or did not apply, "
           f"{time.perf_counter() - start:.0f} s")
     return 1 if bad else 0
 

@@ -32,6 +32,7 @@ from dynrmat.verifier import (
     _defect_layout,
     _equation_layout,
     _equation_values,
+    _factor_positions,
     _path_weights,
     _stencil_defect,
     check_invertibility,
@@ -44,7 +45,7 @@ from dynrmat.verifier import (
 from conftest import (
     golden_datum, huge_datum, overflow_datum, random_points, times, zero_residual_config,
 )
-from invertibility_oracle import assert_matches_dense, dense_matrix
+from invertibility_oracle import assert_matches_dense, dense_matrix, whole_table_result
 from system_oracle import (
     constrained_indices, oracle_check_system, oracle_defect, oracle_entry_map,
     oracle_entry_sums, oracle_equation_values, oracle_path_products,
@@ -441,6 +442,47 @@ def test_invertibility_reads_an_overflowing_plane_at_unit_scale():
     assert res["det_factorized"] == res["det_dense"] == complex(math.inf, 0)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_factor_positions_name_the_determinant_factors_in_order(n):
+    """Each Delta_ii, then d_ij, d_ji, Delta_ij and Delta_ji, each over the
+    pairs i < j in row-major order, in ``concat(delta.ravel(), d.ravel())``."""
+    names = [("Delta", i, j) for i in range(n) for j in range(n)]
+    names += [("d", i, j) for i in range(n) for j in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    want = [("Delta", i, i) for i in range(n)]
+    for table, swap in (("d", False), ("d", True), ("Delta", False), ("Delta", True)):
+        want += [(table, j, i) if swap else (table, i, j) for i, j in pairs]
+    assert [names[p] for p in _factor_positions(n).tolist()] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.3, 0.8]),
+       st.sampled_from([-600, 0, 600]), st.booleans())
+def test_invertibility_gathers_the_whole_table_factors_bit_for_bit(n, seed, zeros, exp, pole):
+    """Gathering only the factors and scaling them by their own largest
+    modulus gives the determinant, ``detail`` (a zero factor's value
+    included) and ``PoleError`` text of scaling both whole tables and
+    forming every plane determinant, at scales 2^-600 to 2^600."""
+    rng = np.random.default_rng(seed)
+    delta, d = (t[0] * 2.0 ** rng.integers(exp - 8, exp + 9, size=(n, n))
+                for t in _random_stencil(rng, n, zeros))
+    if pole:
+        delta[divmod(int(rng.integers(n * n)), n)] = complex("nan")
+
+    def tables(lams):
+        return tuple(np.broadcast_to(t, (len(lams), n, n)).copy() for t in (delta, d))
+
+    R, lam = DynamicalRMatrix.from_tables(n, tables), np.zeros(n)
+    if pole:
+        with pytest.raises(PoleError) as got:
+            check_invertibility(R, lam)
+        with pytest.raises(PoleError) as want:
+            whole_table_result(R, lam)
+        assert str(got.value) == str(want.value)
+    else:
+        assert repr(check_invertibility(R, lam)) == repr(whole_table_result(R, lam))
+
+
 @pytest.mark.without_dense_oracle
 def test_dense_oracle_compares_log_moduli_and_phases_modulo_two_pi(monkeypatch):
     R = build(*random_datum(5, np.random.default_rng(2), "trivial"))
@@ -774,8 +816,8 @@ def test_check_system_wrong_length_sample_raises_stack_error():
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_cached_layout_arrays_are_read_only(n):
     layout, equations = _defect_layout(n), _equation_layout(n)
-    arrays = [*layout.gather, layout.parts, *equations.positions,
-              *equations.indices]
+    arrays = [*layout.gather, layout.first, layout.second, *equations.positions,
+              *equations.indices, _factor_positions(n)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
@@ -822,7 +864,9 @@ def _random_stencil(rng, n, zeros):
 def test_cached_layout_keeps_the_paths_off_d_diagonal_binned_as_a_fresh_unique(n, seed):
     """The layout keeps exactly the path products with no d_xx factor, in
     path order, and their bins are a fresh ``np.unique`` of their (column,
-    row) keys: every entry a path reaches is reached without d_xx."""
+    row) keys: every entry a path reaches is reached without d_xx on each
+    side, by one or two kept products, named in path order by ``first``
+    and ``second``, the pad, a product of d_11 alone, only ever second."""
     size = n ** 3
     delta, d = _random_stencil(np.random.default_rng(seed), n, 0.0)
     # all ones but d's diagonal: a product is 0 exactly when it has a d_xx factor
@@ -836,16 +880,23 @@ def test_cached_layout_keeps_the_paths_off_d_diagonal_binned_as_a_fresh_unique(n
         weights.append(oracle_path_products(delta, d, side)[1])
     keep = np.concatenate(kept)
     layout = _defect_layout(n)
-    d_pos = np.concatenate(layout.gather) - (n + 1) * n * n
+    d_pos = np.concatenate([g[:-1] for g in layout.gather]) - (n + 1) * n * n
     d_pos = d_pos[d_pos >= 0]
     assert (d_pos // n % n != d_pos % n).all()  # no factor d_xx
-    assert _path_weights(delta, d).tobytes() == np.concatenate(weights)[keep].tobytes()
+    assert [g[-1] for g in layout.gather] == [(n + 1) * n * n] * 3  # the pad: d_11^3
+    w = _path_weights(np.concatenate([delta.ravel(), d.ravel()]), n)
+    assert w.tobytes() == np.append(np.concatenate(weights)[keep], 0).tobytes()
     keys, inv = np.unique((np.tile(np.arange(size), 16) * size + np.concatenate(rows))[keep],
                           return_inverse=True)
     assert layout.m == keys.size
-    assert np.array_equal(layout.parts[::2] // 2,
-                          inv + np.repeat([0, keys.size], [kept[0].sum(), kept[1].sum()]))
-    assert np.array_equal(layout.parts[1::2], layout.parts[::2] + 1)
+    bins = inv + np.repeat([0, keys.size], [kept[0].sum(), kept[1].sum()])
+    products = [[] for _ in range(2 * keys.size)]
+    for k, b in enumerate(bins.tolist()):
+        products[b].append(k)
+    pad = bins.size
+    assert [[f] if s == pad else [f, s]
+            for f, s in zip(layout.first.tolist(), layout.second.tolist())] == products
+    assert pad not in layout.first.tolist()
 
 
 class GaussQ:
