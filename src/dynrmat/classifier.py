@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -147,6 +148,24 @@ class _UnionFind:
         return [tuple(sorted(v)) for _, v in sorted(groups.items())]
 
 
+def _classes(n: int, related, what: str, fails: str) -> list[tuple[int, ...]]:
+    """The classes of the closure of ``related`` on 1..n, which must already
+    be transitive: a pair a < b in one class that is not related raises
+    :class:`NotInFamilyError`, "{what} is not transitive on {class}: pair
+    (a,b) {fails}", for the first such pair in class order."""
+    uf = _UnionFind(range(1, n + 1))
+    for a, b in combinations(range(1, n + 1), 2):
+        if related(a, b):
+            uf.union(a, b)
+    classes = uf.classes()
+    for cls in classes:
+        for a, b in combinations(cls, 2):
+            if not related(a, b):
+                raise NotInFamilyError(
+                    f"{what} is not transitive on {cls}: pair ({a},{b}) {fails}")
+    return classes
+
+
 def build_equivalences(rel: RelationReport, n: int) -> dict:
     """Turn the detected relations into d-class and exchange-class partitions.
 
@@ -160,41 +179,13 @@ def build_equivalences(rel: RelationReport, n: int) -> dict:
                 f"d_{i}{j} vanishes but d_{j}{i} does not: one-sided diagonal "
                 "vanishing is impossible in the solution family"
             )
-    uf = _UnionFind(range(1, n + 1))
-    for (i, j) in rel.d_zero:
-        uf.union(i, j)
-    d_classes = uf.classes()
-    for cls in d_classes:
-        for a in cls:
-            for b in cls:
-                if a < b and (a, b) not in rel.d_zero:
-                    raise NotInFamilyError(
-                        f"diagonal vanishing is not transitive on {cls}: "
-                        f"pair ({a},{b}) does not vanish"
-                    )
-
-    def exchange_coupled(i: int, j: int) -> bool:
-        return (i, j) not in rel.delta_zero and (j, i) not in rel.delta_zero
-
-    uf2 = _UnionFind(range(1, n + 1))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if exchange_coupled(i, j):
-                uf2.union(i, j)
-    delta_classes = uf2.classes()
-    for cls in delta_classes:
-        for a in cls:
-            for b in cls:
-                if a < b and not exchange_coupled(a, b):
-                    raise NotInFamilyError(
-                        f"exchange coupling is not transitive on {cls}: "
-                        f"pair ({a},{b}) is not coupled both ways"
-                    )
+    d_classes = _classes(n, lambda a, b: (a, b) in rel.d_zero,
+                         "diagonal vanishing", "does not vanish")
+    delta_classes = _classes(
+        n, lambda a, b: (a, b) not in rel.delta_zero and (b, a) not in rel.delta_zero,
+        "exchange coupling", "is not coupled both ways")
     # every d-class must sit inside one exchange class
-    dc_of = {}
-    for cid, cls in enumerate(delta_classes):
-        for i in cls:
-            dc_of[i] = cid
+    dc_of = {i: cid for cid, cls in enumerate(delta_classes) for i in cls}
     for cls in d_classes:
         if len({dc_of[i] for i in cls}) != 1:
             raise NotInFamilyError(

@@ -35,7 +35,6 @@ from .errors import (
     PoleError,
 )
 from .hecke import DEFAULT_TOL as HECKE_TOL, hecke_classify
-from .params import validate_params
 from .partition import to_json as partition_to_json
 from .rmatrix import point_to_json, stencil_points
 from .serialize import (
@@ -137,32 +136,23 @@ def _positive(value, flag: str, default):
     return value
 
 
-def _parse(obj):
-    """Parsed config; a datum's params are validated."""
-    kind, payload = parse_config(obj)
-    if kind == "datum":
-        res = validate_params(payload[1])
-        if not res:
-            raise ParameterError(res.message)
-    return kind, payload
-
-
 def _load_datum(path: str):
     """A datum config's (partition, params); a sampled matrix is rejected
-    by its ``kind``, before its samples are parsed."""
+    by its ``kind``, before its samples are parsed.  The caller builds the
+    datum at once, and :func:`build` validates it."""
     obj = load_config(path)
     if isinstance(obj, dict) and obj.get("kind") == "matrix":
         raise ParameterError(
             "this command needs an evaluable datum config "
             '("kind": "datum"); a sampled matrix cannot be rebuilt'
         )
-    return _parse(obj)[1]
+    return parse_config(obj)[1]
 
 
 def _load_any(path: str):
     """Returns (R, points_or_None): the sample points of a sampled matrix,
     None for a datum."""
-    kind, payload = _parse(load_config(path))
+    kind, payload = parse_config(load_config(path))
     if kind == "datum":
         return build(*payload), None
     return matrix_from_samples(payload), list(payload.lams)

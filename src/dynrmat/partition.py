@@ -75,10 +75,6 @@ class IndexPartition:
             out.extend(dclass.all_d_classes())
         return out
 
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"index {i} out of range 1..{self.n}")
-
 
 def relabel(n: int, blocks) -> tuple[IndexPartition, dict]:
     """Number the labels of ``blocks`` 1..n depth-first: the canonical order.
@@ -142,25 +138,6 @@ def validate(p: IndexPartition) -> ValidationResult:
             f"declared indices {sorted(seen)} do not cover 1..{p.n} exactly",
         )
     return ValidationResult(True)
-
-
-def d_class_of(p: IndexPartition, i: int) -> tuple[int, ...]:
-    """The (possibly singleton) d-class containing index ``i``."""
-    p._check_index(i)
-    for cls in p.all_d_classes():
-        if i in cls:
-            return cls
-    raise IndexError(f"index {i} not found in partition")
-
-
-def delta_class_of(p: IndexPartition, i: int) -> tuple[int, ...]:
-    """The members of the exchange class containing index ``i``."""
-    p._check_index(i)
-    for _, _, dclass in p.delta_classes():
-        members = dclass.members()
-        if i in members:
-            return members
-    raise IndexError(f"index {i} not found in partition")
 
 
 def nd_pairs(p: IndexPartition) -> list[tuple[int, int]]:

@@ -355,50 +355,38 @@ def _entries(rows: list, cols: list, res: list, ims: list,
 
 
 def sampled_tables_from_json(obj: dict) -> SampledTables:
-    """The :class:`SampledTables` of a sampled-matrix config, parsed in one
-    pass over all samples.
+    """The :class:`SampledTables` of a sampled-matrix config.
 
-    Structural errors raise :class:`ParameterError` naming the first
-    sample, in order, that has one.  A (row, col) position outside the two
-    zero-weight patterns whose value (the last entry's, when the pair
-    repeats) is not below :data:`ZERO_WEIGHT_TOL` in modulus raises
-    :class:`NotInFamilyError` naming the sample and that entry.
+    A fast pass reads every sample's head, builds the four entry fields of
+    all samples at once and checks them in one :func:`_entries` call.  When
+    it meets an error, an attribution pass checks sample by sample (head,
+    then entry fields, then entries) and raises :class:`ParameterError`
+    naming the first sample that has an error.  A (row, col) position
+    outside the two zero-weight patterns whose value (the last entry's,
+    when the pair repeats) is not below :data:`ZERO_WEIGHT_TOL` in modulus
+    raises :class:`NotInFamilyError` naming the sample and that entry.
     """
     n = _size(obj)
-    heads, late = [], None
-    columns = [], [], [], []  # the row, col, re and im fields of all entries
-    for s, sample in enumerate(_field(obj, "samples", list, [])):
-        try:
-            head = _sample_head(sample)
-            try:
-                for column, get in zip(columns, _ENTRY_FIELDS):
-                    column += map(get, head[2])
-            except (KeyError, TypeError) as exc:
-                raise ParameterError(_MALFORMED) from exc
-        except ParameterError as exc:
-            late = s, exc  # the entries of an earlier sample may hold the first error
-            break
-        heads.append(head)
-    sizes = [head[0] for head in heads]
-    counts = [len(head[2]) for head in heads]
-    for column in columns:  # the fields of a sample that failed part way
-        del column[sum(counts):]
+    samples = _field(obj, "samples", list, [])
     try:
-        idx, values = _entries(*columns, np.repeat(sizes, counts))
-    except ParameterError:
-        # name the first sample with a bad entry, and the entry in it
-        start = 0
-        for s, (size, count) in enumerate(zip(sizes, counts)):
+        heads = [_sample_head(sample) for sample in samples]
+        sizes = [head[0] for head in heads]
+        counts = [len(head[2]) for head in heads]
+        entries = list(chain.from_iterable(head[2] for head in heads))
+        idx, values = _entries(*(list(map(get, entries)) for get in _ENTRY_FIELDS),
+                               np.repeat(sizes, counts))
+    except (ParameterError, KeyError, TypeError):
+        for s, sample in enumerate(samples):
             try:
-                _entries(*(column[start:start + count] for column in columns),
-                         np.full(count, size))
+                size, _, entries = _sample_head(sample)
+                try:
+                    columns = [list(map(get, entries)) for get in _ENTRY_FIELDS]
+                except (KeyError, TypeError) as exc:
+                    raise ParameterError(_MALFORMED) from exc
+                _entries(*columns, np.full(len(entries), size))
             except ParameterError as exc:
                 raise ParameterError(f"sample {s}: {exc}") from exc
-            start += count
         raise
-    if late is not None:
-        s, exc = late
-        raise ParameterError(f"sample {s}: {exc}") from exc
     if not heads:
         raise ParameterError("matrix input has no samples")
     if any(size != n for size in sizes):

@@ -54,7 +54,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .builder import _index_table
 from .errors import PoleError
+from .params import derive, principal_sqrt
 from .rmatrix import (
     DynamicalRMatrix,
     _TABLE_CACHE_MAX,
@@ -545,9 +547,6 @@ def shift_identities(R: DynamicalRMatrix, lam: np.ndarray) -> dict[tuple[int, in
     in a rational block the quotient sqrt(Sigma)/Delta_ij instead gains the
     additive increment eps_I.  Requires builder provenance.
     """
-    from .builder import _index_table  # local import to avoid a cycle
-    from .params import derive, principal_sqrt
-
     if R.provenance is None or R.provenance.params is None:
         raise ValueError("shift identities require builder provenance")
     p = R.provenance.partition

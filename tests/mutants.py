@@ -49,6 +49,7 @@ class Mutant:
 V, H, R = "src/dynrmat/verifier.py", "src/dynrmat/hecke.py", "src/dynrmat/rmatrix.py"
 B, P, T = "src/dynrmat/builder.py", "src/dynrmat/params.py", "src/dynrmat/transforms.py"
 C, CLI, PART = "src/dynrmat/classifier.py", "src/dynrmat/cli.py", "src/dynrmat/partition.py"
+SER = "src/dynrmat/serialize.py"
 
 MUTANTS = [
     # -- the component equations and the global defect (verifier) ----------
@@ -282,6 +283,15 @@ MUTANTS = [
            ("tests/test_tables.py::test_contraction_drops_a_pole_pair",
             "tests/test_transforms.py::test_contract_full_and_single")),
     # -- the classifier and the CLI -------------------------------------------
+    Mutant("equivalences: transitivity check dropped", C,
+           "    for cls in classes:\n",
+           "    for cls in ():\n",
+           ("tests/test_classifier.py::test_build_equivalences_names_the_broken_relation[d]",
+            "tests/test_classifier.py::test_build_equivalences_names_the_broken_relation[exchange]")),
+    Mutant("equivalences: straddle check dropped", C,
+           "        if len({dc_of[i] for i in cls}) != 1:",
+           "        if False:",
+           ("tests/test_classifier.py::test_build_equivalences_names_the_broken_relation[straddle]",)),
     Mutant("recovered 2-form: eager datum check dropped", C,
            "        check_datum(base.partition, base)\n        cid =",
            "        cid =",
@@ -315,6 +325,33 @@ MUTANTS = [
            "        ref = _reference_point(R, stencil=False)\n        obj[",
            "        ref = _reference_point(R)\n        obj[",
            ("tests/test_cli.py::test_build_and_classify_check_the_reference_point_alone",)),
+    Mutant("build: datum not validated", B,
+           "    result = validate_params(c)\n    if not result:\n        raise ParameterError(result.message)\n",
+           "",
+           ("tests/test_cli.py::test_datum_two_form_missing_coupled_pair_invalid[argv0]",
+            "tests/test_cli.py::test_datum_two_form_missing_coupled_pair_invalid[argv5]")),
+    Mutant("cli: a loaded datum validated twice", CLI,
+           "    return parse_config(obj)[1]\n",
+           "    build(*parse_config(obj)[1])\n    return parse_config(obj)[1]\n",
+           ("tests/test_cli.py::test_each_loaded_datum_is_validated_once[argv0-1]",
+            "tests/test_cli.py::test_each_loaded_datum_is_validated_once[argv1-2]")),
+    # -- the sampled-matrix parser -----------------------------------------------
+    Mutant("sampled parse: attribution names sample s + 1", SER,
+           'raise ParameterError(f"sample {s}: {exc}") from exc',
+           'raise ParameterError(f"sample {s + 1}: {exc}") from exc',
+           ("tests/test_serialize.py::test_stack_parse_errors_equal_oracle[lambda]",
+            "tests/test_serialize.py::test_stack_parse_errors_equal_oracle[range]")),
+    Mutant("sampled parse: attribution checks heads only", SER,
+           "                size, _, entries = _sample_head(sample)\n"
+           "                try:\n"
+           "                    columns = [list(map(get, entries)) for get in _ENTRY_FIELDS]\n"
+           "                except (KeyError, TypeError) as exc:\n"
+           "                    raise ParameterError(_MALFORMED) from exc\n"
+           "                _entries(*columns, np.full(len(entries), size))\n",
+           "                _sample_head(sample)\n",
+           ("tests/test_serialize.py::test_stack_parse_errors_equal_oracle[range]",
+            "tests/test_serialize.py::test_stack_parse_errors_equal_oracle[missing]",
+            "tests/test_serialize.py::test_stack_parse_errors_equal_oracle[range+lambda]")),
     # -- the canonical relabelling ---------------------------------------------
     Mutant("relabel: frees after d-classes", PART,
            "DeltaClass(free=number(free), d_classes=tuple(number(c) for c in d_classes))",

@@ -12,8 +12,10 @@ from dynrmat.builder import build
 from dynrmat.classifier import (
     DEFAULT_ZERO_TOL,
     QuotientTwoForm,
+    RelationReport,
     _reference_point,
     block_structure,
+    build_equivalences,
     check_propagation,
     classify,
     degenerate_blocks,
@@ -395,6 +397,31 @@ def test_non_family_matrix_rejected():
     ]
     with pytest.raises(NotInFamilyError):
         classify(R, samples=lam_samples)
+
+
+def _relations(d_zero, delta_zero):
+    """A hand-made report: d vanishes on the pairs i < j of ``d_zero``
+    (both ways), Delta on the ordered pairs of ``delta_zero``."""
+    ordered = set(d_zero) | {(j, i) for i, j in d_zero}
+    return RelationReport(d_zero=set(d_zero), delta_zero=set(delta_zero),
+                          d_zero_ordered=ordered, scale=1.0)
+
+
+@pytest.mark.parametrize("n, d_zero, delta_zero, message", [
+    (3, {(1, 2), (2, 3)}, set(),
+     "diagonal vanishing is not transitive on (1, 2, 3): pair (1,3) does not vanish"),
+    (3, set(), {(1, 3)},
+     "exchange coupling is not transitive on (1, 2, 3): pair (1,3) is not coupled both ways"),
+    (2, {(1, 2)}, {(1, 2)},
+     "d-class (1, 2) straddles several exchange classes"),
+    # both relations broken: the d-classes are checked first
+    (4, {(2, 3), (3, 4)}, {(4, 1)},
+     "diagonal vanishing is not transitive on (2, 3, 4): pair (2,4) does not vanish"),
+], ids=["d", "exchange", "straddle", "d-first"])
+def test_build_equivalences_names_the_broken_relation(n, d_zero, delta_zero, message):
+    with pytest.raises(NotInFamilyError) as exc:
+        build_equivalences(_relations(d_zero, delta_zero), n)
+    assert str(exc.value) == message
 
 
 def test_detect_relations_needs_three_samples():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dynrmat.params
 import dynrmat.serialize
 from dynrmat.builder import build
 from dynrmat.cli import (
@@ -129,19 +130,31 @@ def test_verify_datum_with_every_residual_zero(tmp_path, capsys):
     assert obj["global_residual"] == 0 and set(obj["per_equation"].values()) == {0}
 
 
-@pytest.mark.parametrize("argv", [["build"], ["verify"], ["classify"],
-                                  ["transform", "--contract", "1,2"]])
-def test_datum_two_form_missing_coupled_pair_invalid(tmp_path, capsys, argv):
-    from dynrmat.sampling import random_datum
-
+@pytest.mark.parametrize("argv", [["build", "BAD"], ["verify", "BAD"], ["classify", "BAD"],
+                                  ["transform", "BAD", "--contract", "1,2"], ["hecke", "BAD"],
+                                  ["transform", "GOLDEN", "--compose", "BAD"]])
+def test_datum_two_form_missing_coupled_pair_invalid(tmp_path, capsys, golden_config, argv):
     _, c = random_datum(4, np.random.default_rng(3), "table")
     obj = params_to_json(c)
     del obj["two_form"]["values"]["1,2"]
-    cfg = _write(tmp_path, "d.json", obj)
-    assert main([argv[0], cfg, *argv[1:]]) == EXIT_INVALID
+    paths = {"BAD": _write(tmp_path, "d.json", obj), "GOLDEN": golden_config}
+    assert main([paths.get(arg, arg) for arg in argv]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "no entry for coupled pair (1, 2)" in captured.err
+    assert captured.err == "invalid input: 2-form table has no entry for coupled pair (1, 2)\n"
+
+
+@pytest.mark.parametrize("argv, loads", [(["build", "GOLDEN"], 1),
+                                         (["transform", "GOLDEN", "--compose", "GOLDEN"], 2)])
+def test_each_loaded_datum_is_validated_once(golden_config, capsys, monkeypatch, argv, loads):
+    # validate_partition runs once per validate_params call and nowhere else
+    calls = []
+    real = dynrmat.params.validate_partition
+    monkeypatch.setattr(dynrmat.params, "validate_partition",
+                        lambda p: calls.append(p) or real(p))
+    assert main([golden_config if arg == "GOLDEN" else arg for arg in argv]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == loads
 
 
 def test_verify_deterministic_output(golden_config, tmp_path):

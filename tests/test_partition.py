@@ -8,8 +8,6 @@ from dynrmat.partition import (
     IndexPartition,
     all_free_partition,
     class_id_map,
-    d_class_of,
-    delta_class_of,
     from_json,
     nd_pairs,
     relabel,
@@ -67,9 +65,6 @@ def test_nd_pairs_golden():
 
 def test_class_lookup_golden():
     p, _ = golden_datum()
-    assert d_class_of(p, 3) == (3, 4)
-    assert d_class_of(p, 1) == (1,)
-    assert delta_class_of(p, 4) == (1, 2, 3, 4)
     cid = class_id_map(p)
     assert cid[3] == cid[4] != cid[1]
 
