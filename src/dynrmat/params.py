@@ -175,7 +175,8 @@ class ExactTwoForm(TwoFormSpec):
         are visited in first-seen order, potentials in ascending i.  A
         point's mask without its diagonal reads at most n^2 values; the
         n+1 points of a shift stencil with the full off-diagonal mask call
-        n(1 + n + n(n+1)/2) - n potentials."""
+        n(1 + n + n(n+1)/2) - n potentials.  A potential that raises
+        :class:`PoleError` is NaN; g_ij is NaN where it or g_ji is not finite."""
         from .rmatrix import stencil_points  # rmatrix imports this module
 
         P = len(lams)
@@ -197,14 +198,29 @@ class ExactTwoForm(TwoFormSpec):
         rows = [pts[s] for s in heads.tolist()]
         # an unread value is 1; only unmasked entries see it
         b = np.ones((len(pts), n), dtype=complex)
-        b[heads[at], idx] = [complex(beta[i](rows[a])) for a, i in zip(at.tolist(), idx.tolist())]
+        b[heads[at], idx] = [_value_or_nan(beta[i], rows[a])
+                             for a, i in zip(at.tolist(), idx.tolist())]
         b = b[row].reshape(P, n + 1, n)
         b0 = b[:, 0]    # b0[p, i] = beta_i(lam_p)
         bk = b[:, 1:]   # bk[p, k, i] = beta_i(lam_p + e_k)
-        g = (bk.transpose(0, 2, 1) / b0[:, :, None]) * (b0[:, None, :] / bk)
-        small = np.abs(b0) < POLE_GUARD
-        g[small[:, :, None] | small[:, None, :] | (np.abs(bk) < POLE_GUARD)] = np.nan
-        return np.where(mask, g, 1)
+        with np.errstate(all="ignore"):
+            g = (bk.transpose(0, 2, 1) / b0[:, :, None]) * (b0[:, None, :] / bk)
+        return _exact_table(g, mask)
+
+
+def _value_or_nan(fn: Callable[[np.ndarray], complex], lam: np.ndarray) -> complex:
+    """fn(lam), NaN where it raises :class:`PoleError`."""
+    try:
+        return complex(fn(lam))
+    except PoleError:
+        return complex("nan")
+
+
+def _exact_table(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``g`` with NaN on both orientations where either is not finite, 1 outside ``mask``."""
+    bad = ~np.isfinite(g)
+    g[bad | bad.transpose(0, 2, 1)] = np.nan
+    return np.where(mask, g, 1)
 
 
 def exp_quadratic_potential(
@@ -267,9 +283,7 @@ class QuadraticExactTwoForm(ExactTwoForm):
         half = self.lin + self.quad * (2 * lams[:, None, :] + 1)
         with np.errstate(all="ignore"):
             g = np.exp(half - half.transpose(0, 2, 1))
-        bad = ~np.isfinite(g)
-        g[bad | bad.transpose(0, 2, 1)] = np.nan
-        return np.where(mask, g, 1)
+        return _exact_table(g, mask)
 
 
 def needed_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,11 +342,7 @@ class TableTwoForm(TwoFormSpec):
         upper = np.empty((len(lams), len(rows)), dtype=complex)
         for k, (i, j) in enumerate(zip(rows, cols)):
             fn = self.g[(int(i) + 1, int(j) + 1)]
-            for p, lam in enumerate(lams):
-                try:
-                    upper[p, k] = complex(fn(lam))
-                except PoleError:
-                    upper[p, k] = np.nan
+            upper[:, k] = [_value_or_nan(fn, lam) for lam in lams]
         return pair_table(n, rows, cols, upper, mask)
 
 

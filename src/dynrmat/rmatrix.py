@@ -11,15 +11,15 @@ normalization, not a parameter).
 A :class:`DynamicalRMatrix` holds one table function and one memo.  The
 table function maps a (P, n) stack of points to the (P, n, n) exchange and
 diagonal table stacks, filled with numpy, and marks a pole with NaN instead
-of raising.  The memo is the matrix's table cache, keyed per point:
-:meth:`DynamicalRMatrix.stacked_tables` evaluates the points of a stack
-that it misses in one call, and :func:`shift_stencil` uses it for the n+1
-points lam, lam + e_1, ..., lam + e_n.  The last stack that
-:meth:`DynamicalRMatrix.lookup` evaluated whole is kept with its tables, so
-asking for the same points again, as :func:`dynrmat.verifier.check_system`
-does after :func:`dynrmat.verifier.sample_lambda`, stacks nothing.
-``R.delta(i, j, lam)`` and ``R.d(i, j, lam)`` read one entry of those
-cached tables and raise :class:`PoleError` on a non-finite entry.
+of raising.  The memo is the last stack :meth:`DynamicalRMatrix.lookup`
+evaluated, with its tables; they serve any contiguous, row-aligned run of
+its points (the whole stack, a chunk that :func:`dynrmat.verifier.check_system`
+reads after :func:`dynrmat.verifier.sample_lambda`, one point), and any
+other stack is evaluated in one call and kept instead.  So a point read
+after another stack is evaluated again, and so are the accepted stencils
+after a sampling round that rejected draws.  ``R.tables(lam)``,
+``R.delta(i, j, lam)`` and ``R.d(i, j, lam)`` look up one point and raise
+:class:`PoleError` on a non-finite entry.
 
 The builder, the transforms and sampled configs make their matrices with
 :meth:`DynamicalRMatrix.from_tables`.  The keyword constructor
@@ -27,8 +27,8 @@ The builder, the transforms and sampled configs make their matrices with
 ``(i, j, lam) -> complex`` (see :func:`_field_tables`).  In
 ``DynamicalRMatrix(n, delta=my_delta, d=R.d)``, R pins each point object
 that ``my_delta`` gets with the point's tables, so ``R.delta(i, j, lam)`` is
-served from the pin; a read at an equal copy of ``lam`` goes through R's
-cache like any other read, and leaves that point in it.
+served from the pin; a read at an equal copy of ``lam`` is a lookup like
+any other read.
 
 Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
 1-based on both levels.
@@ -53,8 +53,6 @@ SHIFT_STEP = 1.0
 #: An entry outside the two sparsity patterns counts as zero when its
 #: modulus is below this.
 ZERO_WEIGHT_TOL = 1e-14
-
-_TABLE_CACHE_MAX = 512
 
 _isfinite = cmath.isfinite
 
@@ -89,19 +87,14 @@ def _coefficient_reader(part: int):
     def read(self, i: int, j: int, lam) -> complex:
         """Entry (i, j) of the exchange (``delta``) or diagonal (``d``, 0 for
         i = j) table at ``lam``: from the pin when ``lam`` is the pinned
-        object (see :func:`_field_tables`), else from the cached tables
-        (a list or a real ``lam`` reads the same point).  Raises
-        :class:`PoleError` on a non-finite entry."""
+        object (see :func:`_field_tables`), else from :meth:`lookup` at
+        that one point (a list or a real ``lam`` reads the same point).
+        Raises :class:`PoleError` on a non-finite entry."""
         pin = self._pin
         if pin is not None and lam is pin[0]:
             v = pin[row][i - 1][j - 1]
         else:
-            mu = np.asarray(lam, dtype=complex)
-            hit = self._cache.get(mu.tobytes())
-            if hit is None:
-                delta, d = self.lookup(mu[None])
-                hit = delta[0], d[0]
-            v = hit[part].item(i - 1, j - 1)
+            v = self.lookup(np.asarray(lam, dtype=complex)[None])[part].item(0, i - 1, j - 1)
         if _isfinite(v):
             return v
         raise PoleError(_pole_message(i, j, lam))
@@ -129,8 +122,7 @@ class DynamicalRMatrix:
         self.n = n
         self.provenance = provenance
         self._fn = fn
-        self._cache: dict = {}
-        # (points as bytes, delta, d) of the last stack lookup evaluated whole
+        # (points as bytes, delta, d) of the last stack lookup evaluated
         self._last: Optional[tuple] = None
         # (lam, delta rows, d rows): the point a per-entry adapter is
         # running its callables at, read by identity (see _field_tables)
@@ -151,20 +143,16 @@ class DynamicalRMatrix:
     d = _coefficient_reader(1)
 
     def tables(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense n x n coefficient tables (exchange, diagonal) at ``lam``.
-
-        Cached per evaluation point; raises :class:`PoleError` naming the
-        first pair, in row-major order, with a non-finite coefficient.
+        """Dense n x n coefficient tables (exchange, diagonal) at ``lam``:
+        :meth:`stacked_tables` at that one point, read-only; raises
+        :class:`PoleError` naming the first pair, in row-major order, with a
+        non-finite coefficient.
         """
         lam = np.asarray(lam, dtype=complex)
         if lam.shape != (self.n,):
             raise ValueError(f"lambda must have length {self.n}, got {lam.shape}")
-        hit = self._cache.get(lam.tobytes())
-        # a cached point may be a pole
-        if hit is None or not (np.isfinite(hit[0]).all() and np.isfinite(hit[1]).all()):
-            delta, d = self.stacked_tables(lam[None])
-            hit = delta[0], d[0]
-        return hit
+        delta, d = self.stacked_tables(lam[None])
+        return delta[0], d[0]
 
     def stacked_tables(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(P, n, n) exchange and diagonal tables at a (P, n) stack of points.
@@ -181,33 +169,26 @@ class DynamicalRMatrix:
         return delta, d
 
     def lookup(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(P, n, n) tables at a (P, n) stack of points, NaN at poles.
-
-        The points missing from the cache are evaluated in one call and then
-        cached per point, read-only, poles included.  The last stack
-        evaluated whole is kept with its tables, and asking for the same
-        points again returns those tables.
-        """
+        """(P, n, n) read-only tables at a (P, n) stack of points, NaN at
+        poles: from the kept tables when the points are a contiguous run of
+        the kept stack's rows (the kept arrays themselves for the whole
+        stack), else from one call, whose stack and tables are kept."""
         lams = _as_stack(lams, self.n)
         blob = lams.tobytes()
         last = self._last
-        if last is not None and last[0] == blob:
-            return last[1], last[2]
-        width = 16 * self.n
-        keys = [blob[k:k + width] for k in range(0, len(blob), width)]
-        tabs = [self._cache.get(key) for key in keys]
-        cold = [p for p, hit in enumerate(tabs) if hit is None]
-        if cold:
-            delta, d = raw_tables(self, lams[cold])
-            for k, p in enumerate(cold):
-                tabs[p] = delta[k], d[k]
-                if len(self._cache) >= _TABLE_CACHE_MAX:
-                    self._cache.clear()
-                self._cache[keys[p]] = tabs[p]
-            if len(cold) == len(keys):
-                self._last = blob, delta, d
-                return delta, d
-        return np.stack([t[0] for t in tabs]), np.stack([t[1] for t in tabs])
+        if last is not None:
+            if last[0] == blob:
+                return last[1], last[2]
+            width = 16 * self.n
+            at = last[0].find(blob)
+            while at > 0 and at % width:  # a match across rows
+                at = last[0].find(blob, at + 1)
+            if at >= 0:
+                p = at // width
+                return last[1][p:p + len(lams)], last[2][p:p + len(lams)]
+        delta, d = raw_tables(self, lams)
+        self._last = blob, delta, d
+        return delta, d
 
 
 def _reader(field: CoefficientField) -> Optional[tuple[DynamicalRMatrix, int]]:
@@ -229,7 +210,7 @@ def _field_tables(n: int, fields: tuple[CoefficientField, CoefficientField],
     :class:`PoleError`.  The callables get each point as a read-only row of
     a private copy of the stack.  While they run at a point, each matrix
     behind a reader pins that row object with its two tables as nested
-    lists; a read at any other object goes through the matrix's cache."""
+    lists; a read at any other object is a lookup of the matrix."""
     owners = list(dict.fromkeys(r[0] for r in readers if r is not None))
     plain = [(part, f) for part, (f, r) in enumerate(zip(fields, readers)) if r is None]
     nan = complex("nan")
@@ -271,7 +252,7 @@ def _field_tables(n: int, fields: tuple[CoefficientField, CoefficientField],
 def raw_tables(R: DynamicalRMatrix, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R's (P, n, n) exchange and diagonal tables at a (P, n) stack of
     points, with NaN at poles, from one call of R's table function: the
-    input of a transform's table function.  Bypasses R's table cache, never
+    input of a transform's table function.  Bypasses R's memo, never
     raises :class:`PoleError`, and returns read-only tables."""
     with np.errstate(all="ignore"):
         value = R._fn(np.asarray(lams, dtype=complex))

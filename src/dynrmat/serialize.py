@@ -429,9 +429,10 @@ def sample_keys(lams) -> list[tuple]:
 def matrix_from_samples(samples: SampledTables) -> DynamicalRMatrix:
     """Zero-weight matrix backed by the stacks of a finite set of samples.
 
-    Evaluable only at the sampled dynamical points (nearest-key lookup
-    with an exact-match tolerance); anywhere else raises
-    :class:`ParameterError`.  Of samples with the same key the last counts.
+    Evaluable only where the :func:`sample_keys` (exact 12-decimal keys, so
+    one ulp across a rounding boundary is another key) equal a sample's;
+    anywhere else raises :class:`ParameterError`.  Of samples with the same
+    key the last counts.
     """
     lams, delta, d = samples
     row = {key: s for s, key in enumerate(sample_keys(lams))}

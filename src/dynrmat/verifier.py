@@ -59,7 +59,6 @@ from .errors import PoleError
 from .params import derive, principal_sqrt
 from .rmatrix import (
     DynamicalRMatrix,
-    _TABLE_CACHE_MAX,
     _as_stack,
     shift_stencil,
     shifted,
@@ -77,6 +76,9 @@ DEFAULT_SAMPLES = 8
 #: Rejection-sampler bound on coefficient magnitudes; keeps cubic products
 #: well inside the meaningful range of double precision.
 DEFAULT_ENTRY_CAP = 1e3
+
+#: :func:`sample_lambda` evaluates at most this many points per table call.
+_SAMPLE_CALL_POINTS = 512
 
 
 @dataclass
@@ -128,14 +130,14 @@ def sample_lambda(
     Each round draws exactly as many points as are still missing, so the
     accepted points and the final state of ``rng`` are those of drawing
     one point at a time.  The checked points of a round are evaluated
-    together, at most ``_TABLE_CACHE_MAX`` points per table call.
+    together, at most ``_SAMPLE_CALL_POINTS`` points per table call.
     ``box`` and ``entry_cap`` must be finite and > 0.
     """
     _require_positive("box", box)
     _require_positive("entry_cap", entry_cap)
     n = R.n
     width = n + 1 if stencil else 1
-    per_call = max(1, _TABLE_CACHE_MAX // width)
+    per_call = max(1, _SAMPLE_CALL_POINTS // width)
     out: list[np.ndarray] = []
     tries = 0
     while len(out) < count:

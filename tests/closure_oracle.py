@@ -67,8 +67,9 @@ def oracle_tables(R: DynamicalRMatrix, lam) -> tuple[np.ndarray, np.ndarray]:
 def oracle_two_form(g, i: int, j: int, lam) -> complex:
     """g_ij at one point, read from ``g.beta`` (exact 2-forms) or ``g.g``
     (table 2-forms) in Python scalar arithmetic; raises :class:`PoleError`
-    where a potential or the stored orientation's value falls below
-    ``POLE_GUARD``."""
+    where g_ij or g_ji of an exact 2-form is not finite (a potential that
+    raises reads NaN, a division by 0 is not finite) or the stored
+    orientation's value of a table 2-form falls below ``POLE_GUARD``."""
     lam = np.asarray(lam, dtype=complex)
     if isinstance(g, TrivialTwoForm):
         return 1.0 + 0j
@@ -78,12 +79,15 @@ def oracle_two_form(g, i: int, j: int, lam) -> complex:
         shifted_i = lam.copy()
         shifted_i[i - 1] += 1
         bi, bj = g.beta[i], g.beta[j]
-        bi0, bj0 = complex(bi(lam)), complex(bj(lam))
-        bij, bji = complex(bi(shifted_j)), complex(bj(shifted_i))
-        for v in (bi0, bj0, bji):
-            if abs(v) < POLE_GUARD:
-                raise PoleError(f"potential of 2-form vanishes near lam={lam}")
-        return (bij / bi0) * (bj0 / bji)
+        bi0, bj0, bij, bji = (oracle_potential(f, mu) for f, mu in
+                              ((bi, lam), (bj, lam), (bi, shifted_j), (bj, shifted_i)))
+        try:
+            both = (bij / bi0) * (bj0 / bji), (bji / bj0) * (bi0 / bij)
+        except ZeroDivisionError:
+            both = (complex("nan"),)
+        if not all(cmath.isfinite(v) for v in both):
+            raise PoleError(f"2-form entry ({i},{j}) or ({j},{i}) is not finite at lam={lam}")
+        return both[0]
     if isinstance(g, TableTwoForm):
         a, b = min(i, j), max(i, j)
         v = complex(g.g[(a, b)](lam))
@@ -152,20 +156,32 @@ def oracle_pair_table(closures: dict, n: int, lams, mask) -> np.ndarray:
     return np.where(mask, out, 1)
 
 
+def oracle_potential(beta, lam) -> complex:
+    """beta(lam), NaN where it raises :class:`PoleError`."""
+    try:
+        return complex(beta(lam))
+    except PoleError:
+        return complex("nan")
+
+
 def oracle_exact_table(beta, n: int, lams, mask) -> np.ndarray:
     """:meth:`ExactTwoForm.table` as it was before it skipped unread
     potentials: every potential called once at every distinct point among
-    ``lams`` and lams + e_k, then the same whole-stack arithmetic."""
+    ``lams`` and lams + e_k (NaN where it raises :class:`PoleError`), then
+    the same whole-stack arithmetic, NaN on both orientations of a pair
+    where either is not finite."""
     lams = np.asarray(lams, dtype=complex)
     pts = stencil_points(lams).reshape(-1, n)
     first: dict[bytes, int] = {}
     row = [first.setdefault(pt.tobytes(), p) for p, pt in enumerate(pts)]
-    values = {p: [complex(beta[i](pts[p])) for i in range(1, n + 1)] for p in first.values()}
+    values = {p: [oracle_potential(beta[i], pts[p]) for i in range(1, n + 1)]
+              for p in first.values()}
     b = np.array([values[p] for p in row]).reshape(len(lams), n + 1, n)
     b0, bk = b[:, 0], b[:, 1:]
-    g = (bk.transpose(0, 2, 1) / b0[:, :, None]) * (b0[:, None, :] / bk)
-    small = np.abs(b0) < POLE_GUARD
-    g[small[:, :, None] | small[:, None, :] | (np.abs(bk) < POLE_GUARD)] = np.nan
+    with np.errstate(all="ignore"):
+        g = (bk.transpose(0, 2, 1) / b0[:, :, None]) * (b0[:, None, :] / bk)
+    bad = ~np.isfinite(g)
+    g[bad | bad.transpose(0, 2, 1)] = np.nan
     return np.where(mask, g, 1)
 
 

@@ -124,7 +124,7 @@ MUTANTS = [
            ("tests/test_verifier.py::test_sample_lambda_reference_with_entry_cap_rejections",
             "tests/test_verifier.py::test_sample_lambda_exhausts_after_exactly_max_tries_draws")),
     Mutant("sample_lambda: no chunking", V,
-           "per_call = max(1, _TABLE_CACHE_MAX // width)",
+           "per_call = max(1, _SAMPLE_CALL_POINTS // width)",
            "per_call = max_tries",
            ("tests/test_tables.py::test_large_draw_keeps_table_calls_bounded",)),
     # -- the Hecke verdict ---------------------------------------------------
@@ -160,15 +160,28 @@ MUTANTS = [
            "((s + disc) / 2, (s - disc) / 2))",
            ("tests/test_classifier_oracle.py::test_members_equal_the_per_entry_oracles",
             "tests/test_classifier_oracle.py::test_non_members_raise_the_first_error_of_the_per_entry_oracles")),
-    # -- tables, cache and the per-entry adapter (rmatrix) -------------------
+    # -- tables, memo and the per-entry adapter (rmatrix) --------------------
     Mutant("lookup: no memo", R,
-           "tabs = [self._cache.get(key) for key in keys]",
-           "tabs = [None for key in keys]",
+           "        if last is not None:\n",
+           "        if False:\n",
            ("tests/test_tables.py::test_one_table_call_per_cold_stencil",
-            "tests/test_tables.py::test_wrapper_evaluation_leaves_the_inner_cache_as_it_found_it[False]")),
+            "tests/test_tables.py::test_kept_runs_and_points_are_served_without_a_table_call")),
+    Mutant("memo: kept stack not replaced on a miss", R,
+           "        self._last = blob, delta, d\n",
+           "        self._last = last or (blob, delta, d)\n",
+           ("tests/test_tables.py::test_a_stack_mixing_kept_and_new_points_is_evaluated_whole",
+            "tests/test_verifier.py::test_certify_evaluates_each_sampled_stencil_once[2.0-calls1]")),
+    Mutant("memo: a match across rows served", R,
+           "while at > 0 and at % width:",
+           "while False:",
+           ("tests/test_tables.py::test_a_match_across_rows_of_the_kept_stack_is_no_run",)),
+    Mutant("memo: served run one row off", R,
+           "                p = at // width\n",
+           "                p = at // width + 1\n",
+           ("tests/test_tables.py::test_kept_runs_and_points_are_served_without_a_table_call",)),
     Mutant("lookup: one call per cold point", R,
-           "delta, d = raw_tables(self, lams[cold])",
-           "delta, d = map(np.concatenate, zip(*(raw_tables(self, lams[[p]]) for p in cold)))",
+           "delta, d = raw_tables(self, lams)",
+           "delta, d = map(np.concatenate, zip(*(raw_tables(self, lams[[p]]) for p in range(len(lams)))))",
            ("tests/test_bench_contract.py::test_fresh_evaluates_a_stack_in_one_call_behind_its_own_cache",
             "tests/test_bench_contract.py::test_input_wrappers_read_their_inner_matrix_from_one_stack_call[scaled_exchange]")),
     Mutant("stacked_tables: last bad point named", R,
@@ -253,10 +266,22 @@ MUTANTS = [
            "g = (bk / b0[:, :, None]) * (b0[:, None, :] / bk.transpose(0, 2, 1))",
            ("tests/test_acceptance.py::test_criterion_07_gauge_moves_preserve_invariants",
             "tests/test_params.py::test_exact_two_form_quotient")),
-    Mutant("exact 2-form: shifted-potential guard missing", P,
-           "g[small[:, :, None] | small[:, None, :] | (np.abs(bk) < POLE_GUARD)] = np.nan",
-           "g[small[:, :, None] | small[:, None, :]] = np.nan",
+    Mutant("exact 2-form: a pole marked on one orientation", P,
+           "g[bad | bad.transpose(0, 2, 1)] = np.nan",
+           "g[bad] = np.nan",
            ("tests/test_tables.py::test_vanishing_potential_pole_set",)),
+    Mutant("exact 2-form: a potential's PoleError propagates", P,
+           "    except PoleError:\n        return complex(\"nan\")\n",
+           "    except ZeroDivisionError:\n        return complex(\"nan\")\n",
+           ("tests/test_params.py::test_exact_two_form_reads_a_potential_that_raises_as_a_pole",
+            "tests/test_tables.py::test_exact_two_form_calls_as_the_per_slot_loop_and_gives_its_bits[2]")),
+    Mutant("exact 2-form: absolute potential guard restored", P,
+           "            g = (bk.transpose(0, 2, 1) / b0[:, :, None]) * (b0[:, None, :] / bk)\n",
+           "            g = (bk.transpose(0, 2, 1) / b0[:, :, None]) * (b0[:, None, :] / bk)\n"
+           "            small = np.abs(b0) < POLE_GUARD\n"
+           "            g[small[:, :, None] | small[:, None, :] | (np.abs(bk) < POLE_GUARD)] = np.nan\n",
+           ("tests/test_params.py::test_the_size_of_a_potential_makes_no_pole",
+            "tests/test_tables.py::test_vanishing_potential_pole_set")),
     Mutant("exact 2-form: no potential dedupe", P,
            "row = [first.setdefault(pt.tobytes(), s) for s, pt in enumerate(pts)]",
            "row = [first.setdefault(s, s) for s, pt in enumerate(pts)]",

@@ -99,9 +99,9 @@ def test_fresh_evaluates_a_stack_in_one_call_behind_its_own_cache():
     got = F.stacked_tables(lams)
     assert calls == [len(lams)]
     F.stacked_tables(lams)
-    assert calls == [len(lams)]  # F caches what it evaluated ...
+    assert calls == [len(lams)]  # F keeps what it evaluated ...
     want = R.stacked_tables(lams)
-    assert calls == [len(lams)] * 2  # ... in its own cache, not in R's
+    assert calls == [len(lams)] * 2  # ... in its own memo, not in R's
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
@@ -109,7 +109,7 @@ def test_fresh_evaluates_a_stack_in_one_call_behind_its_own_cache():
 def test_input_wrappers_read_their_inner_matrix_from_one_stack_call(wrapper):
     """The benchmark's non-member wrappers read their inner matrix at the
     point they are given, so its pin serves every read: one table call per
-    stack, and no per-entry cache miss."""
+    stack, and no lookup of the inner matrix."""
     inputs = _bench_module("inputs")
     datum = inputs.draw_datum(inputs.Template("T f2d2,f1 | R f1", "exact"),
                               np.random.default_rng(5))
@@ -128,7 +128,7 @@ def test_input_wrappers_read_their_inner_matrix_from_one_stack_call(wrapper):
     for stack in lams:
         W.stacked_tables(stack)
     assert calls == [len(lams[0])] * len(lams)
-    assert R._cache == {} and R._pin is None
+    assert R._last is None and R._pin is None  # no lookup of R ran
 
 
 def test_stencil_defect_is_the_defect_of_one_shift_stencil():

@@ -22,8 +22,10 @@ from dynrmat.params import (
     principal_sqrt,
     validate_params,
 )
-from dynrmat.rmatrix import evaluate
+from dynrmat.rmatrix import evaluate, stencil_points
 from dynrmat.sampling import random_datum
+from dynrmat.transforms import apply_twist
+from dynrmat.verifier import sample_lambda
 
 from conftest import golden_datum
 
@@ -236,6 +238,44 @@ def test_exact_two_form_pole():
     g = ExactTwoForm(beta=beta)
     with pytest.raises(PoleError):
         g.value(1, 2, np.zeros(2, dtype=complex))
+
+
+def test_exact_two_form_reads_a_potential_that_raises_as_a_pole():
+    """A potential that raises PoleError is NaN, as a table 2-form's
+    callable is: a twist by it rejects the draws whose stencil reaches the
+    pole instead of raising."""
+    def beta_1(lam):
+        if lam[0].real > 1.5:
+            raise PoleError("potential pole")
+        return 1 + 0j
+
+    beta = {1: beta_1, 2: lambda lam: 1 + 0j, 3: lambda lam: 1 + 0j}
+    T = apply_twist(build(*random_datum(3, np.random.default_rng(2), "trivial")), beta)
+    samples = sample_lambda(T, np.random.default_rng(0), 8)
+    assert len(samples) == 8 and all(lam[0].real <= 0.5 for lam in samples)
+    g = ExactTwoForm(beta=beta)
+    lam = np.array([1.6, 0.2, 0.3], dtype=complex)
+    with pytest.raises(PoleError, match=r"2-form entry \(1,2\) is not finite"):
+        g.value(1, 2, lam)
+    assert g.value(2, 3, lam) == 1
+
+
+def test_the_size_of_a_potential_makes_no_pole():
+    """g does not change when a potential is multiplied by a constant: the
+    potentials of const = -40 read about 4e-18 and give the quotient of
+    the coefficient form."""
+    n = 3
+    lin = np.zeros((n, n))
+    lin[0, 1] = 0.3
+    Q = QuadraticExactTwoForm([-40] * n, lin, np.zeros((n, n)))
+    lam = np.array([0.1, 0.2, 0.3], dtype=complex)
+    assert Q.value(1, 2, lam) == 1.3498588075760032
+    g = ExactTwoForm(beta=Q.beta)
+    # the potentials round their exponent near 40, so the quotients agree to about 1e-14
+    assert abs(g.value(1, 2, lam) - Q.value(1, 2, lam)) < 1e-13
+    off = ~np.eye(n, dtype=bool)
+    pts = stencil_points(lam)
+    assert np.allclose(g.table(n, pts, off), Q.table(n, pts, off), rtol=1e-13, atol=0)
 
 
 def test_quadratic_two_form_has_no_spurious_overflow_pole():

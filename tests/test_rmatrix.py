@@ -75,7 +75,7 @@ def test_shift_stencil_matches_shifted_tables():
     assert delta_st.shape == d_st.shape == (5, 4, 4)
     for k in range(5):
         pt = shifted(lam, k) if k else lam
-        dt, dd = build(p, c).tables(pt)  # fresh matrix: no shared cache
+        dt, dd = build(p, c).tables(pt)  # fresh matrix: no shared memo
         assert np.array_equal(delta_st[k], dt) and np.array_equal(d_st[k], dd)
 
 

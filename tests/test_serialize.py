@@ -1,6 +1,7 @@
 """Config parsing of exact 2-forms and sampled matrices, and sample keys."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -306,3 +307,30 @@ def test_sampled_lookup_reads_stacks_of_sample_points():
     assert np.array_equal(delta, want[0]) and np.array_equal(d, want[1])
     with pytest.raises(ParameterError, match="only evaluable at its own sample points"):
         S.lookup(np.array([pts[0] + 0.5]))
+
+
+def test_sampled_lookup_matches_keys_exactly_at_12_decimals():
+    """Shifts recomputed by stencil_points find the samples typed as
+    decimals (-0.7 + 1 is 0.30000000000000004, not 0.3), but a point one
+    ulp across a 12th-decimal rounding boundary from a sample is not
+    found: 0.3000000000005 has the key 0.3, its next float up the key
+    0.300000000001."""
+    R = build(*golden_datum())
+    base = np.array([-0.7, 0.7j, -0.9, 0.5 + 0.5j])
+    stored = np.array([[-0.7, 0.7j, -0.9, 0.5 + 0.5j], [0.3, 0.7j, -0.9, 0.5 + 0.5j],
+                       [-0.7, 1 + 0.7j, -0.9, 0.5 + 0.5j], [-0.7, 0.7j, 0.1, 0.5 + 0.5j],
+                       [-0.7, 0.7j, -0.9, 1.5 + 0.5j]])
+    shifts = stencil_points(base)
+    assert shifts.tobytes() != stored.tobytes()
+    S = matrix_from_samples(SampledTables(stored, *R.stacked_tables(stored)))
+    got = S.stacked_tables(shifts)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, R.stacked_tables(stored)))
+    edge = np.array([0.3000000000005, 0.7j, -0.9, 0.5 + 0.5j])
+    up = edge.copy()
+    up[0] = math.nextafter(0.3000000000005, 1)
+    assert sample_keys([edge, up]) == [(0.3, 0.7j, -0.9, 0.5 + 0.5j),
+                                       (0.300000000001, 0.7j, -0.9, 0.5 + 0.5j)]
+    E = matrix_from_samples(SampledTables(edge[None], *R.stacked_tables(edge[None])))
+    assert E.tables(edge)[0].tobytes() == R.tables(edge)[0].tobytes()
+    with pytest.raises(ParameterError, match="only evaluable at its own sample points"):
+        E.tables(up)

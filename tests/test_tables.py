@@ -21,7 +21,6 @@ from dynrmat.hecke import hecke_classify
 from dynrmat.params import (
     BlockConstants,
     ClassificationParams,
-    POLE_GUARD,
     ExactTwoForm,
     QuadraticExactTwoForm,
     TableTwoForm,
@@ -58,6 +57,7 @@ from closure_oracle import (
     oracle_contract,
     oracle_exact_table,
     oracle_pair_table,
+    oracle_potential,
     oracle_recovered_two_form,
     oracle_samples,
     oracle_tables,
@@ -93,7 +93,6 @@ def assert_same(R, O, points, values=True):
     relative size, up to 1e-4."""
     for lam in points:
         lam = np.asarray(lam, dtype=complex)
-        R._cache.clear()
         kind, new = outcome(R.tables, lam)
         okind, old = outcome(lambda mu: oracle_tables(O, mu), lam)
         assert (kind, kind == "pole" and new) == (okind, okind == "pole" and old), lam
@@ -295,6 +294,11 @@ def test_vanishing_potential_pole_set():
     at_12 = np.array([-1.5, 0.7 + 0.1j, 0.2j])
     at_3 = np.array([0.4, 0.3, -0.5 + 0.2j])
     _check_poles(R, O, _around(at_12, 1) + _around(at_3, 2))
+    # no guard here: the size of a potential makes no pole, so offset 0,
+    # where a potential is 0, is the only pole among the offsets
+    poles = {at_12.tobytes(), at_3.tobytes()}
+    for lam in _around(at_12, 1) + _around(at_3, 2):
+        assert outcome(R.tables, lam)[0] == ("pole" if lam.tobytes() in poles else "tables")
     # the same potentials as a twist of the golden matrix
     gp, gc = golden_datum()
     beta[4] = lambda lam: 1 + 0j
@@ -463,11 +467,48 @@ def test_one_table_call_per_cold_stencil():
         assert np.array_equal(delta[k], want[0]) and np.array_equal(d[k], want[1])
     shift_stencil(R, lam)
     R.tables(shifted(lam, 3))
-    assert len(calls) == 1  # every point cached
+    assert len(calls) == 1  # the kept stencil serves itself and its points
     shift_stencil(R, shifted(lam, 2))
-    assert len(calls) == 2 and len(calls[1]) == 4  # lam + e_2 was cached
+    assert len(calls) == 2 and len(calls[1]) == 5  # lam + e_2 was kept, but not as this stack
     sample_lambda(R, np.random.default_rng(0), 8)
     assert len(calls) == 3 and len(calls[2]) == 8 * 5  # no draw is rejected here
+
+
+def test_kept_runs_and_points_are_served_without_a_table_call():
+    """Every contiguous run of the kept stack, one point included, is read
+    from the kept tables: no table call, and the bytes of a fresh
+    evaluation."""
+    p, c = golden_datum()
+    R, calls = _counting(build(p, c))
+    lams = stencil_points(np.array(random_points(np.random.default_rng(4), 4, 3))).reshape(-1, 4)
+    R.stacked_tables(lams)
+    fresh = build(p, c)
+    for run in (lams[3:9], lams[:1], lams[7:8], lams[-4:], lams[:-1]):
+        got = R.stacked_tables(run)
+        want = raw_tables(fresh, run)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    for lam in lams:
+        got = R.tables(lam)
+        want = raw_tables(fresh, lam[None])
+        assert [a.tobytes() for a in got] == [b[0].tobytes() for b in want]
+        assert R.d(1, 3, lam) == want[1].item(0, 0, 2)
+    assert len(calls) == 1
+
+
+def test_a_match_across_rows_of_the_kept_stack_is_no_run():
+    """The bytes of (a, a, a, a + 1) occur in the stencil of (a, a, a, a)
+    from its second component on; only its own row serves it."""
+    def tables(lams):
+        delta = np.exp(lams[:, :, None] - 2 * lams[:, None, :])
+        return delta, delta * (1 - np.eye(4))
+
+    R, calls = _counting(DynamicalRMatrix.from_tables(4, tables))
+    lams = stencil_points(np.full(4, 0.25 + 0.5j))
+    R.stacked_tables(lams)
+    got = R.tables(lams[4])
+    want = tables(lams[4:])
+    assert got[0].tobytes() == want[0][0].tobytes() and got[1].tobytes() == want[1][0].tobytes()
+    assert len(calls) == 1
 
 
 def _first_draws(seed, count, n, box=2.0):
@@ -508,7 +549,7 @@ def test_recovered_two_form_evaluates_the_matrix_once_per_point():
     # R and the bare build each evaluate the whole stack in one call
     assert len(g.g) == 28 and [len(pts) for pts in calls] == [6]
     assert [len(pts) for pts in bare_calls] == [6]
-    g.table(8, lams, mask)  # warm: both caches serve every point
+    g.table(8, lams, mask)  # warm: both memos serve the whole stack
     assert len(calls) == len(bare_calls) == 1
 
 
@@ -666,7 +707,7 @@ def test_wrapper_evaluation_leaves_the_inner_cache_as_it_found_it(fail):
         return R.delta(i, j, lam)
 
     W = DynamicalRMatrix(n=4, delta=delta, d=R.d)
-    R.tables(lams[0])  # R has one point of the stack cached
+    R.tables(lams[0])  # R keeps one point of the stack
     calls.clear()
     if fail:
         with pytest.raises(RuntimeError, match="wrapper failed"):
@@ -674,10 +715,12 @@ def test_wrapper_evaluation_leaves_the_inner_cache_as_it_found_it(fail):
     else:
         raw_tables(W, lams)
     assert [len(pts) for pts in calls] == [5]
-    # the point cached before stays cached; the per-entry loop cached none
+    # the point kept before is still kept; the per-entry loop kept nothing
+    R.tables(lams[0])
+    assert [len(pts) for pts in calls] == [5]
     R.stacked_tables(lams)
-    assert [len(pts) for pts in calls] == [5, 4]
-    assert np.array_equal(calls[1], lams[1:])
+    assert [len(pts) for pts in calls] == [5, 5]
+    assert np.array_equal(calls[1], lams)
 
 
 def test_tables_raise_at_a_pole_whether_cold_cached_or_held():
@@ -698,7 +741,7 @@ def test_tables_raise_at_a_pole_whether_cold_cached_or_held():
     assert pole_messages(on_12) == [msg, msg]  # cold
     R.tables(good)
     assert R.delta(1, 3, on_12) == build(p, c).delta(1, 3, on_12)  # a finite entry
-    assert pole_messages(on_12) == [msg, msg]  # after reads there and a cached point
+    assert pole_messages(on_12) == [msg, msg]  # after reads there, now a kept point
     pinned = []
 
     def delta(i, j, lam):
@@ -850,7 +893,7 @@ def test_no_pin_outlives_nested_wrappers_or_a_callable_that_raises():
 
     with pytest.raises(RuntimeError, match="wrapper failed"):
         raw_tables(DynamicalRMatrix(n=4, delta=failing, d=R.d), lams)
-    assert R._pin is None and R._cache == {}
+    assert R._pin is None and R._last is None  # no lookup of R ran
 
 
 def test_writing_to_the_point_inside_a_callable_raises():
@@ -864,7 +907,7 @@ def test_writing_to_the_point_inside_a_callable_raises():
 
     with pytest.raises(ValueError, match="read-only"):
         raw_tables(DynamicalRMatrix(n=4, delta=delta, d=R.d), lams)
-    assert R._pin is None and R._cache == {}
+    assert R._pin is None and R._last is None  # no lookup of R ran
     assert lams.flags.writeable and lams[0, 0] == 0.1  # the caller's stack is untouched
 
 
@@ -895,10 +938,10 @@ def test_a_read_at_an_equal_copy_goes_through_the_inner_cache(fail):
     assert all(np.array_equal(pts[0], mu) for pts, mu in zip(calls[1:], lams))
     assert len(pairs) == done * 16 and all(a == b for a, b in pairs)
     assert R._pin is None
-    if not fail:  # the copied points stay cached: a second evaluation reads them there
+    if not fail:  # R keeps only the last copied point: a second evaluation reads each again
         calls.clear()
         raw_tables(W, lams)
-        assert [len(pts) for pts in calls] == [5]
+        assert [len(pts) for pts in calls] == [5] + [1] * 5
 
 
 def test_a_read_of_a_pole_at_an_equal_copy_raises_the_pinned_text():
@@ -975,17 +1018,18 @@ def test_stacked_pole_names_first_bad_point_and_pair():
     assert not R.tables(good)[0].flags.writeable
 
 
-def test_stack_mixing_hits_and_misses_survives_a_full_cache():
+def test_a_stack_mixing_kept_and_new_points_is_evaluated_whole():
     p, c = golden_datum()
-    R = build(p, c)
-    points = random_points(np.random.default_rng(6), 4, 520)
-    R.stacked_tables(np.array(points[:510]))
-    assert len(R._cache) == 510
-    mixed = np.array(points[505:520])  # five hits, then ten misses that fill the cache
+    R, calls = _counting(build(p, c))
+    points = np.array(random_points(np.random.default_rng(6), 4, 520))
+    R.stacked_tables(points[:510])
+    mixed = points[505:520]  # five kept points, then ten new ones
     delta, d = R.stacked_tables(mixed)
+    assert [len(pts) for pts in calls] == [510, 15]
     want = build(p, c).stacked_tables(mixed)
-    assert np.array_equal(delta, want[0]) and np.array_equal(d, want[1])
-    assert len(R._cache) < 512
+    assert delta.tobytes() == want[0].tobytes() and d.tobytes() == want[1].tobytes()
+    R.tables(points[0])  # the mixed stack replaced the first
+    assert [len(pts) for pts in calls] == [510, 15, 1]
 
 
 def test_exact_two_form_calls_each_potential_once_per_distinct_point():
@@ -1132,21 +1176,22 @@ def _per_slot_exact_table(beta, n, lams, mask):
     b = np.ones((len(pts), n), dtype=complex)
     for s in first.values():
         pt = pts[s]
-        b[s] = [complex(beta[i](pt)) if w else 1 for i, w in enumerate(wanted[s], 1)]
+        b[s] = [oracle_potential(beta[i], pt) if w else 1 for i, w in enumerate(wanted[s], 1)]
     b = b[row].reshape(P, n + 1, n)
     b0, bk = b[:, 0], b[:, 1:]
     g = (bk.transpose(0, 2, 1) / b0[:, :, None]) * (b0[:, None, :] / bk)
-    small = np.abs(b0) < POLE_GUARD
-    g[small[:, :, None] | small[:, None, :] | (np.abs(bk) < POLE_GUARD)] = np.nan
+    bad = ~np.isfinite(g)
+    g[bad | bad.transpose(0, 2, 1)] = np.nan
     return np.where(mask, g, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exact_two_form_calls_as_the_per_slot_loop_and_gives_its_bits(n):
     """Logging potentials are called in the per-slot loop's order, with
-    equal points, and give its table bit for bit.  beta_1 is below
-    POLE_GUARD where Re lam_1 = 0.25 and beta_n is NaN where Re lam_n =
-    -0.75, which some points and shifts hit."""
+    equal points, and give its table bit for bit.  beta_1 is 0 where
+    Re lam_1 = 0.25 and 1e-14 times its value where Re lam_1 = -0.75 (no
+    pole), and beta_n raises PoleError where Re lam_n = -0.75, which some
+    points and shifts hit."""
     rng = np.random.default_rng(60 + n)
     lin = rng.uniform(-0.3, 0.3, (n, n)) + 1j * rng.uniform(-0.3, 0.3, (n, n))
     calls = []
@@ -1156,9 +1201,11 @@ def test_exact_two_form_calls_as_the_per_slot_loop_and_gives_its_bits(n):
             calls.append((i, lam.tobytes()))
             v = complex(np.exp(np.dot(lin[i - 1], lam)))
             if i == 1 and lam[0].real == 0.25:
+                return 0j
+            if i == 1 and lam[0].real == -0.75:
                 return v * 1e-14
             if i == n and lam[-1].real == -0.75:
-                return complex("nan")
+                raise PoleError("potential pole")
             return v
         return beta
 
@@ -1166,6 +1213,7 @@ def test_exact_two_form_calls_as_the_per_slot_loop_and_gives_its_bits(n):
     points = np.array(random_points(rng, n, 4))
     points[1, 0] = 0.25
     points[2, -1] = -1.75
+    points[3, 0] = -0.75
     off = ~np.eye(n, dtype=bool)
     for lams in (points, stencil_points(points[0]), stencil_points(points[2]),
                  np.concatenate([points, points[::-1]])):
