@@ -52,5 +52,5 @@ for tag in sorted(report.per_equation):
     print(f"  {tag}: {report.per_equation[tag]:.3e}")
 
 inv = check_invertibility(R, samples[0])
-print(f"\nfactorized determinant agrees with dense: {inv['agree']}")
+print(f"\nno determinant factor is zero (no Delta_ii, no plane determinant): {inv['agree']}")
 print(f"det = {inv['det_factorized']:.6g}")

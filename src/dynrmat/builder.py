@@ -36,7 +36,7 @@ from .params import (
     principal_sqrt,
     validate_params,
 )
-from .partition import IndexPartition
+from .partition import IndexPartition, nd_mask
 from .rmatrix import DynamicalRMatrix, Provenance, composite_index
 
 
@@ -129,8 +129,7 @@ def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     member = np.zeros((len(classes), n), dtype=complex)
     member[cls_of, np.arange(n)] = 1
 
-    same_class = cls_of[:, None] == cls_of[None, :]
-    other_class = ~same_class
+    other_class = nd_mask(p)
     same_block = block[:, None] == block[None, :]
     coupled = same_block & (dclass[:, None] == dclass[None, :]) & other_class
 
@@ -139,7 +138,7 @@ def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     d0 = np.zeros((n, n), dtype=complex)
     for a, b in zip(*np.nonzero(~coupled)):
         fa, fb = info[a], info[b]
-        if same_class[a, b]:
+        if not other_class[a, b]:
             delta0[a, b] = class_const[fa.d_class]
         elif fa.block != fb.block:
             qq = (min(fa.block, fb.block), max(fa.block, fb.block))

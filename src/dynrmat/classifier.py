@@ -30,7 +30,7 @@ from .params import (
     pair_table,
     principal_sqrt,
 )
-from .partition import IndexPartition, class_id_map, relabel
+from .partition import IndexPartition, nd_mask, nd_pairs, relabel
 from .rmatrix import DynamicalRMatrix, pair_invariants, shift_stencil
 from .verifier import _require_positive, sample_lambda
 
@@ -126,38 +126,29 @@ def mean_and_spread(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.abs(values - mean).max(axis=0)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def classes(self) -> list[tuple[int, ...]]:
-        groups: dict[int, list[int]] = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return [tuple(sorted(v)) for _, v in sorted(groups.items())]
-
-
 def _classes(n: int, related, what: str, fails: str) -> list[tuple[int, ...]]:
-    """The classes of the closure of ``related`` on 1..n, which must already
-    be transitive: a pair a < b in one class that is not related raises
-    :class:`NotInFamilyError`, "{what} is not transitive on {class}: pair
-    (a,b) {fails}", for the first such pair in class order."""
-    uf = _UnionFind(range(1, n + 1))
+    """The classes of the closure of ``related`` on 1..n, by least member, which
+    must already be transitive: a pair a < b in one class that is not related
+    raises :class:`NotInFamilyError`, "{what} is not transitive on {class}: pair
+    (a,b) {fails}", for the first such pair in class order.  ``related`` is
+    called on every pair a < b, then on the pairs of each class."""
+    neighbours: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
     for a, b in combinations(range(1, n + 1), 2):
         if related(a, b):
-            uf.union(a, b)
-    classes = uf.classes()
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    classes, seen = [], set()
+    for i in range(1, n + 1):
+        if i in seen:
+            continue
+        cls, walk = {i}, [i]
+        while walk:
+            for b in neighbours[walk.pop()]:
+                if b not in cls:
+                    cls.add(b)
+                    walk.append(b)
+        seen |= cls
+        classes.append(tuple(sorted(cls)))
     for cls in classes:
         for a, b in combinations(cls, 2):
             if not related(a, b):
@@ -486,7 +477,7 @@ def recover_params(
         for dc in block:
             classes = dc.all_d_classes()
             anchor = classes[0]
-            f_consts[anchor] = 0j if rational else 1 + 0j
+            f_consts[anchor] = consts.conventional_f
             i = anchor[0]
             for cls in classes[1:]:
                 j = cls[0]
@@ -578,16 +569,13 @@ class QuotientTwoForm(TableTwoForm):
 
     def __init__(self, R: DynamicalRMatrix, base: ClassificationParams, to_orig: np.ndarray):
         check_datum(base.partition, base)
-        cid = np.array(sorted(class_id_map(base.partition).items()))[:, 1]
-        same = cid[:, None] == cid[None, :]
         self.R, self.base, self.to_orig = R, base, to_orig
         self._from_orig = np.argsort(to_orig)
-        self._missing = same & ~np.eye(len(cid), dtype=bool)
+        self._missing = ~(nd_mask(base.partition) | np.eye(len(to_orig), dtype=bool))
         sigmas = [b.det_const for b in base.per_block] + list(base.cross_det.values())
         self._guard = POLE_GUARD * _magnitude(max(abs(b.sum_const) for b in base.per_block),
                                               max(map(abs, sigmas)))
-        rows, cols = np.nonzero(np.triu(~same, 1))
-        self._pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+        self._pairs = nd_pairs(base.partition)
 
     __eq__ = object.__eq__
 

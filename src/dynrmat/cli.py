@@ -39,6 +39,7 @@ from .partition import to_json as partition_to_json
 from .rmatrix import point_to_json, stencil_points
 from .serialize import (
     complex_to_json,
+    finite_lambda,
     load_config,
     matrix_from_samples,
     params_to_json,
@@ -82,10 +83,9 @@ def _parse_lambda(text: str, n: Optional[int] = None) -> np.ndarray:
             vals.append(complex(tok.replace("i", "j").replace(" ", "")))
         except ValueError as exc:
             raise UsageError(f"cannot parse lambda component {tok!r}") from exc
-    lam = np.array(vals, dtype=complex)
-    if n is not None and len(lam) != n:
-        raise ParameterError(f"lambda must have {n} components, got {len(lam)}")
-    return lam
+    if n is not None and len(vals) != n:
+        raise ParameterError(f"lambda must have {n} components, got {len(vals)}")
+    return np.array(finite_lambda(vals), dtype=complex)
 
 
 def _number_list(kind, what: str):

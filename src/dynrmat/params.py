@@ -48,6 +48,11 @@ class BlockConstants:
     def rational(self) -> bool:
         return self.sum_const == 0
 
+    @property
+    def conventional_f(self) -> complex:
+        """The f of each exchange class's first d-class: 0 if the sum is 0, else 1."""
+        return 0j if self.rational else 1 + 0j
+
 
 @dataclass(frozen=True)
 class DerivedBlockConstants:
@@ -134,6 +139,17 @@ class TwoFormSpec:
     def table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def finite_table(self, n: int, lams: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """:meth:`table`, or :class:`PoleError` naming the first entry that
+        ``mask`` holds and that is not finite, in (point, i, j) order."""
+        with np.errstate(all="ignore"):
+            tab = self.table(n, lams, mask)
+        bad = mask & ~np.isfinite(tab)
+        if bad.any():
+            p, a, b = np.argwhere(bad)[0]
+            raise PoleError(f"2-form entry ({a + 1},{b + 1}) is not finite at lam={lams[p]}")
+        return tab
+
     def value(self, i: int, j: int, lam: np.ndarray) -> complex:
         """g_ij at one point; raises :class:`PoleError` where the table
         entry is not finite."""
@@ -141,11 +157,7 @@ class TwoFormSpec:
         n = len(lam)
         mask = np.zeros((n, n), dtype=bool)
         mask[i - 1, j - 1] = True
-        with np.errstate(all="ignore"):
-            v = complex(self.table(n, lam[None], mask)[0, i - 1, j - 1])
-        if not cmath.isfinite(v):
-            raise PoleError(f"2-form entry ({i},{j}) is not finite at lam={lam}")
-        return v
+        return complex(self.finite_table(n, lam[None], mask)[0, i - 1, j - 1])
 
 
 class TrivialTwoForm(TwoFormSpec):
@@ -480,7 +492,7 @@ def validate_params(c: ClassificationParams) -> ValidationResult:
                         "block with nonzero sum constant",
                     )
                 if k == 0:
-                    want = 0j if consts.rational else 1 + 0j
+                    want = consts.conventional_f
                     if fv != want:
                         return ValidationResult(
                             False,
@@ -514,7 +526,6 @@ def normalize_f(c: ClassificationParams) -> tuple[ClassificationParams, dict]:
                 report[key] = {"shift": -pivot}
                 for cls in classes:
                     new_f[cls] = complex(c.f_consts[cls]) - pivot
-                new_f[first] = 0j
             else:
                 if pivot == 0:
                     raise ParameterError(
@@ -524,6 +535,6 @@ def normalize_f(c: ClassificationParams) -> tuple[ClassificationParams, dict]:
                 report[key] = {"scale": 1.0 / pivot}
                 for cls in classes:
                     new_f[cls] = complex(c.f_consts[cls]) / pivot
-                new_f[first] = 1 + 0j
+            new_f[first] = consts.conventional_f
     return replace(c, f_consts=new_f), report
 

@@ -23,7 +23,11 @@ All indices are 1-based, here and in every report and JSON document.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Any, Iterator
+
+import numpy as np
+
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -140,15 +144,18 @@ def validate(p: IndexPartition) -> ValidationResult:
     return ValidationResult(True)
 
 
-def nd_pairs(p: IndexPartition) -> list[tuple[int, int]]:
-    """All ordered pairs (i, j), i < j, whose members lie in distinct d-classes."""
+def nd_mask(p: IndexPartition) -> np.ndarray:
+    """The n x n boolean matrix of the 0-based pairs in distinct d-classes,
+    both orientations; ``KeyError`` when ``p`` lacks one of 1..n."""
     class_id = class_id_map(p)
-    return [
-        (i, j)
-        for i in range(1, p.n + 1)
-        for j in range(i + 1, p.n + 1)
-        if class_id[i] != class_id[j]
-    ]
+    cid = np.array([class_id[i] for i in range(1, p.n + 1)], dtype=int)
+    return cid[:, None] != cid[None, :]
+
+
+def nd_pairs(p: IndexPartition) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of the upper triangle of :func:`nd_mask`, row by row."""
+    rows, cols = np.nonzero(np.triu(nd_mask(p), 1))
+    return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
 
 def class_id_map(p: IndexPartition) -> dict[int, int]:
@@ -175,20 +182,55 @@ def to_json(p: IndexPartition) -> dict:
     }
 
 
-def from_json(doc: dict) -> IndexPartition:
-    blocks = tuple(
-        tuple(
-            DeltaClass(
-                free=tuple(int(i) for i in d.get("free", [])),
-                d_classes=tuple(
-                    tuple(int(i) for i in cls) for cls in d.get("d_classes", [])
-                ),
-            )
-            for d in block
-        )
-        for block in doc["blocks"]
-    )
-    return IndexPartition(n=int(doc["n"]), blocks=blocks)
+def is_json_number(value: Any) -> bool:
+    """An int or a float as ``json`` parses them: a boolean is not one."""
+    return type(value) in (int, float)
+
+
+def json_type(value: Any) -> str:
+    """The JSON type of a parsed value, with its article, for messages."""
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    return {dict: "an object", list: "a list", str: "a string"}.get(type(value), "null")
+
+
+def json_value(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it is a ``kind``, dict or list; else :class:`ParameterError` naming ``what``."""
+    if not isinstance(value, kind):
+        article = "an object" if kind is dict else "a list"
+        raise ParameterError(f"{what} must be {article}, got {json_type(value)}")
+    return value
+
+
+def json_int(value: Any, what: str) -> int:
+    """``value`` as an int if it is an integral JSON number (4 or 4.0); a boolean,
+    a fraction, a string or any other value raises :class:`ParameterError` naming ``what``."""
+    if is_json_number(value) and value % 1 == 0:
+        return int(value)
+    got = repr(value) if isinstance(value, float) else json_type(value)
+    raise ParameterError(f"{what} must be an integer, got {got}")
+
+
+def from_json(doc: Any) -> IndexPartition:
+    """The partition of ``{"n": n, "blocks": [[{"free": [i, ...], "d_classes":
+    [[i, ...], ...]}, ...], ...]}``; a field or an item of another JSON type
+    raises :class:`ParameterError` naming it."""
+    doc = json_value(doc, dict, '"partition"')
+
+    def indices(values: Any, what: str) -> tuple[int, ...]:
+        return tuple(json_int(i, "a partition index") for i in json_value(values, list, what))
+
+    def exchange_class(d: Any) -> DeltaClass:
+        d = json_value(d, dict, "an exchange class")
+        d_classes = json_value(d.get("d_classes", []), list, '"d_classes"')
+        return DeltaClass(free=indices(d.get("free", []), '"free"'),
+                          d_classes=tuple(indices(cls, "a d-class") for cls in d_classes))
+
+    blocks = tuple(tuple(map(exchange_class, json_value(block, list, "a block")))
+                   for block in json_value(doc.get("blocks"), list, 'partition "blocks"'))
+    return IndexPartition(n=json_int(doc.get("n"), 'partition "n"'), blocks=blocks)
 
 
 def single_class_partition(n: int) -> IndexPartition:

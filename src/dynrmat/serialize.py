@@ -32,7 +32,8 @@ read into, and written back from, the coefficient form
 :class:`~dynrmat.params.QuadraticExactTwoForm`, whose tables are closed-form.
 Bad keys, indices and coefficients raise :class:`ParameterError` naming them,
 and so does a field of the wrong JSON type (a list where an object belongs,
-say), or a config that is not an object.
+or a fraction, a string or a boolean where an integer belongs), or a config
+that is not an object.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .params import (
     TwoFormSpec,
     constant_table_two_form,
 )
-from .partition import IndexPartition
+from .partition import IndexPartition, is_json_number, json_int, json_type, json_value
 from .partition import from_json as partition_from_json
 from .partition import to_json as partition_to_json
 from .rmatrix import ZERO_WEIGHT_TOL, DynamicalRMatrix
@@ -68,35 +69,23 @@ def complex_to_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def json_to_complex(obj: Any) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        raise ParameterError(f"expected a complex object {{re, im}}, got {obj!r}")
-    try:
-        return complex(float(obj["re"]), float(obj["im"]))
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"expected a complex object {{re, im}}, got {obj!r}") from exc
-
-
-def _json_type(value: Any) -> str:
-    if isinstance(value, bool):
-        return "a boolean"
-    if isinstance(value, (int, float)):
-        return "a number"
-    return {dict: "an object", list: "a list", str: "a string"}.get(type(value), "null")
+def json_to_complex(obj: Any, what: str = "a complex number") -> complex:
+    """A JSON number, or an object ``{"re": x, "im": y}`` of two JSON numbers, as a
+    complex; anything else raises :class:`ParameterError` naming ``what``."""
+    re, im = (obj.get("re"), obj.get("im")) if isinstance(obj, dict) else (obj, 0.0)
+    if is_json_number(re) and is_json_number(im):
+        try:
+            return complex(float(re), float(im))
+        except OverflowError:
+            pass
+    raise ParameterError(f"{what}: expected a complex object {{re, im}} of two numbers, "
+                         f"got {obj!r}")
 
 
 def _field(obj: dict, name: str, kind: type, default: Any) -> Any:
     """``obj[name]``, or ``default`` when it is absent; a value of another
     JSON type raises :class:`ParameterError` naming the field."""
-    if name not in obj:
-        return default
-    value = obj[name]
-    if not isinstance(value, kind):
-        what = "an object" if kind is dict else "a list"
-        raise ParameterError(f'"{name}" must be {what}, got {_json_type(value)}')
-    return value
+    return json_value(obj.get(name, default), kind, f'"{name}"')
 
 
 def _parse_class_key(key: str) -> tuple[int, ...]:
@@ -168,7 +157,7 @@ def two_form_from_json(obj: Optional[dict], n: int) -> TwoFormSpec:
     if obj is None:
         return TrivialTwoForm()
     if not isinstance(obj, dict):
-        raise ParameterError(f'a 2-form ("two_form") must be an object, got {_json_type(obj)}')
+        raise ParameterError(f'a 2-form ("two_form") must be an object, got {json_type(obj)}')
     kind = obj.get("type")
     if kind == "trivial":
         return TrivialTwoForm()
@@ -178,7 +167,7 @@ def two_form_from_json(obj: Optional[dict], n: int) -> TwoFormSpec:
             pair = _parse_class_key(key)
             if len(pair) != 2 or not (1 <= pair[0] < pair[1] <= n):
                 raise ParameterError(f"bad 2-form table key {key!r}")
-            values[pair] = json_to_complex(cval)
+            values[pair] = json_to_complex(cval, f"2-form table entry {key!r}")
         return constant_table_two_form(values)
     if kind == "exact":
         return _exact_two_form_from_json(obj.get("potentials", {}), n)
@@ -206,14 +195,15 @@ def _exact_two_form_from_json(pots: Any, n: int) -> QuadraticExactTwoForm:
         seen.add(i)
         if not isinstance(pot, dict):
             raise ParameterError(f"potential {key}: expected an object, got {pot!r}")
-        coeffs["const"][i - 1] = json_to_complex(pot.get("const", 0))
+        coeffs["const"][i - 1] = json_to_complex(pot.get("const", 0), f"potential {key}: const")
         for name in ("lin", "quad"):
             values = pot.get(name, [0] * n)
             if not isinstance(values, list) or len(values) != n:
                 raise ParameterError(
                     f"potential {key}: coefficient arrays must have length {n}"
                 )
-            coeffs[name][i - 1] = [json_to_complex(v) for v in values]
+            what = f"potential {key}: {name}"
+            coeffs[name][i - 1] = [json_to_complex(v, what) for v in values]
     return QuadraticExactTwoForm(**coeffs)
 
 
@@ -244,33 +234,25 @@ def params_to_json(
 
 
 def params_from_json(obj: dict) -> tuple[IndexPartition, ClassificationParams]:
-    try:
-        partition = partition_from_json(obj["partition"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ParameterError(f"bad or missing partition: {exc}") from exc
+    partition = partition_from_json(obj.get("partition"))
     per_block = []
-    for b in _field(obj, "per_block", list, []):
+    for q, b in enumerate(_field(obj, "per_block", list, []), 1):
         if not isinstance(b, dict):
-            raise ParameterError(f'"per_block" items must be objects, got {_json_type(b)}')
-        per_block.append(BlockConstants(sum_const=json_to_complex(b.get("S", 0)),
-                                        det_const=json_to_complex(b.get("Sigma", 0))))
+            raise ParameterError(f'"per_block" items must be objects, got {json_type(b)}')
+        per_block.append(BlockConstants(sum_const=json_to_complex(b.get("S", 0), f'block {q} "S"'),
+                                        det_const=json_to_complex(b.get("Sigma", 0),
+                                                                  f'block {q} "Sigma"')))
     cross = {}
     for item in _field(obj, "cross_sigma", list, []):
-        try:
-            q, qq, value = item
-            cross[(int(q), int(qq))] = json_to_complex(value)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"bad cross_sigma entry {item!r}") from exc
-    signs = {}
-    for key, v in _field(obj, "signs", dict, {}).items():
-        try:
-            signs[_parse_class_key(key)] = int(v)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"sign of d-class {key!r} must be an integer, "
-                                 f"got {_json_type(v)}") from exc
-    f_consts = {}
-    for key, v in _field(obj, "f", dict, {}).items():
-        f_consts[_parse_class_key(key)] = json_to_complex(v)
+        if not isinstance(item, list) or len(item) != 3:
+            raise ParameterError(f"bad cross_sigma entry {item!r}: expected [q, q', C]")
+        what = f"cross_sigma entry {item!r}"
+        q, qq = (json_int(v, f"{what}: a block index") for v in item[:2])
+        cross[(q, qq)] = json_to_complex(item[2], what)
+    signs = {_parse_class_key(key): json_int(v, f"sign of d-class {key!r}")
+             for key, v in _field(obj, "signs", dict, {}).items()}
+    f_consts = {_parse_class_key(key): json_to_complex(v, f"f of d-class {key!r}")
+                for key, v in _field(obj, "f", dict, {}).items()}
     two_form = two_form_from_json(obj.get("two_form"), partition.n)
     c = ClassificationParams(
         partition=partition,
@@ -301,10 +283,9 @@ class SampledTables(NamedTuple):
 
 
 def _size(obj) -> int:
-    try:
-        return int(obj["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError('a sampled matrix and each sample need an integer "n"') from exc
+    if not isinstance(obj, dict) or "n" not in obj:
+        raise ParameterError('a sampled matrix and each sample need an integer "n"')
+    return json_int(obj["n"], 'the "n" of a sampled matrix or a sample')
 
 
 def _sample_head(sample) -> tuple[int, list, list]:
@@ -313,13 +294,18 @@ def _sample_head(sample) -> tuple[int, list, list]:
     lam = sample.get("lambda")
     if not isinstance(lam, list):
         raise ParameterError('a sample needs a "lambda" list')
-    lam = [json_to_complex(v) for v in lam]
+    lam = [json_to_complex(v, "a lambda component") for v in lam]
     if len(lam) != n:
         raise ParameterError("lambda length does not match n")
+    return n, finite_lambda(lam), _field(sample, "entries", list, [])
+
+
+def finite_lambda(lam: list) -> list:
+    """``lam``, or :class:`ParameterError` naming its first component that is not finite."""
     for k, z in enumerate(lam, 1):
         if not cmath.isfinite(z):
             raise ParameterError(f"lambda component {k} is not finite: {z}")
-    return n, lam, _field(sample, "entries", list, [])
+    return lam
 
 
 def _entries(rows: list, cols: list, res: list, ims: list,
@@ -399,7 +385,9 @@ def sampled_tables_from_json(obj: dict) -> SampledTables:
     key = (sample_of * nn + row) * nn + col
     order = np.argsort(key, kind="stable")
     key = key[order]
-    last = order[np.append(key[1:] != key[:-1], True)]
+    ends = np.ones(len(key), dtype=bool)  # a sample may list no entry at all
+    ends[:-1] = key[1:] != key[:-1]
+    last = order[ends]
     exchange = col[last] == (b * n + a)[last]
     diagonal = ~exchange & (col[last] == row[last])
     outside = ~(exchange | diagonal) & ~(np.abs(values[last]) < ZERO_WEIGHT_TOL)
@@ -465,7 +453,7 @@ def load_config(path: str) -> dict:
 def parse_config(obj: dict):
     """Returns ("datum", (partition, params)) or ("matrix", SampledTables)."""
     if not isinstance(obj, dict):
-        raise ParameterError(f"a config must be a JSON object, got {_json_type(obj)}")
+        raise ParameterError(f"a config must be a JSON object, got {json_type(obj)}")
     kind = obj.get("kind")
     if kind == "datum":
         return "datum", params_from_json(obj)

@@ -26,11 +26,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, PoleError
+from .errors import ParameterError
 from .params import (
     ClassificationParams,
     ExactTwoForm,
@@ -42,7 +43,7 @@ from .params import (
     principal_sqrt,
     two_form_covers,
 )
-from .partition import IndexPartition, ValidationResult, nd_pairs, relabel
+from .partition import IndexPartition, ValidationResult, nd_mask, nd_pairs, relabel
 from .rmatrix import DynamicalRMatrix, raw_tables, stencil_points
 
 DEFAULT_CLOSED_TOL = 1e-10
@@ -77,20 +78,6 @@ def apply_twist(
 # -- multiplicative 2-form action -------------------------------------------
 
 
-def _coupled_triplets(p: IndexPartition):
-    pairs = set(nd_pairs(p))
-    n = p.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                if (
-                    (i, j) in pairs
-                    and (j, k) in pairs
-                    and (i, k) in pairs
-                ):
-                    yield (i, j, k)
-
-
 def check_closed(
     g: TwoFormSpec,
     partition: IndexPartition,
@@ -112,33 +99,29 @@ def check_closed(
     """
     if isinstance(g, (TrivialTwoForm, ExactTwoForm)):
         return ValidationResult(True)
-    triplets = list(_coupled_triplets(partition))
     n = partition.n
+    nd = nd_mask(partition).tolist()
+    # the 0-based triplets i < j < k whose three pairs are all coupled
+    triplets = [(i, j, k) for i, j, k in combinations(range(n), 3)
+                if nd[i][j] and nd[j][k] and nd[i][k]]
     rng = np.random.default_rng(seed)
     samples = [rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n) for _ in range(4)]
     mask = np.zeros((n, n), dtype=bool)
     for (i, j, k) in triplets:
-        for (a, b) in ((i, j), (j, k), (k, i)):
-            mask[a - 1, b - 1] = True
+        mask[[i, j, k], [j, k, i]] = True
     points = stencil_points(np.asarray(samples, dtype=complex)).reshape(-1, n)
-    with np.errstate(all="ignore"):
-        tab = g.table(n, points, mask)
-    bad = mask & ~np.isfinite(tab)
-    if bad.any():
-        p, a, b = np.argwhere(bad)[0]
-        raise PoleError(f"2-form entry ({a + 1},{b + 1}) is not finite at lam={points[p]}")
     # stencil[s][c] is the table at sample s shifted by e_c (c = 0: unshifted)
-    stencil = tab.reshape(-1, n + 1, n, n).tolist()
+    stencil = g.finite_table(n, points, mask).reshape(-1, n + 1, n, n).tolist()
     worst = 0.0
     worst_triplet = None
     for (i, j, k) in triplets:
         for at in stencil:
             prod = 1.0 + 0j
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                prod *= at[c][a - 1][b - 1] / at[0][a - 1][b - 1]
+                prod *= at[c + 1][a][b] / at[0][a][b]
             dev = abs(prod - 1)
             if dev > worst:
-                worst, worst_triplet = dev, (i, j, k)
+                worst, worst_triplet = dev, (i + 1, j + 1, k + 1)
     if worst > tol:
         return ValidationResult(
             False,
@@ -175,9 +158,7 @@ def apply_2form(
         res = check_closed(g, partition, seed=seed)
         if not res:
             raise ParameterError(res.message)
-    coupled = np.zeros((R.n, R.n), dtype=bool)
-    for i, j in nd_pairs(partition):
-        coupled[i - 1, j - 1] = coupled[j - 1, i - 1] = True
+    coupled = nd_mask(partition)
 
     def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         delta, d = raw_tables(R, lams)
@@ -385,7 +366,7 @@ def conventional_f(params: ClassificationParams) -> ClassificationParams:
     """The same datum with every position constant at its conventional value."""
     new_f = {}
     for q, block in enumerate(params.partition.blocks):
-        want = 0j if params.per_block[q].rational else 1 + 0j
+        want = params.per_block[q].conventional_f
         for dclass in block:
             for cls in dclass.all_d_classes():
                 new_f[cls] = want

@@ -318,12 +318,12 @@ MUTANTS = [
            "        if False:",
            ("tests/test_classifier.py::test_build_equivalences_names_the_broken_relation[straddle]",)),
     Mutant("recovered 2-form: eager datum check dropped", C,
-           "        check_datum(base.partition, base)\n        cid =",
-           "        cid =",
+           "        check_datum(base.partition, base)\n        self.R, self.base",
+           "        self.R, self.base",
            ("tests/test_classifier.py::test_recovered_two_form_rejects_what_build_rejects_before_building",)),
     Mutant("recovered 2-form: bare built eagerly", C,
-           "        check_datum(base.partition, base)\n        cid =",
-           "        self.__dict__['bare'] = build(base.partition, base)\n        cid =",
+           "        check_datum(base.partition, base)\n        self.R, self.base",
+           "        self.__dict__['bare'] = build(base.partition, base)\n        self.R, self.base",
            ("tests/test_classifier.py::test_recovered_two_form_builds_the_bare_datum_on_first_read",)),
     Mutant("recovered 2-form: readers kept on the form", C,
            "    @property\n    def g(self)",
@@ -377,6 +377,26 @@ MUTANTS = [
            ("tests/test_serialize.py::test_stack_parse_errors_equal_oracle[range]",
             "tests/test_serialize.py::test_stack_parse_errors_equal_oracle[missing]",
             "tests/test_serialize.py::test_stack_parse_errors_equal_oracle[range+lambda]")),
+    # -- one home for each partition fact ---------------------------------------
+    Mutant("nd_mask: one orientation only", PART,
+           "    return cid[:, None] != cid[None, :]\n",
+           "    return np.triu(cid[:, None] != cid[None, :])\n",
+           ("tests/test_partition.py::test_nd_mask_holds_both_orientations_of_the_distinct_class_pairs",
+            "tests/test_acceptance.py::test_criterion_01_golden_dense_matrix")),
+    Mutant("classes: the walk without its transitive step", C,
+           "                    cls.add(b)\n                    walk.append(b)\n",
+           "                    cls.add(b)\n",
+           ("tests/test_classifier.py::test_build_equivalences_names_the_broken_relation[d]",
+            "tests/test_classifier.py::test_build_equivalences_names_the_broken_relation[exchange]")),
+    Mutant("2-form pole read: mask ignored", P,
+           "        bad = mask & ~np.isfinite(tab)\n",
+           "        bad = ~np.isfinite(tab)\n",
+           ("tests/test_transforms.py::test_two_form_poles_are_read_only_where_the_mask_holds",)),
+    Mutant("conventional f: swapped", P,
+           "        return 0j if self.rational else 1 + 0j\n",
+           "        return 1 + 0j if self.rational else 0j\n",
+           ("tests/test_params.py::test_conventional_f_is_zero_in_a_zero_sum_block_and_one_otherwise",
+            "tests/test_transforms.py::test_reparametrize_trig_example")),
     # -- the canonical relabelling ---------------------------------------------
     Mutant("relabel: frees after d-classes", PART,
            "DeltaClass(free=number(free), d_classes=tuple(number(c) for c in d_classes))",

@@ -5,7 +5,7 @@ from dynrmat.builder import build, build_commuting_ops
 from dynrmat.errors import ParameterError
 from dynrmat.params import BlockConstants, ClassificationParams, derive, normalize_f
 from dynrmat.partition import DeltaClass, IndexPartition
-from dynrmat.rmatrix import evaluate
+from dynrmat.rmatrix import evaluate, shifted
 from dynrmat.sampling import random_datum
 from dynrmat.verifier import (
     check_system,
@@ -126,3 +126,30 @@ def test_commuting_operators():
             for name, op in [("free", ops["R0"])] + list(ops["family"].items()):
                 comm = M @ op - op @ M
                 assert np.abs(comm).max() < 1e-12, (name, np.abs(comm).max())
+
+
+def test_build_rejects_a_partition_other_than_the_datum_s():
+    p, c = golden_datum()
+    other = IndexPartition(n=4, blocks=((DeltaClass(free=(1, 2, 3, 4)),),))
+    with pytest.raises(ParameterError, match="partition does not match the one inside the params"):
+        build(other, c)
+
+
+def test_shift_identities_on_trigonometric_pairs():
+    """In a block with nonzero sum, a unit shift of the d-class of i
+    multiplies Delta_ji/Delta_ij by e^{A eps_I}: the residual is small
+    relative to that ratio, which spans many orders of magnitude."""
+    checked = 0
+    for seed in range(40):
+        p, c = random_datum(5, np.random.default_rng(seed), "trivial")
+        R = build(p, c)
+        (lam,) = sample_lambda(R, np.random.default_rng(seed), 1)
+        d_class = {i: cls for cls in p.all_d_classes() for i in cls}
+        block = {i: q for q, b in enumerate(p.blocks) for dc in b for i in dc.members()}
+        for (i, j), residual in shift_identities(R, lam).items():
+            if c.per_block[block[i]].rational:
+                continue
+            delta = R.tables(shifted(lam, d_class[i][0]))[0]
+            assert residual <= 1e-12 * abs(delta[j - 1, i - 1] / delta[i - 1, j - 1]), (seed, i, j)
+            checked += 1
+    assert checked > 50

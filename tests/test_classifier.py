@@ -20,6 +20,7 @@ from dynrmat.classifier import (
     classify,
     degenerate_blocks,
     detect_relations,
+    incidence_matrices,
     recover_params,
     triangularize,
 )
@@ -422,6 +423,27 @@ def test_build_equivalences_names_the_broken_relation(n, d_zero, delta_zero, mes
     with pytest.raises(NotInFamilyError) as exc:
         build_equivalences(_relations(d_zero, delta_zero), n)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("delta_zero, classes, message", [
+    ({(2, 2)}, [(1, 2, 3)], "Delta_22 vanishes; diagonal exchange coefficients are "
+                            "nonzero for every invertible member of the family"),
+    # Delta_13 = 0 but Delta_23 != 0: classes (1, 2) and (3,) are not uniformly coupled
+    ({(1, 3), (3, 1), (3, 2)}, [(1, 2), (3,)],
+     "mixed zero/nonzero exchange pattern between classes (1, 2) and (3,)"),
+], ids=["diagonal", "mixed"])
+def test_incidence_matrices_name_what_no_member_has(delta_zero, classes, message):
+    with pytest.raises(NotInFamilyError) as exc:
+        incidence_matrices(_relations(set(), delta_zero), classes, 3)
+    assert str(exc.value) == message
+
+
+def test_block_structure_rejects_comparable_classes_that_are_no_chain():
+    """Unreachable from classify, whose triangularize rejects the cycle
+    0 -> 2 -> 1 -> 0 first; block_structure still checks its own input."""
+    M_R = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+    with pytest.raises(NotInFamilyError, match="comparable classes do not form a chain"):
+        block_structure(M_R, [0, 1, 2])
 
 
 def test_detect_relations_needs_three_samples():

@@ -31,7 +31,8 @@ from dynrmat.rmatrix import (
     shifted,
 )
 from dynrmat.errors import PoleError
-from dynrmat.params import BlockConstants
+from dynrmat.params import BlockConstants, ClassificationParams
+from dynrmat.partition import single_class_partition
 from dynrmat.sampling import random_datum
 from dynrmat.serialize import complex_to_json, params_to_json
 from dynrmat.verifier import sample_lambda
@@ -104,6 +105,28 @@ def test_build_bad_lambda_usage(golden_config):
 
 def test_build_wrong_lambda_length(golden_config):
     assert main(["build", golden_config, "--lambda", "1,2"]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("value", ["nan", "1e400", "nanj", "-1e400j"])
+@pytest.mark.parametrize("command,extra,point,k", [
+    ("build", [], "0,{},0,0", 2),
+    # the contraction to index 1 does not depend on lambda
+    ("transform", ["--contract", "1"], "{}", 1),
+])
+def test_non_finite_lambda_component_invalid(golden_config, capsys, command, extra, point, k,
+                                             value):
+    """Rejected before the matrix is read at it: not a pole, and never a
+    printed NaN or Infinity, which is not JSON."""
+    assert main([command, golden_config, *extra, "--lambda", point.format(value)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"invalid input: lambda component {k} is not finite: ")
+
+
+def test_spelled_out_inf_lambda_is_a_usage_error(golden_config, capsys):
+    # "inf" reads as "jnf" once i is taken for the imaginary unit
+    assert main(["build", golden_config, "--lambda", "inf,0,0,0"]) == EXIT_USAGE
+    assert "cannot parse lambda component 'inf'" in capsys.readouterr().err
 
 
 # -- verify -----------------------------------------------------------------
@@ -848,6 +871,24 @@ def test_transform_twist(golden_config, tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["residual"] < 1e-9
+
+
+@pytest.mark.parametrize("spec", [[1, 2], "potentials", 5])
+def test_transform_twist_file_not_an_object_invalid(golden_config, tmp_path, capsys, spec):
+    argv = ["transform", golden_config, "--twist", _write(tmp_path, "b.json", spec)]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        'invalid input: a --twist file is an object {"potentials": {...}}\n')
+
+
+def test_hecke_single_d_class_line(tmp_path, capsys):
+    p = single_class_partition(3)
+    c = ClassificationParams(partition=p, per_block=(BlockConstants(0j, 4 + 0j),),
+                             signs={(1, 2, 3): 1}, f_consts={(1, 2, 3): 0j})
+    assert main(["hecke", _write(tmp_path, "single.json", params_to_json(c))]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("DegenerateSingleDClass value=2\n")
+    assert json.loads(out.split("\n", 1)[1])["kind"] == "DegenerateSingleDClass"
 
 
 @pytest.mark.parametrize("key", ["0", "-1", "5", "x", "1.5"])

@@ -20,7 +20,7 @@ from dynrmat.builder import build
 from dynrmat.cli import EXIT_INVALID, main
 from dynrmat.rmatrix import dense_point_to_json, evaluate, stencil_points
 from dynrmat.sampling import random_datum
-from dynrmat.serialize import params_to_json
+from dynrmat.serialize import params_to_json, parse_config
 
 from conftest import golden_datum
 
@@ -143,3 +143,75 @@ def test_field_of_wrong_type_never_raises(obj, command):
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main([command[0], path, *command[1:]])
     assert code in (0, 1, 2, 3, 4), err.getvalue()
+
+
+_CLASS = ["partition", "blocks", 0, 0]
+# (path, value, the message): one-field edits of the golden datum, each an
+# integer that is not an integral number, a list that is not a list, or a
+# complex part that is not a number
+STRICT = {
+    "n_fraction": (["partition", "n"], 4.9, 'partition "n" must be an integer, got 4.9'),
+    "n_string": (["partition", "n"], "4", 'partition "n" must be an integer, got a string'),
+    "free_fraction": (_CLASS + ["free"], [1.5, 2],
+                      "a partition index must be an integer, got 1.5"),
+    "free_boolean": (_CLASS + ["free"], [True, 2],
+                     "a partition index must be an integer, got a boolean"),
+    "free_string": (_CLASS + ["free"], "12", '"free" must be a list, got a string'),
+    "free_object": (_CLASS + ["free"], {"1": 0, "2": 0}, '"free" must be a list, got an object'),
+    "d_class_string": (_CLASS + ["d_classes"], ["34"], "a d-class must be a list, got a string"),
+    "class_string": (["partition", "blocks", 0], ["x"],
+                     "an exchange class must be an object, got a string"),
+    "partition_string": (["partition"], "abc", '"partition" must be an object, got a string'),
+    "sign_fraction": (["signs", "3,4"], 1.5, "sign of d-class '3,4' must be an integer, got 1.5"),
+    "sign_boolean": (["signs", "3,4"], True,
+                     "sign of d-class '3,4' must be an integer, got a boolean"),
+    "sign_string": (["signs", "3,4"], "-1",
+                    "sign of d-class '3,4' must be an integer, got a string"),
+    "cross_sigma_fraction": (["cross_sigma"], [[0.5, 1, 1]],
+                             "cross_sigma entry [0.5, 1, 1]: a block index must be an integer, "
+                             "got 0.5"),
+    "Sigma_boolean": (["per_block", 0, "Sigma"], True, 'block 1 "Sigma": expected a complex'),
+    "re_string": (["per_block", 0, "S"], {"re": "0.5", "im": 0}, 'block 1 "S": expected a complex'),
+    "f_im_null": (["f", "3,4"], {"re": 0, "im": None}, "f of d-class '3,4': expected a complex"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRICT))
+def test_datum_integers_lists_and_numbers_are_read_strictly(tmp_path, capsys, name):
+    path, value, msg = STRICT[name]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_with(_datum(), path, value)))
+    assert main(["build", str(config)]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert err.startswith("invalid input: " + msg) and out == "", err
+
+
+@pytest.mark.parametrize("path, msg", [
+    (["n"], 'the "n" of a sampled matrix or a sample must be an integer, got 2.7'),
+    (["samples", 2, "n"], 'sample 2: the "n" of a sampled matrix or a sample must be an integer'),
+], ids=["matrix", "sample"])
+def test_sampled_matrix_size_is_read_strictly(tmp_path, capsys, path, msg):
+    config = tmp_path / "m.json"
+    config.write_text(json.dumps(_with(_matrix(), path, 2.7)))
+    assert main(["classify", str(config)]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert err.startswith("invalid input: " + msg) and out == "", err
+
+
+def test_integral_numbers_read_as_integers(tmp_path, capsys):
+    """4.0 is the integer 4: the datum builds as with 4."""
+    outs = []
+    for obj in (_datum(), _with(_with(_datum(), ["partition", "n"], 4.0), ["signs", "3,4"], -1.0)):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(obj))
+        assert main(["build", str(config)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_readme_datum_example_loads():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("**Datum**", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    kind, (p, c) = parse_config(json.loads(example))
+    assert kind == "datum" and p.n == 4 and c.signs[(3, 4)] == -1
+    build(p, c)

@@ -365,3 +365,25 @@ def test_hecke_rescales_a_spectrum_that_would_overflow():
     assert (rep.kind, rep.detail) == ("Hecke", "")
     assert (rep.rho, rep.kappa) == (base.rho * c, base.kappa * c)
     assert rep.evidence["scale"] == base.evidence["scale"] * c
+
+
+def _constant_matrix(delta, d):
+    """The matrix whose tables are ``delta`` and ``d`` at every point."""
+    delta, d = np.array(delta, dtype=complex), np.array(d, dtype=complex)
+    return DynamicalRMatrix.from_tables(len(delta), lambda lams: (
+        np.repeat(delta[None], len(lams), axis=0), np.repeat(d[None], len(lams), axis=0)))
+
+
+@pytest.mark.parametrize("delta, d, detail", [
+    # Delta_12 = Delta_21 = 2, d_12 d_21 = 0: the plane's double root 2 is
+    # not diagonalizable, though the eigenvalues form two clusters
+    ([[1, 2], [2, 1]], [[0, 1], [0, 0]],
+     "non-diagonalizable repeated-eigenvalue plane(s) [(1, 2)]"),
+    # two clusters, 1 on every diagonal line and 0 on the plane: kappa = 0
+    ([[1, 1], [0, 1]], [[0, 1], [0, 0]], "degenerate parameters (rho, kappa)"),
+], ids=["non_diagonalizable", "kappa_zero"])
+def test_two_clusters_that_are_not_hecke(delta, d, detail):
+    samples = [np.array([x, 0j]) for x in (0.1, 0.7, 1.3)]
+    rep = hecke_classify(_constant_matrix(delta, d), samples=samples)
+    assert (rep.kind, rep.detail) == ("NotHecke", detail)
+    assert len(rep.evidence["eigenvalue_clusters"]) == 2

@@ -319,3 +319,8 @@ def test_quadratic_two_form_rejects_non_finite_coefficients(name, slot, where):
         QuadraticExactTwoForm(**coeffs)
     with pytest.raises(ParameterError, match="coefficients"):
         QuadraticExactTwoForm(np.zeros(2), np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+def test_conventional_f_is_zero_in_a_zero_sum_block_and_one_otherwise():
+    rational, trig = BlockConstants(0j, 1 + 0j), BlockConstants(0.5 + 0j, 1 + 0j)
+    assert (rational.conventional_f, trig.conventional_f) == (0j, 1 + 0j)

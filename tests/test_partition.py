@@ -9,6 +9,7 @@ from dynrmat.partition import (
     all_free_partition,
     class_id_map,
     from_json,
+    nd_mask,
     nd_pairs,
     relabel,
     single_class_partition,
@@ -61,6 +62,22 @@ def test_nd_pairs_golden():
     pairs = nd_pairs(p)
     assert (3, 4) not in pairs
     assert set(pairs) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nd_mask_holds_both_orientations_of_the_distinct_class_pairs(seed):
+    p = random_partition(2 + seed, np.random.default_rng(seed))
+    cid = class_id_map(p)
+    mask = nd_mask(p)
+    assert mask.tolist() == [[cid[i] != cid[j] for j in range(1, p.n + 1)]
+                             for i in range(1, p.n + 1)]
+    assert nd_pairs(p) == [(i, j) for i in range(1, p.n + 1) for j in range(i + 1, p.n + 1)
+                           if mask[i - 1, j - 1]]
+
+
+def test_nd_mask_of_a_partition_that_lacks_an_index_raises():
+    with pytest.raises(KeyError):
+        nd_mask(IndexPartition(n=3, blocks=((DeltaClass(free=(1, 2)),),)))
 
 
 def test_class_lookup_golden():

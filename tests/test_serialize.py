@@ -334,3 +334,10 @@ def test_sampled_lookup_matches_keys_exactly_at_12_decimals():
     assert E.tables(edge)[0].tobytes() == R.tables(edge)[0].tobytes()
     with pytest.raises(ParameterError, match="only evaluable at its own sample points"):
         E.tables(up)
+
+
+def test_sampled_matrix_whose_samples_list_no_entry_parses_to_zero_tables():
+    obj = {"kind": "matrix", "n": 2, "samples": [{"n": 2, "lambda": [k, 0]} for k in range(3)]}
+    kind, tables = parse_config(obj)
+    assert kind == "matrix" and tables.delta.shape == tables.d.shape == (3, 2, 2)
+    assert not tables.delta.any() and not tables.d.any()

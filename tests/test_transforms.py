@@ -13,6 +13,7 @@ from dynrmat.params import (
     ExactTwoForm,
     TableTwoForm,
     TrivialTwoForm,
+    TwoFormSpec,
     constant_table_two_form,
     derive,
     normalize_f,
@@ -201,6 +202,34 @@ def test_check_closed_evaluates_the_2form_in_one_table_call():
     values = {(1, 2): 2 + 1j, (1, 3): 0.5 - 1j, (1, 4): 1 + 0j, (2, 3): 0j, (2, 4): 1j}
     with pytest.raises(PoleError, match=r"2-form entry \(2,3\)"):
         check_closed(constant_table_two_form(values), p)
+
+
+class _NanOffMask(TwoFormSpec):
+    """g = 1 where the mask holds and NaN elsewhere; with ``pole``, also
+    NaN at (2,3) at every point with Re lam_1 > 0."""
+
+    def __init__(self, pole: bool):
+        self.pole = pole
+
+    def table(self, n, lams, mask):
+        tab = np.where(np.broadcast_to(mask, (len(lams), n, n)), 1 + 0j, np.nan)
+        if self.pole:
+            tab[lams[:, 0].real > 0, 1, 2] = np.nan
+        return tab
+
+
+def test_two_form_poles_are_read_only_where_the_mask_holds():
+    """value and check_closed raise the same PoleError, for the first
+    entry their mask holds that is not finite, and read no other entry."""
+    p = IndexPartition(n=4, blocks=((DeltaClass(free=(1, 2, 3, 4)),),))
+    lam = np.array([0.5, 0, 0, 0], dtype=complex)
+    assert _NanOffMask(False).value(2, 3, lam) == 1
+    assert check_closed(_NanOffMask(False), p)
+    with pytest.raises(PoleError) as exc:
+        _NanOffMask(True).value(2, 3, lam)
+    assert str(exc.value) == f"2-form entry (2,3) is not finite at lam={lam}"
+    with pytest.raises(PoleError, match=r"^2-form entry \(2,3\) is not finite at lam=\["):
+        check_closed(_NanOffMask(True), p)
 
 
 def test_check_closed_rejects_open_table():
