@@ -62,6 +62,13 @@ class IncidenceReport:
     index_permutation: dict[int, int]      # original index -> canonical index
 
 
+def require_nonzero(scale: float) -> None:
+    """Raise :class:`NotInFamilyError` when ``scale``, the largest
+    coefficient modulus over the samples, is 0."""
+    if scale == 0:
+        raise NotInFamilyError("matrix is identically zero at all samples")
+
+
 def detect_relations(
     R: DynamicalRMatrix,
     samples: Sequence[np.ndarray],
@@ -84,8 +91,7 @@ def detect_relations(
     mag = np.abs(np.stack(R.stacked_tables(np.asarray(samples, dtype=complex)), axis=-1))
     peak, trough = mag.max(axis=0), mag.min(axis=0)
     scale = float(peak.max())
-    if scale == 0:
-        raise NotInFamilyError("matrix is identically zero at all samples")
+    require_nonzero(scale)
     cut = tol * scale
 
     read = np.ones((n, n, 2), dtype=bool)

@@ -32,7 +32,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifier import DEFAULT_SAMPLES, classify, mean_and_spread, recover_params
+from .classifier import (
+    DEFAULT_SAMPLES,
+    classify,
+    mean_and_spread,
+    recover_params,
+    require_nonzero,
+)
 from .errors import NotInFamilyError
 from .params import principal_sqrt
 from .rmatrix import DynamicalRMatrix, pair_invariants, unit_scale
@@ -107,13 +113,16 @@ def hecke_classify(
     ``seed``; each is checked for poles and the entry cap at that point
     alone, since the analysis reads no shifted point.  ``tol`` must be
     finite and > 0.  The verdict reads one array of the n + n(n-1)
-    eigenvalues: the diagonal values, then each plane's pair.
+    eigenvalues: the diagonal values, then each plane's pair.  A matrix
+    that is zero at every sample raises :class:`NotInFamilyError`, as
+    :func:`~dynrmat.classifier.classify` does.
     """
     _require_positive("tol", tol)
     if samples is None:
         samples = sample_lambda(R, np.random.default_rng(seed), DEFAULT_SAMPLES, stencil=False)
     tables = np.array(R.stacked_tables(np.asarray(samples, dtype=complex)))
     k, scale = unit_scale(tables)
+    require_nonzero(scale)
     lambda_samples = [tuple(np.asarray(l, dtype=complex).tolist()) for l in samples]
     return _scaled_report(_verdict(*tables, scale, tol, lambda_samples), math.ldexp(1.0, -k))
 

@@ -37,6 +37,7 @@ Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -160,13 +161,12 @@ class DynamicalRMatrix:
         Raises :class:`PoleError` at the first point, in stack order, with a
         non-finite coefficient, naming its first pair in row-major order.
         """
-        lams = _as_stack(lams, self.n)
         delta, d = self.lookup(lams)
-        bad = ~(np.isfinite(delta) & np.isfinite(d))
-        if bad.any():
-            p, i, j = np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape)
-            raise PoleError(_pole_message(i + 1, j + 1, lams[p]))
-        return delta, d
+        finite = np.isfinite(delta) & np.isfinite(d)
+        if np.logical_and.reduce(finite, axis=None):  # ndarray.all() adds a Python call
+            return delta, d
+        p, i, j = np.unravel_index(int(np.flatnonzero(~finite)[0]), finite.shape)
+        raise PoleError(_pole_message(i + 1, j + 1, _as_stack(lams, self.n)[p]))
 
     def lookup(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(P, n, n) read-only tables at a (P, n) stack of points, NaN at
@@ -417,9 +417,13 @@ def unit_scale(T: np.ndarray, axis: Optional[int] = None) -> tuple:
     ``axis=0``), so that C 2^k is in [1, 2); C = 0 has k = 1.  ``np.ldexp``
     on the float view is exact, also where 2^k is no float (C < 2^-1022).
     Returns k and C 2^k: numbers, or lists of one per column."""
+    F = T[..., None].view(np.float64)
+    if axis is None:  # Python scalars: cheaper than 0-d arrays
+        mant, e = math.frexp(np.abs(T).max())
+        np.ldexp(F, 1 - e, out=F)
+        return 1 - e, 2 * mant
     mant, e = np.frexp(np.abs(T).max(axis=axis))
     k = 1 - e
-    F = T[..., None].view(np.float64)
     np.ldexp(F, k[..., None], out=F)
     return k.tolist(), (2 * mant).tolist()
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import re
 from itertools import chain
 from operator import itemgetter
 from typing import Any, NamedTuple, Optional
@@ -88,11 +89,22 @@ def _field(obj: dict, name: str, kind: type, default: Any) -> Any:
     return json_value(obj.get(name, default), kind, f'"{name}"')
 
 
+#: An index in a key: ASCII digits, without a sign, a space or a leading zero.
+_INDEX = re.compile(r"0|[1-9][0-9]*")
+
+
+def _index_key(key: str) -> Optional[tuple[int, ...]]:
+    """The indices of a key of comma-joined :data:`_INDEX` tokens, or None
+    for any other key."""
+    tokens = key.split(",")
+    return tuple(map(int, tokens)) if all(map(_INDEX.fullmatch, tokens)) else None
+
+
 def _parse_class_key(key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in key.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"bad d-class key {key!r}") from exc
+    indices = _index_key(key)
+    if indices is None:
+        raise ParameterError(f"bad d-class key {key!r}")
+    return indices
 
 
 # -- 2-form -----------------------------------------------------------------
@@ -164,8 +176,8 @@ def two_form_from_json(obj: Optional[dict], n: int) -> TwoFormSpec:
     if kind == "table":
         values = {}
         for key, cval in _field(obj, "values", dict, {}).items():
-            pair = _parse_class_key(key)
-            if len(pair) != 2 or not (1 <= pair[0] < pair[1] <= n):
+            pair = _index_key(key)
+            if pair is None or len(pair) != 2 or not (1 <= pair[0] < pair[1] <= n):
                 raise ParameterError(f"bad 2-form table key {key!r}")
             values[pair] = json_to_complex(cval, f"2-form table entry {key!r}")
         return constant_table_two_form(values)
@@ -182,17 +194,12 @@ def _exact_two_form_from_json(pots: Any, n: int) -> QuadraticExactTwoForm:
     coeffs = {"const": np.zeros(n, dtype=complex),
               "lin": np.zeros((n, n), dtype=complex),
               "quad": np.zeros((n, n), dtype=complex)}
-    seen: set[int] = set()
     for key, pot in pots.items():
-        try:
-            i = int(key)
-        except ValueError:
-            i = 0
-        if not 1 <= i <= n:
+        # one spelling per index, so no two keys of an object name one index
+        index = _index_key(key)
+        if index is None or len(index) != 1 or not 1 <= index[0] <= n:
             raise ParameterError(f"potential key {key!r} is not an index 1..{n}")
-        if i in seen:
-            raise ParameterError(f"potential key {key!r} repeats index {i}")
-        seen.add(i)
+        i = index[0]
         if not isinstance(pot, dict):
             raise ParameterError(f"potential {key}: expected an object, got {pot!r}")
         coeffs["const"][i - 1] = json_to_complex(pot.get("const", 0), f"potential {key}: const")

@@ -50,6 +50,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -195,7 +196,8 @@ class DefectLayout(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _defect_layout(n: int) -> DefectLayout:
-    """The :class:`DefectLayout` of size n (cached, read-only int32 arrays).
+    """The :class:`DefectLayout` of size n (cached, read-only ``np.intp``
+    arrays, the index type ``take`` reads without a conversion).
 
     Starting from each basis triple, a factor on slots (p, q) sends
     e_x (x) e_y to Delta_yx e_y (x) e_x + d_xy e_x (x) e_y, with its tables
@@ -228,7 +230,7 @@ def _defect_layout(n: int) -> DefectLayout:
     kept = np.concatenate(kept)
     # the cached arrays are made before the temporaries: made after them,
     # they would sit on top of the heap and keep it, and the RSS, up
-    gather, pairs = np.empty((3, kept.sum() + 1), np.int32), np.empty((2, 2 * m), np.int32)
+    gather, pairs = np.empty((3, kept.sum() + 1), np.intp), np.empty((2, 2 * m), np.intp)
     for g, pair in zip(gather, zip(*gathers)):
         g[:-1] = np.concatenate(pair)[kept]
     gather[:, -1] = d_offset  # the pad, product K, is d_11 d_11 d_11 at lam: 0 by construction
@@ -252,7 +254,7 @@ def _path_weights(T: np.ndarray, n: int) -> np.ndarray:
     and of its pad, at one stencil's flattened tables ``T``."""
     gather = _defect_layout(n).gather
     # the product so far times the next factor, as the factors act (complex
-    # products are not bitwise commutative); take() beats T[int32 indices]
+    # products are not bitwise commutative); take() beats T[indices]
     w = T.take(gather[0])
     w *= T.take(gather[1])
     w *= T.take(gather[2])
@@ -323,7 +325,7 @@ _FAMILIES = (EQUATION_TAGS[:1], EQUATION_TAGS[1:10], EQUATION_TAGS[10:])
 
 @lru_cache(maxsize=None)
 def _equation_layout(n: int) -> EquationLayout:
-    """The :class:`EquationLayout` of size n (cached, read-only int32
+    """The :class:`EquationLayout` of size n (cached, read-only ``np.intp``
     arrays)."""
     I, J = np.indices((n, n)).reshape(2, -1)
     I, J = I[I != J], J[I != J]
@@ -348,9 +350,8 @@ def _equation_layout(n: int) -> EquationLayout:
          D(k, I3, J3), D(k, J3, I3), D(i, J3, K3), D(j, I3, K3),
          D(0, I3, J3), D(0, J3, K3), D(0, I3, K3), D(0, K3, J3)],
     )
-    arrays = [np.array(rows, dtype=np.int32).reshape(len(rows), -1) for rows in positions]
-    arrays += [np.stack(group, axis=1).astype(np.int32) + 1
-               for group in ([r], [I, J], [I3, J3, K3])]
+    arrays = [np.array(rows, dtype=np.intp).reshape(len(rows), -1) for rows in positions]
+    arrays += [np.stack(group, axis=1) + 1 for group in ([r], [I, J], [I3, J3, K3])]
     for arr in arrays:
         arr.setflags(write=False)
     return EquationLayout(tuple(arrays[:3]), tuple(arrays[3:]))
@@ -405,6 +406,33 @@ def _equation_values(T: np.ndarray, n: int) -> dict[str, np.ndarray]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _peak_offsets(tags: int, entries: int, count: int) -> np.ndarray:
+    """The flat positions of entry 0 of each tag and sample in a (tags,
+    entries, count) array (cached, read-only)."""
+    out = np.arange(0, tags * entries * count, entries * count)[:, None] + np.arange(count)
+    out.setflags(write=False)
+    return out
+
+
+def _family_peaks(values: dict[str, np.ndarray], layout: EquationLayout) -> list[tuple]:
+    """``(tag, peaks, args, indices)`` of each equation of the families with
+    entries (an empty family keeps its 0.0), from :func:`_equation_values`
+    of ``count`` samples: per sample, the largest modulus of the equation's
+    values, the first entry at which it occurs, and the family's indices."""
+    out = []
+    for tags, indices in zip(_FAMILIES, layout.indices):
+        if len(indices):
+            mags = np.abs(np.stack([values[tag] for tag in tags]))  # (tags, entries, count)
+            # one reduction, then the peak read at its entry: a max over the
+            # middle axis would be a second, strided, reduction
+            arg = mags.argmax(axis=1)
+            at = arg * mags.shape[2]
+            at += _peak_offsets(*mags.shape)
+            out.extend(zip(tags, mags.take(at).tolist(), arg.tolist(), repeat(indices)))
+    return out
+
+
 #: Most entries of one operand of the batched equations in
 #: :func:`check_system`: a chunk holds max(1, _SYSTEM_CHUNK // n^3) samples,
 #: and a family has at most n^3 entries per sample.  8192 complex entries
@@ -448,14 +476,7 @@ def check_system(
         # one column per sample at unit scale: concat(delta_st.ravel(), d_st.ravel())
         T = np.concatenate([delta.reshape(count, -1).T, d.reshape(count, -1).T])
         ks, units = unit_scale(T, axis=0)
-        values = _equation_values(T, n)
-        peaks = []
-        for tags, indices in zip(_FAMILIES, layout.indices):
-            if len(indices):  # an empty family keeps its 0.0
-                mags = np.abs(np.stack([values[tag] for tag in tags]))
-                for tag, raw, arg in zip(tags, mags.max(axis=1).tolist(),
-                                         mags.argmax(axis=1).tolist()):
-                    peaks.append((tag, raw, arg, indices))
+        peaks = _family_peaks(_equation_values(T, n), layout)
         for s, (k, unit) in enumerate(zip(ks, units)):
             norm = unit ** 3 or 1.0  # C = 0 has residuals of 0
             for tag, raw, arg, indices in peaks:
@@ -491,9 +512,9 @@ def _exp(z: complex) -> complex:
 @lru_cache(maxsize=None)
 def _factor_positions(n: int) -> np.ndarray:
     """Where the determinant's factors sit in one point's ``concat(delta.ravel(),
-    d.ravel())`` (cached, read-only int32): each Delta_ii, then d_ij, d_ji,
+    d.ravel())`` (cached, read-only ``np.intp``): each Delta_ii, then d_ij, d_ji,
     Delta_ij and Delta_ji, each over the pairs i < j in row-major order."""
-    pos = np.empty(n * (2 * n - 1), dtype=np.int32)  # made first, as in _defect_layout
+    pos = np.empty(n * (2 * n - 1), dtype=np.intp)  # made first, as in _defect_layout
     I, J = np.indices((n, n)).reshape(2, -1)
     I, J = I[I < J], J[I < J]
     pos[:] = np.concatenate([np.arange(n) * (n + 1), n * n + I * n + J, n * n + J * n + I,
@@ -524,11 +545,11 @@ def check_invertibility(R: DynamicalRMatrix, lam: np.ndarray) -> dict:
     k, _ = unit_scale(g)  # g is all but d's zero diagonal: its C is the tables'
     d_ij, d_ji, delta_ij, delta_ji = g[n:].reshape(4, -1)
     factors = g[:n].tolist() + (d_ij * d_ji - delta_ij * delta_ji).tolist()
-    bad = next((i for i, v in enumerate(factors) if v == 0), None)
-    if bad is None:
+    if 0 not in factors:
         det = _exp(sum(map(cmath.log, factors)) - k * n ** 2 * math.log(2))
         detail = None
     else:
+        bad = factors.index(0)
         if bad < n:
             where = f"Delta_ii at index {bad + 1}"
         else:

@@ -242,6 +242,14 @@ def zero_residual_config() -> dict:
     }
 
 
+def all_zero_config() -> dict:
+    """A sampled n=2 config of three samples that list no entries: a matrix
+    that is zero at every sample."""
+    return {"kind": "matrix", "n": 2, "samples": [
+        {"n": 2, "lambda": [{"re": k, "im": 0}, {"re": 0, "im": 0.5}], "entries": []}
+        for k in range(3)]}
+
+
 @pytest.fixture
 def golden():
     p, c = golden_datum()

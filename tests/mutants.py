@@ -113,6 +113,18 @@ MUTANTS = [
            "- k * n * math.log(2))",
            ("tests/test_verifier.py::test_invertibility_gathers_the_whole_table_factors_bit_for_bit",
             "tests/test_verifier.py::test_invertibility_agrees_outside_the_float_range")),
+    Mutant("layouts: int32 indices, converted by every take", V,
+           "np.empty((3, kept.sum() + 1), np.intp), np.empty((2, 2 * m), np.intp)",
+           "np.empty((3, kept.sum() + 1), np.int32), np.empty((2, 2 * m), np.int32)",
+           ("tests/test_verifier.py::test_cached_layout_arrays_are_read_only[1]",)),
+    Mutant("peaks: the last entry of a tie", V,
+           "arg = mags.argmax(axis=1)",
+           "arg = mags.shape[1] - 1 - mags[:, ::-1].argmax(axis=1)",
+           ("tests/test_verifier.py::test_an_exact_tie_in_a_family_names_its_first_entry",)),
+    Mutant("invertibility: the last zero factor named", V,
+           "bad = factors.index(0)",
+           "bad = len(factors) - 1 - factors[::-1].index(0)",
+           ("tests/test_verifier.py::test_invertibility_names_a_zero_factor[Delta_22_and_det_12]",)),
     Mutant("sample_lambda: count drawn every round", V,
            "k = min(count - len(out), max_tries - tries)",
            "k = min(count, max_tries - tries)",
@@ -185,10 +197,18 @@ MUTANTS = [
            ("tests/test_bench_contract.py::test_fresh_evaluates_a_stack_in_one_call_behind_its_own_cache",
             "tests/test_bench_contract.py::test_input_wrappers_read_their_inner_matrix_from_one_stack_call[scaled_exchange]")),
     Mutant("stacked_tables: last bad point named", R,
-           "np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape)",
-           "np.unravel_index(int(np.flatnonzero(bad)[-1]), bad.shape)",
+           "np.unravel_index(int(np.flatnonzero(~finite)[0]), finite.shape)",
+           "np.unravel_index(int(np.flatnonzero(~finite)[-1]), finite.shape)",
            ("tests/test_cli.py::test_build_lambda_overflow_is_pole",
             "tests/test_tables.py::test_rational_pole_set")),
+    Mutant("stacked_tables: d's finiteness not checked", R,
+           "finite = np.isfinite(delta) & np.isfinite(d)",
+           "finite = np.isfinite(delta)",
+           ("tests/test_tables.py::test_stacked_pole_names_first_bad_point_and_pair",)),
+    Mutant("unit_scale: one array scaled by a power of two, no float below 2^-1022", R,
+           "np.ldexp(F, 1 - e, out=F)",
+           "F *= 2.0 ** (1 - e)",
+           ("tests/test_rmatrix.py::test_unit_scale_gives_the_bits_of_ldexp_at_the_ends_of_the_float_range",)),
     Mutant("stencil points from a 0/1 matrix (flips -0.0)", R,
            "    pts[..., k + 1, k] += SHIFT_STEP\n",
            "    pts = pts + SHIFT_STEP * np.eye(n + 1, n, -1)\n",

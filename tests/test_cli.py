@@ -38,7 +38,8 @@ from dynrmat.serialize import complex_to_json, params_to_json
 from dynrmat.verifier import sample_lambda
 
 from conftest import (
-    all_free_trig, golden_datum, huge_datum, overflow_datum, zero_residual_config,
+    all_free_trig, all_zero_config, golden_datum, huge_datum, overflow_datum,
+    zero_residual_config,
 )
 
 
@@ -891,13 +892,29 @@ def test_hecke_single_d_class_line(tmp_path, capsys):
     assert json.loads(out.split("\n", 1)[1])["kind"] == "DegenerateSingleDClass"
 
 
-@pytest.mark.parametrize("key", ["0", "-1", "5", "x", "1.5"])
+@pytest.mark.parametrize("key", ["0", "-1", "5", "x", "1.5", "+1", " 1"])
 @pytest.mark.parametrize("command", ["build", "twist"])
 def test_exact_potential_bad_key_invalid(golden_config, tmp_path, capsys, key, command):
     pots = {"1": {"lin": [0.2, 0.0, 0.0, 0.0]}, key: {"lin": [0.1, 0.0, 0.0, 0.0]}}
     argv = _exact_argv(golden_config, tmp_path, command, pots)
     assert main(argv) == EXIT_INVALID
     assert f"potential key '{key}' is not an index 1..4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", [" 3,+4", "03,4", "3 ,4", "\u0663,4"])
+@pytest.mark.parametrize("field, what", [("signs", "d-class"), ("f", "d-class"),
+                                         ("two_form", "2-form table")])
+def test_index_keys_are_read_strictly(golden_config, tmp_path, capsys, key, field, what):
+    """A d-class or 2-form table key is comma-joined ASCII digits, without a
+    sign, a space or a leading zero: a key that ``int()`` would read as
+    (3, 4) in another spelling is named, not read."""
+    obj = json.loads(open(golden_config).read())
+    if field == "two_form":
+        obj["two_form"] = {"type": "table", "values": {key: {"re": 2.0, "im": 0.0}}}
+    else:
+        obj[field][key] = obj[field].pop("3,4")
+    assert main(["build", _write(tmp_path, "keys.json", obj)]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"invalid input: bad {what} key {key!r}\n")
 
 
 @pytest.mark.parametrize("command", ["build", "twist"])
@@ -988,6 +1005,14 @@ def test_parser_is_built_once_and_keeps_no_option_values(golden_config, capsys):
     assert capsys.readouterr().out == alone
     assert build_parser() is parser
     assert main(["verify", golden_config, "--tol", "0"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["classify", "hecke"])
+def test_a_matrix_zero_at_every_sample_is_not_in_family(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "zero.json", all_zero_config())
+    assert main([command, cfg]) == EXIT_NOT_IN_FAMILY
+    assert capsys.readouterr() == ("", "not in family: matrix is identically zero at all "
+                                       "samples\n")
 
 
 def test_classify_ambiguous_sampled_config_not_in_family(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynrmat.builder import build
+from dynrmat.classifier import classify
 from dynrmat.cli import EXIT_OK, main
 from dynrmat.errors import NotInFamilyError
 from dynrmat.hecke import _verdict, basic_form_distance, hecke_classify
@@ -19,10 +20,10 @@ from dynrmat.params import (
 from dynrmat.partition import DeltaClass, IndexPartition, single_class_partition
 from dynrmat.rmatrix import DynamicalRMatrix, raw_tables
 from dynrmat.sampling import random_datum
-from dynrmat.serialize import params_to_json
+from dynrmat.serialize import matrix_from_samples, params_to_json, parse_config
 from dynrmat.verifier import sample_lambda
 
-from conftest import all_free_trig, golden_datum, times, varied_golden
+from conftest import all_free_trig, all_zero_config, golden_datum, times, varied_golden
 from hecke_predictor import predict
 
 
@@ -143,6 +144,17 @@ def test_lambda_dependent_invariants_rejected():
     ]
     with pytest.raises(NotInFamilyError):
         hecke_classify(R, samples=samples)
+
+
+def test_a_matrix_zero_at_every_sample_raises_what_classify_raises():
+    _, tables = parse_config(all_zero_config())
+    R = matrix_from_samples(tables)
+    messages = []
+    for check in (hecke_classify, classify):
+        with pytest.raises(NotInFamilyError) as exc:
+            check(R, samples=list(tables.lams))
+        messages.append(str(exc.value))
+    assert messages == ["matrix is identically zero at all samples"] * 2
 
 
 @pytest.mark.parametrize("delta_pairs, d_pairs, message", [

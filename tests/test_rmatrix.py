@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from dynrmat.rmatrix import (
     shifted,
     stencil_points,
     tables_from_dense,
+    unit_scale,
 )
 
 from conftest import golden_datum, golden_expected_tables, off_pattern, random_points
@@ -215,3 +218,32 @@ def test_dense_point_json_round_trip():
     assert back.n == P.n
     assert np.abs(back.matrix - P.matrix).max() == 0
     assert np.abs(np.asarray(back.lam) - np.asarray(P.lam)).max() == 0
+
+
+def _ldexp_reference(column):
+    """k, C 2^k and the entries times 2^k of one complex column, from
+    ``math.frexp`` of its largest modulus C and ``np.ldexp``."""
+    C = float(np.abs(column).max())
+    k = 1 - math.frexp(C)[1]
+    return k, math.ldexp(C, k), np.ldexp(column.view(np.float64), k).view(np.uint64)
+
+
+@pytest.mark.filterwarnings("error")
+def test_unit_scale_gives_the_bits_of_ldexp_at_the_ends_of_the_float_range():
+    """Columns with C below 2^-1022 (2^k is no float there), near 2^1023
+    (the smaller entries go subnormal), near 1 and 0: the one-array path
+    and the per-column path give the reference's bits."""
+    rng = np.random.default_rng(5)
+    top = np.array([-1070, -1030, 1023, 1010, 0, 0])[:, None]
+    T = np.ldexp(rng.uniform(-1, 1, (9, 6, 2)), top - rng.integers(0, 30, (9, 6, 2)))
+    T = T.view(complex)[..., 0]
+    T[:, 5] = 0
+    want = [_ldexp_reference(T[:, j].copy()) for j in range(6)]
+    got = T.copy()
+    ks, units = unit_scale(got, axis=0)
+    assert (ks, units) == ([w[0] for w in want], [w[1] for w in want])
+    assert np.array_equal(got.T.copy().view(np.uint64), np.array([w[2] for w in want]))
+    for j, (k, unit, scaled) in enumerate(want):
+        column = T[:, j].copy()
+        assert unit_scale(column) == (k, unit)
+        assert np.array_equal(column.view(np.uint64), scaled)

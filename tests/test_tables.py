@@ -1017,6 +1017,17 @@ def test_stacked_pole_names_first_bad_point_and_pair():
     assert R.tables(good)[0].shape == (4, 4)
     assert not R.tables(good)[0].flags.writeable
 
+    def d_poles(lams):  # d alone is not finite: at two pairs of point 1, and at point 2
+        delta = np.ones((len(lams), 2, 2), dtype=complex)
+        d = np.zeros_like(delta)
+        d[1:, 0, 1] = d[1, 1, 0] = complex("nan")
+        return delta, d
+
+    lams = np.array([[0.1, 0.2], [0.3, 0.4j], [0.5, 0.6]], dtype=complex)
+    with pytest.raises(PoleError) as stacked:
+        DynamicalRMatrix.from_tables(2, d_poles).stacked_tables(lams)
+    assert str(stacked.value) == f"non-finite coefficient at pair (1,2), lam={lams[1]}"
+
 
 def test_a_stack_mixing_kept_and_new_points_is_evaluated_whole():
     p, c = golden_datum()

@@ -410,17 +410,19 @@ def test_a_non_member_fails_at_every_power_of_two(k):
 
 
 def _zero_factor(which):
-    """The every-residual-zero datum with Delta_22 or the plane (1,2) set to 0."""
+    """The every-residual-zero datum with Delta_22, the plane (1,2) or both
+    set to 0."""
     R = build(*parse_config(zero_residual_config())[1])
-    if which == "Delta_22":
-        return DynamicalRMatrix(n=2, delta=lambda i, j, lam: 0j if i == j == 2 else R.delta(i, j, lam),
-                                d=R.d)
-    return DynamicalRMatrix(n=2, delta=R.delta, d=lambda i, j, lam: 0j)
+    delta = R.delta if which == "plane" else (
+        lambda i, j, lam: 0j if i == j == 2 else R.delta(i, j, lam))
+    d = R.d if which == "Delta_22" else (lambda i, j, lam: 0j)
+    return DynamicalRMatrix(n=2, delta=delta, d=d)
 
 
 @pytest.mark.parametrize("which, name", [("Delta_22", "Delta_ii at index 2"),
-                                         ("plane", "det_ij at pair (1,2)")],
-                         ids=["Delta_22", "det_12"])
+                                         ("plane", "det_ij at pair (1,2)"),
+                                         ("both", "Delta_ii at index 2")],
+                         ids=["Delta_22", "det_12", "Delta_22_and_det_12"])
 def test_invertibility_names_a_zero_factor(which, name):
     W = _zero_factor(which)
     lam = np.array([0.3, 0.1j])
@@ -724,6 +726,22 @@ def test_check_system_equals_oracle_on_a_one_index_non_member():
     assert {report.per_equation[tag] for tag in EQUATION_TAGS[1:]} == {0.0}
 
 
+def test_an_exact_tie_in_a_family_names_its_first_entry():
+    """At points with lam_1 = lam_2, G0 at index 1 and at index 2 multiply
+    the same numbers: the peak of the family is tied, and its first entry
+    is named."""
+    R = DynamicalRMatrix(2, lambda i, j, lam: 1 + 0.3 * lam[i - 1] if i == j else 0j,
+                         lambda i, j, lam: 0j)
+    points = [np.repeat(lam, 2) for lam in random_points(np.random.default_rng(312), 1, 4)]
+    delta, d = R.stacked_tables(stencil_points(np.array(points)).reshape(-1, 2))
+    T = np.concatenate([delta.reshape(len(points), -1).T, d.reshape(len(points), -1).T])
+    g0 = _equation_values(T, 2)["G0"]
+    assert np.array_equal(g0[0], g0[1]) and g0[0].all()  # tied at every sample
+    report, oracle = _both_reports(R, points)
+    assert report == oracle
+    assert report.worst_case.equation == "G0" and report.worst_case.indices == (1,)
+
+
 def test_check_system_equals_oracle_on_two_index_perturbed_non_members():
     # indices 1 and 2 coupled in one trigonometric exchange class
     p = IndexPartition(n=2, blocks=((DeltaClass(free=(1, 2), d_classes=()),),))
@@ -821,6 +839,8 @@ def test_cached_layout_arrays_are_read_only(n):
     arrays = [*layout.gather, layout.first, layout.second, *equations.positions,
               *equations.indices, _factor_positions(n)]
     for arr in arrays:
+        # np.intp: the index type that take() reads without a conversion
+        assert arr.dtype == np.intp
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
 
