@@ -22,7 +22,7 @@ the sign family and the 2-form.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -30,44 +30,13 @@ from .errors import ParameterError
 from .params import (
     POLE_GUARD,
     ClassificationParams,
-    ClassKey,
     DerivedBlockConstants,
     derive,
     principal_sqrt,
     validate_params,
 )
-from .partition import IndexPartition, nd_mask
+from .partition import IndexPartition, index_table, nd_mask
 from .rmatrix import DynamicalRMatrix, Provenance, composite_index
-
-
-@dataclass(frozen=True)
-class _IndexInfo:
-    """Per-index lookup data resolved once at build time."""
-
-    block: int                 # 0-based block ordinal
-    delta_class: int           # global 0-based exchange-class ordinal
-    d_class: tuple[int, ...]   # member tuple of the containing d-class
-    sign: int
-    f: complex
-
-
-def _index_table(p: IndexPartition, c: ClassificationParams) -> dict[int, _IndexInfo]:
-    table: dict[int, _IndexInfo] = {}
-    delta_ordinal = 0
-    for q, block in enumerate(p.blocks):
-        for dclass in block:
-            for cls in dclass.all_d_classes():
-                info = _IndexInfo(
-                    block=q,
-                    delta_class=delta_ordinal,
-                    d_class=cls,
-                    sign=int(c.signs[cls]),
-                    f=complex(c.f_consts[cls]),
-                )
-                for i in cls:
-                    table[i] = info
-            delta_ordinal += 1
-    return table
 
 
 def _class_constant(consts, derived: DerivedBlockConstants, sign: int) -> complex:
@@ -82,22 +51,21 @@ def _class_constant(consts, derived: DerivedBlockConstants, sign: int) -> comple
 
 def check_datum(
     p: IndexPartition, c: ClassificationParams
-) -> tuple[list[DerivedBlockConstants], dict[ClassKey, complex]]:
+) -> tuple[list[DerivedBlockConstants], list[complex]]:
     """Raise the :class:`ParameterError` that :func:`build` raises on a
     datum it cannot build, and return each block's derived constants and
-    each d-class's constant exchange coefficient."""
+    each d-class's constant exchange coefficient, in declaration order."""
     result = validate_params(c)
     if not result:
         raise ParameterError(result.message)
     if c.partition != p:
         raise ParameterError("partition does not match the one inside the params")
     derived = [derive(b.sum_const, b.det_const) for b in c.per_block]
-    class_const = {
-        cls: _class_constant(c.per_block[q], derived[q], int(c.signs[cls]))
-        for q, block in enumerate(p.blocks)
-        for dclass in block
+    class_const = [
+        _class_constant(c.per_block[q], derived[q], int(c.signs[cls]))
+        for q, _, dclass in p.delta_classes()
         for cls in dclass.all_d_classes()
-    }
+    ]
     return derived, class_const
 
 
@@ -111,53 +79,42 @@ def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     """
     derived, class_const = check_datum(p, c)
     n = p.n
-    table = _index_table(p, c)
-    info = [table[i] for i in range(1, n + 1)]
-    sqrt_det = [principal_sqrt(b.det_const) for b in c.per_block]
-    sqrt_cross = {k: principal_sqrt(v) for k, v in c.cross_det.items()}
+    block, xclass, cls_of = index_table(p).T
     classes = p.all_d_classes()
-    ordinal = {cls: k for k, cls in enumerate(classes)}
-
-    def per_index(fn, dtype):
-        return np.array([fn(x) for x in info], dtype=dtype)
-
-    cls_of = per_index(lambda x: ordinal[x.d_class], int)
-    block = per_index(lambda x: x.block, int)
-    dclass = per_index(lambda x: x.delta_class, int)
-    sign = per_index(lambda x: x.sign, float)
-    f = per_index(lambda x: x.f, complex)
+    sign = np.array([c.signs[cls] for cls in classes], dtype=float)[cls_of]
+    f = np.array([c.f_consts[cls] for cls in classes], dtype=complex)[cls_of]
     member = np.zeros((len(classes), n), dtype=complex)
     member[cls_of, np.arange(n)] = 1
 
     other_class = nd_mask(p)
     same_block = block[:, None] == block[None, :]
-    coupled = same_block & (dclass[:, None] == dclass[None, :]) & other_class
+    coupled = same_block & (xclass[:, None] == xclass[None, :]) & other_class
+    earlier = same_block & (xclass[:, None] < xclass[None, :])
+
+    # per-block constants; sqrt_sigma[q, q'] is sqrt(Sigma_q) at q = q' and
+    # sqrt(Sigma_qq') else, read from the keys q < q' alone, the ones that
+    # validate_params requires
+    sum_const = np.array([b.sum_const for b in c.per_block], dtype=complex)
+    sqrt_det = np.array([principal_sqrt(b.det_const) for b in c.per_block], dtype=complex)
+    sqrt_sigma = np.diag(sqrt_det)
+    for q, qq in combinations(range(len(c.per_block)), 2):
+        sqrt_sigma[q, qq] = sqrt_sigma[qq, q] = principal_sqrt(c.cross_det[(q, qq)])
 
     # lambda-independent entries; coupled pairs are filled per point
-    delta0 = np.zeros((n, n), dtype=complex)
-    d0 = np.zeros((n, n), dtype=complex)
-    for a, b in zip(*np.nonzero(~coupled)):
-        fa, fb = info[a], info[b]
-        if not other_class[a, b]:
-            delta0[a, b] = class_const[fa.d_class]
-        elif fa.block != fb.block:
-            qq = (min(fa.block, fb.block), max(fa.block, fb.block))
-            d0[a, b] = sqrt_cross[qq]
-        else:
-            earlier = fa.delta_class < fb.delta_class
-            delta0[a, b] = c.per_block[fa.block].sum_const if earlier else 0j
-            d0[a, b] = sqrt_det[fa.block]
+    delta0 = np.where(~other_class, np.array(class_const, dtype=complex)[cls_of, None],
+                      np.where(earlier, sum_const[block, None], 0j))
+    d0 = np.where(other_class, sqrt_sigma[block[:, None], block[None, :]], 0j)
 
     # coupled pairs, as flat positions split by block kind
-    rational = per_index(lambda x: c.per_block[x.block].rational, bool)
+    rational = np.array([b.rational for b in c.per_block])[block]
     rat = np.flatnonzero(coupled & rational[:, None])
     trig = np.flatnonzero(coupled & ~rational[:, None])
     ri, rj = np.divmod(rat, n)
     ti, tj = np.divmod(trig, n)
-    r_num = np.array([sqrt_det[q] for q in block[ri]], dtype=complex)
+    r_num = sqrt_det[block[ri]]
     t_log = np.array([derived[q].log_ratio for q in block[ti]], dtype=complex)
-    t_sum = np.array([c.per_block[q].sum_const for q in block[ti]], dtype=complex)
-    root = np.array([derived[q].root for q in block], dtype=complex)[:, None]
+    t_sum = sum_const[block[ti]]
+    root = np.array([x.root for x in derived], dtype=complex)[block, None]
     two_form = c.two_form
 
     def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +154,7 @@ def build_commuting_ops(p: IndexPartition, c: ClassificationParams) -> dict:
     _, class_const = check_datum(p, c)
     free_part = np.zeros((n * n, n * n), dtype=complex)
     family: dict[tuple[int, ...], np.ndarray] = {}
-    for cls in p.all_d_classes():
-        const = class_const[cls]
+    for cls, const in zip(p.all_d_classes(), class_const):
         if len(cls) == 1:
             i = cls[0]
             pos = composite_index(n, i, i)

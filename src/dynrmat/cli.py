@@ -297,8 +297,6 @@ def cmd_hecke(args) -> int:
     report = hecke_classify(R, samples=samples, tol=tol, seed=seed)
 
     def fmt(z: complex) -> str:
-        if z is None:
-            return "-"
         if abs(z.imag) <= 1e-12 * abs(z):  # relative: 0 prints as "0"
             return f"{z.real:.6g}"
         return f"{z.real:.6g}{z.imag:+.6g}i"

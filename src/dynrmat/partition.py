@@ -144,11 +144,28 @@ def validate(p: IndexPartition) -> ValidationResult:
     return ValidationResult(True)
 
 
+def index_table(p: IndexPartition) -> np.ndarray:
+    """The (n, 3) int array whose row i - 1 holds index i's 0-based block,
+    exchange-class ordinal and d-class ordinal, both ordinals counted in
+    declaration order over the whole partition; ``KeyError`` when ``p``
+    lacks one of 1..n."""
+    rows: dict[int, tuple[int, int, int]] = {}
+    k = 0
+    for x, (q, _, dclass) in enumerate(p.delta_classes()):
+        # the order of DeltaClass.all_d_classes, without its tuples
+        for i in dclass.free:
+            rows[i] = (q, x, k)
+            k += 1
+        for cls in dclass.d_classes:
+            rows.update(dict.fromkeys(cls, (q, x, k)))
+            k += 1
+    return np.array([rows[i] for i in range(1, p.n + 1)], dtype=int).reshape(-1, 3)
+
+
 def nd_mask(p: IndexPartition) -> np.ndarray:
     """The n x n boolean matrix of the 0-based pairs in distinct d-classes,
     both orientations; ``KeyError`` when ``p`` lacks one of 1..n."""
-    class_id = class_id_map(p)
-    cid = np.array([class_id[i] for i in range(1, p.n + 1)], dtype=int)
+    cid = index_table(p)[:, 2]
     return cid[:, None] != cid[None, :]
 
 
@@ -156,15 +173,6 @@ def nd_pairs(p: IndexPartition) -> list[tuple[int, int]]:
     """The pairs (i, j), i < j, of the upper triangle of :func:`nd_mask`, row by row."""
     rows, cols = np.nonzero(np.triu(nd_mask(p), 1))
     return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
-
-
-def class_id_map(p: IndexPartition) -> dict[int, int]:
-    """Map each index to the ordinal of its d-class in declaration order."""
-    out: dict[int, int] = {}
-    for cid, cls in enumerate(p.all_d_classes()):
-        for i in cls:
-            out[i] = cid
-    return out
 
 
 # -- JSON schema -----------------------------------------------------------

@@ -43,7 +43,7 @@ from .params import (
     principal_sqrt,
     two_form_covers,
 )
-from .partition import IndexPartition, ValidationResult, nd_mask, nd_pairs, relabel
+from .partition import IndexPartition, ValidationResult, index_table, nd_mask, nd_pairs, relabel
 from .rmatrix import DynamicalRMatrix, raw_tables, stencil_points
 
 DEFAULT_CLOSED_TOL = 1e-10
@@ -66,11 +66,17 @@ def apply_twist(
     multiplier = beta if isinstance(beta, ExactTwoForm) else ExactTwoForm(beta=beta)
     if set(multiplier.beta.keys()) != set(range(1, R.n + 1)):
         raise ParameterError("twist needs one potential per index 1..n")
+    return _scale_d(R, multiplier, True)
+
+
+def _scale_d(R: DynamicalRMatrix, g: TwoFormSpec, pairs: np.ndarray | bool) -> DynamicalRMatrix:
+    """R with each nonzero d_ij at a pair where the boolean ``pairs`` holds
+    (n x n, or True for every pair) multiplied by g_ij."""
 
     def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         delta, d = raw_tables(R, lams)
-        mask = d != 0
-        return delta, np.where(mask, d * multiplier.table(R.n, lams, mask), d)
+        mask = pairs & (d != 0)
+        return delta, np.where(mask, d * g.table(R.n, lams, mask), d)
 
     return DynamicalRMatrix.from_tables(R.n, tables, provenance=R.provenance)
 
@@ -158,14 +164,7 @@ def apply_2form(
         res = check_closed(g, partition, seed=seed)
         if not res:
             raise ParameterError(res.message)
-    coupled = nd_mask(partition)
-
-    def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        delta, d = raw_tables(R, lams)
-        mask = coupled & (d != 0)
-        return delta, np.where(mask, d * g.table(R.n, lams, mask), d)
-
-    return DynamicalRMatrix.from_tables(R.n, tables, provenance=R.provenance)
+    return _scale_d(R, g, nd_mask(partition))
 
 
 # -- contraction ------------------------------------------------------------
@@ -274,7 +273,6 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
     # per old d-class its f times eta^(1-p), p the exchange class's position;
     # a real scale, componentwise: at p = 1 every bit stays, signed zeros too
     new_f: dict = {}
-    class_position: dict[int, int] = {}  # per old label, for the compensator
     for q, block in enumerate(p.blocks):
         if len(block) > 1 and params.per_block[q].rational:
             raise ParameterError("cannot merge exchange classes of a zero-sum block")
@@ -282,7 +280,6 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
             for cls in dclass.all_d_classes():
                 f, s = params.f_consts[cls], eta ** (1 - pos)
                 new_f[cls] = complex(f.real * s, f.imag * s)
-                class_position.update(dict.fromkeys(cls, pos))
         blocks.append([([i for dc in block for i in dc.free],
                         [cls for dc in block for cls in dc.d_classes])])
     new_p, index_map = relabel(p.n, blocks)
@@ -305,18 +302,18 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
     # block, g_ij = sqrt(Sigma)/(B - S) for i in the earlier class and
     # g_ji = sqrt(Sigma)/B; elsewhere 1
     comp_values: dict[tuple[int, int], complex] = {}
-    block_of_old = {idx: q for q, block in enumerate(p.blocks) for dc in block for idx in dc.members()}
+    block_of, xclass = index_table(p)[:, :2].T.tolist()  # per old label - 1
     for (i, j) in nd_pairs(new_p):
-        oi = order[i - 1]
-        oj = order[j - 1]
-        q = block_of_old[oi]
-        if block_of_old[oj] != q or class_position[oi] == class_position[oj]:
+        oi = order[i - 1] - 1
+        oj = order[j - 1] - 1
+        q = block_of[oi]
+        if block_of[oj] != q or xclass[oi] == xclass[oj]:
             comp_values[(i, j)] = 1.0 + 0j
             continue
         consts = params.per_block[q]
         der = derive(consts.sum_const, consts.det_const)
         sq = principal_sqrt(consts.det_const)
-        if class_position[oi] < class_position[oj]:
+        if xclass[oi] < xclass[oj]:
             comp_values[(i, j)] = sq / (der.root - consts.sum_const)
         else:
             comp_values[(i, j)] = sq / der.root

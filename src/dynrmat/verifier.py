@@ -50,14 +50,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import permutations, repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .builder import _index_table
 from .errors import PoleError
 from .params import derive, principal_sqrt
+from .partition import index_table
 from .rmatrix import (
     DynamicalRMatrix,
     _as_stack,
@@ -574,28 +574,26 @@ def shift_identities(R: DynamicalRMatrix, lam: np.ndarray) -> dict[tuple[int, in
         raise ValueError("shift identities require builder provenance")
     p = R.provenance.partition
     c = R.provenance.params
-    info = _index_table(p, c)
+    block, xclass, cls_of = index_table(p).T.tolist()
+    classes = p.all_d_classes()
     lam = np.asarray(lam, dtype=complex)
     dt0 = R.tables(lam)[0]
     out: dict[tuple[int, int], float] = {}
-    for i in range(1, p.n + 1):
-        for j in range(1, p.n + 1):
-            if i == j:
-                continue
-            fi, fj = info[i], info[j]
-            if fi.d_class == fj.d_class or fi.delta_class != fj.delta_class:
-                continue
-            consts = c.per_block[fi.block]
-            dt1 = R.tables(shifted(lam, fi.d_class[0]))[0]
-            a, b = i - 1, j - 1
-            if consts.rational:
-                h0 = principal_sqrt(consts.det_const) / dt0[a, b]
-                h1 = principal_sqrt(consts.det_const) / dt1[a, b]
-                out[(i, j)] = abs(h1 - h0 - fi.sign)
-            else:
-                derived = derive(consts.sum_const, consts.det_const)
-                b0 = dt0[b, a] / dt0[a, b]
-                b1 = dt1[b, a] / dt1[a, b]
-                expected = np.exp(derived.log_ratio * fi.sign)
-                out[(i, j)] = abs(b1 - b0 * expected)
+    for a, b in permutations(range(p.n), 2):
+        if cls_of[a] == cls_of[b] or xclass[a] != xclass[b]:
+            continue
+        cls = classes[cls_of[a]]
+        sign = int(c.signs[cls])
+        consts = c.per_block[block[a]]
+        dt1 = R.tables(shifted(lam, cls[0]))[0]
+        if consts.rational:
+            h0 = principal_sqrt(consts.det_const) / dt0[a, b]
+            h1 = principal_sqrt(consts.det_const) / dt1[a, b]
+            out[(a + 1, b + 1)] = abs(h1 - h0 - sign)
+        else:
+            derived = derive(consts.sum_const, consts.det_const)
+            b0 = dt0[b, a] / dt0[a, b]
+            b1 = dt1[b, a] / dt1[a, b]
+            expected = np.exp(derived.log_ratio * sign)
+            out[(a + 1, b + 1)] = abs(b1 - b0 * expected)
     return out

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from dynrmat.builder import _class_constant, _index_table, build
+from dynrmat.builder import _class_constant, build
 from dynrmat.errors import ParameterError, PoleError
 from dynrmat.params import (
     POLE_GUARD,
@@ -28,7 +29,7 @@ from dynrmat.params import (
     derive,
     principal_sqrt,
 )
-from dynrmat.partition import class_id_map, nd_pairs
+from dynrmat.partition import index_table, nd_pairs
 from dynrmat.rmatrix import DynamicalRMatrix, stencil_points, tables_from_dense
 from dynrmat.serialize import sample_keys
 
@@ -111,13 +112,13 @@ def oracle_recovered_two_form(R: DynamicalRMatrix, params, inv) -> dict:
     for sigma in base.cross_det.values():
         magnitude = max(magnitude, abs(sigma) ** 0.5)
     bare = build(base.partition, base)
-    cid = class_id_map(base.partition)
+    cid = index_table(base.partition)[:, 2]
     n = base.partition.n
     to_orig = np.array([inv[a] - 1 for a in range(1, n + 1)])
     closures = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if cid[i] == cid[j]:
+            if cid[i - 1] == cid[j - 1]:
                 continue
 
             def g_func(lam, _i=i, _j=j):
@@ -187,14 +188,19 @@ def oracle_exact_table(beta, n: int, lams, mask) -> np.ndarray:
 
 def oracle_build(p, c) -> DynamicalRMatrix:
     """The closed-form matrix of a validated datum, one closure per field."""
-    info = _index_table(p, c)
+    classes = p.all_d_classes()
+    info = {
+        i: SimpleNamespace(block=q, delta_class=x, d_class=classes[k],
+                           sign=int(c.signs[classes[k]]), f=complex(c.f_consts[classes[k]]))
+        for i, (q, x, k) in enumerate(index_table(p).tolist(), 1)
+    }
     derived = [derive(b.sum_const, b.det_const) for b in c.per_block]
     sqrt_det = [principal_sqrt(b.det_const) for b in c.per_block]
     sqrt_cross = {k: principal_sqrt(v) for k, v in c.cross_det.items()}
     class_const = {
         cls: _class_constant(c.per_block[info[cls[0]].block],
                              derived[info[cls[0]].block], int(c.signs[cls]))
-        for cls in p.all_d_classes()
+        for cls in classes
     }
     two_form = c.two_form
 

@@ -257,6 +257,20 @@ MUTANTS = [
            "signed = sign * (lams @ member.T)[:, cls_of]",
            ("tests/test_tables.py::test_stacked_tables_equal_single_point_tables_bit_for_bit[trivial]",
             "tests/test_tables.py::test_stacked_tables_equal_single_point_tables_bit_for_bit[table]")),
+    Mutant("builder: earlier without same_block", B,
+           "    earlier = same_block & (xclass[:, None] < xclass[None, :])\n",
+           "    earlier = xclass[:, None] < xclass[None, :]\n",
+           ("tests/test_builder.py::test_constant_entries_across_exchange_classes_and_blocks",
+            "tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations")),
+    Mutant("builder: cross constants filled one way only", B,
+           "        sqrt_sigma[q, qq] = sqrt_sigma[qq, q] = principal_sqrt(c.cross_det[(q, qq)])\n",
+           "        sqrt_sigma[q, qq] = principal_sqrt(c.cross_det[(q, qq)])\n",
+           ("tests/test_builder.py::test_constant_entries_across_exchange_classes_and_blocks",
+            "tests/test_builder.py::test_cross_block_entries")),
+    Mutant("builder: every cross key read", B,
+           "    for q, qq in combinations(range(len(c.per_block)), 2):\n",
+           "    for q, qq in c.cross_det:\n",
+           ("tests/test_builder.py::test_build_reads_only_the_cross_constants_it_needs",)),
     Mutant("2-form table: entry guard /3", P,
            "ok = np.isfinite(upper) & (np.abs(upper) >= POLE_GUARD)",
            "ok = np.isfinite(upper) & (np.abs(upper) >= POLE_GUARD / 3)",
@@ -319,7 +333,7 @@ MUTANTS = [
             "tests/test_params.py::test_quadratic_two_form_has_no_spurious_overflow_pole")),
     # -- transforms -----------------------------------------------------------
     Mutant("twist: mask on all pairs", T,
-           "        mask = d != 0\n",
+           "        mask = pairs & (d != 0)\n",
            "        mask = np.ones_like(d, dtype=bool)\n",
            ("tests/test_tables.py::test_vanishing_potential_pole_set",)),
     Mutant("contract: through R.tables", T,
@@ -403,6 +417,15 @@ MUTANTS = [
            "    return np.triu(cid[:, None] != cid[None, :])\n",
            ("tests/test_partition.py::test_nd_mask_holds_both_orientations_of_the_distinct_class_pairs",
             "tests/test_acceptance.py::test_criterion_01_golden_dense_matrix")),
+    Mutant("index_table: d-classes counted before the frees", PART,
+           "        for i in dclass.free:\n            rows[i] = (q, x, k)\n            k += 1\n"
+           "        for cls in dclass.d_classes:\n"
+           "            rows.update(dict.fromkeys(cls, (q, x, k)))\n            k += 1\n",
+           "        for cls in dclass.d_classes:\n"
+           "            rows.update(dict.fromkeys(cls, (q, x, k)))\n            k += 1\n"
+           "        for i in dclass.free:\n            rows[i] = (q, x, k)\n            k += 1\n",
+           ("tests/test_partition.py::test_index_table_counts_classes_over_the_whole_partition",
+            "tests/test_builder.py::test_golden_entries_match_closed_forms")),
     Mutant("classes: the walk without its transitive step", C,
            "                    cls.add(b)\n                    walk.append(b)\n",
            "                    cls.add(b)\n",
@@ -435,7 +458,6 @@ MUTANTS = [
            "            for dclass in block:\n"
            "                for cls in dclass.all_d_classes():\n"
            "                    new_f[cls] = params.f_consts[cls]\n"
-           "                    class_position.update(dict.fromkeys(cls, 1))\n"
            "            blocks.append([(dc.free, dc.d_classes) for dc in block])\n"
            "            continue\n"
            "        for pos, dclass in enumerate(block, start=1):\n            for cls in dclass.all_d_classes():\n"

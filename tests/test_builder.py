@@ -3,7 +3,7 @@ import pytest
 
 from dynrmat.builder import build, build_commuting_ops
 from dynrmat.errors import ParameterError
-from dynrmat.params import BlockConstants, ClassificationParams, derive, normalize_f
+from dynrmat.params import BlockConstants, ClassificationParams, derive, normalize_f, principal_sqrt
 from dynrmat.partition import DeltaClass, IndexPartition
 from dynrmat.rmatrix import evaluate, shifted
 from dynrmat.sampling import random_datum
@@ -153,3 +153,38 @@ def test_shift_identities_on_trigonometric_pairs():
             assert residual <= 1e-12 * abs(delta[j - 1, i - 1] / delta[i - 1, j - 1]), (seed, i, j)
             checked += 1
     assert checked > 50
+
+
+def _two_block_datum(cross_det):
+    # block 1: two exchange classes {1}, {2} with S = 1; block 2: {3}
+    p = IndexPartition(n=3, blocks=((DeltaClass(free=(1,)), DeltaClass(free=(2,))),
+                                    (DeltaClass(free=(3,)),)))
+    c = ClassificationParams(
+        partition=p,
+        per_block=(BlockConstants(1 + 0j, 2 + 0j), BlockConstants(0j, 4 + 0j)),
+        cross_det=cross_det,
+        signs={(1,): 1, (2,): 1, (3,): 1},
+        f_consts={(1,): 1 + 0j, (2,): 1 + 0j, (3,): 0j},
+    )
+    return p, c
+
+
+def test_constant_entries_across_exchange_classes_and_blocks():
+    p, c = _two_block_datum({(0, 1): 9 + 0j})
+    dt, dd = build(p, c).tables(np.array([0.2 + 0.1j, -0.5 + 0.3j, 0.7 - 0.2j]))
+    # Delta_12 = S for the earlier class, Delta_21 = 0, d = sqrt(Sigma) inside
+    # the block; across blocks Delta = 0 both ways and d = sqrt(Sigma_12)
+    assert dt[0, 1] == 1 and dt[1, 0] == 0
+    assert dd[0, 1] == dd[1, 0] == principal_sqrt(2)
+    assert dt[[0, 1, 2, 2], [2, 2, 0, 1]].tolist() == [0j] * 4
+    assert dd[[0, 1, 2, 2], [2, 2, 0, 1]].tolist() == [3 + 0j] * 4
+
+
+def test_build_reads_only_the_cross_constants_it_needs():
+    """``validate_params`` accepts cross constants at keys other than
+    (q, q') with q < q'; the build reads none of them."""
+    p, c = _two_block_datum({(0, 1): 9 + 0j})
+    _, extra = _two_block_datum({(0, 1): 9 + 0j, (1, 0): 16 + 0j, (0, 0): 25 + 0j})
+    lam = np.array([0.2 + 0.1j, -0.5 + 0.3j, 0.7 - 0.2j])
+    for want, got in zip(build(p, c).tables(lam), build(p, extra).tables(lam)):
+        assert want.tobytes() == got.tobytes()

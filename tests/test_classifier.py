@@ -35,7 +35,7 @@ from dynrmat.params import (
     principal_sqrt,
 )
 from dynrmat.partition import DeltaClass, IndexPartition, to_json
-from dynrmat.rmatrix import DynamicalRMatrix
+from dynrmat.rmatrix import DynamicalRMatrix, raw_tables
 from dynrmat.sampling import random_datum, random_partition, random_two_form
 from dynrmat.serialize import params_to_json
 from dynrmat.transforms import apply_2form, apply_twist, contract
@@ -461,6 +461,26 @@ def test_varying_pair_invariants_named():
     with pytest.raises(NotInFamilyError) as exc:
         recover_params(R, structure)
     assert str(exc.value) == "pair invariants of (1,3) vary across samples"
+
+
+def test_pair_invariants_that_differ_between_pairs_named():
+    # the golden matrix with Delta_12, Delta_21, d_12 and d_21 doubled: the
+    # pattern and every pair's invariants stay constant, but the pair (1,2)
+    # reads S and Sigma other than those of the pairs (1,3) and (2,3)
+    p, c = golden_datum()
+    R = build(p, c)
+    doubled = np.ones((4, 4))
+    doubled[[0, 1], [1, 0]] = 2
+
+    def tables(lams):
+        return tuple(t * doubled for t in raw_tables(R, lams))
+
+    M = DynamicalRMatrix.from_tables(4, tables)
+    structure = classify(M)
+    assert structure.recovered_partition == p
+    with pytest.raises(NotInFamilyError) as exc:
+        recover_params(M, structure)
+    assert str(exc.value) == "block 1: pair invariants differ between pairs"
 
 
 @pytest.mark.parametrize("kind", ["trivial", "table", "exact"])

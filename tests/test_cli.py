@@ -30,9 +30,9 @@ from dynrmat.rmatrix import (
     point_to_json,
     shifted,
 )
-from dynrmat.errors import PoleError
+from dynrmat.errors import ParameterError, PoleError
 from dynrmat.params import BlockConstants, ClassificationParams
-from dynrmat.partition import single_class_partition
+from dynrmat.partition import DeltaClass, IndexPartition, single_class_partition
 from dynrmat.sampling import random_datum
 from dynrmat.serialize import complex_to_json, params_to_json
 from dynrmat.verifier import sample_lambda
@@ -337,6 +337,37 @@ def test_non_finite_constant_invalid(golden_config, tmp_path, capsys):
     path = _write(tmp_path, "nan.json", obj)
     assert main(["verify", path]) == EXIT_INVALID
     assert "sum constant S must be finite" in capsys.readouterr().err
+
+
+_GOLDEN = golden_datum()[1]
+_RATIONAL = BlockConstants(0j, 1 + 0j)
+_TWO_FREE = {"signs": {(1,): 1, (2,): 1}, "f_consts": {(1,): 0j, (2,): 0j}}
+_TWO_CLASSES = IndexPartition(n=2, blocks=((DeltaClass(free=(1,)), DeltaClass(free=(2,))),))
+_TWO_BLOCKS = IndexPartition(n=2, blocks=((DeltaClass(free=(1,)),), (DeltaClass(free=(2,)),)))
+
+
+@pytest.mark.parametrize("c, message", [
+    (replace(_GOLDEN, per_block=()), "0 per-block constants for 1 blocks"),
+    (ClassificationParams(_TWO_CLASSES, (_RATIONAL,), **_TWO_FREE),
+     "block 1: sum constant must be nonzero when the block has several exchange classes"),
+    (ClassificationParams(_TWO_BLOCKS, (_RATIONAL, _RATIONAL), **_TWO_FREE),
+     "missing cross-block determinant constant (1,2)"),
+    (ClassificationParams(_TWO_BLOCKS, (_RATIONAL, _RATIONAL), {(0, 1): 0j}, **_TWO_FREE),
+     "cross-block determinant constant (1,2) is zero"),
+    (replace(_GOLDEN, f_consts={(1,): 0j, (2,): 0j}), "missing f constant for d-class [3, 4]"),
+    (ClassificationParams(IndexPartition(n=0), ()), "n must be positive, got 0"),
+    (ClassificationParams(
+        IndexPartition(n=1, blocks=((DeltaClass(free=(1,)), DeltaClass()),)), (_RATIONAL,),
+        signs={(1,): 1}, f_consts={(1,): 0j}),
+     "empty exchange class in block 1"),
+], ids=["block count", "zero S", "missing cross", "zero cross", "missing f", "n < 1",
+        "empty exchange class"])
+def test_datum_rejected_with_its_message_by_build_and_cli(c, message, tmp_path, capsys):
+    with pytest.raises(ParameterError) as exc:
+        build(c.partition, c)
+    assert str(exc.value) == message
+    assert main(["build", _write(tmp_path, "broken.json", params_to_json(c))]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
 
 
 def test_verify_matrix_with_shifts_passes(golden_R, tmp_path, capsys):

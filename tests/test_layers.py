@@ -7,7 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "layers.py"
-LAYERS = {"check_system", "global_half", "equations", "peaks", "check_invertibility",
+LAYERS = {"build", "check_system", "global_half", "equations", "peaks", "check_invertibility",
           "stacked_tables", "stacked_tables_point", "unit_scale", "unit_scale_columns"}
 
 

@@ -7,8 +7,8 @@ from dynrmat.partition import (
     DeltaClass,
     IndexPartition,
     all_free_partition,
-    class_id_map,
     from_json,
+    index_table,
     nd_mask,
     nd_pairs,
     relabel,
@@ -67,10 +67,9 @@ def test_nd_pairs_golden():
 @pytest.mark.parametrize("seed", range(8))
 def test_nd_mask_holds_both_orientations_of_the_distinct_class_pairs(seed):
     p = random_partition(2 + seed, np.random.default_rng(seed))
-    cid = class_id_map(p)
+    cid = index_table(p)[:, 2].tolist()
     mask = nd_mask(p)
-    assert mask.tolist() == [[cid[i] != cid[j] for j in range(1, p.n + 1)]
-                             for i in range(1, p.n + 1)]
+    assert mask.tolist() == [[cid[i] != cid[j] for j in range(p.n)] for i in range(p.n)]
     assert nd_pairs(p) == [(i, j) for i in range(1, p.n + 1) for j in range(i + 1, p.n + 1)
                            if mask[i - 1, j - 1]]
 
@@ -82,8 +81,22 @@ def test_nd_mask_of_a_partition_that_lacks_an_index_raises():
 
 def test_class_lookup_golden():
     p, _ = golden_datum()
-    cid = class_id_map(p)
-    assert cid[3] == cid[4] != cid[1]
+    assert index_table(p).tolist() == [[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, 2]]
+
+
+def test_index_table_counts_classes_over_the_whole_partition():
+    p = IndexPartition(n=7, blocks=(
+        (DeltaClass(free=(1,), d_classes=((2, 3),)), DeltaClass(free=(4,))),
+        (DeltaClass(d_classes=((5, 6),)), DeltaClass(free=(7,)))))
+    table = index_table(p)
+    assert table.dtype.kind == "i" and table.shape == (7, 3)
+    assert table.tolist() == [[0, 0, 0], [0, 0, 1], [0, 0, 1], [0, 1, 2],
+                              [1, 2, 3], [1, 2, 3], [1, 3, 4]]
+
+
+def test_index_table_of_a_partition_that_lacks_an_index_raises():
+    with pytest.raises(KeyError):
+        index_table(IndexPartition(n=3, blocks=((DeltaClass(free=(1, 3)),),)))
 
 
 def test_json_round_trip():

@@ -1,4 +1,4 @@
-"""Warm per-layer timings of the certify path against n.
+"""Warm per-layer timings of the build and certify paths against n.
 
     python3 tools/layers.py                         # n = 4 6 8 9 16 32, JSON to stdout
     python3 tools/layers.py --n 4 8 --out layers.json
@@ -8,6 +8,7 @@ For each n, builds ``random_datum(n, default_rng(1), "trivial")``, draws 8
 samples with ``sample_lambda(R, default_rng(1), 8)`` and times, in this one
 process with one BLAS thread, the median of warm calls (microseconds) of:
 
+- ``build``: the closed-form matrix of the datum;
 - ``check_system``: the whole report of the 8 samples;
 - ``global_half``: the global residual of each of the 8 stencils, as
   :func:`~dynrmat.verifier.check_system` takes it;
@@ -67,7 +68,8 @@ def layers(n: int, repeat: int) -> dict:
     import dynrmat as dr
     from dynrmat import rmatrix, verifier
 
-    R = dr.build(*dr.random_datum(n, np.random.default_rng(1), "trivial"))
+    datum = dr.random_datum(n, np.random.default_rng(1), "trivial")
+    R = dr.build(*datum)
     samples = verifier.sample_lambda(R, np.random.default_rng(1), SAMPLES)
     stencils = rmatrix.stencil_points(np.array(samples)).reshape(-1, n)
     delta, d = R.stacked_tables(stencils)
@@ -89,6 +91,7 @@ def layers(n: int, repeat: int) -> dict:
             verifier.check_invertibility(R, lam)
 
     timed = {
+        "build": (lambda: dr.build(*datum), None),
         "check_system": (lambda: verifier.check_system(R, samples), None),
         "global_half": (global_half, None),
         "equations": (lambda: verifier._equation_values(scaled, n), None),
