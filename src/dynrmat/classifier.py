@@ -45,11 +45,11 @@ MIN_SAMPLES = 3
 
 @dataclass
 class RelationReport:
-    """Raw zero/nonzero detection for both coefficient fields."""
+    """Raw zero/nonzero detection for both coefficient fields: (n, n) masks
+    of the entries that vanish identically, 0-based (d_ii is never zero)."""
 
-    d_zero: set[tuple[int, int]]          # unordered pairs (i < j)
-    delta_zero: set[tuple[int, int]]      # ordered pairs
-    d_zero_ordered: set[tuple[int, int]]  # ordered pairs, for symmetry checks
+    delta_zero: np.ndarray
+    d_zero: np.ndarray
     scale: float
 
 
@@ -107,20 +107,7 @@ def detect_relations(
             f"{('Delta', 'd')[field]}_{i + 1}{j + 1} is below threshold at some "
             "samples but never far above it; add samples or move them"
         )
-    delta_zero, d_zero_ordered = (
-        {tuple(p) for p in (np.argwhere(zero[..., field]) + 1).tolist()} for field in (0, 1)
-    )
-    d_zero = {
-        (i, j)
-        for (i, j) in d_zero_ordered
-        if i < j and (j, i) in d_zero_ordered
-    }
-    return RelationReport(
-        d_zero=d_zero,
-        delta_zero=delta_zero,
-        d_zero_ordered=d_zero_ordered,
-        scale=scale,
-    )
+    return RelationReport(delta_zero=zero[..., 0], d_zero=zero[..., 1], scale=scale)
 
 
 def mean_and_spread(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,32 +119,30 @@ def mean_and_spread(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.abs(values - mean).max(axis=0)
 
 
-def _classes(n: int, related, what: str, fails: str) -> list[tuple[int, ...]]:
-    """The classes of the closure of ``related`` on 1..n, by least member, which
-    must already be transitive: a pair a < b in one class that is not related
-    raises :class:`NotInFamilyError`, "{what} is not transitive on {class}: pair
-    (a,b) {fails}", for the first such pair in class order.  ``related`` is
-    called on every pair a < b, then on the pairs of each class."""
-    neighbours: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for a, b in combinations(range(1, n + 1), 2):
-        if related(a, b):
-            neighbours[a].append(b)
-            neighbours[b].append(a)
+def _classes(related: np.ndarray, what: str, fails: str) -> list[tuple[int, ...]]:
+    """The classes of the closure of ``related``, a symmetric (n, n) mask over
+    0-based indices, as sorted tuples of labels 1..n by least member.  The
+    relation must already be transitive: a pair a < b in one class that is
+    not related raises :class:`NotInFamilyError`, "{what} is not transitive
+    on {class}: pair (a,b) {fails}", for the first such pair in class order."""
+    rel = related.tolist()
+    n = len(rel)
     classes, seen = [], set()
-    for i in range(1, n + 1):
+    for i in range(n):
         if i in seen:
             continue
         cls, walk = {i}, [i]
         while walk:
-            for b in neighbours[walk.pop()]:
-                if b not in cls:
+            row = rel[walk.pop()]
+            for b in range(n):
+                if row[b] and b not in cls:
                     cls.add(b)
                     walk.append(b)
         seen |= cls
-        classes.append(tuple(sorted(cls)))
+        classes.append(tuple(sorted(k + 1 for k in cls)))
     for cls in classes:
         for a, b in combinations(cls, 2):
-            if not related(a, b):
+            if not rel[a - 1][b - 1]:
                 raise NotInFamilyError(
                     f"{what} is not transitive on {cls}: pair ({a},{b}) {fails}")
     return classes
@@ -168,26 +153,24 @@ def build_equivalences(rel: RelationReport, n: int) -> dict:
 
     For genuine solutions vanishing of d is symmetric and transitive and
     the both-ways-nonzero exchange relation is transitive; violations mean
-    the input is certified to lie outside the solution family.
+    the input is certified to lie outside the solution family.  A one-sided
+    d is named at its first pair in row-major order.
     """
-    for (i, j) in rel.d_zero_ordered:
-        if (j, i) not in rel.d_zero_ordered:
-            raise NotInFamilyError(
-                f"d_{i}{j} vanishes but d_{j}{i} does not: one-sided diagonal "
-                "vanishing is impossible in the solution family"
-            )
-    d_classes = _classes(n, lambda a, b: (a, b) in rel.d_zero,
-                         "diagonal vanishing", "does not vanish")
-    delta_classes = _classes(
-        n, lambda a, b: (a, b) not in rel.delta_zero and (b, a) not in rel.delta_zero,
-        "exchange coupling", "is not coupled both ways")
+    one_sided = np.argwhere(rel.d_zero & ~rel.d_zero.T)
+    if len(one_sided):
+        i, j = (one_sided[0] + 1).tolist()
+        raise NotInFamilyError(
+            f"d_{i}{j} vanishes but d_{j}{i} does not: one-sided diagonal "
+            "vanishing is impossible in the solution family"
+        )
+    d_classes = _classes(rel.d_zero, "diagonal vanishing", "does not vanish")
+    delta_classes = _classes(~(rel.delta_zero | rel.delta_zero.T),
+                             "exchange coupling", "is not coupled both ways")
     # every d-class must sit inside one exchange class
     dc_of = {i: cid for cid, cls in enumerate(delta_classes) for i in cls}
     for cls in d_classes:
         if len({dc_of[i] for i in cls}) != 1:
-            raise NotInFamilyError(
-                f"d-class {cls} straddles several exchange classes"
-            )
+            raise NotInFamilyError(f"d-class {cls} straddles several exchange classes")
     return {"d_classes": d_classes, "delta_classes": delta_classes}
 
 
@@ -200,16 +183,15 @@ def incidence_matrices(
     uniformly zero or uniformly nonzero in each direction; mixed patterns
     certify a non-solution.
     """
-    m = [[1] * n for _ in range(n)]
-    for (i, j) in rel.delta_zero:
-        if i != j:
-            m[i - 1][j - 1] = 0
-    for i in range(1, n + 1):
-        if (i, i) in rel.delta_zero:
-            raise NotInFamilyError(
-                f"Delta_{i}{i} vanishes; diagonal exchange coefficients are "
-                "nonzero for every invertible member of the family"
-            )
+    vanishing = np.flatnonzero(np.diagonal(rel.delta_zero))
+    if len(vanishing):
+        i = int(vanishing[0]) + 1
+        raise NotInFamilyError(
+            f"Delta_{i}{i} vanishes; diagonal exchange coefficients are "
+            "nonzero for every invertible member of the family"
+        )
+    M = (~rel.delta_zero).astype(int)
+    m = M.tolist()
     M_R = [[1] * len(delta_classes) for _ in delta_classes]
     for a, ca in enumerate(delta_classes):
         for b, cb in enumerate(delta_classes):
@@ -222,7 +204,7 @@ def incidence_matrices(
                     f"{ca} and {cb}"
                 )
             M_R[a][b] = vals.pop()
-    return np.array(m, dtype=int), np.array(M_R, dtype=int)
+    return M, np.array(M_R, dtype=int)
 
 
 def triangularize(M_R: np.ndarray) -> tuple[list[int], list[int]]:
@@ -317,8 +299,7 @@ def classify(
         samples = sample_lambda(R, rng, DEFAULT_SAMPLES, stencil=False)
     rel = detect_relations(R, samples, tol)
     eq = build_equivalences(rel, R.n)
-    delta_classes = eq["delta_classes"]
-    d_classes = eq["d_classes"]
+    d_classes, delta_classes = eq["d_classes"], eq["delta_classes"]
     M, M_R = incidence_matrices(rel, delta_classes, R.n)
     check_propagation(M)
     sigma, levels = triangularize(M_R)
@@ -418,24 +399,23 @@ def recover_params(
     use it checked at the point alone, its ``transform`` command and
     :func:`dynrmat.transforms.trig_to_rational_limit` on the whole stencil.
     """
-    perm = report.index_permutation
-    inv = {v: k for k, v in perm.items()}
     partition = report.recovered_partition
+    perm = report.index_permutation
+    # R's 0-based index of each canonical index, and its label
+    to_orig = np.argsort([perm[i] for i in range(1, partition.n + 1)])
+    label = (to_orig + 1).tolist()
     rng = np.random.default_rng(seed)
     lams = np.asarray(sample_lambda(R, rng, DEFAULT_SAMPLES, stencil=False), dtype=complex)
     delta_st, d_st = R.stacked_tables(lams)
     pair_constants = _pair_constants(*pair_invariants(delta_st, d_st))
-    first_diag = np.diagonal(delta_st[0]).tolist()
-
-    def orig(i: int) -> int:
-        return inv[i]
+    first_diag = np.diagonal(delta_st[0])[to_orig].tolist()
 
     def class_const(cls: tuple[int, ...]) -> complex:
-        return first_diag[orig(cls[0]) - 1]
+        return first_diag[cls[0] - 1]
 
     def class_sums(cls: tuple[int, ...]) -> np.ndarray:
         """The class's sum of lambda components at every sample."""
-        return lams[:, [orig(k) - 1 for k in cls]].sum(axis=1)
+        return lams[:, to_orig[np.subtract(cls, 1)]].sum(axis=1)
 
     per_block: list[BlockConstants] = []
     signs: dict[tuple[int, ...], int] = {}
@@ -445,24 +425,18 @@ def recover_params(
         all_classes = [cls for dc in block for cls in dc.all_d_classes()]
         pairs = [(a[0], b[0]) for k, a in enumerate(all_classes) for b in all_classes[k + 1:]]
         if pairs:
-            inv_vals = [pair_constants(orig(i), orig(j)) for (i, j) in pairs]
+            inv_vals = [pair_constants(label[i - 1], label[j - 1]) for (i, j) in pairs]
         else:
             # single d-class block: only the class constant is observable;
             # read it as the rational datum reproducing it (det = Delta^2)
             const = class_const(all_classes[0])
             inv_vals = [(0j, const * const)]
-        s_vals = np.array([v[0] for v in inv_vals])
-        det_vals = np.array([v[1] for v in inv_vals])
-        scale = _magnitude(np.abs(s_vals).max(), np.abs(det_vals).max())
-        if (
-            np.abs(s_vals - s_vals.mean()).max() > RECOVER_TOL * scale
-            or np.abs(det_vals - det_vals.mean()).max() > RECOVER_TOL * scale * scale
-        ):
+        mean, varies, scale = _constants(np.array(inv_vals))
+        if varies:
             raise NotInFamilyError(
                 f"block {q + 1}: pair invariants differ between pairs"
             )
-        sum_c = complex(s_vals.mean())
-        det_c = complex(det_vals.mean())
+        sum_c, det_c = mean.tolist()
         rational = abs(sum_c) <= RECOVER_TOL * scale
         if rational:
             sum_c = 0j
@@ -473,11 +447,7 @@ def recover_params(
         root_minus = (sum_c - derived.discriminant) / 2
         for cls in all_classes:
             const = class_const(cls)
-            signs[cls] = (
-                +1
-                if abs(const - root_plus) <= abs(const - root_minus)
-                else -1
-            )
+            signs[cls] = 1 if abs(const - root_plus) <= abs(const - root_minus) else -1
         # f recovery inside each exchange class, anchored on its first class:
         # one value per sample, kept where the inversion is best conditioned
         for dc in block:
@@ -487,11 +457,8 @@ def recover_params(
             i = anchor[0]
             for cls in classes[1:]:
                 j = cls[0]
-                dval = delta_st[:, orig(i) - 1, orig(j) - 1]
-                x = (
-                    signs[anchor] * class_sums(anchor)
-                    - signs[cls] * class_sums(cls)
-                )
+                dval = delta_st[:, to_orig[i - 1], to_orig[j - 1]]
+                x = signs[anchor] * class_sums(anchor) - signs[cls] * class_sums(cls)
                 if rational:
                     # sqrt(det)/Delta = x + f_anchor - f_cls with f_anchor = 0
                     root = principal_sqrt(det_c) / dval
@@ -512,14 +479,13 @@ def recover_params(
     for q in range(len(partition.blocks)):
         for qq in range(q + 1, len(partition.blocks)):
             i, j = first_index_of_block[q], first_index_of_block[qq]
-            _, det_c = pair_constants(orig(i), orig(j))
+            _, det_c = pair_constants(label[i - 1], label[j - 1])
             cross_det[(q, qq)] = det_c
 
     # 2-form recovery: quotient of the measured diagonal coefficients by the
     # reconstructed bare ones
     base = ClassificationParams(partition=partition, per_block=tuple(per_block),
                                 cross_det=cross_det, signs=signs, f_consts=f_consts)
-    to_orig = np.array([orig(a) - 1 for a in range(1, partition.n + 1)])
     return replace(base, two_form=QuotientTwoForm(R, base, to_orig))
 
 
@@ -530,20 +496,27 @@ def _magnitude(sum_peak, det_peak):
     return np.maximum(sum_peak, np.sqrt(det_peak))
 
 
-def _pair_constants(sum_st: np.ndarray, det_st: np.ndarray):
-    """``pair_constants(i0, j0)``: the sum and determinant invariants of the
-    plane of i0 and j0, from the (S, n, n) stacks read at i < j, each the
-    mean over the S samples.  It raises :class:`NotInFamilyError` when the
-    sum deviates from its mean at some sample by more than ``RECOVER_TOL``
-    times the pair's :func:`_magnitude`, or the determinant by more than
-    ``RECOVER_TOL`` times its square."""
-    invariants = np.stack([sum_st, det_st], axis=-1)
+def _constants(invariants: np.ndarray):
+    """The (mean, varies, mag) of a (K, ..., 2) stack of K readings of
+    (sum, determinant) invariants: their means over the K readings, where
+    they are not constant, and their :func:`_magnitude`.  An entry varies
+    when its sum deviates from its mean by more than ``RECOVER_TOL`` times
+    its magnitude, or its determinant by more than ``RECOVER_TOL`` times its
+    square."""
     mean, spread = mean_and_spread(invariants)
     peak = np.abs(invariants).max(axis=0)
     mag = _magnitude(peak[..., 0], peak[..., 1])
-    varies = ((spread[..., 0] > RECOVER_TOL * mag)
-              | (spread[..., 1] > RECOVER_TOL * mag * mag)).tolist()
-    mean = mean.tolist()
+    varies = (spread[..., 0] > RECOVER_TOL * mag) | (spread[..., 1] > RECOVER_TOL * mag * mag)
+    return mean, varies, mag
+
+
+def _pair_constants(sum_st: np.ndarray, det_st: np.ndarray):
+    """``pair_constants(i0, j0)``: the sum and determinant invariants of the
+    plane of i0 and j0, from the (S, n, n) stacks read at i < j, each the
+    mean over the S samples.  It raises :class:`NotInFamilyError` when they
+    are not constant across the samples by :func:`_constants`."""
+    mean, varies, _ = _constants(np.stack([sum_st, det_st], axis=-1))
+    varies, mean = varies.tolist(), mean.tolist()
 
     def pair_constants(i0: int, j0: int) -> tuple[complex, complex]:
         i, j = min(i0, j0) - 1, max(i0, j0) - 1

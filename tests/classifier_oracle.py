@@ -49,20 +49,18 @@ def detect_relations(R: DynamicalRMatrix, samples: Sequence[np.ndarray],
             )
         return False
 
-    delta_zero: set[tuple[int, int]] = set()
-    d_zero_ordered: set[tuple[int, int]] = set()
+    delta_zero = np.zeros((n, n), dtype=bool)
+    d_zero = np.zeros((n, n), dtype=bool)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             col = delta_mag[:, i - 1, j - 1]
             if classify(float(col.max()), float(col.min()), f"Delta_{i}{j}"):
-                delta_zero.add((i, j))
+                delta_zero[i - 1, j - 1] = True
             if i != j:
                 col = d_mag[:, i - 1, j - 1]
                 if classify(float(col.max()), float(col.min()), f"d_{i}{j}"):
-                    d_zero_ordered.add((i, j))
-    d_zero = {(i, j) for (i, j) in d_zero_ordered if i < j and (j, i) in d_zero_ordered}
-    return RelationReport(d_zero=d_zero, delta_zero=delta_zero,
-                          d_zero_ordered=d_zero_ordered, scale=scale)
+                    d_zero[i - 1, j - 1] = True
+    return RelationReport(delta_zero=delta_zero, d_zero=d_zero, scale=scale)
 
 
 def pair_constants(sum_st: np.ndarray, det_st: np.ndarray):

@@ -431,6 +431,20 @@ MUTANTS = [
            "                    cls.add(b)\n",
            ("tests/test_classifier.py::test_build_equivalences_names_the_broken_relation[d]",
             "tests/test_classifier.py::test_build_equivalences_names_the_broken_relation[exchange]")),
+    Mutant("equivalences: one-sided d check without the transpose", C,
+           "np.argwhere(rel.d_zero & ~rel.d_zero.T)",
+           "np.argwhere(rel.d_zero & ~rel.d_zero)",
+           ("tests/test_classifier.py::test_build_equivalences_names_the_first_one_sided_d_in_row_major_order",
+            "tests/test_classifier_oracle.py::test_non_members_raise_the_first_error_of_the_per_entry_oracles")),
+    Mutant("equivalences: exchange relation from one orientation of Delta", C,
+           "_classes(~(rel.delta_zero | rel.delta_zero.T),",
+           "_classes(~rel.delta_zero,",
+           ("tests/test_acceptance.py::test_criterion_04_classifier_round_trip",
+            "tests/test_classifier.py::test_round_trip_random_data")),
+    Mutant("constants: determinant bound at the magnitude, not its square", C,
+           "(spread[..., 1] > RECOVER_TOL * mag * mag)",
+           "(spread[..., 1] > RECOVER_TOL * mag)",
+           ("tests/test_classifier.py::test_recover_params_reads_c_r_as_r_at_every_power_of_two",)),
     Mutant("2-form pole read: mask ignored", P,
            "        bad = mask & ~np.isfinite(tab)\n",
            "        bad = ~np.isfinite(tab)\n",

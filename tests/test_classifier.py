@@ -59,8 +59,10 @@ def test_golden_relations():
     R = build(p, c)
     rng = np.random.default_rng(0)
     rel = detect_relations(R, sample_lambda(R, rng, 5), 1e-8)
-    assert rel.d_zero == {(3, 4)}
-    assert rel.delta_zero == set()
+    expected = np.zeros((4, 4), dtype=bool)
+    expected[[2, 3], [3, 2]] = True
+    assert np.array_equal(rel.d_zero, expected)
+    assert not rel.delta_zero.any()
 
 
 def test_golden_constant_recovery():
@@ -400,12 +402,22 @@ def test_non_family_matrix_rejected():
         classify(R, samples=lam_samples)
 
 
-def _relations(d_zero, delta_zero):
-    """A hand-made report: d vanishes on the pairs i < j of ``d_zero``
-    (both ways), Delta on the ordered pairs of ``delta_zero``."""
-    ordered = set(d_zero) | {(j, i) for i, j in d_zero}
-    return RelationReport(d_zero=set(d_zero), delta_zero=set(delta_zero),
-                          d_zero_ordered=ordered, scale=1.0)
+def _mask(n, pairs):
+    """The (n, n) mask true at the 1-based ordered ``pairs``."""
+    mask = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        mask[i - 1, j - 1] = True
+    return mask
+
+
+def _relations(n, d_zero, delta_zero):
+    """A hand-made report: d vanishes on the ordered pairs of ``d_zero``,
+    Delta on those of ``delta_zero``."""
+    return RelationReport(delta_zero=_mask(n, delta_zero), d_zero=_mask(n, d_zero), scale=1.0)
+
+
+def _both_ways(pairs):
+    return set(pairs) | {(j, i) for i, j in pairs}
 
 
 @pytest.mark.parametrize("n, d_zero, delta_zero, message", [
@@ -418,11 +430,21 @@ def _relations(d_zero, delta_zero):
     # both relations broken: the d-classes are checked first
     (4, {(2, 3), (3, 4)}, {(4, 1)},
      "diagonal vanishing is not transitive on (2, 3, 4): pair (2,4) does not vanish"),
-], ids=["d", "exchange", "straddle", "d-first"])
+    # the first broken pair in class order, (5,6), not in row-major order, (2,4)
+    (6, {(1, 5), (1, 6), (2, 3), (3, 4)}, set(),
+     "diagonal vanishing is not transitive on (1, 5, 6): pair (5,6) does not vanish"),
+], ids=["d", "exchange", "straddle", "d-first", "class-order"])
 def test_build_equivalences_names_the_broken_relation(n, d_zero, delta_zero, message):
     with pytest.raises(NotInFamilyError) as exc:
-        build_equivalences(_relations(d_zero, delta_zero), n)
+        build_equivalences(_relations(n, _both_ways(d_zero), delta_zero), n)
     assert str(exc.value) == message
+
+
+def test_build_equivalences_names_the_first_one_sided_d_in_row_major_order():
+    with pytest.raises(NotInFamilyError) as exc:
+        build_equivalences(_relations(4, {(1, 2), (3, 1)}, set()), 4)
+    assert str(exc.value) == ("d_12 vanishes but d_21 does not: one-sided diagonal "
+                              "vanishing is impossible in the solution family")
 
 
 @pytest.mark.parametrize("delta_zero, classes, message", [
@@ -434,7 +456,7 @@ def test_build_equivalences_names_the_broken_relation(n, d_zero, delta_zero, mes
 ], ids=["diagonal", "mixed"])
 def test_incidence_matrices_name_what_no_member_has(delta_zero, classes, message):
     with pytest.raises(NotInFamilyError) as exc:
-        incidence_matrices(_relations(set(), delta_zero), classes, 3)
+        incidence_matrices(_relations(3, set(), delta_zero), classes, 3)
     assert str(exc.value) == message
 
 
@@ -545,7 +567,7 @@ CUT = DEFAULT_ZERO_TOL * 1.0
 def test_detect_relations_at_the_thresholds(field, values, zero):
     rel = detect_relations(_threshold_matrix([(field, 1, 2)], values), THRESHOLD_SAMPLES)
     assert rel.scale == 1.0
-    assert ((1, 2) in (rel.delta_zero, rel.d_zero_ordered)[field]) == zero
+    assert (rel.delta_zero, rel.d_zero)[field][0, 1] == zero
 
 
 @pytest.mark.parametrize("entries, name", [
@@ -705,6 +727,7 @@ def _assert_recovered_scales(c):
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(-300, 300))
 @example(k=-300)
+@example(k=300)
 def test_recover_params_reads_c_r_as_r_at_every_power_of_two(k):
     """2^k R recovers the partition of R, S 2^k, Sigma 4^k, the f of R and
     its 2-form table bit for bit: the spread and rational tests and the

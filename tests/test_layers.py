@@ -8,7 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "layers.py"
 LAYERS = {"build", "check_system", "global_half", "equations", "peaks", "check_invertibility",
-          "stacked_tables", "stacked_tables_point", "unit_scale", "unit_scale_columns"}
+          "stacked_tables", "stacked_tables_point", "unit_scale", "unit_scale_columns",
+          "classify", "recover_params", "hecke_classify"}
 
 
 def test_layers_writes_a_positive_median_per_layer_and_n(tmp_path):

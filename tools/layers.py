@@ -1,4 +1,4 @@
-"""Warm per-layer timings of the build and certify paths against n.
+"""Warm per-layer timings of the build, certify and classify paths against n.
 
     python3 tools/layers.py                         # n = 4 6 8 9 16 32, JSON to stdout
     python3 tools/layers.py --n 4 8 --out layers.json
@@ -19,7 +19,10 @@ process with one BLAS thread, the median of warm calls (microseconds) of:
   ``check_system`` reads them, and ``stacked_tables_point``: a warm read
   at one sample, as ``check_invertibility`` reads it;
 - ``unit_scale``: the determinant factors of one sample, one array, and
-  ``unit_scale_columns``: the 8 stencils' tables, a column each.
+  ``unit_scale_columns``: the 8 stencils' tables, a column each;
+- ``classify``: the structure of the matrix, at its default samples;
+- ``recover_params``: the datum, from that structure;
+- ``hecke_classify``: the spectral verdict, at its default samples.
 
 A layer whose function the tree lacks reads null.  Uses numpy and the
 tree's own library only.
@@ -66,7 +69,7 @@ def median_us(call, make_args=None, repeat: int = 15) -> float:
 def layers(n: int, repeat: int) -> dict:
     import numpy as np
     import dynrmat as dr
-    from dynrmat import rmatrix, verifier
+    from dynrmat import classifier, hecke, rmatrix, verifier
 
     datum = dr.random_datum(n, np.random.default_rng(1), "trivial")
     R = dr.build(*datum)
@@ -81,6 +84,7 @@ def layers(n: int, repeat: int) -> dict:
         verifier._factor_positions(n))
     peaks = getattr(verifier, "_family_peaks", None)
     layout = verifier._equation_layout(n)
+    structure = classifier.classify(R)
 
     def global_half():
         for s, k in enumerate(ks):
@@ -101,6 +105,9 @@ def layers(n: int, repeat: int) -> dict:
         "stacked_tables_point": (lambda: R.stacked_tables(samples[0][None]), None),
         "unit_scale": (rmatrix.unit_scale, lambda: (factors.copy(),)),
         "unit_scale_columns": (lambda T: rmatrix.unit_scale(T, axis=0), lambda: (table.copy(),)),
+        "classify": (lambda: classifier.classify(R), None),
+        "recover_params": (lambda: classifier.recover_params(R, structure), None),
+        "hecke_classify": (lambda: hecke.hecke_classify(R), None),
     }
     R.stacked_tables(stencils)  # the memo keeps the stencils, as after sample_lambda
     return {name: call and round(median_us(call, make_args, repeat), 2)
