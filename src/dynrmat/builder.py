@@ -14,9 +14,11 @@ fields are fully determined:
   class j): Delta_ij = S, Delta_ji = 0, d = sqrt(Sigma) g;
 * between two blocks: Delta = 0 both ways, d = sqrt(Sigma_{qq'}) g.
 
-All square roots and logarithms use the principal branch (see
-:func:`dynrmat.params.derive`); the residual branch freedom is absorbed by
-the sign family and the 2-form.
+All square roots and logarithms use the principal branch, taken once per
+block in :attr:`dynrmat.params.BlockConstants.derived`; the residual branch
+freedom is absorbed by the sign family and the 2-form.  :func:`check_datum`
+reads every block's derived constants, then each d-class's constant
+exchange coefficient.
 """
 
 from __future__ import annotations
@@ -27,46 +29,35 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ParameterError
-from .params import (
-    POLE_GUARD,
-    ClassificationParams,
-    DerivedBlockConstants,
-    derive,
-    principal_sqrt,
-    validate_params,
-)
+from .params import (POLE_GUARD, BlockConstants, ClassificationParams, principal_sqrt,
+                     validate_params)
 from .partition import IndexPartition, index_table, nd_mask
 from .rmatrix import DynamicalRMatrix, Provenance, composite_index
 
 
-def _class_constant(consts, derived: DerivedBlockConstants, sign: int) -> complex:
+def _class_constant(consts: BlockConstants, sign: int) -> complex:
     """The constant exchange coefficient of one d-class."""
     if consts.rational:
-        return sign * principal_sqrt(consts.det_const)
-    denom = 1 - cmath.exp(derived.log_ratio * sign)
+        return sign * consts.derived.sqrt_det
+    denom = 1 - cmath.exp(consts.derived.log_ratio * sign)
     if abs(denom) < POLE_GUARD:
         raise ParameterError("degenerate constants: 1 - e^{A eps} = 0")
     return consts.sum_const / denom
 
 
-def check_datum(
-    p: IndexPartition, c: ClassificationParams
-) -> tuple[list[DerivedBlockConstants], list[complex]]:
+def check_datum(p: IndexPartition, c: ClassificationParams) -> list[complex]:
     """Raise the :class:`ParameterError` that :func:`build` raises on a
-    datum it cannot build, and return each block's derived constants and
-    each d-class's constant exchange coefficient, in declaration order."""
+    datum it cannot build, and return each d-class's constant exchange
+    coefficient, in declaration order.  Every block's derived constants
+    are read before any class constant, so a degenerate block raises first."""
     result = validate_params(c)
     if not result:
         raise ParameterError(result.message)
     if c.partition != p:
         raise ParameterError("partition does not match the one inside the params")
-    derived = [derive(b.sum_const, b.det_const) for b in c.per_block]
-    class_const = [
-        _class_constant(c.per_block[q], derived[q], int(c.signs[cls]))
-        for q, _, dclass in p.delta_classes()
-        for cls in dclass.all_d_classes()
-    ]
-    return derived, class_const
+    for b in c.per_block:
+        b.derived  # a degenerate block raises here, before any class constant
+    return [_class_constant(c.per_block[q], int(c.signs[cls])) for q, _, _, cls in p.d_classes()]
 
 
 def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
@@ -77,7 +68,7 @@ def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     and masked numpy expressions for the lambda-dependent pairs, all over
     the stack.
     """
-    derived, class_const = check_datum(p, c)
+    class_const = check_datum(p, c)
     n = p.n
     block, xclass, cls_of = index_table(p).T
     classes = p.all_d_classes()
@@ -95,7 +86,7 @@ def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     # sqrt(Sigma_qq') else, read from the keys q < q' alone, the ones that
     # validate_params requires
     sum_const = np.array([b.sum_const for b in c.per_block], dtype=complex)
-    sqrt_det = np.array([principal_sqrt(b.det_const) for b in c.per_block], dtype=complex)
+    sqrt_det = np.array([b.derived.sqrt_det for b in c.per_block], dtype=complex)
     sqrt_sigma = np.diag(sqrt_det)
     for q, qq in combinations(range(len(c.per_block)), 2):
         sqrt_sigma[q, qq] = sqrt_sigma[qq, q] = principal_sqrt(c.cross_det[(q, qq)])
@@ -112,9 +103,9 @@ def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     ri, rj = np.divmod(rat, n)
     ti, tj = np.divmod(trig, n)
     r_num = sqrt_det[block[ri]]
-    t_log = np.array([derived[q].log_ratio for q in block[ti]], dtype=complex)
+    t_log = np.array([c.per_block[q].derived.log_ratio for q in block[ti]], dtype=complex)
     t_sum = sum_const[block[ti]]
-    root = np.array([x.root for x in derived], dtype=complex)[block, None]
+    root = np.array([b.derived.root for b in c.per_block], dtype=complex)[block, None]
     two_form = c.two_form
 
     def tables(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +142,7 @@ def build_commuting_ops(p: IndexPartition, c: ClassificationParams) -> dict:
     """
     R = build(p, c)
     n = p.n
-    _, class_const = check_datum(p, c)
+    class_const = check_datum(p, c)
     free_part = np.zeros((n * n, n * n), dtype=complex)
     family: dict[tuple[int, ...], np.ndarray] = {}
     for cls, const in zip(p.all_d_classes(), class_const):

@@ -25,10 +25,8 @@ from .params import (
     ClassificationParams,
     TableTwoForm,
     check_covered,
-    derive,
     needed_pairs,
     pair_table,
-    principal_sqrt,
 )
 from .partition import IndexPartition, nd_mask, nd_pairs, relabel
 from .rmatrix import DynamicalRMatrix, pair_invariants, shift_stencil
@@ -442,7 +440,7 @@ def recover_params(
             sum_c = 0j
         consts = BlockConstants(sum_c, det_c)
         per_block.append(consts)
-        derived = derive(sum_c, det_c)
+        derived = consts.derived
         root_plus = (sum_c + derived.discriminant) / 2
         root_minus = (sum_c - derived.discriminant) / 2
         for cls in all_classes:
@@ -461,7 +459,7 @@ def recover_params(
                 x = signs[anchor] * class_sums(anchor) - signs[cls] * class_sums(cls)
                 if rational:
                     # sqrt(det)/Delta = x + f_anchor - f_cls with f_anchor = 0
-                    root = principal_sqrt(det_c) / dval
+                    root = derived.sqrt_det / dval
                     f_st = -(root - x)
                     cond = np.abs(x) + np.abs(root)
                 else:

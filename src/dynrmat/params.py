@@ -3,8 +3,10 @@
 Each coupling block carries two complex constants: the *sum* constant
 (``sum_const``, the common value of Delta_ij + Delta_ji on cross-class
 pairs of the block) and the *determinant* constant (``det_const``, the
-common value of d_ij d_ji - Delta_ij Delta_ji).  Distinct blocks are tied
-together by cross-block determinant constants.  Each d-class carries a
+common value of d_ij d_ji - Delta_ij Delta_ji); ``BlockConstants.derived``
+takes D, T, A, B and sqrt(Sigma) from them once, the one place that does.
+Distinct blocks are tied together by cross-block determinant constants.
+Each d-class, in the order of ``IndexPartition.d_classes()``, carries a
 sign (+1/-1) and a complex constant ``f`` fixing its position inside the
 exchange class; the conventional normalization puts f = 1 (sum != 0,
 "trigonometric" block) or f = 0 (sum = 0, "rational" block) on the first
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -53,6 +56,13 @@ class BlockConstants:
         """The f of each exchange class's first d-class: 0 if the sum is 0, else 1."""
         return 0j if self.rational else 1 + 0j
 
+    @cached_property
+    def derived(self) -> DerivedBlockConstants:
+        """``derive(S, Sigma)``, taken once: the one place where the block's
+        D, T, A, B and sqrt(Sigma) are read.  The builder's ``check_datum``
+        reads it for every block before any d-class constant."""
+        return derive(self.sum_const, self.det_const)
+
 
 @dataclass(frozen=True)
 class DerivedBlockConstants:
@@ -63,13 +73,15 @@ class DerivedBlockConstants:
     ``log_ratio``     A with e^A = T and Im A in [-pi, pi): the principal
                       log, except that a negative real T takes Im A = -pi;
                       None when S = 0;
-    ``root``          B = (S + D)/2, a root of X^2 - S X - Sigma.
+    ``root``          B = (S + D)/2, a root of X^2 - S X - Sigma;
+    ``sqrt_det``      sqrt(Sigma) (principal square root).
     """
 
     discriminant: complex
     ratio: complex
     log_ratio: Optional[complex]
     root: complex
+    sqrt_det: complex
 
 
 def principal_sqrt(z: complex) -> complex:
@@ -94,18 +106,15 @@ def is_negative_real(z: complex) -> bool:
 
 
 def derive(sum_const: complex, det_const: complex) -> DerivedBlockConstants:
-    """Compute the derived constants (D, T, A, B) of a coupling block."""
+    """Compute the derived constants (D, T, A, B, sqrt(Sigma)) of a coupling block."""
     if det_const == 0:
         raise ParameterError("determinant constant must be nonzero")
     disc = principal_sqrt(sum_const * sum_const + 4 * det_const)
+    sqrt_det = principal_sqrt(det_const)
     if sum_const == 0:
         # Rational block: T = 1 and the log-ratio is unused; B = sqrt(Sigma).
-        return DerivedBlockConstants(
-            discriminant=disc,
-            ratio=1.0 + 0j,
-            log_ratio=None,
-            root=principal_sqrt(det_const),
-        )
+        return DerivedBlockConstants(discriminant=disc, ratio=1.0 + 0j, log_ratio=None,
+                                     root=sqrt_det, sqrt_det=sqrt_det)
     denom = disc + sum_const
     # relative to S, as D + S of c S and c^2 Sigma is c (D + S)
     if abs(denom) < POLE_GUARD * abs(sum_const):
@@ -119,7 +128,7 @@ def derive(sum_const: complex, det_const: complex) -> DerivedBlockConstants:
         log_ratio = cmath.log(ratio)
     root = (sum_const + disc) / 2
     return DerivedBlockConstants(
-        discriminant=disc, ratio=ratio, log_ratio=log_ratio, root=root
+        discriminant=disc, ratio=ratio, log_ratio=log_ratio, root=root, sqrt_det=sqrt_det
     )
 
 
@@ -467,39 +476,27 @@ def validate_params(c: ClassificationParams) -> ValidationResult:
                 return ValidationResult(
                     False, f"cross-block determinant constant ({q + 1},{qq + 1}) is zero"
                 )
-    for q, block in enumerate(p.blocks):
+    for q, _, k, cls in p.d_classes():
         consts = c.per_block[q]
-        for dclass in block:
-            classes = dclass.all_d_classes()
-            for k, cls in enumerate(classes):
-                if cls not in c.signs or c.signs[cls] not in (+1, -1):
-                    return ValidationResult(
-                        False, f"missing or invalid sign for d-class {list(cls)}"
-                    )
-                if cls not in c.f_consts:
-                    return ValidationResult(
-                        False, f"missing f constant for d-class {list(cls)}"
-                    )
-                fv = complex(c.f_consts[cls])
-                if not cmath.isfinite(fv):
-                    return ValidationResult(
-                        False, f"f constant of d-class {list(cls)} must be finite"
-                    )
-                if not consts.rational and fv == 0:
-                    return ValidationResult(
-                        False,
-                        f"f constant of d-class {list(cls)} must be nonzero in a "
-                        "block with nonzero sum constant",
-                    )
-                if k == 0:
-                    want = consts.conventional_f
-                    if fv != want:
-                        return ValidationResult(
-                            False,
-                            f"f constant of the first d-class {list(cls)} of an "
-                            f"exchange class must be {want} (got {fv}); apply "
-                            "normalize_f first",
-                        )
+        if cls not in c.signs or c.signs[cls] not in (+1, -1):
+            return ValidationResult(False, f"missing or invalid sign for d-class {list(cls)}")
+        if cls not in c.f_consts:
+            return ValidationResult(False, f"missing f constant for d-class {list(cls)}")
+        fv = complex(c.f_consts[cls])
+        if not cmath.isfinite(fv):
+            return ValidationResult(False, f"f constant of d-class {list(cls)} must be finite")
+        if not consts.rational and fv == 0:
+            return ValidationResult(
+                False,
+                f"f constant of d-class {list(cls)} must be nonzero in a "
+                "block with nonzero sum constant",
+            )
+        if k == 0 and fv != consts.conventional_f:
+            return ValidationResult(
+                False,
+                f"f constant of the first d-class {list(cls)} of an exchange class "
+                f"must be {consts.conventional_f} (got {fv}); apply normalize_f first",
+            )
     return two_form_covers(c.two_form, p)
 
 
@@ -513,28 +510,27 @@ def normalize_f(c: ClassificationParams) -> tuple[ClassificationParams, dict]:
     Idempotent.  Returns the adjusted params and a report of the applied
     scale/shift per exchange class.
     """
+    p = c.partition
     new_f = dict(c.f_consts)
     report: dict[str, dict] = {}
-    for q, block in enumerate(c.partition.blocks):
+    for q, pos, k, cls in p.d_classes():
         consts = c.per_block[q]
-        for dclass in block:
-            classes = dclass.all_d_classes()
-            first = classes[0]
-            pivot = complex(c.f_consts[first])
-            key = ",".join(str(i) for i in dclass.members())
-            if consts.rational:
-                report[key] = {"shift": -pivot}
-                for cls in classes:
-                    new_f[cls] = complex(c.f_consts[cls]) - pivot
-            else:
-                if pivot == 0:
-                    raise ParameterError(
-                        f"f constant of d-class {list(first)} is zero in a block "
-                        "with nonzero sum constant"
-                    )
-                report[key] = {"scale": 1.0 / pivot}
-                for cls in classes:
-                    new_f[cls] = complex(c.f_consts[cls]) / pivot
-            new_f[first] = consts.conventional_f
+        if k > 0:
+            f = complex(c.f_consts[cls])
+            new_f[cls] = f - pivot if consts.rational else f / pivot
+            continue
+        # the first d-class of an exchange class is its pivot
+        pivot = complex(c.f_consts[cls])
+        key = ",".join(str(i) for i in p.blocks[q][pos].members())
+        if consts.rational:
+            report[key] = {"shift": -pivot}
+        elif pivot == 0:
+            raise ParameterError(
+                f"f constant of d-class {list(cls)} is zero in a block "
+                "with nonzero sum constant"
+            )
+        else:
+            report[key] = {"scale": 1.0 / pivot}
+        new_f[cls] = consts.conventional_f
     return replace(c, f_consts=new_f), report
 

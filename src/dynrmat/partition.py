@@ -66,18 +66,19 @@ class IndexPartition:
 
     # -- iteration helpers -------------------------------------------------
 
-    def delta_classes(self) -> Iterator[tuple[int, int, DeltaClass]]:
-        """Yield (block_index, class_index_within_block, class), 0-based."""
+    def d_classes(self) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+        """Yield (q, pos, k, cls) for every d-class, free singletons included,
+        in declaration order: its 0-based block q, the 0-based position pos
+        of its exchange class in the block and k of the d-class in that
+        exchange class, and its members cls."""
         for q, block in enumerate(self.blocks):
-            for p, dclass in enumerate(block):
-                yield q, p, dclass
+            for pos, dclass in enumerate(block):
+                for k, cls in enumerate(dclass.all_d_classes()):
+                    yield q, pos, k, cls
 
     def all_d_classes(self) -> list[tuple[int, ...]]:
         """Every d-class (free singletons included) in declaration order."""
-        out: list[tuple[int, ...]] = []
-        for _, _, dclass in self.delta_classes():
-            out.extend(dclass.all_d_classes())
-        return out
+        return [cls for _, _, _, cls in self.d_classes()]
 
 
 def relabel(n: int, blocks) -> tuple[IndexPartition, dict]:
@@ -150,15 +151,17 @@ def index_table(p: IndexPartition) -> np.ndarray:
     declaration order over the whole partition; ``KeyError`` when ``p``
     lacks one of 1..n."""
     rows: dict[int, tuple[int, int, int]] = {}
-    k = 0
-    for x, (q, _, dclass) in enumerate(p.delta_classes()):
-        # the order of DeltaClass.all_d_classes, without its tuples
-        for i in dclass.free:
-            rows[i] = (q, x, k)
-            k += 1
-        for cls in dclass.d_classes:
-            rows.update(dict.fromkeys(cls, (q, x, k)))
-            k += 1
+    x = k = 0
+    for q, block in enumerate(p.blocks):
+        # the order of IndexPartition.d_classes, without its tuples
+        for dclass in block:
+            for i in dclass.free:
+                rows[i] = (q, x, k)
+                k += 1
+            for cls in dclass.d_classes:
+                rows.update(dict.fromkeys(cls, (q, x, k)))
+                k += 1
+            x += 1
     return np.array([rows[i] for i in range(1, p.n + 1)], dtype=int).reshape(-1, 3)
 
 

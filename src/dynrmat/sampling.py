@@ -22,7 +22,6 @@ from .params import (
     TrivialTwoForm,
     TwoFormSpec,
     constant_table_two_form,
-    derive,
     normalize_f,
 )
 from .partition import IndexPartition, nd_pairs, relabel
@@ -76,17 +75,17 @@ def _random_block_constants(
         rational = (not force_trig) and bool(rng.integers(0, 2))
         sum_c = 0j if rational else _random_complex(rng, 0.3, 3.0)
         det_c = _random_complex(rng, 0.1, 3.0)
-        derived = derive(sum_c, det_c)
-        if abs(derived.discriminant) < 0.3:
+        consts = BlockConstants(sum_c, det_c)
+        if abs(consts.derived.discriminant) < 0.3:
             continue
         disc2 = sum_c * sum_c + 4 * det_c
         if disc2.real < 0 and abs(disc2.imag) < 1e-2 * abs(disc2):
             continue  # too close to the square-root branch cut
         if not rational:
-            ratio = derived.ratio
+            ratio = consts.derived.ratio
             if abs(1 - ratio) < 0.05 or abs(1 - 1 / ratio) < 0.05:
                 continue  # class constants would blow up
-        return BlockConstants(sum_c, det_c)
+        return consts
     raise RuntimeError("could not draw well-conditioned block constants")
 
 
@@ -126,15 +125,12 @@ def random_datum(
             cross_det[(q, qq)] = _random_complex(rng, 0.3, 3.0)
     signs = {}
     f_consts = {}
-    for q, block in enumerate(p.blocks):
-        rational = per_block[q].rational
-        for dclass in block:
-            for cls in dclass.all_d_classes():
-                signs[cls] = int(rng.choice([-1, 1]))
-                if rational:
-                    f_consts[cls] = _random_complex(rng, 0.0, 2.0)
-                else:
-                    f_consts[cls] = _random_complex(rng, 0.3, 3.0)
+    for q, _, _, cls in p.d_classes():
+        signs[cls] = int(rng.choice([-1, 1]))
+        if per_block[q].rational:
+            f_consts[cls] = _random_complex(rng, 0.0, 2.0)
+        else:
+            f_consts[cls] = _random_complex(rng, 0.3, 3.0)
     c = ClassificationParams(
         partition=p,
         per_block=per_block,

@@ -38,9 +38,7 @@ from .params import (
     TrivialTwoForm,
     TwoFormSpec,
     constant_table_two_form,
-    derive,
     normalize_f,
-    principal_sqrt,
     two_form_covers,
 )
 from .partition import IndexPartition, ValidationResult, index_table, nd_mask, nd_pairs, relabel
@@ -270,18 +268,18 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
         )
     p = params.partition
     blocks = []
-    # per old d-class its f times eta^(1-p), p the exchange class's position;
-    # a real scale, componentwise: at p = 1 every bit stays, signed zeros too
-    new_f: dict = {}
     for q, block in enumerate(p.blocks):
         if len(block) > 1 and params.per_block[q].rational:
             raise ParameterError("cannot merge exchange classes of a zero-sum block")
-        for pos, dclass in enumerate(block, start=1):
-            for cls in dclass.all_d_classes():
-                f, s = params.f_consts[cls], eta ** (1 - pos)
-                new_f[cls] = complex(f.real * s, f.imag * s)
         blocks.append([([i for dc in block for i in dc.free],
                         [cls for dc in block for cls in dc.d_classes])])
+    # per old d-class its f times eta^-pos, pos the exchange class's 0-based
+    # position; a real scale, componentwise: at pos = 0 every bit stays,
+    # signed zeros too
+    new_f: dict = {}
+    for _, pos, _, cls in p.d_classes():
+        f, s = params.f_consts[cls], eta ** -pos
+        new_f[cls] = complex(f.real * s, f.imag * s)
     new_p, index_map = relabel(p.n, blocks)
     order = list(index_map)  # old labels in new-label order
 
@@ -311,12 +309,11 @@ def scale_f(params: ClassificationParams, eta: float) -> ScaledDatum:
             comp_values[(i, j)] = 1.0 + 0j
             continue
         consts = params.per_block[q]
-        der = derive(consts.sum_const, consts.det_const)
-        sq = principal_sqrt(consts.det_const)
+        der = consts.derived
         if xclass[oi] < xclass[oj]:
-            comp_values[(i, j)] = sq / (der.root - consts.sum_const)
+            comp_values[(i, j)] = der.sqrt_det / (der.root - consts.sum_const)
         else:
-            comp_values[(i, j)] = sq / der.root
+            comp_values[(i, j)] = der.sqrt_det / der.root
     return ScaledDatum(
         params=merged_params,
         index_map=index_map,
@@ -336,37 +333,29 @@ def reparametrize(params: ClassificationParams) -> dict:
     nonzero-sum blocks, 0 in zero-sum blocks) and evaluating at
     lam + offsets reproduces the original build at lam.
     """
-    p = params.partition
     offsets: dict[int, complex] = {}
-    for q, block in enumerate(p.blocks):
+    for q, _, _, cls in params.partition.d_classes():
         consts = params.per_block[q]
-        der = None if consts.rational else derive(consts.sum_const, consts.det_const)
-        for dclass in block:
-            for cls in dclass.all_d_classes():
-                eps = params.signs[cls]
-                f = complex(params.f_consts[cls])
-                size = len(cls)
-                if consts.rational:
-                    off = (eps / size) * f
-                else:
-                    if f == 0:
-                        raise ParameterError(
-                            f"position constant of d-class {list(cls)} is zero"
-                        )
-                    off = (eps / size) * (np.log(complex(f)) / der.log_ratio)
-                for idx in cls:
-                    offsets[idx] = complex(off)
+        # a degenerate block raises before any of its classes is read
+        der = None if consts.rational else consts.derived
+        eps = params.signs[cls]
+        f = complex(params.f_consts[cls])
+        size = len(cls)
+        if consts.rational:
+            off = (eps / size) * f
+        else:
+            if f == 0:
+                raise ParameterError(f"position constant of d-class {list(cls)} is zero")
+            off = (eps / size) * (np.log(complex(f)) / der.log_ratio)
+        for idx in cls:
+            offsets[idx] = complex(off)
     return {"offsets": offsets}
 
 
 def conventional_f(params: ClassificationParams) -> ClassificationParams:
     """The same datum with every position constant at its conventional value."""
-    new_f = {}
-    for q, block in enumerate(params.partition.blocks):
-        want = params.per_block[q].conventional_f
-        for dclass in block:
-            for cls in dclass.all_d_classes():
-                new_f[cls] = want
+    new_f = {cls: params.per_block[q].conventional_f
+             for q, _, _, cls in params.partition.d_classes()}
     return replace(params, f_consts=new_f)
 
 
@@ -387,15 +376,11 @@ class LimitReport:
 
 
 def _limit_member(params: ClassificationParams, xi: float) -> ClassificationParams:
-    per_block = []
+    per_block = tuple(replace(b, sum_const=b.derived.sqrt_det * xi) for b in params.per_block)
     new_f = dict(params.f_consts)
-    for q, block in enumerate(params.partition.blocks):
-        consts = params.per_block[q]
-        per_block.append(replace(consts, sum_const=principal_sqrt(consts.det_const) * xi))
-        for dclass in block:
-            for cls in dclass.all_d_classes():
-                new_f[cls] = 1 - complex(params.f_consts[cls]) * xi
-    return replace(params, per_block=tuple(per_block), f_consts=new_f)
+    for *_, cls in params.partition.d_classes():
+        new_f[cls] = 1 - complex(params.f_consts[cls]) * xi
+    return replace(params, per_block=per_block, f_consts=new_f)
 
 
 def trig_to_rational_limit(

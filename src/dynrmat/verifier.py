@@ -56,7 +56,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import PoleError
-from .params import derive, principal_sqrt
 from .partition import index_table
 from .rmatrix import (
     DynamicalRMatrix,
@@ -585,13 +584,13 @@ def shift_identities(R: DynamicalRMatrix, lam: np.ndarray) -> dict[tuple[int, in
         cls = classes[cls_of[a]]
         sign = int(c.signs[cls])
         consts = c.per_block[block[a]]
+        derived = consts.derived
         dt1 = R.tables(shifted(lam, cls[0]))[0]
         if consts.rational:
-            h0 = principal_sqrt(consts.det_const) / dt0[a, b]
-            h1 = principal_sqrt(consts.det_const) / dt1[a, b]
+            h0 = derived.sqrt_det / dt0[a, b]
+            h1 = derived.sqrt_det / dt1[a, b]
             out[(a + 1, b + 1)] = abs(h1 - h0 - sign)
         else:
-            derived = derive(consts.sum_const, consts.det_const)
             b0 = dt0[b, a] / dt0[a, b]
             b1 = dt1[b, a] / dt1[a, b]
             expected = np.exp(derived.log_ratio * sign)

@@ -198,8 +198,7 @@ def oracle_build(p, c) -> DynamicalRMatrix:
     sqrt_det = [principal_sqrt(b.det_const) for b in c.per_block]
     sqrt_cross = {k: principal_sqrt(v) for k, v in c.cross_det.items()}
     class_const = {
-        cls: _class_constant(c.per_block[info[cls[0]].block],
-                             derived[info[cls[0]].block], int(c.signs[cls]))
+        cls: _class_constant(c.per_block[info[cls[0]].block], int(c.signs[cls]))
         for cls in classes
     }
     two_form = c.two_form

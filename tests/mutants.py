@@ -418,12 +418,12 @@ MUTANTS = [
            ("tests/test_partition.py::test_nd_mask_holds_both_orientations_of_the_distinct_class_pairs",
             "tests/test_acceptance.py::test_criterion_01_golden_dense_matrix")),
     Mutant("index_table: d-classes counted before the frees", PART,
-           "        for i in dclass.free:\n            rows[i] = (q, x, k)\n            k += 1\n"
-           "        for cls in dclass.d_classes:\n"
-           "            rows.update(dict.fromkeys(cls, (q, x, k)))\n            k += 1\n",
-           "        for cls in dclass.d_classes:\n"
-           "            rows.update(dict.fromkeys(cls, (q, x, k)))\n            k += 1\n"
-           "        for i in dclass.free:\n            rows[i] = (q, x, k)\n            k += 1\n",
+           "            for i in dclass.free:\n                rows[i] = (q, x, k)\n                k += 1\n"
+           "            for cls in dclass.d_classes:\n"
+           "                rows.update(dict.fromkeys(cls, (q, x, k)))\n                k += 1\n",
+           "            for cls in dclass.d_classes:\n"
+           "                rows.update(dict.fromkeys(cls, (q, x, k)))\n                k += 1\n"
+           "            for i in dclass.free:\n                rows[i] = (q, x, k)\n                k += 1\n",
            ("tests/test_partition.py::test_index_table_counts_classes_over_the_whole_partition",
             "tests/test_builder.py::test_golden_entries_match_closed_forms")),
     Mutant("classes: the walk without its transitive step", C,
@@ -466,18 +466,40 @@ MUTANTS = [
            ("tests/test_partition.py::test_relabel_of_a_canonical_partition_is_the_identity",
             "tests/test_acceptance.py::test_criterion_04_classifier_round_trip")),
     Mutant("scale_f: single-class fork restored, f unscaled, two-class blocks taken", T,
-           "        for pos, dclass in enumerate(block, start=1):\n            for cls in dclass.all_d_classes():\n"
-           "                f, s =",
+           "        blocks.append([([i for dc in block for i in dc.free],\n"
+           "                        [cls for dc in block for cls in dc.d_classes])])\n"
+           "    # per old d-class its f times eta^-pos, pos the exchange class's 0-based\n"
+           "    # position; a real scale, componentwise: at pos = 0 every bit stays,\n"
+           "    # signed zeros too\n"
+           "    new_f: dict = {}\n"
+           "    for _, pos, _, cls in p.d_classes():\n"
+           "        f, s = params.f_consts[cls], eta ** -pos\n",
            "        if len(block) < 3:\n"
-           "            for dclass in block:\n"
-           "                for cls in dclass.all_d_classes():\n"
-           "                    new_f[cls] = params.f_consts[cls]\n"
            "            blocks.append([(dc.free, dc.d_classes) for dc in block])\n"
            "            continue\n"
-           "        for pos, dclass in enumerate(block, start=1):\n            for cls in dclass.all_d_classes():\n"
-           "                f, s =",
+           "        blocks.append([([i for dc in block for i in dc.free],\n"
+           "                        [cls for dc in block for cls in dc.d_classes])])\n"
+           "    new_f: dict = {}\n"
+           "    for q, pos, _, cls in p.d_classes():\n"
+           "        f, s = params.f_consts[cls], eta ** -pos if len(p.blocks[q]) >= 3 else 1\n",
            ("tests/test_acceptance.py::test_criterion_09_class_merging_first_order",
             "tests/test_cli.py::test_transform_scale")),
+    Mutant("scale_f: f scaled by eta^pos", T,
+           "f, s = params.f_consts[cls], eta ** -pos\n",
+           "f, s = params.f_consts[cls], eta ** pos\n",
+           ("tests/test_acceptance.py::test_criterion_09_class_merging_first_order",
+            "tests/test_cli_points.py::test_stdout_is_pinned[transform_scale_mixed]")),
+    # -- the d-class walk and the derived block constants ----------------------
+    Mutant("validate_params: first d-class read from the exchange-class position", P,
+           "    for q, _, k, cls in p.d_classes():\n        consts = c.per_block[q]\n",
+           "    for q, k, _, cls in p.d_classes():\n        consts = c.per_block[q]\n",
+           ("tests/test_params.py::test_validate_params_pins_the_first_d_class_of_every_exchange_class",
+            "tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations")),
+    Mutant("derive: sqrt(Sigma) taken as D/2", P,
+           "    sqrt_det = principal_sqrt(det_const)\n",
+           "    sqrt_det = disc / 2\n",
+           ("tests/test_params.py::test_block_derived_is_derive_with_the_principal_sqrt_of_sigma",
+            "tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations")),
 ]
 
 

@@ -22,6 +22,7 @@ from dynrmat.params import (
     principal_sqrt,
     validate_params,
 )
+from dynrmat.partition import DeltaClass, IndexPartition
 from dynrmat.rmatrix import evaluate, stencil_points
 from dynrmat.sampling import random_datum
 from dynrmat.transforms import apply_twist
@@ -63,6 +64,34 @@ def test_derive_rejects_zero_det():
         derive(1 + 0j, 0j)
 
 
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("S, Sigma", [
+    (1 + 0j, 2 + 0j), (3 + 0j, -2 + 0j), (0.4 - 1.1j, 0.3 + 2.2j), (2 + 0j, complex(-4.0, -0.0)),
+    (0j, 4 + 0j), (0j, complex(-4.0, -0.0)), (0j, 1e-3 - 2j),
+])
+def test_block_derived_is_derive_with_the_principal_sqrt_of_sigma(S, Sigma):
+    got, want = BlockConstants(S, Sigma).derived, derive(S, Sigma)
+    for name in ("discriminant", "ratio", "log_ratio", "root", "sqrt_det"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is b is None) or _bits(a) == _bits(b), name
+    assert _bits(got.sqrt_det) == _bits(principal_sqrt(Sigma))
+    if Sigma == -4:
+        # a negative real Sigma carrying -0.0j still has the root on +i
+        assert _bits(got.sqrt_det) == _bits(2j)
+
+
+def test_replaced_block_constants_derive_their_own_constants():
+    b = BlockConstants(1 + 0j, 2 + 0j)
+    old = b.derived
+    assert b.derived is old  # taken once
+    moved = replace(b, sum_const=0j)
+    assert moved.derived == derive(0j, 2 + 0j) != old
+    assert b.derived is old
+
+
 def test_is_negative_real():
     assert is_negative_real(-2 + 0j)
     assert is_negative_real(-2 + 1e-14j)
@@ -89,6 +118,18 @@ def test_principal_sqrt_properties(re, im):
 def test_validate_params_golden():
     _, c = golden_datum()
     assert validate_params(c)
+
+
+def test_validate_params_pins_the_first_d_class_of_every_exchange_class():
+    # one trigonometric block, exchange classes {1, 2} and {3}
+    p = IndexPartition(n=3, blocks=((DeltaClass(free=(1, 2)), DeltaClass(free=(3,))),))
+    c = ClassificationParams(partition=p, per_block=(BlockConstants(1 + 0j, 2 + 0j),),
+                             signs={(1,): 1, (2,): 1, (3,): 1},
+                             f_consts={(1,): 1 + 0j, (2,): 0.5 + 0j, (3,): 1 + 0j})
+    assert validate_params(c)
+    res = validate_params(replace(c, f_consts={**c.f_consts, (3,): 2 + 0j}))
+    assert res.message == ("f constant of the first d-class [3] of an exchange class "
+                           "must be (1+0j) (got (2+0j)); apply normalize_f first")
 
 
 def test_validate_params_missing_sign():

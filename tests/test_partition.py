@@ -94,6 +94,34 @@ def test_index_table_counts_classes_over_the_whole_partition():
                               [1, 2, 3], [1, 2, 3], [1, 3, 4]]
 
 
+def test_d_classes_walks_blocks_exchange_classes_and_d_classes():
+    p = IndexPartition(n=7, blocks=(
+        (DeltaClass(free=(1,), d_classes=((2, 3),)), DeltaClass(free=(4,))),
+        (DeltaClass(d_classes=((5, 6),)), DeltaClass(free=(7,)))))
+    assert list(p.d_classes()) == [(0, 0, 0, (1,)), (0, 0, 1, (2, 3)), (0, 1, 0, (4,)),
+                                   (1, 0, 0, (5, 6)), (1, 1, 0, (7,))]
+    assert p.all_d_classes() == [(1,), (2, 3), (4,), (5, 6), (7,)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=12), seed=st.integers(0, 2**31 - 1))
+def test_d_classes_agrees_with_the_index_table(n, seed):
+    p = random_partition(n, np.random.default_rng(seed))
+    block, xclass, cls_of = index_table(p).T
+    walk = list(p.d_classes())
+    assert len(walk) == cls_of.max() + 1
+    for ordinal, (q, pos, k, cls) in enumerate(walk):
+        rows = np.flatnonzero(cls_of == ordinal)
+        assert cls == tuple((rows + 1).tolist())
+        assert set(block[rows].tolist()) == {q}
+        (x,) = set(xclass[rows].tolist())
+        # pos restarts at 0 in each block, k in each exchange class
+        assert pos == x - xclass[block == q].min()
+        assert k == ordinal - cls_of[xclass == x].min()
+        # frees first: the singletons of an exchange class precede its d-classes
+        assert (len(cls) == 1) == (k < len(p.blocks[q][pos].free))
+
+
 def test_index_table_of_a_partition_that_lacks_an_index_raises():
     with pytest.raises(KeyError):
         index_table(IndexPartition(n=3, blocks=((DeltaClass(free=(1, 3)),),)))
@@ -159,9 +187,8 @@ def test_random_partitions_always_valid(n, seed):
     for cls in p.all_d_classes():
         assert len(cls) != 0
     # d-classes of size >= 2 never hide behind a free declaration
-    for _, _, dclass in p.delta_classes():
-        for cls in dclass.d_classes:
-            assert len(cls) >= 2
+    for q, pos, k, cls in p.d_classes():
+        assert (len(cls) == 1) == (k < len(p.blocks[q][pos].free))
 
 
 @settings(max_examples=40, deadline=None)
