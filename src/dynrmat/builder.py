@@ -32,7 +32,7 @@ from .errors import ParameterError
 from .params import (POLE_GUARD, BlockConstants, ClassificationParams, principal_sqrt,
                      validate_params)
 from .partition import IndexPartition, index_table, nd_mask
-from .rmatrix import DynamicalRMatrix, Provenance, composite_index
+from .rmatrix import DynamicalRMatrix, Provenance
 
 
 def _class_constant(consts: BlockConstants, sign: int) -> complex:
@@ -143,19 +143,14 @@ def build_commuting_ops(p: IndexPartition, c: ClassificationParams) -> dict:
     R = build(p, c)
     n = p.n
     class_const = check_datum(p, c)
-    free_part = np.zeros((n * n, n * n), dtype=complex)
+    free_part = np.zeros((n, n, n, n), dtype=complex)
     family: dict[tuple[int, ...], np.ndarray] = {}
     for cls, const in zip(p.all_d_classes(), class_const):
+        k = np.subtract(cls, 1)
         if len(cls) == 1:
-            i = cls[0]
-            pos = composite_index(n, i, i)
-            free_part[pos, pos] = const
+            free_part[k, k, k, k] = const
         else:
-            op = np.zeros((n * n, n * n), dtype=complex)
-            for j in cls:
-                for jp in cls:
-                    op[composite_index(n, j, jp), composite_index(n, jp, j)] = (
-                        const / len(cls)
-                    )
-            family[cls] = op
-    return {"R0": free_part, "family": family, "matrix": R}
+            op = np.zeros((n, n, n, n), dtype=complex)
+            op[k[:, None], k, k, k[:, None]] = const / len(cls)
+            family[cls] = op.reshape(n * n, n * n)
+    return {"R0": free_part.reshape(n * n, n * n), "family": family, "matrix": R}

@@ -29,8 +29,8 @@ from .params import (
     pair_table,
 )
 from .partition import IndexPartition, nd_mask, nd_pairs, relabel
-from .rmatrix import DynamicalRMatrix, pair_invariants, shift_stencil
-from .verifier import _require_positive, sample_lambda
+from .rmatrix import DynamicalRMatrix, pair_invariants
+from .verifier import _require_positive, sample_lambda, well_conditioned
 
 DEFAULT_ZERO_TOL = 1e-8
 DEFAULT_SAMPLES = 5
@@ -356,17 +356,10 @@ def _reference_point(R: DynamicalRMatrix, stencil: bool = True) -> np.ndarray:
     its whole shift stencil, for output that needs one fixed point.  With
     ``stencil=False`` only the point itself is checked, for output that
     reads the tables at the point alone."""
-    n = R.n
-    direction = np.array(
-        [0.3 * (k + 1) + 0.17j * (k + 2) for k in range(n)], dtype=complex
-    )
+    direction = np.array([0.3 * (k + 1) + 0.17j * (k + 2) for k in range(R.n)], dtype=complex)
     for step in range(9, 60):
         lam = 0.1 * step * direction
-        try:
-            delta, d = shift_stencil(R, lam) if stencil else R.tables(lam)
-        except PoleError:
-            continue
-        if max(np.abs(delta).max(), np.abs(d).max()) <= 1e6:
+        if well_conditioned(R, lam[None], 1e6, stencil)[0]:
             return lam
     raise PoleError("no well-conditioned reference point found")
 

@@ -1,12 +1,11 @@
 """Evaluable zero-weight dynamical R-matrices.
 
 A matrix of this family acts on C^n (x) C^n and has nonzero entries only in
-two sparsity patterns: exchange entries at (row (i,j), col (j,i)) with
-coefficient ``delta(i, j, lam)`` and diagonal entries at (row (i,j),
-col (i,j)), i != j, with coefficient ``d(i, j, lam)``.  Both coefficient
-fields are functions of the dynamical vector lam in C^n; dynamical shifts
-move one component of lam by exactly 1 (the shift step is a fixed
-normalization, not a parameter).
+two sparsity patterns, placed as the last paragraph states: the exchange
+coefficients ``delta(i, j, lam)`` and the diagonal coefficients
+``d(i, j, lam)``, i != j.  Both coefficient fields are functions of the
+dynamical vector lam in C^n; dynamical shifts move one component of lam by
+exactly 1 (the shift step is a fixed normalization, not a parameter).
 
 A :class:`DynamicalRMatrix` holds one table function and one memo.  The
 table function maps a (P, n) stack of points to the (P, n, n) exchange and
@@ -30,8 +29,10 @@ that ``my_delta`` gets with the point's tables, so ``R.delta(i, j, lam)`` is
 served from the pin; a read at an equal copy of ``lam`` is a lookup like
 any other read.
 
-Composite row/column indices follow the convention (a, b) -> (a-1)*n + b,
-1-based on both levels.
+Rows and columns of the dense n^2 x n^2 form are composite indices
+(a, b) -> (a-1)*n + b, 1-based on both levels; in its (n, n, n, n) reshape,
+0-based, Delta_ij sits at row (i,j), column (j,i), [i, j, j, i], and d_ij,
+i != j, on the diagonal at (i,j), [i, j, i, j].
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -275,41 +275,16 @@ def composite_index(n: int, a: int, b: int) -> int:
     return (a - 1) * n + (b - 1)
 
 
-class ZeroWeightLayout(NamedTuple):
-    """Composite positions of the two sparsity patterns for one n.
-
-    Row (i, j) holds Delta_ij in column ``swap[(i, j)]``, the position of
-    (j, i), and d_ij on the diagonal when (i, j) is among ``offdiag``.
-    Positions are 0-based and row-major over (i, j), as in
-    :func:`composite_index`.
-    """
-
-    rows: np.ndarray      # every composite position, in order
-    swap: np.ndarray      # position of (j, i) for each (i, j)
-    offdiag: np.ndarray   # positions of the (i, j) with i != j
-
-
-@lru_cache(maxsize=None)
-def zero_weight_layout(n: int) -> ZeroWeightLayout:
-    """The :class:`ZeroWeightLayout` of size n (cached, read-only arrays)."""
-    rows = np.arange(n * n)
-    swap = rows.reshape(n, n).T.ravel()
-    offdiag = rows[rows // n != rows % n]
-    for arr in (rows, swap, offdiag):
-        arr.setflags(write=False)
-    return ZeroWeightLayout(rows, swap, offdiag)
-
-
 def tables_from_dense(M: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the layout: the (exchange, diagonal) n x n tables read off
-    a dense n^2 x n^2 matrix, or (..., n, n) stacks off a (..., n^2, n^2)
-    stack.  Only the two patterns are read; entries elsewhere are not
-    checked."""
-    rows, swap, offdiag = zero_weight_layout(n)
-    lead = M.shape[:-2]
-    d_flat = np.zeros(lead + (n * n,), dtype=complex)
-    d_flat[..., offdiag] = M[..., offdiag, offdiag]
-    return M[..., rows, swap].reshape(lead + (n, n)), d_flat.reshape(lead + (n, n))
+    """The (exchange, diagonal) tables read off the (n, n, n, n) view of a
+    dense n^2 x n^2 matrix, or (..., n, n) stacks off a (..., n^2, n^2)
+    stack, with +0j on d's diagonal: the inverse of :func:`dense_from_tables`.
+    Entries outside the two patterns are not read."""
+    i, j = np.arange(n)[:, None], np.arange(n)
+    T = M.reshape(M.shape[:-2] + (n, n, n, n))
+    d = T[..., i, j, i, j].astype(complex)
+    d[..., j, j] = 0  # the diagonal: [i, i, i, i] holds Delta_ii
+    return T[..., i, j, j, i], d
 
 
 def shifted(lam: np.ndarray, k: int) -> np.ndarray:
@@ -343,13 +318,13 @@ def shift_stencil(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[np.ndarray, np.
 
 def dense_from_tables(delta_tab: np.ndarray, d_tab: np.ndarray) -> np.ndarray:
     """The dense n^2 x n^2 matrix of one point's n x n exchange and diagonal
-    tables, placed by the layout: the inverse of :func:`tables_from_dense`."""
+    tables, written through its (n, n, n, n) view."""
     n = len(delta_tab)
-    rows, swap, offdiag = zero_weight_layout(n)
-    M = np.zeros((n * n, n * n), dtype=complex)
-    M[rows, swap] = delta_tab.ravel()
-    M[offdiag, offdiag] = d_tab.ravel()[offdiag]
-    return M
+    i, j = np.arange(n)[:, None], np.arange(n)
+    T = np.zeros((n, n, n, n), dtype=complex)
+    T[i, j, i, j] = d_tab
+    T[i, j, j, i] = delta_tab  # after d: Delta_ii overwrites d_ii at [i, i, i, i]
+    return T.reshape(n * n, n * n)
 
 
 def evaluate(R: DynamicalRMatrix, lam: np.ndarray) -> DensePoint:

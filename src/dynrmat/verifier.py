@@ -152,13 +152,19 @@ def sample_lambda(
         lams = draws[:, 0] + 1j * draws[:, 1]
         for start in range(0, k, per_call):
             chunk = lams[start:start + per_call]
-            points = stencil_points(chunk).reshape(-1, n) if stencil else chunk
-            delta, d = R.lookup(points)
-            mags = np.concatenate([np.abs(delta), np.abs(d)], axis=1)
-            mags = mags.reshape(len(chunk), -1)
-            ok = np.isfinite(mags).all(axis=1) & ~(mags.max(axis=1) > entry_cap)
-            out.extend(chunk[ok])
+            out.extend(chunk[well_conditioned(R, chunk, entry_cap, stencil)])
     return out
+
+
+def well_conditioned(R: DynamicalRMatrix, lams: np.ndarray, entry_cap: float,
+                     stencil: bool) -> np.ndarray:
+    """Which points of the (m, n) stack ``lams`` have every entry finite and
+    not above ``entry_cap`` on their shift stencil (``stencil=True``) or
+    alone, read in one ``R.lookup``, whose stack R keeps."""
+    points = stencil_points(lams).reshape(-1, R.n) if stencil else lams
+    delta, d = R.lookup(points)
+    mags = np.concatenate([np.abs(delta), np.abs(d)], axis=1).reshape(len(lams), -1)
+    return np.isfinite(mags).all(axis=1) & ~(mags.max(axis=1) > entry_cap)
 
 
 #: The three factors of each side in the order they act on a column (the

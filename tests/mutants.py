@@ -131,10 +131,11 @@ MUTANTS = [
            ("tests/test_verifier.py::test_sample_lambda_reference_with_pole_rejections",
             "tests/test_verifier.py::test_sample_lambda_reference_with_entry_cap_rejections")),
     Mutant("sample_lambda: entry cap ignored", V,
-           "ok = np.isfinite(mags).all(axis=1) & ~(mags.max(axis=1) > entry_cap)",
-           "ok = np.isfinite(mags).all(axis=1)",
+           "return np.isfinite(mags).all(axis=1) & ~(mags.max(axis=1) > entry_cap)",
+           "return np.isfinite(mags).all(axis=1)",
            ("tests/test_verifier.py::test_sample_lambda_reference_with_entry_cap_rejections",
-            "tests/test_verifier.py::test_sample_lambda_exhausts_after_exactly_max_tries_draws")),
+            "tests/test_verifier.py::test_sample_lambda_exhausts_after_exactly_max_tries_draws",
+            "tests/test_classifier.py::test_reference_point_skips_an_entry_above_the_cap_and_keeps_its_stack")),
     Mutant("sample_lambda: no chunking", V,
            "per_call = max(1, _SAMPLE_CALL_POINTS // width)",
            "per_call = max_tries",
@@ -209,6 +210,16 @@ MUTANTS = [
            "np.ldexp(F, 1 - e, out=F)",
            "F *= 2.0 ** (1 - e)",
            ("tests/test_rmatrix.py::test_unit_scale_gives_the_bits_of_ldexp_at_the_ends_of_the_float_range",)),
+    Mutant("tables_from_dense: d read without the i != j guard", R,
+           "    d[..., j, j] = 0  # the diagonal: [i, i, i, i] holds Delta_ii\n",
+           "",
+           ("tests/test_rmatrix.py::test_dense_round_trip_bit_for_bit",
+            "tests/test_rmatrix.py::test_tables_from_dense_inverts_evaluate")),
+    Mutant("dense_from_tables: d written on the diagonal too, over Delta_ii", R,
+           "T[i, j, i, j] = d_tab\n    T[i, j, j, i] = delta_tab",
+           "T[i, j, j, i] = delta_tab\n    T[i, j, i, j] = d_tab",
+           ("tests/test_rmatrix.py::test_dense_round_trip_bit_for_bit",
+            "tests/test_rmatrix.py::test_evaluate_sparsity_and_values")),
     Mutant("stencil points from a 0/1 matrix (flips -0.0)", R,
            "    pts[..., k + 1, k] += SHIFT_STEP\n",
            "    pts = pts + SHIFT_STEP * np.eye(n + 1, n, -1)\n",
@@ -369,12 +380,12 @@ MUTANTS = [
            ("tests/test_tables.py::test_recovered_two_form_equals_the_closure_oracle_bit_for_bit[trivial]",
             "tests/test_tables.py::test_recovered_two_form_equals_the_closure_oracle_bit_for_bit[table]")),
     Mutant("reference point: stencil always searched", C,
-           "delta, d = shift_stencil(R, lam) if stencil else R.tables(lam)",
-           "delta, d = shift_stencil(R, lam)",
+           "if well_conditioned(R, lam[None], 1e6, stencil)[0]:",
+           "if well_conditioned(R, lam[None], 1e6, True)[0]:",
            ("tests/test_cli.py::test_build_and_classify_check_the_reference_point_alone",)),
     Mutant("reference point: stencil never searched", C,
-           "delta, d = shift_stencil(R, lam) if stencil else R.tables(lam)",
-           "delta, d = R.tables(lam)",
+           "if well_conditioned(R, lam[None], 1e6, stencil)[0]:",
+           "if well_conditioned(R, lam[None], 1e6, False)[0]:",
            ("tests/test_cli.py::test_build_and_classify_check_the_reference_point_alone",)),
     Mutant("cli build: reference point by the stencil search", CLI,
            "    ref = _reference_point(R, stencil=False)\n    dt, dd = R.tables(ref)",
@@ -384,6 +395,10 @@ MUTANTS = [
            "        ref = _reference_point(R, stencil=False)\n        obj[",
            "        ref = _reference_point(R)\n        obj[",
            ("tests/test_cli.py::test_build_and_classify_check_the_reference_point_alone",)),
+    Mutant("build_commuting_ops: family index order transposed", B,
+           "op[k[:, None], k, k, k[:, None]] = const / len(cls)",
+           "op[k[:, None], k, k[:, None], k] = const / len(cls)",
+           ("tests/test_rmatrix.py::test_build_commuting_ops_places_like_composite_index",)),
     Mutant("build: datum not validated", B,
            "    result = validate_params(c)\n    if not result:\n        raise ParameterError(result.message)\n",
            "",

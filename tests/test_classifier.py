@@ -536,6 +536,34 @@ def test_recovered_two_form_with_a_pole_at_the_origin_needs_a_probe_point():
     assert obj["two_form"]["type"] == "table" and len(obj["two_form"]["sampled_at"]) == 4
 
 
+@pytest.mark.parametrize("stencil", [False, True])
+def test_reference_point_skips_an_entry_above_the_cap_and_keeps_its_stack(stencil):
+    """A finite entry above 1e6 at the first point of the ray moves the
+    search to the next step, checked alone or on the stencil; the tables
+    at the chosen point are then read from the stack the search kept."""
+    direction = np.array([0.3 * (k + 1) + 0.17j * (k + 2) for k in range(2)])
+    first = 0.1 * 9 * direction  # the first point the search tries
+    # Delta_12 = 1 / (lam_1 - lam_2 + f_1 - f_2) is about -1e7 there
+    p = IndexPartition(n=2, blocks=((DeltaClass(free=(1, 2), d_classes=()),),))
+    c = ClassificationParams(partition=p, per_block=(BlockConstants(0j, 1 + 0j),),
+                             signs={(1,): 1, (2,): 1},
+                             f_consts={(1,): 0j, (2,): complex(first[0] - first[1]) + 1e-7})
+    inner = build(p, c)
+    assert 1e6 < abs(inner.tables(first)[0][0, 1]) < np.inf
+    calls = []
+
+    def tables(lams):
+        calls.append(len(lams))
+        return raw_tables(inner, lams)
+
+    R = DynamicalRMatrix.from_tables(2, tables)
+    ref = _reference_point(R, stencil=stencil)
+    assert ref.tobytes() == (0.1 * 10 * direction).tobytes()
+    assert calls == ([3, 3] if stencil else [1, 1])
+    R.tables(ref)
+    assert len(calls) == 2
+
+
 def _threshold_matrix(entries, values):
     """An n = 2 matrix of constant entries of magnitude at most 1, with
     Delta_11 = 1, so that its scale is 1; each of ``entries``, a (field,

@@ -9,7 +9,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "layers.py"
 LAYERS = {"build", "validate_params", "sample_lambda", "check_system", "global_half", "equations", "peaks", "check_invertibility",
           "stacked_tables", "stacked_tables_point", "unit_scale", "unit_scale_columns",
-          "classify", "recover_params", "hecke_classify"}
+          "classify", "detect_relations", "build_equivalences", "incidence_matrices",
+          "check_propagation", "triangularize", "block_structure", "recover_params",
+          "hecke_classify"}
 
 
 def test_layers_writes_a_positive_minimum_per_layer_and_n(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dynrmat.errors import PoleError
 from dynrmat.rmatrix import (
     composite_index,
+    dense_from_tables,
     dense_point_to_json,
     embed_with_shift,
     evaluate,
@@ -20,7 +21,7 @@ from dynrmat.rmatrix import (
 )
 
 from conftest import golden_datum, golden_expected_tables, off_pattern, random_points
-from dynrmat.builder import build
+from dynrmat.builder import build, build_commuting_ops, check_datum
 from dynrmat.sampling import random_datum
 from dynrmat.verifier import sample_lambda
 
@@ -68,6 +69,97 @@ def test_tables_from_dense_inverts_evaluate(n):
     delta, d = tables_from_dense(P.matrix, n)
     dt, dd = R.tables(lam)
     assert np.array_equal(delta, dt) and np.array_equal(d, dd)
+
+
+_SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.25)
+
+
+def _special_tables(rng, shape):
+    """Complex arrays whose real and imaginary parts are each drawn from
+    ``_SPECIAL``, set part by part so that signed zeros survive."""
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.choice(_SPECIAL, shape)
+    out.imag = rng.choice(_SPECIAL, shape)
+    return out
+
+
+def _dense_oracle(delta, d):
+    """Entry-by-entry placement through composite_index: Delta_ij at row
+    (i, j), column (j, i); d_ij, i != j, on the diagonal at (i, j)."""
+    n = len(delta)
+    M = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                M[composite_index(n, i, j), composite_index(n, i, j)] = d[i - 1, j - 1]
+            M[composite_index(n, i, j), composite_index(n, j, i)] = delta[i - 1, j - 1]
+    return M
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_dense_round_trip_bit_for_bit(n):
+    """dense_from_tables places each entry where the composite_index oracle
+    does, and tables_from_dense gives back Delta and d, d with a +0j
+    diagonal, with every bit of ±0.0, NaN and ±inf kept (np.array_equal
+    sees neither signed zeros nor NaN); d's diagonal is never placed."""
+    rng = np.random.default_rng(70 + n)
+    delta, d = _special_tables(rng, (2, n, n))
+    M = dense_from_tables(delta, d)
+    assert M.shape == (n * n, n * n)
+    assert M.tobytes() == _dense_oracle(delta, d).tobytes()
+    back_delta, back_d = tables_from_dense(M, n)
+    want_d = d.copy()
+    np.fill_diagonal(want_d, 0)
+    assert back_delta.tobytes() == delta.tobytes()
+    assert back_d.tobytes() == want_d.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_tables_from_dense_reads_a_stack_and_ignores_off_pattern_entries(n):
+    """A (S, n^2, n^2) stack reads as its matrices one by one, and entries
+    outside the two patterns, NaN or not, change nothing."""
+    rng = np.random.default_rng(80 + n)
+    tables = _special_tables(rng, (3, 2, n, n))
+    stack = np.stack([dense_from_tables(delta, d) for delta, d in tables])
+    clean = tables_from_dense(stack, n)
+    noisy = stack.copy()
+    off = np.ones((n * n, n * n), dtype=bool)
+    off[np.nonzero(_dense_oracle(np.ones((n, n)), np.ones((n, n))))] = False
+    noisy[:, off] = _special_tables(rng, noisy[:, off].shape)
+    for got in clean, tables_from_dense(noisy, n):
+        assert got[0].shape == got[1].shape == (3, n, n)
+        for s, M in enumerate(stack):
+            one = tables_from_dense(M, n)
+            assert got[0][s].tobytes() == one[0].tobytes()
+            assert got[1][s].tobytes() == one[1].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_commuting_ops_places_like_composite_index(seed):
+    """R0 holds Delta_I at ((i, i), (i, i)) for each free index i, and each
+    family operator Delta_I / |I| at ((j, j'), (j', j)) for j, j' in I."""
+    rng = np.random.default_rng(90 + seed)
+    p, c = golden_datum() if seed == 0 else random_datum(int(rng.integers(3, 7)), rng)
+    n = p.n
+    ops = build_commuting_ops(p, c)
+    free = np.zeros((n * n, n * n), dtype=complex)
+    family = {}
+    for cls, const in zip(p.all_d_classes(), check_datum(p, c)):
+        if len(cls) == 1:
+            (i,) = cls
+            free[composite_index(n, i, i), composite_index(n, i, i)] = const
+            continue
+        op = family[cls] = np.zeros((n * n, n * n), dtype=complex)
+        for j in cls:
+            for jp in cls:
+                op[composite_index(n, j, jp), composite_index(n, jp, j)] = const / len(cls)
+    assert ops["R0"].tobytes() == free.tobytes()
+    assert list(ops["family"]) == list(family)
+    for cls, op in family.items():
+        assert ops["family"][cls].shape == op.shape
+        assert ops["family"][cls].tobytes() == op.tobytes()
+    if seed == 0:
+        assert list(family) == [(3, 4)]
 
 
 def test_shift_stencil_matches_shifted_tables():

@@ -25,6 +25,10 @@ timed batches of each batch's mean; the JSON's ``statistic``) of:
 - ``unit_scale``: the determinant factors of one sample, one array, and
   ``unit_scale_columns``: the 8 stencils' tables, a column each;
 - ``classify``: the structure of the matrix, at its default samples;
+- its stages one at a time, each on the output of the one before, at
+  those samples: ``detect_relations``, ``build_equivalences``,
+  ``incidence_matrices``, ``check_propagation``, ``triangularize`` and
+  ``block_structure``;
 - ``recover_params``: the datum, from that structure;
 - ``hecke_classify``: the spectral verdict, at its default samples.
 
@@ -90,6 +94,13 @@ def layers(n: int, repeat: int) -> dict:
     peaks = getattr(verifier, "_family_peaks", None)
     layout = verifier._equation_layout(n)
     structure = classifier.classify(R)
+    # classify's own samples and stages
+    cls_samples = verifier.sample_lambda(R, np.random.default_rng(0), classifier.DEFAULT_SAMPLES,
+                                         stencil=False)
+    rel = classifier.detect_relations(R, cls_samples)
+    delta_classes = classifier.build_equivalences(rel, n)["delta_classes"]
+    M, M_R = classifier.incidence_matrices(rel, delta_classes, n)
+    sigma, _ = classifier.triangularize(M_R)
 
     def global_half():
         for s, k in enumerate(ks):
@@ -114,6 +125,12 @@ def layers(n: int, repeat: int) -> dict:
         "unit_scale": (rmatrix.unit_scale, lambda: (factors.copy(),)),
         "unit_scale_columns": (lambda T: rmatrix.unit_scale(T, axis=0), lambda: (table.copy(),)),
         "classify": (lambda: classifier.classify(R), None),
+        "detect_relations": (lambda: classifier.detect_relations(R, cls_samples), None),
+        "build_equivalences": (lambda: classifier.build_equivalences(rel, n), None),
+        "incidence_matrices": (lambda: classifier.incidence_matrices(rel, delta_classes, n), None),
+        "check_propagation": (lambda: classifier.check_propagation(M), None),
+        "triangularize": (lambda: classifier.triangularize(M_R), None),
+        "block_structure": (lambda: classifier.block_structure(M_R, sigma), None),
         "recover_params": (lambda: classifier.recover_params(R, structure), None),
         "hecke_classify": (lambda: hecke.hecke_classify(R), None),
     }
