@@ -16,9 +16,7 @@ fields are fully determined:
 
 All square roots and logarithms use the principal branch, taken once per
 block in :attr:`dynrmat.params.BlockConstants.derived`; the residual branch
-freedom is absorbed by the sign family and the 2-form.  :func:`check_datum`
-reads every block's derived constants, then each d-class's constant
-exchange coefficient.
+freedom is absorbed by the sign family and the 2-form.
 """
 
 from __future__ import annotations

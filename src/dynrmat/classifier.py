@@ -76,10 +76,10 @@ def detect_relations(
 
     An entry is *zero* when its max magnitude over all samples is below
     tol * scale; it is *ambiguous* (raises :class:`AmbiguityError`) when it
-    is large at some samples but below the threshold at others, which
-    indicates an accidental zero at a special point.  The first ambiguous
-    entry in row-major order, Delta_ij before d_ij, is named.  ``tol`` must
-    be finite and > 0.
+    is below that at some sample and its max stays below 1e3 times that, an
+    accidental zero at a special point.  The first ambiguous entry in
+    row-major order, Delta_ij before d_ij, is named.  ``tol`` must be finite
+    and > 0.
     """
     _require_positive("tol", tol)
     if len(samples) < MIN_SAMPLES:
@@ -286,6 +286,11 @@ def classify(
 ) -> IncidenceReport:
     """Full structural classification of a zero-weight matrix.
 
+    Acceptance reads the zero pattern alone, and :func:`recover_params` the
+    pair invariants at each class's first index.  Neither checks the shifted
+    relation, which :func:`dynrmat.verifier.check_system` does, so a
+    non-member with a member's zero pattern is classified.
+
     Without ``samples``, ``DEFAULT_SAMPLES`` points are drawn from ``seed``;
     each is checked for poles and the entry cap at that point alone, since
     the classification reads no shifted point.  ``tol`` must be finite and
@@ -353,9 +358,11 @@ def check_propagation(M: np.ndarray) -> None:
 
 def _reference_point(R: DynamicalRMatrix, stencil: bool = True) -> np.ndarray:
     """Deterministic evaluation point, pole-free and below the entry cap on
-    its whole shift stencil, for output that needs one fixed point.  With
-    ``stencil=False`` only the point itself is checked, for output that
-    reads the tables at the point alone."""
+    its whole shift stencil, for output that needs one fixed point: the
+    CLI's ``transform`` and :func:`dynrmat.transforms.trig_to_rational_limit`.
+    With ``stencil=False`` only the point itself is checked, for output that
+    reads the tables at the point alone: the CLI's ``build`` coefficients and
+    ``classify``'s recovered 2-form (its ``sampled_at`` point)."""
     direction = np.array([0.3 * (k + 1) + 0.17j * (k + 2) for k in range(R.n)], dtype=complex)
     for step in range(9, 60):
         lam = 0.1 * step * direction
@@ -382,13 +389,8 @@ def recover_params(
     invariants from all of them, the class constants (constant in lambda)
     from the first, and each position constant f at the sample where its
     inversion is best conditioned, the first such sample on a tie.  The
-    ``DEFAULT_SAMPLES`` samples are drawn from ``seed``, each checked for
-    poles and the entry cap at that point alone: with the seed of
-    :func:`classify`, they are the points it read.  The fixed
-    :func:`_reference_point` is not read here; the CLI's ``build`` and
-    ``classify`` (the recovered 2-form's ``sampled_at`` point) commands
-    use it checked at the point alone, its ``transform`` command and
-    :func:`dynrmat.transforms.trig_to_rational_limit` on the whole stencil.
+    ``DEFAULT_SAMPLES`` samples are drawn from ``seed`` as :func:`classify`
+    draws them: with its seed, they are the points it read.
     """
     partition = report.recovered_partition
     perm = report.index_permutation

@@ -4,8 +4,8 @@ Subcommands: ``build``, ``verify``, ``classify``, ``hecke``, ``transform``.
 Inputs are JSON configs (see :mod:`dynrmat.serialize` for the schema);
 outputs go to ``--out`` or stdout and are deterministic for a fixed seed.
 
-Exit codes: 0 success, 1 residual check failed, 2 invalid input,
-3 pole encountered, 4 matrix not in the classified family, 64 usage error.
+Exit codes: 0 success, 1 residual check failed, 2 invalid input, 3 a pole
+or no well-conditioned point, 4 rejected by the classifier, 64 usage error.
 """
 
 from __future__ import annotations

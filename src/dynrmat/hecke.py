@@ -110,9 +110,8 @@ def hecke_classify(
     """Decide the spectral class of the flip-composed matrix.
 
     Without ``samples``, ``DEFAULT_SAMPLES`` points are drawn from
-    ``seed``; each is checked for poles and the entry cap at that point
-    alone, since the analysis reads no shifted point.  ``tol`` must be
-    finite and > 0.  The verdict reads one array of the n + n(n-1)
+    ``seed`` as :func:`~dynrmat.classifier.classify` draws them.  ``tol``
+    must be finite and > 0.  The verdict reads one array of the n + n(n-1)
     eigenvalues: the diagonal values, then each plane's pair.  A matrix
     that is zero at every sample raises :class:`NotInFamilyError`, as
     :func:`~dynrmat.classifier.classify` does.

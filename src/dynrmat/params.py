@@ -3,16 +3,15 @@
 Each coupling block carries two complex constants: the *sum* constant
 (``sum_const``, the common value of Delta_ij + Delta_ji on cross-class
 pairs of the block) and the *determinant* constant (``det_const``, the
-common value of d_ij d_ji - Delta_ij Delta_ji); ``BlockConstants.derived``
-takes D, T, A, B and sqrt(Sigma) from them once, the one place that does.
-Distinct blocks are tied together by cross-block determinant constants.
-Each d-class, in the order of ``IndexPartition.d_classes()``, carries a
-sign (+1/-1) and a complex constant ``f`` fixing its position inside the
-exchange class; the conventional normalization puts f = 1 (sum != 0,
-"trigonometric" block) or f = 0 (sum = 0, "rational" block) on the first
-d-class of every exchange class.  Finally a multiplicative 2-form rescales
-the diagonal coefficients; ``TwoFormSpec.table(n, lams, mask)`` evaluates it
-on a (P, n) stack of points and returns a (P, n, n) stack of tables.
+common value of d_ij d_ji - Delta_ij Delta_ji), from which
+:attr:`BlockConstants.derived` takes the rest.  Distinct blocks are tied
+together by cross-block determinant constants.  Each d-class, in the order
+of ``IndexPartition.d_classes()``, carries a sign (+1/-1) and a complex
+constant ``f`` fixing its position inside the exchange class; the
+conventional normalization puts f = 1 (sum != 0, "trigonometric" block) or
+f = 0 (sum = 0, "rational" block) on the first d-class of every exchange
+class.  Finally a multiplicative 2-form (:class:`TwoFormSpec`) rescales the
+diagonal coefficients.
 
 JSON field names (``S``, ``Sigma``, ``signs``, ``f``) follow the shared
 config schema; see :mod:`dynrmat.serialize`.
@@ -59,8 +58,7 @@ class BlockConstants:
     @cached_property
     def derived(self) -> DerivedBlockConstants:
         """``derive(S, Sigma)``, taken once: the one place where the block's
-        D, T, A, B and sqrt(Sigma) are read.  The builder's ``check_datum``
-        reads it for every block before any d-class constant."""
+        D, T, A, B and sqrt(Sigma) are read."""
         return derive(self.sum_const, self.det_const)
 
 

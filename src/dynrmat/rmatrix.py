@@ -12,22 +12,21 @@ table function maps a (P, n) stack of points to the (P, n, n) exchange and
 diagonal table stacks, filled with numpy, and marks a pole with NaN instead
 of raising.  The memo is the last stack :meth:`DynamicalRMatrix.lookup`
 evaluated, with its tables; they serve any contiguous, row-aligned run of
-its points (the whole stack, a chunk that :func:`dynrmat.verifier.check_system`
-reads after :func:`dynrmat.verifier.sample_lambda`, one point), and any
-other stack is evaluated in one call and kept instead.  So a point read
-after another stack is evaluated again, and so are the accepted stencils
-after a sampling round that rejected draws.  ``R.tables(lam)``,
-``R.delta(i, j, lam)`` and ``R.d(i, j, lam)`` look up one point and raise
-:class:`PoleError` on a non-finite entry.
+its points (the whole stack as the kept arrays themselves, a chunk that
+:func:`dynrmat.verifier.check_system` reads after
+:func:`dynrmat.verifier.sample_lambda`, one point), and any other stack is
+evaluated in one call and kept instead.  So a point read after another
+stack is evaluated again, and so are the accepted stencils after a sampling
+round that rejected draws.  ``R.tables(lam)``, ``R.delta(i, j, lam)`` and
+``R.d(i, j, lam)`` look up one point and raise :class:`PoleError` on a
+non-finite entry.
 
 The builder, the transforms and sampled configs make their matrices with
 :meth:`DynamicalRMatrix.from_tables`.  The keyword constructor
 ``DynamicalRMatrix(n, delta=..., d=...)`` adapts per-entry fields, callables
-``(i, j, lam) -> complex`` (see :func:`_field_tables`).  In
-``DynamicalRMatrix(n, delta=my_delta, d=R.d)``, R pins each point object
-that ``my_delta`` gets with the point's tables, so ``R.delta(i, j, lam)`` is
-served from the pin; a read at an equal copy of ``lam`` is a lookup like
-any other read.
+``(i, j, lam) -> complex``, and pins the readers of other matrices, as
+:func:`_field_tables` states; ``DynamicalRMatrix(n, delta=R.delta,
+d=R.d)`` shares R's table function behind an empty memo of its own.
 
 Rows and columns of the dense n^2 x n^2 form are composite indices
 (a, b) -> (a-1)*n + b, 1-based on both levels; in its (n, n, n, n) reshape,
@@ -170,9 +169,7 @@ class DynamicalRMatrix:
 
     def lookup(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(P, n, n) read-only tables at a (P, n) stack of points, NaN at
-        poles: from the kept tables when the points are a contiguous run of
-        the kept stack's rows (the kept arrays themselves for the whole
-        stack), else from one call, whose stack and tables are kept."""
+        poles, from or into the memo (see the module docstring)."""
         lams = _as_stack(lams, self.n)
         blob = lams.tobytes()
         last = self._last

@@ -16,12 +16,7 @@ bit-exact round-trips.  A sample is ``{"n": n, "lambda": [C, ...],
 listing nonzero entries only, with factor indices in 1..n; of entries that
 repeat a (row, col) pair the last one counts.  All samples of a config are
 parsed in one pass straight to :class:`SampledTables`, the (S, n, n)
-exchange and diagonal table stacks, without a dense matrix.  A position
-outside the two zero-weight patterns whose value is not below
-:data:`~dynrmat.rmatrix.ZERO_WEIGHT_TOL` in modulus raises
-:class:`NotInFamilyError` naming the sample and the entry; an explicit 0
-there is legal.  A sampled matrix finds the tables of a stack of points by
-their :func:`sample_keys`.
+exchange and diagonal table stacks, without a dense matrix.
 
 2-form schemas: ``{"type": "trivial"}``; ``{"type": "table", "values":
 {"1,2": C}}`` (constant per unordered pair); ``{"type": "exact",
@@ -357,7 +352,8 @@ def sampled_tables_from_json(obj: dict) -> SampledTables:
     naming the first sample that has an error.  A (row, col) position
     outside the two zero-weight patterns whose value (the last entry's,
     when the pair repeats) is not below :data:`ZERO_WEIGHT_TOL` in modulus
-    raises :class:`NotInFamilyError` naming the sample and that entry.
+    raises :class:`NotInFamilyError` naming the sample and that entry; an
+    explicit 0 there is legal.
     """
     n = _size(obj)
     samples = _field(obj, "samples", list, [])

@@ -11,34 +11,28 @@ never cause spurious failures.
 The global residual never forms the n^3 x n^3 operators.  A zero-weight
 factor sends e_x (x) e_y to at most two basis vectors, its swap and
 itself, so each side of the relation sends a basis triple to 8 weighted
-path products, all landing on permutations of that triple.  A path through
-a diagonal coefficient d_xx, which is 0 by construction, is left out.
-Which table entries each of the remaining path products (at most 16 n^3)
-multiplies, and which (column, row) entry it is summed into, depends on n
-only: that layout is built once per n.  Every entry receives one or two
-of them, so a sample's defect is three gathers from its shift stencil's
-flattened tables and two from the products, O(n^3) time and memory
-instead of the O(n^9) time and O(n^6) memory of dense products.
+path products, all landing on permutations of that triple.  Which table
+entries each path product kept by :class:`DefectLayout` multiplies, and
+which (column, row) entry it is summed into, depends on n only: that layout
+is built once per n.  Every entry receives one or two of them, so a
+sample's defect is three gathers from its shift stencil's flattened tables
+and two from the products, O(n^3) time and memory instead of the O(n^9)
+time and O(n^6) memory of dense products.
 
-The component equations have a layout per n as well: for each family the
-positions of its factors in a stencil's flattened tables, at only the
-entries the family constrains: each i for G0, the pairs i != j for F, the
-triples of distinct indices for E.  An index tuple with a repeated index
-is no equation of its family, and counts as a residual of 0.
-:func:`check_system` evaluates the shift stencils of its samples in one
-table call and reads each family from the whole stack with one gather, a
-chunk of samples at a time, so that no operand of the equations holds more
-than ``_SYSTEM_CHUNK`` entries unless one sample's n^3 does; the global
-defect is taken per sample.
+The component equations have a layout per n as well, :class:`EquationLayout`.
+An index tuple with a repeated index is no equation of its family, and
+counts as a residual of 0.  :func:`check_system` reads each family with one
+gather per chunk of samples (see ``_SYSTEM_CHUNK``); the global defect is
+taken per sample.
 
 Residuals are cubic in the matrix coefficients, so all pass/fail decisions
-are made on *normalized* residuals, read from each sample's tables at unit
-scale (:func:`dynrmat.rmatrix.unit_scale`): times 2^k, so that C, the
-largest coefficient modulus at the sample, is in [1, 2).  A component
-residual is the raw max-abs value there over (C 2^k)^3, so 2^j R has the
-residuals of R bit for bit, and C = 0 gives 0.  The global residual is
-raw / max(1, scale), scale the largest entry of the two three-factor
-products, absolute below scale 1: at unit scale, raw / max(2^(3k), scale).
+are made on *normalized* residuals, read from each sample's tables times
+the 2^k of :func:`dynrmat.rmatrix.unit_scale` for C, the largest coefficient
+modulus at the sample.  A component residual is the raw max-abs value there
+over (C 2^k)^3, so 2^j R has the residuals of R bit for bit, and C = 0
+gives 0.  The global residual is raw / max(1, scale), scale the largest
+entry of the two three-factor products, absolute below scale 1: at unit
+scale, raw / max(2^(3k), scale).
 
 The determinant is read from its factors alone (:func:`check_invertibility`):
 no dense n^2 x n^2 matrix is formed.

@@ -322,6 +322,26 @@ def test_build_lambda_overflow_is_pole(tmp_path, capsys):
     assert captured.err.startswith("pole: non-finite coefficient at pair (2,1)")
 
 
+@pytest.mark.parametrize("command,sigma,message", [
+    # entries of 1e4, above the absolute entry cap of 1e3 at every draw
+    ("verify", 1e8, "could not find 8 well-conditioned sample points in 2000 draws"),
+    ("classify", 1e8, "could not find 5 well-conditioned sample points in 2000 draws"),
+    ("hecke", 1e8, "could not find 5 well-conditioned sample points in 2000 draws"),
+    # entries of 1e7, above the reference point's cap of 1e6
+    ("build", 1e14, "no well-conditioned reference point found"),
+])
+def test_no_well_conditioned_point_is_a_pole(tmp_path, capsys, command, sigma, message):
+    """Exit code 3 of the README's table: the golden datum scaled past an
+    absolute entry cap has no point to be read at."""
+    _, c = golden_datum()
+    c = replace(c, per_block=(BlockConstants(0j, sigma + 0j),))
+    cfg = _write(tmp_path, "scaled.json", params_to_json(c))
+    assert main([command, cfg]) == EXIT_POLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pole: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "classify", "hecke"])
 @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
 def test_bad_tol_usage(golden_config, capsys, command, tol):
