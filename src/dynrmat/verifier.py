@@ -11,19 +11,19 @@ never cause spurious failures.
 The global residual never forms the n^3 x n^3 operators.  A zero-weight
 factor sends e_x (x) e_y to at most two basis vectors, its swap and
 itself, so each side of the relation sends a basis triple to 8 weighted
-path products, all landing on permutations of that triple.  Which table
-entries each path product kept by :class:`DefectLayout` multiplies, and
-which (column, row) entry it is summed into, depends on n only: that layout
-is built once per n.  Every entry receives one or two of them, so a
-sample's defect is three gathers from its shift stencil's flattened tables
-and two from the products, O(n^3) time and memory instead of the O(n^9)
-time and O(n^6) memory of dense products.
+path products.  A path through a d_xx, which is 0, adds an exact zero; the
+others reach, one or two on each side, one (column, row) entry per
+component equation and index tuple.  So each entry of the defect is one
+equation's left side less its right side (``_SIDES``), read from the same
+table positions as the equation (:class:`EquationLayout`, built once per
+n): three gathers, two products and two sums per pass over a chunk's
+samples, O(n^3) time and memory instead of the O(n^9) time and O(n^6)
+memory of dense products.  The products go into a workspace of the
+calling thread, reused from call to call and bounded by ``_DEFECT_PASS``.
 
-The component equations have a layout per n as well, :class:`EquationLayout`.
 An index tuple with a repeated index is no equation of its family, and
-counts as a residual of 0.  :func:`check_system` reads each family with one
-gather per chunk of samples (see ``_SYSTEM_CHUNK``); the global defect is
-taken per sample.
+counts as a residual of 0.  :func:`check_system` reads the equations and
+the defect of a chunk of samples at once (see ``_SYSTEM_CHUNK``).
 
 Residuals are cubic in the matrix coefficients, so all pass/fail decisions
 are made on *normalized* residuals, read from each sample's tables times
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, repeat
@@ -161,148 +162,9 @@ def well_conditioned(R: DynamicalRMatrix, lams: np.ndarray, entry_cap: float,
     return np.isfinite(mags).all(axis=1) & ~(mags.max(axis=1) > entry_cap)
 
 
-#: The three factors of each side in the order they act on a column (the
-#: rightmost first): the 0-based slot pair and whether the spectating slot's
-#: index shifts the evaluation point.
-_LEFT = (((1, 2), True), ((0, 2), False), ((0, 1), True))    # R12(lam+h3) R13(lam) R23(lam+h1)
-_RIGHT = (((0, 1), False), ((0, 2), True), ((1, 2), False))  # R23(lam) R13(lam+h2) R12(lam)
-
-
-class DefectLayout(NamedTuple):
-    """Where the path products of both sides come from and go to.
-
-    Of the 8 n^3 path products of each side, those through a diagonal
-    coefficient d_xx, 0 by construction, are left out: each would add an
-    exact zero to its entry.  ``T`` is a stencil's tables flattened into
-    one vector, ``concat(delta_st.ravel(), d_st.ravel())``.  Product k
-    multiplies ``T[gather[0][k]] * T[gather[1][k]] * T[gather[2][k]]``,
-    its factors in the order they act.  The left side's products come
-    first, then the right side's, each side's kept in the order of its
-    paths: path j of column c at j n^3 + c.  The (column, row) entries are
-    numbered left entries in [0, m) and right entries in [m, 2m); every
-    entry a path reaches is reached by a kept one on each side, so m is
-    that of all 16 n^3 products.  Entry b receives kept products
-    ``first[b]`` and ``second[b]``, in path order, or only ``first[b]``
-    and ``second[b]`` is K, the pad: a product after the K kept ones that
-    reads d_11 three times, 0 by construction.
-    """
-
-    gather: tuple[np.ndarray, np.ndarray, np.ndarray]
-    first: np.ndarray
-    second: np.ndarray
-    m: int
-
-
-@lru_cache(maxsize=None)
-def _defect_layout(n: int) -> DefectLayout:
-    """The :class:`DefectLayout` of size n (cached, read-only ``np.intp``
-    arrays, the index type ``take`` reads without a conversion).
-
-    Starting from each basis triple, a factor on slots (p, q) sends
-    e_x (x) e_y to Delta_yx e_y (x) e_x + d_xy e_x (x) e_y, with its tables
-    taken at stencil index 0, or at spectator index + 1 when shifted.
-    """
-    size = n ** 3
-    d_offset = (n + 1) * n * n
-    rows, gathers, kept = [], [], []
-    for factors in (_LEFT, _RIGHT):
-        state = np.indices((n, n, n)).reshape(3, -1)
-        picks: list[np.ndarray] = []
-        keep = np.ones(size, dtype=bool)
-        for (p, q), shift in factors:
-            x, y = state[p], state[q]
-            at = state[3 - p - q] + 1 if shift else 0
-            swapped = state.copy()
-            swapped[p], swapped[q] = y, x
-            state = np.concatenate([swapped, state], axis=1)
-            picks = [np.concatenate([g, g]) for g in picks]
-            picks.append(np.concatenate([(at * n + y) * n + x,
-                                         d_offset + (at * n + x) * n + y]))
-            # d_xx is 0 by construction: a path through it adds an exact zero
-            keep = np.concatenate([keep, keep & (x != y)])
-        rows.append((state[0] * n + state[1]) * n + state[2])
-        gathers.append(picks)
-        kept.append(keep)
-    keys, inv = np.unique(np.tile(np.arange(size), 16) * size + np.concatenate(rows),
-                          return_inverse=True)
-    m = keys.size
-    kept = np.concatenate(kept)
-    # the cached arrays are made before the temporaries: made after them,
-    # they would sit on top of the heap and keep it, and the RSS, up
-    gather, pairs = np.empty((3, kept.sum() + 1), np.intp), np.empty((2, 2 * m), np.intp)
-    for g, pair in zip(gather, zip(*gathers)):
-        g[:-1] = np.concatenate(pair)[kept]
-    gather[:, -1] = d_offset  # the pad, product K, is d_11 d_11 d_11 at lam: 0 by construction
-    del gathers, picks  # copied: freed before the entries are paired, a lower peak
-    bins = (inv + np.repeat([0, m], 8 * size))[kept]
-    # a side's 8 paths reach each row of a column at most twice (the 4 paths
-    # of each parity reach its 3 permutations), so an entry receives one or
-    # two kept products: its first in path order, and its last
-    counts = np.bincount(bins)
-    ends = np.cumsum(counts)
-    order = np.argsort(bins * bins.size + np.arange(bins.size))  # by entry, then path
-    first, last = order[ends - counts], order[ends - 1]
-    pairs[:] = first, np.where(last > first, last, bins.size)
-    gather.setflags(write=False)
-    pairs.setflags(write=False)
-    return DefectLayout(tuple(gather), *pairs, m)
-
-
-def _path_weights(T: np.ndarray, n: int) -> np.ndarray:
-    """The weights of the path products that :func:`_defect_layout` keeps,
-    and of its pad, at one stencil's flattened tables ``T``."""
-    gather = _defect_layout(n).gather
-    # the product so far times the next factor, as the factors act (complex
-    # products are not bitwise commutative); take() beats T[indices]
-    w = T.take(gather[0])
-    w *= T.take(gather[1])
-    w *= T.take(gather[2])
-    return w
-
-
-def _defect(T: np.ndarray, n: int) -> tuple[float, float]:
-    """Raw max-abs defect and scale of the relation at one shift stencil's
-    flattened tables ``T``, ``concat(delta_st.ravel(), d_st.ravel())``."""
-    layout = _defect_layout(n)
-    w = _path_weights(T, n)
-    # each entry adds its second product, or the pad's exact 0, to its first
-    sums = w.take(layout.first)
-    sums += w.take(layout.second)
-    raw = float(np.abs(sums[:layout.m] - sums[layout.m:]).max())
-    return raw, float(np.abs(sums).max())
-
-
-def _stencil_defect(delta_st: np.ndarray, d_st: np.ndarray) -> tuple[float, float]:
-    """Raw max-abs defect and scale of the relation at one shift stencil's
-    (n+1, n, n) tables."""
-    return _defect(np.concatenate([delta_st.ravel(), d_st.ravel()]), delta_st.shape[1])
-
-
-def dqybe_defect(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[float, float]:
-    """Raw max-abs defect of the shifted Yang-Baxter relation and the
-    max-abs entry of the two three-factor products (the natural scale)."""
-    return _stencil_defect(*shift_stencil(R, np.asarray(lam, dtype=complex)))
-
-
-def _global_residual(T: np.ndarray, n: int, k: int) -> float:
-    """The global residual of one stencil from its flattened tables at unit
-    scale, times 2^k: raw / max(2^(3k), scale), without 2^(3k), which is no
-    float when C is below 2^-341 or above 2^358."""
-    raw, scale = _defect(T, n)
-    if scale and math.frexp(scale)[1] > 3 * k:  # scale >= 2^(3k)
-        return raw / scale
-    return math.ldexp(raw, -3 * k)
-
-
-def dqybe_residual_normalized(R: DynamicalRMatrix, lam: np.ndarray) -> float:
-    """The global residual that :func:`check_system` reports at ``lam``."""
-    T = np.concatenate([t.ravel() for t in shift_stencil(R, np.asarray(lam, dtype=complex))])
-    k, _ = unit_scale(T)
-    return _global_residual(T, R.n, k)
-
-
 class EquationLayout(NamedTuple):
-    """Where the component equations of size n read their factors.
+    """Where the component equations of size n and the sides of the global
+    defect read their factors.
 
     ``positions`` holds one (factors, entries) array per family: G0, the
     pair families F1..F9 and the triple families E1..E6.  Row k holds the
@@ -312,14 +174,49 @@ class EquationLayout(NamedTuple):
     G0, the pairs i != j for F and the triples of distinct indices for E,
     in row-major order; ``indices`` holds their 1-based indices, one
     (entries, 1), (entries, 2) or (entries, 3) array per family.
+
+    The global defect has ``m`` entries, one per equation and entry, each
+    a left and a right side (``_SIDES``).  ``products`` holds the positions
+    of the factors, in the order they act, of the first products of the m
+    left and then the m right sides, then of the second products of the
+    sides in the slices ``twice``.
     """
 
     positions: tuple[np.ndarray, np.ndarray, np.ndarray]
     indices: tuple[np.ndarray, np.ndarray, np.ndarray]
+    products: np.ndarray
+    m: int
+    twice: tuple[slice, slice]
 
 
 #: The equation tags of each family, in the order of the layout's arrays.
 _FAMILIES = (EQUATION_TAGS[:1], EQUATION_TAGS[1:10], EQUATION_TAGS[10:])
+
+#: Each equation's entry of the global defect as its left side and its
+#: right side: the paths of R12(lam+h3) R13(lam) R23(lam+h1) and of
+#: R23(lam) R13(lam+h2) R12(lam) to that entry, less those through a d_xx,
+#: which is 0.  A side is one product or the sum of two, in path order; a
+#: product names its three factors, as :func:`_equation_values` does, in
+#: the order they act.  Left less right is the equation's value, up to sign.
+_SIDES = {
+    "G0": ("diag_sh diag diag_sh", "diag diag_sh diag"),
+    "F1": ("sij_i sij_0 dii_j", "dii_0 sij_i sij_0"),
+    "F2": ("dii_j sji_0 sji_i", "sji_0 sji_i dii_0"),
+    "F3": ("dij_i sij_0 dii_j", "sij_0 dii_j dij_0 + dji_0 dij_i sij_0"),
+    "F4": ("dii_j sji_0 dij_i", "sji_0 dij_i dji_0 + dij_0 dii_j sji_0"),
+    "F5": ("sij_i dji_0 dij_i + dji_i dii_0 sij_i", "dii_0 sij_i dji_0"),
+    "F6": ("sji_i dii_0 dji_i + dij_i dji_0 sji_i", "dji_0 sji_i dii_0"),
+    "F7": ("dii_j dij_0 dii_j", "dij_0 dii_j dij_0 + sji_0 dij_i sij_0"),
+    "F8": ("dji_i dii_0 dji_i + sij_i dji_0 sji_i", "dii_0 dji_i dii_0"),
+    "F9": ("dij_i dji_0 dij_i + sji_i dii_0 sij_i", "dji_0 dij_i dji_0 + sij_0 dii_j sji_0"),
+    "E1": ("s_jk_i s_ik_0 s_ij_k", "s_ij_0 s_ik_j s_jk_0"),
+    "E2": ("s_ik_j s_jk_0 D_ij_k", "D_ij_0 s_ik_j s_jk_0"),
+    "E3": ("D_jk_i s_ik_0 s_ij_k", "s_ik_0 s_ij_k D_jk_0"),
+    "E4": ("s_ij_k D_jk_0 D_ij_k + D_ji_k D_ik_0 s_ij_k", "D_ik_0 s_ij_k D_jk_0"),
+    "E5": ("D_ik_j s_jk_0 D_ij_k", "s_jk_0 D_ij_k D_jk_0 + D_kj_0 D_ik_j s_jk_0"),
+    "E6": ("D_ij_k D_jk_0 D_ij_k + s_ji_k D_ik_0 s_ij_k",
+           "D_jk_0 D_ij_k D_jk_0 + s_kj_0 D_ik_j s_jk_0"),
+}
 
 
 @lru_cache(maxsize=None)
@@ -340,20 +237,37 @@ def _equation_layout(n: int) -> EquationLayout:
         return (n + 1) * n * n + D(at, x, y)
 
     i, j, k = I3 + 1, J3 + 1, K3 + 1  # the stencil indices of the shifts
-    positions = (
-        [D(0, r, r), D(r + 1, r, r)],
-        [D(J + 1, I, I), D(0, I, I), D(0, I, J), D(0, J, I), D(I + 1, I, J),
-         D(I + 1, J, I), s(0, I, J), s(0, J, I), s(I + 1, I, J), s(I + 1, J, I)],
-        [s(k, I3, J3), s(i, J3, K3), s(j, I3, K3), s(k, J3, I3),
-         s(0, I3, J3), s(0, J3, K3), s(0, I3, K3), s(0, K3, J3),
-         D(k, I3, J3), D(k, J3, I3), D(i, J3, K3), D(j, I3, K3),
-         D(0, I3, J3), D(0, J3, K3), D(0, I3, K3), D(0, K3, J3)],
-    )
-    arrays = [np.array(rows, dtype=np.intp).reshape(len(rows), -1) for rows in positions]
+    at = {  # each factor's positions: G's 2, F's 10 and E's 16, as _equation_values reads them
+        "diag": D(0, r, r), "diag_sh": D(r + 1, r, r),
+        "dii_j": D(J + 1, I, I), "dii_0": D(0, I, I), "dij_0": D(0, I, J), "dji_0": D(0, J, I),
+        "dij_i": D(I + 1, I, J), "dji_i": D(I + 1, J, I), "sij_0": s(0, I, J),
+        "sji_0": s(0, J, I), "sij_i": s(I + 1, I, J), "sji_i": s(I + 1, J, I),
+        "s_ij_k": s(k, I3, J3), "s_jk_i": s(i, J3, K3), "s_ik_j": s(j, I3, K3),
+        "s_ji_k": s(k, J3, I3), "s_ij_0": s(0, I3, J3), "s_jk_0": s(0, J3, K3),
+        "s_ik_0": s(0, I3, K3), "s_kj_0": s(0, K3, J3), "D_ij_k": D(k, I3, J3),
+        "D_ji_k": D(k, J3, I3), "D_jk_i": D(i, J3, K3), "D_ik_j": D(j, I3, K3),
+        "D_ij_0": D(0, I3, J3), "D_jk_0": D(0, J3, K3), "D_ik_0": D(0, I3, K3),
+        "D_kj_0": D(0, K3, J3),
+    }
+    rows = list(at.values())
+    arrays = [np.array(rows[a:b], dtype=np.intp) for a, b in ((0, 2), (2, 12), (12, 28))]
     arrays += [np.stack(group, axis=1) + 1 for group in ([r], [I, J], [I3, J3, K3])]
+    width = {tag: len(indices) for tags, indices in zip(_FAMILIES, arrays[3:]) for tag in tags}
+    # the equations whose left side has two products first, those whose
+    # right side has next: each side's second products add to one slice
+    two = {tag: [" + " in side for side in _SIDES[tag]] for tag in EQUATION_TAGS}
+    order = sorted(EQUATION_TAGS, key=lambda tag: (not two[tag][0], two[tag][0] == two[tag][1]))
+    sides = [_SIDES[tag][b].split(" + ") for b in (0, 1) for tag in order]
+    chosen = [side[0] for side in sides] + [side[1] for side in sides if len(side) > 1]
+    arrays.append(np.concatenate([[at[name] for name in product.split()] for product in chosen],
+                                 axis=1, dtype=np.intp))
     for arr in arrays:
         arr.setflags(write=False)
-    return EquationLayout(tuple(arrays[:3]), tuple(arrays[3:]))
+    m = sum(width.values())
+    start = m + sum(width[tag] for tag in order if two[tag] == [True, False])
+    twice = (slice(0, sum(width[tag] for tag in order if two[tag][0])),
+             slice(start, start + sum(width[tag] for tag in order if two[tag][1])))
+    return EquationLayout(tuple(arrays[:3]), tuple(arrays[3:6]), arrays[6], m, twice)
 
 
 def _equation_values(T: np.ndarray, n: int) -> dict[str, np.ndarray]:
@@ -403,6 +317,89 @@ def _equation_values(T: np.ndarray, n: int) -> dict[str, np.ndarray]:
         + D_ij_k * D_jk_0 * (D_ij_k - D_jk_0),
     })
     return out
+
+
+#: Each thread's workspace for the products of :func:`_defects`, grown to
+#: the largest size asked: a fresh array of that size, made and freed on
+#: every call, faults its pages in anew each time from n = 6.
+_WORKSPACE = threading.local()
+
+#: Most products in one pass of :func:`_defects` (1 MiB), split evenly over
+#: the samples: the workspace stays allocated through the next chunk's
+#: equations, the memory peak of check_system.  n = 9, 8 samples: 2 passes.
+_DEFECT_PASS = 1 << 16
+
+
+def _defects(T: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw max-abs defect of the relation, and scale, the max-abs entry of
+    its two sides, at S flattened shift stencils, the columns of ``T``,
+    (2 (n+1) n^2, S): two (S,) arrays.
+
+    Each product is its factors multiplied in the order they act (complex
+    products are not bitwise commutative), as a walk of the paths takes it.
+    """
+    layout = _equation_layout(n)
+    a, b, c = layout.products
+    m = layout.m
+    lefts, rights = layout.twice
+    count = T.shape[1]
+    group = -(-count // -(-a.size * count // _DEFECT_PASS))  # samples per pass, balanced
+    space = getattr(_WORKSPACE, "space", None)
+    if space is None or space.size < a.size * group:
+        space = _WORKSPACE.space = np.empty(a.size * group, dtype=complex)
+    raws, scales = np.empty(count), np.empty(count)
+    for start in range(0, count, group):
+        part = T[:, start:start + group]
+        w = space[:a.size * part.shape[1]].reshape(a.size, -1)
+        np.take(part, a, axis=0, out=w, mode="clip")  # not "raise": no buffer before ``out``
+        w *= part.take(b, axis=0)
+        w *= part.take(c, axis=0)
+        sides, second = w[:2 * m], w[2 * m:]
+        sides[lefts] += second[:lefts.stop]
+        sides[rights] += second[lefts.stop:]
+        mags = np.abs(sides)
+        scales[start:start + group] = _column_max(mags)
+        left, right = sides.reshape(2, m, -1)
+        left -= right
+        raws[start:start + group] = _column_max(np.abs(left, out=mags[:m]))
+    return raws, scales
+
+
+def _column_max(mags: np.ndarray) -> np.ndarray:
+    """The largest entry of each column of a (rows, S) float array, read at
+    its ``argmax``: ``max(axis=0)`` reduces S-wide strips, 4.6x slower for
+    the 8 samples of a chunk at n = 9."""
+    count = mags.shape[1]
+    return mags.take(mags.argmax(axis=0) * count + np.arange(count))
+
+
+def _stencil_defect(delta_st: np.ndarray, d_st: np.ndarray) -> tuple[float, float]:
+    """Raw max-abs defect and scale of the relation at one shift stencil's
+    (n+1, n, n) tables."""
+    T = np.concatenate([delta_st.ravel(), d_st.ravel()])
+    return tuple(float(v[0]) for v in _defects(T[:, None], delta_st.shape[1]))
+
+
+def dqybe_defect(R: DynamicalRMatrix, lam: np.ndarray) -> tuple[float, float]:
+    """Raw max-abs defect of the shifted Yang-Baxter relation and the
+    max-abs entry of the two three-factor products (the natural scale)."""
+    return _stencil_defect(*shift_stencil(R, np.asarray(lam, dtype=complex)))
+
+
+def _global_residual(raw: float, scale: float, k: int) -> float:
+    """The global residual of one stencil from the raw defect and scale of
+    its tables at unit scale, times 2^k: raw / max(2^(3k), scale), without
+    2^(3k), which is no float when C is below 2^-341 or above 2^358."""
+    if scale and math.frexp(scale)[1] > 3 * k:  # scale >= 2^(3k)
+        return raw / scale
+    return math.ldexp(raw, -3 * k)
+
+
+def dqybe_residual_normalized(R: DynamicalRMatrix, lam: np.ndarray) -> float:
+    """The global residual that :func:`check_system` reports at ``lam``."""
+    T = np.concatenate([t.ravel() for t in shift_stencil(R, np.asarray(lam, dtype=complex))])
+    k, _ = unit_scale(T)
+    return _global_residual(*(float(v[0]) for v in _defects(T[:, None], R.n)), k)
 
 
 @lru_cache(maxsize=None)
@@ -476,6 +473,7 @@ def check_system(
         T = np.concatenate([delta.reshape(count, -1).T, d.reshape(count, -1).T])
         ks, units = unit_scale(T, axis=0)
         peaks = _family_peaks(_equation_values(T, n), layout)
+        raws, scales = (v.tolist() for v in _defects(T, n))
         for s, (k, unit) in enumerate(zip(ks, units)):
             norm = unit ** 3 or 1.0  # C = 0 has residuals of 0
             for tag, raw, arg, indices in peaks:
@@ -489,7 +487,7 @@ def check_system(
                             lam=sample_list[start + s],
                             value=res,
                         )
-            global_res.append(_global_residual(np.ascontiguousarray(T[:, s]), n, k))
+            global_res.append(_global_residual(raws[s], scales[s], k))
     return ResidualReport(
         global_residuals=global_res,
         per_equation=per_eq,
@@ -513,7 +511,8 @@ def _factor_positions(n: int) -> np.ndarray:
     """Where the determinant's factors sit in one point's ``concat(delta.ravel(),
     d.ravel())`` (cached, read-only ``np.intp``): each Delta_ii, then d_ij, d_ji,
     Delta_ij and Delta_ji, each over the pairs i < j in row-major order."""
-    pos = np.empty(n * (2 * n - 1), dtype=np.intp)  # made first, as in _defect_layout
+    # made before the temporaries, so that it does not sit on top of the heap
+    pos = np.empty(n * (2 * n - 1), dtype=np.intp)
     I, J = np.indices((n, n)).reshape(2, -1)
     I, J = I[I < J], J[I < J]
     pos[:] = np.concatenate([np.arange(n) * (n + 1), n * n + I * n + J, n * n + J * n + I,

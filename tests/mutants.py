@@ -64,8 +64,8 @@ MUTANTS = [
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_acceptance.py::test_criterion_07_gauge_moves_preserve_invariants")),
     Mutant("G0: shifted factor at the wrong stencil index", V,
-           "[D(0, r, r), D(r + 1, r, r)],",
-           "[D(0, r, r), D(r, r, r)],",
+           '"diag": D(0, r, r), "diag_sh": D(r + 1, r, r),',
+           '"diag": D(0, r, r), "diag_sh": D(r, r, r),',
            ("tests/test_verifier.py::test_system_equivalent_to_global_relation",
             "tests/test_verifier.py::test_check_system_equals_oracle_on_a_one_index_non_member")),
     Mutant("E6: family dropped", V,
@@ -83,21 +83,29 @@ MUTANTS = [
            "        - dij_i * dji_0 * (dij_i - dji_0),",
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_acceptance.py::test_criterion_03_determinant_factorization")),
-    Mutant("defect: every second product replaced by the pad", V,
-           "pairs[:] = first, np.where(last > first, last, bins.size)",
-           "pairs[:] = first, bins.size",
+    Mutant("defect: the right sides' second products dropped", V,
+           "        sides[rights] += second[lefts.stop:]\n",
+           "",
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_verifier.py::test_stencil_defect_equals_the_oracle_over_every_path")),
-    Mutant("defect: last left factor unshifted", V,
-           "_LEFT = (((1, 2), True), ((0, 2), False), ((0, 1), True))",
-           "_LEFT = (((1, 2), True), ((0, 2), False), ((0, 1), False))",
+    Mutant("defect: one product's factors read in another order", V,
+           '"F1": ("sij_i sij_0 dii_j", "dii_0 sij_i sij_0"),',
+           '"F1": ("dii_j sij_i sij_0", "dii_0 sij_i sij_0"),',
+           ("tests/test_verifier.py::test_side_products_are_the_path_products_off_d_diagonal_in_path_order",
+            "tests/test_verifier.py::test_stencil_defect_equals_the_oracle_over_every_path")),
+    Mutant("defect: a right-side factor read at the wrong stencil index", V,
+           '"F3": ("dij_i sij_0 dii_j", "sij_0 dii_j dij_0 + dji_0 dij_i sij_0"),',
+           '"F3": ("dij_i sij_0 dii_j", "sij_0 dii_j dij_i + dji_0 dij_i sij_0"),',
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_acceptance.py::test_criterion_03_determinant_factorization")),
-    Mutant("defect: d_yx read for d_xy", V,
-           "d_offset + (at * n + x) * n + y",
-           "d_offset + (at * n + y) * n + x",
-           ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
-            "tests/test_acceptance.py::test_criterion_03_determinant_factorization")),
+    Mutant("defect: each pass's scales written over the first pass's", V,
+           "scales[start:start + group] = _column_max(mags)",
+           "scales[:group] = _column_max(mags)",
+           ("tests/test_verifier.py::test_batched_side_pass_equals_the_oracle_on_each_stencil_bit_for_bit[9]",)),
+    Mutant("defect: one workspace shared by all threads", V,
+           "_WORKSPACE = threading.local()",
+           "_WORKSPACE = type(\"Shared\", (), {})()",
+           ("tests/test_verifier.py::test_check_system_in_threads_equals_one_thread_bit_for_bit",)),
     Mutant("invertibility: Delta_ij read for d_ij", V,
            "np.arange(n) * (n + 1), n * n + I * n + J,",
            "np.arange(n) * (n + 1), I * n + J,",
@@ -114,8 +122,8 @@ MUTANTS = [
            ("tests/test_verifier.py::test_invertibility_gathers_the_whole_table_factors_bit_for_bit",
             "tests/test_verifier.py::test_invertibility_agrees_outside_the_float_range")),
     Mutant("layouts: int32 indices, converted by every take", V,
-           "np.empty((3, kept.sum() + 1), np.intp), np.empty((2, 2 * m), np.intp)",
-           "np.empty((3, kept.sum() + 1), np.int32), np.empty((2, 2 * m), np.int32)",
+           "arrays = [np.array(rows[a:b], dtype=np.intp) for a, b in ((0, 2), (2, 12), (12, 28))]",
+           "arrays = [np.array(rows[a:b], dtype=np.int32) for a, b in ((0, 2), (2, 12), (12, 28))]",
            ("tests/test_verifier.py::test_cached_layout_arrays_are_read_only[1]",)),
     Mutant("peaks: the last entry of a tie", V,
            "arg = mags.argmax(axis=1)",
@@ -387,6 +395,10 @@ MUTANTS = [
            "if well_conditioned(R, lam[None], 1e6, stencil)[0]:",
            "if well_conditioned(R, lam[None], 1e6, False)[0]:",
            ("tests/test_cli.py::test_build_and_classify_check_the_reference_point_alone",)),
+    Mutant("cli: --help leaves out exit code 4", CLI,
+           "or no well-conditioned point, 4 rejected by the classifier, 64 usage error.",
+           "or no well-conditioned point, 64 usage error.",
+           ("tests/test_readme.py::test_help_lists_the_exit_codes_of_the_readme_table",)),
     Mutant("cli build: reference point by the stencil search", CLI,
            "    ref = _reference_point(R, stencil=False)\n    dt, dd = R.tables(ref)",
            "    ref = _reference_point(R)\n    dt, dd = R.tables(ref)",

@@ -26,14 +26,13 @@ from typing import Optional
 import numpy as np
 
 from dynrmat.rmatrix import shift_stencil
-from dynrmat.verifier import (
-    _LEFT,
-    _RIGHT,
-    DEFAULT_TOL,
-    EQUATION_TAGS,
-    ResidualReport,
-    WorstCase,
-)
+from dynrmat.verifier import DEFAULT_TOL, EQUATION_TAGS, ResidualReport, WorstCase
+
+#: The three factors of each side in the order they act on a column (the
+#: rightmost first): the 0-based slot pair and whether the spectating slot's
+#: index shifts the evaluation point.
+_LEFT = (((1, 2), True), ((0, 2), False), ((0, 1), True))    # R12(lam+h3) R13(lam) R23(lam+h1)
+_RIGHT = (((0, 1), False), ((0, 2), True), ((1, 2), False))  # R23(lam) R13(lam+h2) R12(lam)
 
 
 def at_unit_scale(*tables):

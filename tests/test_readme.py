@@ -34,6 +34,20 @@ def test_exit_code_table_lists_the_cli_exit_codes():
     assert sorted(codes) == sorted(exits.values()), exits
 
 
+def test_help_lists_the_exit_codes_of_the_readme_table(capsys):
+    """``dynrmat --help`` prints the module docstring of ``dynrmat.cli``,
+    whose sentence "Exit codes: 0 success, 1 ..." lists the same codes as
+    the README's table."""
+    table = _section("Command line").split("Exit codes:", 1)[1]
+    codes = [int(code) for code in re.findall(r"^\| (\d+) +\|", table, re.MULTILINE)]
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    sentence = " ".join(capsys.readouterr().out.split()).split("Exit codes: ", 1)[1]
+    listed = [int(code) for code in re.findall(r"(\d+) [a-z]", sentence.split(".", 1)[0])]
+    assert listed == sorted(codes), sentence
+
+
 def test_exit_code_table_names_the_pole_messages():
     row = next(line for line in README.splitlines() if line.startswith("| 3 "))
     assert "`pole: could not find N well-conditioned sample points in 2000 draws`" in row

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynrmat import verifier
 from dynrmat.builder import build
 from dynrmat.errors import PoleError
 from dynrmat.params import BlockConstants, ClassificationParams, normalize_f
@@ -25,15 +28,12 @@ from dynrmat.sampling import random_datum
 from dynrmat.serialize import SampledTables, matrix_from_samples, parse_config
 from dynrmat.transforms import decouple_compose
 from dynrmat.verifier import (
-    _LEFT,
-    _RIGHT,
     EQUATION_TAGS,
     _FAMILIES,
-    _defect_layout,
+    _defects,
     _equation_layout,
     _equation_values,
     _factor_positions,
-    _path_weights,
     _stencil_defect,
     check_invertibility,
     check_system,
@@ -47,7 +47,7 @@ from conftest import (
 )
 from invertibility_oracle import assert_matches_dense, dense_matrix, whole_table_result
 from system_oracle import (
-    constrained_indices, oracle_check_system, oracle_defect, oracle_entry_map,
+    _LEFT, _RIGHT, constrained_indices, oracle_check_system, oracle_defect, oracle_entry_map,
     oracle_entry_sums, oracle_equation_values, oracle_path_products,
 )
 
@@ -817,6 +817,42 @@ def test_check_system_pole_at_second_sample_raises_oracle_error(second):
     assert messages[0] == messages[1]
 
 
+def test_check_system_in_threads_equals_one_thread_bit_for_bit():
+    """Each thread has its own workspace for the defect's products: four
+    threads, more than this machine's cores, two at n = 5 and two at
+    n = 9, certify at once, switching often, and each gets the report
+    that one thread alone gets, again and again."""
+    cases = []
+    for n in (5, 9):
+        member = build(*random_datum(n, np.random.default_rng(50 + n)))
+        R = _scaled_entry(member, "delta", (1, 2), lambda v: 1.3 * v)
+        samples = sample_lambda(R, np.random.default_rng(n), 8)
+        cases.append((R, samples, check_system(R, samples)))
+    start = threading.Barrier(4)
+    got: dict = {}
+
+    def certify(i):
+        R, samples, _ = cases[i % 2]
+        start.wait()
+        got[i] = [check_system(R, samples) for _ in range(20)]
+
+    threads = [threading.Thread(target=certify, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(4):
+        want = cases[i % 2][2]
+        assert not want.passed
+        assert got[i] == [want] * 20
+
+
 def test_check_system_wrong_length_sample_raises_stack_error():
     p, c = golden_datum()
     R = build(p, c)
@@ -835,9 +871,8 @@ def test_check_system_wrong_length_sample_raises_stack_error():
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_cached_layout_arrays_are_read_only(n):
-    layout, equations = _defect_layout(n), _equation_layout(n)
-    arrays = [*layout.gather, layout.first, layout.second, *equations.positions,
-              *equations.indices, _factor_positions(n)]
+    layout = _equation_layout(n)
+    arrays = [*layout.positions, *layout.indices, layout.products, _factor_positions(n)]
     for arr in arrays:
         # np.intp: the index type that take() reads without a conversion
         assert arr.dtype == np.intp
@@ -881,44 +916,68 @@ def _random_stencil(rng, n, zeros):
     return delta, d
 
 
+def _kept_path_products(delta, d, factors):
+    """The path products of one side through no d_xx, in path order, by
+    the (column, row) entry they reach."""
+    n = delta.shape[1]
+    ones = np.ones((n + 1, n, n), dtype=complex)
+    rows, mark = oracle_path_products(ones, ones - np.eye(n), factors)
+    weights = oracle_path_products(delta, d, factors)[1]
+    out = {}
+    for key, kept, w in zip(zip(np.tile(np.arange(n ** 3), 8).tolist(), rows.tolist()),
+                            (mark != 0).tolist(), weights.tolist()):
+        if kept:
+            out.setdefault(key, []).append(w)
+    return out
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
-def test_cached_layout_keeps_the_paths_off_d_diagonal_binned_as_a_fresh_unique(n, seed):
-    """The layout keeps exactly the path products with no d_xx factor, in
-    path order, and their bins are a fresh ``np.unique`` of their (column,
-    row) keys: every entry a path reaches is reached without d_xx on each
-    side, by one or two kept products, named in path order by ``first``
-    and ``second``, the pad, a product of d_11 alone, only ever second."""
-    size = n ** 3
+def test_side_products_are_the_path_products_off_d_diagonal_in_path_order(n, seed):
+    """Each side of each defect entry, as the layout reads it, is the path
+    products of that side of the relation through no d_xx that reach one
+    (column, row) entry, in path order and bit for bit: a first product
+    and, in the slices ``twice``, a second.  The left and the right side
+    of a defect entry reach the same entry, and the m defect entries are
+    every entry that a path off d_xx reaches."""
     delta, d = _random_stencil(np.random.default_rng(seed), n, 0.0)
-    # all ones but d's diagonal: a product is 0 exactly when it has a d_xx factor
-    ones = np.ones((n + 1, n, n), dtype=complex)
-    marks = ones - np.eye(n)
-    rows, kept, weights = [], [], []
-    for side in (_LEFT, _RIGHT):
-        side_rows, mark = oracle_path_products(ones, marks, side)
-        rows.append(side_rows)
-        kept.append(mark != 0)
-        weights.append(oracle_path_products(delta, d, side)[1])
-    keep = np.concatenate(kept)
-    layout = _defect_layout(n)
-    d_pos = np.concatenate([g[:-1] for g in layout.gather]) - (n + 1) * n * n
-    d_pos = d_pos[d_pos >= 0]
-    assert (d_pos // n % n != d_pos % n).all()  # no factor d_xx
-    assert [g[-1] for g in layout.gather] == [(n + 1) * n * n] * 3  # the pad: d_11^3
-    w = _path_weights(np.concatenate([delta.ravel(), d.ravel()]), n)
-    assert w.tobytes() == np.append(np.concatenate(weights)[keep], 0).tobytes()
-    keys, inv = np.unique((np.tile(np.arange(size), 16) * size + np.concatenate(rows))[keep],
-                          return_inverse=True)
-    assert layout.m == keys.size
-    bins = inv + np.repeat([0, keys.size], [kept[0].sum(), kept[1].sum()])
-    products = [[] for _ in range(2 * keys.size)]
-    for k, b in enumerate(bins.tolist()):
-        products[b].append(k)
-    pad = bins.size
-    assert [[f] if s == pad else [f, s]
-            for f, s in zip(layout.first.tolist(), layout.second.tolist())] == products
-    assert pad not in layout.first.tolist()
+    layout = _equation_layout(n)
+    T = np.concatenate([delta.ravel(), d.ravel()])
+    a, b, c = layout.products
+    products = (T.take(a) * T.take(b) * T.take(c)).tolist()
+    m = layout.m
+    sides = [[w] for w in products[:2 * m]]
+    second = iter(products[2 * m:])
+    for part in layout.twice:
+        for side in sides[part]:
+            side.append(next(second))
+    assert next(second, None) is None
+    entries = []
+    for half, factors in zip((sides[:m], sides[m:]), (_LEFT, _RIGHT)):
+        kept = _kept_path_products(delta, d, factors)
+        by_products = {tuple(products): key for key, products in kept.items()}
+        assert len(by_products) == len(kept) == m
+        entries.append([by_products[tuple(side)] for side in half])
+    assert entries[0] == entries[1]
+    assert len(set(entries[0])) == m
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_batched_side_pass_equals_the_oracle_on_each_stencil_bit_for_bit(n, monkeypatch):
+    """The side pass of a batch of stencils, a column each as
+    ``check_system`` reads them, gives each stencil the oracle's raw defect
+    and scale over every path, bit for bit, with and without exact zeros
+    (all entries 0 in the last stencil), in one pass and in passes of two
+    stencils and one."""
+    rng = np.random.default_rng(900 + n)
+    stencils = [_random_stencil(rng, n, zeros) for zeros in (0.0, 0.0, 0.3, 0.8, 1.0)]
+    T = np.stack([np.concatenate([delta.ravel(), d.ravel()]) for delta, d in stencils], axis=1)
+    want = [oracle_defect(*st) for st in stencils]
+    for products in (None, 2 * _equation_layout(n).products.shape[1]):
+        if products:
+            monkeypatch.setattr(verifier, "_DEFECT_PASS", products)
+        raw, scale = _defects(T, n)
+        assert list(zip(raw.tolist(), scale.tolist())) == want
 
 
 class GaussQ:

@@ -15,7 +15,11 @@ timed batches of each batch's mean; the JSON's ``statistic``) of:
   before its batch, so that no table memo serves it;
 - ``check_system``: the whole report of the 8 samples;
 - ``global_half``: the global residual of each of the 8 stencils, as
-  :func:`~dynrmat.verifier.check_system` takes it;
+  :func:`~dynrmat.verifier.check_system` takes it: the defect's sides of
+  the 8 stencils, then each stencil's normalization;
+- ``residual_one_stencil``: the global residual at one sample alone, by
+  :func:`~dynrmat.verifier.dqybe_residual_normalized`, as a CLI transform
+  reads it;
 - ``equations``: the sixteen component equations of the 8 stencils;
 - ``peaks``: the largest residual of each equation and sample, and where;
 - ``check_invertibility``: the determinants at the 8 samples;
@@ -32,8 +36,11 @@ timed batches of each batch's mean; the JSON's ``statistic``) of:
 - ``recover_params``: the datum, from that structure;
 - ``hecke_classify``: the spectral verdict, at its default samples.
 
-A layer whose function the tree lacks reads null.  Uses numpy and the
-tree's own library only.
+A layer whose function the tree lacks reads null.  Beside the layers, the
+JSON's ``check_system_minor_faults`` holds, per n, the minor page faults
+per warm ``check_system`` call, read from this process's
+``resource.getrusage`` over 20 calls: pages that the call's memory had to
+be given anew.  Uses numpy and the tree's own library only.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
@@ -75,7 +83,16 @@ def min_us(call, make_args=None, repeat: int = 15) -> float:
     return 1e6 * min(times)
 
 
-def layers(n: int, repeat: int) -> dict:
+def minor_faults(call, calls: int = 20) -> float:
+    """Minor page faults of this process per warm call of ``call``."""
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        call()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
+def layers(n: int, repeat: int) -> tuple[dict, float]:
     import numpy as np
     import dynrmat as dr
     from dynrmat import classifier, hecke, params, rmatrix, verifier
@@ -102,9 +119,12 @@ def layers(n: int, repeat: int) -> dict:
     M, M_R = classifier.incidence_matrices(rel, delta_classes, n)
     sigma, _ = classifier.triangularize(M_R)
 
+    defects = getattr(verifier, "_defects", None)
+
     def global_half():
+        raws, scales = (v.tolist() for v in defects(scaled, n))
         for s, k in enumerate(ks):
-            verifier._global_residual(np.ascontiguousarray(scaled[:, s]), n, k)
+            verifier._global_residual(raws[s], scales[s], k)
 
     def invertibility():
         for lam in samples:
@@ -116,7 +136,8 @@ def layers(n: int, repeat: int) -> dict:
         "sample_lambda": (lambda R, rng: verifier.sample_lambda(R, rng, SAMPLES),
                           lambda: (dr.build(*datum), np.random.default_rng(1))),
         "check_system": (lambda: verifier.check_system(R, samples), None),
-        "global_half": (global_half, None),
+        "global_half": (defects and global_half, None),
+        "residual_one_stencil": (lambda: verifier.dqybe_residual_normalized(R, samples[0]), None),
         "equations": (lambda: verifier._equation_values(scaled, n), None),
         "peaks": (peaks and (lambda: peaks(values, layout)), None),
         "check_invertibility": (invertibility, None),
@@ -135,8 +156,9 @@ def layers(n: int, repeat: int) -> dict:
         "hecke_classify": (lambda: hecke.hecke_classify(R), None),
     }
     R.stacked_tables(stencils)  # the memo keeps the stencils, as after sample_lambda
-    return {name: call and round(min_us(call, make_args, repeat), 2)
-            for name, (call, make_args) in timed.items()}
+    us = {name: call and round(min_us(call, make_args, repeat), 2)
+          for name, (call, make_args) in timed.items()}
+    return us, minor_faults(timed["check_system"][0])
 
 
 def main(argv=None) -> int:
@@ -151,8 +173,10 @@ def main(argv=None) -> int:
     import numpy as np
 
     by_layer: dict = {}
+    faults: dict = {}
     for n in args.n:
-        for name, value in layers(n, args.repeat).items():
+        us, faults[str(n)] = layers(n, args.repeat)
+        for name, value in us.items():
             by_layer.setdefault(name, {})[str(n)] = value
     result = {
         "unit": "us",
@@ -164,6 +188,7 @@ def main(argv=None) -> int:
         "samples": SAMPLES,
         "repeat": args.repeat,
         "layers": by_layer,
+        "check_system_minor_faults": faults,
     }
     text = json.dumps(result, indent=2)
     if args.out:
