@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ParameterError
 from .params import (POLE_GUARD, BlockConstants, ClassificationParams, principal_sqrt,
                      validate_params)
-from .partition import IndexPartition, index_table, nd_mask
+from .partition import IndexPartition, index_table
 from .rmatrix import DynamicalRMatrix, Provenance
 
 
@@ -75,7 +75,7 @@ def build(p: IndexPartition, c: ClassificationParams) -> DynamicalRMatrix:
     member = np.zeros((len(classes), n), dtype=complex)
     member[cls_of, np.arange(n)] = 1
 
-    other_class = nd_mask(p)
+    other_class = cls_of[:, None] != cls_of[None, :]  # nd_mask(p), from the table read
     same_block = block[:, None] == block[None, :]
     coupled = same_block & (xclass[:, None] == xclass[None, :]) & other_class
     earlier = same_block & (xclass[:, None] < xclass[None, :])

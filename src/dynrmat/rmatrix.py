@@ -383,18 +383,27 @@ def pair_invariants(delta: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.nd
     return delta + delta_t, d * np.swapaxes(d, -1, -2) - delta * delta_t
 
 
+def _column_max(mags: np.ndarray) -> np.ndarray:
+    """The largest entry of each column of a (rows, S) float array, read at
+    its ``argmax``: ``max(axis=0)`` reduces S-wide strips, 4.6x slower for
+    the 8 samples of a chunk at n = 9."""
+    count = mags.shape[1]
+    return mags.take(mags.argmax(axis=0) * count + np.arange(count))
+
+
 def unit_scale(T: np.ndarray, axis: Optional[int] = None) -> tuple:
     """Multiply the finite complex array ``T``, in place, by 2^k, k = 1 - e
     for e the binary exponent of its largest modulus C (of each column for
     ``axis=0``), so that C 2^k is in [1, 2); C = 0 has k = 1.  ``np.ldexp``
     on the float view is exact, also where 2^k is no float (C < 2^-1022).
-    Returns k and C 2^k: numbers, or lists of one per column."""
+    Returns k and C 2^k: numbers, or lists of one per column.  ``axis``
+    is None or 0."""
     F = T[..., None].view(np.float64)
     if axis is None:  # Python scalars: cheaper than 0-d arrays
         mant, e = math.frexp(np.abs(T).max())
         np.ldexp(F, 1 - e, out=F)
         return 1 - e, 2 * mant
-    mant, e = np.frexp(np.abs(T).max(axis=axis))
+    mant, e = np.frexp(_column_max(np.abs(T)))
     k = 1 - e
     np.ldexp(F, k[..., None], out=F)
     return k.tolist(), (2 * mant).tolist()

@@ -1,29 +1,31 @@
 """Numerical certification of a dynamical R-matrix.
 
-Two complementary checks are provided: the global residual of the shifted
-Yang-Baxter relation on the triple tensor product, and the sixteen
-component equations the relation reduces to for zero-weight matrices
-(one diagonal family G0, nine two-index families F1..F9, six three-index
-families E1..E6).  The component equations are evaluated exactly as
-written -- products only, no divisions -- so identically-zero coefficients
-never cause spurious failures.
+For zero-weight matrices the shifted Yang-Baxter relation on the triple
+tensor product is equivalent to sixteen component equations (one diagonal
+family G0, nine two-index families F1..F9, six three-index families
+E1..E6), and :func:`check_system` evaluates the relation once, as those
+equations' sides.  A zero-weight factor sends e_x (x) e_y to at most two
+basis vectors, its swap and itself, so each side of the relation sends a
+basis triple to 8 weighted path products.  A path through a d_xx, which
+is 0, adds an exact zero; the others reach, one or two on each side, one
+(column, row) entry per component equation and index tuple.  So each entry
+of the defect is one equation's left side less its right side
+(``_SIDES``): products only, no divisions, so identically-zero
+coefficients never cause spurious failures.  They are read from the table
+positions of :class:`EquationLayout`, built once per n: three gathers, two
+products and two sums per pass over a chunk's samples, O(n^3) time and
+memory instead of the O(n^9) time and O(n^6) memory of dense products.
+The products go into a workspace of the calling thread, reused from call
+to call and bounded by ``_DEFECT_PASS``.
 
-The global residual never forms the n^3 x n^3 operators.  A zero-weight
-factor sends e_x (x) e_y to at most two basis vectors, its swap and
-itself, so each side of the relation sends a basis triple to 8 weighted
-path products.  A path through a d_xx, which is 0, adds an exact zero; the
-others reach, one or two on each side, one (column, row) entry per
-component equation and index tuple.  So each entry of the defect is one
-equation's left side less its right side (``_SIDES``), read from the same
-table positions as the equation (:class:`EquationLayout`, built once per
-n): three gathers, two products and two sums per pass over a chunk's
-samples, O(n^3) time and memory instead of the O(n^9) time and O(n^6)
-memory of dense products.  The products go into a workspace of the
-calling thread, reused from call to call and bounded by ``_DEFECT_PASS``.
-
-An index tuple with a repeated index is no equation of its family, and
-counts as a residual of 0.  :func:`check_system` reads the equations and
-the defect of a chunk of samples at once (see ``_SYSTEM_CHUNK``).
+A component residual is the largest |left - right| over its equation's
+entries, and the global defect the largest over all sixteen.  An
+equation whose factored form has a difference factor that vanishes
+exactly (F1's Delta_ii(lam + e_j) - Delta_ii(lam) where the two are
+equal) has sides that are products of other factors, equal only up to
+rounding, so its residual reads round-off, not 0.0.  An index tuple with a
+repeated index is no equation of its family, and counts as a residual of
+0.
 
 Residuals are cubic in the matrix coefficients, so all pass/fail decisions
 are made on *normalized* residuals, read from each sample's tables times
@@ -45,7 +47,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, repeat
+from itertools import permutations
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -55,6 +57,7 @@ from .partition import index_table
 from .rmatrix import (
     DynamicalRMatrix,
     _as_stack,
+    _column_max,
     shift_stencil,
     shifted,
     stencil_points,
@@ -163,41 +166,41 @@ def well_conditioned(R: DynamicalRMatrix, lams: np.ndarray, entry_cap: float,
 
 
 class EquationLayout(NamedTuple):
-    """Where the component equations of size n and the sides of the global
-    defect read their factors.
-
-    ``positions`` holds one (factors, entries) array per family: G0, the
-    pair families F1..F9 and the triple families E1..E6.  Row k holds the
-    position of the family's k-th factor in :func:`_equation_values`, at
-    every entry the family constrains, in a stencil's flattened tables
-    ``concat(delta_st.ravel(), d_st.ravel())``.  The entries are each i for
-    G0, the pairs i != j for F and the triples of distinct indices for E,
-    in row-major order; ``indices`` holds their 1-based indices, one
-    (entries, 1), (entries, 2) or (entries, 3) array per family.
+    """Where the sides of the global defect of size n read their factors,
+    and which equation each of its entries is.
 
     The global defect has ``m`` entries, one per equation and entry, each
-    a left and a right side (``_SIDES``).  ``products`` holds the positions
-    of the factors, in the order they act, of the first products of the m
-    left and then the m right sides, then of the second products of the
-    sides in the slices ``twice``.
+    a left and a right side (``_SIDES``).  ``products`` holds the positions,
+    in a stencil's flattened tables ``concat(delta_st.ravel(),
+    d_st.ravel())``, of the factors, in the order they act, of the first
+    products of the m left and then the m right sides, then of the second
+    products of the sides in the slices ``twice``.
+
+    Each equation's entries are consecutive rows of a half: each i for G0,
+    the pairs i != j for F and the triples of distinct indices for E, in
+    row-major order.  ``tags`` names the equations with entries in
+    ``EQUATION_TAGS`` order, and ``indices`` holds their entries' 1-based
+    indices, one (entries, 1), (entries, 2) or (entries, 3) array each.
+    ``offsets`` holds the first rows of these equations in the order of the
+    rows, and ``rank`` the position there of each equation of ``tags``.
     """
 
-    positions: tuple[np.ndarray, np.ndarray, np.ndarray]
-    indices: tuple[np.ndarray, np.ndarray, np.ndarray]
     products: np.ndarray
     m: int
     twice: tuple[slice, slice]
+    tags: tuple[str, ...]
+    indices: tuple[np.ndarray, ...]
+    offsets: np.ndarray
+    rank: np.ndarray
 
-
-#: The equation tags of each family, in the order of the layout's arrays.
-_FAMILIES = (EQUATION_TAGS[:1], EQUATION_TAGS[1:10], EQUATION_TAGS[10:])
 
 #: Each equation's entry of the global defect as its left side and its
 #: right side: the paths of R12(lam+h3) R13(lam) R23(lam+h1) and of
 #: R23(lam) R13(lam+h2) R12(lam) to that entry, less those through a d_xx,
 #: which is 0.  A side is one product or the sum of two, in path order; a
-#: product names its three factors, as :func:`_equation_values` does, in
-#: the order they act.  Left less right is the equation's value, up to sign.
+#: product names its three factors, as :func:`_equation_layout` places
+#: them, in the order they act.  Left less right is the equation's value,
+#: up to sign.
 _SIDES = {
     "G0": ("diag_sh diag diag_sh", "diag diag_sh diag"),
     "F1": ("sij_i sij_0 dii_j", "dii_0 sij_i sij_0"),
@@ -237,7 +240,7 @@ def _equation_layout(n: int) -> EquationLayout:
         return (n + 1) * n * n + D(at, x, y)
 
     i, j, k = I3 + 1, J3 + 1, K3 + 1  # the stencil indices of the shifts
-    at = {  # each factor's positions: G's 2, F's 10 and E's 16, as _equation_values reads them
+    at = {  # each factor's positions at the entries of its family, G, F or E
         "diag": D(0, r, r), "diag_sh": D(r + 1, r, r),
         "dii_j": D(J + 1, I, I), "dii_0": D(0, I, I), "dij_0": D(0, I, J), "dji_0": D(0, J, I),
         "dij_i": D(I + 1, I, J), "dji_i": D(I + 1, J, I), "sij_0": s(0, I, J),
@@ -249,94 +252,54 @@ def _equation_layout(n: int) -> EquationLayout:
         "D_ij_0": D(0, I3, J3), "D_jk_0": D(0, J3, K3), "D_ik_0": D(0, I3, K3),
         "D_kj_0": D(0, K3, J3),
     }
-    rows = list(at.values())
-    arrays = [np.array(rows[a:b], dtype=np.intp) for a, b in ((0, 2), (2, 12), (12, 28))]
-    arrays += [np.stack(group, axis=1) + 1 for group in ([r], [I, J], [I3, J3, K3])]
-    width = {tag: len(indices) for tags, indices in zip(_FAMILIES, arrays[3:]) for tag in tags}
+    family = dict(zip("GFE", (np.stack(group, axis=1) + 1 for group in ([r], [I, J], [I3, J3, K3]))))
+    width = {tag: len(family[tag[0]]) for tag in EQUATION_TAGS}
     # the equations whose left side has two products first, those whose
     # right side has next: each side's second products add to one slice
     two = {tag: [" + " in side for side in _SIDES[tag]] for tag in EQUATION_TAGS}
     order = sorted(EQUATION_TAGS, key=lambda tag: (not two[tag][0], two[tag][0] == two[tag][1]))
     sides = [_SIDES[tag][b].split(" + ") for b in (0, 1) for tag in order]
     chosen = [side[0] for side in sides] + [side[1] for side in sides if len(side) > 1]
-    arrays.append(np.concatenate([[at[name] for name in product.split()] for product in chosen],
-                                 axis=1, dtype=np.intp))
-    for arr in arrays:
+    products = np.concatenate([[at[name] for name in product.split()] for product in chosen],
+                              axis=1, dtype=np.intp)
+    # an equation without entries gets no row: reduceat reads a segment of
+    # width 0 as the next row, not as empty
+    first = dict(zip(order, np.cumsum([0] + [width[tag] for tag in order]).tolist()))
+    rows = [tag for tag in order if width[tag]]
+    tags = tuple(tag for tag in EQUATION_TAGS if width[tag])
+    offsets = np.array([first[tag] for tag in rows], dtype=np.intp)
+    rank = np.array([rows.index(tag) for tag in tags], dtype=np.intp)
+    for arr in (products, offsets, rank, *family.values()):
         arr.setflags(write=False)
     m = sum(width.values())
     start = m + sum(width[tag] for tag in order if two[tag] == [True, False])
     twice = (slice(0, sum(width[tag] for tag in order if two[tag][0])),
              slice(start, start + sum(width[tag] for tag in order if two[tag][1])))
-    return EquationLayout(tuple(arrays[:3]), tuple(arrays[3:6]), arrays[6], m, twice)
+    return EquationLayout(products, m, twice, tags, tuple(family[tag[0]] for tag in tags),
+                          offsets, rank)
 
 
-def _equation_values(T: np.ndarray, n: int) -> dict[str, np.ndarray]:
-    """All sixteen component-equation value arrays of S flattened shift
-    stencils, the columns of ``T``, (2 (n+1) n^2, S).
-
-    Each value array is (entries, S) over the entries its family
-    constrains, in the order of :func:`_equation_layout`.  A stencil per
-    column makes each factor's gather one contiguous block.
-    """
-    g_pos, f_pos, e_pos = _equation_layout(n).positions
-
-    diag, diag_sh = T.take(g_pos, axis=0)
-    g0 = diag * diag_sh * (diag_sh - diag)
-
-    (dii_j, dii_0, dij_0, dji_0, dij_i, dji_i,
-     sij_0, sji_0, sij_i, sji_i) = T.take(f_pos, axis=0)
-
-    brace_34 = dii_j * dij_i - dii_j * dij_0 - dji_0 * dij_i
-    brace_56 = dii_0 * dji_i - dii_0 * dji_0 + dji_0 * dij_i
-
-    out = {
-        "G0": g0,
-        "F1": sij_0 * sij_i * (dii_j - dii_0),
-        "F2": sji_0 * sji_i * (dii_j - dii_0),
-        "F3": sij_0 * brace_34,
-        "F4": sji_0 * brace_34,
-        "F5": sij_i * brace_56,
-        "F6": sji_i * brace_56,
-        "F7": dii_j ** 2 * dij_0 - sij_0 * sji_0 * dij_i - dii_j * dij_0 ** 2,
-        "F8": dii_0 ** 2 * dji_i - sij_i * sji_i * dji_0 - dii_0 * dji_i ** 2,
-        "F9": dii_0 * sij_i * sji_i - dii_j * sij_0 * sji_0
-        + dij_i * dji_0 * (dij_i - dji_0),
-    }
-
-    (s_ij_k, s_jk_i, s_ik_j, s_ji_k, s_ij_0, s_jk_0, s_ik_0, s_kj_0,
-     D_ij_k, D_ji_k, D_jk_i, D_ik_j, D_ij_0, D_jk_0, D_ik_0,
-     D_kj_0) = T.take(e_pos, axis=0)
-
-    out.update({
-        "E1": s_ij_k * s_jk_i * s_ik_0 - s_ij_0 * s_jk_0 * s_ik_j,
-        "E2": s_jk_0 * s_ik_j * (D_ij_k - D_ij_0),
-        "E3": s_ij_k * s_ik_0 * (D_jk_i - D_jk_0),
-        "E4": s_ij_k * (D_ij_k * D_jk_0 + D_ji_k * D_ik_0 - D_ik_0 * D_jk_0),
-        "E5": s_jk_0 * (D_ij_k * D_jk_0 + D_ik_j * D_kj_0 - D_ij_k * D_ik_j),
-        "E6": s_ij_k * s_ji_k * D_ik_0 - s_jk_0 * s_kj_0 * D_ik_j
-        + D_ij_k * D_jk_0 * (D_ij_k - D_jk_0),
-    })
-    return out
-
-
-#: Each thread's workspace for the products of :func:`_defects`, grown to
-#: the largest size asked: a fresh array of that size, made and freed on
+#: Each thread's workspace for the products of :func:`_side_passes`, grown
+#: to the largest size asked: a fresh array of that size, made and freed on
 #: every call, faults its pages in anew each time from n = 6.
 _WORKSPACE = threading.local()
 
-#: Most products in one pass of :func:`_defects` (1 MiB), split evenly over
-#: the samples: the workspace stays allocated through the next chunk's
-#: equations, the memory peak of check_system.  n = 9, 8 samples: 2 passes.
+#: Most products in one pass of :func:`_side_passes` (1 MiB), split evenly
+#: over the samples, so that the workspace, kept from call to call, stays
+#: small: one pass over all 8 samples at n = 9 raised ``certify``'s peak
+#: RSS by about 1 MB.  n = 9, 8 samples: 2 passes.
 _DEFECT_PASS = 1 << 16
 
 
-def _defects(T: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw max-abs defect of the relation, and scale, the max-abs entry of
-    its two sides, at S flattened shift stencils, the columns of ``T``,
-    (2 (n+1) n^2, S): two (S,) arrays.
+def _side_passes(T: np.ndarray, n: int):
+    """The sides of the relation at S flattened shift stencils, the columns
+    of ``T``, (2 (n+1) n^2, S), in passes over groups of g stencils.
 
-    Each product is its factors multiplied in the order they act (complex
-    products are not bitwise commutative), as a walk of the paths takes it.
+    Yields, per pass, the slice of its stencils, |left - right| at each of
+    the m defect entries, (m, g), and each stencil's scale, the max-abs
+    entry of the two sides.  Each product is its factors multiplied in the
+    order they act (complex products are not bitwise commutative), as a
+    walk of the paths takes it.
     """
     layout = _equation_layout(n)
     a, b, c = layout.products
@@ -347,7 +310,6 @@ def _defects(T: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     space = getattr(_WORKSPACE, "space", None)
     if space is None or space.size < a.size * group:
         space = _WORKSPACE.space = np.empty(a.size * group, dtype=complex)
-    raws, scales = np.empty(count), np.empty(count)
     for start in range(0, count, group):
         part = T[:, start:start + group]
         w = space[:a.size * part.shape[1]].reshape(a.size, -1)
@@ -358,19 +320,28 @@ def _defects(T: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         sides[lefts] += second[:lefts.stop]
         sides[rights] += second[lefts.stop:]
         mags = np.abs(sides)
-        scales[start:start + group] = _column_max(mags)
+        scales = _column_max(mags)
         left, right = sides.reshape(2, m, -1)
         left -= right
-        raws[start:start + group] = _column_max(np.abs(left, out=mags[:m]))
+        yield slice(start, start + part.shape[1]), np.abs(left, out=mags[:m]), scales
+
+
+def _equation_peaks(mags: np.ndarray, layout: EquationLayout) -> np.ndarray:
+    """The largest of ``mags``, a pass's (m, g) |left - right|, over each
+    equation's entries: (len(layout.tags), g), in the order of ``tags``."""
+    return np.maximum.reduceat(mags, layout.offsets, axis=0).take(layout.rank, axis=0)
+
+
+def _defects(T: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw max-abs defect of the relation, and scale, the max-abs entry of
+    its two sides, at S flattened shift stencils, the columns of ``T``,
+    (2 (n+1) n^2, S): two (S,) arrays."""
+    layout = _equation_layout(n)
+    raws, scales = np.empty(T.shape[1]), np.empty(T.shape[1])
+    for cols, mags, scale in _side_passes(T, n):
+        raws[cols] = _column_max(_equation_peaks(mags, layout))
+        scales[cols] = scale
     return raws, scales
-
-
-def _column_max(mags: np.ndarray) -> np.ndarray:
-    """The largest entry of each column of a (rows, S) float array, read at
-    its ``argmax``: ``max(axis=0)`` reduces S-wide strips, 4.6x slower for
-    the 8 samples of a chunk at n = 9."""
-    count = mags.shape[1]
-    return mags.take(mags.argmax(axis=0) * count + np.arange(count))
 
 
 def _stencil_defect(delta_st: np.ndarray, d_st: np.ndarray) -> tuple[float, float]:
@@ -402,39 +373,12 @@ def dqybe_residual_normalized(R: DynamicalRMatrix, lam: np.ndarray) -> float:
     return _global_residual(*(float(v[0]) for v in _defects(T[:, None], R.n)), k)
 
 
-@lru_cache(maxsize=None)
-def _peak_offsets(tags: int, entries: int, count: int) -> np.ndarray:
-    """The flat positions of entry 0 of each tag and sample in a (tags,
-    entries, count) array (cached, read-only)."""
-    out = np.arange(0, tags * entries * count, entries * count)[:, None] + np.arange(count)
-    out.setflags(write=False)
-    return out
-
-
-def _family_peaks(values: dict[str, np.ndarray], layout: EquationLayout) -> list[tuple]:
-    """``(tag, peaks, args, indices)`` of each equation of the families with
-    entries (an empty family keeps its 0.0), from :func:`_equation_values`
-    of ``count`` samples: per sample, the largest modulus of the equation's
-    values, the first entry at which it occurs, and the family's indices."""
-    out = []
-    for tags, indices in zip(_FAMILIES, layout.indices):
-        if len(indices):
-            mags = np.abs(np.stack([values[tag] for tag in tags]))  # (tags, entries, count)
-            # one reduction, then the peak read at its entry: a max over the
-            # middle axis would be a second, strided, reduction
-            arg = mags.argmax(axis=1)
-            at = arg * mags.shape[2]
-            at += _peak_offsets(*mags.shape)
-            out.extend(zip(tags, mags.take(at).tolist(), arg.tolist(), repeat(indices)))
-    return out
-
-
-#: Most entries of one operand of the batched equations in
-#: :func:`check_system`: a chunk holds max(1, _SYSTEM_CHUNK // n^3) samples,
-#: and a family has at most n^3 entries per sample.  8192 complex entries
-#: are 128 KiB, below the 256 KiB from which numpy evaluates
-#: ``a * fresh_temporary`` in place with the operands swapped (complex
-#: products are not bitwise commutative), so a batch rounds as one sample.
+#: A chunk of :func:`check_system` holds max(1, _SYSTEM_CHUNK // n^3)
+#: samples, whose stencils are read in one table call: ``DEFAULT_SAMPLES``
+#: samples take one chunk up to n = 10, and however many samples there
+#: are, a chunk's tables, 2 (n+1) n^2 complex entries a sample, hold at most
+#: 16384 (n+1) / n entries (512 KiB at n = 1) up to n = 20, one sample's
+#: above.
 _SYSTEM_CHUNK = 8192
 
 def check_system(
@@ -442,8 +386,14 @@ def check_system(
     samples: Sequence[np.ndarray],
     tol: float = DEFAULT_TOL,
 ) -> ResidualReport:
-    """Evaluate all sixteen component equations and the global relation at
-    every sample point.
+    """Evaluate the shifted relation, as its sixteen component equations'
+    sides, at every sample point.
+
+    Each equation's residual is the largest |left - right| over its
+    entries, normalized per sample (see the module docstring); the global
+    residual is read off the same entries.  ``worst`` is the first largest
+    residual, in sample order, then ``EQUATION_TAGS`` order, then entry
+    order, or None when all are 0.
 
     The shift stencils of a chunk of samples are evaluated in one table
     call, so a :class:`PoleError` names the first pole of the first sample
@@ -459,12 +409,13 @@ def check_system(
         if lam.shape != (n,):
             _as_stack(stencil_points(lam), n)  # raises the stencil's stack error
     stencils = stencil_points(np.array(lams))
-    per_eq = {tag: 0.0 for tag in EQUATION_TAGS}
+    layout = _equation_layout(n)
+    tags = layout.tags
+    peak = np.zeros(len(tags))
     worst: Optional[WorstCase] = None
     global_res: list[float] = []
     sample_list = [tuple(lam.tolist()) for lam in lams]
     chunk = max(1, _SYSTEM_CHUNK // n ** 3)
-    layout = _equation_layout(n)
     for start in range(0, len(stencils), chunk):
         part = stencils[start:start + chunk]
         count = len(part)
@@ -472,22 +423,25 @@ def check_system(
         # one column per sample at unit scale: concat(delta_st.ravel(), d_st.ravel())
         T = np.concatenate([delta.reshape(count, -1).T, d.reshape(count, -1).T])
         ks, units = unit_scale(T, axis=0)
-        peaks = _family_peaks(_equation_values(T, n), layout)
-        raws, scales = (v.tolist() for v in _defects(T, n))
-        for s, (k, unit) in enumerate(zip(ks, units)):
-            norm = unit ** 3 or 1.0  # C = 0 has residuals of 0
-            for tag, raw, arg, indices in peaks:
-                res = raw[s] / norm
-                if res > per_eq[tag]:
-                    per_eq[tag] = res
-                    if worst is None or res > worst.value:
-                        worst = WorstCase(
-                            equation=tag,
-                            indices=tuple(indices[arg[s]].tolist()),
-                            lam=sample_list[start + s],
-                            value=res,
-                        )
-            global_res.append(_global_residual(raws[s], scales[s], k))
+        norms = np.array([unit ** 3 or 1.0 for unit in units])  # C = 0 has residuals of 0
+        for cols, mags, scales in _side_passes(T, n):
+            peaks = _equation_peaks(mags, layout)
+            res = peaks / norms[cols]
+            np.maximum(peak, res.max(axis=1), out=peak)
+            s, t = divmod(int(res.T.argmax()), len(tags))  # the first largest
+            if res[t, s] > (worst.value if worst else 0.0):
+                row = layout.offsets[layout.rank[t]]
+                entries = layout.indices[t]
+                worst = WorstCase(
+                    equation=tags[t],
+                    indices=tuple(entries[mags[row:row + len(entries), s].argmax()].tolist()),
+                    lam=sample_list[start + cols.start + s],
+                    value=float(res[t, s]),
+                )
+            for raw, scale, k in zip(_column_max(peaks).tolist(), scales.tolist(), ks[cols]):
+                global_res.append(_global_residual(raw, scale, k))
+    per_eq = dict.fromkeys(EQUATION_TAGS, 0.0)
+    per_eq.update(zip(tags, peak.tolist()))
     return ResidualReport(
         global_residuals=global_res,
         per_equation=per_eq,

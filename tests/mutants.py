@@ -54,13 +54,13 @@ SER = "src/dynrmat/serialize.py"
 MUTANTS = [
     # -- the component equations and the global defect (verifier) ----------
     Mutant("F: two factors swapped", V,
-           "(dii_j, dii_0, dij_0, dji_0, dij_i, dji_i,",
-           "(dii_j, dii_0, dij_0, dji_0, dji_i, dij_i,",
+           '"dij_i": D(I + 1, I, J), "dji_i": D(I + 1, J, I),',
+           '"dij_i": D(I + 1, J, I), "dji_i": D(I + 1, I, J),',
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_acceptance.py::test_criterion_03_determinant_factorization")),
     Mutant("E: index tuples reversed", V,
-           "for group in ([r], [I, J], [I3, J3, K3])]",
-           "for group in ([r], [I, J], [K3, J3, I3])]",
+           "for group in ([r], [I, J], [I3, J3, K3])",
+           "for group in ([r], [I, J], [K3, J3, I3])",
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_acceptance.py::test_criterion_07_gauge_moves_preserve_invariants")),
     Mutant("G0: shifted factor at the wrong stencil index", V,
@@ -69,18 +69,20 @@ MUTANTS = [
            ("tests/test_verifier.py::test_system_equivalent_to_global_relation",
             "tests/test_verifier.py::test_check_system_equals_oracle_on_a_one_index_non_member")),
     Mutant("E6: family dropped", V,
-           "_FAMILIES = (EQUATION_TAGS[:1], EQUATION_TAGS[1:10], EQUATION_TAGS[10:])",
-           "_FAMILIES = (EQUATION_TAGS[:1], EQUATION_TAGS[1:10], EQUATION_TAGS[10:15])",
+           "tags = tuple(tag for tag in EQUATION_TAGS if width[tag])",
+           "tags = tuple(tag for tag in EQUATION_TAGS[:15] if width[tag])",
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_acceptance.py::test_criterion_03_determinant_factorization")),
     Mutant("E6: one sign flipped", V,
-           "        + D_ij_k * D_jk_0 * (D_ij_k - D_jk_0),",
-           "        - D_ij_k * D_jk_0 * (D_ij_k - D_jk_0),",
+           '    "E6": ("D_ij_k D_jk_0 D_ij_k + s_ji_k D_ik_0 s_ij_k",\n'
+           '           "D_jk_0 D_ij_k D_jk_0 + s_kj_0 D_ik_j s_jk_0"),',
+           '    "E6": ("D_jk_0 D_ij_k D_jk_0 + s_ji_k D_ik_0 s_ij_k",\n'
+           '           "D_ij_k D_jk_0 D_ij_k + s_kj_0 D_ik_j s_jk_0"),',
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_acceptance.py::test_criterion_03_determinant_factorization")),
     Mutant("F9: one sign flipped", V,
-           "        + dij_i * dji_0 * (dij_i - dji_0),",
-           "        - dij_i * dji_0 * (dij_i - dji_0),",
+           '"F9": ("dij_i dji_0 dij_i + sji_i dii_0 sij_i", "dji_0 dij_i dji_0 + sij_0 dii_j sji_0"),',
+           '"F9": ("dji_0 dij_i dji_0 + sji_i dii_0 sij_i", "dij_i dji_0 dij_i + sij_0 dii_j sji_0"),',
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_acceptance.py::test_criterion_03_determinant_factorization")),
     Mutant("defect: the right sides' second products dropped", V,
@@ -99,8 +101,8 @@ MUTANTS = [
            ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",
             "tests/test_acceptance.py::test_criterion_03_determinant_factorization")),
     Mutant("defect: each pass's scales written over the first pass's", V,
-           "scales[start:start + group] = _column_max(mags)",
-           "scales[:group] = _column_max(mags)",
+           "        scales[cols] = scale\n",
+           "        scales[:scale.size] = scale\n",
            ("tests/test_verifier.py::test_batched_side_pass_equals_the_oracle_on_each_stencil_bit_for_bit[9]",)),
     Mutant("defect: one workspace shared by all threads", V,
            "_WORKSPACE = threading.local()",
@@ -122,13 +124,26 @@ MUTANTS = [
            ("tests/test_verifier.py::test_invertibility_gathers_the_whole_table_factors_bit_for_bit",
             "tests/test_verifier.py::test_invertibility_agrees_outside_the_float_range")),
     Mutant("layouts: int32 indices, converted by every take", V,
-           "arrays = [np.array(rows[a:b], dtype=np.intp) for a, b in ((0, 2), (2, 12), (12, 28))]",
-           "arrays = [np.array(rows[a:b], dtype=np.int32) for a, b in ((0, 2), (2, 12), (12, 28))]",
+           "                              axis=1, dtype=np.intp)",
+           "                              axis=1, dtype=np.int32)",
            ("tests/test_verifier.py::test_cached_layout_arrays_are_read_only[1]",)),
     Mutant("peaks: the last entry of a tie", V,
-           "arg = mags.argmax(axis=1)",
-           "arg = mags.shape[1] - 1 - mags[:, ::-1].argmax(axis=1)",
+           "entries[mags[row:row + len(entries), s].argmax()]",
+           "entries[len(entries) - 1 - mags[row:row + len(entries), s][::-1].argmax()]",
            ("tests/test_verifier.py::test_an_exact_tie_in_a_family_names_its_first_entry",)),
+    Mutant("peaks: a tag boundary off by one", V,
+           "np.cumsum([0] + [width[tag] for tag in order])",
+           "np.cumsum([1] + [width[tag] for tag in order])",
+           ("tests/test_verifier.py::test_global_raw_defect_is_the_largest_equation_peak_bit_for_bit[4]",
+            "tests/test_verifier.py::test_equation_layout_equals_the_oracle_at_its_entries_and_leaves_out_zeros")),
+    Mutant("peaks: worst entry read in another tag's rows", V,
+           "row = layout.offsets[layout.rank[t]]",
+           "row = layout.offsets[t]",
+           ("tests/test_verifier.py::test_check_system_equals_oracle_on_perturbed_non_members[3]",)),
+    Mutant("defect: every pass's stencils named as the first pass's", V,
+           "yield slice(start, start + part.shape[1])",
+           "yield slice(0, part.shape[1])",
+           ("tests/test_verifier.py::test_check_system_equals_oracle_on_members[9-trivial]",)),
     Mutant("invertibility: the last zero factor named", V,
            "bad = factors.index(0)",
            "bad = len(factors) - 1 - factors[::-1].index(0)",
@@ -218,6 +233,11 @@ MUTANTS = [
            "np.ldexp(F, 1 - e, out=F)",
            "F *= 2.0 ** (1 - e)",
            ("tests/test_rmatrix.py::test_unit_scale_gives_the_bits_of_ldexp_at_the_ends_of_the_float_range",)),
+    Mutant("column max: every column read at column 0's rows", R,
+           "mags.take(mags.argmax(axis=0) * count + np.arange(count))",
+           "mags.take(mags.argmax(axis=0) * count)",
+           ("tests/test_rmatrix.py::test_unit_scale_gives_the_bits_of_ldexp_at_the_ends_of_the_float_range",
+            "tests/test_verifier.py::test_batched_side_pass_equals_the_oracle_on_each_stencil_bit_for_bit[4]")),
     Mutant("tables_from_dense: d read without the i != j guard", R,
            "    d[..., j, j] = 0  # the diagonal: [i, i, i, i] holds Delta_ii\n",
            "",
@@ -411,6 +431,10 @@ MUTANTS = [
            "op[k[:, None], k, k, k[:, None]] = const / len(cls)",
            "op[k[:, None], k, k[:, None], k] = const / len(cls)",
            ("tests/test_rmatrix.py::test_build_commuting_ops_places_like_composite_index",)),
+    Mutant("build: other d-class pairs in one orientation only", B,
+           "other_class = cls_of[:, None] != cls_of[None, :]",
+           "other_class = cls_of[:, None] < cls_of[None, :]",
+           ("tests/test_acceptance.py::test_criterion_02_random_family_members_solve_equations",)),
     Mutant("build: datum not validated", B,
            "    result = validate_params(c)\n    if not result:\n        raise ParameterError(result.message)\n",
            "",

@@ -1,19 +1,21 @@
 """Per-sample implementation of :func:`dynrmat.verifier.check_system`, kept
 as the reference that the batched verifier is tested against.
 
-Each sample is certified on its own: one shift stencil, the sixteen
-component equations on that stencil's tables, and the global defect from a
-fresh walk of the path products with its own ``np.unique`` over their
-(column, row) keys.  The arithmetic of every entry is the verifier's, so
-its report must equal this one float for float.  Every sample is read at
-unit scale, its tables times 2^k so that their largest modulus C is in
-[1, 2), and the global residual raw / max(1, scale) of the unscaled
-tables is taken from the defect there in exact rational arithmetic.
+Each sample is certified on its own: one shift stencil, and a fresh walk
+of the path products of the relation's two sides with its own
+``np.unique`` over their (column, row) keys.  Each component residual is
+the largest |left - right| over the entries that :func:`oracle_entry_map`
+sends to its equation, and the global defect the largest over every entry.
+The arithmetic of every entry is the verifier's, so its report must equal
+this one float for float.  Every sample is read at unit scale, its tables
+times 2^k so that their largest modulus C is in [1, 2), and the global
+residual raw / max(1, scale) of the unscaled tables is taken from the
+defect there in exact rational arithmetic.
 
 :func:`oracle_entry_map` pins the paper's equivalence of the shifted
 relation with the component system entry by entry: each entry of
 left - right that is not identically zero is one component equation's
-value, up to a sign.
+value, :func:`oracle_equation_values`, up to a sign.
 """
 
 from __future__ import annotations
@@ -64,8 +66,11 @@ def oracle_path_products(delta_st, d_st, factors):
     return (state[0] * n + state[1]) * n + state[2], weight
 
 
-def oracle_defect(delta_st, d_st):
-    """Raw max-abs defect and scale of one stencil's tables."""
+def oracle_sides(delta_st, d_st):
+    """Every (column, row) entry that a path of one stencil's tables
+    reaches, as the key column n^3 + row, in increasing order, with its
+    left and its right side: the sums of the path products of each side
+    that reach it."""
     left_rows, left_w = oracle_path_products(delta_st, d_st, _LEFT)
     right_rows, right_w = oracle_path_products(delta_st, d_st, _RIGHT)
     size = delta_st.shape[1] ** 3
@@ -77,7 +82,15 @@ def oracle_defect(delta_st, d_st):
     bins = inv + np.repeat([0, m], left_w.size)
     w = np.concatenate([left_w, right_w])
     sums = np.bincount(bins, w.real, 2 * m) + 1j * np.bincount(bins, w.imag, 2 * m)
-    left, right = sums[:m], sums[m:]
+    return keys, sums[:m], sums[m:]
+
+
+def oracle_defect(delta_st, d_st):
+    """Raw max-abs defect and scale of one stencil's tables."""
+    return _raw_and_scale(*oracle_sides(delta_st, d_st)[1:])
+
+
+def _raw_and_scale(left, right):
     raw = float(np.abs(left - right).max())
     scale = max(float(np.abs(left).max()), float(np.abs(right).max()))
     return raw, scale
@@ -134,6 +147,17 @@ def oracle_entry_map(n: int) -> dict:
         out[key] = (*labels[best[1]], 1 - 2 * int(best[0]))
     assert sorted(label[:2] for label in out.values()) == sorted(labels)
     return out
+
+
+@lru_cache(maxsize=None)
+def oracle_equation_entries(n: int) -> dict:
+    """Each equation's entries of left - right, by :func:`oracle_entry_map`:
+    ``(indices, column n^3 + row)`` at each 1-based index tuple it
+    constrains, in row-major order of the indices, for every tag."""
+    out = {tag: [] for tag in EQUATION_TAGS}
+    for (column, row), (tag, indices, _) in oracle_entry_map(n).items():
+        out[tag].append((indices, column * n ** 3 + row))
+    return {tag: sorted(entries) for tag, entries in out.items()}
 
 
 def oracle_equation_values(delta0, d0, delta_sh, d_sh):
@@ -225,23 +249,22 @@ def oracle_check_system(R, samples, tol: float = DEFAULT_TOL) -> ResidualReport:
         sample_list.append(tuple(lam.tolist()))
         k, scale, (delta_st, d_st) = at_unit_scale(*shift_stencil(R, lam))
         norm = scale ** 3 or 1.0
-        values = oracle_equation_values(delta_st[0], d_st[0], delta_st[1:], d_st[1:])
-        for tag, arr in values.items():
-            mags = np.abs(arr)
-            raw = float(mags.max()) if mags.size else 0.0
+        keys, left, right = oracle_sides(delta_st, d_st)
+        defect = dict(zip(keys.tolist(), np.abs(left - right).tolist()))
+        for tag, entries in oracle_equation_entries(R.n).items():
+            mags = [defect[key] for _, key in entries]
+            raw = max(mags, default=0.0)
             res = raw / norm
             if res > per_eq[tag]:
                 per_eq[tag] = res
-                idx = np.unravel_index(int(np.argmax(mags)), mags.shape)
-                indices = tuple(int(v) + 1 for v in idx)
                 if worst is None or res > worst.value:
                     worst = WorstCase(
                         equation=tag,
-                        indices=indices,
+                        indices=entries[mags.index(raw)][0],
                         lam=tuple(lam.tolist()),
                         value=res,
                     )
-        raw, defect_scale = map(Fraction, oracle_defect(delta_st, d_st))
+        raw, defect_scale = map(Fraction, _raw_and_scale(left, right))
         # raw / max(1, scale) of the unscaled tables: the defect is cubic
         global_res.append(float(raw and raw / max(Fraction(2) ** (3 * k), defect_scale)))
     return ResidualReport(

@@ -35,6 +35,9 @@ def test_one_pair_of_one_second_runs_reports_every_metric(tmp_path):
     assert certify["faulty_runs"] == []
     assert all(v > 0 for v in certify["tracemalloc_peak_kib"].values())
     assert [r["first"] for r in certify["runs"]] == ["parent"]
+    for run in certify["runs"][0]["runs"].values():
+        assert set(run["loadavg"]) == {"before", "after"}
+        assert all(len(v) == 3 and min(v) >= 0 for v in run["loadavg"].values())
     assert set(certify["metrics"]) == METRICS
     for metric in certify["metrics"].values():
         assert set(metric) == {"better", "parent", "change", "median_change", "change_won",

@@ -29,11 +29,11 @@ from dynrmat.serialize import SampledTables, matrix_from_samples, parse_config
 from dynrmat.transforms import decouple_compose
 from dynrmat.verifier import (
     EQUATION_TAGS,
-    _FAMILIES,
     _defects,
     _equation_layout,
-    _equation_values,
+    _equation_peaks,
     _factor_positions,
+    _side_passes,
     _stencil_defect,
     check_invertibility,
     check_system,
@@ -47,8 +47,9 @@ from conftest import (
 )
 from invertibility_oracle import assert_matches_dense, dense_matrix, whole_table_result
 from system_oracle import (
-    _LEFT, _RIGHT, constrained_indices, oracle_check_system, oracle_defect, oracle_entry_map,
-    oracle_entry_sums, oracle_equation_values, oracle_path_products,
+    _LEFT, _RIGHT, at_unit_scale, constrained_indices, oracle_check_system, oracle_defect,
+    oracle_entry_map, oracle_entry_sums, oracle_equation_entries, oracle_equation_values,
+    oracle_path_products, oracle_sides,
 )
 
 
@@ -727,15 +728,18 @@ def test_check_system_equals_oracle_on_a_one_index_non_member():
 
 
 def test_an_exact_tie_in_a_family_names_its_first_entry():
-    """At points with lam_1 = lam_2, G0 at index 1 and at index 2 multiply
-    the same numbers: the peak of the family is tied, and its first entry
-    is named."""
+    """At points with lam_1 = lam_2, G0's sides at index 1 and at index 2
+    multiply the same numbers: the peak of the equation is tied, and its
+    first entry is named."""
     R = DynamicalRMatrix(2, lambda i, j, lam: 1 + 0.3 * lam[i - 1] if i == j else 0j,
                          lambda i, j, lam: 0j)
     points = [np.repeat(lam, 2) for lam in random_points(np.random.default_rng(312), 1, 4)]
     delta, d = R.stacked_tables(stencil_points(np.array(points)).reshape(-1, 2))
     T = np.concatenate([delta.reshape(len(points), -1).T, d.reshape(len(points), -1).T])
-    g0 = _equation_values(T, 2)["G0"]
+    layout = _equation_layout(2)
+    row = layout.offsets[layout.rank[layout.tags.index("G0")]]
+    (_, mags, _), = _side_passes(T, 2)
+    g0 = mags[row:row + 2]
     assert np.array_equal(g0[0], g0[1]) and g0[0].all()  # tied at every sample
     report, oracle = _both_reports(R, points)
     assert report == oracle
@@ -872,7 +876,8 @@ def test_check_system_wrong_length_sample_raises_stack_error():
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_cached_layout_arrays_are_read_only(n):
     layout = _equation_layout(n)
-    arrays = [*layout.positions, *layout.indices, layout.products, _factor_positions(n)]
+    arrays = [layout.products, layout.offsets, layout.rank, *layout.indices,
+              _factor_positions(n)]
     for arr in arrays:
         # np.intp: the index type that take() reads without a conversion
         assert arr.dtype == np.intp
@@ -883,26 +888,59 @@ def test_cached_layout_arrays_are_read_only(n):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.3, 0.8]))
 def test_equation_layout_equals_the_oracle_at_its_entries_and_leaves_out_zeros(n, seed, zeros):
-    rng = np.random.default_rng(seed)
-    shape = (n + 1, n, n)
-    delta, d = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ab")
-    for tab in (delta, d):
-        tab[rng.random(shape) < zeros] = 0
-    want = oracle_equation_values(delta[0], d[0], delta[1:], d[1:])
-    got = _equation_values(np.concatenate([delta.ravel(), d.ravel()])[:, None], n)
-    for tags, indices in zip(_FAMILIES, _equation_layout(n).indices):
-        arity = {"G": 1, "F": 2, "E": 3}[tags[0][0]]
-        # the entries are every index tuple of pairwise distinct indices, in
-        # row-major order, each naming its own entry of the oracle's array
-        every = [t for t in np.ndindex(*(n,) * arity) if len(set(t)) == arity]
-        assert [tuple(t) for t in indices.tolist()] == [tuple(v + 1 for v in t) for t in every]
-        at = tuple(np.array(every, dtype=int).reshape(-1, arity).T)
-        left_out = np.ones((n,) * arity, dtype=bool)
-        left_out[at] = False
-        for tag in tags:
-            assert got[tag].shape == (len(indices), 1)
-            assert got[tag][:, 0].tobytes() == want[tag][at].tobytes()
-            assert (want[tag][left_out] == 0).all()
+    """Each equation's rows of the side pass are its entries, every index
+    tuple of pairwise distinct indices in row-major order, each
+    |left - right| of the oracle's walk at the entry that the entry map
+    sends to that tuple, bit for bit.  Every entry off the map is exactly
+    0, so the global raw defect is the largest of the equations' peaks."""
+    delta, d = _random_stencil(np.random.default_rng(seed), n, zeros)
+    keys, left, right = oracle_sides(delta, d)
+    want = dict(zip(keys.tolist(), np.abs(left - right).tolist()))
+    entries = oracle_equation_entries(n)
+    layout = _equation_layout(n)
+    (_, mags, _), = _side_passes(np.concatenate([delta.ravel(), d.ravel()])[:, None], n)
+    assert layout.tags == tuple(tag for tag in EQUATION_TAGS if entries[tag])
+    for tag, indices, first in zip(layout.tags, layout.indices, layout.offsets[layout.rank]):
+        arity = {"G": 1, "F": 2, "E": 3}[tag[0]]
+        every = [tuple(v + 1 for v in t) for t in np.ndindex(*(n,) * arity)
+                 if len(set(t)) == arity]
+        assert [tuple(t) for t in indices.tolist()] == every
+        assert [idx for idx, _ in entries[tag]] == every
+        got = mags[first:first + len(every), 0].tolist()
+        assert got == [want[key] for _, key in entries[tag]]
+    on_map = {key for listed in entries.values() for _, key in listed}
+    assert {want[key] for key in set(want) - on_map} <= {0.0}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_global_raw_defect_is_the_largest_equation_peak_bit_for_bit(n):
+    """On members and non-members, at unit scale as ``check_system`` reads
+    them: each equation's peak is the oracle's largest |left - right| over
+    the entries of that equation, and the raw global defect, the verifier's
+    and the oracle's over every entry, is the largest of them, bit for
+    bit."""
+    rng = np.random.default_rng(940 + n)
+    member = build(*random_datum(n, rng))
+    if n == 1:
+        other = DynamicalRMatrix(1, lambda i, j, lam: 1 + 0.3 * lam[0], lambda i, j, lam: 0j)
+    else:
+        other = _scaled_entry(member, "delta", (1, 2), lambda v: v + 0.1)
+    layout = _equation_layout(n)
+    for R in (member, other):
+        stencils = [at_unit_scale(*shift_stencil(R, lam))[2]
+                    for lam in sample_lambda(R, rng, 4)]
+        T = np.stack([np.concatenate([delta.ravel(), d.ravel()]) for delta, d in stencils], axis=1)
+        (_, mags, _), = _side_passes(T, n)
+        peaks = _equation_peaks(mags, layout)
+        raws = _defects(T, n)[0]
+        for s, (delta, d) in enumerate(stencils):
+            keys, left, right = oracle_sides(delta, d)
+            want = dict(zip(keys.tolist(), np.abs(left - right).tolist()))
+            entries = oracle_equation_entries(n)
+            oracle_peaks = [max(want[key] for _, key in entries[tag]) for tag in layout.tags]
+            assert peaks[:, s].tolist() == oracle_peaks
+            assert raws[s] == max(oracle_peaks) == oracle_defect(delta, d)[0]
+    assert raws.min() > 1e-6  # the non-member's
 
 
 def _random_stencil(rng, n, zeros):

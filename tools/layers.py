@@ -20,8 +20,9 @@ timed batches of each batch's mean; the JSON's ``statistic``) of:
 - ``residual_one_stencil``: the global residual at one sample alone, by
   :func:`~dynrmat.verifier.dqybe_residual_normalized`, as a CLI transform
   reads it;
-- ``equations``: the sixteen component equations of the 8 stencils;
-- ``peaks``: the largest residual of each equation and sample, and where;
+- ``equation_peaks``: the per-tag peak step of the 8 stencils, the
+  largest |left - right| of each equation and stencil, read off the
+  entries of each pass of their sides;
 - ``check_invertibility``: the determinants at the 8 samples;
 - ``stacked_tables``: a warm read of the 8 stencils' tables, as
   ``check_system`` reads them, and ``stacked_tables_point``: a warm read
@@ -40,7 +41,10 @@ A layer whose function the tree lacks reads null.  Beside the layers, the
 JSON's ``check_system_minor_faults`` holds, per n, the minor page faults
 per warm ``check_system`` call, read from this process's
 ``resource.getrusage`` over 20 calls: pages that the call's memory had to
-be given anew.  Uses numpy and the tree's own library only.
+be given anew.  ``loadavg`` holds the machine's 1, 5 and 15 minute load
+averages (``os.getloadavg()``) before and after the timings: a load near
+or above the CPU count marks a run whose minima other work may have
+raised.  Uses numpy and the tree's own library only.
 """
 
 from __future__ import annotations
@@ -105,11 +109,8 @@ def layers(n: int, repeat: int) -> tuple[dict, float]:
     table = np.concatenate([delta.reshape(SAMPLES, -1).T, d.reshape(SAMPLES, -1).T])
     scaled = table.copy()
     ks, _ = rmatrix.unit_scale(scaled, axis=0)
-    values = verifier._equation_values(scaled, n)
     factors = np.concatenate([t.ravel() for t in R.tables(samples[0])]).take(
         verifier._factor_positions(n))
-    peaks = getattr(verifier, "_family_peaks", None)
-    layout = verifier._equation_layout(n)
     structure = classifier.classify(R)
     # classify's own samples and stages
     cls_samples = verifier.sample_lambda(R, np.random.default_rng(0), classifier.DEFAULT_SAMPLES,
@@ -120,6 +121,9 @@ def layers(n: int, repeat: int) -> tuple[dict, float]:
     sigma, _ = classifier.triangularize(M_R)
 
     defects = getattr(verifier, "_defects", None)
+    peaks = getattr(verifier, "_equation_peaks", None)
+    passes = peaks and [mags for _, mags, _ in verifier._side_passes(scaled, n)]
+    layout = verifier._equation_layout(n)
 
     def global_half():
         raws, scales = (v.tolist() for v in defects(scaled, n))
@@ -138,8 +142,7 @@ def layers(n: int, repeat: int) -> tuple[dict, float]:
         "check_system": (lambda: verifier.check_system(R, samples), None),
         "global_half": (defects and global_half, None),
         "residual_one_stencil": (lambda: verifier.dqybe_residual_normalized(R, samples[0]), None),
-        "equations": (lambda: verifier._equation_values(scaled, n), None),
-        "peaks": (peaks and (lambda: peaks(values, layout)), None),
+        "equation_peaks": (peaks and (lambda: [peaks(mags, layout) for mags in passes]), None),
         "check_invertibility": (invertibility, None),
         "stacked_tables": (lambda: R.stacked_tables(stencils), None),
         "stacked_tables_point": (lambda: R.stacked_tables(samples[0][None]), None),
@@ -174,6 +177,7 @@ def main(argv=None) -> int:
 
     by_layer: dict = {}
     faults: dict = {}
+    before = os.getloadavg()
     for n in args.n:
         us, faults[str(n)] = layers(n, args.repeat)
         for name, value in us.items():
@@ -189,6 +193,7 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "layers": by_layer,
         "check_system_minor_faults": faults,
+        "loadavg": {"before": list(before), "after": list(os.getloadavg())},
     }
     text = json.dumps(result, indent=2)
     if args.out:

@@ -16,7 +16,9 @@ and counted.  Beside ``peak_rss_mb`` it records, for each tree, the
 that the program allocates, which heap placement does not move.  Each
 tree is named by its directory's name and, when it is a git checkout, by its commit,
 the git tree hash of its ``src/`` at that commit, and whether its files
-differ from that commit.  Uses the standard library only.
+differ from that commit.  Each run records the machine's 1, 5 and 15
+minute load averages (``os.getloadavg()``) before and after it, so that a
+run that other work slowed down shows.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ def bench(tree: str, workload: str, seed: int, seconds: int) -> dict:
     """One ``bench/run.py`` run: its result line and its uncorrected figures."""
     cmd = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    before = os.getloadavg()
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    out = {"exit": done.returncode}
+    out = {"exit": done.returncode,
+           "loadavg": {"before": list(before), "after": list(os.getloadavg())}}
     lines = done.stdout.splitlines()
     if lines and lines[-1].startswith("{"):
         out["result"] = json.loads(lines[-1])
